@@ -18,16 +18,8 @@ __all__ = ["edge_arrays", "adjacency_pair", "to_networkx"]
 
 def edge_arrays(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
     """Return (drivers, sinks) index arrays for every wire in the netlist."""
-    n_edges = netlist.num_edges
-    drivers = np.empty(n_edges, dtype=np.int64)
-    sinks = np.empty(n_edges, dtype=np.int64)
-    k = 0
-    for sink in netlist.nodes():
-        for driver in netlist.fanins(sink):
-            drivers[k] = driver
-            sinks[k] = sink
-            k += 1
-    return drivers, sinks
+    structure = netlist.structure()
+    return structure.fanin_idx.copy(), structure.pin_sinks()
 
 
 def adjacency_pair(netlist: Netlist) -> tuple[COOMatrix, COOMatrix]:
@@ -42,8 +34,9 @@ def adjacency_pair(netlist: Netlist) -> tuple[COOMatrix, COOMatrix]:
     drivers, sinks = edge_arrays(netlist)
     n = netlist.num_nodes
     values = np.ones(len(drivers), dtype=np.float64)
+    # COOMatrix copies what it is given into its own growable buffers.
     pred = COOMatrix((n, n), values, rows=sinks, cols=drivers)
-    succ = COOMatrix((n, n), values.copy(), rows=drivers.copy(), cols=sinks.copy())
+    succ = COOMatrix((n, n), values, rows=drivers, cols=sinks)
     return pred, succ
 
 

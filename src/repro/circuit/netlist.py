@@ -10,11 +10,17 @@ across insertions — a property the incremental COO update in
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import hashlib
+from collections.abc import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.circuit.cells import GateType
+from repro.circuit.structure import NetlistStructure, csr_to_rows, rows_to_csr
 
 __all__ = ["Netlist"]
+
+_GATE_TYPES = tuple(GateType)  #: indexable by type code (codes are 0..len-1)
 
 
 class Netlist:
@@ -37,10 +43,37 @@ class Netlist:
         self._po_marks: set[int] = set()
         self._name_to_id: dict[str, int] = {}
         #: monotonically increasing structural-mutation counter; guards the
-        #: cached content fingerprint below.
+        #: derived values memoised by :meth:`cached`.
         self._version: int = 0
-        self._fingerprint: str | None = None
-        self._fingerprint_version: int = -1
+        self._cache: dict[str, object] = {}
+        self._cache_version: int = 0
+
+    @classmethod
+    def from_structure(
+        cls,
+        name: str,
+        structure: NetlistStructure,
+        names: list[str],
+        outputs: Iterable[int],
+    ) -> "Netlist":
+        """Bulk-build a fully named netlist from its array view.
+
+        The caller vouches for what :meth:`add_cell` would have checked
+        (arities, fanin ids in range, unique names, fan-out rows matching
+        the fan-in rows); ``structure`` becomes the memoised view.
+        """
+        netlist = cls(name)
+        netlist._types = list(map(_GATE_TYPES.__getitem__, structure.types.tolist()))
+        netlist._fanins = csr_to_rows(structure.fanin_ptr, structure.fanin_idx)
+        netlist._fanouts = csr_to_rows(structure.fanout_ptr, structure.fanout_idx)
+        netlist._names = list(names)
+        netlist._name_to_id = dict(zip(names, range(len(names))))
+        netlist._po_marks = set(outputs)
+        # One mutation per cell and per output mark, as if built cell by cell.
+        netlist._version = len(names) + len(netlist._po_marks)
+        netlist._cache = {"structure": structure}
+        netlist._cache_version = netlist._version
+        return netlist
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -194,10 +227,31 @@ class Netlist:
         """Invalidate cached structural state after out-of-band edits.
 
         Code that reaches into the private lists directly (the incremental
-        OPI rollback does) must call this so :meth:`fingerprint` never
-        serves a hash of content that has since changed.
+        OPI rollback does) must call this so :meth:`fingerprint` and
+        :meth:`structure` never serve content that has since changed.
         """
         self._version += 1
+
+    def cached(self, key: str, build: Callable[[], object]):
+        """``build()``, memoised until the next structural mutation."""
+        if self._cache_version != self._version:
+            self._cache = {}
+            self._cache_version = self._version
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
+    def structure(self) -> NetlistStructure:
+        """The array view of the current wiring (see :mod:`repro.circuit.structure`)."""
+        return self.cached("structure", self._build_structure)
+
+    def _build_structure(self) -> NetlistStructure:
+        fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
+        fanout_ptr, fanout_idx = rows_to_csr(self._fanouts)
+        types = np.fromiter(self._types, dtype=np.int64, count=len(self._types))
+        return NetlistStructure(types, fanin_ptr, fanin_idx, fanout_ptr, fanout_idx)
 
     def fingerprint(self) -> str:
         """Content hash of the structure (types, fanins, output marks).
@@ -208,24 +262,18 @@ class Netlist:
         (:mod:`repro.atpg.cones`).  The hash is memoised and recomputed
         only after a structural mutation.
         """
-        if self._fingerprint_version == self._version and self._fingerprint:
-            return self._fingerprint
-        import hashlib
+        return self.cached("fingerprint", self._build_fingerprint)
 
-        import numpy as np
-
+    def _build_fingerprint(self) -> str:
+        # Not via structure(): the OPI loop fingerprints after every tentative
+        # insertion and needs neither the fan-out half nor the type array.
+        fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
         h = hashlib.sha256()
         h.update(np.array(self._types, dtype=np.int16).tobytes())
-        lengths = np.fromiter(
-            (len(f) for f in self._fanins), dtype=np.int64, count=len(self._fanins)
-        )
-        h.update(lengths.tobytes())
-        flat = [u for fanins in self._fanins for u in fanins]
-        h.update(np.array(flat, dtype=np.int64).tobytes())
+        h.update(np.diff(fanin_ptr).tobytes())
+        h.update(fanin_idx.tobytes())
         h.update(np.array(sorted(self._po_marks), dtype=np.int64).tobytes())
-        self._fingerprint = h.hexdigest()
-        self._fingerprint_version = self._version
-        return self._fingerprint
+        return h.hexdigest()
 
     def observation_points(self) -> list[int]:
         """Return ids of inserted ``OBS`` cells."""
@@ -313,8 +361,8 @@ class Netlist:
         dup._po_marks = set(self._po_marks)
         dup._name_to_id = dict(self._name_to_id)
         dup._version = self._version
-        dup._fingerprint = self._fingerprint
-        dup._fingerprint_version = self._fingerprint_version
+        dup._cache = dict(self._cache)
+        dup._cache_version = self._cache_version
         return dup
 
     def type_counts(self) -> dict[str, int]:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.circuit.cells import GateType, is_source
-from repro.circuit.levelize import CombinationalLoopError, topological_order
+from repro.circuit.levelize import CombinationalLoopError, levelize
 from repro.circuit.netlist import Netlist
 from repro.resilience.errors import ReproError
 
@@ -57,25 +59,26 @@ def validate_netlist(netlist: Netlist, strict: bool = False) -> ValidationReport
         report.errors.append("netlist is empty")
     else:
         try:
-            topological_order(netlist)
+            levelize(netlist)  # memoised: the analyses that follow reuse it
         except CombinationalLoopError as exc:
             report.errors.append(str(exc))
 
-        for v in netlist.nodes():
-            if v in netlist.fanins(v):
-                report.errors.append(f"node {v} feeds itself combinationally")
+        structure = netlist.structure()
+        types, pin_sink = structure.types, structure.pin_sinks()
+        for v in np.unique(pin_sink[pin_sink == structure.fanin_idx]).tolist():
+            report.errors.append(f"node {v} feeds itself combinationally")
 
-        observed = set(netlist.observation_sites)
-        if not observed:
+        observed = np.zeros(netlist.num_nodes, dtype=bool)
+        observed[np.array(netlist.primary_outputs, dtype=np.int64)] = True
+        observed[structure.scan_captured()] = True
+        if not observed.any():
             report.errors.append("design has no observation sites (no POs/DFFs)")
 
-        for v in netlist.nodes():
+        unused = np.diff(structure.fanout_ptr) == 0
+        for v in np.flatnonzero(unused & ~observed & (types != GateType.OBS)).tolist():
             t = netlist.gate_type(v)
-            if t is GateType.OBS:
-                continue
-            if not netlist.fanouts(v) and v not in observed:
-                kind = "source" if is_source(t) else "gate"
-                report.warnings.append(f"dangling {kind} {v} ({t.name}) is never observed")
+            kind = "source" if is_source(t) else "gate"
+            report.warnings.append(f"dangling {kind} {v} ({t.name}) is never observed")
 
     if strict and report.errors:
         raise NetlistValidationError("; ".join(report.errors))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.levelize import logic_levels, topological_order
+from repro.circuit.levelize import logic_levels
 from repro.circuit.netlist import Netlist
 from repro.testability.scoap import ScoapResult, compute_scoap
 
@@ -45,11 +45,10 @@ def build_attributes(
 ) -> np.ndarray:
     """Return the ``(n_nodes, 4)`` attribute matrix ``[LL, C0, C1, O]``."""
     config = config or AttributeConfig()
-    order = topological_order(netlist)
     if levels is None:
-        levels = logic_levels(netlist, order)
+        levels = logic_levels(netlist)
     if scoap is None:
-        scoap = compute_scoap(netlist, order)
+        scoap = compute_scoap(netlist)
     raw = np.stack(
         [levels.astype(np.float64), scoap.cc0, scoap.cc1, scoap.co], axis=1
     )

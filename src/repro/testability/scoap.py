@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.cells import GateType
-from repro.circuit.levelize import topological_order
+from repro.circuit.levelize import levelize, topological_order, uses_level_batches
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import counts_to_ptr, expand_rows, gate_table
 
 __all__ = ["ScoapResult", "compute_scoap", "SCOAP_INF"]
 
@@ -53,7 +54,22 @@ def _xor_controllability(
 def compute_scoap(
     netlist: Netlist, order: list[int] | None = None
 ) -> ScoapResult:
-    """Compute SCOAP controllability and observability for every node."""
+    """Compute SCOAP controllability and observability for every node.
+
+    Small designs are swept node by node in ``order``; from
+    :data:`~repro.circuit.levelize.LEVEL_BATCH_MIN_NODES` nodes up the
+    sweep runs level by level (:func:`_compute_scoap_batched`), with equal
+    results.
+    """
+    if uses_level_batches(netlist):
+        return _compute_scoap_batched(netlist)
+    return _compute_scoap_scalar(netlist, order)
+
+
+def _compute_scoap_scalar(
+    netlist: Netlist, order: list[int] | None = None
+) -> ScoapResult:
+    """The defining node-by-node sweep (and the batched sweep's oracle)."""
     if order is None:
         order = topological_order(netlist)
     n = netlist.num_nodes
@@ -164,3 +180,129 @@ def branch_observability(
             raise ValueError(f"unhandled fanout gate type {t!r}")
         best = min(best, cost)
     return min(best, SCOAP_INF)
+
+
+# --------------------------------------------------------------------- #
+# Level-batched sweep
+# --------------------------------------------------------------------- #
+_T = GateType
+_PARITY = gate_table({_T.XOR: 1, _T.XNOR: 1})
+#: Every other gate is an AND or an OR with optional output inversion
+#: (``BUF``/``OBS`` a one-input AND, ``NOT`` a one-input NAND): one output
+#: is ``min`` over one controllability of the fanins, the other ``sum``
+#: over the opposite one.  ``_MIN_IN`` is the fanin column (0 = CC0) the
+#: ``min`` reads, ``_MIN_OUT`` the output column it lands in.  For parity
+#: gates ``_MIN_OUT`` is where the even-parity cost lands.
+_MIN_IN = gate_table({_T.OR: 1, _T.NOR: 1})
+_MIN_OUT = gate_table({_T.NOT: 1, _T.NAND: 1, _T.OR: 1, _T.XNOR: 1})
+#: Column of ``[CC0, CC1, min(CC0, CC1), 0]`` that a side input of the gate
+#: must be set to for a fault effect to pass.
+_SIDE = gate_table(
+    {_T.OR: 0, _T.NOR: 0, _T.AND: 1, _T.NAND: 1, _T.XOR: 2, _T.XNOR: 2}, default=3
+)
+
+
+def _level_groups(keys: np.ndarray, n_groups: int, ptr: np.ndarray, rows: np.ndarray):
+    """Schedule ``rows`` (sorted by ``keys`` in ``range(n_groups)``) group by group.
+
+    Returns the concatenated CSR content positions of the rows, the
+    first-entry offset of every row *within its group's slice* (what
+    ``ufunc.reduceat`` wants), and per-group row and entry bounds as lists.
+    """
+    positions, counts = expand_rows(ptr, rows)
+    entry_ptr = counts_to_ptr(counts)
+    row_bounds = np.searchsorted(keys, np.arange(n_groups + 1))
+    entry_bounds = entry_ptr[row_bounds]
+    local_starts = entry_ptr[:-1] - np.repeat(entry_bounds[:-1], np.diff(row_bounds))
+    return positions, counts, local_starts, row_bounds.tolist(), entry_bounds.tolist()
+
+
+def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:
+    """SCOAP level by level over the array view.
+
+    Every value is an integer-valued float far below 2**53, so sums are
+    exact in any order and the result equals the scalar sweep bit for bit.
+    """
+    structure = netlist.structure()
+    levelization = levelize(netlist)
+    types, levels = structure.types, levelization.levels
+    n, depth = structure.num_nodes, levelization.depth
+
+    # ---- controllability: levels 1..depth, ascending ------------------- #
+    cc = np.ones((n, 2), dtype=np.float64)
+    cc[types == GateType.CONST0, 1] = SCOAP_INF
+    cc[types == GateType.CONST1, 0] = SCOAP_INF
+    flat = cc.reshape(-1)
+
+    gates = levelization.order[levelization.level_ptr[1]:]
+    keys = 2 * (levels[gates] - 1) + _PARITY[types[gates]]
+    by_family = np.argsort(keys, kind="stable")
+    gates, keys = gates[by_family], keys[by_family]
+    positions, pins, starts, row_at, pin_at = _level_groups(
+        keys, 2 * depth, structure.fanin_ptr, gates
+    )
+    gate_types = types[gates]
+    min_in = 2 * structure.fanin_idx[positions] + np.repeat(_MIN_IN[gate_types], pins)
+    sum_in = min_in ^ 1
+    min_out = 2 * gates + _MIN_OUT[gate_types]
+    sum_out = min_out ^ 1
+    for group in range(2 * depth):
+        g0, g1 = row_at[group], row_at[group + 1]
+        if g0 == g1:
+            continue
+        p0, p1 = pin_at[group], pin_at[group + 1]
+        first = starts[g0:g1]
+        a = flat.take(min_in[p0:p1])
+        b = flat.take(sum_in[p0:p1])
+        if group % 2 == 0:
+            low = np.minimum.reduceat(a, first)
+            high = np.add.reduceat(b, first)
+        else:
+            # Parity gates, a = CC0 and b = CC1 of every pin.  The cheapest
+            # assignment sets each pin to its cheaper value; if that has
+            # the wrong parity, the pin that is cheapest to flip flips.
+            # Equal to the pin-by-pin dynamic programme of the scalar sweep.
+            delta = b - a
+            cheapest = np.add.reduceat(a + np.minimum(delta, 0.0), first)
+            ones_odd = np.add.reduceat(delta < 0.0, first, dtype=np.int64) % 2 == 1
+            flip = np.minimum.reduceat(np.abs(delta), first)
+            low = cheapest + np.where(ones_odd, flip, 0.0)  # even parity
+            high = cheapest + np.where(ones_odd, 0.0, flip)  # odd parity
+        flat[min_out[g0:g1]] = np.minimum(low + 1.0, SCOAP_INF)
+        flat[sum_out[g0:g1]] = np.minimum(high + 1.0, SCOAP_INF)
+    cc0, cc1 = cc[:, 0].copy(), cc[:, 1].copy()
+
+    # ---- observability: levels depth..0, descending -------------------- #
+    co = np.full(n, SCOAP_INF, dtype=np.float64)
+    co[structure.scan_captured()] = 0.0
+    co[types == GateType.OBS] = 0.0
+    co[np.array(netlist.primary_outputs, dtype=np.int64)] = 0.0
+
+    # Cost of crossing each driven pin: 1 + the gate's side inputs, taken as
+    # the sum over all its pins minus every pin the driver itself holds.
+    side_cost = np.stack([cc0, cc1, np.minimum(cc0, cc1), np.zeros(n)], axis=1).reshape(-1)
+    side = _SIDE[types]
+    pin_sink = structure.pin_sinks()
+    all_pins = np.bincount(
+        pin_sink, weights=side_cost[4 * structure.fanin_idx + side[pin_sink]], minlength=n
+    )
+    driver, sink = structure.pin_drivers(), structure.fanout_idx
+    _, wire, held = np.unique(driver * n + sink, return_inverse=True, return_counts=True)
+    crossing = 1.0 + all_pins[sink] - held[wire] * side_cost[4 * driver + side[sink]]
+
+    drivers = levelization.order[::-1]
+    drivers = drivers[np.diff(structure.fanout_ptr)[drivers] > 0]
+    positions, _, starts, row_at, pin_at = _level_groups(
+        depth - levels[drivers], depth + 1, structure.fanout_ptr, drivers
+    )
+    sink, crossing = sink[positions], crossing[positions]
+    for group in range(depth + 1):
+        g0, g1 = row_at[group], row_at[group + 1]
+        if g0 == g1:
+            continue
+        p0, p1 = pin_at[group], pin_at[group + 1]
+        cost = co.take(sink[p0:p1])
+        cost += crossing[p0:p1]
+        nodes = drivers[g0:g1]
+        co[nodes] = np.minimum(co.take(nodes), np.minimum.reduceat(cost, starts[g0:g1]))
+    return ScoapResult(cc0=cc0, cc1=cc1, co=co)

@@ -1,4 +1,8 @@
-"""ISCAS .bench parsing and writing."""
+"""ISCAS .bench parsing and writing.
+
+``parse_bench`` here is the real parser wrapped so that every call is also
+compared with the node-by-node reference parser.
+"""
 
 import io
 
@@ -9,9 +13,9 @@ from repro.circuit import (
     GateType,
     dump_bench,
     load_bench,
-    parse_bench,
     write_bench,
 )
+from tests.circuit.reference_frontend import checked_parse_bench as parse_bench
 
 C17_TEXT = """
 # c17 benchmark

@@ -5,6 +5,10 @@ bytes arrive, ``parse_bench``/``validate_netlist`` either succeed or raise
 inside the :class:`~repro.resilience.errors.ReproError` hierarchy — never
 a bare ``KeyError``/``RecursionError``/``AttributeError`` from the guts of
 the parser.
+
+``parse_bench`` here is the real parser wrapped so that every call is also
+compared with the node-by-node reference parser (same netlist, or same
+error type and message).
 """
 
 import io
@@ -14,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import generate_design, load_bench, validate_netlist
-from repro.circuit.bench import BenchParseError, parse_bench, write_bench
+from repro.circuit.bench import BenchParseError, write_bench
 from repro.circuit.validate import NetlistValidationError
 from repro.resilience.errors import NetlistFormatError, ReproError
+from tests.circuit.reference_frontend import checked_parse_bench as parse_bench
 
 
 def valid_bench(seed: int = 11, gates: int = 60) -> str:
@@ -32,11 +37,6 @@ def parse_or_typed_error(text: str):
         validate_netlist(netlist, strict=True)
         return netlist
     except ReproError:
-        return None
-    except RecursionError:
-        # Deeply-chained inputs can exhaust the recursive builder; that is
-        # a resource limit, not a parser crash, and admission treats it as
-        # oversized input.  Anything else is a genuine bug.
         return None
 
 
@@ -64,6 +64,9 @@ class TestArbitraryInput:
                     "z = AND(a, a)",
                     "y = NOT(z)",
                     "w = DFF(w)",
+                    "q = DFF()",
+                    "q = DFF(a, b)",
+                    "a = NOT(b)",
                     "v = XOR(undefined, a)",
                     "z = OR(a, b)",
                     "# comment",
@@ -126,6 +129,39 @@ class TestKnownMalformations:
     def test_unknown_gate_raises_with_line_number(self):
         with pytest.raises(BenchParseError, match="line 2"):
             parse_bench("INPUT(a)\nz = FROB(a)\n")
+
+    def test_flop_without_data_pin_raises_with_line_number(self):
+        with pytest.raises(BenchParseError, match="line 2: DFF takes 1 fanin, got 0"):
+            parse_bench("INPUT(a)\nq = DFF()\nOUTPUT(q)\n")
+
+    def test_flop_with_two_pins_is_an_arity_error(self):
+        with pytest.raises(BenchParseError, match="line 3: DFF takes 1 fanin, got 2"):
+            parse_bench("INPUT(a)\nINPUT(b)\nq = DFF(a, b)\nOUTPUT(q)\n")
+
+    @pytest.mark.parametrize(
+        "text", ["INPUT(a)\nINPUT(b)\na = AND(a, b)\n", "a = AND(a, b)\nINPUT(a)\nINPUT(b)\n"]
+    )
+    def test_assignment_to_an_input_raises(self, text):
+        line = 1 + text.splitlines().index("a = AND(a, b)")
+        with pytest.raises(BenchParseError) as err:
+            parse_bench(text)
+        assert str(err.value) == f"line {line}: signal 'a' redefined"
+
+    def test_deep_reversed_chain_parses(self):
+        # Listed sink first, 5000 levels deep: far past the recursion limit.
+        depth = 5000
+        gates = [f"n{i} = NOT(n{i - 1})" for i in range(depth, 0, -1)]
+        text = "\n".join(["OUTPUT(n%d)" % depth, *gates, "INPUT(n0)"])
+        netlist = parse_or_typed_error(text)
+        assert netlist is not None and netlist.num_nodes == depth + 1
+        assert netlist.fanins(netlist.find(f"n{depth}")) == [netlist.find(f"n{depth - 1}")]
+        # The walk numbers the chain from the input up, whatever the line order.
+        assert [netlist.find(f"n{i}") for i in (0, 1, depth)] == [0, 1, depth]
+
+    def test_deep_reversed_chain_with_a_hole_raises_typed(self):
+        gates = [f"n{i} = NOT(n{i - 1})" for i in range(5000, 0, -1)]
+        with pytest.raises(BenchParseError, match="'n0' used but never defined"):
+            parse_bench("\n".join(gates))
 
     def test_all_typed_errors_are_netlist_format_errors(self):
         for text in [

@@ -1,15 +1,17 @@
 """Admission control: malformed input raises typed 4xx-mapped errors."""
 
+import io
 import json
 
 import pytest
 
-from repro.circuit.bench import BenchParseError
+from repro.circuit.bench import BenchParseError, write_bench
 from repro.circuit.validate import NetlistValidationError
 from repro.serve import ServeConfig, admit
 from repro.serve.protocol import (
     MalformedRequestError,
     PayloadTooLargeError,
+    error_payload,
     status_for,
 )
 
@@ -115,3 +117,54 @@ class TestStatusMapping:
         with pytest.raises(Exception) as info:
             raiser()
         assert status_for(info.value) == (status, code)
+
+
+class TestParserBugsAnswer400:
+    """Inputs that used to escape the typed hierarchy (and so answered 500)."""
+
+    @pytest.mark.parametrize(
+        "netlist, message",
+        [
+            ("INPUT(a)\nq = DFF()\nOUTPUT(q)\n", "line 2: DFF takes 1 fanin, got 0"),
+            ("INPUT(a)\nINPUT(b)\nq = DFF(a, b)\nOUTPUT(q)\n", "line 3: DFF takes 1 fanin, got 2"),
+            ("INPUT(a)\nINPUT(b)\na = AND(a, b)\nOUTPUT(a)\n", "line 3: signal 'a' redefined"),
+            (
+                "\n".join(f"n{i} = NOT(n{i - 1})" for i in range(5000, 0, -1)),
+                "signal 'n0' used but never defined",
+            ),
+        ],
+        ids=["flop_no_pin", "flop_two_pins", "input_redefined", "deep_chain_with_hole"],
+    )
+    def test_typed_body(self, netlist, message):
+        with pytest.raises(BenchParseError) as info:
+            admit(body(netlist=netlist), CFG)
+        assert status_for(info.value) == (400, "netlist_parse_error")
+        payload = error_payload(info.value, request_id="r1")
+        assert payload["error"]["type"] == "BenchParseError"
+        assert payload["error"]["message"] == message
+        assert payload["error"]["exit_code"] == 3
+        assert payload["request_id"] == "r1"
+
+    def test_deep_reversed_chain_is_admitted(self):
+        gates = [f"n{i} = NOT(n{i - 1})" for i in range(5000, 0, -1)]
+        text = "\n".join(["OUTPUT(n5000)", *gates, "INPUT(n0)"])
+        assert admit(body(netlist=text), CFG).graph.num_nodes == 5001
+
+
+class TestLevelizesOnce:
+    @pytest.mark.parametrize("gates", [120, 1500], ids=["scalar_sweep", "level_sweep"])
+    def test_one_sweep_per_admitted_design(self, monkeypatch, gates):
+        from repro.circuit import generate_design
+        from repro.circuit import levelize as levelize_module
+
+        assert gates < levelize_module.LEVEL_BATCH_MIN_NODES or gates > 1000
+        sweeps = []
+        real = levelize_module._levelize
+        monkeypatch.setattr(
+            levelize_module, "_levelize", lambda netlist: sweeps.append(1) or real(netlist)
+        )
+        text = io.StringIO()
+        write_bench(generate_design(gates, seed=7), text)
+        request = admit(body(netlist=text.getvalue()), CFG)
+        assert request.graph.num_nodes > gates
+        assert len(sweeps) == 1

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import GateType, Netlist, generate_design
+from repro.circuit import levelize as levelize_module
+from repro.testability import scoap as scoap_module
 from repro.testability.scoap import SCOAP_INF, compute_scoap
+from tests.circuit import reference_frontend as reference
 
 
 class TestControllability:
@@ -142,3 +145,53 @@ class TestInvariants:
     def test_as_matrix_shape(self, c17):
         matrix = compute_scoap(c17).as_matrix()
         assert matrix.shape == (c17.num_nodes, 3)
+
+
+class TestBatchedSweepAgrees:
+    """The level-batched sweep against the node-by-node one, bit for bit."""
+
+    @staticmethod
+    def check(netlist):
+        expected = scoap_module._compute_scoap_scalar(
+            netlist, reference.topological_order(netlist)
+        )
+        batched = scoap_module._compute_scoap_batched(netlist)
+        for name in ("cc0", "cc1", "co"):
+            got, want = getattr(batched, name), getattr(expected, name)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want), name
+        return expected
+
+    @pytest.mark.parametrize("name", sorted(reference.hand_built_designs()))
+    def test_hand_built(self, name):
+        self.check(reference.hand_built_designs()[name])
+
+    def test_saturation_is_reached(self):
+        scoap = self.check(reference.hand_built_designs()["saturation"])
+        assert (scoap.cc1 == SCOAP_INF).sum() >= 3  # tie cell and both clamped gates
+        assert scoap.co.max() == SCOAP_INF
+
+    def test_wide_parity_hand_values(self):
+        # x3 = XOR(cheap0 [2, 4], cheap1 [4, 2], pi [1, 1]): the cheapest
+        # assignment (0, 1, either) costs 5 for both parities.
+        design = reference.hand_built_designs()["wide_parity"]
+        scoap = self.check(design)
+        assert (scoap.cc0[5], scoap.cc1[5]) == (6.0, 6.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_gates=st.integers(0, 150))
+    def test_random_designs(self, seed, n_gates):
+        self.check(reference.random_netlist(seed, n_gates))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 1000), gates=st.integers(20, 900))
+    def test_generated_designs(self, seed, gates):
+        self.check(generate_design(gates, seed=seed))
+
+    @pytest.mark.parametrize("threshold", [0, 10**9])
+    def test_compute_scoap_on_both_sides_of_the_crossover(self, monkeypatch, threshold):
+        monkeypatch.setattr(levelize_module, "LEVEL_BATCH_MIN_NODES", threshold)
+        design = generate_design(300, seed=5)
+        expected = self.check(design)
+        got = compute_scoap(design)
+        assert np.array_equal(got.as_matrix(), expected.as_matrix())
