@@ -38,7 +38,7 @@ def main() -> None:
     for n_gates in (1_000, 5_000, 20_000):
         netlist = generate_design(n_gates, seed=3)
         graph = build_graph(netlist)
-        engine = FastInference(weights, dtype=np.float32)
+        engine = FastInference(weights, execution=ExecutionConfig(dtype="float32"))
 
         best = float("inf")
         for _ in range(3):
@@ -78,7 +78,7 @@ def main() -> None:
 
     print("\nincremental OP insertion (the COO append of Section 3.4):")
     design = IncrementalDesign(generate_design(20_000, seed=3))
-    engine = FastInference(weights, dtype=np.float32)
+    engine = FastInference(weights, execution=ExecutionConfig(dtype="float32"))
     engine.logits(design.graph)  # warm CSR cache
 
     start = time.perf_counter()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries and deprecated-kwarg hygiene.
 
-Six rules, all AST-based (comments and strings never false-positive):
+Seven rules, all AST-based (comments and strings never false-positive):
 
 1. **Examples are facade-only.** Files under ``examples/`` may import from
    the ``repro`` namespace only via ``repro.api`` (``from repro.api import
@@ -54,6 +54,21 @@ Six rules, all AST-based (comments and strings never false-positive):
    is validating the raw Prometheus exposition bytes.  (Raw ``socket``
    probes of protocol corners — idle keep-alive, the deprecated alias —
    remain allowed: the lint targets request plumbing, not wire tests.)
+
+7. **Equation (1) is written once.** Under ``src/repro``, attribute
+   reads of ``.w_pr`` / ``.w_su`` / ``.fc_weights`` /
+   ``.encoder_weights`` — the only way to compute a GCN layer or the
+   classifier head — are confined to an explicit allowlist: the kernel
+   (``layer_forward`` / ``head_forward`` in ``core/inference.py``), the
+   autograd definitions (``core/model.py``, ``core/aggregators.py``),
+   the per-node recursive Fig.-10 baseline (``core/embedding.py``), and
+   three modules that touch weights without computing Equation (1) with
+   them (``serve/models.py`` publishes them to shared memory,
+   ``graph/sharded.py`` reads layer widths, ``experiments/ablations.py``
+   freezes ``model.aggregator.w_pr``).  Every inference path — whole
+   graph, shard round, block-diagonal batch, row-subset patch, dense
+   ablation — calls the kernel, which is what keeps their float64 logits
+   bit-identical; another transcription of the chain fails here.
 
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
@@ -264,6 +279,45 @@ def http_import_violations(path: Path) -> list[tuple[int, str]]:
     return bad
 
 
+#: the ``GCNWeights`` / aggregator fields Equation (1) and the head read
+_WEIGHT_FIELDS = {"w_pr", "w_su", "fc_weights", "encoder_weights"}
+#: module -> functions allowed to read them (``None``: anywhere in it)
+_WEIGHT_READERS: dict[Path, set[str] | None] = {
+    PACKAGE / "core" / "inference.py": {"layer_forward", "head_forward"},
+    PACKAGE / "core" / "model.py": None,
+    PACKAGE / "core" / "aggregators.py": None,
+    PACKAGE / "core" / "embedding.py": None,
+    PACKAGE / "serve" / "models.py": None,
+    PACKAGE / "graph" / "sharded.py": None,
+    PACKAGE / "experiments" / "ablations.py": None,
+}
+
+
+def weight_read_violations(path: Path) -> list[tuple[int, str]]:
+    """Reads of the layer/head weight fields outside the allowlist."""
+    allowed = _WEIGHT_READERS.get(path, set())
+    if allowed is None:
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bad: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST, exempt: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = exempt or node.name in allowed
+        if (
+            not exempt
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in _WEIGHT_FIELDS
+        ):
+            bad.append((node.lineno, f".{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, exempt)
+
+    visit(tree, False)
+    return bad
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -302,6 +356,13 @@ def main() -> int:
                 f"{path.relative_to(ROOT)}:{lineno}: {what} "
                 "(raw socket code lives in repro.exec.net / coordinator)"
             )
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for lineno, what in weight_read_violations(path):
+            violations.append(
+                f"{path.relative_to(ROOT)}:{lineno}: {what} read outside the "
+                "layer kernel (call repro.core.inference.layer_forward / "
+                "head_forward; Equation (1) is written once)"
+            )
     violations.extend(metric_name_violations())
     if violations:
         print("API boundary violations:")
@@ -312,7 +373,8 @@ def main() -> int:
         "examples are facade-only; no deprecated execution kwargs in "
         "src/repro; process pools and raw sockets confined to repro.exec; "
         "metric families repro_-prefixed, lazily registered, singly owned; "
-        "scripts/examples speak to serve only via ServeClient"
+        "scripts/examples speak to serve only via ServeClient; "
+        "layer/head weights read only by the Equation (1) kernel"
     )
     return 0
 

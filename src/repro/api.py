@@ -81,6 +81,7 @@ from repro.core import (
     save_cascade,
     save_gcn,
 )
+from repro.core.inference import softmax
 from repro.data.splits import balanced_indices
 from repro.experiments.common import default_gcn_config
 from repro.flow import (
@@ -313,15 +314,22 @@ def _resolve_model(model):
         return load_gcn(path), "gcn"
     if isinstance(model, MultiStageGCN):
         return model, "cascade"
-    if isinstance(model, GCN):
-        return model, "gcn"
-    if isinstance(model, GCNWeights):
-        return model, "gcn"
-    if isinstance(model, (FastInference, ShardedInference)):
+    if isinstance(model, (GCN, GCNWeights, FastInference)):
         return model, "gcn"
     raise TypeError(
         "model must be a checkpoint path, GCN, MultiStageGCN, GCNWeights "
         f"or FastInference, not {type(model).__name__}"
+    )
+
+
+def _as_engine(predictor, execution: ExecutionConfig | None) -> FastInference:
+    """The inference engine for a resolved single-GCN ``predictor``."""
+    if isinstance(predictor, FastInference):
+        return predictor
+    if isinstance(predictor, GCN):
+        predictor = predictor.layer_weights()
+    return FastInference(
+        predictor, execution=execution or ExecutionConfig.from_env()
     )
 
 
@@ -336,9 +344,8 @@ def score(
     :class:`GCN` / :class:`MultiStageGCN`, bare :class:`GCNWeights`, or a
     prebuilt inference engine.  ``execution`` picks dtype, worker count
     and the single/sharded inference backend (``auto`` routes large
-    graphs to :class:`ShardedInference`).
+    graphs to :class:`ShardedInference`); a prebuilt engine keeps its own.
     """
-    execution = execution or ExecutionConfig.from_env()
     graph = target if isinstance(target, GraphData) else build_graph(target)
     predictor, kind = _resolve_model(model)
     if kind == "cascade":
@@ -351,23 +358,13 @@ def score(
             backend="cascade",
             model_kind=kind,
         )
-    if isinstance(predictor, (FastInference, ShardedInference)):
-        engine = predictor
-    else:
-        weights = predictor.layer_weights() if isinstance(predictor, GCN) else predictor
-        engine = FastInference(weights, execution=execution)
+    engine = _as_engine(predictor, execution).route(graph)
     logits = engine.logits(graph)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    proba = exp[:, 1] / exp.sum(axis=1)
-    backend = execution.resolve_inference_backend(graph.num_nodes)
-    if isinstance(predictor, ShardedInference):
-        backend = "sharded"
     return ScoreResult(
         labels=np.argmax(logits, axis=1).astype(np.int64),
-        proba=proba,
+        proba=softmax(logits)[:, 1],
         logits=logits,
-        backend=backend,
+        backend=engine.backend,
         model_kind=kind,
     )
 
@@ -406,21 +403,14 @@ def insert_observation_points(
     :class:`OpiResult` (modified netlist, per-iteration trace).
     """
     if callable(model) and not isinstance(
-        model, (GCN, MultiStageGCN, GCNWeights, FastInference, ShardedInference)
+        model, (GCN, MultiStageGCN, GCNWeights, FastInference)
     ):
         predictor = model
     else:
         predictor, kind = _resolve_model(model)
-        if kind == "cascade":
-            predictor = predictor.predict
-        else:
-            if isinstance(predictor, GCN):
-                predictor = predictor.layer_weights()
-            if isinstance(predictor, GCNWeights):
-                predictor = FastInference(
-                    predictor, execution=execution or ExecutionConfig.from_env()
-                )
-            predictor = predictor.predict
+        if kind != "cascade":
+            predictor = _as_engine(predictor, execution)
+        predictor = predictor.predict
     return run_gcn_opi(netlist, predictor, config)
 
 

@@ -9,8 +9,11 @@ cone; embeddings elsewhere are bit-identical.  A GCN embedding at node
 
 :class:`IncrementalInference` caches the per-layer embedding matrices of
 the last full run and, on update, re-evaluates each layer only on its
-affected row set (a sparse row-slice matmul), then patches the cache.
-Exactness is asserted against full recomputation in the test-suite.
+affected row set — the shared :func:`~repro.core.inference.layer_forward`
+kernel on ``prev[affected]`` / ``pred[affected]`` / ``succ[affected]`` —
+then patches the cache, so its float64 logits are bit-identical to a
+whole-graph :class:`~repro.core.inference.FastInference` pass (asserted
+with ``np.array_equal`` in the test-suite).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graphdata import GraphData
+from repro.core.inference import check_finite, head_forward, layer_forward
 from repro.core.model import GCNWeights
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -55,35 +59,18 @@ class IncrementalInference:
             return self._full_pass()
 
     def _full_pass(self) -> np.ndarray:
-        w = self.weights
         pred = self.graph.pred.to_scipy()
         succ = self.graph.succ.to_scipy()
         h = np.array(self.graph.attributes, dtype=np.float64, copy=True)
         layers = [h]
-        for d in range(w.depth):
-            agg = h + w.w_pr * (pred @ h) + w.w_su * (succ @ h)
-            h = agg @ w.encoder_weights[d]
-            bias = w.encoder_biases[d]
-            if bias is not None:
-                h = h + bias
-            np.maximum(h, 0.0, out=h)
+        for d in range(self.weights.depth):
+            h = layer_forward(self.weights, d, h, pred, succ, h)
             layers.append(h)
+        logits = head_forward(self.weights, h)
+        check_finite(logits, self.graph.name, "logits")
         self._layers = layers
-        self._logits = self._head(h)
-        return self._logits
-
-    def _head(self, embeddings: np.ndarray) -> np.ndarray:
-        h = embeddings
-        last = len(self.weights.fc_weights) - 1
-        for i, (weight, bias) in enumerate(
-            zip(self.weights.fc_weights, self.weights.fc_biases)
-        ):
-            h = h @ weight
-            if bias is not None:
-                h = h + bias
-            if i < last:
-                h = np.maximum(h, 0.0)
-        return h
+        self._logits = logits
+        return logits
 
     # ------------------------------------------------------------------ #
     @property
@@ -127,7 +114,6 @@ class IncrementalInference:
         return affected
 
     def _update(self, changed_nodes) -> np.ndarray:
-        w = self.weights
         n = self.graph.num_nodes
         n_cached = self._layers[0].shape[0]
         if n > n_cached:
@@ -141,22 +127,17 @@ class IncrementalInference:
         affected = np.array(sorted(changed), dtype=np.int64)
         self._layers[0][affected] = self.graph.attributes[affected]
 
-        for d in range(w.depth):
+        for d in range(self.weights.depth):
             affected = _expand(affected, pred, succ)
             prev = self._layers[d]
-            agg = (
-                prev[affected]
-                + w.w_pr * (pred[affected] @ prev)
-                + w.w_su * (succ[affected] @ prev)
+            self._layers[d + 1][affected] = layer_forward(
+                self.weights, d, prev[affected], pred[affected],
+                succ[affected], prev,
             )
-            rows = agg @ w.encoder_weights[d]
-            bias = w.encoder_biases[d]
-            if bias is not None:
-                rows = rows + bias
-            np.maximum(rows, 0.0, out=rows)
-            self._layers[d + 1][affected] = rows
 
-        self._logits[affected] = self._head(self._layers[-1][affected])
+        rows = head_forward(self.weights, self._layers[-1][affected])
+        check_finite(rows, self.graph.name, "logits")
+        self._logits[affected] = rows
         return affected
 
 

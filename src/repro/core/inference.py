@@ -7,7 +7,11 @@ the entire network becomes a short chain of matmuls — three orders of
 magnitude faster at a million nodes.
 
 This module is the pure-numpy/scipy hot path: no autograd tape, CSR-cached
-adjacency, in-place ReLU.
+adjacency, in-place ReLU.  It holds the one inference-side definition of
+Equation (1) (:func:`layer_forward`) and of the classifier head
+(:func:`head_forward`); the whole-graph pass, a shard round, a
+block-diagonal batch, a row-subset patch and the dense ablation are all
+calls into them, which is what keeps their float64 logits bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.resilience.errors import NumericalError
 
-__all__ = ["FastInference", "row_stable_matmul"]
+__all__ = [
+    "FastInference",
+    "row_stable_matmul",
+    "layer_forward",
+    "head_forward",
+    "softmax",
+    "check_finite",
+]
 
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,6 +72,67 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def layer_forward(
+    weights: GCNWeights, d: int, own_prev, pred_rows, succ_rows, prev
+) -> np.ndarray:
+    """Equation (1), layer ``d``, for one row set:
+    ``relu((own_prev + w_pr·pred_rows@prev + w_su·succ_rows@prev)·W_d + b_d)``.
+
+    ``prev`` holds the layer input for every column ``pred_rows`` /
+    ``succ_rows`` reference and ``own_prev`` the rows of it being computed:
+    ``prev`` itself for the whole graph, ``prev[owned_pos]`` for a shard,
+    ``prev[affected]`` for a row-subset patch.  Each output row depends
+    only on its own adjacency rows (stored entry order preserved by CSR
+    row slicing) and, through :func:`row_stable_matmul`, on nothing else
+    — so any row subset reproduces the whole-graph rows bit for bit.
+    """
+    aggregated = (
+        own_prev
+        + weights.w_pr * (pred_rows @ prev)
+        + weights.w_su * (succ_rows @ prev)
+    )
+    out = row_stable_matmul(aggregated, weights.encoder_weights[d])
+    bias = weights.encoder_biases[d]
+    if bias is not None:
+        out += bias
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def head_forward(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
+    """The FC classifier head over final embeddings ``h`` (row-local)."""
+    last = len(weights.fc_weights) - 1
+    for i, (weight, bias) in enumerate(
+        zip(weights.fc_weights, weights.fc_biases)
+    ):
+        h = row_stable_matmul(h, weight)
+        if bias is not None:
+            h += bias
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise class probabilities (max-shifted for stability)."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def check_finite(values: np.ndarray, graph_name: str, what: str) -> None:
+    """Raise :class:`~repro.resilience.errors.NumericalError` if any of
+    ``values`` is NaN/inf — corrupt weights or overflowing attributes must
+    surface as a typed failure, not propagate garbage scores."""
+    if np.isfinite(values).all():
+        return
+    bad = int((~np.isfinite(values)).any(axis=1).sum())
+    raise NumericalError(
+        f"{what} for graph {graph_name!r} contain non-finite values "
+        f"({bad}/{values.shape[0]} nodes affected)",
+        diagnostics={"graph": graph_name, "output": what, "bad_nodes": bad},
+    )
+
+
 def _obs():
     """Inference metrics in the process-default registry (lazy lookup so
     a registry swapped in by tests is honoured)."""
@@ -85,32 +157,25 @@ class FastInference:
     float64 (matching the training tape) — ``float32`` gives
     deployment-style inference, as in the paper's fp32 GPU path — and
     ``backend`` routes large graphs to the partitioned multi-core engine
-    (:class:`repro.graph.sharded.ShardedInference`) when it resolves to
-    ``sharded``.  The legacy ``dtype=`` argument keeps working and takes
-    precedence over ``execution.dtype``.
+    (:class:`repro.graph.sharded.ShardedInference`, a subclass that
+    overrides only the pass itself) when it resolves to ``sharded``.
     """
 
+    #: name of the backend an engine of this class serves a graph with
+    backend = "single"
+
     def __init__(
-        self,
-        weights: GCNWeights,
-        dtype=None,
-        execution: ExecutionConfig | None = None,
+        self, weights: GCNWeights, execution: ExecutionConfig | None = None
     ) -> None:
-        if execution is None:
-            execution = ExecutionConfig(
-                dtype="float64" if dtype is None else np.dtype(dtype).name
-            )
-        elif dtype is not None:
-            execution = execution.replace(dtype=np.dtype(dtype).name)
-        self.execution = execution
-        self.dtype = execution.numpy_dtype()
+        self.execution = execution or ExecutionConfig()
+        self.dtype = self.execution.numpy_dtype()
         # Cast-cached on the weight snapshot (no re-copy per construction).
         self.weights = weights.astype(self.dtype)
         self._sharded = None
 
     @classmethod
     def from_file(
-        cls, path, dtype=None, execution: ExecutionConfig | None = None
+        cls, path, execution: ExecutionConfig | None = None
     ) -> "FastInference":
         """Build an engine from a model file saved by :func:`~repro.core.
         serialize.save_gcn`.
@@ -122,11 +187,17 @@ class FastInference:
         """
         from repro.core.serialize import load_gcn
 
-        return cls(load_gcn(path).layer_weights(), dtype=dtype, execution=execution)
+        return cls(load_gcn(path).layer_weights(), execution=execution)
 
     # ------------------------------------------------------------------ #
-    def _sharded_engine(self):
-        """Lazily-built partitioned engine sharing this weight snapshot."""
+    def route(self, graph: GraphData) -> "FastInference":
+        """The engine that serves ``graph`` under this config — the one
+        single-vs-sharded decision; its ``backend`` names the choice."""
+        if (
+            self.execution.resolve_inference_backend(graph.num_nodes)
+            != "sharded"
+        ):
+            return self
         if self._sharded is None:
             from repro.graph.sharded import ShardedInference
 
@@ -135,70 +206,47 @@ class FastInference:
             )
         return self._sharded
 
-    def _route(self, graph: GraphData):
-        """The engine that should serve ``graph`` under this config."""
-        if (
-            self.execution.resolve_inference_backend(graph.num_nodes)
-            == "sharded"
-        ):
-            return self._sharded_engine()
-        return self
-
-    def embed(self, graph: GraphData) -> np.ndarray:
-        """Compute final node embeddings for the whole graph."""
-        engine = self._route(graph)
-        if engine is not self:
-            return engine.embed(graph)
-        w = self.weights
+    def _forward(self, graph: GraphData, with_head: bool) -> np.ndarray:
+        """The whole-graph chain: every layer with ``own_prev is prev``."""
+        if with_head:
+            # Passed as a temporary: a local here would pin the final
+            # embeddings (n × K_D floats) until the whole head returned.
+            return head_forward(self.weights, self._forward(graph, False))
         with span("inference.csr_cache"):
             pred = graph.pred.to_scipy()
             succ = graph.succ.to_scipy()
-        embeddings = graph.attributes
+        h = graph.attributes
         if self.dtype != np.float64:
             pred = pred.astype(self.dtype)
             succ = succ.astype(self.dtype)
-            embeddings = embeddings.astype(self.dtype)
-        for d in range(w.depth):
+            h = h.astype(self.dtype)
+        for d in range(self.weights.depth):
             with span("inference.sparse_matmul", layer=d):
-                aggregated = (
-                    embeddings
-                    + w.w_pr * (pred @ embeddings)
-                    + w.w_su * (succ @ embeddings)
-                )
-                embeddings = row_stable_matmul(aggregated, w.encoder_weights[d])
-            bias = w.encoder_biases[d]
-            if bias is not None:
-                embeddings += bias
-            np.maximum(embeddings, 0.0, out=embeddings)
-        return embeddings
+                h = layer_forward(self.weights, d, h, pred, succ, h)
+        return h
+
+    def _observe(self, graph: GraphData, elapsed: float) -> None:
+        calls, nodes, seconds = _obs()
+        calls.inc()
+        nodes.inc(graph.num_nodes)
+        seconds.observe(elapsed)
+
+    def embed(self, graph: GraphData) -> np.ndarray:
+        """Compute final node embeddings for the whole graph."""
+        return self.route(graph)._forward(graph, with_head=False)
 
     def logits(self, graph: GraphData) -> np.ndarray:
         """Class logits for every node.
 
         Raises :class:`~repro.resilience.errors.NumericalError` if any
-        logit is NaN/inf — corrupt weights or overflowing attributes must
-        surface as a typed failure, not propagate garbage scores.
+        logit is NaN/inf.
         """
-        engine = self._route(graph)
-        if engine is not self:
-            return engine.logits(graph)
+        engine = self.route(graph)
         start = time.perf_counter()
         with span("inference.logits", graph=graph.name, nodes=graph.num_nodes):
-            h = self.embed(graph)
-            last = len(self.weights.fc_weights) - 1
-            for i, (weight, bias) in enumerate(
-                zip(self.weights.fc_weights, self.weights.fc_biases)
-            ):
-                h = row_stable_matmul(h, weight)
-                if bias is not None:
-                    h += bias
-                if i < last:
-                    np.maximum(h, 0.0, out=h)
-            self._check_finite(h, graph, "logits")
-        calls, nodes, seconds = _obs()
-        calls.inc()
-        nodes.inc(graph.num_nodes)
-        seconds.observe(time.perf_counter() - start)
+            h = engine._forward(graph, with_head=True)
+            check_finite(h, graph.name, "logits")
+        engine._observe(graph, time.perf_counter() - start)
         return h
 
     def predict(self, graph: GraphData) -> np.ndarray:
@@ -207,20 +255,6 @@ class FastInference:
 
     def predict_proba(self, graph: GraphData) -> np.ndarray:
         """Softmax probabilities per node."""
-        logits = self.logits(graph)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        proba = exp / exp.sum(axis=1, keepdims=True)
-        self._check_finite(proba, graph, "predict_proba")
+        proba = softmax(self.logits(graph))
+        check_finite(proba, graph.name, "predict_proba")
         return proba
-
-    @staticmethod
-    def _check_finite(values: np.ndarray, graph: GraphData, what: str) -> None:
-        if np.isfinite(values).all():
-            return
-        bad = int((~np.isfinite(values)).any(axis=1).sum())
-        raise NumericalError(
-            f"{what} for graph {graph.name!r} contain non-finite values "
-            f"({bad}/{values.shape[0]} nodes affected)",
-            diagnostics={"graph": graph.name, "output": what, "bad_nodes": bad},
-        )

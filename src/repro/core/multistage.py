@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.graphdata import GraphData
+from repro.core.inference import softmax
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer, TrainHistory
 from repro.nn.tensor import no_grad
@@ -126,9 +127,7 @@ class MultiStageGCN:
     def _positive_proba(model: GCN, graph: GraphData) -> np.ndarray:
         with no_grad():
             logits = model(graph).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp[:, 1] / exp.sum(axis=1)
+        return softmax(logits)[:, 1]
 
     # ------------------------------------------------------------------ #
     def predict(self, graph: GraphData) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.inference import FastInference
+from repro.core.inference import FastInference, head_forward, layer_forward
 from repro.core.model import GCN
 from repro.core.trainer import Trainer, masked_accuracy
 from repro.data.dataset import BenchmarkDataset
@@ -131,13 +131,8 @@ def run_adjacency_ablation(
     def dense_logits():
         h = graph.attributes
         for d in range(weights.depth):
-            agg = h + weights.w_pr * (pred_dense @ h) + weights.w_su * (succ_dense @ h)
-            h = np.maximum(agg @ weights.encoder_weights[d] + weights.encoder_biases[d], 0)
-        for i, (w, b) in enumerate(zip(weights.fc_weights, weights.fc_biases)):
-            h = h @ w + b
-            if i < len(weights.fc_weights) - 1:
-                h = np.maximum(h, 0)
-        return h
+            h = layer_forward(weights, d, h, pred_dense, succ_dense, h)
+        return head_forward(weights, h)
 
     start = time.perf_counter()
     for _ in range(repeats):

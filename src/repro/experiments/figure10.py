@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.generator import generate_design
+from repro.config import ExecutionConfig
 from repro.core.embedding import RecursiveEmbedder
 from repro.core.graphdata import GraphData
 from repro.core.inference import FastInference
@@ -91,7 +92,9 @@ def run_scalability(
             with span("figure10.generate"):
                 netlist = generate_design(n, seed=seed)
                 graph = GraphData.from_netlist(netlist)
-            engine = FastInference(weights, dtype=np.float32)
+            engine = FastInference(
+                weights, execution=ExecutionConfig(dtype="float32")
+            )
             with span("figure10.fast_inference", nodes=graph.num_nodes):
                 # min-of-3: single-core boxes time noisily
                 fast_time, _ = time_call(engine.logits, graph, repeat=3)

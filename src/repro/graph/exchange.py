@@ -23,8 +23,9 @@ one layer's activations that crosses shard boundaries per round.
 Bit-identity at float64 is preserved end to end: the local adjacency rows
 are the global CSR rows with columns renumbered into the (sorted) local
 universe, so every sparse dot sums the same values in the same stored
-order as :class:`~repro.core.inference.FastInference`, and every dense
-step is row-independent (:func:`~repro.core.inference.row_stable_matmul`).
+order as :class:`~repro.core.inference.FastInference`, and a round is the
+same :func:`~repro.core.inference.layer_forward` call the whole-graph pass
+makes, on the shard's rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.inference import row_stable_matmul
+from repro.core.inference import head_forward, layer_forward
 from repro.core.model import GCNWeights
 from repro.obs.metrics import get_registry
 
@@ -236,9 +237,6 @@ def compile_boundary_plan(
     )
 
 
-# --------------------------------------------------------------------- #
-# The per-round compute kernel (shared by every execution path)
-# --------------------------------------------------------------------- #
 def run_shard_round(
     weights: GCNWeights,
     shard: ShardExchange,
@@ -252,30 +250,15 @@ def run_shard_round(
     shard's universe (owned rows computed last round, frontier rows
     received from peers); the return value is the owned rows' output.
     The head is row-local, so the last round fuses it when ``with_head``.
-
-    Identical operation sequence to ``FastInference.embed``/``logits`` —
-    any change there must land here too, or the equivalence suite fails.
     """
-    aggregated = (
-        local_prev[shard.owned_pos]
-        + weights.w_pr * (shard.pred_rows @ local_prev)
-        + weights.w_su * (shard.succ_rows @ local_prev)
+    out = layer_forward(
+        weights,
+        layer,
+        local_prev[shard.owned_pos],
+        shard.pred_rows,
+        shard.succ_rows,
+        local_prev,
     )
-    out = row_stable_matmul(aggregated, weights.encoder_weights[layer])
-    bias = weights.encoder_biases[layer]
-    if bias is not None:
-        out += bias
-    np.maximum(out, 0.0, out=out)
-    if not with_head or layer < weights.depth - 1:
-        return out
-    h = out
-    last = len(weights.fc_weights) - 1
-    for i, (weight, fc_bias) in enumerate(
-        zip(weights.fc_weights, weights.fc_biases)
-    ):
-        h = row_stable_matmul(h, weight)
-        if fc_bias is not None:
-            h += fc_bias
-        if i < last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    if with_head and layer == weights.depth - 1:
+        out = head_forward(weights, out)
+    return out

@@ -17,19 +17,19 @@ universe), dense steps are row-independent, and exchanged rows are exact
 copies of the owner's computed rows.
 
 Three transports, one kernel (:func:`~repro.graph.exchange.
-run_shard_round`):
+run_shard_round`), two drivers:
 
-* **inprocess** — per-shard local buffers, frontier rows landed by
-  direct ``send``/``recv`` index copies;
+* **inprocess** and **socket** share the by-value driver — per-shard
+  local buffers, frontier rows landed by the compiled ``send``/``recv``
+  index copies.  In process a round's shard computations are a loop; on
+  the socket transport they are one task each over the coordinator's CRC
+  framing, carrying the shard's local input rows and returning its owned
+  output rows, so remote workers never need the submitting host's
+  ``/dev/shm`` and requeued/stale-generation tasks are safe to re-run;
 * **forkpool** — two parent-owned shared-memory activation slabs
   ping-ponged between layers; each round's tasks read the previous
   layer's slab and write disjoint owned rows into the next, so retries
-  are idempotent and the slab swap is the exchange;
-* **socket** — activation frames shipped *by value* over the
-  coordinator's CRC framing: each task carries the shard's local input
-  rows and returns its owned output rows, so remote workers never need
-  the submitting host's ``/dev/shm`` and requeued/stale-generation tasks
-  are safe to re-run.
+  are idempotent and the slab swap is the exchange.
 
 Failed rounds follow the fabric's supervision ladder — retry with pool
 rebuild, then per-task in-process rescue (bit-identical, same kernel).
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
-from repro.core.inference import row_stable_matmul
+from repro.core.inference import FastInference
 from repro.core.model import GCNWeights
 from repro.exec import (
     ExecPolicy,
@@ -182,41 +182,24 @@ class _Plan:
                 sh.succ_rows = sh.succ_rows.astype(dtype)
 
 
-class ShardedInference:
+class ShardedInference(FastInference):
     """Partitioned multi-core inference engine for a trained GCN.
 
-    Drop-in for :class:`~repro.core.inference.FastInference` (same
-    ``logits`` / ``predict`` / ``predict_proba`` / ``embed`` surface),
-    parameterised by an :class:`~repro.config.ExecutionConfig` for dtype,
-    worker and shard counts.  The partition and exchange plan are cached
-    per graph, so repeated scoring of one design (the serve path) pays
-    the partitioning cost once.
-
-    The exchange depth is always the model's layer count — one round per
-    aggregation layer, derived from ``weights.depth`` rather than any
-    partitioner default.  ``halo_hops`` is kept as an explicit override
-    knob for API compatibility and validated against the depth (a halo
-    shallower than the model is inexact in any execution model).
+    A :class:`~repro.core.inference.FastInference` whose pass runs
+    partitioned: ``logits`` / ``predict`` / ``predict_proba`` / ``embed``
+    / ``from_file`` and the non-finite guard are inherited; this class
+    holds what is about partitions and transports.  The partition and
+    exchange plan are cached per graph, so repeated scoring of one design
+    (the serve path) pays the partitioning cost once.  There is one
+    exchange round per aggregation layer (``weights.depth``).
     """
 
+    backend = "sharded"
+
     def __init__(
-        self,
-        weights: GCNWeights,
-        execution: ExecutionConfig | None = None,
-        *,
-        halo_hops: int | None = None,
+        self, weights: GCNWeights, execution: ExecutionConfig | None = None
     ) -> None:
-        self.execution = execution or ExecutionConfig()
-        self.dtype = self.execution.numpy_dtype()
-        self.weights = weights.astype(self.dtype)
-        #: exchange depth; must cover every aggregation layer for exactness
-        self.halo_hops = weights.depth if halo_hops is None else halo_hops
-        if self.halo_hops < weights.depth:
-            raise ValueError(
-                f"halo_hops={self.halo_hops} is shallower than the model "
-                f"depth ({weights.depth}); owned-node aggregation would be "
-                f"inexact"
-            )
+        super().__init__(weights, execution)
         self.retry: RetryPolicy = RetryPolicy(max_attempts=3, base_delay=0.05)
         #: per-shard result timeout in seconds (None = wait forever)
         self.worker_timeout: float | None = 120.0
@@ -231,13 +214,8 @@ class ShardedInference:
         self._pool_plan: _Plan | None = None
         self._sleep = time.sleep
 
-    @classmethod
-    def from_file(
-        cls, path, execution: ExecutionConfig | None = None
-    ) -> "ShardedInference":
-        from repro.core.serialize import load_gcn
-
-        return cls(load_gcn(path).layer_weights(), execution=execution)
+    def route(self, graph: GraphData) -> "ShardedInference":
+        return self
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -273,44 +251,13 @@ class ShardedInference:
             self._plan = plan
         return plan
 
-    def embed(self, graph: GraphData) -> np.ndarray:
-        """Final node embeddings for the whole graph (assembled)."""
-        return self._run(graph, with_head=False)
-
-    def logits(self, graph: GraphData) -> np.ndarray:
-        """Class logits for every node; bit-identical to
-        :meth:`FastInference.logits` at float64.
-
-        Raises :class:`~repro.resilience.errors.NumericalError` on
-        non-finite logits, like the single-shard engine.
-        """
-        start = time.perf_counter()
-        out = self._run(graph, with_head=True)
-        from repro.core.inference import FastInference
-
-        FastInference._check_finite(out, graph, "logits")
+    def _observe(self, graph: GraphData, elapsed: float) -> None:
         calls, shards_g, imbalance_g, seconds, _ = _obs()
         calls.inc()
         if self._plan is not None:
             shards_g.set(self._plan.partition.n_shards)
             imbalance_g.set(self._plan.partition.imbalance)
-        seconds.observe(time.perf_counter() - start)
-        return out
-
-    def predict(self, graph: GraphData) -> np.ndarray:
-        """Argmax class per node."""
-        return np.argmax(self.logits(graph), axis=1)
-
-    def predict_proba(self, graph: GraphData) -> np.ndarray:
-        """Softmax probabilities per node."""
-        logits = self.logits(graph)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        proba = exp / exp.sum(axis=1, keepdims=True)
-        from repro.core.inference import FastInference
-
-        FastInference._check_finite(proba, graph, "predict_proba")
-        return proba
+        seconds.observe(elapsed)
 
     # ------------------------------------------------------------------ #
     def _layer_widths(self, graph: GraphData) -> list[int]:
@@ -335,7 +282,12 @@ class ShardedInference:
         bytes_c.inc(sum(rows * widths[d] * itemsize for d in range(depth)))
         fraction_g.set(plan.exchange.exchange_fraction)
 
-    def _run(self, graph: GraphData, with_head: bool) -> np.ndarray:
+    def _forward(self, graph: GraphData, with_head: bool) -> np.ndarray:
+        """The partitioned pass: bit-identical at float64 to the
+        whole-graph chain it overrides."""
+        if self.weights.depth == 0:
+            # Nothing to exchange: the (row-local) head, unsharded.
+            return super()._forward(graph, with_head)
         n_cols = (
             self.weights.fc_weights[-1].shape[1]
             if with_head
@@ -354,72 +306,88 @@ class ShardedInference:
             resolved = self.execution.resolve_exec_backend(default="forkpool")
             use_pool = (
                 plan.partition.n_shards > 1
-                and self.weights.depth > 0
                 and self.execution.resolved_workers() > 1
                 and resolved != "inprocess"
             )
             if use_pool and resolved == "socket":
-                self._socket_run(graph, plan, with_head, out)
+                self._by_value_run(
+                    graph, plan, with_head, out,
+                    self._ensure_executor(plan, "socket"),
+                )
             elif use_pool:
                 self._shm_run(graph, plan, with_head, out)
             else:
-                self._inprocess_run(graph, plan, with_head, out)
+                self._by_value_run(graph, plan, with_head, out, None)
             self._record_exchange(plan, self._layer_widths(graph))
         return out
 
     # ------------------------------------------------------------------ #
-    # In-process transport: per-shard buffers + direct send/recv copies
+    # By-value transports: per-shard buffers + compiled send/recv copies
     # ------------------------------------------------------------------ #
-    def _head_only(self, attrs: np.ndarray, with_head: bool) -> np.ndarray:
-        """Depth-0 degenerate model: the (row-local) head, unsharded."""
-        h = attrs
-        if not with_head:
-            return h
-        last = len(self.weights.fc_weights) - 1
-        for i, (weight, bias) in enumerate(
-            zip(self.weights.fc_weights, self.weights.fc_biases)
-        ):
-            h = row_stable_matmul(h, weight)
-            if bias is not None:
-                h += bias
-            if i < last:
-                np.maximum(h, 0.0, out=h)
-        return h
-
-    def _inprocess_run(
-        self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
+    def _by_value_run(
+        self,
+        graph: GraphData,
+        plan: _Plan,
+        with_head: bool,
+        out: np.ndarray,
+        executor: Executor | None,
     ) -> None:
-        attrs = self._cast_attributes(graph)
-        depth = self.weights.depth
-        if depth == 0:
-            out[:] = self._head_only(attrs, with_head)
-            return
+        """In-process (``executor is None``) and socket transports.
+
+        Each shard keeps a local activation buffer over its universe; a
+        round computes every shard's owned rows — a loop in process, one
+        by-value task per shard on the socket fleet (no shared memory, so
+        workers can live on any host and every retry/requeue is
+        idempotent) — then lands them, and every peer's shipped frontier
+        rows, through the compiled index lists.
+        """
         shards = plan.exchange.shards
+        attrs = self._cast_attributes(graph)
         current = [np.ascontiguousarray(attrs[sh.universe]) for sh in shards]
-        results: list[np.ndarray] = []
-        for d in range(depth):
-            results = []
-            for i, sh in enumerate(shards):
-                with span("inference.shard", shard=i, layer=d,
-                          nodes=sh.n_local):
-                    results.append(
-                        run_shard_round(
-                            self.weights, sh, current[i], d, with_head
+        for d, head_round in self._rounds(with_head):
+            if executor is None:
+                results = []
+                for i, sh in enumerate(shards):
+                    with span("inference.shard", shard=i, layer=d,
+                              nodes=sh.n_local):
+                        results.append(
+                            run_shard_round(
+                                self.weights, sh, current[i], d, head_round
+                            )
                         )
-                    )
-            if d == depth - 1:
+            else:
+                results = executor.submit(
+                    [
+                        ShardTask(
+                            key=f"shard{i}:layer{d}",
+                            fn=self.socket_worker_fn,
+                            args=(i, d, head_round, current[i]),
+                            fallback=(
+                                lambda i=i, d=d, head_round=head_round,
+                                frame=current[i]: run_shard_round(
+                                    self.weights, shards[i], frame, d,
+                                    head_round,
+                                )
+                            ),
+                        )
+                        for i in range(len(shards))
+                    ],
+                    policy=self._exec_policy(),
+                    sleep=self._sleep,
+                )
+                if executor.last_submit_failures:
+                    *_, failure_counter = _obs()
+                    failure_counter.inc(executor.last_submit_failures)
+            if d == self.weights.depth - 1:
                 break
-            # Exchange: each shard keeps its owned rows and lands every
-            # peer's shipped frontier rows via the compiled index lists.
             for i, sh in enumerate(shards):
                 nxt = np.empty(
                     (sh.n_local, results[i].shape[1]), dtype=self.dtype
                 )
                 nxt[sh.owned_pos] = results[i]
-                current[i] = nxt
-            for i, sh in enumerate(shards):
                 for src, positions in sh.recv.items():
-                    current[i][positions] = results[src][shards[src].send[i]]
+                    nxt[positions] = results[src][shards[src].send[i]]
+                current[i] = nxt
         for i, sh in enumerate(shards):
             out[sh.owned] = results[i]
 
@@ -541,48 +509,3 @@ class ShardedInference:
             return result.shape
 
         return fallback
-
-    def _socket_run(
-        self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
-    ) -> None:
-        """Socket transport: activation frames by value, one task per
-        shard per round — no shared memory, so the fleet's workers can
-        live on any host and every retry/requeue is idempotent."""
-        executor = self._ensure_executor(plan, "socket")
-        shards = plan.exchange.shards
-        *_, failure_counter = _obs()
-        previous = np.ascontiguousarray(self._cast_attributes(graph))
-        depth = self.weights.depth
-        for d, head_round in self._rounds(with_head):
-            frames = [
-                np.ascontiguousarray(previous[sh.universe]) for sh in shards
-            ]
-            tasks = [
-                ShardTask(
-                    key=f"shard{i}:layer{d}",
-                    fn=self.socket_worker_fn,
-                    args=(i, d, head_round, frames[i]),
-                    fallback=(
-                        lambda i=i, d=d, head_round=head_round,
-                        frame=frames[i]: run_shard_round(
-                            self.weights, shards[i], frame, d, head_round
-                        )
-                    ),
-                )
-                for i in range(len(shards))
-            ]
-            results = executor.submit(
-                tasks, policy=self._exec_policy(), sleep=self._sleep
-            )
-            if executor.last_submit_failures:
-                failure_counter.inc(executor.last_submit_failures)
-            if d == depth - 1:
-                for i, sh in enumerate(shards):
-                    out[sh.owned] = results[i]
-            else:
-                nxt = np.empty(
-                    (graph.num_nodes, results[0].shape[1]), dtype=self.dtype
-                )
-                for i, sh in enumerate(shards):
-                    nxt[sh.owned] = results[i]
-                previous = nxt

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import generate_design
 from repro.core.graphdata import GraphData
+from repro.core.incremental_inference import IncrementalInference
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer
@@ -53,6 +54,25 @@ class TestFastInferenceGuards:
         engine = FastInference(model.layer_weights())
         proba = engine.predict_proba(graph)
         assert np.isfinite(proba).all()
+
+
+class TestIncrementalInferenceGuards:
+    def test_nan_attribute_row_fails_update_typed(self, graph):
+        weights = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights()
+        engine = IncrementalInference(weights, graph)
+        clean = engine.full_pass().copy()
+        graph.attributes[5, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            engine.update([5])
+        assert info.value.diagnostics["graph"] == graph.name
+        # the garbage rows never reached the published logits
+        assert np.array_equal(engine.logits, clean)
+
+    def test_nan_attribute_row_fails_full_pass_typed(self, graph):
+        weights = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights()
+        graph.attributes[5, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            IncrementalInference(weights, graph).full_pass()
 
 
 class TestTrainerGuard:

@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
+from repro.core.incremental_inference import IncrementalInference
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer
+from repro.flow.modify import IncrementalDesign
 from repro.graph import ShardedInference
 from repro.graph.sharded import _exchange_round_by_value, _exchange_worker_round
+from repro.serve.batch import merge_graphs
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +37,67 @@ def _crashing_worker(*args, **kwargs):
     raise OSError("injected shard-worker failure")
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
-    def test_logits_bit_identical_float64(self, weights, graph, n_shards):
-        single = FastInference(weights).logits(graph)
+# One arm per way of computing a design's logits other than the whole-graph
+# pass.  Each returns ``(graph, logits)``; the contract is that ``logits``
+# equals ``FastInference(weights).logits(graph)`` bit for bit.
+def _sharded_arm(n_shards):
+    def run(weights):
+        graph = GraphData.from_netlist(generate_design(700, seed=23))
         with ShardedInference(
             weights, ExecutionConfig(shards=n_shards, workers=1)
         ) as engine:
-            sharded = engine.logits(graph)
-        assert sharded.dtype == np.float64
-        assert np.array_equal(single, sharded)
+            return graph, engine.logits(graph)
+
+    return run
+
+
+def _batched_arm(weights):
+    """The design's slice of a block-diagonal batch (the serve lane)."""
+    graphs = [
+        GraphData.from_netlist(generate_design(gates, seed=seed))
+        for gates, seed in ((60, 3), (700, 23), (150, 4))
+    ]
+    merged = merge_graphs(graphs)
+    logits = FastInference(weights).logits(merged.graph)
+    return graphs[1], merged.split(logits)[1]
+
+
+def _incremental_arm(k):
+    def run(weights):
+        """Row-subset patches after ``k`` random OP insertions, checked
+        after the full pass and after every update."""
+        design = IncrementalDesign(generate_design(700, seed=23))
+        oracle = FastInference(weights)
+        engine = IncrementalInference(weights, design.graph)
+        assert np.array_equal(engine.full_pass(), oracle.logits(design.graph))
+        rng = np.random.default_rng(k)
+        for _ in range(k):
+            target = int(rng.integers(design.num_nodes))
+            _, checkpoint = design.insert_op(target)
+            engine.update([v for v, _ in checkpoint.changed_co] + [target])
+            assert np.array_equal(engine.logits, oracle.logits(design.graph))
+        return design.graph, engine.logits
+
+    return run
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            pytest.param(_sharded_arm(1), id="sharded-1"),
+            pytest.param(_sharded_arm(2), id="sharded-2"),
+            pytest.param(_sharded_arm(3), id="sharded-3"),
+            pytest.param(_sharded_arm(7), id="sharded-7"),
+            pytest.param(_batched_arm, id="batched"),
+            pytest.param(_incremental_arm(1), id="incremental-1-op"),
+            pytest.param(_incremental_arm(6), id="incremental-6-ops"),
+        ],
+    )
+    def test_logits_bit_identical_float64(self, weights, arm):
+        graph, logits = arm(weights)
+        assert logits.dtype == np.float64
+        assert np.array_equal(FastInference(weights).logits(graph), logits)
 
     def test_embed_bit_identical(self, weights, graph):
         single = FastInference(weights).embed(graph)
@@ -60,7 +115,9 @@ class TestBitIdentity:
         assert np.array_equal(single, sharded)
 
     def test_float32_close(self, weights, graph):
-        single = FastInference(weights, dtype=np.float32).logits(graph)
+        single = FastInference(
+            weights, execution=ExecutionConfig(dtype="float32")
+        ).logits(graph)
         with ShardedInference(
             weights, ExecutionConfig(shards=3, workers=1, dtype="float32")
         ) as engine:
@@ -89,10 +146,6 @@ class TestBitIdentity:
 
 
 class TestConfiguration:
-    def test_halo_shallower_than_depth_rejected(self, weights):
-        with pytest.raises(ValueError, match="halo_hops"):
-            ShardedInference(weights, halo_hops=weights.depth - 1)
-
     def test_plan_cached_per_graph(self, weights, graph):
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=1)
@@ -111,25 +164,27 @@ class TestRouting:
         fast = FastInference(
             weights, execution=ExecutionConfig(workers=2, shards=2)
         )
-        routed = fast._route(graph)
-        assert isinstance(routed, ShardedInference)
-        assert np.array_equal(
-            FastInference(weights).logits(graph), fast.logits(graph)
-        )
+        self._assert_served_by(fast, "sharded", weights, graph)
 
     def test_single_backend_stays_in_process(self, weights, graph):
         fast = FastInference(weights, execution=ExecutionConfig(backend="single"))
-        assert fast._route(graph) is fast
+        self._assert_served_by(fast, "single", weights, graph)
 
     def test_explicit_sharded_backend(self, weights, graph):
         fast = FastInference(
             weights,
             execution=ExecutionConfig(backend="sharded", shards=3, workers=1),
         )
-        assert isinstance(fast._route(graph), ShardedInference)
+        self._assert_served_by(fast, "sharded", weights, graph)
+
+    @staticmethod
+    def _assert_served_by(engine, backend, weights, graph):
+        result = api.score(engine, graph)
+        assert result.backend == backend
         assert np.array_equal(
-            FastInference(weights).logits(graph), fast.logits(graph)
+            FastInference(weights).logits(graph), result.logits
         )
+        assert np.array_equal(result.logits, engine.logits(graph))
 
 
 class TestPoolResilience:

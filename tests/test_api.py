@@ -117,6 +117,23 @@ class TestTrainAndScore:
         assert np.array_equal(single.logits, sharded.logits)
         assert sharded.backend == "sharded"
 
+    def test_score_reports_the_prebuilt_engines_backend(
+        self, trained, labelled_graph
+    ):
+        # Regression: the backend used to be resolved from the *call's*
+        # default ExecutionConfig, so a sharded engine reported "single".
+        weights = trained.model.layer_weights()
+        sharded = api.ExecutionConfig(backend="sharded", shards=2, workers=1)
+        routed = api.score(
+            api.FastInference(weights, execution=sharded), labelled_graph
+        )
+        assert routed.backend == "sharded"
+        with api.ShardedInference(weights, sharded) as engine:
+            assert api.score(engine, labelled_graph).backend == "sharded"
+        single = api.score(api.FastInference(weights), labelled_graph)
+        assert single.backend == "single"
+        assert np.array_equal(routed.logits, single.logits)
+
     def test_train_result_inference_roundtrip(self, trained, labelled_graph):
         engine = trained.inference()
         assert np.allclose(
