@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries and deprecated-kwarg hygiene.
 
-Seven rules, all AST-based (comments and strings never false-positive):
+Eight rules, all AST-based (comments and strings never false-positive):
 
 1. **Examples are facade-only.** Files under ``examples/`` may import from
    the ``repro`` namespace only via ``repro.api`` (``from repro.api import
@@ -66,9 +66,17 @@ Seven rules, all AST-based (comments and strings never false-positive):
    them (``serve/models.py`` publishes them to shared memory,
    ``graph/sharded.py`` reads layer widths, ``experiments/ablations.py``
    freezes ``model.aggregator.w_pr``).  Every inference path — whole
-   graph, shard round, block-diagonal batch, row-subset patch, dense
+   graph, shard round, block-diagonal batch, the OPI flow's row-subset
+   patch (``flow/scorer.py``, deliberately not on the list), dense
    ablation — calls the kernel, which is what keeps their float64 logits
    bit-identical; another transcription of the chain fails here.
+
+8. **The flow's predictor contract is declared once.** The ``Predictor``
+   alias (``GraphData -> labels``) and the stateful ``Scorer`` protocol
+   live in ``src/repro/flow/scorer.py``; any other module under
+   ``src/repro`` that assigns ``Predictor`` or defines a class named
+   ``Scorer`` has re-declared the contract instead of importing it —
+   which is how the OPI and CPI flows once carried three copies.
 
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
@@ -318,6 +326,48 @@ def weight_read_violations(path: Path) -> list[tuple[int, str]]:
     return bad
 
 
+#: the one module that declares the flows' predictor contract
+_CONTRACT_MODULE = PACKAGE / "flow" / "scorer.py"
+_CONTRACT_NAMES = {"Predictor", "Scorer"}
+
+
+def contract_declarations(path: Path) -> list[tuple[int, str]]:
+    """Assignments to / class definitions of the contract names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n in _CONTRACT_NAMES]
+    return found
+
+
+def contract_violations() -> list[str]:
+    """Rule 8: exactly one declaration of each name, in the contract module."""
+    violations = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == _CONTRACT_MODULE:
+            continue
+        for lineno, name in contract_declarations(path):
+            violations.append(
+                f"{path.relative_to(ROOT)}:{lineno}: {name} declared outside "
+                "repro.flow.scorer (import it from there)"
+            )
+    declared = sorted(name for _, name in contract_declarations(_CONTRACT_MODULE))
+    if declared != sorted(_CONTRACT_NAMES):
+        violations.append(
+            f"{_CONTRACT_MODULE.relative_to(ROOT)}: expected one declaration "
+            f"each of {sorted(_CONTRACT_NAMES)}, found {declared}"
+        )
+    return violations
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -364,6 +414,7 @@ def main() -> int:
                 "head_forward; Equation (1) is written once)"
             )
     violations.extend(metric_name_violations())
+    violations.extend(contract_violations())
     if violations:
         print("API boundary violations:")
         for v in violations:
@@ -374,7 +425,8 @@ def main() -> int:
         "src/repro; process pools and raw sockets confined to repro.exec; "
         "metric families repro_-prefixed, lazily registered, singly owned; "
         "scripts/examples speak to serve only via ServeClient; "
-        "layer/head weights read only by the Equation (1) kernel"
+        "layer/head weights read only by the Equation (1) kernel; "
+        "Predictor/Scorer declared once, in repro.flow.scorer"
     )
     return 0
 

@@ -92,6 +92,7 @@ from repro.flow import (
     CpiConfig,
     CpiResult,
     IncrementalDesign,
+    IncrementalScorer,
     OpiConfig,
     OpiResult,
     label_control_nodes,
@@ -216,6 +217,7 @@ __all__ = [
     "label_control_nodes",
     "run_gcn_cpi",
     "IncrementalDesign",
+    "IncrementalScorer",
     # data / metrics
     "balanced_indices",
     "ConfusionMatrix",
@@ -399,8 +401,11 @@ def insert_observation_points(
     """Run the paper's iterative GCN-guided OP-insertion flow.
 
     ``model`` accepts everything :func:`score` does, plus a bare
-    ``GraphData -> labels`` callable.  Returns the flow's
-    :class:`OpiResult` (modified netlist, per-iteration trace).
+    ``GraphData -> labels`` callable.  A single GCN in float64 re-scores
+    only the D-hop closure of what each insertion changed (bit-identical
+    to whole-graph passes); a cascade, a float32 engine and a callable
+    are re-run on the whole graph.  Returns the flow's :class:`OpiResult`
+    (modified netlist, per-iteration trace).
     """
     if callable(model) and not isinstance(
         model, (GCN, MultiStageGCN, GCNWeights, FastInference)
@@ -408,9 +413,15 @@ def insert_observation_points(
         predictor = model
     else:
         predictor, kind = _resolve_model(model)
-        if kind != "cascade":
-            predictor = _as_engine(predictor, execution)
-        predictor = predictor.predict
+        if kind == "cascade":
+            predictor = predictor.predict
+        else:
+            engine = _as_engine(predictor, execution)
+            predictor = (
+                IncrementalScorer(engine.weights)
+                if engine.dtype == np.float64
+                else engine.predict
+            )
     return run_gcn_opi(netlist, predictor, config)
 
 

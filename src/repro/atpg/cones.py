@@ -144,6 +144,8 @@ def invalidate_cone_cache(netlist: Netlist | None = None) -> None:
             _stats["invalidations"] += len(_indexes)
             _indexes.clear()
             return
+        if not _indexes:
+            return  # nothing to drop: skip hashing the whole netlist
         fp = netlist.fingerprint()
         if _indexes.pop(fp, None) is not None:
             _stats["invalidations"] += 1

@@ -15,13 +15,11 @@ from repro.core.trainer import (
 )
 from repro.core.serialize import load_cascade, load_gcn, save_cascade, save_gcn
 from repro.core.explain import NodeAttribution, explain_node
-from repro.core.incremental_inference import IncrementalInference
 from repro.core.aggregators import MaxPoolAggregator, MeanAggregator
 
 __all__ = [
     "NodeAttribution",
     "explain_node",
-    "IncrementalInference",
     "MaxPoolAggregator",
     "MeanAggregator",
     "load_cascade",

@@ -1,5 +1,12 @@
 """Observation-point-insertion flows: GCN-guided (Section 4) and baseline."""
 
+from repro.flow.scorer import (
+    IncrementalScorer,
+    Predictor,
+    Scorer,
+    WholeGraphScorer,
+    as_scorer,
+)
 from repro.flow.modify import IncrementalDesign
 from repro.flow.impact import ImpactEvaluator
 from repro.flow.insertion import OpiConfig, OpiResult, run_gcn_opi
@@ -22,6 +29,11 @@ __all__ = [
     "run_gcn_cpi",
     "IncrementalDesign",
     "ImpactEvaluator",
+    "IncrementalScorer",
+    "Predictor",
+    "Scorer",
+    "WholeGraphScorer",
+    "as_scorer",
     "OpiConfig",
     "OpiResult",
     "run_gcn_opi",

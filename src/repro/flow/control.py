@@ -21,7 +21,6 @@ here are small enough that this costs little.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.core.attributes import AttributeConfig
 from repro.core.graphdata import GraphData
+from repro.flow.scorer import Predictor
 from repro.utils.rng import as_rng
 from repro.obs import logs
 
@@ -121,9 +121,6 @@ class CpiResult:
     @property
     def n_cps(self) -> int:
         return len(self.inserted)
-
-
-Predictor = Callable[[GraphData], np.ndarray]
 
 
 def run_gcn_cpi(

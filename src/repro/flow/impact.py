@@ -8,41 +8,45 @@ by it.
 
 Implementation: tentatively insert the OP through
 :class:`repro.flow.modify.IncrementalDesign` (which refreshes attributes in
-the cone), re-run fast inference, count surviving positives in the cone,
-then roll the insertion back in O(cone).
+the cone), hand the rows it changed to the :class:`~repro.flow.scorer.Scorer`,
+count surviving positives in the cone, then roll scorer and insertion back
+in O(cone).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.graphdata import GraphData
 from repro.flow.modify import IncrementalDesign
+from repro.flow.scorer import Scorer
 
 __all__ = ["ImpactEvaluator"]
 
-Predictor = Callable[[GraphData], np.ndarray]
-
 
 class ImpactEvaluator:
-    """Ranks candidate OP locations by positive-prediction reduction."""
+    """Ranks candidate OP locations by positive-prediction reduction.
 
-    def __init__(self, design: IncrementalDesign, predictor: Predictor) -> None:
+    ``scorer`` must be bound to ``design.graph`` before :meth:`impact`;
+    ``baseline_predictions`` are a copy of the labels it returned.
+    """
+
+    def __init__(self, design: IncrementalDesign, scorer: Scorer) -> None:
         self.design = design
-        self.predictor = predictor
+        self.scorer = scorer
 
     def impact(self, candidate: int, baseline_predictions: np.ndarray) -> int:
         """Impact of observing ``candidate`` (Figure 6's ``5 - 1 = 4``)."""
         cone = self.design.fanin_cone(candidate, include_self=True)
         before = int(baseline_predictions[cone].sum())
-        undo = self.design.tentative_insert(candidate)
+        _, checkpoint = self.design.insert_op(candidate)
         try:
-            predictions = self.predictor(self.design.graph)
+            predictions, token = self.scorer.rescore(checkpoint.changed_rows)
             after = int(predictions[cone].sum())
+            self.scorer.rollback(token)
         finally:
-            undo()
+            self.design.rollback(checkpoint)
         return before - after
 
     def rank(

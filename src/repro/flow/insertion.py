@@ -16,17 +16,15 @@ positive-prediction count stops decreasing.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.core.attributes import AttributeConfig
-from repro.core.graphdata import GraphData
 from repro.flow.impact import ImpactEvaluator
 from repro.flow.modify import IncrementalDesign
+from repro.flow.scorer import Predictor, Scorer, as_scorer
 from repro.obs import logs
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -58,8 +56,6 @@ def _obs():
             "positive predictions at the latest iteration",
         ),
     }
-
-Predictor = Callable[[GraphData], np.ndarray]
 
 
 @dataclass
@@ -111,16 +107,19 @@ class OpiResult:
 
 def run_gcn_opi(
     netlist: Netlist,
-    predictor: Predictor,
+    predictor: Predictor | Scorer,
     config: OpiConfig | None = None,
     attribute_config: AttributeConfig | None = None,
     checkpoint: Checkpointer | None = None,
 ) -> OpiResult:
     """Run the iterative OPI flow on a copy of ``netlist``.
 
-    ``predictor`` maps a :class:`GraphData` to a 0/1 array over nodes
-    (1 = difficult-to-observe), e.g. ``MultiStageGCN.predict`` or
-    ``FastInference.predict`` of a trained model.
+    ``predictor`` is a :class:`~repro.flow.scorer.Scorer` — an
+    :class:`~repro.flow.scorer.IncrementalScorer` over trained weights
+    re-scores only what each insertion changed — or a plain callable
+    mapping a :class:`GraphData` to a 0/1 array over nodes (1 =
+    difficult-to-observe), e.g. ``MultiStageGCN.predict``, which is
+    re-run on the whole graph every time.
 
     ``checkpoint`` makes the flow resumable: each completed iteration is
     snapshotted, and a rerun over the same ``netlist`` restarts after the
@@ -128,7 +127,8 @@ def run_gcn_opi(
     """
     config = config or OpiConfig()
     design = IncrementalDesign(netlist.copy(), attribute_config)
-    evaluator = ImpactEvaluator(design, predictor)
+    scorer = as_scorer(predictor)
+    evaluator = ImpactEvaluator(design, scorer)
     result = OpiResult(netlist=design.netlist)
     watchdog = (
         ConvergenceWatchdog(patience=config.stall_patience, name="positive predictions")
@@ -147,11 +147,23 @@ def run_gcn_opi(
     if config.verbose:
         logs.ensure_configured()
     metrics = _obs()
+    #: rows changed by the insertions made since the scorer last looked
+    pending: list[int] | None = None
     for iteration in range(start_iteration, config.max_iterations + 1):
         with span("opi.iteration", iteration=iteration):
             with span("opi.predict"):
-                predictions = np.asarray(predictor(design.graph))
-            candidates = _positive_candidates(design.netlist, predictions)
+                if pending is None:
+                    labels = scorer.bind(design.graph)
+                else:
+                    labels, _ = scorer.rescore(pending)
+                pending = []
+                # The scorer patches its labels in place under ``rank``.
+                predictions = labels.copy()
+            candidates = [
+                v
+                for v in np.flatnonzero(predictions == 1).tolist()
+                if v not in design.observed
+            ]
             result.positives_history.append(len(candidates))
             metrics["positives"].set(len(candidates))
             if config.verbose:
@@ -199,7 +211,8 @@ def run_gcn_opi(
                         and result.n_ops >= config.max_ops
                     ):
                         break
-                    design.insert_op(target)
+                    _, inserted = design.insert_op(target)
+                    pending.extend(inserted.changed_rows)
                     result.inserted.append(target)
                     metrics["ops"].inc()
             if checkpoint is not None:
@@ -276,24 +289,3 @@ def _restore_opi(
     iteration = int(snapshot.meta.get("iteration", snapshot.step))
     result.iterations = iteration
     return iteration
-
-
-def _positive_candidates(netlist: Netlist, predictions: np.ndarray) -> list[int]:
-    """Positive predictions that are legal OP targets.
-
-    OBS cells themselves and nodes already carrying an OP are excluded —
-    re-observing an observed net is never useful.
-    """
-    has_op = {
-        netlist.fanins(p)[0] for p in netlist.observation_points()
-    }
-    observed = set(netlist.observation_sites)
-    out = []
-    for v in np.flatnonzero(predictions == 1):
-        v = int(v)
-        if netlist.gate_type(v) is GateType.OBS:
-            continue
-        if v in has_op or v in observed:
-            continue
-        out.append(v)
-    return out

@@ -10,8 +10,12 @@ Inserting an observation point at node ``v`` means:
   cone via the incremental SCOAP relaxation.
 
 :class:`IncrementalDesign` owns all three representations and keeps them
-consistent; it also supports O(1) rollback of a tentative insertion, which
-the impact evaluator leans on.
+consistent; it also supports O(cone) rollback of a tentative insertion,
+which the impact evaluator leans on.  Every insertion reports the graph
+rows it touched (``changed_rows`` of its checkpoint), which is what lets a
+:class:`~repro.flow.scorer.Scorer` re-score only their D-hop closure, and
+the appended edge lands last in its CSR row, so the adjacency's cached CSR
+stays alive across insert and rollback (:mod:`repro.nn.sparse`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.core.attributes import AttributeConfig, OP_ATTRIBUTES, normalize_attr
 from repro.core.graphdata import GraphData
 from repro.testability.incremental import refresh_observability
 from repro.testability.scoap import ScoapResult, compute_scoap
+from repro.utils.rowstore import RowStore
 
 __all__ = ["IncrementalDesign"]
 
@@ -39,7 +44,13 @@ class _Checkpoint:
     pred_nnz: int
     succ_nnz: int
     changed_co: list[tuple[int, float]]
-    attr_rows: list[tuple[int, np.ndarray]]
+    #: nodes whose CO moved, and their attribute rows before it did
+    attr_rows: tuple[list[int], np.ndarray]
+    #: whether the insertion is what made the target an observed node
+    target_newly_observed: bool
+    #: graph rows whose attributes or adjacency the insertion changed:
+    #: the target, the new OBS cell and every node whose CO moved
+    changed_rows: list[int]
 
 
 class IncrementalDesign:
@@ -58,47 +69,54 @@ class IncrementalDesign:
         self.graph = GraphData.from_netlist(
             netlist, attribute_config=self.attribute_config
         )
-        # Capacity-doubled backing store so appends don't copy every time.
-        n, width = self.graph.attributes.shape
-        self._attr_store = np.empty((n + 16, width))
-        self._attr_store[:n] = self.graph.attributes
-        self.graph.attributes = self._attr_store[:n]
+        #: observation sites plus OBS cells, kept current under insert and
+        #: rollback so neither the SCOAP relaxation nor the flow rescans
+        #: the netlist for them
+        self.observed: set[int] = set(netlist.observation_sites)
+        self.observed.update(netlist.observation_points())
+        #: the paper's attribute row of a fresh OP, squashed like the rest
+        self._op_row = normalize_attributes(
+            OP_ATTRIBUTES[None, :], self.attribute_config
+        )[0]
+        # Capacity-doubled backing stores so appends don't copy every time.
+        n = self.num_nodes
+        self._attr_store = RowStore(self.graph.attributes)
+        self.graph.attributes = self._attr_store.rows(n)
+        self._scoap_stores = [
+            RowStore(column)
+            for column in (self.scoap.cc0, self.scoap.cc1, self.scoap.co)
+        ]
+        self._resize_scoap(n)
 
     # ------------------------------------------------------------------ #
     @property
     def num_nodes(self) -> int:
         return self.netlist.num_nodes
 
-    def _attr_row(self, node: int) -> np.ndarray:
-        raw = np.array(
+    def _attr_rows(self, nodes: list[int]) -> np.ndarray:
+        """Attribute rows of ``nodes`` (original cells) from current SCOAP."""
+        raw = np.stack(
             [
-                float(self.levels[node]) if node < len(self.levels) else 0.0,
-                self.scoap.cc0[node],
-                self.scoap.cc1[node],
-                self.scoap.co[node],
-            ]
+                self.levels[nodes].astype(np.float64),
+                self.scoap.cc0[nodes],
+                self.scoap.cc1[nodes],
+                self.scoap.co[nodes],
+            ],
+            axis=1,
         )
-        return normalize_attributes(raw[None, :], self.attribute_config)[0]
+        return normalize_attributes(raw, self.attribute_config)
 
-    def _append_attr_row(self, row: np.ndarray) -> None:
-        n = self.graph.attributes.shape[0]
-        if n == self._attr_store.shape[0]:
-            grown = np.empty((2 * n, self._attr_store.shape[1]))
-            grown[:n] = self._attr_store
-            self._attr_store = grown
-        self._attr_store[n] = row
-        self.graph.attributes = self._attr_store[: n + 1]
+    def _resize_scoap(self, n: int) -> None:
+        scoap = self.scoap
+        scoap.cc0, scoap.cc1, scoap.co = (
+            store.rows(n) for store in self._scoap_stores
+        )
 
     # ------------------------------------------------------------------ #
     def insert_op(self, target: int) -> tuple[int, _Checkpoint]:
         """Insert an OP at ``target``; returns (new node id, checkpoint)."""
-        checkpoint = _Checkpoint(
-            n_nodes=self.num_nodes,
-            pred_nnz=self.graph.pred.nnz,
-            succ_nnz=self.graph.succ.nnz,
-            changed_co=[],
-            attr_rows=[],
-        )
+        n_before = self.num_nodes
+        pred_nnz, succ_nnz = self.graph.pred.nnz, self.graph.succ.nnz
         # Drop the shared forward-cone index *before* the structure changes
         # so a concurrent reader can never warm it with mixed-generation
         # cones (see repro.atpg.cones).
@@ -110,23 +128,34 @@ class IncrementalDesign:
         self.graph.pred.append(1.0, p, target)
         self.graph.succ.append(1.0, target, p)
 
+        target_newly_observed = target not in self.observed
+        self.observed.add(target)
+        self.observed.add(p)
+
         # SCOAP bookkeeping: grow arrays, seed the OP row, relax the cone.
-        self.scoap.cc0 = np.append(self.scoap.cc0, self.scoap.cc0[target] + 1.0)
-        self.scoap.cc1 = np.append(self.scoap.cc1, self.scoap.cc1[target] + 1.0)
-        self.scoap.co = np.append(self.scoap.co, 0.0)
+        self._resize_scoap(n)
+        self.scoap.cc0[p] = self.scoap.cc0[target] + 1.0
+        self.scoap.cc1[p] = self.scoap.cc1[target] + 1.0
+        self.scoap.co[p] = 0.0
         changed = refresh_observability(
-            self.netlist, self.scoap, [target], self.levels
+            self.netlist, self.scoap, [target], self.levels, self.observed
         )
-        checkpoint.changed_co = changed
 
         # Attribute refresh: new OP row + every node whose CO moved.
-        self._append_attr_row(
-            normalize_attributes(OP_ATTRIBUTES[None, :], self.attribute_config)[0]
+        attributes = self.graph.attributes = self._attr_store.rows(n)
+        attributes[p] = self._op_row
+        moved = list(dict(changed))
+        before = attributes[moved]
+        attributes[moved] = self._attr_rows(moved)
+        return p, _Checkpoint(
+            n_nodes=n_before,
+            pred_nnz=pred_nnz,
+            succ_nnz=succ_nnz,
+            changed_co=changed,
+            attr_rows=(moved, before),
+            target_newly_observed=target_newly_observed,
+            changed_rows=[target, p, *moved],
         )
-        for v in dict(changed):
-            checkpoint.attr_rows.append((v, self.graph.attributes[v].copy()))
-            self.graph.attributes[v] = self._attr_row(v)
-        return p, checkpoint
 
     def rollback(self, checkpoint: _Checkpoint) -> None:
         """Undo the most recent insertion recorded in ``checkpoint``."""
@@ -144,16 +173,17 @@ class IncrementalDesign:
             fo.pop()
         self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))
         self.graph.succ.truncate(checkpoint.succ_nnz, (n, n))
-        self.scoap.cc0 = self.scoap.cc0[:n]
-        self.scoap.cc1 = self.scoap.cc1[:n]
-        self.scoap.co = self.scoap.co[:n]
+        self.observed.discard(n)
+        if checkpoint.target_newly_observed:
+            self.observed.discard(target)
+        self._resize_scoap(n)
         # Restore CO in reverse so repeated relaxations of one node unwind
         # to its original value.
         for v, co in reversed(checkpoint.changed_co):
             self.scoap.co[v] = co
-        for v, row in checkpoint.attr_rows:
-            self.graph.attributes[v] = row
-        self.graph.attributes = self._attr_store[:n]
+        moved, rows = checkpoint.attr_rows
+        self.graph.attributes[moved] = rows
+        self.graph.attributes = self._attr_store.rows(n)
         # The pops above bypass the Netlist mutators, so the structural
         # version (and with it the memoised fingerprint) must be advanced
         # by hand — otherwise the reverted netlist would keep serving the

@@ -4,8 +4,9 @@ The paper's fast inference hinges on two properties of the adjacency matrix
 (Section 3.4): it is > 99.95 % sparse, so it must be stored in coordinate
 (COO) format, and the OPI flow grows it one node at a time, so COO's cheap
 append matters.  :class:`COOMatrix` provides exactly that: amortised O(1)
-appends with capacity doubling, plus matmul through a lazily-built (and
-invalidated-on-append) CSR cache.
+appends with capacity doubling, plus matmul through a lazily-built CSR
+cache that the OPI flow's edits — an append that lands last in its row, a
+LIFO truncate of such appends — patch in place instead of dropping.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["COOMatrix"]
+
+
+def _spliced(array: np.ndarray, start: int, stop: int, items: list) -> np.ndarray:
+    """A copy of ``array`` with ``array[start:stop]`` replaced by ``items``."""
+    items = np.asarray(items, dtype=array.dtype)
+    return np.concatenate([array[:start], items, array[stop:]])
 
 
 class COOMatrix:
@@ -50,6 +57,9 @@ class COOMatrix:
         self._rows[: self._n] = rows
         self._cols[: self._n] = cols
         self._csr: sp.csr_matrix | None = None
+        #: entries the cached CSR was sorted from; later ones were patched
+        #: in one by one, each last in its row, so they come out LIFO
+        self._csr_base = 0
         self._csc: sp.csc_matrix | None = None
 
     # ------------------------------------------------------------------ #
@@ -103,8 +113,7 @@ class COOMatrix:
             raise ValueError(
                 f"cannot shrink to {shape}: existing entries out of bounds"
             )
-        self._shape = shape
-        self._invalidate()
+        self._set_shape(shape)
 
     def append(self, value: float, row: int, col: int) -> None:
         """Append one ``(value, row, col)`` tuple — amortised O(1)."""
@@ -120,7 +129,16 @@ class COOMatrix:
         self._rows[self._n] = row
         self._cols[self._n] = col
         self._n += 1
-        self._invalidate()
+        self._csc = None
+        csr = self._csr
+        if csr is not None:
+            end = csr.indptr[row + 1]
+            if end > csr.indptr[row] and csr.indices[end - 1] >= col:
+                self._csr = None  # not last in its row: re-sort lazily
+            else:
+                csr.indices = _spliced(csr.indices, end, end, [col])
+                csr.data = _spliced(csr.data, end, end, [value])
+                csr.indptr[row + 1 :] += 1
 
     def extend(self, values, rows, cols) -> None:
         """Append multiple tuples at once."""
@@ -128,21 +146,34 @@ class COOMatrix:
             self.append(float(value), int(row), int(col))
 
     def truncate(self, nnz: int, shape: tuple[int, int] | None = None) -> None:
-        """Roll back to the first ``nnz`` entries (O(1)).
+        """Roll back to the first ``nnz`` entries.
 
         Used by the impact evaluator to undo a tentative OP insertion
-        without copying the matrix.  Optionally also restores ``shape``.
+        without re-sorting the matrix: O(1) on the tuples, one splice of
+        the cached CSR per entry dropped.  Optionally also restores
+        ``shape``.
         """
         if not 0 <= nnz <= self._n:
             raise ValueError(f"cannot truncate to {nnz} entries (have {self._n})")
+        self._csc = None
+        csr = self._csr
+        if csr is not None and nnz < self._csr_base:
+            csr = self._csr = None
+        if csr is not None:
+            for row in self._rows[nnz : self._n][::-1]:
+                end = csr.indptr[row + 1]
+                csr.indices = _spliced(csr.indices, end - 1, end, [])
+                csr.data = _spliced(csr.data, end - 1, end, [])
+                csr.indptr[row + 1 :] -= 1
         self._n = nnz
         if shape is not None:
-            self._shape = (int(shape[0]), int(shape[1]))
-        self._invalidate()
+            self._set_shape((int(shape[0]), int(shape[1])))
 
-    def _invalidate(self) -> None:
-        self._csr = None
+    def _set_shape(self, shape: tuple[int, int]) -> None:
+        self._shape = shape
         self._csc = None
+        if self._csr is not None:
+            self._csr.resize(shape)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -204,6 +235,7 @@ class COOMatrix:
         merged._csr = sp.csr_matrix(
             (data, indices, indptr), shape=shape, copy=False
         )
+        merged._csr_base = merged._n
         return merged
 
     # ------------------------------------------------------------------ #
@@ -216,6 +248,7 @@ class COOMatrix:
                 (self.values, (self.rows, self.cols)), shape=self._shape
             )
             self._csr = coo.tocsr()
+            self._csr_base = self._n
         return self._csr
 
     def _to_csc(self) -> sp.csc_matrix:

@@ -55,19 +55,23 @@ def refresh_observability(
     scoap: ScoapResult,
     seeds: list[int],
     levels: np.ndarray,
+    observed: set[int] | None = None,
 ) -> list[tuple[int, float]]:
     """Backward relaxation of ``CO`` from ``seeds``.
 
     Returns ``(node, previous_co)`` for every node whose CO changed, which
-    lets callers undo the relaxation cheaply.
+    lets callers undo the relaxation cheaply.  ``observed`` is the set of
+    observation sites plus OBS cells; a caller that maintains it across
+    edits passes it in, otherwise it is collected by scanning the netlist.
 
     Processes candidates highest-logic-level first (a node's CO depends only
     on its fanouts, which sit at higher levels), re-queuing fanins whenever a
     node's CO improves.  Only decreases are propagated — adding an OP can
     never worsen observability.
     """
-    observed = set(netlist.observation_sites)
-    observed.update(netlist.observation_points())
+    if observed is None:
+        observed = set(netlist.observation_sites)
+        observed.update(netlist.observation_points())
 
     def level_of(v: int) -> int:
         return int(levels[v]) if v < len(levels) else int(levels.max(initial=0) + 1)

@@ -126,6 +126,16 @@ class TestConeCache:
         invalidate_cone_cache(c17)
         assert cone_cache_info()["entries"] == 0
 
+    def test_invalidate_with_nothing_cached_hashes_nothing(self, c17, monkeypatch):
+        # The OPI loop invalidates around every tentative insertion while
+        # the cache is empty: that must not cost a whole-netlist hash.
+        def no_hash():
+            raise AssertionError("fingerprinted a netlist for an empty cache")
+
+        monkeypatch.setattr(c17, "_build_fingerprint", no_hash)
+        invalidate_cone_cache(c17)
+        assert cone_cache_info()["entries"] == 0
+
     def test_stale_copy_mutation_does_not_poison_original(self, c17):
         # A copy shares the original's fingerprint until its first edit.
         # If the copy is mutated *in place* (without invalidate_cone_cache)

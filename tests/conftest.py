@@ -8,6 +8,13 @@ import pytest
 from repro.circuit import GateType, Netlist, generate_design
 
 
+@pytest.fixture(autouse=True)
+def _results_outside_the_checkout(tmp_path, monkeypatch):
+    """Run manifests, trend ledgers and profiles default to ``./results``;
+    no test may leave files in the checkout it runs from."""
+    monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "results"))
+
+
 @pytest.fixture
 def c17() -> Netlist:
     """The ISCAS-85 c17 benchmark (6 NAND gates, 5 PIs, 2 POs)."""

@@ -5,10 +5,10 @@ import pytest
 
 from repro.circuit import generate_design
 from repro.core.graphdata import GraphData
-from repro.core.incremental_inference import IncrementalInference
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer
+from repro.flow.scorer import IncrementalScorer
 from repro.resilience.errors import NumericalError, ReproError
 
 
@@ -56,23 +56,24 @@ class TestFastInferenceGuards:
         assert np.isfinite(proba).all()
 
 
-class TestIncrementalInferenceGuards:
-    def test_nan_attribute_row_fails_update_typed(self, graph):
+class TestIncrementalScorerGuards:
+    def test_nan_attribute_row_fails_rescore_typed(self, graph):
         weights = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights()
-        engine = IncrementalInference(weights, graph)
-        clean = engine.full_pass().copy()
+        scorer = IncrementalScorer(weights)
+        scorer.bind(graph)
+        clean = scorer.logits.copy()
         graph.attributes[5, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite") as info:
-            engine.update([5])
+            scorer.rescore([5])
         assert info.value.diagnostics["graph"] == graph.name
         # the garbage rows never reached the published logits
-        assert np.array_equal(engine.logits, clean)
+        assert np.array_equal(scorer.logits, clean)
 
-    def test_nan_attribute_row_fails_full_pass_typed(self, graph):
+    def test_nan_attribute_row_fails_bind_typed(self, graph):
         weights = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights()
         graph.attributes[5, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            IncrementalInference(weights, graph).full_pass()
+            IncrementalScorer(weights).bind(graph)
 
 
 class TestTrainerGuard:

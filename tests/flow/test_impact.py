@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import generate_design
 from repro.flow.impact import ImpactEvaluator
 from repro.flow.modify import IncrementalDesign
+from repro.flow.scorer import as_scorer
 
 
 def co_threshold_predictor(threshold=4.0):
@@ -27,11 +28,16 @@ def design():
     return IncrementalDesign(generate_design(200, seed=43))
 
 
+def bound_evaluator(design):
+    """An evaluator over the toy predictor, and its baseline labels."""
+    scorer = as_scorer(co_threshold_predictor())
+    baseline = scorer.bind(design.graph).copy()
+    return ImpactEvaluator(design, scorer), baseline
+
+
 class TestImpact:
     def test_figure6_semantics(self, design):
-        predictor = co_threshold_predictor()
-        evaluator = ImpactEvaluator(design, predictor)
-        baseline = predictor(design.graph)
+        evaluator, baseline = bound_evaluator(design)
         positives = np.flatnonzero(baseline == 1)
         if len(positives) == 0:
             pytest.skip("toy predictor found no positives on this design")
@@ -43,9 +49,7 @@ class TestImpact:
         assert impact >= 1
 
     def test_design_unchanged_after_evaluation(self, design):
-        predictor = co_threshold_predictor()
-        evaluator = ImpactEvaluator(design, predictor)
-        baseline = predictor(design.graph)
+        evaluator, baseline = bound_evaluator(design)
         n0 = design.num_nodes
         attrs0 = design.graph.attributes.copy()
         positives = np.flatnonzero(baseline == 1)[:5]
@@ -55,9 +59,7 @@ class TestImpact:
         assert np.allclose(design.graph.attributes, attrs0)
 
     def test_rank_sorted_descending(self, design):
-        predictor = co_threshold_predictor()
-        evaluator = ImpactEvaluator(design, predictor)
-        baseline = predictor(design.graph)
+        evaluator, baseline = bound_evaluator(design)
         candidates = np.flatnonzero(baseline == 1)[:8]
         if len(candidates) < 2:
             pytest.skip("not enough candidates")

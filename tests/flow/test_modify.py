@@ -70,14 +70,25 @@ class TestInsertOp:
         expected = normalize_attributes(OP_ATTRIBUTES[None, :], design.attribute_config)[0]
         assert np.allclose(design.graph.attributes[p], expected)
 
-    def test_many_insertions_attr_store_grows(self, design):
+    def test_many_insertions_stores_grow(self, design):
         n0 = design.num_nodes
-        for target in range(0, 60, 3):
+        for target in range(0, 60, 3):  # passes the 16 spare rows
             design.insert_op(target)
         assert design.num_nodes == n0 + 20
         assert design.graph.attributes.shape[0] == n0 + 20
         fresh = compute_scoap(design.netlist)
+        for name in ("cc0", "cc1", "co"):
+            assert getattr(design.scoap, name).shape == (n0 + 20,)
         assert np.allclose(design.scoap.co, fresh.co)
+        assert np.allclose(design.scoap.cc0, fresh.cc0)
+
+    def test_checkpoint_names_the_changed_rows(self, design):
+        attrs0 = design.graph.attributes.copy()
+        p, checkpoint = design.insert_op(10)
+        moved = np.flatnonzero(
+            (design.graph.attributes[: len(attrs0)] != attrs0).any(axis=1)
+        )
+        assert set(checkpoint.changed_rows) == {10, p, *moved.tolist()}
 
 
 class TestRollback:
@@ -111,6 +122,23 @@ class TestRollback:
         after = self._snapshot(design)
         assert np.allclose(before[3], after[3])
         assert np.allclose(before[4], after[4])
+
+    def test_observed_set_follows_insert_and_rollback(self, design):
+        def scanned():
+            netlist = design.netlist
+            return set(netlist.observation_sites) | set(netlist.observation_points())
+
+        assert design.observed == scanned()
+        already = next(iter(design.observed))
+        fresh = next(v for v in design.netlist.nodes() if v not in design.observed)
+        for target in (already, fresh):
+            before = set(design.observed)
+            p, checkpoint = design.insert_op(target)
+            assert {target, p} <= design.observed == scanned()
+            design.rollback(checkpoint)
+            assert design.observed == before == scanned()
+        design.insert_op(fresh)
+        assert design.observed == scanned()
 
     def test_rollback_then_real_insert_consistent(self, design):
         undo = design.tentative_insert(12)

@@ -9,11 +9,11 @@ from repro import api
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
-from repro.core.incremental_inference import IncrementalInference
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer
 from repro.flow.modify import IncrementalDesign
+from repro.flow.scorer import IncrementalScorer
 from repro.graph import ShardedInference
 from repro.graph.sharded import _exchange_round_by_value, _exchange_worker_round
 from repro.serve.batch import merge_graphs
@@ -65,18 +65,19 @@ def _batched_arm(weights):
 def _incremental_arm(k):
     def run(weights):
         """Row-subset patches after ``k`` random OP insertions, checked
-        after the full pass and after every update."""
+        after the full pass and after every rescore."""
         design = IncrementalDesign(generate_design(700, seed=23))
         oracle = FastInference(weights)
-        engine = IncrementalInference(weights, design.graph)
-        assert np.array_equal(engine.full_pass(), oracle.logits(design.graph))
+        scorer = IncrementalScorer(weights)
+        scorer.bind(design.graph)
+        assert np.array_equal(scorer.logits, oracle.logits(design.graph))
         rng = np.random.default_rng(k)
         for _ in range(k):
             target = int(rng.integers(design.num_nodes))
             _, checkpoint = design.insert_op(target)
-            engine.update([v for v, _ in checkpoint.changed_co] + [target])
-            assert np.array_equal(engine.logits, oracle.logits(design.graph))
-        return design.graph, engine.logits
+            scorer.rescore(checkpoint.changed_rows)
+            assert np.array_equal(scorer.logits, oracle.logits(design.graph))
+        return design.graph, scorer.logits
 
     return run
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,90 @@ class TestAppendAndRollback:
         m = COOMatrix((2, 2), [1.0], [0], [0])
         with pytest.raises(ValueError):
             m.truncate(5)
+
+
+def _assert_csr_is_fresh(m: COOMatrix) -> None:
+    """The cached CSR equals a from-scratch sort of the current tuples."""
+    fresh = sp.coo_matrix((m.values, (m.rows, m.cols)), shape=m.shape).tocsr()
+    live = m.to_scipy()
+    assert live.shape == fresh.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(live, name), getattr(fresh, name))
+        assert getattr(live, name).dtype == getattr(fresh, name).dtype
+
+
+class TestLiveCsr:
+    """Edits of the OPI kind patch the cached CSR instead of dropping it."""
+
+    def test_new_node_edges_keep_the_cache(self):
+        # What an OP insertion does to pred (a new last row) and to succ
+        # (a new largest column in an existing row), then the undo.
+        pred = COOMatrix((3, 3), [1.0, 1.0], [1, 2], [0, 1])
+        succ = COOMatrix((3, 3), [1.0, 1.0], [0, 1], [1, 2])
+        caches = [pred.to_scipy(), succ.to_scipy()]
+        for m in (pred, succ):
+            m.resize((4, 4))
+        pred.append(1.0, 3, 1)
+        succ.append(1.0, 1, 3)
+        for m, cache in zip((pred, succ), caches):
+            assert m.to_scipy() is cache
+            _assert_csr_is_fresh(m)
+            m.truncate(2, (3, 3))
+            assert m.to_scipy() is cache
+            _assert_csr_is_fresh(m)
+
+    def test_append_inside_a_row_resorts(self):
+        m = COOMatrix((3, 3), [1.0, 1.0], [0, 0], [0, 2])
+        cache = m.to_scipy()
+        m.append(4.0, 0, 1)  # lands between two stored entries
+        assert m.to_scipy() is not cache
+        _assert_csr_is_fresh(m)
+
+    def test_duplicate_append_resorts_and_sums(self):
+        m = COOMatrix((2, 2), [1.0], [0], [1])
+        m.to_scipy()
+        m.append(2.0, 0, 1)
+        _assert_csr_is_fresh(m)
+        assert m.to_dense()[0, 1] == 3.0
+
+    def test_truncate_below_the_sorted_entries_resorts(self):
+        m = COOMatrix((3, 3), [1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 2])
+        cache = m.to_scipy()
+        m.truncate(1)
+        assert m.to_scipy() is not cache
+        _assert_csr_is_fresh(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_property_any_edit_sequence_matches_a_fresh_sort(self, data):
+        n = data.draw(st.integers(1, 6))
+        nnz = data.draw(st.integers(0, 12))
+        coords = st.lists(st.integers(0, n - 1), min_size=nnz, max_size=nnz)
+        m = COOMatrix(
+            (n, n),
+            np.ones(nnz),
+            np.array(data.draw(coords), dtype=np.int64),
+            np.array(data.draw(coords), dtype=np.int64),
+        )
+        m.to_scipy()
+        undo = []  # LIFO of (nnz, shape) to truncate back to
+        for _ in range(data.draw(st.integers(1, 10))):
+            kind = data.draw(st.sampled_from(["grow", "append", "undo"]))
+            rows, cols = m.shape
+            if kind == "grow":
+                undo.append((m.nnz, m.shape))
+                m.resize((rows + 1, cols + 1))
+                m.append(1.0, data.draw(st.integers(0, rows)), cols)
+            elif kind == "append":
+                undo.append((m.nnz, m.shape))
+                m.append(
+                    data.draw(st.floats(-2, 2, allow_nan=False)),
+                    data.draw(st.integers(0, rows - 1)),
+                    data.draw(st.integers(0, cols - 1)),
+                )
+            elif undo:
+                m.truncate(*undo.pop())
+            _assert_csr_is_fresh(m)
 
 
 class TestLinearAlgebra:

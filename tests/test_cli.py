@@ -1,5 +1,7 @@
 """CLI entry points."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -41,11 +43,18 @@ class TestCommands:
         assert netlist.num_nodes > 120
 
     def test_experiment_table1_smoke(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_SCALE", "0.06")
+        checkout = Path("results")
+        before = sorted(checkout.iterdir()) if checkout.exists() else None
         assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "B4" in out
+        # The run's manifest went where conftest pointed REPRO_RESULTS,
+        # not into the checkout the suite runs from.
+        assert list((tmp_path / "results").glob("experiment-table1-*"))
+        after = sorted(checkout.iterdir()) if checkout.exists() else None
+        assert after == before
 
 
 class TestErrorHandling:

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import generate_design, logic_levels
-from repro.testability.incremental import update_scoap_after_op
+from repro.testability.incremental import (
+    refresh_observability,
+    update_scoap_after_op,
+)
 from repro.testability.scoap import compute_scoap
 
 
@@ -47,6 +50,22 @@ class TestUpdateAfterOp:
         nl = generate_design(80, seed=seed)
         target = int(target_frac * nl.num_nodes)
         self._insert_and_compare(nl, target)
+
+    def test_caller_maintained_observed_set_changes_nothing(self):
+        nl = generate_design(200, seed=29)
+        levels = logic_levels(nl)
+        target = 57
+        op = nl.insert_observation_point(target)
+        scanned, passed = compute_scoap(nl.copy()), compute_scoap(nl.copy())
+        for scoap in (scanned, passed):
+            scoap.co[op], scoap.co[target] = 0.0, 1e6  # stale: relax it
+        observed = set(nl.observation_sites) | set(nl.observation_points())
+        changed_scanned = refresh_observability(nl, scanned, [target], levels)
+        changed_passed = refresh_observability(
+            nl, passed, [target], levels, observed
+        )
+        assert changed_scanned == changed_passed and changed_passed
+        assert np.array_equal(scanned.co, passed.co)
 
     def test_co_never_increases(self, c17):
         levels = logic_levels(c17)
