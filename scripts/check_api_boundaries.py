@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries and deprecated-kwarg hygiene.
 
-Eight rules, all AST-based (comments and strings never false-positive):
+Ten rules, all AST-based (comments and strings never false-positive):
 
 1. **Examples are facade-only.** Files under ``examples/`` may import from
    the ``repro`` namespace only via ``repro.api`` (``from repro.api import
@@ -27,10 +27,9 @@ Eight rules, all AST-based (comments and strings never false-positive):
 
 4. **Raw sockets live in the execution fabric too.** ``src/repro`` must
    not import ``socket``, ``socketserver``, ``selectors`` or ``ssl``
-   outside ``src/repro/exec/`` — the distributed backend's wire protocol,
-   heartbeats and fault-tolerance ladder are :mod:`repro.exec.net` /
-   :mod:`repro.exec.coordinator`'s job; a second ad-hoc server would
-   fork the recovery semantics.  (:mod:`repro.serve` builds on
+   outside ``src/repro/exec/`` — the wire protocol, heartbeats and the
+   supervision ladder are :mod:`repro.exec`'s job; a second ad-hoc
+   server would fork the recovery semantics.  (:mod:`repro.serve` builds on
    ``http.server``, which owns its sockets internally.)
 
 5. **Metric families are named, owned, and lazily registered.** Every
@@ -77,6 +76,19 @@ Eight rules, all AST-based (comments and strings never false-positive):
    ``src/repro`` that assigns ``Predictor`` or defines a class named
    ``Scorer`` has re-declared the contract instead of importing it —
    which is how the OPI and CPI flows once carried three copies.
+
+9. **The supervision ladder is pure.** ``src/repro/exec/scheduler.py``
+   imports none of ``time``, ``socket``, ``threading``,
+   ``multiprocessing``, ``concurrent``, ``pickle``, ``os``: the ladder
+   takes its clock as an argument and emits actions, which is what lets
+   ``tests/exec/test_scheduler.py`` run it on a virtual clock.  A clock
+   read or a socket in there is a second transport growing back.
+
+10. **Wire data is unpickled in one place.** Under ``src/repro/exec/``
+    a reference to ``pickle.loads`` / ``pickle.load`` (or importing
+    either by name) may appear only in ``net.py``'s ``unpickle``, which
+    the frame codec reaches after the HMAC tag verified; every nested
+    blob goes through it.  A second call site is a way around the check.
 
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
@@ -166,19 +178,24 @@ _EXEC_PACKAGE = PACKAGE / "exec"
 _POOL_MODULES = ("multiprocessing", "concurrent")
 
 
-def pool_import_violations(path: Path) -> list[tuple[int, str]]:
-    """Direct process-parallelism imports outside ``repro.exec``."""
+def _banned_imports(path: Path, modules: tuple[str, ...]) -> list[tuple[int, str]]:
+    """Imports (top-level or function-local) of any of ``modules``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bad = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in _POOL_MODULES:
+                if alias.name.split(".")[0] in modules:
                     bad.append((node.lineno, f"import {alias.name}"))
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module.split(".")[0] in _POOL_MODULES:
+            if node.module.split(".")[0] in modules:
                 bad.append((node.lineno, f"from {node.module} import ..."))
     return bad
+
+
+def pool_import_violations(path: Path) -> list[tuple[int, str]]:
+    """Direct process-parallelism imports outside ``repro.exec``."""
+    return _banned_imports(path, _POOL_MODULES)
 
 
 #: modules whose import marks hand-rolled network plumbing
@@ -187,17 +204,7 @@ _SOCKET_MODULES = ("socket", "socketserver", "selectors", "ssl")
 
 def socket_import_violations(path: Path) -> list[tuple[int, str]]:
     """Raw socket-layer imports outside ``repro.exec``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    bad = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] in _SOCKET_MODULES:
-                    bad.append((node.lineno, f"import {alias.name}"))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module.split(".")[0] in _SOCKET_MODULES:
-                bad.append((node.lineno, f"from {node.module} import ..."))
-    return bad
+    return _banned_imports(path, _SOCKET_MODULES)
 
 
 #: registry factory methods whose first argument names a metric family
@@ -274,17 +281,7 @@ _HTTP_EXEMPT = {SCRIPTS / "check_metrics_scrape.py"}
 
 def http_import_violations(path: Path) -> list[tuple[int, str]]:
     """Hand-rolled HTTP imports in a script/example file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    bad = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] in _HTTP_MODULES:
-                    bad.append((node.lineno, f"import {alias.name}"))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module.split(".")[0] in _HTTP_MODULES:
-                bad.append((node.lineno, f"from {node.module} import ..."))
-    return bad
+    return _banned_imports(path, _HTTP_MODULES)
 
 
 #: the ``GCNWeights`` / aggregator fields Equation (1) and the head read
@@ -368,6 +365,54 @@ def contract_violations() -> list[str]:
     return violations
 
 
+#: what the pure scheduler may not import (rule 9)
+_SCHEDULER = _EXEC_PACKAGE / "scheduler.py"
+_IMPURE_MODULES = (
+    "time", "socket", "threading", "multiprocessing", "concurrent", "pickle",
+    "os",
+)
+
+
+def impure_import_violations(path: Path) -> list[tuple[int, str]]:
+    """Clock / I/O / process imports in the scheduler module."""
+    return _banned_imports(path, _IMPURE_MODULES)
+
+
+#: the frame codec, and the one function in it that may load a pickle
+_CODEC = _EXEC_PACKAGE / "net.py"
+_UNPICKLER = "unpickle"
+_PICKLE_LOADERS = {"loads", "load", "Unpickler"}
+
+
+def pickle_load_violations(path: Path, codec: bool) -> list[tuple[int, str]]:
+    """``pickle`` load entry points referenced outside ``net.unpickle``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bad: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST, exempt: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = exempt or (codec and node.name == _UNPICKLER)
+        if (
+            not exempt
+            and isinstance(node, ast.Attribute)
+            and node.attr in _PICKLE_LOADERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("pickle", "_pickle", "cPickle")
+        ):
+            bad.append((node.lineno, f"pickle.{node.attr}"))
+        if isinstance(node, ast.ImportFrom) and node.module in ("pickle", "_pickle"):
+            bad.extend(
+                (node.lineno, f"from pickle import {alias.name}")
+                for alias in node.names
+                if alias.name in _PICKLE_LOADERS
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, exempt)
+
+    visit(tree, False)
+    return bad
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -413,6 +458,17 @@ def main() -> int:
                 "layer kernel (call repro.core.inference.layer_forward / "
                 "head_forward; Equation (1) is written once)"
             )
+    for lineno, what in impure_import_violations(_SCHEDULER):
+        violations.append(
+            f"{_SCHEDULER.relative_to(ROOT)}:{lineno}: {what} (the scheduler "
+            "is pure: time arrives as an argument, I/O belongs to the driver)"
+        )
+    for path in sorted(_EXEC_PACKAGE.glob("*.py")):
+        for lineno, what in pickle_load_violations(path, codec=path == _CODEC):
+            violations.append(
+                f"{path.relative_to(ROOT)}:{lineno}: {what} (wire data is "
+                "unpickled only by repro.exec.net.unpickle, after the tag check)"
+            )
     violations.extend(metric_name_violations())
     violations.extend(contract_violations())
     if violations:
@@ -426,7 +482,9 @@ def main() -> int:
         "metric families repro_-prefixed, lazily registered, singly owned; "
         "scripts/examples speak to serve only via ServeClient; "
         "layer/head weights read only by the Equation (1) kernel; "
-        "Predictor/Scorer declared once, in repro.flow.scorer"
+        "Predictor/Scorer declared once, in repro.flow.scorer; "
+        "the exec scheduler imports no clock or I/O; "
+        "repro.exec unpickles only in net.unpickle"
     )
     return 0
 

@@ -32,7 +32,7 @@ def fail(message: str) -> int:
 
 
 def check_inprocess() -> int:
-    from repro.exec import ensure_exec_metrics, ensure_net_metrics
+    from repro.exec import ensure_exec_metrics
     from repro.obs.metrics import MetricsRegistry, set_registry
     from repro.obs.promtext import parse_prometheus, validate
     from repro.obs.remote import ensure_obs_metrics
@@ -41,7 +41,6 @@ def check_inprocess() -> int:
     previous = set_registry(registry)
     try:
         ensure_exec_metrics()
-        ensure_net_metrics()
         ensure_obs_metrics()
         adversarial = registry.counter(
             "repro_scrape_check_total",

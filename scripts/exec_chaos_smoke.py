@@ -15,9 +15,10 @@ corrupt) plus a clean baseline, asserting after every run that:
 (ParallelTrainer, PpsfpEngine, ShardedInference) through the ``socket``
 backend under each *network* chaos mode (disconnect / delay / partition
 / stale), asserting bit-identical results against the in-process oracle,
-that the expected ``repro_exec_net_*`` counters moved, that a SIGKILLed
+that the expected ``repro_exec_*`` counters moved, that a SIGKILLed
 worker mid-run leaves the survivor to finish, and that a fleet of zero
-workers degrades to the forkpool rung with identical numbers.
+workers runs the same ladder on forked local workers with identical
+numbers.
 
 Metrics snapshots land in ``$REPRO_RESULTS/exec_chaos_metrics.json`` and
 ``$REPRO_RESULTS/exec_net_chaos_metrics.json`` (default ``results/``) so
@@ -79,7 +80,7 @@ def main() -> None:
             workers=2,
             shards=2,
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=5.0,
+            worker_timeout=1.0,
         ),
     )
     fsim.engine._sleep = lambda s: None
@@ -87,7 +88,9 @@ def main() -> None:
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
     oracle = fsim.detection_masks(faults, values, backend="batched")
 
-    os.environ["REPRO_CHAOS_HANG_S"] = "20"
+    # Longer than the worker timeout: the hung worker is killed at its
+    # deadline, not waited for.
+    os.environ["REPRO_CHAOS_HANG_S"] = "5"
     report: dict = {}
     for mode in (None, *PROCESS_CHAOS_MODES):
         label = mode or "baseline"
@@ -136,7 +139,7 @@ def main() -> None:
 # --------------------------------------------------------------------- #
 RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
 WORKER_TIMEOUT_S = 2.5
-#: which ``repro_exec_net_*`` counter each net chaos mode must move
+#: which counter each net chaos mode must move
 _MODE_EVIDENCE = {
     "disconnect": "repro_exec_net_requeues_total",
     "partition": "repro_exec_net_requeues_total",
@@ -274,8 +277,15 @@ def distributed_main() -> None:
     if not np.array_equal(logits, oracle_logits):
         fail("zero-workers: degraded logits diverged from the oracle")
     snapshot = registry.snapshot()
-    if _counter_total(snapshot, "repro_exec_net_fallbacks_total") == 0:
-        fail("zero-workers: no forkpool degradation was counted")
+    on_forkpool = sum(
+        s["value"]
+        for s in snapshot.get("repro_exec_tasks_total", {}).get("samples", ())
+        if s["labels"].get("backend") == "forkpool"
+    )
+    if on_forkpool == 0:
+        fail("zero-workers: no task was accounted to the forkpool backend")
+    if _counter_total(snapshot, "repro_exec_fallbacks_total") != 0:
+        fail("zero-workers: tasks were rescued in-process, not run locally")
     report["zero_workers"] = snapshot
     print("OK   zero-workers: degraded to forkpool, bit-identical")
     inference.close()

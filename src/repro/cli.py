@@ -623,6 +623,7 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
     execution = _execution()
     chaos = ChaosSpec.from_env()
     host, port = coordinator_address()
+    exec_net.require_token(host)
     removed = sweep_orphans()
     info = {
         "backend": {
@@ -645,6 +646,7 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
         "coordinator": {
             "address": f"{host}:{port}",
             "env": os.environ.get(COORD_ENV) or None,
+            "token_set": bool(os.environ.get(exec_net.TOKEN_ENV)),
             "connect_timeout_s": exec_net.connect_timeout(),
             "heartbeat_interval_s": exec_net.heartbeat_interval(),
             "heartbeat_timeout_s": exec_net.heartbeat_timeout(),

@@ -1,20 +1,21 @@
 """``repro.exec`` — the fault-tolerant execution fabric.
 
-One executor abstraction under every fork-pool engine in the library:
+One executor abstraction under every parallel engine in the library:
 :class:`~repro.core.trainer.ParallelTrainer`,
 :class:`~repro.atpg.ppsfp.PpsfpEngine`, and
 :class:`~repro.graph.sharded.ShardedInference` all express their parallel
-work as :class:`ShardTask` lists and let one supervised executor run
-them — the serial :class:`InProcessExecutor` oracle, the supervised
-:class:`ForkPoolExecutor`, or the multi-host :class:`DistributedExecutor`
-(a TCP :class:`Coordinator` dispatching to ``repro exec-worker``
-processes), all bit-identical by construction.
+work as :class:`ShardTask` lists and let one executor run them — the
+serial :class:`InProcessExecutor` oracle, :class:`ForkPoolExecutor` over
+forked workers, or :class:`DistributedExecutor` over ``repro
+exec-worker`` processes — all bit-identical by construction.
 
-See :mod:`repro.exec.executor` for supervision semantics,
-:mod:`repro.exec.coordinator` / :mod:`repro.exec.net` for the distributed
-backend and its wire protocol, :mod:`repro.exec.shm` for the guaranteed
-shared-memory lifecycle, and :mod:`repro.exec.chaos` for the built-in
-fault-injection layer (``REPRO_CHAOS``, process *and* network modes).
+One supervision ladder (:mod:`repro.exec.scheduler`, a pure state
+machine) under both worker transports, one worker loop
+(:mod:`repro.exec.worker`), one signed frame codec
+(:mod:`repro.exec.net`); :mod:`repro.exec.coordinator` drives them,
+:mod:`repro.exec.shm` guarantees the shared-memory lifecycle, and
+:mod:`repro.exec.chaos` is the built-in fault-injection layer
+(``REPRO_CHAOS``).
 """
 
 from repro.exec.chaos import (
@@ -27,22 +28,18 @@ from repro.exec.chaos import (
 )
 from repro.exec.coordinator import (
     Coordinator,
-    DistributedExecutor,
-    ensure_net_metrics,
     get_coordinator,
-    run_worker,
     shutdown_coordinator,
 )
 from repro.exec.executor import (
+    DistributedExecutor,
     Executor,
     ForkPoolExecutor,
     InProcessExecutor,
-    ensure_exec_metrics,
     make_executor,
 )
 from repro.exec.net import (
     COORD_ENV,
-    RemoteTaskError,
     coordinator_address,
     parse_address,
 )
@@ -50,9 +47,12 @@ from repro.exec.policy import (
     EXEC_BACKEND_ENV,
     EXEC_BACKENDS,
     ExecPolicy,
+    RemoteTaskError,
     ShardTask,
     resolve_exec_backend,
 )
+from repro.exec.scheduler import TaskScheduler, ensure_exec_metrics
+from repro.exec.worker import run_worker
 from repro.exec.shm import (
     SharedSegment,
     WeightStore,
@@ -82,12 +82,12 @@ __all__ = [
     "RemoteTaskError",
     "ShardTask",
     "SharedSegment",
+    "TaskScheduler",
     "WeightStore",
     "attach_manifest",
     "attached_ndarray",
     "coordinator_address",
     "ensure_exec_metrics",
-    "ensure_net_metrics",
     "get_coordinator",
     "leaked_segment_names",
     "make_executor",

@@ -2,36 +2,37 @@
 
 Chaos is a first-class, always-compiled-in layer (not test-only
 monkeypatching) so the *production* recovery paths are what gets
-exercised: the injector runs inside :func:`repro.exec.executor.
-_exec_worker_run`, between the fabric's heartbeat/integrity machinery
-and the engine's task function — exactly where a real crash would land.
+exercised: the injector runs inside the one worker loop
+(:func:`repro.exec.worker.serve_connection`), between the fabric's
+heartbeat/integrity machinery and the engine's task function — exactly
+where a real crash would land.
 
 Enable it with ``REPRO_CHAOS=<mode>[:<rate>]``:
 
 ==========  ==========================================================
 mode        worker behaviour when the (seeded) roll hits
 ==========  ==========================================================
-kill        ``os._exit(137)`` — the pool breaks (SIGKILL-equivalent)
+kill        ``os._exit(137)`` — the worker dies (SIGKILL-equivalent)
 hang        sleep ``REPRO_CHAOS_HANG_S`` seconds — trips the deadline
 raise       raise :class:`ChaosInjectedError` — an in-task exception
 corrupt     flip bytes of the pickled result *after* checksumming — the
-            parent's integrity check must catch it
-disconnect  (socket backend) drop the TCP connection instead of running
-            the task — the coordinator must requeue onto a healthy peer
-delay       (socket backend) sit on the task ``REPRO_CHAOS_HANG_S``
-            seconds while heartbeating — trips straggler re-dispatch
-partition   (socket backend) go dark: suppress heartbeats *and* the
-            result for ``REPRO_CHAOS_HANG_S`` seconds — trips the
-            stale-heartbeat detector
-stale       (socket backend) return the result tagged with the previous
-            attempt number — the coordinator must reject it as stale
+            coordinator's integrity check must catch it
+disconnect  drop the connection instead of running the task — the
+            scheduler must requeue onto a healthy peer
+delay       sit on the result ``REPRO_CHAOS_HANG_S`` seconds while
+            heartbeating — trips straggler re-dispatch
+partition   go dark: suppress heartbeats *and* the result for
+            ``REPRO_CHAOS_HANG_S`` seconds — trips the silent-heartbeat
+            detector
+stale       return the result tagged with the previous attempt number —
+            the scheduler must reject it as stale
 ==========  ==========================================================
 
-The first four are *process* modes injected inside forked workers; the
-last four are *network* modes injected at the wire-framing layer of the
-``socket`` backend (:mod:`repro.exec.net`).  Network modes are no-ops
-under ``forkpool`` (there is no wire), and process modes still apply to
-remote workers (a remote host can crash too).
+The first four are *process* modes, the last four *network* modes
+injected around the wire (:func:`net_action`).  Forked and remote
+workers run the same loop over the same frames, so every mode applies
+on every transport; only ``kill`` needs a worker that is a process of
+its own (the thread-based test fleets never use it).
 
 ``rate`` (default 1.0) is the per-attempt injection probability.  Rolls
 are a pure hash of ``(REPRO_CHAOS_SEED, task key, attempt)`` — fully
@@ -68,9 +69,9 @@ __all__ = [
 CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
 CHAOS_HANG_ENV = "REPRO_CHAOS_HANG_S"
-#: modes injected inside a worker process (forkpool and socket backends)
+#: modes injected around the task function
 PROCESS_CHAOS_MODES = ("kill", "hang", "raise", "corrupt")
-#: modes injected at the socket backend's wire-framing layer
+#: modes injected around the wire
 NET_CHAOS_MODES = ("disconnect", "delay", "partition", "stale")
 CHAOS_MODES = PROCESS_CHAOS_MODES + NET_CHAOS_MODES
 
@@ -135,8 +136,8 @@ class ChaosSpec:
 def inject_before(spec: ChaosSpec, key: str, attempt: int) -> None:
     """Apply pre-execution chaos (kill/hang/raise) inside a worker.
 
-    Network modes are handled by the wire layer (:func:`net_action`), so
-    they are no-ops here — a forkpool worker has no connection to drop.
+    Network modes are handled around the wire (:func:`net_action`), so
+    they are no-ops here.
     """
     if spec.mode not in ("kill", "hang", "raise"):
         return
@@ -176,8 +177,8 @@ def net_action(
 
     Returns ``disconnect | delay | partition | stale`` when the spec is a
     network mode and the deterministic per-(task, attempt) roll hits —
-    same hash as :meth:`ChaosSpec.should_inject`, so a socket-backend
-    chaos failure replays exactly like a forkpool one.
+    same hash as :meth:`ChaosSpec.should_inject`, so a network-mode
+    failure replays exactly like a process-mode one.
     """
     if spec is None or spec.mode not in NET_CHAOS_MODES:
         return None

@@ -1,39 +1,23 @@
-"""The ``socket`` backend: a TCP coordinator dispatching to remote workers.
+"""The coordinator: a worker registry driving one :class:`TaskScheduler`.
 
-The third rung of the execution fabric.  A process-global
-:class:`Coordinator` listens on ``REPRO_EXEC_COORD`` (default an
-ephemeral loopback port), ``repro exec-worker --connect host:port``
-processes register with it, and :class:`DistributedExecutor` — built by
-:func:`repro.exec.executor.make_executor` for ``backend="socket"`` —
-dispatches :class:`~repro.exec.policy.ShardTask` frames to them.  The
-full fault-tolerance ladder of the fork-pool backend is ported to
-network semantics:
+A :class:`Coordinator` keeps connected workers (one reader thread each),
+turns their frames into scheduler events and performs the scheduler's
+actions.  It decides nothing about recovery itself — every such decision
+is :mod:`repro.exec.scheduler`'s.  Worker sockets come from two sources,
+and that is all a transport is:
 
-* **heartbeats** — per-worker heartbeat *messages* replace the per-pid
-  heartbeat files; silence beyond ``REPRO_EXEC_HB_TIMEOUT_S`` declares a
-  worker partitioned and requeues its in-flight tasks onto healthy peers;
-* **lost connections** — an EOF mid-task requeues immediately;
-* **deadlines** — ``policy.worker_timeout`` travels inside every task
-  frame and is enforced coordinator-side; an expired dispatch counts as
-  a failure and is requeued;
-* **stragglers** — a task unanswered for ``straggler_fraction x
-  worker_timeout`` is duplicate-sent to a second healthy worker; the
-  first valid result wins and the loser is dropped as stale, so the
-  deterministic task-order reduction is preserved;
-* **stale results** — results for completed tasks or wrong attempt
-  numbers are counted and dropped, never reduced;
-* **poison quarantine** — a task whose dispatches have personally killed
-  ``quarantine_after`` workers is pulled out of the rotation;
-* **integrity** — every frame and every result payload is CRC32-checked
-  (:class:`~repro.resilience.errors.ResultIntegrityError` on mismatch);
-* **graceful degradation** — no worker registered within
-  ``REPRO_EXEC_CONNECT_TIMEOUT_S`` degrades the submit to a local
-  :class:`~repro.exec.executor.ForkPoolExecutor`, which itself rescues
-  through the bit-identical in-process fallbacks: ``socket -> forkpool
-  -> inprocess``, identical numbers at every rung.
+* **TCP accept** — ``Coordinator()`` listens on ``REPRO_EXEC_COORD``
+  and ``repro exec-worker --connect host:port`` processes dial in.  One
+  process-global instance (:func:`get_coordinator`) backs the ``socket``
+  backend, so the fleet outlives the executors engines create and close.
+* **fork + socketpair** — :meth:`Coordinator.spawn_local` forks children
+  that run the same worker loop on an inherited socket.  A private
+  ``Coordinator(listen=False)`` is the whole ``forkpool`` backend.
 
-Every recovery event is counted in the ``repro_exec_net_*`` metric
-families (pre-registered on ``repro serve``'s ``GET /metrics``).
+Trust: frames are authenticated before they are unpickled
+(:mod:`repro.exec.net`).  Beyond loopback the listener refuses to bind
+without ``REPRO_EXEC_TOKEN``; a peer that has not registered gets one
+small frame and a short timeout.
 """
 
 from __future__ import annotations
@@ -41,6 +25,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import itertools
+import multiprocessing
 import os
 import pickle
 import queue
@@ -48,104 +33,41 @@ import socket
 import threading
 import time
 import warnings
-import zlib
-from collections import deque
 
 from repro.exec import chaos as chaos_mod
 from repro.exec import net as net_mod
-from repro.exec.executor import Executor, ForkPoolExecutor, ensure_exec_metrics
-from repro.exec.net import RemoteTaskError
-from repro.exec.policy import ExecPolicy
+from repro.exec import shm as shm_mod
+from repro.exec import worker as worker_mod
+from repro.exec.policy import ExecPolicy, RemoteTaskError
+from repro.exec.scheduler import TaskScheduler, ensure_exec_metrics
 from repro.obs import logs
 from repro.obs import remote as remote_mod
-from repro.obs.metrics import get_registry
-from repro.obs.trace import annotate, graft, span
+from repro.obs.trace import graft, span
 from repro.resilience.errors import ResultIntegrityError
 
-__all__ = [
-    "Coordinator",
-    "DistributedExecutor",
-    "ensure_net_metrics",
-    "get_coordinator",
-    "shutdown_coordinator",
-    "run_worker",
-]
+__all__ = ["Coordinator", "get_coordinator", "shutdown_coordinator"]
 
 _log = logs.get_logger("exec.net")
 
-_REQUEUE_REASONS = (
-    "disconnect",
-    "stale_heartbeat",
-    "deadline",
-    "error",
-    "integrity",
-    "stale_result",
-)
+#: how long the driver blocks on worker events between scheduler ticks
+_POLL_S = 0.02
+_FORK = multiprocessing.get_context("fork")
+#: signs socketpair frames; forked workers inherit it, nobody else can
+_LOCAL_KEY = os.urandom(32)
+#: serialises fork + the parent-side close of the child's socket end, so
+#: no other thread's fork can inherit (and pin open) a half-built pair
+_fork_lock = threading.Lock()
+_local_seq = itertools.count()
 
 
-def ensure_net_metrics():
-    """Register (get-or-create) the distributed backend's metric families.
-
-    Called on every distributed submit and eagerly by ``repro serve`` so
-    the families are scrapeable before the first network fault.
-    """
-    reg = get_registry()
-    return {
-        "workers": reg.gauge(
-            "repro_exec_net_workers",
-            "workers currently registered with the coordinator",
-        ),
-        "dispatches": reg.counter(
-            "repro_exec_net_dispatches_total",
-            "task frames dispatched to remote workers",
-            labelnames=("engine",),
-        ),
-        "requeues": reg.counter(
-            "repro_exec_net_requeues_total",
-            "in-flight dispatches failed and requeued, by cause",
-            labelnames=("engine", "reason"),
-        ),
-        "stragglers": reg.counter(
-            "repro_exec_net_stragglers_total",
-            "straggler duplicate dispatches (first valid result wins)",
-            labelnames=("engine",),
-        ),
-        "stale_results": reg.counter(
-            "repro_exec_net_stale_results_total",
-            "late or wrong-attempt results dropped, never reduced",
-            labelnames=("engine",),
-        ),
-        "quarantined": reg.counter(
-            "repro_exec_net_tasks_quarantined_total",
-            "poison tasks quarantined after repeated worker deaths",
-            labelnames=("engine",),
-        ),
-        "integrity": reg.counter(
-            "repro_exec_net_integrity_failures_total",
-            "frames or result payloads rejected by the CRC32 check",
-            labelnames=("engine",),
-        ),
-        "fallbacks": reg.counter(
-            "repro_exec_net_fallbacks_total",
-            "degradations down the ladder (rung: forkpool | inprocess)",
-            labelnames=("engine", "rung"),
-        ),
-        "submit_seconds": reg.histogram(
-            "repro_exec_net_submit_seconds",
-            "wall time of one distributed Executor.submit call",
-            labelnames=("engine",),
-        ),
-    }
-
-
-# --------------------------------------------------------------------- #
-# Coordinator side
-# --------------------------------------------------------------------- #
 class _WorkerConn:
     """One registered worker connection (coordinator side)."""
 
-    def __init__(self, sock: socket.socket, worker_id: str, pid: int, host: str):
+    def __init__(self, sock, key, proc, worker_id: str, pid: int, host: str):
         self.sock = sock
+        self.key = key
+        #: the forked child behind this connection (None for TCP workers)
+        self.proc = proc
         self.id = worker_id
         self.pid = pid
         self.host = host
@@ -154,144 +76,188 @@ class _WorkerConn:
         self.alive = True
         #: session whose initializer this connection last ran
         self.session: str | None = None
-        #: (task_index, attempt) currently dispatched to this worker
-        self.inflight: set[tuple[int, int]] = set()
-        #: why the connection was declared dead (requeue metric label)
+        #: why the connection ended (requeue metric label)
         self.death_reason = "disconnect"
 
-    def send(self, message) -> None:
+    def __str__(self) -> str:
+        return self.id
+
+    def send(self, *message) -> None:
         with self.send_lock:
-            net_mod.send_frame(self.sock, message)
+            net_mod.send_frame(self.sock, message, self.key)
 
     def kill(self, reason: str = "disconnect") -> None:
-        """Declare dead and close (the reader thread then reaps it)."""
+        """End the worker: SIGKILL + reap a local child, close the socket.
+
+        Synchronous for local workers — once this returns the child
+        cannot touch shared memory again (the scheduler relies on it).
+        """
+        if self.alive:
+            self.death_reason = reason
         self.alive = False
-        self.death_reason = reason
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.join()
         with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(OSError):
             self.sock.close()
 
 
-class _Dispatch:
-    """One in-flight (task, attempt) pair on one worker."""
-
-    __slots__ = ("worker", "sent_at")
-
-    def __init__(self, worker: _WorkerConn):
-        self.worker = worker
-        self.sent_at = time.monotonic()
-
-
 class Coordinator:
-    """TCP listener + worker registry + supervised dispatch loop.
+    """Worker registry + reader threads + the submit driver.
 
-    One per process (see :func:`get_coordinator`): engines create and
-    close :class:`DistributedExecutor` instances freely, but the listen
-    socket — and therefore the registered workers — must outlive them,
-    or every executor rebuild would strand the fleet.  Submits are
-    serialized by a lock; worker registration and heartbeats are handled
-    by per-connection reader threads at any time.
+    Submits are serialized by a lock; registration, heartbeats and
+    telemetry are handled by per-connection reader threads at any time.
     """
 
-    def __init__(self, address: tuple[str, int] | None = None):
-        host, port = address or net_mod.coordinator_address()
-        self._listener = socket.create_server((host, port))
-        #: the concrete (host, port) we bound — port resolved if 0
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+    def __init__(
+        self, address: tuple[str, int] | None = None, *, listen: bool = True
+    ):
+        #: the backend label of submits served here
+        self.kind = "socket" if listen else "forkpool"
         self._workers: dict[str, _WorkerConn] = {}
         self._workers_lock = threading.Lock()
         self._events: queue.Queue = queue.Queue()
-        self._closed = False
+        self.closed = False
         self._submit_lock = threading.Lock()
-        #: failed dispatches during the most recent submit (engine counters)
+        #: failed attempts during the most recent submit (engine counters)
         self.last_submit_failures = 0
-        # Dispatch ids must be unique across the coordinator's lifetime,
-        # not merely within one submit: engines that submit many rounds
-        # in one session (sharded inference) reuse task indices, and a
-        # chaos-delayed reply from round d would otherwise match round
-        # d+1's identical (task, attempt) key and be reduced as its
-        # result.
-        self._attempt_seq = 0
-        threading.Thread(
-            target=self._accept_loop, name="repro-exec-accept", daemon=True
-        ).start()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        self._attempt_ids = itertools.count(1)
+        self._local: list = []  # forked children, dead ones included
+        self._local_target = 0
+        self._listener = None
+        self.address: tuple[str, int] | None = None
+        if listen:
+            host, port = address or net_mod.coordinator_address()
+            net_mod.require_token(host)
+            self._listener = socket.create_server((host, port))
+            #: the concrete (host, port) we bound — port resolved if 0
+            self.address = self._listener.getsockname()[:2]
+            threading.Thread(
+                target=self._accept_loop, name="repro-exec-accept", daemon=True
+            ).start()
 
     # ------------------------------------------------------------------ #
+    # Socket sources
+    # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
-        while not self._closed:
+        key = net_mod.wire_key()
+        while not self.closed:
             try:
                 sock, _addr = self._listener.accept()
             except OSError:
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._reader, args=(sock,),
-                name="repro-exec-reader", daemon=True,
-            ).start()
+            self._adopt(sock, key)
 
-    def _reader(self, sock: socket.socket) -> None:
+    def spawn_local(self, target: int) -> int:
+        """Fork workers until ``target`` local ones are alive; return how
+        many were forked.  Later losses are replaced up to that target."""
+        self._local_target = max(self._local_target, target)
+        self._local = [proc for proc in self._local if proc.is_alive()]
+        missing = self._local_target - len(self._local)
+        if missing <= 0 or self.closed:
+            return 0
+        # Reclaim segments a kill -9'd predecessor left in /dev/shm.
+        shm_mod.sweep_orphans()
+        started = []
+        inherited = [conn.sock for conn in self.workers()]
+        with _fork_lock:
+            for _ in range(missing):
+                ours, theirs = socket.socketpair()
+                proc = _FORK.Process(
+                    target=worker_mod.local_worker_main,
+                    args=(
+                        theirs, [*inherited, ours],
+                        f"local-{os.getpid()}-{next(_local_seq)}", _LOCAL_KEY,
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+                theirs.close()
+                inherited.append(ours)
+                started.append((ours, proc))
+        # Reader threads start only after every fork: a child must not be
+        # forked while a sibling's reader holds a lock it would inherit.
+        for ours, proc in started:
+            self._local.append(proc)
+            self._adopt(ours, _LOCAL_KEY, proc)
+        return missing
+
+    def _adopt(self, sock, key: bytes, proc=None) -> None:
+        threading.Thread(
+            target=self._reader, args=(sock, key, proc),
+            name="repro-exec-reader", daemon=True,
+        ).start()
+
+    def _reader(self, sock, key: bytes, proc) -> None:
         """Per-connection thread: register, then route frames until EOF."""
         conn: _WorkerConn | None = None
+        malformed = remote_mod.ensure_obs_metrics()["malformed"]
         try:
-            message = net_mod.recv_frame(sock)
-            if not (isinstance(message, tuple) and message[0] == "register"):
-                sock.close()
+            sock.settimeout(net_mod.REGISTER_TIMEOUT_S)
+            message = net_mod.recv_frame(sock, key, net_mod.MAX_HELLO_BYTES)
+            if not net_mod.well_formed(message, ("register",)):
+                malformed.labels("unregistered").inc()
                 return
-            _, worker_id, pid, host = message
-            conn = _WorkerConn(sock, worker_id, pid, host)
+            sock.settimeout(None)
+            conn = _WorkerConn(sock, key, proc, *message[1:])
             with self._workers_lock:
-                stale = self._workers.pop(worker_id, None)
-                self._workers[worker_id] = conn
-            if stale is not None:
-                stale.kill()
+                previous = self._workers.pop(conn.id, None)
+                self._workers[conn.id] = conn
+            if previous is not None:  # same id re-registering after a blip
+                previous.kill()
             conn.send(
-                ("welcome", worker_id, net_mod.heartbeat_interval(),
-                 logs.get_run_id())
+                "welcome", conn.id, net_mod.heartbeat_interval(),
+                logs.get_run_id(),
             )
-            ensure_net_metrics()["workers"].set(self.worker_count())
+            self._count_workers()
             _log.info(
                 "worker registered",
-                extra={"worker": worker_id, "pid": pid, "host": host},
+                extra={"worker": conn.id, "pid": conn.pid, "host": conn.host},
             )
             while True:
-                message = net_mod.recv_frame(sock)
-                kind = message[0]
-                if kind == "heartbeat":
+                message = net_mod.recv_frame(sock, key)
+                if not net_mod.well_formed(
+                    message, ("heartbeat", "result", "error")
+                ):
+                    # Counted and dropped; the scheduler requeues whatever
+                    # the frame should have answered.
+                    malformed.labels(conn.id).inc()
+                elif message[0] == "heartbeat":
                     conn.last_hb = time.monotonic()
-                    # Telemetry piggybacks on heartbeats; absorbing it is
-                    # defensive by contract (malformed batches are counted
-                    # and dropped) so it can never take the reader down.
-                    if len(message) > 2 and message[2]:
-                        remote_mod.absorb_telemetry(conn.id, message[2])
-                elif kind in ("result", "error"):
-                    self._events.put((kind, conn) + tuple(message[1:]))
-        except (EOFError, OSError, ConnectionError):
+                    # absorb_telemetry is defensive by contract: a bad
+                    # batch is counted, never raised into this thread.
+                    remote_mod.absorb_telemetry(conn.id, message[2])
+                else:
+                    self._events.put((message[0], conn, *message[1:]))
+        except (EOFError, OSError):
             pass
         except ResultIntegrityError:
-            # A connection whose framing is corrupt cannot be trusted for
-            # anything that follows; count it and drop the worker.
-            if conn is not None:
-                ensure_net_metrics()["integrity"].labels("coordinator").inc()
+            # A peer whose frames do not verify is not one of ours, or
+            # its stream is corrupt: nothing that follows can be trusted.
+            ensure_exec_metrics()["integrity"].labels(
+                "coordinator", self.kind
+            ).inc()
         finally:
             if conn is not None:
                 conn.alive = False
                 with self._workers_lock:
                     if self._workers.get(conn.id) is conn:
                         del self._workers[conn.id]
-                ensure_net_metrics()["workers"].set(self.worker_count())
+                self._count_workers()
                 self._events.put(("gone", conn))
             with contextlib.suppress(OSError):
                 sock.close()
 
     # ------------------------------------------------------------------ #
+    def _count_workers(self) -> None:
+        if self._listener is not None:
+            ensure_exec_metrics()["workers"].set(self.worker_count())
+
     def worker_count(self) -> int:
-        with self._workers_lock:
-            return sum(1 for c in self._workers.values() if c.alive)
+        return len(self.workers())
 
     def workers(self) -> list[_WorkerConn]:
         with self._workers_lock:
@@ -299,26 +265,31 @@ class Coordinator:
 
     def wait_for_workers(self, timeout: float, minimum: int = 1) -> bool:
         """Poll until >= ``minimum`` workers are registered (or time out)."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        while True:
-            if self.worker_count() >= minimum:
-                return True
-            if time.monotonic() >= deadline:
-                return self.worker_count() >= minimum
+        end = time.monotonic() + max(0.0, timeout)
+        while self.worker_count() < minimum:
+            if time.monotonic() >= end:
+                return False
             time.sleep(0.01)
+        return True
 
     def close(self) -> None:
-        """Shut the listener down and disconnect every worker."""
-        if self._closed:
+        """Shut the listener down and end every worker."""
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         for conn in self.workers():
             with contextlib.suppress(OSError):
-                conn.send(("shutdown",))
+                conn.send("shutdown")
             conn.kill()
-        with contextlib.suppress(OSError):
-            self._listener.close()
+        for proc in self._local:  # forked but never registered
+            proc.kill()
+            proc.join()
+        if self._listener is not None:
+            with contextlib.suppress(OSError):
+                self._listener.close()
 
+    # ------------------------------------------------------------------ #
+    # The driver
     # ------------------------------------------------------------------ #
     def submit(
         self,
@@ -329,341 +300,154 @@ class Coordinator:
         *,
         engine: str = "exec",
     ) -> list:
-        """Dispatch ``tasks`` across registered workers; reduce in order.
+        """Run ``tasks`` on the registered workers; reduce in task order.
 
-        Returns results indexed like ``tasks``.  Tasks that exhaust the
-        failure budget (or have no picklable ``fn``) are rescued through
-        their parent-side fallbacks when ``policy.serial_fallback`` —
-        bit-identical to the in-process oracle by construction.
+        Tasks the scheduler gives up on (or that have no ``fn``) are
+        computed through their parent-side fallbacks when
+        ``policy.serial_fallback`` — bit-identical to the in-process
+        oracle by construction.
         """
-        with self._submit_lock:
-            return self._submit_locked(session, init_blob, tasks, policy, engine)
-
-    def _submit_locked(self, session, init_blob, tasks, policy, engine):
-        metrics = ensure_net_metrics()
         tasks = list(tasks)
-        n = len(tasks)
-        results: list = [None] * n
-        done = [False] * n
-        failures = [0] * n  # failed dispatches, any cause
-        deaths = [0] * n  # dispatches that coincided with a worker death
-        inflight: dict[tuple[int, int], _Dispatch] = {}
-        pending: deque[int] = deque()
-        rescued: set[int] = set()
-        chaos_spec = chaos_mod.ChaosSpec.from_env()
-        # The submitting thread's trace/run context travels inside every
-        # task frame so workers can open child spans under it.
-        obs_ctx = remote_mod.capture_obs_context()
-        hb_timeout = net_mod.heartbeat_timeout()
-        timeout = policy.worker_timeout
-        straggler_after = (
-            timeout * policy.straggler_fraction
-            if timeout is not None and policy.straggler_fraction is not None
-            else None
-        )
-        max_failures = max(1, policy.retry.max_attempts)
-        quarantine_after = policy.quarantine_after or max_failures
-        last_exc: BaseException | None = None
-        self.last_submit_failures = 0
+        with self._submit_lock:
+            chaos_spec = chaos_mod.ChaosSpec.from_env()
+            # The submitting thread's trace/run context travels inside
+            # every task frame so workers can open child spans under it.
+            obs_ctx = remote_mod.capture_obs_context()
+            # Whatever a previous submit left queued is about attempts
+            # that no longer exist; the registry, not the queue, says who
+            # is connected.
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    self._events.get_nowait()
+            sched = TaskScheduler(
+                [task.key for task in tasks],
+                policy,
+                session=session,
+                attempt_ids=self._attempt_ids,
+                hb_timeout=net_mod.heartbeat_timeout(),
+                grace=net_mod.connect_timeout(),
+                runnable=[task.fn is not None for task in tasks],
+                engine=engine,
+                backend=self.kind,
+            )
+            try:
+                while True:
+                    for conn in self.workers():
+                        sched.heartbeat(conn, conn.last_hb)
+                    for kind, *args in sched.tick(time.monotonic()):
+                        if kind == "dispatch":
+                            index, attempt, conn = args
+                            task = tasks[index]
+                            try:
+                                if conn.session != session:
+                                    conn.send(
+                                        "init", session, init_blob,
+                                        logs.get_run_id(),
+                                    )
+                                    conn.session = session
+                                conn.send(
+                                    "task", session, index, task.key, attempt,
+                                    pickle.dumps(
+                                        (task.fn, task.args),
+                                        protocol=pickle.HIGHEST_PROTOCOL,
+                                    ),
+                                    chaos_spec, obs_ctx,
+                                )
+                            except OSError:
+                                conn.kill()
+                                sched.worker_lost(conn)
+                        elif kind == "kill":
+                            conn, reason = args
+                            conn.kill(reason)
+                        elif kind == "rescue":
+                            self._rescue(tasks, policy, engine, sched, *args)
+                        else:
+                            return args[0]
+                    self._feed(sched, policy, engine)
+            finally:
+                self.last_submit_failures = sched.failed_attempts
 
-        for i, task in enumerate(tasks):
-            if task.fn is None:
-                rescued.add(i)  # fallback-only task: parent-side by design
+    def _feed(self, sched: TaskScheduler, policy, engine: str) -> None:
+        """Block briefly on worker events and hand them to the scheduler."""
+        try:
+            event = self._events.get(timeout=_POLL_S)
+        except queue.Empty:
+            return
+        while True:
+            kind, conn, *fields = event
+            if kind == "gone":
+                sched.worker_lost(conn, conn.death_reason)
+                if conn.proc is not None:
+                    # EOF can precede the child becoming waitable; reap it
+                    # so the head count below does not see a ghost.
+                    conn.kill()
+                    ensure_exec_metrics()["restarts"].labels(
+                        engine, self.kind
+                    ).inc(self.spawn_local(0))
+            elif kind == "result":
+                session, index, attempt, crc, payload, span_blob = fields
+
+                def decode():
+                    value = net_mod.unseal(
+                        crc, payload, sched.keys[index], policy.verify_integrity
+                    )
+                    self._graft(span_blob, conn, attempt, engine)
+                    return value
+
+                sched.result(conn, session, index, attempt, decode)
             else:
-                pending.append(i)
-
-        # Drain events a previous submit left behind (late stale results)
-        # and clear per-worker dispatch state a rescued submit abandoned,
-        # or a worker carrying a dead submit's entry would never look
-        # idle again.
-        while True:
-            try:
-                self._events.get_nowait()
-            except queue.Empty:
-                break
-        for conn in self.workers():
-            conn.inflight.clear()
-
-        def task_live(i: int) -> bool:
-            return not done[i] and i not in rescued
-
-        def fail_dispatch(i, attempt, reason, exc=None, *, death=False):
-            nonlocal last_exc
-            record = inflight.pop((i, attempt), None)
-            if record is None:
-                return
-            if exc is not None:
-                last_exc = exc
-            metrics["requeues"].labels(engine, reason).inc()
-            annotate(
-                "exec.requeue", task=str(tasks[i].key), attempt=attempt,
-                reason=reason, worker=record.worker.id,
-            )
-            self.last_submit_failures += 1
-            if not task_live(i):
-                return
-            failures[i] += 1
-            if death:
-                deaths[i] += 1
-            # A surviving duplicate may still answer; requeue only when
-            # no copy of the task remains in flight.
-            if not any(key[0] == i for key in inflight):
-                if failures[i] >= max_failures or deaths[i] >= quarantine_after:
-                    if deaths[i] >= quarantine_after:
-                        metrics["quarantined"].labels(engine).inc()
-                        annotate(
-                            "exec.quarantine", task=str(tasks[i].key),
-                            deaths=deaths[i],
-                        )
-                        warnings.warn(
-                            f"quarantining poison task {tasks[i].key!r} after "
-                            f"{deaths[i]} worker death(s)",
-                            ResourceWarning,
-                            stacklevel=3,
-                        )
-                    rescued.add(i)
-                else:
-                    pending.append(i)
-
-        def reap(conn: _WorkerConn):
-            reason = conn.death_reason
-            for i, attempt in sorted(conn.inflight):
-                fail_dispatch(
-                    i, attempt, reason,
-                    ConnectionError(f"worker {conn.id} lost ({reason})"),
-                    death=True,
-                )
-            conn.inflight.clear()
-
-        def dispatch(i: int, conn: _WorkerConn) -> bool:
-            self._attempt_seq += 1
-            attempt = self._attempt_seq
-            task = tasks[i]
-            try:
-                if conn.session != session:
-                    conn.send(("init", session, init_blob, logs.get_run_id()))
-                    conn.session = session
-                blob = pickle.dumps(
-                    (task.fn, task.args), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                conn.send(
-                    ("task", session, i, task.key, attempt, blob,
-                     timeout, chaos_spec, obs_ctx)
-                )
-            except (OSError, ConnectionError):
-                conn.kill()
-                # the attempt id is burned, never reused
-                return False
-            inflight[(i, attempt)] = _Dispatch(conn)
-            conn.inflight.add((i, attempt))
-            metrics["dispatches"].labels(engine).inc()
-            return True
-
-        def handle_result(conn, msg_session, i, attempt, crc, payload,
-                          span_blob=None):
-            nonlocal last_exc
-            if (
-                msg_session != session
-                or not (0 <= i < n)
-                or not task_live(i)
-                or (i, attempt) not in inflight
-            ):
-                metrics["stale_results"].labels(engine).inc()
-                annotate("exec.stale_result", worker=conn.id, attempt=attempt)
-                # A wrong-attempt result for a task this worker *is*
-                # running means the worker answered a stale generation
-                # (chaos mode ``stale`` or a pathological reorder): the
-                # real dispatch will never be answered, so fail it now
-                # instead of waiting for its deadline.
-                if msg_session == session and 0 <= i < n:
-                    for key in sorted(conn.inflight):
-                        if key[0] == i and key in inflight:
-                            conn.inflight.discard(key)
-                            fail_dispatch(
-                                key[0], key[1], "stale_result",
-                                RemoteTaskError(
-                                    f"worker {conn.id} answered a stale "
-                                    f"attempt for task {tasks[i].key!r}"
-                                ),
-                            )
-                return
-            dispatchment = inflight[(i, attempt)]
-            if zlib.crc32(payload) != crc:
-                metrics["integrity"].labels(engine).inc()
-                dispatchment.worker.inflight.discard((i, attempt))
-                fail_dispatch(
-                    i, attempt, "integrity",
-                    ResultIntegrityError(
-                        f"task {tasks[i].key!r} returned a corrupted payload "
-                        f"(CRC mismatch over {len(payload)} bytes)",
-                        task_key=tasks[i].key,
-                    ),
-                )
-                return
-            results[i] = pickle.loads(payload)
-            done[i] = True
-            # Graft the worker's finished span subtree under the submit
-            # span — best-effort: a corrupt blob can't fail the result.
-            if span_blob is not None:
+                session, index, attempt, text, exc_blob = fields
                 try:
-                    if graft(span_blob, worker=conn.id, attempt=attempt):
-                        remote_mod.ensure_obs_metrics()["grafts"].labels(
-                            engine
-                        ).inc()
+                    exc = net_mod.unpickle(exc_blob)
+                    if not isinstance(exc, BaseException):
+                        raise TypeError(type(exc))
                 except Exception:
-                    remote_mod.ensure_obs_metrics()["malformed"].labels(
-                        conn.id
-                    ).inc()
-            # Cancel every copy of the task; late duplicates are stale.
-            for key in [k for k in inflight if k[0] == i]:
-                record = inflight.pop(key)
-                record.worker.inflight.discard(key)
-
-        def handle_error(conn, msg_session, i, attempt, text):
-            if (
-                msg_session != session
-                or not (0 <= i < n)
-                or (i, attempt) not in inflight
-            ):
-                metrics["stale_results"].labels(engine).inc()
-                return
-            conn.inflight.discard((i, attempt))
-            fail_dispatch(i, attempt, "error", RemoteTaskError(text))
-
-        # -------------------------------------------------------------- #
-        while True:
-            now = time.monotonic()
-            # Partitioned workers: heartbeat silence beyond the window.
-            for conn in self.workers():
-                if conn.inflight and now - conn.last_hb > hb_timeout:
-                    _log.warning(
-                        "worker heartbeat stale; requeueing its tasks",
-                        extra={
-                            "worker": conn.id,
-                            "silence_s": round(now - conn.last_hb, 3),
-                        },
-                    )
-                    conn.kill("stale_heartbeat")
-                    reap(conn)
-            # Deadlines and stragglers on what remains in flight.
-            for (i, attempt), record in list(inflight.items()):
-                age = now - record.sent_at
-                if timeout is not None and age > timeout:
-                    record.worker.inflight.discard((i, attempt))
-                    fail_dispatch(
-                        i, attempt, "deadline",
-                        TimeoutError(
-                            f"task {tasks[i].key!r} exceeded its "
-                            f"{timeout}s deadline on worker "
-                            f"{record.worker.id}"
-                        ),
-                    )
-                elif (
-                    straggler_after is not None
-                    and age > straggler_after
-                    and task_live(i)
-                    and sum(1 for k in inflight if k[0] == i) == 1
-                ):
-                    twin = next(
-                        (
-                            c for c in self.workers()
-                            if not c.inflight and c is not record.worker
-                        ),
-                        None,
-                    )
-                    if twin is not None and dispatch(i, twin):
-                        metrics["stragglers"].labels(engine).inc()
-                        annotate(
-                            "exec.straggler", task=str(tasks[i].key),
-                            worker=twin.id, age_s=round(age, 3),
-                        )
-            # Dispatch pending work onto idle *healthy* workers (one task
-            # each — workers execute serially, so deeper queues would
-            # only distort the deadline accounting).
-            idle = deque(
-                c for c in self.workers()
-                if not c.inflight and now - c.last_hb <= hb_timeout
-            )
-            while pending and idle:
-                i = pending.popleft()
-                if not task_live(i):
-                    continue
-                if any(key[0] == i for key in inflight):
-                    continue  # straggler duplicate already covers it
-                if not dispatch(i, idle.popleft()):
-                    pending.append(i)
-                    break
-            # Terminal states.
-            if all(done[i] or i in rescued for i in range(n)):
-                break
-            if not inflight and not self.workers():
-                # Every worker is gone mid-run.  Give disconnect-chaos
-                # style reconnects one connect window to come back, then
-                # rescue what is left rather than spinning forever.
-                if not self.wait_for_workers(net_mod.connect_timeout()):
-                    for i in range(n):
-                        if task_live(i):
-                            rescued.add(i)
-                    break
-            # Block briefly on worker events.
+                    exc = RemoteTaskError(text)
+                sched.error(conn, session, index, attempt, exc)
             try:
-                event = self._events.get(timeout=0.02)
+                event = self._events.get_nowait()
             except queue.Empty:
-                continue
-            while event is not None:
-                kind = event[0]
-                if kind == "gone":
-                    reap(event[1])
-                elif kind == "result":
-                    handle_result(*event[1:])
-                elif kind == "error":
-                    handle_error(*event[1:])
-                try:
-                    event = self._events.get_nowait()
-                except queue.Empty:
-                    event = None
+                return
 
-        # Orphan whatever is still formally in flight (rescued tasks):
-        # their workers must look idle to the next submit, and their late
-        # results must be dropped as stale.
-        for key, record in inflight.items():
-            record.worker.inflight.discard(key)
-        inflight.clear()
+    @staticmethod
+    def _graft(span_blob, conn, attempt, engine) -> None:
+        """Attach a worker's finished span subtree under the submit span —
+        best-effort: a corrupt blob can't fail the result."""
+        if span_blob is None:
+            return
+        obs = remote_mod.ensure_obs_metrics()
+        try:
+            if graft(span_blob, worker=conn.id, attempt=attempt):
+                obs["grafts"].labels(engine).inc()
+        except Exception:
+            obs["malformed"].labels(conn.id).inc()
 
-        rescued_alive = sorted(i for i in rescued if not done[i])
-        if rescued_alive:
-            self._rescue(
-                tasks, rescued_alive, failures, last_exc, results, policy,
-                engine,
-            )
-        return results
-
-    def _rescue(self, tasks, rescued, failures, last_exc, results, policy, engine):
-        metrics = ensure_net_metrics()
-        if not policy.serial_fallback:
-            failed_tasks = [tasks[i] for i in rescued]
-            rounds = max((failures[i] for i in rescued), default=0)
-            exc = last_exc or RemoteTaskError(
-                f"{len(failed_tasks)} task(s) exhausted the distributed "
-                "failure budget"
-            )
+    def _rescue(self, tasks, policy, engine, sched, rescued, failures, last_exc):
+        # Tasks without an ``fn`` are parent-side by design, not failures.
+        gave_up = [tasks[i] for i in rescued if tasks[i].fn is not None]
+        if gave_up and not policy.serial_fallback:
             if policy.exhausted_error is not None:
-                raise policy.exhausted_error(failed_tasks, rounds, exc) from exc
-            raise exc
-        warnings.warn(
-            f"distributed retries exhausted for {len(rescued)} task(s); "
-            "computing them in-process",
-            ResourceWarning,
-            stacklevel=4,
-        )
-        metrics["fallbacks"].labels(engine, "inprocess").inc(len(rescued))
-        with span("exec.fallback", engine=engine, tasks=len(rescued)):
+                raise policy.exhausted_error(
+                    gave_up, failures, last_exc
+                ) from last_exc
+            raise last_exc
+        if gave_up:
+            warnings.warn(
+                f"failure budget spent for {len(gave_up)} task(s); "
+                "computing them serially in-process",
+                ResourceWarning,
+                stacklevel=5,
+            )
+            ensure_exec_metrics()["fallbacks"].labels(engine, self.kind).inc(
+                len(gave_up)
+            )
             _log.warning(
                 "degrading to in-process fallback",
-                extra={"engine": engine, "tasks": [tasks[i].key for i in rescued]},
+                extra={"engine": engine, "tasks": [task.key for task in gave_up]},
             )
+        with span("exec.fallback", engine=engine, tasks=len(rescued)):
             for i in rescued:
-                results[i] = tasks[i].run_fallback()
+                sched.results[i] = tasks[i].run_fallback()
 
 
 # --------------------------------------------------------------------- #
@@ -673,17 +457,13 @@ _coordinator: Coordinator | None = None
 _coordinator_lock = threading.Lock()
 
 
-def get_coordinator(address: tuple[str, int] | None = None) -> Coordinator:
-    """The process-global coordinator, binding its listener on first use.
-
-    ``address`` is honoured only by the first caller (the binder); later
-    calls return the existing instance so every executor in the process
-    shares one worker fleet.
-    """
+def get_coordinator() -> Coordinator:
+    """The process-global coordinator, binding ``REPRO_EXEC_COORD`` on
+    first use, so every executor in the process shares one fleet."""
     global _coordinator
     with _coordinator_lock:
         if _coordinator is None or _coordinator.closed:
-            _coordinator = Coordinator(address)
+            _coordinator = Coordinator()
         return _coordinator
 
 
@@ -697,298 +477,3 @@ def shutdown_coordinator() -> None:
 
 
 atexit.register(shutdown_coordinator)
-
-
-# --------------------------------------------------------------------- #
-# Worker side (the ``repro exec-worker`` CLI and thread-based tests)
-# --------------------------------------------------------------------- #
-_worker_seq = itertools.count()
-
-
-def _default_worker_id() -> str:
-    return f"{socket.gethostname()}-{os.getpid()}-{next(_worker_seq)}"
-
-
-def run_worker(
-    address: tuple[str, int],
-    *,
-    worker_id: str | None = None,
-    max_reconnects: int | None = 1000,
-    reconnect_delay: float = 0.05,
-    stop: threading.Event | None = None,
-) -> int:
-    """Connect to a coordinator and serve tasks until shutdown.
-
-    Returns the number of tasks completed.  Reconnects (with a bounded
-    budget) after connection loss — including the losses the
-    ``disconnect`` chaos mode injects on purpose — so a blip never
-    strands a healthy host.  One task runs at a time; heartbeats flow
-    from a side thread even while a task computes, which is exactly what
-    lets the coordinator tell *slow* from *partitioned*.
-    """
-    worker_id = worker_id or _default_worker_id()
-    completed = 0
-    reconnects = 0
-    while stop is None or not stop.is_set():
-        try:
-            sock = socket.create_connection(address, timeout=5.0)
-        except OSError:
-            reconnects += 1
-            if max_reconnects is not None and reconnects > max_reconnects:
-                return completed
-            time.sleep(reconnect_delay)
-            continue
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            outcome, served = _serve_connection(sock, worker_id, stop)
-        except (OSError, ConnectionError, EOFError, ResultIntegrityError):
-            outcome, served = "reconnect", 0
-        finally:
-            with contextlib.suppress(OSError):
-                sock.close()
-        completed += served
-        if outcome == "shutdown":
-            return completed
-        reconnects += 1
-        if max_reconnects is not None and reconnects > max_reconnects:
-            return completed
-        time.sleep(reconnect_delay)
-    return completed
-
-
-def _serve_connection(sock, worker_id, stop) -> tuple[str, int]:
-    """One registered connection's lifetime; returns (outcome, completed)."""
-    send_lock = threading.Lock()
-
-    def send(message):
-        with send_lock:
-            net_mod.send_frame(sock, message)
-
-    send(("register", worker_id, os.getpid(), socket.gethostname()))
-    welcome = net_mod.recv_frame(sock)
-    if not (isinstance(welcome, tuple) and welcome[0] == "welcome"):
-        return "reconnect", 0
-    hb_interval = float(welcome[2])
-    # The coordinator's run id makes this worker's JSON logs joinable
-    # with the submitting run's (refreshed per task by the frame-carried
-    # obs context, which may postdate registration).
-    if len(welcome) > 3 and welcome[3]:
-        logs.set_run_id(str(welcome[3]))
-
-    closed = threading.Event()
-    #: heartbeats are suppressed until this monotonic instant (the
-    #: ``partition`` chaos mode pushes it forward to go dark on purpose)
-    suppress_hb_until = [0.0]
-    # Telemetry (metric deltas + log records) piggybacks on heartbeats
-    # through a bounded never-blocking buffer: a slow or partitioned
-    # coordinator drops (and counts) telemetry, never stalls a task.
-    forwarder = remote_mod.TelemetryForwarder(worker_id).attach()
-
-    def heartbeat_loop():
-        while not closed.is_set() and (stop is None or not stop.is_set()):
-            if time.monotonic() >= suppress_hb_until[0]:
-                try:
-                    send(("heartbeat", worker_id, forwarder.collect()))
-                except (OSError, ConnectionError):
-                    return
-            closed.wait(hb_interval)
-
-    threading.Thread(
-        target=heartbeat_loop, name="repro-exec-heartbeat", daemon=True
-    ).start()
-
-    completed = 0
-    try:
-        while stop is None or not stop.is_set():
-            message = net_mod.recv_frame(sock)
-            kind = message[0]
-            if kind == "shutdown":
-                return "shutdown", completed
-            if kind == "init":
-                _session, blob = message[1], message[2]
-                if len(message) > 3 and message[3]:
-                    logs.set_run_id(str(message[3]))
-                initializer, initargs = pickle.loads(blob)
-                if initializer is not None:
-                    initializer(*initargs)
-                continue
-            if kind != "task":
-                continue
-            (_, session, index, key, attempt, blob, deadline_s, chaos_spec,
-             *rest) = message
-            obs_ctx = rest[0] if rest else None
-            received_at = time.monotonic()
-            net_mode = chaos_mod.net_action(chaos_spec, key, attempt)
-            if net_mode == "disconnect":
-                # Drop the link instead of running — the coordinator must
-                # requeue onto a healthy peer; we then reconnect like a
-                # host whose network blipped.
-                return "reconnect", completed
-            if net_mode == "partition":
-                hang = chaos_spec.hang_seconds
-                suppress_hb_until[0] = time.monotonic() + hang
-                time.sleep(hang)
-            if deadline_s is not None and (
-                time.monotonic() - received_at
-            ) >= deadline_s:
-                # The frame-carried deadline is already spent (e.g. the
-                # partition above outlived it): refuse rather than burn
-                # compute on a result the coordinator must discard.
-                send(("error", session, index, attempt,
-                      f"deadline expired before task {key!r} started"))
-                continue
-            capture = remote_mod.WorkerSpanCapture(
-                obs_ctx, "exec.task",
-                task=str(key), attempt=attempt, worker=worker_id,
-            )
-            try:
-                if chaos_spec is not None:
-                    chaos_mod.inject_before(chaos_spec, key, attempt)
-                with capture:
-                    fn, args = pickle.loads(blob)
-                    result = fn(*args)
-                payload = pickle.dumps(
-                    result, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                crc = zlib.crc32(payload)
-                if chaos_spec is not None:
-                    payload = chaos_mod.corrupt_payload(
-                        chaos_spec, key, attempt, payload
-                    )
-            except Exception as exc:  # task failure travels as a frame
-                send(("error", session, index, attempt,
-                      f"{type(exc).__name__}: {exc}"))
-                continue
-            if net_mode == "delay":
-                # Slow result path: heartbeats keep flowing, the result
-                # does not — this is what straggler re-dispatch is for.
-                time.sleep(chaos_spec.hang_seconds)
-            reply_attempt = attempt
-            if net_mode == "stale":
-                # Answer a previous generation; the coordinator must
-                # reject it and re-dispatch instead of reducing it.
-                reply_attempt = attempt - 1
-            send(
-                ("result", session, index, reply_attempt, crc, payload,
-                 capture.span_dict)
-            )
-            completed += 1
-    finally:
-        closed.set()
-        forwarder.detach()
-    return "reconnect", completed
-
-
-# --------------------------------------------------------------------- #
-# Executor facade
-# --------------------------------------------------------------------- #
-class DistributedExecutor(Executor):
-    """``socket`` backend: dispatch through the coordinator, degrade sanely.
-
-    Implements the same contract as
-    :class:`~repro.exec.executor.ForkPoolExecutor` (deterministic
-    task-order reduction, ``last_submit_failures``), so engines obtained
-    through :func:`~repro.exec.executor.make_executor` cannot tell the
-    rungs apart except by speed.  When no worker registers within the
-    connect window the submit silently degrades to a private fork pool —
-    and that pool's own ladder ends at the bit-identical in-process
-    fallback, so ``socket`` is always safe to request.
-    """
-
-    kind = "socket"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        name: str = "exec",
-        initializer=None,
-        initargs: tuple = (),
-        policy: ExecPolicy | None = None,
-        sleep=time.sleep,
-        address: tuple[str, int] | None = None,
-        connect_timeout: float | None = None,
-        profile: str | None = "auto",
-    ) -> None:
-        super().__init__(name=name, policy=policy, profile=profile)
-        self.max_workers = max_workers
-        self._initializer = initializer
-        self._initargs = initargs
-        self._sleep = sleep
-        self._address = address
-        self._connect_timeout = connect_timeout
-        self._session = f"{name}-{os.getpid()}-{next(_worker_seq)}"
-        self._forkpool = None
-        self.last_submit_failures = 0
-
-    # ------------------------------------------------------------------ #
-    def _fallback_pool(self) -> ForkPoolExecutor:
-        if self._forkpool is None:
-            self._forkpool = ForkPoolExecutor(
-                self.max_workers,
-                name=self.name,
-                initializer=self._initializer,
-                initargs=self._initargs,
-                policy=self.policy,
-                sleep=self._sleep,
-                profile=self.profile,
-            )
-        return self._forkpool
-
-    def submit(self, tasks, policy=None, sleep=None):
-        policy = policy or self.policy
-        tasks = list(tasks)
-        metrics = ensure_exec_metrics()
-        net_metrics = ensure_net_metrics()
-        metrics["tasks"].labels(self.name, self.kind).inc(len(tasks))
-        start = time.perf_counter()
-        coordinator = get_coordinator(self._address)
-        window = (
-            self._connect_timeout
-            if self._connect_timeout is not None
-            else net_mod.connect_timeout()
-        )
-        with self._profile_submit(), \
-                span("exec.submit", engine=self.name, backend=self.kind,
-                     tasks=len(tasks), workers=coordinator.worker_count()):
-            if not coordinator.wait_for_workers(window):
-                warnings.warn(
-                    f"no exec-worker registered within {window}s; "
-                    f"degrading {self.name} to the local forkpool backend",
-                    ResourceWarning,
-                    stacklevel=3,
-                )
-                net_metrics["fallbacks"].labels(self.name, "forkpool").inc()
-                annotate("exec.degrade", engine=self.name, rung="forkpool")
-                _log.warning(
-                    "no workers registered; degrading to forkpool",
-                    extra={"engine": self.name, "window_s": window},
-                )
-                pool = self._fallback_pool()
-                results = pool.submit(tasks, policy=policy, sleep=sleep)
-                self.last_submit_failures = pool.last_submit_failures
-            else:
-                init_blob = pickle.dumps(
-                    (self._initializer, self._initargs),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                results = coordinator.submit(
-                    self._session, init_blob, tasks, policy, engine=self.name
-                )
-                self.last_submit_failures = coordinator.last_submit_failures
-        net_metrics["submit_seconds"].labels(self.name).observe(
-            time.perf_counter() - start
-        )
-        return results
-
-    def close(self) -> None:
-        """Release the local fallback pool; the shared coordinator stays."""
-        if self._forkpool is not None:
-            self._forkpool.close()
-            self._forkpool = None
-
-    def __enter__(self) -> "DistributedExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,78 +1,69 @@
-"""Wire protocol for the ``socket`` execution backend.
+"""Wire protocol of the execution fabric: one signed frame codec.
 
-Stdlib-only framing shared by the :mod:`~repro.exec.coordinator` and the
-``repro exec-worker`` CLI.  Every message travels as one length-prefixed,
-CRC32-guarded pickle frame::
+Every message between a coordinator and a worker — a ``repro
+exec-worker`` over TCP or a forked child over a ``socketpair`` — travels
+as one length-prefixed, authenticated pickle frame::
 
-    +----------+----------+------------------------+
-    | len (!I) | crc (!I) | pickle payload (len B) |
-    +----------+----------+------------------------+
+    +----------+-----------------------+------------------------+
+    | len (!I) | HMAC-SHA256 tag (32B) | pickle payload (len B) |
+    +----------+-----------------------+------------------------+
 
-A CRC mismatch on receive raises
-:class:`~repro.resilience.errors.ResultIntegrityError` — a corrupted
-frame is surfaced as a retryable failure, never silently unpickled into
-wrong numbers.  The network chaos modes (``disconnect | delay |
-partition | stale``, see :mod:`repro.exec.chaos`) are injected at this
-layer on the worker side, driven by the :class:`~repro.exec.chaos.
-ChaosSpec` the coordinator ships inside each task frame — the parent
-process's environment controls injection, deterministically, exactly as
-it does for the fork-pool modes.
+The tag is verified (constant-time) *before* the payload is unpickled:
+a peer that does not hold the key cannot make this process load a
+pickle.  TCP frames are keyed by the shared secret ``REPRO_EXEC_TOKEN``
+(:func:`wire_key`); socketpair frames by a per-process random key the
+child inherits through ``fork``.  A bad tag or an over-long frame raises
+:class:`~repro.resilience.errors.ResultIntegrityError` and the
+connection is dropped.  :func:`unpickle` is the package's only
+``pickle.loads``; the blobs nested inside frames (task, initializer,
+result payload) go through it too, and only after their frame verified.
 
-Messages are plain tuples ``(type, *fields)``:
+Messages are plain tuples ``(type, *fields)`` of fixed arity, checked by
+:func:`well_formed` where they are decoded (a frame of the wrong shape
+is counted and dropped, never indexed):
 
-==============  =======================================================
-``register``    worker → coordinator: ``(worker_id, pid, host)``
-``welcome``     coordinator → worker: ``(worker_id, hb_interval_s,
-                run_id)`` — the coordinator's run id, so fleet JSON
-                logs are joinable with the submitting run's
-``heartbeat``   worker → coordinator: ``(worker_id, telemetry)`` —
-                ``telemetry`` is ``None`` when quiet, else one batch of
-                buffered log records + metric deltas
-                (:mod:`repro.obs.remote`); the buffer is bounded and
-                never blocks, so a slow coordinator drops telemetry,
-                never tasks
-``init``        coordinator → worker: ``(session, init_blob, run_id)``
-                — pickled ``(initializer, initargs)`` staging
-                per-process state
-``task``        coordinator → worker: ``(session, index, key, attempt,
-                task_blob, deadline_s, chaos_spec, obs_ctx)`` — the
-                deadline travels in the frame so a worker can refuse
-                work that is already dead on arrival; ``obs_ctx`` is
-                the submitting span's trace/run context (``None`` when
-                un-observed)
-``result``      worker → coordinator: ``(session, index, attempt, crc,
-                payload, span_tree)`` — payload CRC32-checked
-                end-to-end; ``span_tree`` is the worker's finished span
-                subtree (``Span.to_dict`` form, ``None`` un-traced),
-                grafted under the submitting span on receive
-``error``       worker → coordinator: ``(session, index, attempt, text)``
-``shutdown``    coordinator → worker: ``()``
-==============  =======================================================
+=============  ========  ==============================================
+``register``   w -> c    ``worker_id, pid, host`` — first frame, read
+                         under :data:`MAX_HELLO_BYTES` and
+                         :data:`REGISTER_TIMEOUT_S`
+``welcome``    c -> w    ``worker_id, hb_interval_s, run_id``
+``heartbeat``  w -> c    ``worker_id, telemetry`` — one batch of
+                         buffered logs + metric deltas
+                         (:mod:`repro.obs.remote`) or ``None``
+``init``       c -> w    ``session, init_blob, run_id`` — pickled
+                         ``(initializer, initargs)``, sent before the
+                         first task of a session
+``task``       c -> w    ``session, index, key, attempt, task_blob,
+                         chaos_spec, obs_ctx``
+``result``     w -> c    ``session, index, attempt, crc, payload,
+                         span_tree`` — ``payload`` is the pickled
+                         result, ``crc`` its CRC32 taken before any
+                         corruption could touch it
+``error``      w -> c    ``session, index, attempt, text, exc_blob`` —
+                         ``exc_blob`` the pickled exception or ``None``
+``shutdown``   c -> w    no fields
+=============  ========  ==============================================
 
-Trailing fields added after PR 7 (``run_id``, ``telemetry``,
-``obs_ctx``, ``span_tree``) are read positionally-with-defaults on both
-sides, so mixed-version fleets interoperate: an old worker simply runs
-un-observed.
-
-Environment knobs (all optional)::
+Environment (all optional)::
 
     REPRO_EXEC_COORD              coordinator listen address, host:port
                                   (default 127.0.0.1:0 — ephemeral port)
-    REPRO_EXEC_CONNECT_TIMEOUT_S  how long a submit waits for >= 1 worker
-                                  registration before degrading to the
-                                  forkpool rung (default 5)
+    REPRO_EXEC_TOKEN              shared secret keying TCP frames;
+                                  required to listen beyond loopback
+    REPRO_EXEC_CONNECT_TIMEOUT_S  how long a submit waits for a worker
+                                  before falling back (default 5)
     REPRO_EXEC_HB_INTERVAL_S      worker heartbeat period (default 1)
-    REPRO_EXEC_HB_TIMEOUT_S       silence after which the coordinator
-                                  declares a worker partitioned and
-                                  requeues its tasks (default 4x interval)
+    REPRO_EXEC_HB_TIMEOUT_S       heartbeat silence that declares a
+                                  worker lost (default 4x interval)
     REPRO_OBS_TELEMETRY_BUFFER    worker-side telemetry buffer capacity,
-                                  records (default 256); overflow is
-                                  dropped and counted in
-                                  ``repro_obs_telemetry_dropped_total``
+                                  records (default 256)
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import ipaddress
 import os
 import pickle
 import socket
@@ -83,12 +74,18 @@ from repro.resilience.errors import ConfigError, ResultIntegrityError
 
 __all__ = [
     "COORD_ENV",
+    "TOKEN_ENV",
     "CONNECT_TIMEOUT_ENV",
     "HB_INTERVAL_ENV",
     "HB_TIMEOUT_ENV",
-    "RemoteTaskError",
     "send_frame",
     "recv_frame",
+    "unpickle",
+    "seal",
+    "unseal",
+    "well_formed",
+    "wire_key",
+    "require_token",
     "parse_address",
     "coordinator_address",
     "connect_timeout",
@@ -97,24 +94,38 @@ __all__ = [
 ]
 
 COORD_ENV = "REPRO_EXEC_COORD"
+TOKEN_ENV = "REPRO_EXEC_TOKEN"
 CONNECT_TIMEOUT_ENV = "REPRO_EXEC_CONNECT_TIMEOUT_S"
 HB_INTERVAL_ENV = "REPRO_EXEC_HB_INTERVAL_S"
 HB_TIMEOUT_ENV = "REPRO_EXEC_HB_TIMEOUT_S"
 
-_HEADER = struct.Struct("!II")
+_HEADER = struct.Struct("!I32s")
 #: sanity bound on one frame; a length beyond this is garbage, not data
 #: (large ndarrays travel by shared-memory segment name, not by value)
 MAX_FRAME_BYTES = 1 << 31
+#: bound on the one frame read from a peer that has not registered yet
+MAX_HELLO_BYTES = 1 << 12
+#: seconds an accepted connection has to send its ``register`` frame
+REGISTER_TIMEOUT_S = 5.0
+#: frames on a loopback listener without a token are keyed by this
+#: constant: every local process can compute it, which is the loopback
+#: trust model (same host, same user) stated in docs/architecture.md
+_LOOPBACK_KEY = b"repro-exec-loopback"
 
 
-class RemoteTaskError(RuntimeError):
-    """A task failed inside a remote worker (carries the remote text)."""
+def wire_key() -> bytes:
+    """The key TCP frames are signed with (``REPRO_EXEC_TOKEN``)."""
+    return os.environ.get(TOKEN_ENV, "").encode() or _LOOPBACK_KEY
 
 
-def send_frame(sock: socket.socket, message) -> None:
-    """Pickle, checksum and send one message (caller holds the send lock)."""
+def _tag(key: bytes, payload: bytes) -> bytes:
+    return hmac.digest(key, payload, hashlib.sha256)
+
+
+def send_frame(sock: socket.socket, message, key: bytes) -> None:
+    """Pickle, sign and send one message (caller holds the send lock)."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+    sock.sendall(_HEADER.pack(len(payload), _tag(key, payload)) + payload)
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -128,25 +139,71 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket):
-    """Receive one message; raise EOFError on close, integrity error on CRC.
+def recv_frame(sock: socket.socket, key: bytes, max_bytes: int = MAX_FRAME_BYTES):
+    """Receive one message; EOFError on close, integrity error on forgery.
 
-    The CRC guards the whole frame: a flipped byte anywhere in the
-    payload surfaces as :class:`ResultIntegrityError` *before* the pickle
-    is ever loaded.
+    Nothing is unpickled unless the tag over the whole payload verifies
+    under ``key``, and nothing beyond ``max_bytes`` is even read.
     """
-    length, crc = _HEADER.unpack(_read_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
+    length, tag = _HEADER.unpack(_read_exact(sock, _HEADER.size))
+    if length > max_bytes:
         raise ResultIntegrityError(
-            f"frame header announces {length} bytes (> {MAX_FRAME_BYTES}); "
+            f"frame header announces {length} bytes (> {max_bytes}); "
             "treating the stream as corrupt"
         )
     payload = _read_exact(sock, length)
-    if zlib.crc32(payload) != crc:
+    if not hmac.compare_digest(tag, _tag(key, payload)):
         raise ResultIntegrityError(
-            f"wire frame failed its CRC32 check over {length} bytes"
+            f"wire frame failed its HMAC tag check over {length} bytes"
         )
-    return pickle.loads(payload)
+    return unpickle(payload)
+
+
+def unpickle(data: bytes):
+    """Load a pickle that arrived inside a frame whose tag verified."""
+    return pickle.loads(data)
+
+
+def seal(result) -> tuple[int, bytes]:
+    """Worker side: pickle a task result and checksum the bytes."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    return zlib.crc32(payload), payload
+
+
+def unseal(crc: int, payload: bytes, key: str, verify: bool = True):
+    """Coordinator side: check a result payload's CRC32, then load it."""
+    if verify and zlib.crc32(payload) != crc:
+        raise ResultIntegrityError(
+            f"task {key!r} returned a corrupted payload "
+            f"(CRC mismatch over {len(payload)} bytes)",
+            task_key=key,
+        )
+    return unpickle(payload)
+
+
+_NUMBER = (int, float)
+_NONE = type(None)
+#: field types per message type — the frame table above, executable
+_FIELDS: dict[str, tuple] = {
+    "register": (str, int, str),
+    "welcome": (str, _NUMBER, (str, _NONE)),
+    "heartbeat": (str, (dict, _NONE)),
+    "init": (str, bytes, (str, _NONE)),
+    "task": (str, int, str, int, bytes, object, object),
+    "result": (str, int, int, int, bytes, (dict, _NONE)),
+    "error": (str, int, int, str, (bytes, _NONE)),
+    "shutdown": (),
+}
+
+
+def well_formed(message, kinds: tuple[str, ...]) -> bool:
+    """Whether ``message`` is one of ``kinds`` with the declared shape."""
+    if not (isinstance(message, tuple) and message and message[0] in kinds):
+        return False
+    fields = _FIELDS[message[0]]
+    return len(message) == len(fields) + 1 and all(
+        isinstance(value, kind) for value, kind in zip(message[1:], fields)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -166,6 +223,19 @@ def parse_address(raw: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise ConfigError(f"coordinator port {port} out of range in {raw!r}")
     return host, port
+
+
+def require_token(host: str) -> None:
+    """Refuse a listen address beyond loopback unless a token is set."""
+    try:
+        loopback = ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        loopback = host == "localhost"
+    if not loopback and not os.environ.get(TOKEN_ENV):
+        raise ConfigError(
+            f"refusing to listen on {host!r} without {TOKEN_ENV}: beyond "
+            "loopback, task frames must be signed with a shared secret"
+        )
 
 
 def _env_seconds(var: str, default: float, *, minimum: float = 0.0) -> float:
@@ -190,7 +260,7 @@ def coordinator_address() -> tuple[str, int]:
 
 
 def connect_timeout() -> float:
-    """Seconds a submit waits for a worker before degrading to forkpool."""
+    """Seconds a submit waits for a worker before falling back."""
     return _env_seconds(CONNECT_TIMEOUT_ENV, 5.0)
 
 

@@ -2,8 +2,8 @@
 
 This module is dependency-light on purpose (stdlib + the resilience
 primitives only) so that :mod:`repro.config` and every engine can import
-it without cycles.  The heavy machinery lives in
-:mod:`repro.exec.executor`.
+it without cycles.  The supervision ladder that interprets an
+:class:`ExecPolicy` lives in :mod:`repro.exec.scheduler`.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ __all__ = [
     "EXEC_BACKEND_ENV",
     "ShardTask",
     "ExecPolicy",
+    "RemoteTaskError",
     "resolve_exec_backend",
 ]
 
 #: fabric backend vocabulary.  ``inprocess`` is the bit-identical serial
-#: oracle; ``forkpool`` is the supervised multi-process path; ``socket``
-#: is the multi-host distributed path (a TCP coordinator dispatching to
-#: ``repro exec-worker`` processes, degrading to ``forkpool`` and then
-#: ``inprocess`` when no workers register).  Callers only ever see
-#: :class:`~repro.exec.executor.Executor`, so new backends slot into
-#: this tuple without touching them.
+#: oracle; ``forkpool`` supervises forked local workers; ``socket``
+#: supervises ``repro exec-worker`` processes registered over TCP, and
+#: forks local ones when none registers.  Callers only ever see
+#: :class:`~repro.exec.executor.Executor`.
 EXEC_BACKENDS = ("auto", "inprocess", "forkpool", "socket")
 
 #: environment override applied wherever a caller leaves the backend on
@@ -69,6 +68,11 @@ def resolve_exec_backend(
     return default
 
 
+class RemoteTaskError(RuntimeError):
+    """A task failed inside a worker and its exception did not pickle
+    (carries the remote ``Type: message`` text)."""
+
+
 @dataclass
 class ShardTask:
     """One unit of shard work submitted to an :class:`Executor`.
@@ -102,31 +106,35 @@ class ShardTask:
 class ExecPolicy:
     """Supervision policy for one :meth:`Executor.submit` call.
 
-    ``retry.max_attempts`` bounds the number of *rounds* (each failed
-    round rebuilds the pool); ``quarantine_after`` pulls an individual
-    poison task out of the retry rotation once it has personally failed
-    that many times, so one bad shard cannot burn the whole budget of its
-    round-mates.  ``exhausted_error`` lets an engine type the terminal
-    error (``(failed_tasks, rounds, last_exc) -> BaseException``); without
-    it the last underlying worker exception propagates unchanged.
+    One meaning per field on every transport (the ladder is
+    :class:`~repro.exec.scheduler.TaskScheduler`).  An *attempt* is one
+    dispatch of one task to one worker.  ``retry.max_attempts`` bounds a
+    task's failed attempts of any cause, and ``retry.delay(k)`` is how
+    long its ``k``-th failure keeps it out of the dispatch queue.
+    ``exhausted_error`` lets an engine type the terminal error
+    (``(failed_tasks, failures, last_exc) -> BaseException``); without it
+    the last underlying worker exception propagates unchanged.
     """
 
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_attempts=3, base_delay=0.05)
     )
-    #: per-task result deadline in seconds (None = wait forever)
+    #: per-attempt result deadline in seconds; a worker that misses it
+    #: is killed (None = wait forever)
     worker_timeout: float | None = 120.0
-    #: per-task failure count that triggers quarantine (None = disabled)
+    #: attempts of one task that ended with its worker lost or killed
+    #: (crash, disconnect, missed deadline, silent heartbeat) before the
+    #: task is quarantined: pulled out of the rotation as poison, ahead
+    #: of its failure budget (None = disabled)
     quarantine_after: int | None = None
     #: rescue exhausted/quarantined tasks via their in-process fallback
     #: (bit-identical) instead of raising
     serial_fallback: bool = True
     #: checksum worker results end-to-end (detects corrupted returns)
     verify_integrity: bool = True
-    #: (socket backend) fraction of ``worker_timeout`` after which an
-    #: unanswered task is duplicate-sent to a second healthy worker —
-    #: first valid result wins, the loser is dropped as stale.  ``None``
-    #: disables straggler re-dispatch.
+    #: fraction of ``worker_timeout`` after which an unanswered task is
+    #: duplicate-sent to a second idle worker — the first valid result
+    #: wins and the loser's worker is killed.  ``None`` disables it.
     straggler_fraction: float | None = 0.5
     #: factory for the terminal exception when rescue is disabled
     exhausted_error: (

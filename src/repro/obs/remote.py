@@ -24,8 +24,10 @@ plumbing that brings it home:
   execution: the buffer drops (and counts) rather than waits.
 
 The wire format is plain dicts/tuples of JSON-able values — the frames
-themselves are CRC-guarded by :mod:`repro.exec.net`, and a malformed
+themselves are authenticated by :mod:`repro.exec.net`, and a malformed
 telemetry batch is counted and dropped, never allowed to fail a task.
+Forked local workers and remote ones run the same worker loop, so this
+is the one telemetry path.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ __all__ = [
     "TelemetryForwarder",
     "merge_fleet_delta",
     "absorb_telemetry",
-    "pack_obs_envelope",
-    "unpack_obs_envelope",
 ]
 
 #: worker-side telemetry buffer capacity (records); the buffer NEVER
@@ -455,58 +455,3 @@ def absorb_telemetry(
         _log.warning(
             "discarded malformed telemetry batch", extra={"worker": worker_id}
         )
-
-
-# --------------------------------------------------------------------- #
-# Result-frame envelope (fork-pool + socket result payloads)
-# --------------------------------------------------------------------- #
-#: sentinel tagging a result payload that carries an observability blob
-_ENVELOPE_TAG = "__repro_obs_envelope__"
-
-
-def pack_obs_envelope(
-    result,
-    span_dict: dict | None,
-    metrics_delta: dict | None,
-    worker: str | None = None,
-):
-    """Wrap a task result with its observability blob (worker side).
-
-    Returns the bare result unchanged when there is nothing to carry, so
-    un-observed submits keep their exact legacy payloads.  ``worker``
-    identifies the executing process (fork-pool children stamp their
-    pid) for the fleet-metric labels on the receiving side.
-    """
-    if span_dict is None and not metrics_delta:
-        return result
-    blob: dict = {}
-    if span_dict is not None:
-        blob["spans"] = span_dict
-    if metrics_delta:
-        blob["metrics"] = metrics_delta
-    if worker:
-        blob["worker"] = worker
-    return (_ENVELOPE_TAG, result, blob)
-
-
-def unpack_obs_envelope(raw, *, worker: str = "worker", engine: str = "exec"):
-    """Unwrap a worker payload, grafting spans + merging metric deltas.
-
-    The observability blob is best-effort: a corrupt blob is counted and
-    discarded while the task result still returns — numbers first.
-    """
-    if not (isinstance(raw, tuple) and len(raw) == 3 and raw[0] == _ENVELOPE_TAG):
-        return raw
-    _, result, blob = raw
-    try:
-        worker = str(blob.get("worker") or worker)
-        span_dict = blob.get("spans")
-        if span_dict is not None:
-            if trace.graft(span_dict, worker=worker) is not None:
-                ensure_obs_metrics()["grafts"].labels(engine).inc()
-        delta = blob.get("metrics")
-        if delta:
-            merge_fleet_delta(worker, delta)
-    except Exception:
-        ensure_obs_metrics()["malformed"].labels(worker).inc()
-    return result

@@ -355,13 +355,11 @@ class NetlistScoreServer:
     def render_metrics(self) -> str:
         """Prometheus text for this server plus the process-default registry."""
         # Register the execution fabric's recovery counters eagerly so the
-        # families are scrapeable before the first worker failure — both the
-        # fork-pool families and the distributed-backend net families.
-        from repro.exec import ensure_exec_metrics, ensure_net_metrics
+        # families are scrapeable before the first worker failure.
+        from repro.exec import ensure_exec_metrics
         from repro.obs.remote import ensure_obs_metrics
 
         ensure_exec_metrics()
-        ensure_net_metrics()
         ensure_obs_metrics()
         text = self.registry.render_prometheus()
         default = get_registry()

@@ -29,16 +29,17 @@ from repro.resilience.retry import RetryPolicy
 
 NO_SLEEP = lambda s: None  # noqa: E731
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
-#: short enough that hang-mode rounds resolve quickly, long next to the
-#: sub-second happy path so clean runs never trip it
-WORKER_TIMEOUT_S = 5.0
+#: short enough that hang-mode attempts resolve quickly.  The suite
+#: asserts bit-identity only, so a clean task that a loaded host pushes
+#: past it costs a rescue, never a failure.
+WORKER_TIMEOUT_S = 0.5
 
 
 def _arm(monkeypatch, mode: str) -> None:
     monkeypatch.setenv("REPRO_CHAOS", mode)
-    # A hang longer than the worker timeout (so the deadline trips) but
-    # short enough that even an unkilled straggler drains fast.
-    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "20")
+    # A hang longer than the worker timeout (so the deadline trips); the
+    # hung worker is killed at the deadline, not waited for.
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "2")
 
 
 # --------------------------------------------------------------------- #

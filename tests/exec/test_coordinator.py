@@ -8,35 +8,48 @@ subprocesses and SIGKILLs one mid-run.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import importlib
+import logging
+import hmac
 import os
+import pickle
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.exec import (
+    Coordinator,
     DistributedExecutor,
     ExecPolicy,
     ShardTask,
     get_coordinator,
     make_executor,
-    run_worker,
     shutdown_coordinator,
 )
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.exec import net as net_mod
+from repro.resilience.errors import ConfigError
 from repro.resilience.retry import RetryPolicy
+from tests.exec.test_net import FLAGS, Bomb
+
+trace = importlib.import_module("repro.obs.trace")
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 NO_SLEEP = lambda s: None  # noqa: E731
 FAST = ExecPolicy(
     retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-    worker_timeout=5.0,
+    worker_timeout=2.0,
     quarantine_after=2,
 )
 
@@ -72,48 +85,7 @@ def _tasks(n=8, fn=_square):
 
 
 # --------------------------------------------------------------------- #
-@pytest.fixture(autouse=True)
-def _fast_net(monkeypatch):
-    """Sub-second heartbeat/connect windows so failure paths drain fast."""
-    monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.05")
-    monkeypatch.setenv("REPRO_EXEC_HB_TIMEOUT_S", "0.5")
-    monkeypatch.setenv("REPRO_EXEC_CONNECT_TIMEOUT_S", "2.0")
-    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "1.5")
-
-
-@pytest.fixture()
-def metrics():
-    fresh = MetricsRegistry()
-    old = set_registry(fresh)
-    yield fresh
-    set_registry(old)
-
-
-@pytest.fixture()
-def fleet():
-    """A bound coordinator plus N in-thread workers; torn down hard."""
-    stop = threading.Event()
-    threads: list[threading.Thread] = []
-
-    def start(n=2):
-        coordinator = get_coordinator()
-        for i in range(n):
-            t = threading.Thread(
-                target=run_worker,
-                args=(coordinator.address,),
-                kwargs={"worker_id": f"test-w{i}", "stop": stop},
-                daemon=True,
-            )
-            t.start()
-            threads.append(t)
-        assert coordinator.wait_for_workers(5.0, minimum=n)
-        return coordinator
-
-    yield start
-    stop.set()
-    shutdown_coordinator()
-    for t in threads:
-        t.join(timeout=5.0)
+pytestmark = pytest.mark.usefixtures("fast_net")
 
 
 def _sum(snapshot, name, **labels):
@@ -169,27 +141,31 @@ class TestHappyPath:
 
 # --------------------------------------------------------------------- #
 class TestDegradationLadder:
-    def test_zero_workers_degrades_to_forkpool(self, metrics):
-        with DistributedExecutor(
-            name="t", policy=FAST, sleep=NO_SLEEP, connect_timeout=0.2
-        ) as ex:
+    def test_zero_workers_degrades_to_forkpool(self, metrics, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_CONNECT_TIMEOUT_S", "0.2")
+        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
             with pytest.warns(ResourceWarning, match="degrading"):
                 assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
+        # Same ladder, other socket source: the submit is accounted to the
+        # backend it actually ran on, and nothing was rescued in-process.
         snap = metrics.snapshot()
         assert _sum(
-            snap, "repro_exec_net_fallbacks_total", engine="t", rung="forkpool"
-        ) == 1
+            snap, "repro_exec_tasks_total", engine="t", backend="forkpool"
+        ) == 4
+        assert _sum(snap, "repro_exec_tasks_total", backend="socket") == 0
+        assert _sum(snap, "repro_exec_net_dispatches_total", engine="t") == 4
+        assert _sum(snap, "repro_exec_fallbacks_total") == 0
 
     def test_straggler_redispatch_first_result_wins(self, fleet, metrics):
         fleet(2)
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=4.0,
+            worker_timeout=2.0,
             straggler_fraction=0.1,
         )
         tasks = [
             ShardTask(key=f"t{i}", fn=sleep_square, args=(i, delay))
-            for i, delay in enumerate((0.0, 0.0, 0.0, 0.8))
+            for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
         ]
         with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
             assert ex.submit(tasks) == [0, 1, 4, 9]
@@ -209,9 +185,12 @@ class TestDegradationLadder:
         assert _sum(
             snap, "repro_exec_net_requeues_total", engine="t", reason="disconnect"
         ) > 0
-        assert _sum(snap, "repro_exec_net_tasks_quarantined_total", engine="t") > 0
         assert _sum(
-            snap, "repro_exec_net_fallbacks_total", engine="t", rung="inprocess"
+            snap, "repro_exec_tasks_quarantined_total", engine="t",
+            backend="socket",
+        ) > 0
+        assert _sum(
+            snap, "repro_exec_fallbacks_total", engine="t", backend="socket"
         ) > 0
 
     def test_corrupt_results_fail_integrity_then_rescue(
@@ -224,10 +203,230 @@ class TestDegradationLadder:
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
         snap = metrics.snapshot()
-        assert _sum(snap, "repro_exec_net_integrity_failures_total") > 0
+        assert _sum(
+            snap, "repro_exec_integrity_failures_total", backend="socket"
+        ) > 0
         assert _sum(
             snap, "repro_exec_net_requeues_total", engine="t", reason="integrity"
         ) > 0
+
+
+# --------------------------------------------------------------------- #
+def _closed_by_peer(sock, within=3.0) -> bool:
+    sock.settimeout(within)
+    try:
+        return sock.recv(1) == b""
+    except socket.timeout:
+        return False
+    except OSError:  # reset rather than a clean FIN
+        return True
+
+
+class TestTrustBoundary:
+    """The listener does not trust its peer (see docs/architecture.md)."""
+
+    @pytest.fixture(autouse=True)
+    def _bomb_stays_unexploded(self):
+        FLAGS.clear()
+        yield
+        assert FLAGS == [], "an unauthenticated peer reached pickle.loads"
+
+    def test_refuses_to_listen_beyond_loopback_without_a_token(self):
+        with pytest.raises(ConfigError, match="REPRO_EXEC_TOKEN"):
+            Coordinator(("0.0.0.0", 0))
+
+    def test_cli_exits_2_on_a_non_loopback_coordinator_without_a_token(
+        self, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        # main() points the ``repro`` logger at this test's captured
+        # stderr; put the logger back so later tests do not log into a
+        # closed file.
+        logger = logging.getLogger("repro")
+        monkeypatch.setattr(logger, "handlers", list(logger.handlers))
+        monkeypatch.setattr(logger, "propagate", logger.propagate)
+        monkeypatch.setattr(logger, "level", logger.level)
+        monkeypatch.setenv("REPRO_EXEC_COORD", "0.0.0.0:7077")
+        assert main(["exec-info"]) == 2
+        assert "error: ConfigError" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_EXEC_TOKEN", "s3cret")
+        assert main(["exec-info"]) == 0
+
+    @pytest.mark.parametrize("forgery", ["tampered", "unsigned", "oversized"])
+    def test_forged_first_frame_is_dropped_before_unpickle(
+        self, fleet, metrics, forgery
+    ):
+        coordinator = fleet(0)
+        key = net_mod.wire_key()
+        bomb = pickle.dumps(("register", Bomb(), 1, "host"))
+        if forgery == "tampered":
+            good = pickle.dumps(("register", "w", 1, "host"))
+            frame = struct.pack("!I", len(bomb)) + hmac.digest(
+                key, good, hashlib.sha256
+            ) + bomb
+        elif forgery == "unsigned":  # the pre-HMAC len|crc|payload frame
+            frame = struct.pack("!II", len(bomb), zlib.crc32(bomb)) + bomb
+            frame += b"\0" * 64
+        else:  # correctly signed, but larger than a stranger may send
+            bomb += b"\0" * net_mod.MAX_HELLO_BYTES
+            frame = struct.pack("!I", len(bomb)) + hmac.digest(
+                key, bomb, hashlib.sha256
+            ) + bomb
+        with socket.create_connection(coordinator.address) as sock:
+            sock.sendall(frame)
+            assert _closed_by_peer(sock)
+        assert coordinator.worker_count() == 0
+        assert _sum(
+            metrics.snapshot(), "repro_exec_integrity_failures_total",
+            engine="coordinator",
+        ) == 1
+
+    def test_worker_with_the_wrong_token_never_registers(
+        self, fleet, monkeypatch
+    ):
+        coordinator = fleet(0)
+        monkeypatch.setenv("REPRO_EXEC_TOKEN", "not-the-coordinators")
+        with socket.create_connection(coordinator.address) as sock:
+            net_mod.send_frame(
+                sock, ("register", "w", 1, "host"), net_mod.wire_key()
+            )
+            assert _closed_by_peer(sock)
+        assert coordinator.worker_count() == 0
+
+    def test_silent_peer_is_dropped_at_the_registration_timeout(
+        self, fleet, monkeypatch
+    ):
+        monkeypatch.setattr(net_mod, "REGISTER_TIMEOUT_S", 0.2)
+        coordinator = fleet(0)
+        start = time.monotonic()
+        with socket.create_connection(coordinator.address) as sock:
+            assert _closed_by_peer(sock)
+        assert time.monotonic() - start < 2.0
+
+    def test_malformed_register_is_counted_and_dropped(self, fleet, metrics):
+        coordinator = fleet(0)
+        with socket.create_connection(coordinator.address) as sock:
+            net_mod.send_frame(sock, ("register", "w"), net_mod.wire_key())
+            assert _closed_by_peer(sock)
+        assert coordinator.worker_count() == 0
+        assert _sum(
+            metrics.snapshot(), "repro_obs_telemetry_malformed_total",
+            worker="unregistered",
+        ) == 1
+
+
+def _rogue_worker(address, replies):
+    """Registers properly, then answers every task with ``replies(task)``."""
+    key = net_mod.wire_key()
+    with socket.create_connection(address) as sock:
+        net_mod.send_frame(sock, ("register", "rogue", os.getpid(), "h"), key)
+        with contextlib.suppress(EOFError, OSError):
+            while True:
+                message = net_mod.recv_frame(sock, key)
+                if message[0] == "task":
+                    for reply in replies(message):
+                        net_mod.send_frame(sock, reply, key)
+
+
+class TestMalformedFrames:
+    """Bug fix: a registered worker's malformed frame used to raise
+    TypeError out of the submit loop."""
+
+    @pytest.mark.parametrize(
+        "replies",
+        [
+            lambda task: [("result", task[1], task[2])],
+            lambda task: [("result", task[1], "zero", task[4], 0, b"", None)],
+            lambda task: [("result", task[1], task[2], None, 0, b"", None)],
+            lambda task: [("error", task[1], task[2], task[4])],
+            lambda task: [("error", task[1], [task[2]], task[4], "x", None)],
+            lambda task: [("surprise", 1, 2, 3), "not even a tuple"],
+        ],
+        ids=["short-result", "str-index", "none-attempt", "short-error",
+             "list-index", "unknown-kind"],
+    )
+    def test_malformed_reply_is_dropped_and_the_task_requeued(
+        self, fleet, metrics, replies
+    ):
+        coordinator = fleet(0)
+        rogue = threading.Thread(
+            target=_rogue_worker, args=(coordinator.address, replies),
+            daemon=True,
+        )
+        rogue.start()
+        assert coordinator.wait_for_workers(5.0)
+        policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
+            worker_timeout=0.2,
+        )
+        with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert ex.submit(_tasks(1)) == [0]
+        snap = metrics.snapshot()
+        assert _sum(
+            snap, "repro_obs_telemetry_malformed_total", worker="rogue"
+        ) >= 1
+        assert _sum(
+            snap, "repro_exec_net_requeues_total", reason="deadline"
+        ) == 1
+        coordinator.close()
+        rogue.join(timeout=5.0)
+
+    def test_corrupt_span_blob_still_returns_the_result(self, fleet, metrics):
+        def honest_but_garbled(task):
+            fn, args = pickle.loads(task[5])
+            crc, payload = net_mod.seal(fn(*args))
+            return [("result", task[1], task[2], task[4], crc, payload,
+                     {"children": 7})]
+
+        coordinator = fleet(0)
+        rogue = threading.Thread(
+            target=_rogue_worker, args=(coordinator.address, honest_but_garbled),
+            daemon=True,
+        )
+        rogue.start()
+        assert coordinator.wait_for_workers(5.0)
+        with trace.trace("root", register_last=False):
+            with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+                assert ex.submit(_tasks(3)) == [0, 1, 4]
+                assert ex.last_submit_failures == 0
+        assert _sum(
+            metrics.snapshot(), "repro_obs_telemetry_malformed_total",
+            worker="rogue",
+        ) == 3
+        coordinator.close()
+        rogue.join(timeout=5.0)
+
+    def test_out_of_range_index_is_stale_not_fatal(self, fleet, metrics):
+        coordinator = fleet(0)
+        rogue = threading.Thread(
+            target=_rogue_worker,
+            args=(
+                coordinator.address,
+                lambda task: [
+                    ("result", task[1], 10**6, task[4], 0, b"", None),
+                    ("result", task[1], -1, task[4], 0, b"", None),
+                ],
+            ),
+            daemon=True,
+        )
+        rogue.start()
+        assert coordinator.wait_for_workers(5.0)
+        policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
+            worker_timeout=0.2,
+        )
+        with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert ex.submit(_tasks(1)) == [0]
+        assert _sum(
+            metrics.snapshot(), "repro_exec_net_stale_results_total"
+        ) == 2
+        coordinator.close()
+        rogue.join(timeout=5.0)
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.exec import (
     resolve_exec_backend,
 )
 from repro.exec.chaos import ChaosInjectedError
+from repro.exec.shm import pid_alive
 from repro.resilience.errors import ConfigError, ResultIntegrityError
 from repro.resilience.retry import RetryPolicy
 
@@ -31,6 +34,19 @@ def _square(x):
 
 def _boom(x):
     raise RuntimeError(f"injected failure for {x}")
+
+
+def _die(x):
+    os._exit(1)
+
+
+def _raise_typed():
+    raise FileNotFoundError("typed failure")
+
+
+def _sleep_square(x, delay):
+    time.sleep(delay)
+    return x * x
 
 
 def _tasks(n=4, fn=_square):
@@ -144,13 +160,6 @@ class TestForkPool:
                 assert ex.submit(tasks) == [0, -1, -2]
             assert ex.last_submit_failures > 0
 
-    def test_retry_warning_mentions_pool_rebuild(self):
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
-            with pytest.warns(ResourceWarning, match="rebuilding pool"):
-                ex.submit(
-                    [ShardTask(key="x", fn=_boom, args=(0,), fallback=lambda: 0)]
-                )
-
     def test_no_fallback_reraises_last_worker_error(self):
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
@@ -178,15 +187,16 @@ class TestForkPool:
                 ex.submit(_tasks(2, fn=_boom))
 
     def test_quarantine_pulls_poison_task(self):
-        # One poison task among good ones: quarantine after 1 failure must
-        # rescue it through its fallback without burning the whole budget.
+        # One worker-killing task among good ones: quarantine after 1 death
+        # must rescue it through its fallback without burning the whole
+        # failure budget (and four more workers).
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=5, base_delay=0.0),
             quarantine_after=1,
         )
         tasks = _tasks(3)
         tasks.append(
-            ShardTask(key="poison", fn=_boom, args=(9,), fallback=lambda: 81)
+            ShardTask(key="poison", fn=_die, args=(9,), fallback=lambda: 81)
         )
         with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
             with pytest.warns(ResourceWarning, match="quarantin"):
@@ -197,11 +207,14 @@ class TestForkPool:
         monkeypatch.setenv("REPRO_CHAOS_HANG_S", "30")
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=1.0,
+            worker_timeout=0.2,
         )
         with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
             with pytest.warns(ResourceWarning):
                 assert ex.submit(_tasks(2)) == [0, 1]
+            assert ex.last_submit_failures == 4
+        # Every hung worker was killed and reaped, not left sleeping.
+        assert multiprocessing.active_children() == []
 
     def test_integrity_failure_detected_and_rescued(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "corrupt")
@@ -246,19 +259,29 @@ class TestForkPool:
         assert ex.submit(_tasks(2)) == [0, 1]
         ex.close()
 
-    def test_heartbeats_recorded(self):
-        with ForkPoolExecutor(1, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+    def test_heartbeats_recorded(self, monkeypatch):
+        # Forked workers are watched like remote ones: heartbeat frames
+        # over their socket, recorded per connection.
+        monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.02")
+        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
             ex.submit(_tasks(2))
-            ages = ex.heartbeat_ages()
-            assert ages and all(age >= 0 for age in ages.values())
-            assert all(pid != os.getpid() for pid in ages)
+            workers = ex._pool.workers()
+            assert len(workers) == 2
+            assert all(w.pid != os.getpid() and pid_alive(w.pid) for w in workers)
+            registered = {w.id: w.last_hb for w in workers}
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                w.last_hb == registered[w.id] for w in workers
+            ):
+                time.sleep(0.01)
+            assert all(w.last_hb > registered[w.id] for w in workers)
 
     def test_pool_rebuild_prunes_replaced_worker_heartbeats(self, monkeypatch):
-        """Regression: dead workers' heartbeat files must not linger.
+        """Regression: dead workers must not linger in the registry.
 
-        A chaos-killed pool is abandoned and rebuilt; before the fix the
-        replaced pids' files survived, so ``heartbeat_ages()`` reported
-        ever-growing ages for processes that no longer existed.
+        Chaos-killed workers are replaced one by one; what the parent
+        tracks (the connections whose heartbeats it records) must be the
+        live fleet only, never the pids it replaced.
         """
         monkeypatch.setenv("REPRO_CHAOS", "kill:0.5")
         monkeypatch.setenv("REPRO_CHAOS_SEED", "1")
@@ -266,20 +289,45 @@ class TestForkPool:
         with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for round_seed in range(3):
-                    ex.submit(_tasks(4))
-            ages = ex.heartbeat_ages()
-            import pathlib
+                for _ in range(3):
+                    assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
+            pool = ex._pool
+            assert pool.wait_for_workers(5.0, minimum=2)
+            workers = pool.workers()
+            assert len(workers) == 2, "replaced, not accumulated"
+            assert all(pid_alive(w.pid) for w in workers)
+            assert ex.last_submit_failures > 0, (
+                "the seed never killed a worker; the test checked nothing"
+            )
 
-            from repro.exec.shm import pid_alive
+    def test_worker_exception_type_survives_the_wire(self):
+        policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
+            serial_fallback=False,
+        )
+        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            with pytest.raises(FileNotFoundError, match="typed"):
+                ex.submit([ShardTask(key="x", fn=_raise_typed)])
 
-            assert ages, "live pool must report heartbeats"
-            assert all(pid_alive(pid) for pid in ages)
-            # The on-disk directory holds files only for the live fleet.
-            on_disk = {
-                int(p.name) for p in pathlib.Path(ex._hb_dir).iterdir()
-            }
-            assert all(pid_alive(pid) for pid in on_disk)
+    def test_straggler_twin_runs_on_the_fork_transport_too(self, metrics):
+        # straggler_fraction is one ladder rung, not a socket-only one.
+        policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            worker_timeout=5.0,
+            straggler_fraction=0.02,
+        )
+        tasks = [
+            ShardTask(key=f"t{i}", fn=_sleep_square, args=(i, delay))
+            for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
+        ]
+        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            assert ex.submit(tasks) == [0, 1, 4, 9]
+            assert ex.last_submit_failures == 0
+        samples = metrics.snapshot()["repro_exec_net_stragglers_total"]["samples"]
+        assert [s["labels"]["backend"] for s in samples] == ["forkpool"]
+        assert samples[0]["value"] >= 1
+        # The losing copy's worker did not outlive the submit.
+        assert multiprocessing.active_children() == []
 
 
 class TestMetrics:
@@ -289,7 +337,8 @@ class TestMetrics:
         fresh = MetricsRegistry()
         old = set_registry(fresh)
         try:
-            monkeypatch.setenv("REPRO_CHAOS", "raise")
+            # A killed worker (unlike a raising task) also costs a restart.
+            monkeypatch.setenv("REPRO_CHAOS", "kill")
             with ForkPoolExecutor(2, name="m", policy=FAST, sleep=NO_SLEEP) as ex:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -314,7 +363,7 @@ class TestMetrics:
                 samples = snap[name]["samples"]
                 assert sum(s["value"] for s in samples) > 0, name
             text = fresh.render_prometheus()
-            assert 'repro_exec_fallbacks_total{engine="m"}' in text
+            assert 'repro_exec_fallbacks_total{engine="m",backend="forkpool"}' in text
         finally:
             set_registry(old)
 

@@ -1,0 +1,84 @@
+"""The two execution-fabric lint rules hold, and can fail.
+
+``scripts/check_api_boundaries.py`` rules 9 (the scheduler imports no
+clock, socket, thread, process or pickle) and 10 (``pickle.loads``
+appears under ``repro/exec`` only in ``net.unpickle``).  Each rule gets a
+should-fail fixture so a vacuous pass is impossible.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO / "scripts"))
+try:
+    import check_api_boundaries as lint
+finally:
+    sys.path.pop(0)
+
+
+def test_the_tree_is_clean():
+    assert lint.impure_import_violations(lint._SCHEDULER) == []
+    for path in sorted(lint._EXEC_PACKAGE.glob("*.py")):
+        assert lint.pickle_load_violations(path, codec=path == lint._CODEC) == []
+    # ...and the rule is looking at the real thing: the codec does load.
+    assert lint.pickle_load_violations(lint._CODEC, codec=False) != []
+
+
+@pytest.mark.parametrize(
+    "source,line,what",
+    [
+        ("import time\n", 1, "import time"),
+        ("x = 1\nimport os.path\n", 2, "import os.path"),
+        ("from threading import Lock\n", 1, "from threading import ..."),
+        ("def f():\n    import socket\n", 2, "import socket"),
+        ("from concurrent.futures import wait\n", 1, "from concurrent.futures import ..."),
+        ("import multiprocessing as mp\n", 1, "import multiprocessing"),
+        ("import warnings, pickle\n", 1, "import pickle"),
+    ],
+)
+def test_impure_scheduler_import_is_caught(tmp_path, source, line, what):
+    bad = tmp_path / "scheduler.py"
+    bad.write_text(source)
+    assert lint.impure_import_violations(bad) == [(line, what)]
+
+
+def test_pure_imports_pass(tmp_path):
+    ok = tmp_path / "scheduler.py"
+    ok.write_text(
+        "import warnings\nfrom collections.abc import Sequence\n"
+        "from repro.obs.trace import annotate\n# import time\ns = 'import os'\n"
+    )
+    assert lint.impure_import_violations(ok) == []
+
+
+@pytest.mark.parametrize(
+    "source,what",
+    [
+        ("import pickle\ndef handle(b):\n    return pickle.loads(b)\n",
+         "pickle.loads"),
+        ("import pickle\nload = pickle.load\n", "pickle.load"),
+        ("from pickle import loads\n", "from pickle import loads"),
+        ("import pickle\nu = pickle.Unpickler\n", "pickle.Unpickler"),
+    ],
+)
+def test_second_unpickle_site_is_caught(tmp_path, source, what):
+    bad = tmp_path / "coordinator.py"
+    bad.write_text(source)
+    assert [w for _, w in lint.pickle_load_violations(bad, codec=False)] == [what]
+
+
+def test_only_the_codecs_unpickle_function_is_exempt(tmp_path):
+    codec = tmp_path / "net.py"
+    codec.write_text(
+        "import pickle\n"
+        "def unpickle(data):\n    return pickle.loads(data)\n"
+        "def recv_frame(sock):\n    return pickle.loads(sock.recv(9))\n"
+        "def dumps(x):\n    return pickle.dumps(x)  # dumping is fine\n"
+    )
+    assert lint.pickle_load_violations(codec, codec=True) == [(5, "pickle.loads")]
+    assert len(lint.pickle_load_violations(codec, codec=False)) == 2

@@ -21,8 +21,6 @@ from repro.obs.remote import (
     absorb_telemetry,
     capture_obs_context,
     merge_fleet_delta,
-    pack_obs_envelope,
-    unpack_obs_envelope,
 )
 
 tr = sys.modules["repro.obs.trace"]
@@ -295,40 +293,3 @@ class TestForwarder:
         assert batch["worker"] == "w0"
         assert batch["metrics"]["repro_unit_total"]["samples"] == [[[], 1.0]]
         assert forwarder.collect() is None
-
-
-# --------------------------------------------------------------------- #
-class TestObsEnvelope:
-    def test_bare_result_passthrough(self):
-        assert pack_obs_envelope([1, 2], None, None) == [1, 2]
-        assert unpack_obs_envelope([1, 2]) == [1, 2]
-        # tuples that merely *look* close to an envelope stay untouched
-        assert unpack_obs_envelope(("a", "b", "c")) == ("a", "b", "c")
-
-    def test_roundtrip_grafts_span_and_merges_delta(self, registry):
-        span_dict = {"name": "exec.task", "wall_s": 0.1, "cpu_s": 0.05}
-        delta = {"repro_unit_total": {
-            "kind": "counter", "labelnames": [], "samples": [[[], 1.0]],
-        }}
-        packed = pack_obs_envelope({"ok": 1}, span_dict, delta, worker="pid-9")
-        assert packed != {"ok": 1}
-        with tr.trace("root", register_last=False) as root:
-            assert unpack_obs_envelope(packed, engine="unit") == {"ok": 1}
-        grafted = root.find("exec.task")
-        assert grafted is not None
-        assert grafted.attrs["worker"] == "pid-9"
-        assert _value(registry, "repro_fleet_unit_total", worker="pid-9") == 1.0
-        assert (
-            _value(registry, "repro_obs_remote_spans_total", engine="unit")
-            == 1.0
-        )
-
-    def test_corrupt_blob_still_returns_result(self, registry):
-        packed = pack_obs_envelope(41, {"name": "x"}, None)
-        corrupt = (packed[0], packed[1], {"spans": object()})
-        with tr.trace("root", register_last=False):
-            assert unpack_obs_envelope(corrupt, worker="w9") == 41
-        assert (
-            _value(registry, "repro_obs_telemetry_malformed_total", worker="w9")
-            == 1.0
-        )
