@@ -5,14 +5,15 @@ chain and through ``ShardedInference`` (in-process shard loop and, on
 multi-core hosts or under ``--force-pool``, the fork-pool path) and
 writes ``results/BENCH_sharded_inference.json`` with nodes/sec,
 wall-clock, speedups over the single-process baseline, partition quality
-(edge cut, imbalance) and the boundary-exchange volume per tier.  Every
+(cut edges, imbalance) and the boundary-exchange volume per tier.  Every
 tier partitions into a fixed four shards so the exchange-fraction gate
 measures the same quantity run over run.
 
 ``exchange_fraction`` counts the rows each shard ships to its peers per
-layer as a fraction of all nodes; ``halo_fraction`` is kept as an alias
-(the one-hop frontier *is* the halo under per-layer exchange) so the
-perf-trend ledger stays continuous with the precomputed-halo era.
+layer as a fraction of all nodes.  Since the whole-graph pass is itself
+row-blocked, the in-process shard loop is no longer a cache-blocking win
+over it: its speedup reads about 1× and what the tier measures is the
+exchange's overhead.
 
 On top of the three relative tiers there is a million-gate sweep tier
 (``10**6 * REPRO_SCALE`` gates) exercising the partitioner and exchange
@@ -116,14 +117,10 @@ def _score_tier(n_gates: int, repeats: int, weights, force_pool: bool) -> dict:
         row[f"{label}_nodes_per_second"] = graph.num_nodes / t
         row[f"{label}_speedup"] = t_single / t
         row["bit_identical"] &= bool(np.array_equal(reference, logits))
-    row["edge_cut"] = partition.edge_cut
     row["imbalance"] = partition.imbalance
     row["cut_edges"] = exchange.cut_edges
     row["exchange_rows_per_layer"] = exchange.exchange_rows
     row["exchange_fraction"] = exchange.exchange_fraction
-    # Under per-layer exchange the one-hop frontier *is* the halo; keep
-    # the historical key so trend tooling sees one continuous series.
-    row["halo_fraction"] = exchange.exchange_fraction
     return row
 
 
@@ -192,7 +189,6 @@ def main(argv: list[str] | None = None) -> dict:
         payload,
         trend_extra={
             "sweep_exchange_fraction": gate_exchange,
-            "halo_fraction": gate_exchange,
             "inprocess_speedups": {
                 str(t["tier"]): t["sharded_inprocess_speedup"] for t in tiers
             },

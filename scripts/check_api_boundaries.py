@@ -68,7 +68,14 @@ Ten rules, all AST-based (comments and strings never false-positive):
    graph, shard round, block-diagonal batch, the OPI flow's row-subset
    patch (``flow/scorer.py``, deliberately not on the list), dense
    ablation — calls the kernel, which is what keeps their float64 logits
-   bit-identical; another transcription of the chain fails here.
+   bit-identical; another transcription of the chain fails here.  So does
+   a second copy of what the kernel is made of: outside
+   ``core/inference.py`` no module may define a function named like one
+   of its parts (``row_stable_matmul``, ``_narrow_matmul``, ``_aggregate``,
+   ``_by_blocks``, ``layer_forward``, ``head_forward``), mention
+   ``BLOCK_ROWS`` (a block loop of its own), or import scipy's
+   ``_sparsetools`` (the windowed SpMM) — the sequential-sum product and
+   the row-block loop exist once.
 
 8. **The flow's predictor contract is declared once.** The ``Predictor``
    alias (``GraphData -> labels``) and the stateful ``Scorer`` protocol
@@ -288,7 +295,9 @@ def http_import_violations(path: Path) -> list[tuple[int, str]]:
 _WEIGHT_FIELDS = {"w_pr", "w_su", "fc_weights", "encoder_weights"}
 #: module -> functions allowed to read them (``None``: anywhere in it)
 _WEIGHT_READERS: dict[Path, set[str] | None] = {
-    PACKAGE / "core" / "inference.py": {"layer_forward", "head_forward"},
+    PACKAGE / "core" / "inference.py": {
+        "layer_forward", "head_forward", "_head_rows",
+    },
     PACKAGE / "core" / "model.py": None,
     PACKAGE / "core" / "aggregators.py": None,
     PACKAGE / "core" / "embedding.py": None,
@@ -320,6 +329,36 @@ def weight_read_violations(path: Path) -> list[tuple[int, str]]:
             visit(child, exempt)
 
     visit(tree, False)
+    return bad
+
+
+#: the one module that holds the row-blocked kernel and its parts
+_KERNEL_MODULE = PACKAGE / "core" / "inference.py"
+_KERNEL_PARTS = {
+    "row_stable_matmul", "_narrow_matmul", "_aggregate", "_by_blocks",
+    "layer_forward", "head_forward",
+}
+
+
+def kernel_copy_violations(path: Path) -> list[tuple[int, str]]:
+    """A kernel part defined, ``BLOCK_ROWS`` mentioned or scipy's
+    ``_sparsetools`` imported in a module other than the kernel's."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in _KERNEL_PARTS:
+                bad.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "BLOCK_ROWS":
+                bad.append((node.lineno, "BLOCK_ROWS"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{m}" for m in modules]
+            if any("_sparsetools" in m.split(".") for m in modules):
+                bad.append((node.lineno, "import of scipy.sparse._sparsetools"))
     return bad
 
 
@@ -458,6 +497,13 @@ def main() -> int:
                 "layer kernel (call repro.core.inference.layer_forward / "
                 "head_forward; Equation (1) is written once)"
             )
+        if path != _KERNEL_MODULE:
+            for lineno, what in kernel_copy_violations(path):
+                violations.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: {what} outside "
+                    "core/inference.py (the narrow product and the row-block "
+                    "loop are written once)"
+                )
     for lineno, what in impure_import_violations(_SCHEDULER):
         violations.append(
             f"{_SCHEDULER.relative_to(ROOT)}:{lineno}: {what} (the scheduler "

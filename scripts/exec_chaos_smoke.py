@@ -83,7 +83,6 @@ def main() -> None:
             worker_timeout=1.0,
         ),
     )
-    fsim.engine._sleep = lambda s: None
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
     oracle = fsim.detection_masks(faults, values, backend="batched")
@@ -205,7 +204,6 @@ def _make_fsim():
             workers=2, shards=4, retry=RETRY, worker_timeout=WORKER_TIMEOUT_S
         ),
     )
-    fsim.engine._sleep = NO_SLEEP
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
     return fsim, faults, values
@@ -226,7 +224,6 @@ def _make_inference():
     )
     engine.retry = RETRY
     engine.worker_timeout = WORKER_TIMEOUT_S
-    engine._sleep = NO_SLEEP
     return engine, graph, oracle
 
 

@@ -15,8 +15,9 @@ with *fault-axis* vectorisation and optional multi-process sharding:
   list is sharded across the execution fabric's fork pool
   (:mod:`repro.exec`), the good-value matrix is passed once per pattern
   batch through a fabric-owned shared-memory segment, and the fabric's
-  supervision ladder applies — worker retry with pool rebuild, then a
-  bit-identical in-process fallback.
+  supervision ladder applies — a failed or silent worker is killed and
+  respawned and its task retried, then a bit-identical in-process
+  fallback.
 
 Both paths produce *bit-identical* results to the serial oracle: every
 evaluation is an exact bitwise gate function of the same operands, only
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -504,7 +504,7 @@ class PpsfpEngine:
 
     Owns the in-process :class:`BatchedConeEngine` and, lazily, a
     fork-pool executor from the execution fabric for the ``parallel``
-    backend.  Worker supervision — retry ladder, pool rebuild, the
+    backend.  Worker supervision — retry ladder, worker respawn, the
     bit-identical batched fallback — lives in :mod:`repro.exec`; this
     engine only describes its shard tasks.
     """
@@ -521,7 +521,6 @@ class PpsfpEngine:
             dense_threshold=self.config.dense_threshold,
         )
         self._executor: Executor | None = None
-        self._sleep = time.sleep
         #: injectable for fault-injection tests (must stay picklable)
         self.worker_fn = _ppsfp_worker_grade
 
@@ -597,7 +596,6 @@ class PpsfpEngine:
             max_workers=self._n_workers(),
             initializer=_ppsfp_worker_init,
             initargs=(payload,),
-            sleep=self._sleep,
             profile=self.config.profile,
         )
 
@@ -663,7 +661,7 @@ class PpsfpEngine:
                 for i, idx in enumerate(bounds)
             ]
             results = self._executor.submit(
-                tasks, policy=self._exec_policy(), sleep=self._sleep
+                tasks, policy=self._exec_policy()
             )
         if self._executor.last_submit_failures:
             failure_counter.inc(self._executor.last_submit_failures)

@@ -389,10 +389,10 @@ class ParallelTrainer(Trainer):
 
     Fault tolerance is delegated to the execution fabric
     (:mod:`repro.exec`): a failed round — a worker raising, dying, or
-    exceeding ``worker_timeout`` — rebuilds the pool and retries only the
-    failed graphs with exponential backoff.  Once ``retry_policy.
-    max_attempts`` rounds are exhausted, the stragglers are computed
-    serially in-process (gradients are identical either way); only if the
+    exceeding ``worker_timeout`` — kills and respawns that worker and
+    retries only the failed graphs with exponential backoff.  Once
+    ``retry_policy.max_attempts`` rounds are exhausted, the stragglers are
+    computed serially in-process (gradients are identical either way); only if the
     serial path fails too does :class:`WorkerFailedError` propagate.
     """
 

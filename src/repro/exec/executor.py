@@ -69,14 +69,8 @@ class Executor:
         self,
         tasks: Sequence[ShardTask],
         policy: ExecPolicy | None = None,
-        sleep=None,
     ) -> list:
-        """Run ``tasks`` and return their results in task order.
-
-        ``sleep`` is accepted for the engines' call sites and unused:
-        the pause between a task's attempts is scheduled on the ladder's
-        clock (:mod:`repro.exec.scheduler`), not slept.
-        """
+        """Run ``tasks`` and return their results in task order."""
         tasks = list(tasks)
         metrics = ensure_exec_metrics()
         start = time.perf_counter()
@@ -99,7 +93,6 @@ class Executor:
         self,
         rounds: Sequence[Sequence[ShardTask]],
         policy: ExecPolicy | None = None,
-        sleep=None,
     ) -> list[list]:
         """Run dependent task rounds in order, a barrier between rounds.
 
@@ -113,7 +106,7 @@ class Executor:
         results: list[list] = []
         failures = 0
         for tasks in rounds:
-            results.append(self.submit(tasks, policy=policy, sleep=sleep))
+            results.append(self.submit(tasks, policy=policy))
             failures += self.last_submit_failures
         self.last_submit_failures = failures
         return results

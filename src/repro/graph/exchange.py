@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.inference import head_forward, layer_forward
+from repro.core.inference import layer_forward
 from repro.core.model import GCNWeights
 from repro.obs.metrics import get_registry
 
@@ -251,14 +251,12 @@ def run_shard_round(
     received from peers); the return value is the owned rows' output.
     The head is row-local, so the last round fuses it when ``with_head``.
     """
-    out = layer_forward(
+    return layer_forward(
         weights,
         layer,
         local_prev[shard.owned_pos],
         shard.pred_rows,
         shard.succ_rows,
         local_prev,
+        with_head,
     )
-    if with_head and layer == weights.depth - 1:
-        out = head_forward(weights, out)
-    return out

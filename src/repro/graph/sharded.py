@@ -31,14 +31,14 @@ run_shard_round`), two drivers:
   layer's slab and write disjoint owned rows into the next, so retries
   are idempotent and the slab swap is the exchange.
 
-Failed rounds follow the fabric's supervision ladder — retry with pool
-rebuild, then per-task in-process rescue (bit-identical, same kernel).
+Failed rounds follow the fabric's supervision ladder — a failed or silent
+worker is killed and respawned and its task retried, then per-task
+in-process rescue (bit-identical, same kernel).
 """
 
 from __future__ import annotations
 
 import pickle
-import time
 
 import numpy as np
 
@@ -212,7 +212,6 @@ class ShardedInference(FastInference):
         self._plan: _Plan | None = None
         self._executor: Executor | None = None
         self._pool_plan: _Plan | None = None
-        self._sleep = time.sleep
 
     def route(self, graph: GraphData) -> "ShardedInference":
         return self
@@ -373,7 +372,6 @@ class ShardedInference(FastInference):
                         for i in range(len(shards))
                     ],
                     policy=self._exec_policy(),
-                    sleep=self._sleep,
                 )
                 if executor.last_submit_failures:
                     *_, failure_counter = _obs()
@@ -404,7 +402,6 @@ class ShardedInference(FastInference):
             max_workers=max(1, self.execution.resolved_workers()),
             initializer=_exchange_worker_init,
             initargs=(payload,),
-            sleep=self._sleep,
             profile=self.execution.profile,
         )
 
@@ -485,9 +482,7 @@ class ShardedInference(FastInference):
                         for i in range(len(shards))
                     ]
                 )
-            executor.submit_rounds(
-                rounds, policy=self._exec_policy(), sleep=self._sleep
-            )
+            executor.submit_rounds(rounds, policy=self._exec_policy())
             if executor.last_submit_failures:
                 failure_counter.inc(executor.last_submit_failures)
             final = slabs[self.weights.depth % 2].array

@@ -326,7 +326,6 @@ class TestParallelBackend:
     def test_worker_failure_falls_back_batched(self):
         nl = generate_design(n_gates=80, seed=22)
         fsim = FaultSimulator(nl, config=PpsfpConfig(workers=2, shards=2))
-        fsim.engine._sleep = lambda s: None
         fsim.engine.worker_fn = _crashing_worker
         rng = np.random.default_rng(1)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
@@ -346,7 +345,6 @@ class TestParallelBackend:
         fsim = FaultSimulator(
             nl, config=PpsfpConfig(workers=1, shards=1, serial_fallback=False)
         )
-        fsim.engine._sleep = lambda s: None
         fsim.engine.worker_fn = _crashing_worker
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))

@@ -105,7 +105,6 @@ def fault_sim_case():
             worker_timeout=WORKER_TIMEOUT_S,
         ),
     )
-    fsim.engine._sleep = NO_SLEEP
     rng = np.random.default_rng(2)
     values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
     faults = full_fault_list(nl)
@@ -154,7 +153,6 @@ class TestInferenceChaos:
         ) as engine:
             engine.retry = FAST_RETRY
             engine.worker_timeout = WORKER_TIMEOUT_S
-            engine._sleep = NO_SLEEP
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 logits = engine.logits(graph)

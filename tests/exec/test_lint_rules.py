@@ -1,9 +1,11 @@
-"""The two execution-fabric lint rules hold, and can fail.
+"""The lint rules with should-fail fixtures hold, and can fail.
 
 ``scripts/check_api_boundaries.py`` rules 9 (the scheduler imports no
-clock, socket, thread, process or pickle) and 10 (``pickle.loads``
-appears under ``repro/exec`` only in ``net.unpickle``).  Each rule gets a
-should-fail fixture so a vacuous pass is impossible.
+clock, socket, thread, process or pickle), 10 (``pickle.loads`` appears
+under ``repro/exec`` only in ``net.unpickle``) and the kernel half of 7
+(the narrow product and the row-block loop are defined only in
+``core/inference.py``).  Each rule gets a should-fail fixture so a
+vacuous pass is impossible.
 """
 
 from __future__ import annotations
@@ -82,3 +84,46 @@ def test_only_the_codecs_unpickle_function_is_exempt(tmp_path):
     )
     assert lint.pickle_load_violations(codec, codec=True) == [(5, "pickle.loads")]
     assert len(lint.pickle_load_violations(codec, codec=False)) == 2
+
+
+def test_the_kernel_exists_once():
+    for path in sorted(lint.PACKAGE.rglob("*.py")):
+        if path != lint._KERNEL_MODULE:
+            assert lint.kernel_copy_violations(path) == [], path
+    # ...and the rule is looking at the real thing.
+    found = {what for _, what in lint.kernel_copy_violations(lint._KERNEL_MODULE)}
+    assert {"def _narrow_matmul", "def _by_blocks", "BLOCK_ROWS",
+            "import of scipy.sparse._sparsetools"} <= found
+
+
+@pytest.mark.parametrize(
+    "source,line,what",
+    [
+        ("def _narrow_matmul(a, b):\n    return a @ b\n", 1, "def _narrow_matmul"),
+        ("class E:\n    def layer_forward(self):\n        pass\n", 2,
+         "def layer_forward"),
+        ("from repro.core import inference\nfor lo in range(0, 9, inference.BLOCK_ROWS):\n"
+         "    pass\n", 2, "BLOCK_ROWS"),
+        ("BLOCK_ROWS = 64\n", 1, "BLOCK_ROWS"),
+        ("from scipy.sparse._sparsetools import csr_matvecs\n", 1,
+         "import of scipy.sparse._sparsetools"),
+        ("x = 1\nfrom scipy.sparse import _sparsetools\n", 2,
+         "import of scipy.sparse._sparsetools"),
+    ],
+)
+def test_second_kernel_is_caught(tmp_path, source, line, what):
+    bad = tmp_path / "engine.py"
+    bad.write_text(source)
+    assert lint.kernel_copy_violations(bad) == [(line, what)]
+
+
+def test_calling_the_kernel_passes(tmp_path):
+    ok = tmp_path / "engine.py"
+    ok.write_text(
+        "from repro.core.inference import head_forward, layer_forward\n"
+        "import scipy.sparse as sp\n"
+        "def run(w, h, p, s):\n"
+        "    # BLOCK_ROWS, def _by_blocks\n"
+        "    return head_forward(w, layer_forward(w, 0, h, p, s, h))\n"
+    )
+    assert lint.kernel_copy_violations(ok) == []

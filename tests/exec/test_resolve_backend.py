@@ -77,7 +77,6 @@ def _run_fault_sim(monkeypatch, explicit):
             workers=1, shards=1, retry=FAST_RETRY, exec_backend=explicit
         ),
     ) as fsim:
-        fsim.engine._sleep = NO_SLEEP
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         fsim.detection_masks(
@@ -97,7 +96,6 @@ def _run_inference(monkeypatch, explicit):
         ExecutionConfig(shards=2, workers=2, exec_backend=explicit or "auto"),
     ) as engine:
         engine.retry = FAST_RETRY
-        engine._sleep = NO_SLEEP
         engine.logits(graph)
     return seen.get("backend", "inprocess")
 

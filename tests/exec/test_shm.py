@@ -226,7 +226,6 @@ class TestEngineKillRegression:
                 retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             ),
         )
-        fsim.engine._sleep = lambda s: None
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         faults = full_fault_list(nl)
