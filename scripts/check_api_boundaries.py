@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries and deprecated-kwarg hygiene.
 
-Ten rules, all AST-based (comments and strings never false-positive):
+Eleven rules, all AST-based (comments and strings never false-positive):
 
 1. **Examples are facade-only.** Files under ``examples/`` may import from
    the ``repro`` namespace only via ``repro.api`` (``from repro.api import
@@ -96,6 +96,14 @@ Ten rules, all AST-based (comments and strings never false-positive):
     either by name) may appear only in ``net.py``'s ``unpickle``, which
     the frame codec reaches after the HMAC tag verified; every nested
     blob goes through it.  A second call site is a way around the check.
+
+11. **The netlist's representation has one owner.** Under ``src/repro``
+    no module but ``circuit/netlist.py`` may touch ``._types`` /
+    ``._fanins`` / ``._fanouts`` / ``._names`` / ``._name_to_id``: a
+    loaded :class:`Netlist` is arrays until one of those is asked for,
+    and a module that pops or patches them by hand skips the version
+    bump that guards every memoised view.  Callers use the accessors and
+    mutators (``remove_last_cell``, ``add_flop``, ``given_name``, ...).
 
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
@@ -452,6 +460,21 @@ def pickle_load_violations(path: Path, codec: bool) -> list[tuple[int, str]]:
     return bad
 
 
+#: the one module that owns the netlist's per-cell containers (rule 11)
+_NETLIST_MODULE = PACKAGE / "circuit" / "netlist.py"
+_NETLIST_PRIVATE = {"_types", "_fanins", "_fanouts", "_names", "_name_to_id"}
+
+
+def netlist_private_violations(path: Path) -> list[tuple[int, str]]:
+    """Reads or writes of the netlist's per-cell containers."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        (node.lineno, f".{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _NETLIST_PRIVATE
+    ]
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -504,6 +527,13 @@ def main() -> int:
                     "core/inference.py (the narrow product and the row-block "
                     "loop are written once)"
                 )
+        if path != _NETLIST_MODULE:
+            for lineno, what in netlist_private_violations(path):
+                violations.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: {what} outside "
+                    "circuit/netlist.py (use the Netlist accessors and "
+                    "mutators; the per-cell lists have one owner)"
+                )
     for lineno, what in impure_import_violations(_SCHEDULER):
         violations.append(
             f"{_SCHEDULER.relative_to(ROOT)}:{lineno}: {what} (the scheduler "
@@ -530,7 +560,8 @@ def main() -> int:
         "layer/head weights read only by the Equation (1) kernel; "
         "Predictor/Scorer declared once, in repro.flow.scorer; "
         "the exec scheduler imports no clock or I/O; "
-        "repro.exec unpickles only in net.unpickle"
+        "repro.exec unpickles only in net.unpickle; "
+        "Netlist's per-cell lists touched only by circuit/netlist.py"
     )
     return 0
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import gc
 import io
 import re
-from contextlib import contextmanager
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import not_
 from pathlib import Path
 
@@ -48,6 +47,9 @@ _GATE_NAMES = {
     "DFF": GateType.DFF,
 }
 
+#: the same as plain integers, which fill an array four times faster
+_GATE_CODES = {name: int(gate_type) for name, gate_type in _GATE_NAMES.items()}
+
 _TYPE_TO_BENCH = {
     GateType.AND: "AND",
     GateType.NAND: "NAND",
@@ -74,63 +76,68 @@ _LINE_RE = re.compile(
     r")?[^\S\n]*(?:#[^\n]*)?$",
     re.MULTILINE,
 )
+#: where ``str.splitlines`` ends a line and the pattern's ``$`` does not
+_OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 _DFF = int(GateType.DFF)
 _T = GateType
-_MULTI_INPUT = gate_table(
-    dict.fromkeys((_T.AND, _T.NAND, _T.OR, _T.NOR, _T.XOR, _T.XNOR), 1)
-).astype(bool)
-
-
-@contextmanager
-def _collector_paused():
-    """Hold off the cyclic garbage collector while a netlist is built.
-
-    Parsing allocates several container objects per gate and none of them
-    is part of a cycle, but every few hundred allocations count towards a
-    collection that walks the growing heap: 0.40 s against 0.25 s for one
-    50k-gate parse.  Only the thread that found the collector enabled
-    re-enables it, so overlapping parses cannot leave it off.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+#: pins a gate must have: none, exactly one, or (coded 2) two or more
+_PIN_RULE = gate_table(
+    {**dict.fromkeys((_T.INPUT, _T.CONST0, _T.CONST1), 0),
+     **dict.fromkeys((_T.BUF, _T.NOT, _T.DFF, _T.OBS), 1)},
+    default=2,
+)
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse ``.bench`` text into a :class:`Netlist`.
 
     Signals may be used before definition (the format permits any line
-    order): inputs are numbered first, in declaration order, then gates in
-    dependency order — the order a depth-first walk from each assignment
-    in turn finishes them, a ``DFF`` being numbered *before* its data cone
-    so that sequential loops close.  A file already listed that way (every
-    writer's output is) is recognised by one array comparison; otherwise
-    :func:`_dependency_order` walks it.  The netlist is then built in bulk
-    from arrays rather than cell by cell.
+    order).  Node ids: inputs first, in declaration order, then gates in
+    the order a depth-first walk from each assignment in turn, in line
+    order, finishes them — a ``DFF`` counting as a source, finished the
+    moment it is met and its data pin not followed, so that sequential
+    loops (ISCAS-89) close.  Hence a file whose combinational gates all
+    follow their drivers keeps declaration order, wherever its flops'
+    data comes from, and ``parse(write(netlist))`` keeps every id of a
+    netlist numbered that way.  Fan-out lists hold sinks in ascending id.
+
+    The text goes straight to arrays (:class:`NetlistStructure` plus a
+    name table); the netlist builds per-cell lists only if asked.
     """
-    with _collector_paused():
-        return _parse(text, name)
 
+    def fail(message: str, gate: int | None = None):
+        if gate is not None:
+            line = next(islice(compress(count(1), gate_names), gate, None))
+            message = f"line {line}: {message}"
+        raise BenchParseError(message)
 
-def _parse(text: str, name: str) -> Netlist:
-    # Three steps, each a function so that its temporaries (the larger part
-    # of a parse's memory) are gone before the next one allocates.
-    return _build(name, *_number(*_tokenise(text)))
+    # The cyclic collector is held off meanwhile.  Parsing allocates a few
+    # strings and tuples per gate and none of them is part of a cycle, but
+    # every few hundred allocations count towards a collection that walks
+    # the growing heap: 0.40 s against 0.25 s for one 50k-gate parse.  Only
+    # the thread that found the collector enabled re-enables it, so
+    # overlapping parses cannot leave it off.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        *columns, gate_names = _tokenise(text)
+        return _build(name, *_number(*columns, fail))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _tokenise(text: str):
-    """Text -> declared inputs and outputs, and one column per gate field.
+    """Text -> the arguments of :func:`_number`, and the gate-name column.
 
-    ``pins`` is flat, ``arity[g]`` of its entries belonging to gate ``g``.
-    Raises on the first malformed line or redefined signal.
+    The column has one entry per line (empty off gate lines) and is what
+    turns a gate's index back into a line number.  Raises on the first
+    malformed line or redefined signal.
     """
-    # splitlines() knows more line boundaries than the pattern's ``$``.
-    rows = _LINE_RE.findall("\n".join(text.splitlines()))
+    if any(map(text.__contains__, _OTHER_LINE_BREAKS)):
+        text = "\n".join(text.splitlines())
+    rows = _LINE_RE.findall(text)
     keywords, io_signals, signals, gate_names, pin_texts, junk = zip(*rows)
 
     io_signals = list(map(str.strip, compress(io_signals, keywords)))
@@ -138,95 +145,77 @@ def _tokenise(text: str):
     inputs = list(compress(io_signals, is_input))
     outputs = list(compress(io_signals, map(not_, is_input)))
 
-    gate_lines = list(compress(count(1), gate_names))
     signals = list(compress(signals, gate_names))
-    codes = list(map(_GATE_NAMES.get, map(str.upper, filter(None, gate_names))))
-    pin_lists = list(map(str.split, compress(pin_texts, gate_names), repeat(",")))
-    pins = list(map(str.strip, chain.from_iterable(pin_lists)))
-    if "" in pins:  # empty pins are dropped: ``AND(a,,b)`` has two
-        pin_lists = [[p for p in map(str.strip, row) if p] for row in pin_lists]
+    codes = list(map(_GATE_CODES.get, filter(None, gate_names)))
+    if None in codes:  # or not spelt in capitals
+        codes = list(map(_GATE_CODES.get, map(str.upper, filter(None, gate_names))))
+    pin_texts = list(compress(pin_texts, gate_names))
+    # One split for the whole file.  Writers put ", " between pins: with
+    # the blank gone first, strip() hands most pins back as they are.
+    pins = list(map(str.strip, ",".join(pin_texts).replace(", ", ",").split(",")))
+    arity = np.fromiter(map(str.count, pin_texts, repeat(",")), np.int64, len(pin_texts)) + 1
+    if "" in pins:  # empty pins are dropped: ``AND(a,,b)`` has two, ``DFF()`` none
+        pin_lists = [[p for p in map(str.strip, row.split(",")) if p] for row in pin_texts]
         pins = list(chain.from_iterable(pin_lists))
+        arity = list(map(len, pin_lists))
 
-    if (
-        any(junk)
-        or None in codes
-        or len(set(signals)) != len(signals)
-        or not set(inputs).isdisjoint(signals)
-    ):
+    names = inputs + signals
+    declared = dict(zip(names, range(len(names))))
+    if any(junk) or None in codes or len(declared) != len(names):
         _raise_line_error(rows, inputs)
-    if len(set(inputs)) != len(inputs):
-        _raise_duplicate(inputs)
-    return inputs, outputs, signals, gate_lines, codes, list(map(len, pin_lists)), pins
+    return declared, len(inputs), outputs, codes, arity, pins, gate_names
 
 
-def _number(inputs, outputs, signals, gate_lines, codes, arity, pins):
+def _number(declared, n_inputs, outputs, codes, arity, pins, fail):
     """Resolve signal names and decide every signal's node id.
 
-    Signals are indexed by declaration here — inputs, then gates in line
-    order; inputs own no pins.  Returns the names, type codes, pin CSR
-    (``pin_ptr``, ``drivers``) in that indexing, ``node_of`` (declaration
-    index -> node id), ``wired`` (see :func:`_dependency_order`) and the
-    declaration indices of the outputs.
+    Shared with the Verilog reader.  ``declared`` maps each signal to its
+    declaration index — the inputs, then the gates in statement order, of
+    which ``codes`` and ``arity`` hold the type code and pin count and
+    ``pins`` the driving signals, flat.  ``fail(message, gate=None)``
+    raises the front end's error, locating gate ``gate`` when given.
+    Returns the names, type codes, pin CSR (``pin_ptr``, ``drivers``) in
+    declaration indexing, ``node_of`` (declaration index -> node id, or
+    ``None`` when they are equal) and the declaration indices of the
+    outputs.
     """
-    n_inputs = len(inputs)
-    names = inputs + signals
+    names = list(declared)
     n = len(names)
-    declared = dict(zip(names, range(n)))
     drivers = list(map(declared.get, pins))
-    marks = list(map(declared.get, outputs))
+    if None in drivers:
+        drivers = [-1 if d is None else d for d in drivers]
+    drivers = np.fromiter(drivers, np.int64, len(drivers))
+    marks = np.array([declared.get(o, -1) for o in outputs], dtype=np.int64)
 
-    types = np.zeros(n, dtype=np.int64)
+    types, pin_counts = np.zeros((2, n), dtype=np.int64)  # inputs: code 0, no pins
     types[n_inputs:] = codes
-    arity = np.array(arity, dtype=np.int64)
-    pin_ptr = np.concatenate((np.zeros(n_inputs, dtype=np.int64), counts_to_ptr(arity)))
-    listed_in_order = None not in drivers and bool(
-        np.where(_MULTI_INPUT[types[n_inputs:]], arity >= 2, arity == 1).all()
-    )
-    if listed_in_order:
-        drivers = np.array(drivers, dtype=np.int64)
-        sinks = np.repeat(np.arange(n), np.diff(pin_ptr))
-        flop_loop = (drivers == sinks) & (types[sinks] == _DFF)
-        listed_in_order = bool(((drivers < sinks) | flop_loop).all())
-    if listed_in_order:
-        node_of = np.arange(n)
-        wired = np.arange(n_inputs, n)
-    else:
-        node_of, wired = _dependency_order(
-            n_inputs, types.tolist(), pin_ptr.tolist(), drivers, pins, gate_lines
-        )
-        node_of = np.array(node_of, dtype=np.int64)
-        wired = np.array(wired, dtype=np.int64)
-        drivers = np.array(drivers, dtype=np.int64)
-    if None in marks:
-        raise BenchParseError(f"output {outputs[marks.index(None)]!r} is never driven")
-    return names, types, pin_ptr, drivers, node_of, wired, np.array(marks, dtype=np.int64)
+    pin_counts[n_inputs:] = arity
+    pin_ptr = counts_to_ptr(pin_counts)
+    rule = _PIN_RULE[types]
+    arity_ok = np.where(rule == 2, pin_counts >= 2, pin_counts == rule)
+    sinks = np.repeat(np.arange(n), pin_counts)
+    # Nothing to reorder when every combinational gate follows its drivers.
+    node_of = None
+    in_order = (drivers >= 0) & ((drivers < sinks) | (types[sinks] == _DFF))
+    if not (arity_ok.all() and in_order.all()):
+        as_lists = (a.tolist() for a in (types, arity_ok, pin_ptr, drivers))
+        node_of = _dependency_order(n_inputs, *as_lists, pins, fail)
+    if (marks < 0).any():
+        fail(f"output {outputs[int(np.argmin(marks))]!r} is never driven")
+    return names, types, pin_ptr, drivers, node_of, marks
 
 
-def _build(name, names, types, pin_ptr, drivers, node_of, wired, marks) -> Netlist:
-    """Renumber the declaration-indexed arrays and bulk-build the netlist.
-
-    Rows of the fan-in CSR go in node order; rows of the fan-out CSR list
-    sinks in the order their pins were wired.
-    """
-    n = len(names)
-    declared_as = np.argsort(node_of)
-    positions, counts = expand_rows(pin_ptr, declared_as)
-    fanin_ptr = counts_to_ptr(counts)
-    fanin_idx = node_of[drivers[positions]]
-    positions, counts = expand_rows(pin_ptr, wired)
-    wire_driver = node_of[drivers[positions]]
-    by_driver = np.argsort(wire_driver, kind="stable")
-    fanout_ptr = counts_to_ptr(np.bincount(wire_driver, minlength=n))
-    fanout_idx = np.repeat(node_of[wired], counts)[by_driver]
-    structure = NetlistStructure(
-        types[declared_as], fanin_ptr, fanin_idx, fanout_ptr, fanout_idx
-    )
-    return Netlist.from_structure(
-        name,
-        structure,
-        list(map(names.__getitem__, declared_as.tolist())),
-        node_of[marks].tolist(),
-    )
+def _build(name, names, types, pin_ptr, drivers, node_of, marks) -> Netlist:
+    """Renumber the declaration-indexed arrays and hand them to a netlist."""
+    if node_of is not None:
+        declared_as = np.empty_like(node_of)
+        declared_as[node_of] = np.arange(len(node_of))
+        positions, counts = expand_rows(pin_ptr, declared_as)
+        types, pin_ptr = types[declared_as], counts_to_ptr(counts)
+        drivers, marks = node_of[drivers[positions]], node_of[marks]
+        names = list(map(names.__getitem__, declared_as.tolist()))
+    structure = NetlistStructure.from_fanins(types, pin_ptr, drivers)
+    return Netlist.from_structure(name, structure, names, marks.tolist())
 
 
 def _raise_line_error(rows: list[tuple[str, ...]], inputs: list[str]) -> None:
@@ -241,10 +230,6 @@ def _raise_line_error(rows: list[tuple[str, ...]], inputs: list[str]) -> None:
             if signal in defined:
                 raise BenchParseError(f"line {lineno}: signal {signal!r} redefined")
             defined.add(signal)
-    raise AssertionError("no offending line found")  # pragma: no cover
-
-
-def _raise_duplicate(inputs: list[str]) -> None:
     seen: set[str] = set()
     for signal in inputs:
         if signal in seen:
@@ -252,46 +237,25 @@ def _raise_duplicate(inputs: list[str]) -> None:
         seen.add(signal)
 
 
-def _dependency_order(
-    n_inputs: int,
-    types: list[int],
-    pin_ptr: list[int],
-    drivers: list[int | None],
-    pins: list[str],
-    gate_lines: list[int],
-) -> tuple[list[int], list[int]]:
+def _dependency_order(n_inputs, types, arity_ok, pin_ptr, drivers, pins, fail) -> np.ndarray:
     """Number the gates of a file listed in any order, and check its pins.
 
-    A depth-first walk from each assignment in line order, on an explicit
-    stack (chains run thousands deep).  Returns ``node_of`` (declaration
-    index -> node id) and ``wired``, the gates in the order their pins
-    join their drivers' fan-out lists: a gate when its fanins are done, a
-    ``DFF`` when its data cone is — later than its number says.
+    The walk of :func:`parse_bench`'s numbering rule, on an explicit stack
+    (chains run thousands deep), over :func:`_number`'s arrays as lists.
+    Returns ``node_of``: declaration index -> node id.
     """
     n = len(types)
     node_of = list(range(n_inputs)) + [-1] * (n - n_inputs)
-    wired: list[int] = []
     open_gates = bytearray(n)
     stack: list[int] = []
     cursors: list[int] = []  #: next pin to look at, per stack entry
     next_id = n_inputs
 
-    def number(gate: int) -> None:
-        nonlocal next_id
-        first, last = pin_ptr[gate], pin_ptr[gate + 1]
-        try:
-            Netlist._check_arity(GateType(types[gate]), pins[first:last])
-        except ValueError as exc:
-            raise BenchParseError(f"line {gate_lines[gate - n_inputs]}: {exc}") from exc
-        node_of[gate] = next_id
-        next_id += 1
-
     def enter(gate: int) -> None:
         open_gates[gate] = 1
-        if types[gate] == _DFF:
-            number(gate)
         stack.append(gate)
-        cursors.append(pin_ptr[gate])
+        # A flop's data pin is checked below, not followed.
+        cursors.append(pin_ptr[gate + 1 if types[gate] == _DFF else gate])
 
     for root in range(n_inputs, n):
         if node_of[root] >= 0:
@@ -299,24 +263,31 @@ def _dependency_order(
         enter(root)
         while stack:
             gate, cursor = stack[-1], cursors[-1]
-            if cursor < pin_ptr[gate + 1]:
+            last = pin_ptr[gate + 1]
+            if cursor < last:
                 cursors[-1] = cursor + 1
                 driver = drivers[cursor]
-                if driver is None:
-                    raise BenchParseError(f"signal {pins[cursor]!r} used but never defined")
+                if driver < 0:
+                    fail(f"signal {pins[cursor]!r} used but never defined")
                 if node_of[driver] >= 0:
                     continue
                 if open_gates[driver]:
-                    raise BenchParseError(f"combinational loop through {pins[cursor]!r}")
+                    fail(f"combinational loop through {pins[cursor]!r}")
                 enter(driver)
-            else:
-                stack.pop()
-                cursors.pop()
-                if types[gate] != _DFF:
-                    number(gate)
-                wired.append(gate)
-                open_gates[gate] = 0
-    return node_of, wired
+                continue
+            stack.pop()
+            cursors.pop()
+            open_gates[gate] = 0
+            if not arity_ok[gate]:
+                try:
+                    Netlist._check_arity(GateType(types[gate]), pins[pin_ptr[gate]:last])
+                except ValueError as exc:
+                    fail(str(exc), gate - n_inputs)
+            if types[gate] == _DFF and drivers[last - 1] < 0:
+                fail(f"signal {pins[last - 1]!r} used but never defined")
+            node_of[gate] = next_id
+            next_id += 1
+    return np.array(node_of, dtype=np.int64)
 
 
 def load_bench(path: str | Path) -> Netlist:

@@ -127,9 +127,9 @@ def _levelize_frontier(structure: NetlistStructure) -> Levelization:
     """Kahn's algorithm one whole level per step.
 
     Reproduces the first-in first-out order of :func:`_levelize_scalar`:
-    a node joins the queue when its last fanin is dequeued, so within the
-    next level nodes are ordered by the position of their last incoming
-    wire among the wires leaving the current level.
+    a node joins the queue when its last fanin is dequeued, so the next
+    level is the sinks the current one releases, each where the last of its
+    wires stands among the wires leaving the current level.
     """
     n = structure.num_nodes
     combinational = ~_IS_SOURCE[structure.types]
@@ -140,19 +140,22 @@ def _levelize_frontier(structure: NetlistStructure) -> Levelization:
     out_ptr = counts_to_ptr(followed)[structure.fanout_ptr]
 
     levels = np.zeros(n, dtype=np.int64)
+    last_wire = np.empty(n, dtype=np.int64)  #: scratch, per released sink
     buckets = []
     frontier = np.flatnonzero(indegree == 0)
     while frontier.size:
         levels[frontier] = len(buckets)
         buckets.append(frontier)
         positions, _ = expand_rows(out_ptr, frontier)
-        # Reversed, so that ``first`` locates each sink's *last* wire.
-        sinks, first, wires = np.unique(
-            out_idx[positions][::-1], return_index=True, return_counts=True
-        )
-        indegree[sinks] -= wires
-        released = indegree[sinks] == 0
-        frontier = sinks[released][np.argsort(first[released])[::-1]]
+        sinks = out_idx[positions]
+        np.subtract.at(indegree, sinks, 1)
+        # Only the released sinks need ordering, and wire order is it; one
+        # released over several wires is kept at the last (a repeated
+        # index keeps the last value assigned).
+        released = sinks[indegree[sinks] == 0]
+        wire = np.arange(released.size)
+        last_wire[released] = wire
+        frontier = released[last_wire[released] == wire]
     order = np.concatenate(buckets) if buckets else np.zeros(0, dtype=np.int64)
     if len(order) != n:
         raise _loop_error(indegree.tolist())

@@ -1,11 +1,16 @@
 """Gate-level netlist container.
 
 A :class:`Netlist` is a directed graph whose nodes are cells and whose edges
-are wires, exactly the representation the paper feeds to the GCN.  The
-container is append-only (cells are never removed), which matches how the
-observation-point-insertion flow mutates a design and keeps node ids stable
-across insertions — a property the incremental COO update in
+are wires, exactly the representation the paper feeds to the GCN.  Cells
+are appended (and only the newest one is ever dropped again), which matches
+how the observation-point-insertion flow mutates a design and keeps node
+ids stable across insertions — a property the incremental COO update in
 :mod:`repro.flow.modify` relies on.
+
+The mutation API works on per-cell Python lists.  A netlist loaded in bulk
+(:meth:`Netlist.from_structure`, what the parsers call) starts out as the
+arrays it was given and builds those lists the first time an accessor or a
+mutation asks for them; loading, validating and scoring never do.
 """
 
 from __future__ import annotations
@@ -21,6 +26,27 @@ from repro.circuit.structure import NetlistStructure, csr_to_rows, rows_to_csr
 __all__ = ["Netlist"]
 
 _GATE_TYPES = tuple(GateType)  #: indexable by type code (codes are 0..len-1)
+_PER_CELL = ("_types", "_fanins", "_fanouts", "_names", "_name_to_id")
+
+
+class _BuiltOnFirstUse:
+    """A per-cell container of :class:`Netlist`, as seen from the class.
+
+    A netlist in array form has no such instance attribute, so the lookup
+    lands here, the lists are built and from then on shadow this
+    descriptor.  (Not ``__getattr__``: a class that defines it loses the
+    interpreter's attribute fast paths on every instance, 8 % on the
+    cell-by-cell sweeps.)
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __get__(self, netlist, owner=None):
+        if netlist is None:
+            return self
+        netlist._build_lists()
+        return getattr(netlist, self._name)
 
 
 class Netlist:
@@ -34,14 +60,19 @@ class Netlist:
     special-case sequential cells.
     """
 
+    _types, _fanins, _fanouts, _names, _name_to_id = map(_BuiltOnFirstUse, _PER_CELL)
+
     def __init__(self, name: str = "design") -> None:
         self.name = name
         self._types: list[GateType] = []
         self._fanins: list[list[int]] = []
         self._fanouts: list[list[int]] = []
         self._names: list[str | None] = []
-        self._po_marks: set[int] = set()
         self._name_to_id: dict[str, int] = {}
+        #: ``(structure, names)`` while the containers above are still to
+        #: be built from it, else ``None``
+        self._loaded: tuple[NetlistStructure, list[str | None]] | None = None
+        self._po_marks: set[int] = set()
         #: monotonically increasing structural-mutation counter; guards the
         #: derived values memoised by :meth:`cached`.
         self._version: int = 0
@@ -53,27 +84,41 @@ class Netlist:
         cls,
         name: str,
         structure: NetlistStructure,
-        names: list[str],
+        names: list[str | None],
         outputs: Iterable[int],
     ) -> "Netlist":
-        """Bulk-build a fully named netlist from its array view.
+        """Bulk-build a netlist from its array view and name table.
 
         The caller vouches for what :meth:`add_cell` would have checked
         (arities, fanin ids in range, unique names, fan-out rows matching
-        the fan-in rows); ``structure`` becomes the memoised view.
+        the fan-in rows) and leaves both arguments alone afterwards;
+        ``structure`` becomes the memoised view.  No per-cell object is
+        built until something asks for one.
         """
         netlist = cls(name)
-        netlist._types = list(map(_GATE_TYPES.__getitem__, structure.types.tolist()))
-        netlist._fanins = csr_to_rows(structure.fanin_ptr, structure.fanin_idx)
-        netlist._fanouts = csr_to_rows(structure.fanout_ptr, structure.fanout_idx)
-        netlist._names = list(names)
-        netlist._name_to_id = dict(zip(names, range(len(names))))
+        for attr in _PER_CELL:
+            delattr(netlist, attr)
+        netlist._loaded = (structure, names)
         netlist._po_marks = set(outputs)
         # One mutation per cell and per output mark, as if built cell by cell.
         netlist._version = len(names) + len(netlist._po_marks)
         netlist._cache = {"structure": structure}
         netlist._cache_version = netlist._version
         return netlist
+
+    def _build_lists(self) -> None:
+        """Leave array form: build the per-cell containers from ``_loaded``.
+
+        Not for two threads to trigger at once on one netlist.
+        """
+        structure, names = self._loaded
+        self._types = list(map(_GATE_TYPES.__getitem__, structure.types.tolist()))
+        self._fanins = csr_to_rows(structure.fanin_ptr, structure.fanin_idx)
+        self._fanouts = csr_to_rows(structure.fanout_ptr, structure.fanout_idx)
+        self._names = list(names)
+        self._name_to_id = dict(zip(names, range(len(names))))
+        self._name_to_id.pop(None, None)
+        self._loaded = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -112,6 +157,38 @@ class Netlist:
         """Append a primary input."""
         return self.add_cell(GateType.INPUT, (), name)
 
+    def add_flop(self, name: str | None = None) -> int:
+        """Append a ``DFF`` that captures its own output; return its id.
+
+        For builders that meet a flop before its data cone exists: wire the
+        real driver later with ``replace_fanin(flop, flop, driver)``.
+        """
+        node = self.add_cell(GateType.INPUT, (), name)
+        self._types[node] = GateType.DFF
+        self._fanins[node].append(node)
+        self._fanouts[node].append(node)
+        return node
+
+    def remove_last_cell(self) -> None:
+        """Drop the newest cell, which must drive nothing (undoes ``add_cell``)."""
+        if not self._types or self._fanouts[-1]:
+            raise ValueError("the newest cell is missing or still drives a pin")
+        node = len(self._types) - 1
+        self._version += 1
+        self._types.pop()
+        self._fanouts.pop()
+        for driver in self._fanins.pop():
+            sinks = self._fanouts[driver]
+            # Last in its drivers' rows unless a rewire reordered them.
+            if sinks[-1] == node:
+                sinks.pop()
+            else:
+                sinks.remove(node)
+        name = self._names.pop()
+        if name is not None:
+            del self._name_to_id[name]
+        self._po_marks.discard(node)
+
     def mark_output(self, node: int) -> None:
         """Mark ``node`` as a primary output (idempotent)."""
         self._validate_node(node)
@@ -133,7 +210,7 @@ class Netlist:
                 raise ValueError(f"{gate_type.name} takes >=2 fanins, got {n}")
 
     def _validate_node(self, node: int) -> None:
-        if not 0 <= node < len(self._types):
+        if not 0 <= node < self.num_nodes:
             raise ValueError(f"node id {node} does not exist")
 
     # ------------------------------------------------------------------ #
@@ -144,10 +221,14 @@ class Netlist:
 
     @property
     def num_nodes(self) -> int:
+        if self._loaded is not None:
+            return self._loaded[0].num_nodes
         return len(self._types)
 
     @property
     def num_edges(self) -> int:
+        if self._loaded is not None:
+            return len(self._loaded[0].fanin_idx)
         return sum(len(f) for f in self._fanins)
 
     def gate_type(self, node: int) -> GateType:
@@ -158,6 +239,10 @@ class Netlist:
 
     def fanouts(self, node: int) -> list[int]:
         return self._fanouts[node]
+
+    def given_name(self, node: int) -> str | None:
+        """The name ``node`` was created with, if any (for rebuilding it elsewhere)."""
+        return self._names[node]
 
     def cell_name(self, node: int) -> str:
         explicit = self._names[node]
@@ -206,6 +291,8 @@ class Netlist:
         These are the nodes whose values the tester sees; fault effects must
         reach one of them to be detected.
         """
+        if self._loaded is not None:
+            return sorted(self._po_marks.union(self._loaded[0].scan_captured().tolist()))
         observed = set(self._po_marks)
         for v, t in enumerate(self._types):
             if t in (GateType.DFF, GateType.OBS):
@@ -226,10 +313,12 @@ class Netlist:
     def note_external_mutation(self) -> None:
         """Invalidate cached structural state after out-of-band edits.
 
-        Code that reaches into the private lists directly (the incremental
-        OPI rollback does) must call this so :meth:`fingerprint` and
+        Code that writes to the private lists directly (tests building
+        illegal netlists do) must call this so :meth:`fingerprint` and
         :meth:`structure` never serve content that has since changed.
         """
+        if self._loaded is not None:
+            self._build_lists()  # the lists are the authority from here on
         self._version += 1
 
     def cached(self, key: str, build: Callable[[], object]):
@@ -248,6 +337,8 @@ class Netlist:
         return self.cached("structure", self._build_structure)
 
     def _build_structure(self) -> NetlistStructure:
+        if self._loaded is not None:
+            return self._loaded[0]
         fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
         fanout_ptr, fanout_idx = rows_to_csr(self._fanouts)
         types = np.fromiter(self._types, dtype=np.int64, count=len(self._types))
@@ -265,11 +356,18 @@ class Netlist:
         return self.cached("fingerprint", self._build_fingerprint)
 
     def _build_fingerprint(self) -> str:
-        # Not via structure(): the OPI loop fingerprints after every tentative
-        # insertion and needs neither the fan-out half nor the type array.
-        fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
+        if self._loaded is not None:
+            structure = self._loaded[0]
+            types = structure.types.astype(np.int16)
+            fanin_ptr, fanin_idx = structure.fanin_ptr, structure.fanin_idx
+        else:
+            # Not via structure(): the OPI loop fingerprints after every
+            # tentative insertion and needs neither the fan-out half nor
+            # an int64 type array.
+            types = np.array(self._types, dtype=np.int16)
+            fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
         h = hashlib.sha256()
-        h.update(np.array(self._types, dtype=np.int16).tobytes())
+        h.update(types.tobytes())
         h.update(np.diff(fanin_ptr).tobytes())
         h.update(fanin_idx.tobytes())
         h.update(np.array(sorted(self._po_marks), dtype=np.int64).tobytes())
@@ -353,13 +451,17 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def copy(self, name: str | None = None) -> "Netlist":
         """Deep-copy the netlist (names and output marks included)."""
-        dup = Netlist(name if name is not None else self.name)
-        dup._types = list(self._types)
-        dup._fanins = [list(f) for f in self._fanins]
-        dup._fanouts = [list(f) for f in self._fanouts]
-        dup._names = list(self._names)
-        dup._po_marks = set(self._po_marks)
-        dup._name_to_id = dict(self._name_to_id)
+        name = name if name is not None else self.name
+        if self._loaded is not None:  # arrays and name table are shared, never written
+            dup = Netlist.from_structure(name, *self._loaded, self._po_marks)
+        else:
+            dup = Netlist(name)
+            dup._types = list(self._types)
+            dup._fanins = [list(f) for f in self._fanins]
+            dup._fanouts = [list(f) for f in self._fanouts]
+            dup._names = list(self._names)
+            dup._po_marks = set(self._po_marks)
+            dup._name_to_id = dict(self._name_to_id)
         dup._version = self._version
         dup._cache = dict(self._cache)
         dup._cache_version = self._cache_version

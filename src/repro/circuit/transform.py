@@ -104,14 +104,12 @@ def propagate_constants(netlist: Netlist) -> tuple[Netlist, dict[int, int]]:
 
     for v in topological_order(netlist):
         t = netlist.gate_type(v)
-        name = netlist._names[v]
-        if t in (GateType.INPUT, GateType.DFF):
-            if t is GateType.INPUT:
-                node_map[v] = out.add_input(name)
-            else:
-                node = out.add_cell(GateType.INPUT, (), name)
-                out._types[node] = GateType.DFF
-                node_map[v] = node
+        name = netlist.given_name(v)
+        if t is GateType.INPUT:
+            node_map[v] = out.add_input(name)
+            continue
+        if t is GateType.DFF:
+            node_map[v] = out.add_flop(name)
             continue
         if v in constants and t not in (GateType.CONST0, GateType.CONST1):
             node_map[v] = tie(constants[v])
@@ -125,17 +123,18 @@ def propagate_constants(netlist: Netlist) -> tuple[Netlist, dict[int, int]]:
         fanins = [node_map[u] for u in netlist.fanins(v)]
         node_map[v] = out.add_cell(t, fanins, name)
 
-    # Wire DFF data inputs now every driver exists.
-    for v in netlist.nodes():
-        if netlist.gate_type(v) is GateType.DFF:
-            data = node_map[netlist.fanins(v)[0]]
-            new = node_map[v]
-            out._fanins[new] = [data]
-            out._fanouts[data].append(new)
-
+    _wire_flops(netlist, out, node_map)
     for po in netlist.primary_outputs:
         out.mark_output(node_map[po])
     return out, node_map
+
+
+def _wire_flops(netlist: Netlist, out: Netlist, node_map: dict[int, int]) -> None:
+    """Connect the data pins of ``out``'s flops now every driver exists."""
+    for v in netlist.nodes():
+        if netlist.gate_type(v) is GateType.DFF and v in node_map:
+            new = node_map[v]
+            out.replace_fanin(new, new, node_map[netlist.fanins(v)[0]])
 
 
 def sweep_dead_logic(netlist: Netlist) -> tuple[Netlist, dict[int, int]]:
@@ -146,23 +145,16 @@ def sweep_dead_logic(netlist: Netlist) -> tuple[Netlist, dict[int, int]]:
     for v in topological_order(netlist):
         t = netlist.gate_type(v)
         if t is GateType.INPUT:
-            node_map[v] = out.add_input(netlist._names[v])
+            node_map[v] = out.add_input(netlist.given_name(v))
             continue
         if v not in live:
             continue
         if t is GateType.DFF:
-            node = out.add_cell(GateType.INPUT, (), netlist._names[v])
-            out._types[node] = GateType.DFF
-            node_map[v] = node
+            node_map[v] = out.add_flop(netlist.given_name(v))
             continue
         fanins = [node_map[u] for u in netlist.fanins(v)]
-        node_map[v] = out.add_cell(t, fanins, netlist._names[v])
-    for v in netlist.nodes():
-        if netlist.gate_type(v) is GateType.DFF and v in node_map:
-            data = node_map[netlist.fanins(v)[0]]
-            new = node_map[v]
-            out._fanins[new] = [data]
-            out._fanouts[data].append(new)
+        node_map[v] = out.add_cell(t, fanins, netlist.given_name(v))
+    _wire_flops(netlist, out, node_map)
     for po in netlist.primary_outputs:
         if po in node_map:
             out.mark_output(node_map[po])

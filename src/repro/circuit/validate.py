@@ -76,7 +76,7 @@ def validate_netlist(netlist: Netlist, strict: bool = False) -> ValidationReport
 
         unused = np.diff(structure.fanout_ptr) == 0
         for v in np.flatnonzero(unused & ~observed & (types != GateType.OBS)).tolist():
-            t = netlist.gate_type(v)
+            t = GateType(types[v])
             kind = "source" if is_source(t) else "gate"
             report.warnings.append(f"dangling {kind} {v} ({t.name}) is never observed")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from repro.circuit.bench import _build, _number
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.resilience.errors import NetlistFormatError
@@ -44,6 +45,10 @@ _PRIMITIVES = {
 
 _TYPE_TO_PRIMITIVE = {v: k for k, v in _PRIMITIVES.items()}
 _TYPE_TO_PRIMITIVE[GateType.OBS] = "buf"
+_CONSTANTS = {
+    **dict.fromkeys(("1'b0", "1'h0"), int(GateType.CONST0)),
+    **dict.fromkeys(("1'b1", "1'h1"), int(GateType.CONST1)),
+}
 
 _MODULE_RE = re.compile(
     r"module\s+(?P<name>\w+)\s*(?:\((?P<ports>[^)]*)\))?\s*;", re.DOTALL
@@ -62,7 +67,11 @@ def _strip_comments(text: str) -> str:
 
 
 def parse_verilog(text: str, name: str | None = None) -> Netlist:
-    """Parse structural Verilog into a :class:`Netlist`."""
+    """Parse structural Verilog into a :class:`Netlist`.
+
+    Nodes are numbered by the rule of :func:`repro.circuit.bench.parse_bench`,
+    with instances and assigns in statement order as the gates.
+    """
     text = _strip_comments(text)
     module = _MODULE_RE.search(text)
     if not module:
@@ -75,10 +84,10 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
 
     inputs: list[str] = []
     outputs: list[str] = []
-    instances: list[tuple[GateType, str | None, list[str], int]] = []
-    aliases: list[tuple[str, str]] = []
+    #: one entry per driven net, in statement order: net, type code, terminals
+    gates: list[tuple[str, int, list[str]]] = []
 
-    for index, match in enumerate(_STATEMENT_RE.finditer(body)):
+    for match in _STATEMENT_RE.finditer(body):
         stmt = " ".join(match.group("stmt").split())
         if not stmt:
             continue
@@ -103,7 +112,7 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
                 raise VerilogParseError(
                     f"only alias assigns are supported: {stmt!r}"
                 )
-            aliases.append((rhs_match.group(1), rhs_match.group(2)))
+            gates.append((rhs_match.group(1), int(GateType.BUF), [rhs_match.group(2)]))
             continue
         instance = _INSTANCE_RE.match(stmt)
         if not instance or instance.group("prim") not in _PRIMITIVES:
@@ -111,73 +120,35 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
         terms = [t.strip() for t in instance.group("terms").split(",")]
         if len(terms) < 2:
             raise VerilogParseError(f"instance needs >=2 terminals: {stmt!r}")
-        instances.append(
-            (
-                _PRIMITIVES[instance.group("prim")],
-                instance.group("inst"),
-                terms,
-                index,
-            )
-        )
+        gates.append((terms[0], int(_PRIMITIVES[instance.group("prim")]), terms[1:]))
 
-    netlist = Netlist(name or module.group("name"))
-    ids: dict[str, int] = {}
+    declared: dict = {}
     for net in inputs:
-        if net in ids:
+        if net in declared:
             raise VerilogParseError(f"input {net!r} declared twice")
-        ids[net] = netlist.add_input(net)
+        declared[net] = len(declared)
+    for net, _, _ in gates:
+        if net in declared:
+            raise VerilogParseError(f"net {net!r} has multiple drivers")
+        declared[net] = len(declared)
+    # Every use of a constant is a tie cell of its own: an unnamed gate
+    # declared after the rest under a key no net can have.
+    pins = [pin for _, _, terms in gates for pin in terms]
+    ties = [(index, _CONSTANTS[pin]) for index, pin in enumerate(pins) if pin in _CONSTANTS]
+    for index, code in ties:
+        pins[index] = (index, code)
+        declared[pins[index]] = len(declared)
 
-    drivers: dict[str, tuple[GateType, list[str]]] = {}
-    for gate_type, _, terms, _ in instances:
-        out_net = terms[0]
-        if out_net in drivers or out_net in ids:
-            raise VerilogParseError(f"net {out_net!r} has multiple drivers")
-        drivers[out_net] = (gate_type, terms[1:])
-    for lhs, rhs in aliases:
-        if lhs in drivers or lhs in ids:
-            raise VerilogParseError(f"net {lhs!r} has multiple drivers")
-        drivers[lhs] = (GateType.BUF, [rhs])
+    def fail(message: str, gate: int | None = None):
+        if gate is not None:
+            message = f"net {gates[gate][0]!r}: {message}"
+        raise VerilogParseError(message)
 
-    building: set[str] = set()
-
-    def build(net: str) -> int:
-        if net in ids:
-            return ids[net]
-        if net in ("1'b0", "1'h0"):
-            node = netlist.add_cell(GateType.CONST0, ())
-            return node
-        if net in ("1'b1", "1'h1"):
-            node = netlist.add_cell(GateType.CONST1, ())
-            return node
-        if net not in drivers:
-            raise VerilogParseError(f"net {net!r} is never driven")
-        if net in building:
-            raise VerilogParseError(f"combinational loop through {net!r}")
-        building.add(net)
-        gate_type, fanin_nets = drivers[net]
-        if gate_type is GateType.DFF:
-            node = netlist.add_cell(GateType.INPUT, (), net)
-            netlist._types[node] = GateType.DFF
-            ids[net] = node
-            data = build(fanin_nets[0])
-            netlist._fanins[node] = [data]
-            netlist._fanouts[data].append(node)
-        else:
-            fanin_ids = [build(f) for f in fanin_nets]
-            try:
-                ids[net] = netlist.add_cell(gate_type, fanin_ids, net)
-            except ValueError as exc:
-                raise VerilogParseError(f"net {net!r}: {exc}") from exc
-        building.discard(net)
-        return ids[net]
-
-    for net in drivers:
-        build(net)
-    for net in outputs:
-        if net not in ids:
-            raise VerilogParseError(f"output {net!r} is never driven")
-        netlist.mark_output(ids[net])
-    return netlist
+    codes = [code for _, code, _ in gates] + [code for _, code in ties]
+    arity = [len(terms) for _, _, terms in gates] + [0] * len(ties)
+    names, *arrays = _number(declared, len(inputs), outputs, codes, arity, pins, fail)
+    names[len(names) - len(ties):] = [None] * len(ties)
+    return _build(name or module.group("name"), names, *arrays)
 
 
 def load_verilog(path: str | Path) -> Netlist:

@@ -161,16 +161,8 @@ class IncrementalDesign:
         """Undo the most recent insertion recorded in ``checkpoint``."""
         n = checkpoint.n_nodes
         invalidate_cone_cache(self.netlist)
-        target = self.netlist._fanins[-1][0]
-        self.netlist._types.pop()
-        self.netlist._fanins.pop()
-        removed_name = self.netlist._names.pop()
-        if removed_name is not None:
-            self.netlist._name_to_id.pop(removed_name, None)
-        self.netlist._fanouts.pop()
-        fo = self.netlist._fanouts[target]
-        while fo and fo[-1] >= n:
-            fo.pop()
+        (target,) = self.netlist.fanins(n)
+        self.netlist.remove_last_cell()
         self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))
         self.graph.succ.truncate(checkpoint.succ_nnz, (n, n))
         self.observed.discard(n)
@@ -184,11 +176,6 @@ class IncrementalDesign:
         moved, rows = checkpoint.attr_rows
         self.graph.attributes[moved] = rows
         self.graph.attributes = self._attr_store.rows(n)
-        # The pops above bypass the Netlist mutators, so the structural
-        # version (and with it the memoised fingerprint) must be advanced
-        # by hand — otherwise the reverted netlist would keep serving the
-        # post-insert fingerprint and poison the cone cache.
-        self.netlist.note_external_mutation()
 
     def tentative_insert(self, target: int):
         """Insert an OP, returning a zero-argument undo callable."""

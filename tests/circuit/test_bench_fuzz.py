@@ -64,6 +64,9 @@ class TestArbitraryInput:
                     "z = AND(a, a)",
                     "y = NOT(z)",
                     "w = DFF(w)",
+                    "p = DFF(x)",
+                    "r = DFF(v)",
+                    "x = NOR(r, z)",
                     "q = DFF()",
                     "q = DFF(a, b)",
                     "a = NOT(b)",
@@ -74,7 +77,7 @@ class TestArbitraryInput:
                     "garbage line (((",
                 ]
             ),
-            max_size=12,
+            max_size=14,
         )
     )
     def test_shuffled_statements_never_crash(self, lines):

@@ -133,3 +133,44 @@ class TestCopyAndIteration:
     def test_repr_mentions_sizes(self, c17):
         text = repr(c17)
         assert "nodes=11" in text and "edges=12" in text
+
+
+class TestLateWiringAndUndo:
+    def test_flop_created_before_its_data_cone(self):
+        nl = Netlist()
+        q = nl.add_flop("q")
+        assert nl.gate_type(q) is GateType.DFF
+        assert nl.fanins(q) == [q] and nl.fanouts(q) == [q]  # legal as it stands
+        a = nl.add_input("a")
+        g = nl.add_cell(GateType.NAND, (a, q), "g")
+        nl.replace_fanin(q, q, g)
+        assert nl.fanins(q) == [g] and nl.fanouts(q) == [g] and nl.fanouts(g) == [q]
+        assert nl.observation_sites == [g]
+
+    def test_remove_last_cell_undoes_add_cell(self, c17):
+        before = c17.copy()
+        fingerprint, version = c17.fingerprint(), c17.mutation_count
+        g10, g16 = c17.find("G10"), c17.find("G16")
+        extra = c17.add_cell(GateType.XOR, (g10, g16, g10), "extra")
+        c17.replace_fanin(c17.find("G22"), g10, g16)  # extra is no longer last in G10's row
+        c17.replace_fanin(c17.find("G22"), g16, g10)
+        c17.mark_output(extra)
+        c17.remove_last_cell()
+        assert c17.num_nodes == before.num_nodes and not c17.is_output(extra)
+        assert sorted(c17.fanouts(g10)) == sorted(before.fanouts(g10))
+        assert sorted(c17.fanouts(g16)) == sorted(before.fanouts(g16))
+        assert c17.fingerprint() == fingerprint and c17.mutation_count > version
+        with pytest.raises(KeyError):
+            c17.find("extra")
+        c17.add_cell(GateType.NOT, (g10,), "extra")  # the name is free again
+
+    def test_remove_last_cell_refuses_a_driver(self):
+        nl = Netlist()
+        with pytest.raises(ValueError, match="newest cell"):
+            nl.remove_last_cell()
+        a = nl.add_input("a")
+        nl.add_cell(GateType.NOT, (a,))
+        nl.remove_last_cell()
+        nl.add_flop()
+        with pytest.raises(ValueError, match="still drives"):
+            nl.remove_last_cell()  # the flop drives its own data pin

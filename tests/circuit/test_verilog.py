@@ -109,6 +109,79 @@ class TestParse:
         assert fragment in str(err.value)
 
 
+S27 = """
+module s27 (G0, G1, G2, G3, G17);
+  input G0, G1, G2, G3;
+  output G17;
+  wire G5, G6, G7, G8, G9, G10, G11, G12, G13, G14, G15, G16;
+  dff ff0 (G5, G10);
+  dff ff1 (G6, G11);
+  dff ff2 (G7, G13);
+  not g0 (G14, G0);
+  not g1 (G17, G11);
+  and g2 (G8, G14, G6);
+  or  g3 (G15, G12, G8);
+  or  g4 (G16, G3, G8);
+  nand g5 (G9, G16, G15);
+  nor g6 (G10, G14, G11);
+  nor g7 (G11, G5, G9);
+  nor g8 (G12, G1, G7);
+  nor g9 (G13, G2, G12);
+endmodule
+"""
+
+
+class TestSharedNumbering:
+    def test_s27_equals_its_bench_form(self):
+        from pathlib import Path
+
+        from repro.circuit import load_bench
+
+        bench = load_bench(Path(__file__).parent / "fixtures" / "s27.bench")
+        verilog = parse_verilog(S27)
+        for field, array in vars(bench.structure()).items():
+            assert np.array_equal(getattr(verilog.structure(), field), array), field
+        assert [verilog.cell_name(v) for v in verilog.nodes()] == [
+            bench.cell_name(v) for v in bench.nodes()
+        ]
+        assert verilog.primary_outputs == bench.primary_outputs
+
+    def test_deep_reversed_chain_parses(self):
+        depth = 5000
+        gates = [f"not g{i} (n{i}, n{i - 1});" for i in range(depth, 0, -1)]
+        text = "\n".join([f"module chain (n0, n{depth});", f"output n{depth};", *gates,
+                          "input n0;", "endmodule"])
+        netlist = parse_verilog(text)
+        assert netlist.num_nodes == depth + 1
+        assert [netlist.find(f"n{i}") for i in (0, 1, depth)] == [0, 1, depth]
+
+    def test_each_constant_pin_is_a_tie_cell_of_its_own(self):
+        text = ("module m (a, y, z); input a; output y, z; and g (y, a, 1'b1); "
+                "or h (z, 1'b1, 1'h0, y); endmodule")
+        netlist = parse_verilog(text)
+        counts = netlist.type_counts()
+        assert (counts["CONST1"], counts["CONST0"]) == (2, 1)
+        assert [netlist.gate_type(u).name for u in netlist.fanins(netlist.find("z"))] == [
+            "CONST1", "CONST0", "AND",
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("module m (a, y); input a; output y; and g (y, a); endmodule",
+             "net 'y': AND takes >=2 fanins, got 1"),
+            ("module m (a, y); input a; output y; buf g (y, w); endmodule",
+             "signal 'w' used but never defined"),
+            ("module m (a, y); input a, a; output y; buf g (y, a); endmodule",
+             "input 'a' declared twice"),
+        ],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(VerilogParseError) as err:
+            parse_verilog(text)
+        assert str(err.value) == message
+
+
 class TestRoundTrip:
     def test_write_then_parse(self, c17):
         buf = io.StringIO()

@@ -2,9 +2,10 @@
 
 ``scripts/check_api_boundaries.py`` rules 9 (the scheduler imports no
 clock, socket, thread, process or pickle), 10 (``pickle.loads`` appears
-under ``repro/exec`` only in ``net.unpickle``) and the kernel half of 7
+under ``repro/exec`` only in ``net.unpickle``), the kernel half of 7
 (the narrow product and the row-block loop are defined only in
-``core/inference.py``).  Each rule gets a should-fail fixture so a
+``core/inference.py``) and 11 (the netlist's per-cell lists are touched
+only in ``circuit/netlist.py``).  Each rule gets a should-fail fixture so a
 vacuous pass is impossible.
 """
 
@@ -127,3 +128,39 @@ def test_calling_the_kernel_passes(tmp_path):
         "    return head_forward(w, layer_forward(w, 0, h, p, s, h))\n"
     )
     assert lint.kernel_copy_violations(ok) == []
+
+
+def test_the_netlist_lists_have_one_owner():
+    for path in sorted(lint.PACKAGE.rglob("*.py")):
+        if path != lint._NETLIST_MODULE:
+            assert lint.netlist_private_violations(path) == [], path
+    # ...and the rule is looking at the real thing.
+    found = {what for _, what in lint.netlist_private_violations(lint._NETLIST_MODULE)}
+    assert found == {"._types", "._fanins", "._fanouts", "._names", "._name_to_id"}
+
+
+@pytest.mark.parametrize(
+    "source,line,what",
+    [
+        ("def undo(netlist):\n    netlist._types.pop()\n", 2, "._types"),
+        ("def wire(out, new, data):\n    out._fanins[new] = [data]\n", 2, "._fanins"),
+        ("x = 1\ny = design.netlist._fanouts[3]\n", 2, "._fanouts"),
+        ("name = netlist._names[0]\n", 1, "._names"),
+        ("del nl._name_to_id['a']\n", 1, "._name_to_id"),
+    ],
+)
+def test_reaching_into_the_netlist_is_caught(tmp_path, source, line, what):
+    bad = tmp_path / "flow.py"
+    bad.write_text(source)
+    assert lint.netlist_private_violations(bad) == [(line, what)]
+
+
+def test_the_netlist_api_passes(tmp_path):
+    ok = tmp_path / "flow.py"
+    ok.write_text(
+        "def undo(netlist):\n"
+        "    # netlist._types.pop()\n"
+        "    netlist.remove_last_cell()\n"
+        "    return netlist.given_name(0), netlist.fanins(0), '_fanouts'\n"
+    )
+    assert lint.netlist_private_violations(ok) == []
