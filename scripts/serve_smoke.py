@@ -20,7 +20,10 @@ unversioned alias):
    unchanged) then a valid one (200);
 8. confirm the legacy ``/score`` alias still answers with a
    ``Deprecation`` header;
-9. SIGTERM under load: the in-flight request completes, exit status 0.
+9. admissions ran in the forked admission workers, not inline (the exec
+   fabric's task counter for the ``admission`` engine moved with them);
+10. SIGTERM under load: the in-flight request completes, exit status 0,
+    and no admission worker of the daemon outlives it.
 
 Exits non-zero with a one-line FAIL message on the first violated check.
 """
@@ -70,6 +73,24 @@ def parse_metrics(text: str) -> dict[str, float]:
         except ValueError:
             pass
     return values
+
+
+def forked_children(pid: int) -> list[int]:
+    """Pids of ``pid``'s children that are forks of it (same command line)
+    — the admission workers, not multiprocessing's resource tracker."""
+    cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            # the field after the parenthesised command name and the state
+            ppid = int((entry / "stat").read_text().rpartition(")")[2].split()[1])
+            if ppid == pid and (entry / "cmdline").read_bytes() == cmdline:
+                children.append(int(entry.name))
+        except (OSError, ValueError, IndexError):
+            continue  # raced a process exiting
+    return children
 
 
 def wait_for_banner(proc) -> str:
@@ -206,6 +227,11 @@ def main() -> None:
         threads = [threading.Thread(target=fire) for _ in range(12)]
         for t in threads:
             t.start()
+            # Spaced wider than one admission: the one admission worker
+            # takes the bodies in turn, and arrivals that pile up behind it
+            # would be refused at the admission gate (4 slots here) before
+            # the queue this section is about ever filled.
+            time.sleep(0.02)
         for t in threads:
             t.join(timeout=90)
         check(len(outcomes) == 12, "every overload request got an answer")
@@ -289,6 +315,23 @@ def main() -> None:
             "legacy /score points at its /v1 successor",
         )
 
+        # --- admission ran off the daemon's GIL ----------------------- #
+        admission_tasks = 'repro_exec_tasks_total{engine="admission",backend="forkpool"}'
+        final = parse_metrics(client.metrics())
+        check(
+            final.get(admission_tasks, 0.0) - before.get(admission_tasks, 0.0) >= 4.0,
+            f"admissions ran in forked workers ({admission_tasks} "
+            f"{before.get(admission_tasks, 0.0):.0f} -> "
+            f"{final.get(admission_tasks, 0.0):.0f})",
+        )
+        check(
+            final.get('repro_exec_fallbacks_total{engine="admission",backend="forkpool"}', 0.0)
+            == 0.0,
+            "no admission fell back to the handler thread",
+        )
+        workers = forked_children(proc.pid)
+        check(len(workers) == 1, f"one admission worker per --workers ({workers})")
+
         # --- SIGTERM drain under load --------------------------------- #
         # An idle HTTP/1.1 keep-alive connection (the client closes per
         # request, so it can't produce one): its handler thread blocks
@@ -322,6 +365,8 @@ def main() -> None:
             f"SIGTERM drain exits 0 despite idle keep-alive client (got {code})",
         )
         idle.close()
+        left = [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        check(not left, f"no admission worker outlives the daemon (left: {left})")
     finally:
         if proc.poll() is None:
             proc.kill()

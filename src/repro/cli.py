@@ -260,7 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--port", type=int, default=8351, help="0 binds an ephemeral port"
     )
-    srv.add_argument("--workers", type=int, default=2)
+    srv.add_argument(
+        "--workers",
+        type=int,
+        default=2,
+        help="scoring threads, and as many forked admission workers (request "
+        "bodies are parsed and turned into graphs there, off the daemon's "
+        "interpreter lock)",
+    )
     srv.add_argument("--queue-capacity", type=int, default=16)
     srv.add_argument(
         "--deadline-ms", type=int, default=30_000, help="default per-request deadline"

@@ -213,6 +213,10 @@ class Coordinator:
                 logs.get_run_id(),
             )
             self._count_workers()
+            # Wakes a submit that is waiting for someone to dispatch to
+            # (a fresh pool's first, or one whose worker is being replaced)
+            # instead of leaving it to the next poll.
+            self._events.put(("hello", conn))
             _log.info(
                 "worker registered",
                 extra={"worker": conn.id, "pid": conn.pid, "host": conn.host},
@@ -375,7 +379,9 @@ class Coordinator:
             return
         while True:
             kind, conn, *fields = event
-            if kind == "gone":
+            if kind == "hello":
+                pass  # the registry has the worker; the next tick sees it
+            elif kind == "gone":
                 sched.worker_lost(conn, conn.death_reason)
                 if conn.proc is not None:
                     # EOF can precede the child becoming waitable; reap it

@@ -15,7 +15,8 @@ Structure:
 * :mod:`~repro.serve.protocol` — error-code mapping (typed exception →
   HTTP status + structured JSON body with the CLI exit-code taxonomy);
 * :mod:`~repro.serve.admission` — request gate: size/schema checks,
-  ``.bench`` parsing, structural validation, graph construction;
+  ``.bench`` parsing, structural validation, graph construction, and the
+  :class:`AdmissionPool` of forked workers ``repro serve`` runs them in;
 * :mod:`~repro.serve.batch` — the coalescing layer: block-diagonal
   merging with bit-identical per-request row slices, plus the
   size/linger/deadline flush policy;
@@ -31,7 +32,7 @@ Structure:
   client every script/example must use instead of hand-rolled HTTP.
 """
 
-from repro.serve.admission import ScoreRequest, admit, admit_batch
+from repro.serve.admission import AdmissionPool, ScoreRequest, admit, admit_batch
 from repro.serve.batch import BatchPolicy, MergedBatch, merge_graphs
 from repro.serve.client import ServeClient, ServeClientError, ServeScore
 from repro.serve.config import ServeConfig
@@ -55,6 +56,7 @@ __all__ = [
     "ScoreRequest",
     "admit",
     "admit_batch",
+    "AdmissionPool",
     "BatchPolicy",
     "MergedBatch",
     "merge_graphs",

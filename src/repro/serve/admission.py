@@ -17,26 +17,52 @@ envelope (``{"requests": [...]}``) item by item, returning per-item
 requests *or* typed errors so one malformed netlist cannot reject its
 neighbours.
 
-Admission runs in the HTTP handler thread (linear-time parsing and SCOAP
-attribute construction), but handler threads are spawned per connection
-without bound — so the HTTP layer holds a slot of the server's
-``admission_gate`` semaphore (capacity ``ServeConfig.admission_capacity``)
-for the duration of :func:`admit`, answering 429 when saturated.  Only
-model inference is queued.
+Process model.  Admission is pure Python (linear-time parsing, SCOAP
+attribute construction), so under ``repro serve`` it runs off the
+daemon's interpreter lock: :class:`AdmissionPool` holds
+``ServeConfig.workers`` forked admission workers, a handler thread hands
+its raw body to an idle one and sleeps on a socket until the finished
+:class:`ScoreRequest` comes back, both CSR caches built.  The worker runs
+:func:`run_admission` — the same function an embedded
+:class:`~repro.serve.http.NetlistScoreServer` without a pool calls in the
+handler thread, and the one the execution fabric's ladder re-runs in the
+handler thread when a worker is killed or hangs.  A typed admission
+failure (400 / 413 / 422) is that function's *return value*: the ladder
+sees a finished task, so bad input is never retried and never counts
+against a worker.  Handler threads are spawned per connection without
+bound — so the HTTP layer holds a slot of the server's ``admission_gate``
+semaphore (capacity ``ServeConfig.admission_capacity``) from reading the
+body to the end of admission, answering 429 when saturated; waiting for
+an idle worker happens inside that slot.  Only model inference is queued.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 from dataclasses import dataclass, field
 
 from repro.circuit.bench import parse_bench
-from repro.circuit.validate import validate_netlist
+from repro.circuit.validate import NetlistValidationError, validate_netlist
 from repro.core.graphdata import GraphData
+from repro.exec import ExecPolicy, ShardTask, make_executor
+from repro.resilience.errors import NetlistFormatError
+from repro.resilience.retry import RetryPolicy
 from repro.serve.config import ServeConfig
-from repro.serve.protocol import MalformedRequestError, PayloadTooLargeError
+from repro.serve.protocol import (
+    MalformedRequestError,
+    PayloadTooLargeError,
+    RequestError,
+)
 
-__all__ = ["ScoreRequest", "admit", "admit_payload", "admit_batch"]
+__all__ = [
+    "ScoreRequest",
+    "admit",
+    "admit_payload",
+    "admit_batch",
+    "run_admission",
+    "AdmissionPool",
+]
 
 _ALLOWED_KEYS = {
     "netlist",
@@ -198,3 +224,91 @@ def admit_batch(
         except Exception as exc:  # typed by the protocol layer per item
             admitted.append((index, exc))
     return admitted
+
+
+#: what a client can get wrong: returned by :func:`run_admission`, never raised
+_ADMISSION_ERRORS = (RequestError, NetlistFormatError, NetlistValidationError)
+
+#: the smallest body that crosses every admission stage; an admission
+#: worker runs it once when forked, which resolves the front end's lazy
+#: imports there and proves the worker before the listener opens
+_PROBE_BODY = b'{"netlist": "INPUT(a)\\nOUTPUT(y)\\ny = NOT(a)\\n"}'
+
+
+def run_admission(admit_fn, raw: bytes, config: ServeConfig):
+    """``admit_fn(raw, config)`` (:func:`admit` or :func:`admit_batch`) with
+    the graphs' CSR caches built; a typed admission failure is *returned*.
+
+    This is the whole task an admission worker runs, and the only call of
+    the admission functions in the serve layer.  Returning the 400 / 413 /
+    422 instead of raising it is what keeps bad input out of the ladder's
+    retry and failure accounting; the caller re-raises it.
+    """
+    try:
+        admitted = admit_fn(raw, config)
+    except _ADMISSION_ERRORS as exc:
+        return exc
+    batch = admitted if isinstance(admitted, list) else [(0, admitted)]
+    for _, member in batch:
+        if isinstance(member, ScoreRequest):  # not a batch member's own error
+            # The scoring threads would build these on first use, under
+            # the daemon's interpreter lock; the caches travel with the
+            # pickled graph.
+            member.graph.pred.to_scipy()
+            member.graph.succ.to_scipy()
+    return admitted
+
+
+class AdmissionPool:
+    """Forked admission workers, one per lane, lent to handler threads.
+
+    A lane is a single-worker fork pool of :mod:`repro.exec`: lanes run
+    concurrently, and each brings the fabric's ladder — a worker that is
+    killed, goes silent or outlives ``default_deadline_ms`` is replaced,
+    and the body it held is admitted in the calling thread instead (one
+    attempt, then the in-process rung: the caller is a waiting client).
+    ``REPRO_EXEC_BACKEND=inprocess`` turns the lanes into plain calls.
+
+    Build it before the process maps shared memory or starts its serving
+    threads, so the workers inherit neither: each lane forks once the
+    lane before it has answered a probe admission, when the only other
+    threads are earlier lanes' socket readers, parked in ``recv``.
+    """
+
+    def __init__(self, config: ServeConfig) -> None:
+        self.config = config
+        policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=1),
+            worker_timeout=config.default_deadline_ms / 1000.0,
+            straggler_fraction=None,
+        )
+        self._executors = [
+            make_executor(name="admission", max_workers=1, policy=policy)
+            for _ in range(config.workers)
+        ]
+        # Last in, first out: the probe below lands on the lane just
+        # added, and under light load one worker takes every body while
+        # the others wait for overlap.
+        self._idle: queue.LifoQueue = queue.LifoQueue()
+        for executor in self._executors:
+            self._idle.put(executor)
+            # Forks the lane's worker and waits for its first answer.
+            self.run(admit, _PROBE_BODY)
+
+    def run(self, admit_fn, raw: bytes):
+        """:func:`run_admission` on an idle lane; blocks (off the GIL)
+        until one is free and has answered."""
+        executor = self._idle.get()
+        try:
+            [outcome] = executor.submit(
+                [ShardTask("admit", fn=run_admission,
+                           args=(admit_fn, raw, self.config))]
+            )
+        finally:
+            self._idle.put(executor)
+        return outcome
+
+    def close(self) -> None:
+        """End the workers (idempotent)."""
+        for executor in self._executors:
+            executor.close()

@@ -23,7 +23,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8351  #: 0 binds an ephemeral port (reported at startup)
-    workers: int = 2  #: scoring worker threads sharing the queue
+    #: scoring worker threads sharing the queue; ``serve()`` also forks
+    #: this many admission workers
+    workers: int = 2
     queue_capacity: int = 16  #: accepted-but-unstarted requests; beyond → 429
     default_deadline_ms: int = 30_000  #: per-request deadline when unspecified
     max_deadline_ms: int = 300_000  #: cap on client-requested deadlines
@@ -59,10 +61,12 @@ class ServeConfig:
     def admission_capacity(self) -> int:
         """Concurrent requests allowed in admission (parse + validate).
 
-        Admission runs in per-connection handler threads, which the stdlib
-        server spawns without bound — this gate keeps N greedy clients from
-        driving unbounded CPU/memory in parsing before the bounded queue
-        ever sees their work.  Sized near the worker count by default.
+        Admission is started by per-connection handler threads, which the
+        stdlib server spawns without bound — this gate keeps N greedy
+        clients from driving unbounded CPU/memory in parsing before the
+        bounded queue ever sees their work.  A slot is held from reading
+        the body to the end of admission, the wait for an idle admission
+        worker included.  Sized near the worker count by default.
         """
         return self.admission_slots or (self.workers * 2 + 2)
 

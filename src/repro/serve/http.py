@@ -31,9 +31,17 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from repro.obs import logs
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.serve.admission import ScoreRequest, admit, admit_batch
+from repro.serve.admission import (
+    AdmissionPool,
+    ScoreRequest,
+    admit,
+    admit_batch,
+    run_admission,
+)
 from repro.serve.config import ServeConfig
 from repro.serve.models import ModelManager
 from repro.serve.protocol import (
@@ -74,16 +82,19 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------ #
-    def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = encode_json(payload)
+    def _respond(
+        self, status: int, content_type: str, body: bytes,
+        headers: dict | None = None,
+    ) -> None:
+        """Status line, headers and ``body`` in one write.
+
+        ``wfile`` is unbuffered and the socket has Nagle on: a header
+        block sent on its own leaves the body waiting for the peer's
+        (delayed) ACK off loopback.
+        """
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_deprecated_route", False):
-            # RFC 8594-style signalling on the unversioned alias; the body
-            # and behaviour stay identical to /v1/score until removal.
-            self.send_header("Deprecation", "true")
-            self.send_header("Link", '</v1/score>; rel="successor-version"')
         for key, value in (headers or {}).items():
             self.send_header(key, value)
         # Shed persistent connections when draining (so server_close() never
@@ -91,8 +102,22 @@ class _Handler(BaseHTTPRequestHandler):
         # any close already decided (e.g. a refused, unread body).
         if self.close_connection or self.app.service.draining:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() is this blank line plus flush_headers(); the body
+        # rides the same flush.
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
+
+    def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
+        if getattr(self, "_deprecated_route", False):
+            # RFC 8594-style signalling on the unversioned alias; the body
+            # and behaviour stay identical to /v1/score until removal.
+            headers = {
+                "Deprecation": "true",
+                "Link": '</v1/score>; rel="successor-version"',
+                **(headers or {}),
+            }
+        self._respond(status, "application/json", encode_json(payload), headers)
 
     def _send_error(self, exc: BaseException, **extra) -> None:
         status, _ = status_for(exc)
@@ -117,17 +142,6 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length)
 
     # ------------------------------------------------------------------ #
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection or self.app.service.draining:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-    # ------------------------------------------------------------------ #
     def do_GET(self) -> None:
         if self.path == "/healthz":
             self._send(200, self.app.health())
@@ -135,10 +149,10 @@ class _Handler(BaseHTTPRequestHandler):
             ready, payload = self.app.readiness()
             self._send(200 if ready else 503, payload)
         elif self.path == "/metrics":
-            self._send_text(
+            self._respond(
                 200,
-                self.app.render_metrics(),
                 "text/plain; version=0.0.4; charset=utf-8",
+                self.app.render_metrics().encode("utf-8"),
             )
         else:
             self._send(404, {"error": {"code": "not_found", "message": self.path}})
@@ -162,26 +176,46 @@ class _Handler(BaseHTTPRequestHandler):
         except BaseException as exc:  # never leak a traceback to the wire
             self._send_error(exc)
 
-    def _acquire_admission(self) -> None:
-        """Take an admission slot or answer 429; caller must release."""
-        if not self.app.admission_gate.acquire(blocking=False):
-            self.app.service.note_admission_reject()
+    def _admit(self, admit_fn):
+        """Read this request's body and admit it, holding a gate slot.
+
+        Admission (JSON decode, .bench parse, validation, graph build) is
+        real CPU work started from an unbounded per-connection thread —
+        the gate bounds it the same way the queue bounds inference.  With
+        an admission pool the work happens in a forked worker while this
+        thread sleeps off the GIL; without one (embedded servers) it
+        happens here.  Either way a 400 / 413 / 422 comes back as a value.
+        """
+        app = self.app
+        if not app.admission_gate.acquire(blocking=False):
+            app.service.note_admission_reject()
             raise OverloadedError(
                 f"admission gate saturated "
-                f"({self.app.config.admission_capacity} concurrent requests)",
-                retry_after_s=self.app.config.retry_after_s,
+                f"({app.config.admission_capacity} concurrent requests)",
+                retry_after_s=app.config.retry_after_s,
             )
+        try:
+            raw = self._read_body()
+            if app.admission_pool is not None:
+                outcome = app.admission_pool.run(admit_fn, raw)
+            else:
+                outcome = run_admission(admit_fn, raw, app.config)
+        finally:
+            app.admission_gate.release()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     @staticmethod
     def _score_payload(
         request: ScoreRequest, labels, info: dict, latency_ms: float
     ) -> dict:
-        labels_list = [int(x) for x in labels]
+        labels = np.asarray(labels)
         payload = {
             "design": request.design,
             "num_nodes": request.graph.num_nodes,
             "num_edges": request.graph.num_edges,
-            "positive_count": sum(labels_list),
+            "positive_count": int(labels.sum()),
             "degraded": bool(info.get("degraded", False)),
             "predictor_level": info.get("predictor_level"),
             "batched": bool(info.get("batched", False)),
@@ -194,22 +228,15 @@ class _Handler(BaseHTTPRequestHandler):
         if request.warnings:
             payload["warnings"] = request.warnings
         if request.return_predictions:
-            payload["predictions"] = labels_list
+            payload["predictions"] = labels.tolist()
         return payload
 
     def _score(self) -> None:
         service = self.app.service
         if service.draining:
             raise DrainingError("server is draining; not accepting new work")
-        # Admission (JSON decode, .bench parse, validation, graph build) is
-        # real CPU work running on an unbounded per-connection thread — the
-        # gate bounds it the same way the queue bounds inference.
-        self._acquire_admission()
         admitted = time.monotonic()
-        try:
-            request = admit(self._read_body(), self.app.config)
-        finally:
-            self.app.admission_gate.release()
+        request = self._admit(admit)
         start = time.monotonic()
         try:
             labels, info = service.score(request)
@@ -236,12 +263,8 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.app.service
         if service.draining:
             raise DrainingError("server is draining; not accepting new work")
-        self._acquire_admission()
         admitted = time.monotonic()
-        try:
-            items = admit_batch(self._read_body(), self.app.config)
-        finally:
-            self.app.admission_gate.release()
+        items = self._admit(admit_batch)
         pending = []  # (index, request, job-or-None, error-or-None)
         for index, item in items:
             if isinstance(item, BaseException):
@@ -313,8 +336,13 @@ class NetlistScoreServer:
         manager: ModelManager | None = None,
         model_path=None,
         registry: MetricsRegistry | None = None,
+        admission_pool: AdmissionPool | None = None,
     ) -> None:
         self.config = config or ServeConfig()
+        #: forked admission workers (``serve()`` passes them in, forked
+        #: before this constructor maps shared memory and starts threads);
+        #: None admits in the handler thread.  Closed with the server.
+        self.admission_pool = admission_pool
         self.manager = manager or ModelManager(
             model_path,
             breaker_threshold=self.config.breaker_threshold,
@@ -399,7 +427,7 @@ class NetlistScoreServer:
         self._httpd.server_close()  # join handler threads, flush responses
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self.manager.close()  # release the shared-memory weight segments
+        self._release()
         self._drain_clean = clean  # published before the event: see wait_drained
         self._drained.set()
         return clean
@@ -423,7 +451,13 @@ class NetlistScoreServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self.manager.close()
+        self._release()
+
+    def _release(self) -> None:
+        """What outlives the handler threads: admission workers, weights."""
+        if self.admission_pool is not None:
+            self.admission_pool.close()
+        self.manager.close()  # release the shared-memory weight segments
 
 
 def serve(
@@ -434,15 +468,30 @@ def serve(
 ) -> int:
     """Blocking runner behind ``repro serve``; returns the exit status.
 
+    Forks ``config.workers`` admission workers first
+    (:class:`~repro.serve.admission.AdmissionPool`), then builds the server
+    around them; embedded servers (``NetlistScoreServer`` alone) fork
+    nothing and admit in their handler threads.
+
     SIGTERM/SIGINT initiate the drain sequence from a helper thread (the
     signal handler itself only sets it off): stop accepting, finish every
-    accepted request, flush responses, exit 0.
+    accepted request, flush responses, end the admission workers, exit 0.
 
     ``announce`` is called with the one-line startup banner once the socket
     is bound; the CLI passes ``print`` so wrappers (smoke tests, systemd
     logs) can watch stdout for readiness regardless of log configuration.
     """
-    server = NetlistScoreServer(config=config, model_path=model_path)
+    config = config or ServeConfig()
+    # Forked first: the workers must inherit no thread's held lock and no
+    # shared-memory mapping, and the server below creates both.
+    pool = AdmissionPool(config)
+    try:
+        server = NetlistScoreServer(
+            config=config, model_path=model_path, admission_pool=pool
+        )
+    except BaseException:
+        pool.close()
+        raise
 
     def _on_signal(signum, frame):
         threading.Thread(

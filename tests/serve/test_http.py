@@ -6,10 +6,20 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.circuit.bench import parse_bench
+from repro.core.graphdata import GraphData
 from repro.serve import ModelManager, NetlistScoreServer, ServeConfig
+from repro.serve.admission import ScoreRequest
+from repro.serve.http import _Handler
+from repro.serve.protocol import MalformedRequestError, encode_json
+
+C17 = Path(__file__).resolve().parent.parent / "circuit" / "fixtures" / "c17.bench"
 
 
 @pytest.fixture
@@ -404,3 +414,93 @@ class TestMetricsEndpoint:
         _, _, text_b = fetch_metrics(b)
         assert 'repro_serve_requests_total{event="accepted"} 1' in text_a
         assert 'repro_serve_requests_total{event="accepted"} 0' in text_b
+
+
+class _RecordingWfile:
+    """Stands where the handler's unbuffered socket writer stands."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+def _bare_handler() -> _Handler:
+    """A handler wired to fakes: what ``_respond`` touches, and no socket."""
+    app = SimpleNamespace(
+        config=ServeConfig(),
+        service=SimpleNamespace(draining=False),
+        health=lambda: {"status": "ok"},
+        render_metrics=lambda: "repro_up 1\n",
+    )
+    handler = _Handler.__new__(_Handler)
+    handler.server = SimpleNamespace(app=app)
+    handler.wfile = _RecordingWfile()
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET / HTTP/1.1"
+    handler.command = "GET"
+    handler.client_address = ("127.0.0.1", 0)
+    handler.close_connection = False
+    return handler
+
+
+class TestOneWritePerResponse:
+    """Headers and body leave in one ``sendall``: with Nagle on, a header
+    block sent alone holds the body back until the peer's delayed ACK."""
+
+    @pytest.mark.parametrize(
+        "respond",
+        [
+            lambda h: setattr(h, "path", "/healthz") or h.do_GET(),
+            lambda h: setattr(h, "path", "/metrics") or h.do_GET(),
+            lambda h: h._send(429, {"error": {"code": "overloaded"}}, {"Retry-After": "1"}),
+            lambda h: h._send_error(MalformedRequestError("request body is empty")),
+        ],
+        ids=["healthz", "metrics", "json_with_headers", "typed_error"],
+    )
+    def test_single_write_carries_head_and_body(self, respond):
+        handler = _bare_handler()
+        respond(handler)
+        (wire,) = handler.wfile.writes
+        head, separator, body = wire.partition(b"\r\n\r\n")
+        assert wire.startswith(b"HTTP/1.1 ") and separator and body
+        assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+
+    def test_keep_alive_responses_stay_apart(self):
+        handler = _bare_handler()
+        for _ in range(2):
+            handler._send(200, {"ok": True})
+        for wire in handler.wfile.writes:  # nothing of one leaks into the next
+            assert wire.count(b"HTTP/1.1 200") == 1 and wire.endswith(b'{"ok": true}')
+        assert len(handler.wfile.writes) == 2
+
+
+def test_score_payload_bytes_are_pinned():
+    """The response body of a scored request, byte for byte (the labels
+    are serialised from the array, not through a per-node loop)."""
+    graph = GraphData.from_netlist(parse_bench(C17.read_text(), name="c17"))
+    request = ScoreRequest(
+        graph=graph, design="c17", deadline_s=1.0, request_id="r-1", warnings=["w"]
+    )
+    labels = np.array([0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int64)
+    info = {"predictor_level": "gcn", "degraded": False, "batched": True}
+    expected = (
+        b'{"design": "c17", "num_nodes": 11, "num_edges": 12, "positive_count": 5, '
+        b'"degraded": false, "predictor_level": "gcn", "batched": true, '
+        b'"latency_ms": 1.235, "request_id": "r-1", "warnings": ["w"], '
+        b'"predictions": [0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1]}'
+    )
+    assert encode_json(_Handler._score_payload(request, labels, info, 1.23456)) == expected
+    # A predictor handing back a plain list serialises the same.
+    assert encode_json(
+        _Handler._score_payload(request, labels.tolist(), info, 1.23456)
+    ) == expected
+    request.return_predictions = False
+    assert b"predictions" not in encode_json(
+        _Handler._score_payload(request, labels, info, 1.23456)
+    )
