@@ -5,7 +5,7 @@ wire cost is identical for both lanes and would only blur the quantity
 under test, the scoring passes themselves) with two load shapes over a
 pool of small netlists:
 
-* **closed loop** — N client threads each drive submit-all-then-wait
+* **closed loop** — N client threads each drive ``submit_many``-then-wait
   groups (the ``score_many`` / ``/v1/score:batch`` pattern) back-to-back
   for a fixed window, once against a ``batching=False`` service (the
   one-request-per-pass baseline) and once against the coalescing
@@ -60,17 +60,18 @@ from repro.serve import ModelManager, ScoreRequest, ScoringService, ServeConfig
 _BASE_GATES = 10
 #: distinct designs cycled through by the load generators
 _POOL = 24
-#: closed-loop client threads (well past batch_max_requests so the
-#: coalescer always has a queue to drain)
+#: closed-loop client threads (well past batch_max_requests, so there is
+#: always a standing queue: batches form from what queued while the one
+#: worker was busy — the service never waits for them)
 _CLIENTS = 48
-#: requests per closed-loop client round, submit-all-then-wait — the
+#: requests per closed-loop client round, ``submit_many`` then wait — the
 #: ``score_many`` / ``/v1/score:batch`` access pattern
 _GROUP = 8
 #: netlists per coalesced pass (the occupancy target)
 _BATCH_MAX = 24
 _SEED = 21
 #: default end-to-end p99 budget (seconds) — generous for CI timesharing,
-#: tight enough to catch a lost-wakeup or linger bug (linger is 5ms)
+#: tight enough to catch a lost wakeup
 _P99_BUDGET_S = 0.5
 
 
@@ -104,9 +105,9 @@ def _closed_loop(
 ) -> dict:
     """N clients scoring back-to-back; returns req/s and latency quantiles.
 
-    Each client issues groups of ``_GROUP`` requests submit-all-then-wait
-    — the exact pattern ``POST /v1/score:batch`` (and ``ServeClient.
-    score_many``) drives through :meth:`ScoringService.wait_for` — so
+    Each client issues groups of ``_GROUP`` requests through
+    :meth:`ScoringService.submit_many`, then waits on each — the exact
+    calls ``POST /v1/score:batch`` (and ``ServeClient.score_many``) makes — so
     both lanes see the same arrival process and the lanes differ only in
     how many netlists each scoring pass carries.
     """
@@ -119,12 +120,14 @@ def _closed_loop(
         local = []
         i = offset
         while time.perf_counter() < stop_at:
-            group = []
-            for _ in range(_GROUP):
-                t0 = time.perf_counter()
-                group.append((service.submit(pool[i % len(pool)]), t0))
-                i += 1
-            for job, t0 in group:
+            t0 = time.perf_counter()
+            group = service.submit_many(
+                [pool[(i + j) % len(pool)] for j in range(_GROUP)]
+            )
+            i += _GROUP
+            for job in group:
+                if isinstance(job, BaseException):  # refused: queue full
+                    raise job
                 service.wait_for(job)
                 local.append(time.perf_counter() - t0)
         with lock:

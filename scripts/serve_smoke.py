@@ -10,7 +10,9 @@ unversioned alias):
 1. start ``repro serve`` with a valid model on an ephemeral port;
 2. score a generated netlist (200, non-degraded) over ``/v1/score``;
 3. score a set through ``/v1/score:batch`` and check the answers match
-   solo scoring exactly (batching must not change labels);
+   solo scoring exactly (batching must not change labels), that the set
+   was one scoring pass, and that a solo request on the idle daemon
+   waited for nothing in the queue;
 4. reject malformed input (400) and a structurally broken netlist (422),
    both carrying the exit-code taxonomy;
 5. overload the queue (at least one 429 with ``Retry-After``; every
@@ -148,6 +150,11 @@ def main() -> None:
 
         # --- basic scoring over /v1 ----------------------------------- #
         scored = client.score(bench, design="smoke", request_id="smoke-1")
+        check(
+            scored.stages_ms.get("queue_wait", 1e9) < 5.0,
+            f"a solo request on the idle daemon is scored at once "
+            f"(stages_ms {scored.stages_ms})",
+        )
         check(scored.degraded is False, "model-backed score is not degraded")
         check(
             len(scored.labels) == scored.num_nodes,
@@ -157,19 +164,28 @@ def main() -> None:
         baseline = scored.labels.tolist()
 
         # --- batch endpoint matches solo scoring ---------------------- #
+        passes = parse_metrics(client.metrics())
         batch = client.score_many([bench] * 4, design="smoke-batch")
         check(
             all(item.labels.tolist() == baseline for item in batch),
             "score:batch answers identical to solo scoring",
         )
         check(
-            any(item.batched for item in batch),
-            "score:batch members served from a coalesced pass",
+            all(item.batched and item.batch_size == 4 for item in batch),
+            "every score:batch member came from the one pass of four",
         )
 
         # --- metrics: families exist, counters moved ------------------- #
         text = client.metrics()
         before = parse_metrics(text)
+        check(
+            (
+                before["repro_serve_batch_size_count"] - passes["repro_serve_batch_size_count"],
+                before["repro_serve_batch_size_sum"] - passes["repro_serve_batch_size_sum"],
+            )
+            == (1.0, 4.0),
+            "the four members were enqueued at once and scored in one pass",
+        )
         check(
             before.get('repro_serve_requests_total{event="accepted"}') == 5.0,
             "accepted counter is 5 after one solo + four batch members",
@@ -183,8 +199,8 @@ def main() -> None:
             "queue depth gauge is exported",
         )
         check(
-            before.get("repro_serve_batch_size_count", 0) >= 1.0,
-            "batch-size histogram observed the coalesced pass",
+            'repro_stage_seconds_count{stage="predict"}' in before,
+            "stage histogram is exported",
         )
         check(
             "# TYPE repro_serve_requests_total counter" in text,

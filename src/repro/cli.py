@@ -291,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(and route to sharded inference past the auto threshold)",
     )
     srv.add_argument(
-        "--batch-linger-ms",
-        type=int,
-        default=5,
-        help="max wait for the queue to fill a batch",
-    )
-    srv.add_argument(
         "--debug",
         action="store_true",
         help="request logging + fault-injection request fields (smoke tests)",
@@ -748,7 +742,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batching=not args.no_batching,
         batch_max_requests=args.batch_max_requests,
         batch_max_nodes=args.batch_max_nodes,
-        batch_linger_ms=args.batch_linger_ms,
         debug=args.debug,
     )
     return serve(config=config, model_path=args.model, announce=print)

@@ -83,14 +83,20 @@ class COOMatrix:
 
     @property
     def values(self) -> np.ndarray:
+        if self._rows is None:
+            self._rebuild_triples()
         return self._values[: self._n]
 
     @property
     def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rebuild_triples()
         return self._rows[: self._n]
 
     @property
     def cols(self) -> np.ndarray:
+        if self._rows is None:
+            self._rebuild_triples()
         return self._cols[: self._n]
 
     @property
@@ -117,6 +123,8 @@ class COOMatrix:
 
     def append(self, value: float, row: int, col: int) -> None:
         """Append one ``(value, row, col)`` tuple — amortised O(1)."""
+        if self._rows is None:
+            self._rebuild_triples()
         if self._n == len(self._values):
             new_cap = 2 * len(self._values)
             self._values = np.resize(self._values, new_cap)
@@ -155,6 +163,8 @@ class COOMatrix:
         """
         if not 0 <= nnz <= self._n:
             raise ValueError(f"cannot truncate to {nnz} entries (have {self._n})")
+        if self._rows is None:
+            self._rebuild_triples()
         self._csc = None
         csr = self._csr
         if csr is not None and nnz < self._csr_base:
@@ -174,6 +184,51 @@ class COOMatrix:
         self._csc = None
         if self._csr is not None:
             self._csr.resize(shape)
+
+    # ------------------------------------------------------------------ #
+    # One format across a process boundary
+    # ------------------------------------------------------------------ #
+    def __getstate__(self) -> dict:
+        """The CSR arrays alone when the cache is current, else the triples.
+
+        A matrix whose CSR was sorted from exactly its present entries
+        (nothing appended since, no duplicate summed) is fully described
+        by ``data``/``indices``/``indptr``: shipping the triples as well
+        doubles the frame the admission workers sign and checksum.
+        """
+        csr = self._csr
+        if csr is not None and self._csr_base == self._n == csr.nnz:
+            return {"shape": self._shape, "csr": (csr.data, csr.indices, csr.indptr)}
+        return {
+            "shape": self._shape,
+            "triples": (self.values, self.rows, self.cols),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        if "triples" in state:
+            self.__init__(state["shape"], *state["triples"])
+        else:
+            self._adopt_csr(state["shape"], *state["csr"])
+
+    def _adopt_csr(self, shape, data, indices, indptr) -> None:
+        """Become the matrix these CSR arrays describe, triples deferred."""
+        self._shape = (int(shape[0]), int(shape[1]))
+        self._csr = sp.csr_matrix((data, indices, indptr), shape=self._shape, copy=False)
+        self._csr_base = self._n = self._csr.nnz
+        self._csc = None
+        # Rebuilt on first use (scoring never asks): None marks them absent.
+        self._values = self._rows = self._cols = None
+
+    def _rebuild_triples(self) -> None:
+        """``values``/``rows``/``cols`` of a matrix that came as CSR arrays
+        (unpickled, or a :meth:`block_diag`), in CSR order; entries
+        appended afterwards follow them as usual."""
+        csr = self._csr
+        rows = np.repeat(
+            np.arange(self._shape[0], dtype=np.int64), np.diff(csr.indptr)
+        )
+        self.__init__(self._shape, csr.data, rows, csr.indices)
+        self._csr, self._csr_base = csr, self._n
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -224,18 +279,10 @@ class COOMatrix:
         indices += np.repeat(col_offs[:-1].astype(idx_dtype), counts)
         data = np.concatenate([csr.data for csr in csrs])
 
-        # The COO view mirrors the CSR layout (rows expanded from indptr)
-        # so the two representations stay consistent entry-for-entry.
-        merged = cls(
-            shape,
-            values=data,
-            rows=np.repeat(np.arange(shape[0], dtype=np.int64), np.diff(indptr)),
-            cols=indices,
-        )
-        merged._csr = sp.csr_matrix(
-            (data, indices, indptr), shape=shape, copy=False
-        )
-        merged._csr_base = merged._n
+        # The COO view, when asked for, mirrors the CSR layout (rows
+        # expanded from indptr), so the two stay consistent entry-for-entry.
+        merged = cls.__new__(cls)
+        merged._adopt_csr(shape, data, indices, indptr)
         return merged
 
     # ------------------------------------------------------------------ #

@@ -34,13 +34,31 @@ bound — so the HTTP layer holds a slot of the server's ``admission_gate``
 semaphore (capacity ``ServeConfig.admission_capacity``) from reading the
 body to the end of admission, answering 429 when saturated; waiting for
 an idle worker happens inside that slot.  Only model inference is queued.
+
+Split admission.  A ``/v1/score:batch`` body takes one lane blocking
+*and every lane idle at that moment*: lane ``i`` of ``k`` runs
+``admit_batch(raw, config, part=(i, k))`` — the same envelope checks,
+then members ``i::k`` — and the ``(index, outcome)`` lists are merged in
+index order, so no lane idles while a body still has members to admit
+and the answer does not depend on ``k``.
+
+One format across the boundary.  The finished graph's adjacency is
+pickled as its CSR arrays alone (:class:`~repro.nn.sparse.COOMatrix`
+rebuilds the triples from them if anyone asks; scoring does not), so the
+frame a worker signs and the daemon verifies is about half what the
+triples plus both caches weighed.  The request also carries back what
+the worker measured — ``stages``: seconds in ``parse``, ``validate``,
+``build`` — for the server's ``repro_stage_seconds`` histogram.
 """
 
 from __future__ import annotations
 
 import json
 import queue
+import threading
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.circuit.bench import parse_bench
 from repro.circuit.validate import NetlistValidationError, validate_netlist
@@ -91,6 +109,9 @@ class ScoreRequest:
     return_predictions: bool = True
     debug_sleep_s: float = 0.0  #: fault-injection aid, honoured only in debug
     warnings: list[str] = field(default_factory=list)
+    #: seconds spent in ``parse`` / ``validate`` / ``build``, measured where
+    #: the admission ran (a forked worker under ``repro serve``)
+    stages: dict[str, float] = field(default_factory=dict)
 
 
 def _schema_error(message: str) -> MalformedRequestError:
@@ -165,14 +186,18 @@ def admit_payload(payload, config: ServeConfig) -> ScoreRequest:
         raise _schema_error('"debug_sleep_ms" requires the server to run with --debug')
 
     # BenchParseError (a NetlistFormatError) propagates to the 400 mapping.
+    started = time.perf_counter()
     netlist = parse_bench(netlist_text, name=design)
     if netlist.num_nodes > config.max_nodes:
         raise PayloadTooLargeError(
             f"netlist has {netlist.num_nodes} nodes; limit is {config.max_nodes}"
         )
+    parsed = time.perf_counter()
     # Strict: structural errors raise NetlistValidationError (422).
     report = validate_netlist(netlist, strict=True)
+    validated = time.perf_counter()
     graph = GraphData.from_netlist(netlist, name=design)
+    built = time.perf_counter()
     return ScoreRequest(
         graph=graph,
         design=design,
@@ -182,11 +207,16 @@ def admit_payload(payload, config: ServeConfig) -> ScoreRequest:
         return_predictions=return_predictions,
         debug_sleep_s=max(0.0, float(debug_sleep_ms)) / 1000.0,
         warnings=list(report.warnings),
+        stages={
+            "parse": parsed - started,
+            "validate": validated - parsed,
+            "build": built - validated,
+        },
     )
 
 
 def admit_batch(
-    raw: bytes, config: ServeConfig
+    raw: bytes, config: ServeConfig, part: tuple[int, int] = (0, 1)
 ) -> list[tuple[int, "ScoreRequest | BaseException"]]:
     """Validate a ``/v1/score:batch`` body item by item.
 
@@ -195,6 +225,10 @@ def admit_batch(
     neighbours still score.  The envelope itself (non-object body,
     missing/empty/oversized ``requests`` array) raises, because there is
     nothing per-item to answer.
+
+    ``part=(i, k)`` admits members ``i::k`` only, after the same envelope
+    checks: the ``k`` parts of one body are disjoint, cover it, and merged
+    by index equal the unsplit result, per-item errors included.
     """
     if len(raw) > config.max_body_bytes:
         raise PayloadTooLargeError(
@@ -218,9 +252,10 @@ def admit_batch(
             f"{config.batch_max_requests}"
         )
     admitted: list[tuple[int, ScoreRequest | BaseException]] = []
-    for index, item in enumerate(items):
+    first, stride = part
+    for index in range(first, len(items), stride):
         try:
-            admitted.append((index, admit_payload(item, config)))
+            admitted.append((index, admit_payload(items[index], config)))
         except Exception as exc:  # typed by the protocol layer per item
             admitted.append((index, exc))
     return admitted
@@ -252,10 +287,12 @@ def run_admission(admit_fn, raw: bytes, config: ServeConfig):
     for _, member in batch:
         if isinstance(member, ScoreRequest):  # not a batch member's own error
             # The scoring threads would build these on first use, under
-            # the daemon's interpreter lock; the caches travel with the
-            # pickled graph.
+            # the daemon's interpreter lock; they are also all of the
+            # adjacency that is pickled.
+            started = time.perf_counter()
             member.graph.pred.to_scipy()
             member.graph.succ.to_scipy()
+            member.stages["build"] += time.perf_counter() - started
     return admitted
 
 
@@ -297,16 +334,56 @@ class AdmissionPool:
 
     def run(self, admit_fn, raw: bytes):
         """:func:`run_admission` on an idle lane; blocks (off the GIL)
-        until one is free and has answered."""
-        executor = self._idle.get()
+        until one is free and has answered.
+
+        A batch body (``admit_fn is admit_batch``) also takes every other
+        lane idle right now and is admitted in strides, one helper thread
+        per extra lane; each lane keeps its own ladder, so a lost
+        worker's stride is admitted inline by the thread that drove it.
+        An envelope error (or a lane's failure) is the answer.
+        """
+        lanes = [self._idle.get()]
+        if admit_fn is admit_batch:
+            try:
+                while True:
+                    lanes.append(self._idle.get_nowait())
+            except queue.Empty:
+                pass
+        k = len(lanes)
+        outcomes: list = [None] * k
+
+        def drive(i: int) -> None:
+            fn = admit_fn if k == 1 else partial(admit_fn, part=(i, k))
+            try:
+                [outcomes[i]] = lanes[i].submit(
+                    [ShardTask("admit", fn=run_admission,
+                               args=(fn, raw, self.config))]
+                )
+            except Exception as exc:  # the caller raises it, like a 4xx
+                outcomes[i] = exc
+            finally:
+                self._idle.put(lanes[i])
+
+        helpers = [
+            threading.Thread(target=drive, args=(i,), name=f"admit-lane-{i}")
+            for i in range(1, k)
+        ]
+        for helper in helpers:
+            helper.start()
         try:
-            [outcome] = executor.submit(
-                [ShardTask("admit", fn=run_admission,
-                           args=(admit_fn, raw, self.config))]
-            )
+            drive(0)
         finally:
-            self._idle.put(executor)
-        return outcome
+            for helper in helpers:
+                helper.join()
+        if k == 1:
+            return outcomes[0]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                return outcome
+        return sorted(
+            (entry for outcome in outcomes for entry in outcome),
+            key=lambda entry: entry[0],
+        )
 
     def close(self) -> None:
         """End the workers (idempotent)."""

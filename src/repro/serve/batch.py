@@ -16,13 +16,13 @@ Two pieces:
 
 * :func:`merge_graphs` / :class:`MergedBatch` — the block-diagonal
   construction and the per-request row slices that undo it;
-* :class:`BatchPolicy` — the size/deadline-aware flush rule: a batch
-  closes when it reaches ``batch_max_requests`` requests or
-  ``batch_max_nodes`` total nodes, when the linger window
-  (``batch_linger_ms``) expires, or — earlier than either — when holding
-  it longer would push the earliest member deadline inside the
-  ``batch_safety_ms`` margin.  A near-deadline request is therefore
-  never parked waiting for peers it cannot afford.
+* :class:`BatchPolicy` — the budgets of one pass: at most
+  ``batch_max_requests`` requests and ``batch_max_nodes`` total nodes.
+  There is no time in it.  The flush rule is work-conserving: a worker
+  takes what is queued *now* and the budgets admit, and scores at once —
+  a batch is one ``/v1/score:batch`` body (enqueued atomically by
+  :meth:`~repro.serve.service.ScoringService.submit_many`) or whatever
+  queued while the workers were busy, never the product of a wait.
 
 Routing (who may enter the batch lane) is decided at submit time in
 :class:`~repro.serve.service.ScoringService`: requests over
@@ -95,32 +95,17 @@ def merge_graphs(graphs: list[GraphData], name: str = "batch") -> MergedBatch:
 
 
 class BatchPolicy:
-    """Size/deadline-aware flush decisions for one forming batch.
+    """Request/node budgets of one forming batch.
 
-    Stateful over a single batch's lifetime: ``open(job)`` starts it,
-    ``admits(job)`` asks whether another job fits the budgets,
-    ``add(job)`` commits it, and ``flush_at`` is the absolute clock time
-    past which the batch must not linger.  The service owns the actual
-    queue draining; this class owns only the arithmetic, so the flush
-    rule is testable with a fake clock and no threads.
+    ``admits(job)`` asks whether another job fits, ``add(job)`` commits
+    it, ``full()`` says nothing more can.  The service owns the queue;
+    this class owns only the arithmetic.
     """
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.nodes = 0
         self.count = 0
-        self.flush_at = 0.0
-
-    def open(self, job, now: float) -> None:
-        """Start a batch with its first (already-claimed) job."""
-        self.nodes = job.request.graph.num_nodes
-        self.count = 1
-        linger = self.config.batch_linger_ms / 1000.0
-        self.flush_at = min(now + linger, self._deadline_cap(job))
-
-    def _deadline_cap(self, job) -> float:
-        """Latest moment this job may still sit in a forming batch."""
-        return job.deadline - self.config.batch_safety_ms / 1000.0
 
     def admits(self, job) -> bool:
         """Whether ``job`` fits the request/node budgets of this batch."""
@@ -129,17 +114,12 @@ class BatchPolicy:
         return self.nodes + job.request.graph.num_nodes <= self.config.batch_max_nodes
 
     def add(self, job) -> None:
-        """Commit ``job``; tightens the flush deadline if it is urgent."""
+        """Commit ``job`` (the first one unconditionally: it is the batch)."""
         self.nodes += job.request.graph.num_nodes
         self.count += 1
-        self.flush_at = min(self.flush_at, self._deadline_cap(job))
 
     def full(self) -> bool:
         return (
             self.count >= self.config.batch_max_requests
             or self.nodes >= self.config.batch_max_nodes
         )
-
-    def remaining(self, now: float) -> float:
-        """Seconds of linger left before the batch must flush."""
-        return self.flush_at - now

@@ -79,6 +79,10 @@ class ServeScore:
     latency_ms: float  #: server-side scoring latency
     request_id: str = ""
     warnings: list[str] = field(default_factory=list)
+    batch_size: int = 1  #: netlists in the scoring pass that served this one
+    #: where the call's server-side time went, by stage (``queue_wait``,
+    #: ``predict``, ...); one breakdown per call, shared by a batch's members
+    stages_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def labels(self):
@@ -295,7 +299,7 @@ class ServeClient:
                     raise error
                 results.append(error)
             else:
-                results.append(_serve_score(entry))
+                results.append(_serve_score(entry, body.get("stages_ms")))
         return results
 
     @staticmethod
@@ -335,7 +339,7 @@ def _client_error(
     )
 
 
-def _serve_score(body: dict) -> ServeScore:
+def _serve_score(body: dict, stages_ms: dict | None = None) -> ServeScore:
     import numpy as np
 
     # Deferred: repro.api re-exports ServeClient, so importing it at
@@ -364,4 +368,6 @@ def _serve_score(body: dict) -> ServeScore:
         latency_ms=float(body.get("latency_ms", 0.0)),
         request_id=str(body.get("request_id", "")),
         warnings=list(body.get("warnings", [])),
+        batch_size=int(body.get("batch_size", 1)),
+        stages_ms=dict(stages_ms or body.get("stages_ms") or {}),
     )

@@ -41,11 +41,11 @@ class ServeConfig:
     # ------------------------------------------------------------------ #
     # Cross-request batching (the coalescing layer; see serve.batch)
     # ------------------------------------------------------------------ #
-    batching: bool = True  #: coalesce queued requests into one scoring pass
+    #: coalesce what is queued into one scoring pass (never by waiting:
+    #: a worker takes what is there and scores at once)
+    batching: bool = True
     batch_max_requests: int = 16  #: netlists per block-diagonal batch
     batch_max_nodes: int = 200_000  #: total node budget per batch
-    batch_linger_ms: int = 5  #: max wait for the queue to fill a batch
-    batch_safety_ms: int = 50  #: flush margin before the earliest deadline
     #: requests above this node count never enter the batch lane — they
     #: are scored solo, where ``ExecutionConfig`` routing sends graphs
     #: past the sharded-auto threshold to ``ShardedInference``; 0 derives
@@ -100,10 +100,6 @@ class ServeConfig:
             problems.append("batch_max_requests must be >= 1")
         if self.batch_max_nodes < 1:
             problems.append("batch_max_nodes must be >= 1")
-        if self.batch_linger_ms < 0:
-            problems.append("batch_linger_ms must be >= 0")
-        if self.batch_safety_ms < 0:
-            problems.append("batch_safety_ms must be >= 0")
         if self.batch_solo_threshold < 0:
             problems.append("batch_solo_threshold must be >= 0 (0 = auto)")
         if problems:

@@ -108,7 +108,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._headers_buffer.append(body)
         self.flush_headers()
 
-    def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
+    def _send(
+        self, status: int, payload: dict, headers: dict | None = None
+    ) -> tuple[float, float]:
+        """Send ``payload`` as JSON; returns the seconds spent in
+        ``(encode, write)`` for the caller's stage accounting."""
         if getattr(self, "_deprecated_route", False):
             # RFC 8594-style signalling on the unversioned alias; the body
             # and behaviour stay identical to /v1/score until removal.
@@ -117,7 +121,11 @@ class _Handler(BaseHTTPRequestHandler):
                 "Link": '</v1/score>; rel="successor-version"',
                 **(headers or {}),
             }
-        self._respond(status, "application/json", encode_json(payload), headers)
+        started = time.perf_counter()
+        body = encode_json(payload)
+        encoded = time.perf_counter()
+        self._respond(status, "application/json", body, headers)
+        return encoded - started, time.perf_counter() - encoded
 
     def _send_error(self, exc: BaseException, **extra) -> None:
         status, _ = status_for(exc)
@@ -185,6 +193,13 @@ class _Handler(BaseHTTPRequestHandler):
         an admission pool the work happens in a forked worker while this
         thread sleeps off the GIL; without one (embedded servers) it
         happens here.  Either way a 400 / 413 / 422 comes back as a value.
+
+        Returns ``(admitted, stages)``: ``stages`` holds the seconds of
+        ``read_body``, of the worker's own ``parse`` / ``validate`` /
+        ``build`` (summed over a batch body's members, so lanes that
+        overlapped count twice), and ``lane_wait`` — the rest of the
+        admission call: waiting for an idle lane, the envelope's JSON
+        decode, the frame there and back.
         """
         app = self.app
         if not app.admission_gate.acquire(blocking=False):
@@ -195,16 +210,29 @@ class _Handler(BaseHTTPRequestHandler):
                 retry_after_s=app.config.retry_after_s,
             )
         try:
+            started = time.perf_counter()
             raw = self._read_body()
+            read = time.perf_counter()
             if app.admission_pool is not None:
                 outcome = app.admission_pool.run(admit_fn, raw)
             else:
                 outcome = run_admission(admit_fn, raw, app.config)
+            admitted = time.perf_counter()
         finally:
             app.admission_gate.release()
         if isinstance(outcome, BaseException):
             raise outcome
-        return outcome
+        stages = dict.fromkeys(
+            ("read_body", "lane_wait", "parse", "validate", "build"), 0.0
+        )
+        stages["read_body"] = read - started
+        for _, member in outcome if isinstance(outcome, list) else [(0, outcome)]:
+            if isinstance(member, ScoreRequest):  # not a member's own error
+                for stage, seconds in member.stages.items():
+                    stages[stage] += seconds
+        worked = stages["parse"] + stages["validate"] + stages["build"]
+        stages["lane_wait"] = max(0.0, admitted - read - worked)
+        return outcome, stages
 
     @staticmethod
     def _score_payload(
@@ -219,6 +247,7 @@ class _Handler(BaseHTTPRequestHandler):
             "degraded": bool(info.get("degraded", False)),
             "predictor_level": info.get("predictor_level"),
             "batched": bool(info.get("batched", False)),
+            "batch_size": int(info.get("batch_size", 1)),
             "latency_ms": round(latency_ms, 3),
         }
         if request.request_id:
@@ -231,13 +260,37 @@ class _Handler(BaseHTTPRequestHandler):
             payload["predictions"] = labels.tolist()
         return payload
 
+    def _finish(self, payload: dict, stages: dict | None, began: float) -> None:
+        """Answer a scoring call: latency sample, stage samples, ``stages_ms``.
+
+        Everything is observed before the response is written, so a
+        scrape racing the client never sees a 200 whose samples are
+        missing — except ``encode`` and ``write``, which are only known
+        afterwards and so reach the histogram but not the echo.
+        ``stages`` is None for a batch call none of whose members was
+        scored: its body is its members' errors and nothing else.
+        """
+        self.app.request_latency.observe(time.perf_counter() - began)
+        if stages is None:
+            self._send(200, payload)
+            return
+        observe = self.app.stage_seconds.labels
+        for stage, seconds in stages.items():
+            observe(stage).observe(seconds)
+        payload["stages_ms"] = {
+            stage: round(seconds * 1000.0, 3) for stage, seconds in stages.items()
+        }
+        encode_s, write_s = self._send(200, payload)
+        observe("encode").observe(encode_s)
+        observe("write").observe(write_s)
+
     def _score(self) -> None:
         service = self.app.service
         if service.draining:
             raise DrainingError("server is draining; not accepting new work")
-        admitted = time.monotonic()
-        request = self._admit(admit)
-        start = time.monotonic()
+        began = time.perf_counter()
+        request, stages = self._admit(admit)
+        start = time.perf_counter()
         try:
             labels, info = service.score(request)
         except Exception as exc:
@@ -246,59 +299,65 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error(exc, request_id=request.request_id)
                 return
             raise
-        latency_ms = (time.monotonic() - start) * 1000.0
-        # Observed before the response is written, so a scrape racing the
-        # client never sees a 200 whose latency sample is missing.
-        self.app.request_latency.observe(time.monotonic() - admitted)
-        self._send(200, self._score_payload(request, labels, info, latency_ms))
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        stages.update(info.get("stages", {}))
+        self._finish(self._score_payload(request, labels, info, latency_ms), stages, began)
 
     def _score_batch(self) -> None:
-        """``/v1/score:batch``: submit every member, then wait on each.
+        """``/v1/score:batch``: enqueue every member at once, then wait on each.
 
-        Submitting the whole set before the first wait is what hands the
-        coalescer a full queue to merge; per-item failures (malformed
+        :meth:`~repro.serve.service.ScoringService.submit_many` puts the
+        admitted members in the queue in one critical section, so one
+        worker takes them as one pass; per-item failures (malformed
         netlist, deadline, queue overflow) become per-item error entries
         so one bad member never rejects its neighbours.
         """
         service = self.app.service
         if service.draining:
             raise DrainingError("server is draining; not accepting new work")
-        admitted = time.monotonic()
-        items = self._admit(admit_batch)
-        pending = []  # (index, request, job-or-None, error-or-None)
-        for index, item in items:
-            if isinstance(item, BaseException):
-                pending.append((index, None, None, item))
-                continue
-            try:
-                pending.append((index, item, service.submit(item), None))
-            except Exception as exc:
-                pending.append((index, item, None, exc))
+        began = time.perf_counter()
+        items, stages = self._admit(admit_batch)
+        jobs = iter(
+            service.submit_many(
+                [item for _, item in items if isinstance(item, ScoreRequest)]
+            )
+        )
         results = []
         ok = 0
-        for index, request, job, error in pending:
-            if error is None:
-                start = time.monotonic()
+        slowest: dict = {}  # scoring stages of the member that took longest
+        for index, item in items:
+            request, outcome = (
+                (item, next(jobs)) if isinstance(item, ScoreRequest) else (None, item)
+            )
+            if not isinstance(outcome, BaseException):
+                start = time.perf_counter()
                 try:
-                    labels, info = service.wait_for(job)
+                    labels, info = service.wait_for(outcome)
                 except Exception as exc:
-                    error = exc
+                    outcome = exc
                 else:
-                    latency_ms = (time.monotonic() - start) * 1000.0
+                    latency_ms = (time.perf_counter() - start) * 1000.0
                     entry = self._score_payload(request, labels, info, latency_ms)
                     entry["index"] = index
                     results.append(entry)
                     ok += 1
+                    scoring = info.get("stages", {})
+                    if sum(scoring.values()) >= sum(slowest.values()):
+                        slowest = scoring
                     continue
-            status, _ = status_for(error)
-            entry = error_payload(error)
+            status, _ = status_for(outcome)
+            entry = error_payload(outcome)
             entry["index"] = index
             entry["status"] = status
             if request is not None and request.request_id:
                 entry["request_id"] = request.request_id
             results.append(entry)
-        self.app.request_latency.observe(time.monotonic() - admitted)
-        self._send(200, {"results": results, "count": len(results), "ok": ok})
+        stages.update(slowest)
+        self._finish(
+            {"results": results, "count": len(results), "ok": ok},
+            stages if ok else None,
+            began,
+        )
 
     def _reload(self) -> None:
         raw = self._read_body()
@@ -356,6 +415,16 @@ class NetlistScoreServer:
         self.request_latency = self.registry.histogram(
             "repro_serve_request_latency_seconds",
             "wall time of scoring requests, admission through response",
+        )
+        #: where a scored call's wall time went, one sample per call and
+        #: stage; all but ``encode`` / ``write`` are echoed as ``stages_ms``
+        self.stage_seconds = self.registry.histogram(
+            "repro_stage_seconds",
+            "wall time of one scored call by stage (read_body, lane_wait, "
+            "parse, validate, build, queue_wait, merge, predict, encode, write)",
+            labelnames=("stage",),
+            buckets=(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+                     0.025, 0.05, 0.1, 0.25, 1.0),
         )
         self.admission_gate = threading.BoundedSemaphore(
             self.config.admission_capacity

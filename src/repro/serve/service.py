@@ -3,14 +3,19 @@
 Separated from the HTTP surface so every availability property is testable
 without sockets:
 
-* **Backpressure** — a fixed-capacity queue; a full queue rejects with
+* **Backpressure** — a fixed-capacity queue (a deque under the service's
+  one lock); a full queue rejects with
   :class:`~repro.serve.protocol.OverloadedError` (HTTP 429) at submit
   time.  Once a job is accepted it is *never* dropped: it either completes
   or is answered with a typed error.
-* **Batching** — workers drain the queue through the coalescing layer
-  (:mod:`~repro.serve.batch`): small batchable requests merge into one
-  block-diagonal scoring pass under a size/linger/deadline flush policy;
-  oversized or ``batchable: false`` requests take the solo lane, where
+* **Batching, work-conserving** — :meth:`ScoringService.submit_many`
+  enqueues a ``/v1/score:batch`` body's members in one critical section,
+  and a worker pops its first job *and every queued job the batch budgets
+  admit* (:class:`~repro.serve.batch.BatchPolicy`) in one critical
+  section, then scores at once.  A batch forms from one body, or from
+  jobs that queued while the workers were busy — never from sleeping: no
+  stage waits for work that is not known to be coming.  Oversized or
+  ``batchable: false`` requests take the solo lane, where
   :class:`~repro.config.ExecutionConfig` routing engages
   :class:`~repro.graph.sharded.ShardedInference` past the sharded-auto
   threshold.  Batched results are bit-identical to solo scoring at
@@ -20,8 +25,7 @@ without sockets:
   submitting thread waits at most that long; a job whose deadline passes
   while still queued is cancelled (the worker skips it) and the caller
   gets :class:`~repro.serve.protocol.DeadlineExceededError` (HTTP 504)
-  instead of hanging.  The coalescer participates: a forming batch
-  flushes before any member's deadline minus the safety margin.
+  instead of hanging.
 * **Crash isolation** — a worker wraps each batch; an exception fails
   those jobs only.  Even a ``BaseException`` escaping (thread death)
   fails the in-hand jobs and the pool respawns the thread before the
@@ -37,9 +41,9 @@ dashboards stay comparable with the pre-batching era.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 
 import numpy as np
 
@@ -99,7 +103,8 @@ class Job:
         self.request = request
         self.deadline = deadline  #: absolute, on the service clock
         self.batchable = batchable  #: may enter the coalescing lane
-        self.enqueued_at = enqueued_at  #: submit time, for linger metrics
+        self.enqueued_at = enqueued_at  #: submit time, on the service clock
+        self.queue_wait = 0.0  #: seconds from submit to scoring start
         self.result = None
         self.info: dict = {}
         self.error: BaseException | None = None
@@ -161,16 +166,15 @@ class ScoringService:
         self.config = config or ServeConfig()
         self._clock = clock
         self._sleep = sleep
-        self._queue: queue.Queue[Job] = queue.Queue(maxsize=self.config.queue_capacity)
         self._stop = threading.Event()
         self._draining = threading.Event()
+        # One lock over the queue, the depths and the counters, so a
+        # snapshot reads them consistently; two conditions on it.
         self._lock = threading.Lock()
+        self._queue: deque[Job] = deque()
         self._in_flight = 0
-        # Shadow of queue depth, mutated only under self._lock so snapshot()
-        # can read it consistently with the counters (qsize() has no such
-        # guarantee relative to our accounting).
-        self._queued = 0
-        self._idle = threading.Condition(self._lock)
+        self._work = threading.Condition(self._lock)  #: queue non-empty, or stop
+        self._idle = threading.Condition(self._lock)  #: nothing queued or claimed
         self.registry = registry if registry is not None else MetricsRegistry()
         requests = self.registry.counter(
             "repro_serve_requests_total",
@@ -258,78 +262,56 @@ class ScoringService:
                     self._worker_restarts.inc()
                     break
 
-    def _dequeue(self, timeout: float) -> Job | None:
-        """Pop one job and move its accounting from queued to in-flight."""
-        try:
-            job = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        with self._lock:
-            self._queued -= 1
-            self._in_flight += 1
-        return job
+    def _take(self) -> list[Job] | None:
+        """Pop the next job and every queued job its batch admits, at once.
 
-    def _collect_batch(self, first: Job) -> tuple[list[Job], Job | None]:
-        """Coalesce queue work behind ``first`` under the flush policy.
-
-        Returns ``(batch, carry)`` where ``carry`` is a job that was
-        popped but does not belong in this batch (unbatchable, or over
-        budget) — already accounted as in-flight, it is processed by the
-        next loop iteration instead of being re-queued behind newer work.
+        One critical section: the members of a body enqueued by
+        :meth:`submit_many` are therefore taken together, and so is
+        whatever queued while every worker was busy.  Stops at the first
+        job that does not fit (unbatchable, or over a budget), which
+        stays at the head for the next pass — order is kept.  Returns
+        None once the service is stopped.
         """
-        if not (self.config.batching and first.batchable):
-            return [first], None
-        policy = BatchPolicy(self.config)
-        policy.open(first, self._clock())
-        batch = [first]
-        while not policy.full() and not self._stop.is_set():
-            if self._draining.is_set() and self._queue.empty():
-                break  # no more traffic is coming; lingering only delays drain
-            remaining = policy.remaining(self._clock())
-            if remaining <= 0:
-                break
-            job = self._dequeue(timeout=min(remaining, 0.05))
-            if job is None:
-                continue
-            if not job.batchable or not policy.admits(job):
-                return batch, job
-            policy.add(job)
-            batch.append(job)
-        return batch, None
+        with self._work:
+            while not self._stop.is_set() and not self._queue:
+                self._work.wait()
+            if self._stop.is_set():
+                return None  # a hard stop abandons what is still queued
+            batch = [self._queue.popleft()]
+            if batch[0].batchable:
+                policy = BatchPolicy(self.config)
+                policy.add(batch[0])
+                while (
+                    self._queue
+                    and not policy.full()
+                    and self._queue[0].batchable
+                    and policy.admits(self._queue[0])
+                ):
+                    policy.add(self._queue[0])
+                    batch.append(self._queue.popleft())
+            self._in_flight += len(batch)
+            if self._queue:
+                self._work.notify()  # what is left is another worker's
+        return batch
 
     def _worker_main(self) -> None:
-        carry: Job | None = None
-        while not self._stop.is_set():
-            if carry is not None:
-                job, carry = carry, None
-            else:
-                job = self._dequeue(timeout=0.05)
-                if job is None:
-                    continue
-            batch, carry = self._collect_batch(job)
+        while (batch := self._take()) is not None:
             try:
                 self._run_batch(batch)
             except BaseException as exc:
                 # Thread-killing exceptions (injected SystemExit,
-                # MemoryError) must still answer every claimed job — the
-                # in-hand batch and any carry — before the thread dies
-                # and spawns its own replacement.
+                # MemoryError) must still answer every claimed job before
+                # the thread dies and spawns its own replacement.
                 for member in batch:
                     if member.state in (_RUNNING, _PENDING):
                         member.fail(exc)
-                if carry is not None:
-                    carry.fail(exc)
-                    batch.append(carry)  # for the in-flight accounting below
-                    carry = None
                 self._replace_worker(threading.current_thread())
                 raise
             finally:
                 with self._idle:
                     self._in_flight -= len(batch)
-                    if self._in_flight == 0 and self._queue.empty():
+                    if self._in_flight == 0 and not self._queue:
                         self._idle.notify_all()
-                for _ in batch:
-                    self._queue.task_done()
 
     def _run_batch(self, jobs: list[Job]) -> None:
         """Score one coalesced batch (or a solo job, ``len == 1``)."""
@@ -346,15 +328,18 @@ class ScoringService:
             return
         self._batch_size.observe(len(live))
         for job in live:
-            self._batch_linger.observe(max(0.0, now - job.enqueued_at))
+            job.queue_wait = max(0.0, now - job.enqueued_at)
+            self._batch_linger.observe(job.queue_wait)
         if len(live) == 1:
             self._score_solo(live[0])
             return
-        if any(job.request.debug_sleep_s for job in live):
-            self._sleep(max(job.request.debug_sleep_s for job in live))
+        started = time.perf_counter()
         merged = merge_graphs([job.request.graph for job in live])
+        merge_s = time.perf_counter() - started
         try:
-            labels, info = self.manager.predict(merged.graph)
+            labels, info = self._predict(
+                merged.graph, max(job.request.debug_sleep_s for job in live)
+            )
             parts = merged.split(np.asarray(labels))
         except Exception:
             # One poisoned member must not fail its batch peers: rescue
@@ -369,14 +354,24 @@ class ScoringService:
             if info.get("degraded"):
                 self._stat_counters["degraded"].inc(len(live))
         for job, part in zip(live, parts):
-            job.finish(part, dict(info, batched=True, batch_size=len(live)))
+            stages = {"queue_wait": job.queue_wait, "merge": merge_s, **info["stages"]}
+            job.finish(
+                part, dict(info, batched=True, batch_size=len(live), stages=stages)
+            )
+
+    def _predict(self, graph, debug_sleep_s: float) -> tuple[object, dict]:
+        """``manager.predict`` with its wall time as ``info["stages"]``
+        (the debug sleep stands in for slow scoring, so it counts)."""
+        started = time.perf_counter()
+        if debug_sleep_s:
+            self._sleep(debug_sleep_s)
+        labels, info = self.manager.predict(graph)
+        return labels, dict(info, stages={"predict": time.perf_counter() - started})
 
     def _score_solo(self, job: Job) -> None:
         """Score one already-claimed job through the solo lane."""
         try:
-            if job.request.debug_sleep_s:
-                self._sleep(job.request.debug_sleep_s)
-            labels, info = self.manager.predict(job.request.graph)
+            labels, info = self._predict(job.request.graph, job.request.debug_sleep_s)
         except Exception as exc:
             with self._lock:
                 self._stat_counters["failed"].inc()
@@ -386,6 +381,7 @@ class ScoringService:
             self._stat_counters["completed"].inc()
             if info.get("degraded"):
                 self._stat_counters["degraded"].inc()
+        info["stages"] = {"queue_wait": job.queue_wait, **info["stages"]}
         job.finish(labels, info)
 
     def note_admission_reject(self) -> None:
@@ -396,40 +392,60 @@ class ScoringService:
     # ------------------------------------------------------------------ #
     def submit(self, request: ScoreRequest) -> Job:
         """Admit ``request`` to the queue or raise 429/503 typed errors."""
-        if self._draining.is_set() or self._stop.is_set():
-            with self._lock:
-                self._stat_counters["rejected_draining"].inc()
-            raise DrainingError("server is draining; not accepting new work")
+        [outcome] = self.submit_many([request])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def submit_many(
+        self, requests: list[ScoreRequest]
+    ) -> "list[Job | BaseException]":
+        """Enqueue ``requests`` in one critical section, in order.
+
+        Returns one entry per request: its :class:`Job`, or the typed
+        error that refused it (429 once capacity runs out, 503 while
+        draining) — a body larger than the room left loses only its tail.
+        Because no worker can run between two members, the first worker
+        to wake finds the whole set queued and coalesces it in one pass.
+        """
         self.ensure_workers()
         now = self._clock()
-        job = Job(
-            request,
-            deadline=now + request.deadline_s,
-            # Routing decision: oversized designs and explicit opt-outs
-            # take the solo lane (ExecutionConfig sends the largest on to
-            # ShardedInference); everything else may coalesce.
-            batchable=(
-                self.config.batching
-                and request.batchable
-                and request.graph.num_nodes <= self.config.batch_solo_nodes
-            ),
-            enqueued_at=now,
-        )
-        # The enqueue and its accounting happen under one lock acquisition
-        # (put_nowait never blocks), so a snapshot can never see an accepted
-        # job missing from queue_depth or vice versa.
-        with self._lock:
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                self._stat_counters["rejected_overload"].inc()
-                raise OverloadedError(
-                    f"work queue full ({self.config.queue_capacity} jobs)",
-                    retry_after_s=self.config.retry_after_s,
-                ) from None
-            self._stat_counters["accepted"].inc()
-            self._queued += 1
-        return job
+        outcomes: list[Job | BaseException] = []
+        with self._work:
+            for request in requests:
+                if self._draining.is_set() or self._stop.is_set():
+                    self._stat_counters["rejected_draining"].inc()
+                    outcomes.append(
+                        DrainingError("server is draining; not accepting new work")
+                    )
+                elif len(self._queue) >= self.config.queue_capacity:
+                    self._stat_counters["rejected_overload"].inc()
+                    outcomes.append(
+                        OverloadedError(
+                            f"work queue full ({self.config.queue_capacity} jobs)",
+                            retry_after_s=self.config.retry_after_s,
+                        )
+                    )
+                else:
+                    job = Job(
+                        request,
+                        deadline=now + request.deadline_s,
+                        # Routing decision: oversized designs and explicit
+                        # opt-outs take the solo lane (ExecutionConfig sends
+                        # the largest on to ShardedInference); everything
+                        # else may coalesce.
+                        batchable=(
+                            self.config.batching
+                            and request.batchable
+                            and request.graph.num_nodes <= self.config.batch_solo_nodes
+                        ),
+                        enqueued_at=now,
+                    )
+                    self._queue.append(job)
+                    self._stat_counters["accepted"].inc()
+                    outcomes.append(job)
+            self._work.notify()  # one worker: it takes all its batch admits
+        return outcomes
 
     def score(self, request: ScoreRequest) -> tuple[object, dict]:
         """Submit and wait: returns ``(labels, info)`` or raises typed errors.
@@ -444,9 +460,8 @@ class ScoringService:
     def wait_for(self, job: Job) -> tuple[object, dict]:
         """Wait out one submitted job; returns ``(labels, info)`` or raises.
 
-        Split from :meth:`score` so ``/v1/score:batch`` can submit every
-        member first — giving the coalescer the whole set to merge — and
-        only then wait on each in turn.
+        Split from :meth:`score` so ``/v1/score:batch`` can
+        :meth:`submit_many` first and only then wait on each in turn.
         """
         request = job.request
         remaining = job.deadline - self._clock()
@@ -484,7 +499,7 @@ class ScoringService:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return self._queued
+            return len(self._queue)
 
     def in_flight(self) -> int:
         with self._lock:
@@ -493,14 +508,14 @@ class ScoringService:
     def snapshot(self) -> dict:
         """Consistent point-in-time view: counters and depths under one lock.
 
-        Every mutation site increments its counter and adjusts
-        ``_queued``/``_in_flight`` while holding ``self._lock``, so within
-        one snapshot ``completed + failed + expired <= accepted`` and, once
-        drained, ``accepted == completed + failed + expired``.
+        Every mutation site increments its counter and moves the job
+        between the queue and ``_in_flight`` while holding ``self._lock``,
+        so within one snapshot ``completed + failed + expired <= accepted``
+        and, once drained, ``accepted == completed + failed + expired``.
         """
         with self._lock:
             stats = self._stats_locked()
-            stats["queue_depth"] = self._queued
+            stats["queue_depth"] = len(self._queue)
             stats["in_flight"] = self._in_flight
             stats["workers_alive"] = sum(1 for t in self._workers if t.is_alive())
             stats["draining"] = self._draining.is_set()
@@ -523,7 +538,7 @@ class ScoringService:
             # strand the queue; respawn outside the condition's lock.
             self.ensure_workers()
             with self._idle:
-                if self._in_flight == 0 and self._queue.empty():
+                if self._in_flight == 0 and not self._queue:
                     break
                 remaining = None if deadline is None else deadline - self._clock()
                 if remaining is not None and remaining <= 0:
@@ -536,5 +551,7 @@ class ScoringService:
     def stop(self) -> None:
         """Hard-stop the workers (drain() calls this once idle)."""
         self._stop.set()
+        with self._work:
+            self._work.notify_all()
         for thread in self._workers:
             thread.join(timeout=2.0)

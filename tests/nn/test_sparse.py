@@ -1,4 +1,6 @@
-"""COOMatrix: construction, appends, rollback, linear algebra."""
+"""COOMatrix: construction, appends, rollback, pickling, linear algebra."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -160,7 +162,7 @@ class TestLiveCsr:
         m.to_scipy()
         undo = []  # LIFO of (nnz, shape) to truncate back to
         for _ in range(data.draw(st.integers(1, 10))):
-            kind = data.draw(st.sampled_from(["grow", "append", "undo"]))
+            kind = data.draw(st.sampled_from(["grow", "append", "undo", "ship"]))
             rows, cols = m.shape
             if kind == "grow":
                 undo.append((m.nnz, m.shape))
@@ -173,9 +175,81 @@ class TestLiveCsr:
                     data.draw(st.integers(0, rows - 1)),
                     data.draw(st.integers(0, cols - 1)),
                 )
+            elif kind == "ship":
+                # Across a process boundary and back (the CSR alone when it
+                # is current): every later edit must still keep the cache
+                # honest.  Entry order may change, so the undo stack goes.
+                m = pickle.loads(pickle.dumps(m))
+                undo.clear()
             elif undo:
                 m.truncate(*undo.pop())
             _assert_csr_is_fresh(m)
+
+
+class TestOneFormatPickle:
+    """A matrix whose CSR is current ships as the CSR arrays alone."""
+
+    def _shipped(self, m: COOMatrix) -> COOMatrix:
+        return pickle.loads(pickle.dumps(m))
+
+    def test_current_csr_ships_alone_and_triples_come_back_on_demand(self, rng):
+        m = _random_coo(rng, nnz=12)
+        # Distinct coordinates, so no duplicate was summed into the CSR.
+        m = COOMatrix.from_scipy(m.to_scipy())
+        cache = m.to_scipy()
+        assert set(m.__getstate__()) == {"shape", "csr"}
+        copy = self._shipped(m)
+        assert copy._rows is None and copy.nnz == m.nnz
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(copy.to_scipy(), name), getattr(cache, name))
+        assert copy._rows is None  # scoring never asked for the triples
+        order = np.lexsort((m.cols, m.rows))
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(copy, name), getattr(m, name)[order])
+        _assert_csr_is_fresh(copy)
+
+    def test_stale_or_summed_csr_ships_the_triples_in_order(self):
+        uncached = COOMatrix((3, 3), [1.0, 2.0], [2, 0], [0, 1])
+        summed = COOMatrix((2, 2), [1.0, 2.0], [0, 0], [1, 1])
+        summed.to_scipy()
+        patched = COOMatrix((3, 3), [1.0], [0], [0])
+        patched.to_scipy()
+        patched.append(1.0, 2, 2)
+        for m in (uncached, summed, patched):
+            assert set(m.__getstate__()) == {"shape", "triples"}
+            copy = self._shipped(m)
+            for name in ("rows", "cols", "values"):
+                assert np.array_equal(getattr(copy, name), getattr(m, name))
+            assert np.array_equal(copy.to_dense(), m.to_dense())
+
+    def test_opi_edits_on_a_shipped_matrix_behave_as_on_the_original(self):
+        def edit(pred: COOMatrix, succ: COOMatrix) -> list[np.ndarray]:
+            seen = []
+            caches = [pred.to_scipy(), succ.to_scipy()]
+            for m in (pred, succ):
+                m.resize((4, 4))
+            pred.append(1.0, 3, 1)
+            succ.append(1.0, 1, 3)
+            for m, cache in zip((pred, succ), caches):
+                assert m.to_scipy() is cache  # patched in place, not re-sorted
+                seen.append(m.to_dense())
+                m.truncate(2, (3, 3))
+                assert m.to_scipy() is cache
+                seen.append(m.to_dense())
+            return seen
+
+        def fresh():
+            pred = COOMatrix((3, 3), [1.0, 1.0], [1, 2], [0, 1])
+            succ = COOMatrix((3, 3), [1.0, 1.0], [0, 1], [1, 2])
+            pred.to_scipy(), succ.to_scipy()
+            return pred, succ
+
+        expected = edit(*fresh())
+        shipped = edit(*(self._shipped(m) for m in fresh()))
+        for ours, theirs in zip(shipped, expected):
+            assert np.array_equal(ours, theirs)
+        with pytest.raises(ValueError, match="cannot shrink"):
+            self._shipped(fresh()[0]).resize((2, 2))
 
 
 class TestLinearAlgebra:

@@ -4,10 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit.bench import BenchParseError, write_bench
 from repro.circuit.validate import NetlistValidationError
-from repro.serve import ServeConfig, admit
+from repro.serve import ServeConfig, admit, admit_batch
 from repro.serve.protocol import (
     MalformedRequestError,
     PayloadTooLargeError,
@@ -168,3 +170,72 @@ class TestLevelizesOnce:
         request = admit(body(netlist=text.getvalue()), CFG)
         assert request.graph.num_nodes > gates
         assert len(sweeps) == 1
+
+
+#: one well-formed member and one of each way a member can be refused
+GOOD = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NAND(a, b)\ny = NOT(n)\n"
+MEMBERS = {
+    "good": {"netlist": GOOD},
+    "parse_error": {"netlist": "y = FROB(a)\n"},
+    "invalid": {"netlist": "INPUT(a)\nb = NOT(a)\n"},
+    "schema": {"netlist": GOOD, "deadline_ms": "soon"},
+    "not_an_object": 7,
+}
+
+
+class TestSplitBatchAdmission:
+    """``admit_batch(raw, cfg, part=(i, k))``: the k parts of a body are
+    disjoint, cover it, and merged by index are the unsplit answer."""
+
+    @staticmethod
+    def comparable(entries):
+        return [
+            (index, type(item).__name__, str(item))
+            if isinstance(item, BaseException)
+            else (index, item.design, item.graph.attributes.tobytes())
+            for index, item in entries
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(MEMBERS)), min_size=1, max_size=7))
+    def test_parts_reassemble_to_the_unsplit_result(self, kinds):
+        envelopes = [
+            dict(MEMBERS[kind], design=f"m{i}") if kind != "not_an_object" else MEMBERS[kind]
+            for i, kind in enumerate(kinds)
+        ]
+        raw = body(requests=envelopes)
+        whole = admit_batch(raw, CFG)
+        assert [index for index, _ in whole] == list(range(len(kinds)))
+        assert [isinstance(item, BaseException) for _, item in whole] == [
+            kind != "good" for kind in kinds
+        ]
+        for k in (1, 2, 3):
+            parts = [admit_batch(raw, CFG, part=(i, k)) for i in range(k)]
+            for i, part in enumerate(parts):
+                assert [index for index, _ in part] == list(range(i, len(kinds), k))
+            merged = sorted((e for part in parts for e in part), key=lambda e: e[0])
+            assert self.comparable(merged) == self.comparable(whole)
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (b"{", MalformedRequestError),
+            (body(requests=[]), MalformedRequestError),
+            (body(requests=[{"netlist": GOOD}], extra=1), MalformedRequestError),
+            (body(requests=[{"netlist": GOOD}] * 3), PayloadTooLargeError),
+        ],
+        ids=["not_json", "empty", "unknown_key", "too_many"],
+    )
+    def test_every_part_refuses_a_bad_envelope_alike(self, raw, error):
+        config = ServeConfig(batch_max_requests=2)
+        messages = set()
+        for part in [(0, 1), (0, 2), (1, 2), (2, 3)]:
+            with pytest.raises(error) as info:
+                admit_batch(raw, config, part=part)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_admitted_members_carry_their_stage_times(self):
+        [(_, request)] = admit_batch(body(requests=[{"netlist": GOOD}]), CFG)
+        assert set(request.stages) == {"parse", "validate", "build"}
+        assert all(seconds >= 0.0 for seconds in request.stages.values())

@@ -1,4 +1,4 @@
-"""Coalescing layer: block-diagonal merge, flush policy, bit-identity.
+"""Coalescing layer: block-diagonal merge, flush rule, bit-identity.
 
 The load-bearing promise of the batching lane is that it changes latency
 shape only, never answers: a coalesced pass must be **bit-identical** to
@@ -10,7 +10,7 @@ exactly that over mixed-size netlist sets, at both the kernel level
 
 from __future__ import annotations
 
-import time
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.serve.admission import ScoreRequest
 from repro.serve.batch import BatchPolicy, merge_graphs
 from repro.serve.config import ServeConfig
 from repro.serve.models import ModelManager
+from repro.serve.protocol import OverloadedError
 from repro.serve.service import ScoringService
 
 TINY = GCNConfig(hidden_dims=(8,), fc_dims=(8,))
@@ -183,34 +184,56 @@ def _request(gates: int, seed: int, deadline_s: float = 30.0) -> ScoreRequest:
     )
 
 
+def _passes(service: ScoringService) -> tuple[int, float]:
+    """``(count, sum)`` of the batch-size histogram: passes run, netlists in them."""
+    sizes = service.registry.get("repro_serve_batch_size")
+    return sizes.count, sizes.sum
+
+
+def _wait_all(service: ScoringService, jobs) -> list:
+    return [service.wait_for(job) for job in jobs]
+
+
+class HeldManager(ModelManager):
+    """``predict`` parks on its first call until the test releases it, and
+    logs the node count of every graph it is handed, in order."""
+
+    def __init__(self, model_file):
+        super().__init__(model_file)
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.seen: list[int] = []
+
+    def predict(self, graph):
+        self.seen.append(graph.num_nodes)
+        self.started.set()
+        assert self.release.wait(timeout=10.0), "test forgot to release"
+        return super().predict(graph)
+
+
 class TestServiceEquivalence:
     def test_coalesced_service_answers_match_solo_service(self, model_file):
         manager = ModelManager(model_file)
         requests = [_request(20 + 5 * i, 100 + i) for i in range(6)]
         solo_labels = [manager.predict(r.graph)[0] for r in requests]
-
-        # A generous linger so the burst below coalesces into one pass.
-        service = ScoringService(
-            manager,
-            ServeConfig(
-                workers=1,
-                queue_capacity=16,
-                batch_linger_ms=250,
-                batch_max_requests=8,
-            ),
-        )
         try:
-            jobs = [service.submit(r) for r in requests]
-            results = [service.wait_for(job) for job in jobs]
+            # One body, one pass — however many workers could have raced
+            # for its members: they are enqueued in one critical section.
+            for workers in (1, 2):
+                service = ScoringService(
+                    manager,
+                    ServeConfig(workers=workers, queue_capacity=16, batch_max_requests=8),
+                )
+                try:
+                    results = _wait_all(service, service.submit_many(requests))
+                finally:
+                    service.stop()
+                for (labels, info), expected in zip(results, solo_labels):
+                    np.testing.assert_array_equal(labels, expected)
+                    assert info["batched"] and info["batch_size"] == 6
+                assert _passes(service) == (1, 6.0)
         finally:
-            service.stop()
             manager.close()
-        for (labels, _), expected in zip(results, solo_labels):
-            np.testing.assert_array_equal(labels, expected)
-        # The burst really exercised the batch lane (not six solo passes).
-        assert any(info.get("batched") for _, info in results)
-        sizes = [info.get("batch_size", 1) for _, info in results]
-        assert max(sizes) >= 2
 
     def test_failed_batch_rescued_member_by_member(self, model_file):
         """A poisoned batched pass falls back to solo scoring per member."""
@@ -228,16 +251,10 @@ class TestServiceEquivalence:
         expected = [solo_predict(r.graph)[0] for r in requests]
         service = ScoringService(
             manager,
-            ServeConfig(
-                workers=1,
-                queue_capacity=8,
-                batch_linger_ms=250,
-                batch_max_requests=8,
-            ),
+            ServeConfig(workers=1, queue_capacity=8, batch_max_requests=8),
         )
         try:
-            jobs = [service.submit(r) for r in requests]
-            results = [service.wait_for(job) for job in jobs]
+            results = _wait_all(service, service.submit_many(requests))
         finally:
             service.stop()
             manager.close()
@@ -250,89 +267,124 @@ class TestServiceEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# BatchPolicy: pure arithmetic, fake clock, no threads
+# The flush rule: take what is queued now, score at once, never wait
 # --------------------------------------------------------------------- #
-def _job(nodes: int, deadline: float) -> SimpleNamespace:
-    return SimpleNamespace(
-        request=SimpleNamespace(graph=SimpleNamespace(num_nodes=nodes)),
-        deadline=deadline,
-    )
-
-
-class TestBatchPolicy:
-    CONFIG = ServeConfig(
-        batch_max_requests=4,
-        batch_max_nodes=100,
-        batch_linger_ms=10,
-        batch_safety_ms=50,
-    )
-
-    def test_open_sets_linger_flush(self):
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(10, deadline=100.0), now=1.0)
-        assert policy.flush_at == pytest.approx(1.0 + 0.010)
-        assert policy.remaining(1.0) == pytest.approx(0.010)
-
-    def test_near_deadline_caps_flush_below_linger(self):
-        """A near-deadline request is never parked for the full linger."""
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(10, deadline=1.055), now=1.0)
-        # deadline minus the 50 ms safety margin beats the 10 ms linger
-        assert policy.flush_at == pytest.approx(1.005)
-
-    def test_urgent_member_tightens_flush(self):
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(10, deadline=100.0), now=1.0)
-        policy.add(_job(10, deadline=1.052))
-        assert policy.flush_at == pytest.approx(1.002)
-
-    def test_admits_respects_request_budget(self):
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(1, deadline=100.0), now=0.0)
-        for _ in range(3):
-            assert policy.admits(_job(1, deadline=100.0))
-            policy.add(_job(1, deadline=100.0))
-        assert policy.full()
-        assert not policy.admits(_job(1, deadline=100.0))
-
-    def test_admits_respects_node_budget(self):
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(60, deadline=100.0), now=0.0)
-        assert policy.admits(_job(40, deadline=100.0))
-        assert not policy.admits(_job(41, deadline=100.0))
-        policy.add(_job(40, deadline=100.0))
-        assert policy.full()
-
-    def test_expired_member_flushes_immediately(self):
-        policy = BatchPolicy(self.CONFIG)
-        policy.open(_job(10, deadline=1.01), now=1.0)
-        assert policy.remaining(1.0) <= 0.0
-
-
-class TestDeadlineLinger:
-    def test_near_deadline_request_not_held_for_linger(self, model_file):
-        """End to end: a 300 ms-deadline request through a service whose
-        linger window is 5 s must be answered well before the linger —
-        the flush policy caps the wait at deadline minus safety."""
+class TestFlushRule:
+    def test_lone_request_on_an_idle_service_is_scored_at_once(self, model_file):
+        """Nothing is known to be coming, so nothing is waited for: one
+        request is one pass of one (there is no linger to sit out)."""
         manager = ModelManager(model_file)
         service = ScoringService(
-            manager,
-            ServeConfig(
-                workers=1,
-                queue_capacity=4,
-                batch_linger_ms=5_000,
-                batch_max_requests=8,
-            ),
+            manager, ServeConfig(workers=1, queue_capacity=4, batch_max_requests=8)
         )
         try:
-            start = time.monotonic()
-            labels, _ = service.score(_request(20, 300, deadline_s=0.3))
-            elapsed = time.monotonic() - start
+            labels, info = service.score(_request(20, 300, deadline_s=0.3))
         finally:
             service.stop()
             manager.close()
         assert len(labels) == _graph(20, 300).num_nodes
-        assert elapsed < 1.5  # far below the 5 s linger window
+        assert not info.get("batched")
+        assert set(info["stages"]) == {"queue_wait", "predict"}
+        assert _passes(service) == (1, 1.0)
+
+    def test_jobs_queued_behind_a_held_worker_coalesce_when_it_frees(self, model_file):
+        manager = HeldManager(model_file)
+        service = ScoringService(
+            manager, ServeConfig(workers=1, queue_capacity=8, batch_max_requests=8)
+        )
+        try:
+            held = service.submit(_request(15, 400))
+            assert manager.started.wait(timeout=5.0)  # the only worker is busy
+            queued = [service.submit(_request(15, 401 + i)) for i in range(3)]
+            assert service.queue_depth() == 3
+            manager.release.set()
+            results = _wait_all(service, [held, *queued])
+        finally:
+            manager.release.set()
+            service.stop()
+            manager.close()
+        assert [info.get("batch_size", 1) for _, info in results] == [1, 3, 3, 3]
+        assert _passes(service) == (2, 4.0)
+
+    def test_member_over_the_node_budget_waits_for_the_next_pass_in_order(
+        self, model_file
+    ):
+        manager = HeldManager(model_file)
+        manager.release.set()
+        requests = [_request(20 + 5 * i, 500 + i) for i in range(4)]
+        nodes = [r.graph.num_nodes for r in requests]
+        service = ScoringService(
+            manager,
+            ServeConfig(
+                workers=1,
+                queue_capacity=8,
+                batch_max_requests=8,
+                # Room for the first two members, not for the third as well.
+                batch_max_nodes=nodes[0] + nodes[1] + nodes[2] - 1,
+                batch_solo_threshold=max(nodes),
+            ),
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        # The third member stayed at the head of the queue and opened the
+        # next pass; nobody behind it jumped ahead.
+        assert manager.seen == [nodes[0] + nodes[1], nodes[2] + nodes[3]]
+        assert [info["batch_size"] for _, info in results] == [2, 2, 2, 2]
+        assert _passes(service) == (2, 4.0)
+
+    def test_set_larger_than_the_room_left_loses_only_its_tail(self, model_file):
+        manager = HeldManager(model_file)
+        service = ScoringService(
+            manager, ServeConfig(workers=1, queue_capacity=3, batch_max_requests=8)
+        )
+        try:
+            held = service.submit(_request(15, 600))
+            assert manager.started.wait(timeout=5.0)  # claimed: the queue is empty
+            outcomes = service.submit_many([_request(15, 601 + i) for i in range(5)])
+            refused = outcomes[3:]
+            assert all(isinstance(o, OverloadedError) for o in refused)
+            assert service.snapshot()["rejected_overload"] == 2
+            manager.release.set()
+            results = _wait_all(service, [held, *outcomes[:3]])
+        finally:
+            manager.release.set()
+            service.stop()
+            manager.close()
+        assert [info.get("batch_size", 1) for _, info in results] == [1, 3, 3, 3]
+        assert service.snapshot()["completed"] == 4
+
+
+# --------------------------------------------------------------------- #
+# BatchPolicy: pure arithmetic, no clock, no threads
+# --------------------------------------------------------------------- #
+def _job(nodes: int) -> SimpleNamespace:
+    return SimpleNamespace(
+        request=SimpleNamespace(graph=SimpleNamespace(num_nodes=nodes))
+    )
+
+
+class TestBatchPolicy:
+    CONFIG = ServeConfig(batch_max_requests=4, batch_max_nodes=100)
+
+    def test_admits_respects_request_budget(self):
+        policy = BatchPolicy(self.CONFIG)
+        policy.add(_job(1))
+        for _ in range(3):
+            assert policy.admits(_job(1))
+            policy.add(_job(1))
+        assert policy.full()
+        assert not policy.admits(_job(1))
+
+    def test_admits_respects_node_budget(self):
+        policy = BatchPolicy(self.CONFIG)
+        policy.add(_job(60))
+        assert policy.admits(_job(40))
+        assert not policy.admits(_job(41))
+        policy.add(_job(40))
+        assert policy.full()
 
 
 # --------------------------------------------------------------------- #
@@ -343,22 +395,18 @@ class TestBatchMetrics:
         manager = ModelManager(model_file)
         service = ScoringService(
             manager,
-            ServeConfig(
-                workers=1,
-                queue_capacity=16,
-                batch_linger_ms=250,
-                batch_max_requests=8,
-            ),
+            ServeConfig(workers=1, queue_capacity=16, batch_max_requests=8),
         )
         try:
-            jobs = [service.submit(_request(15, 300 + i)) for i in range(5)]
-            for job in jobs:
-                service.wait_for(job)
+            _wait_all(
+                service,
+                service.submit_many([_request(15, 300 + i) for i in range(5)]),
+            )
         finally:
             service.stop()
             manager.close()
-        rendered = service.registry.render_prometheus()
-        assert "repro_serve_batch_size_bucket" in rendered
-        assert "repro_serve_batch_linger_seconds_bucket" in rendered
+        assert _passes(service) == (1, 5.0)
+        # Queue wait is still observed per netlist, under its old name.
+        assert service.registry.get("repro_serve_batch_linger_seconds").count == 5
         # Lifecycle counters count netlists, not coalesced passes.
         assert service.snapshot()["completed"] == 5

@@ -488,11 +488,11 @@ def test_score_payload_bytes_are_pinned():
         graph=graph, design="c17", deadline_s=1.0, request_id="r-1", warnings=["w"]
     )
     labels = np.array([0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int64)
-    info = {"predictor_level": "gcn", "degraded": False, "batched": True}
+    info = {"predictor_level": "gcn", "degraded": False, "batched": True, "batch_size": 3}
     expected = (
         b'{"design": "c17", "num_nodes": 11, "num_edges": 12, "positive_count": 5, '
         b'"degraded": false, "predictor_level": "gcn", "batched": true, '
-        b'"latency_ms": 1.235, "request_id": "r-1", "warnings": ["w"], '
+        b'"batch_size": 3, "latency_ms": 1.235, "request_id": "r-1", "warnings": ["w"], '
         b'"predictions": [0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1]}'
     )
     assert encode_json(_Handler._score_payload(request, labels, info, 1.23456)) == expected

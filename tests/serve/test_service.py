@@ -253,11 +253,11 @@ class TestSnapshotConsistency:
         deadline rules out expiry).
 
         ``in_flight`` counts netlists, not batches: a worker holding a
-        coalesced batch (plus one carried-over job) reports every member,
-        so the bound is ``workers * (batch_max_requests + 1)``.
+        coalesced batch reports every member, so the bound is
+        ``workers * batch_max_requests``.
         """
         service = make_service(workers=2, queue_capacity=32)
-        in_flight_cap = 2 * (service.config.batch_max_requests + 1)
+        in_flight_cap = 2 * service.config.batch_max_requests
         stop = threading.Event()
         errors = []
 

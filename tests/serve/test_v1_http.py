@@ -187,26 +187,27 @@ class TestV1ScoreBatch:
         assert body["error"]["code"] == "payload_too_large"
 
     def test_burst_coalesces_into_batches(self, server, bench_text):
-        """A score:batch call hands the coalescer the whole set, so at
-        least some members should come back batched."""
-        srv = server(
-            config=ServeConfig(
-                port=0,
-                workers=1,
-                queue_capacity=16,
-                batch_linger_ms=250,
-                debug=True,
+        """A score:batch body is enqueued in one critical section, so its
+        members are one scoring pass — whichever worker wakes first."""
+        for workers in (1, 2):
+            srv = server(
+                config=ServeConfig(
+                    port=0, workers=workers, queue_capacity=16, debug=True
+                )
             )
-        )
-        payload = {
-            "requests": [
-                {"netlist": bench_text, "return_predictions": False}
-                for _ in range(6)
-            ]
-        }
-        status, _, body = call(srv, "/v1/score:batch", payload)
-        assert status == 200 and body["ok"] == 6
-        assert any(r.get("batched") for r in body["results"])
+            payload = {
+                "requests": [
+                    {"netlist": bench_text, "return_predictions": False}
+                    for _ in range(6)
+                ]
+            }
+            status, _, body = call(srv, "/v1/score:batch", payload)
+            assert status == 200 and body["ok"] == 6
+            assert all(r["batched"] and r["batch_size"] == 6 for r in body["results"])
+            sizes = srv.registry.get("repro_serve_batch_size")
+            assert (sizes.count, sizes.sum) == (1, 6.0)
+            assert {"read_body", "lane_wait", "parse", "queue_wait", "merge",
+                    "predict"} <= set(body["stages_ms"])
 
 
 class TestDeprecatedAlias:
