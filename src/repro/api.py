@@ -401,11 +401,13 @@ def insert_observation_points(
     """Run the paper's iterative GCN-guided OP-insertion flow.
 
     ``model`` accepts everything :func:`score` does, plus a bare
-    ``GraphData -> labels`` callable.  A single GCN in float64 re-scores
-    only the D-hop closure of what each insertion changed (bit-identical
-    to whole-graph passes); a cascade, a float32 engine and a callable
-    are re-run on the whole graph.  Returns the flow's :class:`OpiResult`
-    (modified netlist, per-iteration trace).
+    ``GraphData -> labels`` callable.  A single GCN in float64 scores only
+    the D-hop closure of what an insertion changes, and ranks an
+    iteration's candidates without inserting any of them: their closures
+    go through the kernel stacked, a chunk at a time (bit-identical to
+    whole-graph passes).  A cascade, a float32 engine and a callable are
+    re-run on the whole graph, per candidate.  Returns the flow's
+    :class:`OpiResult` (modified netlist, per-iteration trace).
     """
     if callable(model) and not isinstance(
         model, (GCN, MultiStageGCN, GCNWeights, FastInference)

@@ -49,6 +49,12 @@ __all__ = [
 #: another value.
 BLOCK_ROWS = 512
 
+#: Stacked rows after which :meth:`repro.flow.scorer.IncrementalScorer.what_if`
+#: starts another chunk of candidates, so that a chunk's layer blocks
+#: stay a few MiB however many candidates an iteration ranks.  A constant
+#: for the same reason.
+WHAT_IF_ROWS = 1024
+
 
 def _narrow_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for fewer than four output columns: per row, the

@@ -6,11 +6,11 @@ impact of a location as the *reduction in positive predictions inside its
 fan-in cone* after tentatively inserting an OP there, and ranks candidates
 by it.
 
-Implementation: tentatively insert the OP through
-:class:`repro.flow.modify.IncrementalDesign` (which refreshes attributes in
-the cone), hand the rows it changed to the :class:`~repro.flow.scorer.Scorer`,
-count surviving positives in the cone, then roll scorer and insertion back
-in O(cone).
+Implementation: :class:`repro.flow.modify.IncrementalDesign` previews
+every candidate's insertion (the attribute rows it would move, nothing
+inserted), the :class:`~repro.flow.scorer.Scorer` says what labels each
+preview would change, and the surviving positives are counted inside the
+candidate's (memoised) fan-in cone.
 """
 
 from __future__ import annotations
@@ -38,16 +38,7 @@ class ImpactEvaluator:
 
     def impact(self, candidate: int, baseline_predictions: np.ndarray) -> int:
         """Impact of observing ``candidate`` (Figure 6's ``5 - 1 = 4``)."""
-        cone = self.design.fanin_cone(candidate, include_self=True)
-        before = int(baseline_predictions[cone].sum())
-        _, checkpoint = self.design.insert_op(candidate)
-        try:
-            predictions, token = self.scorer.rescore(checkpoint.changed_rows)
-            after = int(predictions[cone].sum())
-            self.scorer.rollback(token)
-        finally:
-            self.design.rollback(checkpoint)
-        return before - after
+        return self.rank([candidate], baseline_predictions)[0][1]
 
     def rank(
         self,
@@ -59,9 +50,16 @@ class ImpactEvaluator:
         Ties break towards lower observability-attribute candidates (the
         hardest nodes first), then lower node id for determinism.
         """
-        co = self.design.scoap.co
-        scored = [
-            (int(c), self.impact(int(c), baseline_predictions)) for c in candidates
-        ]
+        design = self.design
+        candidates = [int(c) for c in candidates]
+        what_if = self.scorer.what_if([design.preview_op(c) for c in candidates])
+        scored = []
+        for c, (rows, labels) in zip(candidates, what_if):
+            # Labels outside ``rows`` stay as they are: only the cone's
+            # share of ``rows`` can move the count.
+            inside = np.isin(rows, design.fanin_cone(c), assume_unique=True)
+            before = int(baseline_predictions[rows[inside]].sum())
+            scored.append((c, before - int(labels[inside].sum())))
+        co = design.scoap.co
         scored.sort(key=lambda item: (-item[1], -co[item[0]], item[0]))
         return scored

@@ -16,6 +16,8 @@ rows it touched (``changed_rows`` of its checkpoint), which is what lets a
 :class:`~repro.flow.scorer.Scorer` re-score only their D-hop closure, and
 the appended edge lands last in its CSR row, so the adjacency's cached CSR
 stays alive across insert and rollback (:mod:`repro.nn.sparse`).
+:meth:`IncrementalDesign.preview_op` reports the same without inserting
+anything, which is what lets a scorer rank many candidates in one pass.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import numpy as np
 from repro.atpg.cones import invalidate_cone_cache
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import expand_rows
 from repro.core.attributes import AttributeConfig, OP_ATTRIBUTES, normalize_attributes
 from repro.core.graphdata import GraphData
 from repro.testability.incremental import refresh_observability
 from repro.testability.scoap import ScoapResult, compute_scoap
 from repro.utils.rowstore import RowStore
 
-__all__ = ["IncrementalDesign"]
+__all__ = ["IncrementalDesign", "OpPreview"]
 
 
 @dataclass
@@ -51,6 +54,19 @@ class _Checkpoint:
     #: graph rows whose attributes or adjacency the insertion changed:
     #: the target, the new OBS cell and every node whose CO moved
     changed_rows: list[int]
+
+
+@dataclass
+class OpPreview:
+    """What :meth:`IncrementalDesign.insert_op` at ``target`` would change,
+    computed without changing anything."""
+
+    design: "IncrementalDesign"
+    target: int
+    #: nodes whose CO would move, then the id the OBS cell would get, and
+    #: the attribute rows they would have
+    rows: np.ndarray
+    attributes: np.ndarray
 
 
 class IncrementalDesign:
@@ -74,6 +90,11 @@ class IncrementalDesign:
         #: the netlist for them
         self.observed: set[int] = set(netlist.observation_sites)
         self.observed.update(netlist.observation_points())
+        #: fan-in wiring of the original cells and their memoised cones: an
+        #: OBS cell is a pure sink, so no insertion ever changes either
+        structure = netlist.structure()
+        self._fanin = (structure.fanin_ptr, structure.fanin_idx)
+        self._cones: dict[int, np.ndarray] = {}
         #: the paper's attribute row of a fresh OP, squashed like the rest
         self._op_row = normalize_attributes(
             OP_ATTRIBUTES[None, :], self.attribute_config
@@ -112,7 +133,37 @@ class IncrementalDesign:
             store.rows(n) for store in self._scoap_stores
         )
 
+    def _observe(self, target: int):
+        """Count ``target`` as observed and relax CO through its fan-in
+        cone (the OBS cell itself is never consulted: an observed node's
+        CO is 0).  Returns whether that made it observed, the relaxation's
+        undo list, the nodes that moved and their new attribute rows."""
+        newly_observed = target not in self.observed
+        self.observed.add(target)
+        changed = refresh_observability(
+            self.netlist, self.scoap, [target], self.levels, self.observed
+        )
+        moved = list(dict(changed))
+        return newly_observed, changed, moved, self._attr_rows(moved)
+
+    def _restore_co(self, changed: list[tuple[int, float]]) -> None:
+        # In reverse, so repeated relaxations of one node unwind to its
+        # original value.
+        for v, co in reversed(changed):
+            self.scoap.co[v] = co
+
     # ------------------------------------------------------------------ #
+    def preview_op(self, target: int) -> OpPreview:
+        """What inserting an OP at ``target`` would change; the design,
+        its graph and the netlist are left exactly as they were."""
+        newly_observed, changed, moved, rows = self._observe(target)
+        self._restore_co(changed)
+        if newly_observed:
+            self.observed.discard(target)
+        rows = np.vstack([rows, self._op_row])
+        moved.append(self.num_nodes)
+        return OpPreview(self, target, np.array(moved, dtype=np.int64), rows)
+
     def insert_op(self, target: int) -> tuple[int, _Checkpoint]:
         """Insert an OP at ``target``; returns (new node id, checkpoint)."""
         n_before = self.num_nodes
@@ -128,8 +179,6 @@ class IncrementalDesign:
         self.graph.pred.append(1.0, p, target)
         self.graph.succ.append(1.0, target, p)
 
-        target_newly_observed = target not in self.observed
-        self.observed.add(target)
         self.observed.add(p)
 
         # SCOAP bookkeeping: grow arrays, seed the OP row, relax the cone.
@@ -137,16 +186,13 @@ class IncrementalDesign:
         self.scoap.cc0[p] = self.scoap.cc0[target] + 1.0
         self.scoap.cc1[p] = self.scoap.cc1[target] + 1.0
         self.scoap.co[p] = 0.0
-        changed = refresh_observability(
-            self.netlist, self.scoap, [target], self.levels, self.observed
-        )
+        target_newly_observed, changed, moved, rows = self._observe(target)
 
         # Attribute refresh: new OP row + every node whose CO moved.
         attributes = self.graph.attributes = self._attr_store.rows(n)
         attributes[p] = self._op_row
-        moved = list(dict(changed))
         before = attributes[moved]
-        attributes[moved] = self._attr_rows(moved)
+        attributes[moved] = rows
         return p, _Checkpoint(
             n_nodes=n_before,
             pred_nnz=pred_nnz,
@@ -169,10 +215,7 @@ class IncrementalDesign:
         if checkpoint.target_newly_observed:
             self.observed.discard(target)
         self._resize_scoap(n)
-        # Restore CO in reverse so repeated relaxations of one node unwind
-        # to its original value.
-        for v, co in reversed(checkpoint.changed_co):
-            self.scoap.co[v] = co
+        self._restore_co(checkpoint.changed_co)
         moved, rows = checkpoint.attr_rows
         self.graph.attributes[moved] = rows
         self.graph.attributes = self._attr_store.rows(n)
@@ -187,23 +230,20 @@ class IncrementalDesign:
         return undo
 
     # ------------------------------------------------------------------ #
-    def _fanin_cone(self, node: int) -> list[int]:
-        """Backward (fan-in) cone of ``node``, node excluded."""
-        seen = {node}
-        stack = [node]
-        cone: list[int] = []
-        while stack:
-            v = stack.pop()
-            for u in self.netlist.fanins(v):
-                if u not in seen:
-                    seen.add(u)
-                    cone.append(u)
-                    stack.append(u)
-        return cone
-
-    def fanin_cone(self, node: int, include_self: bool = True) -> list[int]:
-        """Public fan-in cone accessor (used by impact evaluation)."""
-        cone = self._fanin_cone(node)
-        if include_self:
-            cone.append(node)
-        return cone
+    def fanin_cone(self, node: int, include_self: bool = True) -> np.ndarray:
+        """Fan-in cone of ``node`` as ascending node ids (used by impact
+        evaluation); walked once per original cell, level by level."""
+        ptr, idx = self._fanin
+        if node >= len(ptr) - 1:
+            # An OBS cell, a sink on its target; not memoised, because a
+            # rollback frees its id for another target.
+            cone = np.append(self.fanin_cone(self.netlist.fanins(node)[0]), node)
+        elif (cone := self._cones.get(node)) is None:
+            seen = np.zeros(len(ptr) - 1, dtype=bool)
+            frontier = np.array([node])
+            while len(frontier):
+                seen[frontier] = True
+                reached = np.unique(idx[expand_rows(ptr, frontier)[0]])
+                frontier = reached[~seen[reached]]
+            cone = self._cones[node] = np.flatnonzero(seen)
+        return cone if include_self else cone[cone != node]

@@ -73,8 +73,11 @@ def refresh_observability(
         observed = set(netlist.observation_sites)
         observed.update(netlist.observation_points())
 
+    # Cells appended since ``levels`` was computed sit behind all of them.
+    appended_level = int(levels.max(initial=0) + 1)
+
     def level_of(v: int) -> int:
-        return int(levels[v]) if v < len(levels) else int(levels.max(initial=0) + 1)
+        return int(levels[v]) if v < len(levels) else appended_level
 
     heap: list[tuple[int, int]] = []
     queued: set[int] = set()

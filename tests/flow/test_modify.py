@@ -148,6 +148,43 @@ class TestRollback:
         assert np.allclose(design.scoap.co, fresh.co)
 
 
+class TestPreviewOp:
+    @pytest.mark.parametrize("committed", [(), (20, 57)])
+    def test_preview_is_what_the_insertion_does(self, design, committed):
+        for target in committed:
+            design.insert_op(target)
+        for target in (10, 33, 57, 120):
+            preview = design.preview_op(target)
+            p, checkpoint = design.insert_op(target)
+            assert preview.target == target
+            # target, OBS cell, moved nodes — the OBS cell last here.
+            assert checkpoint.changed_rows[2:] + [p] == preview.rows.tolist()
+            assert np.array_equal(
+                design.graph.attributes[preview.rows], preview.attributes
+            )
+            design.rollback(checkpoint)
+
+    def test_preview_leaves_the_design_alone(self, design):
+        design.insert_op(20)
+        before = (
+            design.netlist.mutation_count,
+            design.graph.attributes.tobytes(),
+            design.scoap.co.tobytes(),
+            sorted(design.observed),
+            design.graph.pred.nnz,
+        )
+        for target in (20, 33, 57):  # 20: CO already 0, nothing moves
+            design.preview_op(target)
+        assert len(design.preview_op(20).rows) == 1
+        assert before == (
+            design.netlist.mutation_count,
+            design.graph.attributes.tobytes(),
+            design.scoap.co.tobytes(),
+            sorted(design.observed),
+            design.graph.pred.nnz,
+        )
+
+
 class TestFaninCone:
     def test_cone_contains_transitive_fanins(self, design):
         nl = design.netlist

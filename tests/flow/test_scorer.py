@@ -349,24 +349,61 @@ class TestFlowEquivalence:
 class TestWorkGate:
     """Machine-independent form of the benchmark's claim, on its design."""
 
+    CONFIG = OpiConfig(max_iterations=12, select_fraction=0.4)
+
+    @staticmethod
+    def _spans(node, name) -> list:
+        found = [node] if node.name == name else []
+        return found + [s for c in node.children for s in TestWorkGate._spans(c, name)]
+
     def test_flow_scores_a_fraction_of_the_graph_per_candidate(self):
         weights = load_gcn(TRAINED).layer_weights()
         netlist = generate_design(1000, seed=7002)
         rows, updates = rows_scored(), patches()
         with trace("opi") as root:
-            result = api.insert_observation_points(
-                netlist, weights, OpiConfig(max_iterations=12, select_fraction=0.4)
-            )
+            result = api.insert_observation_points(netlist, weights, self.CONFIG)
         rows, updates = rows_scored() - rows, patches() - updates
 
-        def spans(node, name):
-            return (node.name == name) + sum(spans(c, name) for c in node.children)
-
-        # One patch per ranked candidate, one per re-prediction after the
-        # first (which is the full pass).
+        # One update per ranked candidate, one per re-prediction after the
+        # first (which is the full pass); the candidates' share of them
+        # goes through in chunks, every chunk under its iteration's rank.
         candidates = sum(result.positives_history[: result.iterations])
-        assert updates == candidates + len(result.positives_history) - 1
-        assert spans(root, "opi.incremental_update") == updates
-        assert spans(root, "opi.full_pass") == 1
+        rescored = len(result.positives_history) - 1
+        assert updates == candidates + rescored
+        assert len(self._spans(root, "opi.incremental_update")) == rescored
+        assert len(self._spans(root, "opi.full_pass")) == 1
+        ranks = self._spans(root, "opi.rank_impact")
+        chunks = [c for rank in ranks for c in self._spans(rank, "opi.what_if")]
+        assert len(chunks) == len(self._spans(root, "opi.what_if"))
+        assert result.iterations <= len(chunks) < candidates / 4
+        assert sum(c.attrs["candidates"] for c in chunks) == candidates
         assert result.n_ops > 100
+        # Exactly the rows the one-candidate-at-a-time loop scored.
+        assert rows == 58082
+        assert sum(c.attrs["rows"] for c in chunks) <= rows
         assert rows <= 0.25 * updates * netlist.num_nodes
+
+    def test_one_kernel_call_per_layer_per_chunk(self, monkeypatch):
+        # The benchmark's smoke design; the loop that inserted and rolled
+        # back every candidate made 102 calls for the same 2 802 rows.
+        from repro.flow import scorer as scorer_module
+
+        weights = load_gcn(TRAINED).layer_weights()
+        netlist = generate_design(150, seed=7002)
+        calls = []
+        kernel = scorer_module.layer_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scorer_module, "layer_forward", counted)
+        rows = rows_scored()
+        with trace("opi") as root:
+            result = api.insert_observation_points(netlist, weights, self.CONFIG)
+        assert rows_scored() - rows == 2802
+        assert result.iterations == 5 and result.n_ops == 12
+        chunks = len(self._spans(root, "opi.what_if"))
+        # 33 candidates; the first iteration's 15 may take a second chunk.
+        assert result.iterations <= chunks <= result.iterations + 1
+        assert len(calls) == weights.depth * (chunks + result.iterations + 1)

@@ -83,3 +83,20 @@ class TestUpdateAfterOp:
         op = and_chain.insert_observation_point(g1)
         update_scoap_after_op(and_chain, scoap, op, levels)
         assert scoap.co[g1] == 0.0
+
+    def test_fallback_level_is_computed_once_per_call(self):
+        # Seeds appended after ``levels`` was taken all sit one level
+        # behind it; finding that level is O(n) and must not repeat.
+        class CountingLevels(np.ndarray):
+            max_calls = 0
+
+            def max(self, *args, **kwargs):
+                type(self).max_calls += 1
+                return super().max(*args, **kwargs)
+
+        nl = generate_design(120, seed=31)
+        levels = logic_levels(nl).view(CountingLevels)
+        ops = [nl.insert_observation_point(t) for t in (10, 40, 70, 100)]
+        scoap = compute_scoap(nl)
+        assert refresh_observability(nl, scoap, ops, levels) == []
+        assert CountingLevels.max_calls == 1
