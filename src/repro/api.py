@@ -403,8 +403,9 @@ def insert_observation_points(
     ``model`` accepts everything :func:`score` does, plus a bare
     ``GraphData -> labels`` callable.  A single GCN in float64 scores only
     the D-hop closure of what an insertion changes, and ranks an
-    iteration's candidates without inserting any of them: their closures
-    go through the kernel stacked, a chunk at a time (bit-identical to
+    iteration's candidates without inserting any of them: of their
+    closures, what the labels inside each candidate's fan-in cone read
+    goes through the kernel stacked, a chunk at a time (bit-identical to
     whole-graph passes).  A cascade, a float32 engine and a callable are
     re-run on the whole graph, per candidate.  Returns the flow's
     :class:`OpiResult` (modified netlist, per-iteration trace).

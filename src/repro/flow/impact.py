@@ -8,9 +8,9 @@ by it.
 
 Implementation: :class:`repro.flow.modify.IncrementalDesign` previews
 every candidate's insertion (the attribute rows it would move, nothing
-inserted), the :class:`~repro.flow.scorer.Scorer` says what labels each
-preview would change, and the surviving positives are counted inside the
-candidate's (memoised) fan-in cone.
+inserted), the :class:`~repro.flow.scorer.Scorer` is asked what labels
+each preview would change inside the candidate's (memoised) fan-in cone —
+so that it scores nothing else — and the surviving positives are counted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ class ImpactEvaluator:
     """Ranks candidate OP locations by positive-prediction reduction.
 
     ``scorer`` must be bound to ``design.graph`` before :meth:`impact`;
-    ``baseline_predictions`` are a copy of the labels it returned.
+    ``baseline_predictions`` are a copy of the labels it returned.  It is
+    asked (``what_if(previews, within)``) about each candidate's fan-in
+    cone only, and answers with rows inside it.
     """
 
     def __init__(self, design: IncrementalDesign, scorer: Scorer) -> None:
@@ -52,14 +54,16 @@ class ImpactEvaluator:
         """
         design = self.design
         candidates = [int(c) for c in candidates]
-        what_if = self.scorer.what_if([design.preview_op(c) for c in candidates])
+        what_if = self.scorer.what_if(
+            [design.preview_op(c) for c in candidates],
+            [design.fanin_cone(c) for c in candidates],
+        )
         scored = []
         for c, (rows, labels) in zip(candidates, what_if):
-            # Labels outside ``rows`` stay as they are: only the cone's
-            # share of ``rows`` can move the count.
-            inside = np.isin(rows, design.fanin_cone(c), assume_unique=True)
-            before = int(baseline_predictions[rows[inside]].sum())
-            scored.append((c, before - int(labels[inside].sum())))
+            # ``rows`` lie inside the cone; its other labels stay as they
+            # are, so these alone can move the count.
+            before = int(baseline_predictions[rows].sum())
+            scored.append((c, before - int(labels.sum())))
         co = design.scoap.co
         scored.sort(key=lambda item: (-item[1], -co[item[0]], item[0]))
         return scored

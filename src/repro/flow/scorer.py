@@ -14,15 +14,17 @@ be told what changed, so the flows talk to a :class:`Scorer` instead:
   labels, patched in place, and an undo token;
 * ``rollback(token)`` — restore the state before that ``rescore``, LIFO,
   paired with :meth:`repro.flow.modify.IncrementalDesign.rollback`;
-* ``what_if(previews)`` — what each of several alternative insertions
-  (:meth:`repro.flow.modify.IncrementalDesign.preview_op`) would do to
-  the labels, each against the graph as it stands, nothing kept.
+* ``what_if(previews, within)`` — what each of several alternative
+  insertions (:meth:`repro.flow.modify.IncrementalDesign.preview_op`)
+  would do to the labels the caller will read (``within``, per preview),
+  each against the graph as it stands, nothing kept.
 
 :class:`IncrementalScorer` is the one implementation that uses the
 locality: it caches every layer's output and runs the shared
 :func:`~repro.core.inference.layer_forward` kernel on the d-hop closure
 of the changed rows only — of one edit per ``rescore``, of a whole chunk
-of candidates stacked into one row block per ``what_if`` — so its float64
+of candidates stacked into one row block per layer per ``what_if``, and
+there only as far as the labels asked for reach back — so its float64
 logits stay ``np.array_equal`` to a whole-graph
 :class:`~repro.core.inference.FastInference` pass.
 :class:`WholeGraphScorer` adapts everything else — a plain callable, a
@@ -58,6 +60,8 @@ __all__ = [
 Predictor = Callable[[GraphData], np.ndarray]
 #: per preview: graph rows whose label may change, and their new labels
 WhatIf = list[tuple[np.ndarray, np.ndarray]]
+#: per preview: the (distinct) graph rows whose labels the caller will read
+Within = Sequence[np.ndarray] | None
 
 
 class Scorer(Protocol):
@@ -73,9 +77,13 @@ class Scorer(Protocol):
     def rollback(self, token: object) -> None:
         """Undo the latest ``rescore`` not yet rolled back."""
 
-    def what_if(self, previews: Sequence[OpPreview]) -> WhatIf:
+    def what_if(
+        self, previews: Sequence[OpPreview], within: Within = None
+    ) -> WhatIf:
         """What each preview's insertion would do to the labels of the
-        bound graph (as last scored); graph and scorer stay as they are."""
+        bound graph (as last scored), on the rows ``within`` names for it
+        (``None``: wherever a label can change); graph and scorer stay as
+        they are."""
 
 
 def as_scorer(predictor: "Predictor | Scorer") -> Scorer:
@@ -104,13 +112,16 @@ class WholeGraphScorer:
     def rollback(self, token: object) -> None:
         pass
 
-    def what_if(self, previews: Sequence[OpPreview]) -> WhatIf:
-        rows = np.arange(self._graph.num_nodes)
+    def what_if(
+        self, previews: Sequence[OpPreview], within: Within = None
+    ) -> WhatIf:
+        if within is None:
+            within = [np.arange(self._graph.num_nodes)] * len(previews)
         results = []
-        for preview in previews:
+        for preview, rows in zip(previews, within):
             undo = preview.design.tentative_insert(preview.target)
             try:
-                results.append((rows, self.bind(self._graph)[: len(rows)]))
+                results.append((rows, self.bind(self._graph)[rows]))
             finally:
                 undo()
         return results
@@ -125,7 +136,8 @@ def _obs():
         ),
         reg.counter(
             "repro_inference_incremental_rows_total",
-            "embedding rows recomputed by incremental updates",
+            "rows whose logits incremental updates recomputed "
+            "(rescore: its closure; what_if: the rows asked for that can change)",
         ),
     )
 
@@ -145,9 +157,14 @@ class IncrementalScorer:
     caches are part-patched: bind again before further use.
 
     ``what_if`` patches nothing (an error from it leaves the scorer as it
-    was): the closures of many alternative edits are stacked into one row
-    block whose columns are the graph's rows, then the stacked rows, and
-    whose layer inputs sit behind the cached rows of the same stores.
+    was) and computes only what the labels asked for read: with
+    ``changed[0]`` an edit's moved rows, target and OBS row and
+    ``changed[d + 1]`` one hop more, ``need[D] = changed[D] ∩ within`` and
+    ``need[d] = N[need[d + 1]] ∩ changed[d]`` (``N``: a row and its
+    ``pred`` / ``succ`` columns).  Layer ``d`` runs on the rows
+    ``need[d + 1]`` of a whole chunk of alternative edits, stacked into
+    one row block whose columns are the graph's rows, then ``need[d]``,
+    whose layer inputs sit behind the cached rows of the same store.
     """
 
     def __init__(self, weights: GCNWeights) -> None:
@@ -186,9 +203,9 @@ class IncrementalScorer:
         with span("opi.incremental_update", changed=len(rows)):
             pred = graph.pred.to_scipy()
             succ = graph.succ.to_scipy()
-            rows = _closure(
-                rows, n, weights.depth, [(c.indptr, c) for c in (pred, succ)]
-            )
+            adjacency = [(csr.indptr, csr) for csr in (pred, succ)]
+            for _ in range(weights.depth):
+                rows = _reach(rows, n, adjacency)
             pred_rows, succ_rows = _row_block(pred, rows), _row_block(succ, rows)
             caches = [store.rows(n) for store in self._stores]
             overwritten = []
@@ -222,7 +239,9 @@ class IncrementalScorer:
             # their stale values back too is harmless.
             store.rows(n_patched)[rows] = block
 
-    def what_if(self, previews: Sequence[OpPreview]) -> WhatIf:
+    def what_if(
+        self, previews: Sequence[OpPreview], within: Within = None
+    ) -> WhatIf:
         n = self._n
         if self._graph.num_nodes != n:
             raise ValueError("what_if needs the graph as it was last scored")
@@ -236,92 +255,127 @@ class IncrementalScorer:
             for csr in (self._graph.pred.to_scipy(), self._graph.succ.to_scipy())
         ]
         held = np.arange(len(previews) + 1) * (n + 1)
-        keys = np.concatenate(
-            [h + np.append(p.rows, p.target) for h, p in zip(held, previews)]
-        )
-        keys = _closure(keys, n + 1, self.weights.depth, adjacency)
-        starts = np.searchsorted(keys, held)
-        # A chunk is the candidates whose rows start in one window of
-        # WHAT_IF_ROWS stacked rows.
-        window = starts[:-1] // inference.WHAT_IF_ROWS
+        target = held[:-1] + [p.target for p in previews]
+        moved = [h + p.rows for h, p in zip(held, previews)]
+        changed = [np.unique(np.concatenate([target, *moved]))]
+        for _ in range(self.weights.depth):
+            changed.append(_reach(changed[-1], n + 1, adjacency))
+        need = [changed.pop()]
+        if within is not None:
+            asked = np.concatenate([h + rows for h, rows in zip(held, within)])
+            need = [np.intersect1d(need[0], asked, assume_unique=True)]
+        # The target <-> OBS edge is in no CSR yet: a needed end of it
+        # reads the other end, or it would aggregate a scratch row.
+        edge = np.concatenate([target, held[:-1] + n])
+        other = np.roll(edge, len(previews))
+        while changed:
+            reach = _reach(
+                need[0], n + 1, adjacency, other[_locate(need[0], edge)[1]]
+            )
+            need.insert(0, reach[_locate(changed.pop(), reach)[1]])
+        starts = [np.searchsorted(keys, held) for keys in need]
+        # A chunk is the candidates whose kernel rows start in one window
+        # of WHAT_IF_ROWS.
+        window = sum(starts[1:])[:-1] // inference.WHAT_IF_ROWS
         cuts = [*np.flatnonzero(np.diff(window, prepend=-1)), len(previews)]
-        labels = []
+        labels = [np.empty(0, dtype=np.int64)]
         for lo, hi in zip(cuts, cuts[1:]):
-            chunk = keys[starts[lo] : starts[hi]]
-            with span("opi.what_if", candidates=hi - lo, rows=len(chunk)):
+            chunk = [keys[at[lo] : at[hi]] for keys, at in zip(need, starts)]
+            if not len(chunk[-1]):
+                continue
+            with span(
+                "opi.what_if",
+                candidates=hi - lo,
+                rows=len(chunk[-1]),
+                kernel_rows=sum(map(len, chunk[1:])),
+            ):
                 logits = self._stacked_logits(
                     previews[lo:hi], held[lo:hi], chunk, adjacency
                 )
             labels.append(np.argmax(logits, axis=1))
         updates, scored = _obs()
         updates.inc(len(previews))
-        scored.inc(len(keys))
-        rows, labels = keys % (n + 1), np.concatenate(labels)
-        return [(rows[a:b], labels[a:b]) for a, b in zip(starts, starts[1:])]
+        scored.inc(len(need[-1]))
+        rows, labels, at = need[-1] % (n + 1), np.concatenate(labels), starts[-1]
+        return [(rows[a:b], labels[a:b]) for a, b in zip(at, at[1:])]
 
-    def _stacked_logits(self, previews, held, keys, adjacency) -> np.ndarray:
-        """Logits of the stacked rows ``keys``, which hold the closures of
-        ``previews`` (``held[i]`` the first key of preview ``i``'s rows).
-        Stacked row ``j`` is column ``n + j`` of the blocks."""
+    def _stacked_logits(self, previews, held, need, adjacency) -> np.ndarray:
+        """Logits of the stacked rows ``need[-1]`` of ``previews``
+        (``held[i]`` the first key of preview ``i``): layer ``d`` computes
+        the rows ``need[d + 1]`` from blocks whose column ``n + j`` is
+        stacked row ``j`` of ``need[d]``."""
         weights, n = self.weights, self._n
-        m = len(keys)
-        owner, row = np.divmod(keys, n + 1)
-        target_at = np.searchsorted(keys, held + [p.target for p in previews])
-        obs_at = np.searchsorted(keys, held + n)
-
-        def block(ptr, csr, at, new_cols):
-            """``csr[row]``, entries in stored order, each column that the
-            row's candidate holds a copy of pointed at the copy; rows
-            ``at`` get one more entry, last — where the live CSR puts an
-            appended edge.  (Cached and stacked columns in two products
-            would sum a row in another order.)"""
-            take, counts = expand_rows(ptr, row)
-            cols = csr.indices[take]
-            wanted = owner.repeat(counts) * (n + 1) + cols
-            copy = np.minimum(np.searchsorted(keys, wanted), m - 1)
-            cols = np.where(keys[copy] == wanted, n + copy, cols)
-            ends = counts.cumsum()[at]
-            counts[at] += 1
-            data = np.insert(csr.data[take], ends, 1.0)
-            cols = np.insert(cols, ends, n + new_cols)
-            return type(csr)((data, cols, counts_to_ptr(counts)), shape=(m, n + m))
-
-        pred_rows = block(*adjacency[0], obs_at, target_at)
-        succ_rows = block(*adjacency[1], target_at, obs_at)
-        # Stacked layer inputs go behind the cached rows of the same
-        # store: one array per layer, no copy of the cache.  (An OBS row
-        # gathers scratch here; its preview's attributes overwrite it.)
-        prev = self._stores[0].rows(n + m)
-        prev[n:] = prev[row]
-        changed = np.concatenate([h + p.rows for h, p in zip(held, previews)])
-        prev[n + np.searchsorted(keys, changed)] = np.concatenate(
-            [p.attributes for p in previews]
-        )
+        target = held + [p.target for p in previews]
         for d in range(weights.depth):
-            out = layer_forward(
-                weights, d, prev[n:], pred_rows, succ_rows, prev, with_head=True
-            )
-            if d + 1 < weights.depth:
-                prev = self._stores[d + 1].rows(n + m)
+            cols, rows = need[d : d + 2]
+            # Stacked layer inputs go behind the cached rows of the same
+            # store: one array per layer, no copy of the cache.
+            prev = self._stores[d].rows(n + len(cols))
+            if d == 0:
+                # (An OBS row gathers scratch; its attributes overwrite it.)
+                prev[n:] = prev[cols % (n + 1)]
+                moved = np.concatenate([h + p.rows for h, p in zip(held, previews)])
+                at, read = _locate(cols, moved)
+                prev[n + at[read]] = np.concatenate(
+                    [p.attributes for p in previews]
+                )[read]
+            else:
                 prev[n:] = out
+            at, stacked = _locate(cols, rows)
+            out = layer_forward(
+                weights,
+                d,
+                prev[np.where(stacked, n + at, rows % (n + 1))],
+                _stacked_block(*adjacency[0], n, rows, cols, held + n, target),
+                _stacked_block(*adjacency[1], n, rows, cols, target, held + n),
+                prev,
+                with_head=True,
+            )
         check_finite(out, self._graph.name, "logits")
         return out
 
 
-def _closure(keys: np.ndarray, width: int, depth: int, adjacency) -> np.ndarray:
-    """``keys`` (``owner * width + row``) and everything within ``depth``
-    hops of them in their owner's copy of the graph, ascending.
+def _locate(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``wanted`` sits in the ascending, non-negative
+    ``keys``, and whether it is there at all."""
+    at = np.searchsorted(keys, wanted)
+    return at, np.append(keys, -1)[at] == wanted
+
+
+def _stacked_block(ptr, csr, n, rows, cols, tails, heads):
+    """``csr[row]`` for the stacked ``rows``, entries in stored order, each
+    column that ``cols`` holds the row's candidate's copy of pointed at
+    the copy (column ``n + position``); those of ``tails`` among ``rows``
+    get one more entry, last — where the live CSR puts an appended edge —
+    on their ``heads`` copy.  (Cached and stacked columns in two products
+    would sum a row in another order.)"""
+    owner, row = np.divmod(rows, n + 1)
+    take, counts = expand_rows(ptr, row)
+    columns = csr.indices[take]
+    copy, stacked = _locate(cols, owner.repeat(counts) * (n + 1) + columns)
+    columns = np.where(stacked, n + copy, columns)
+    at, here = _locate(rows, tails)
+    ends = counts.cumsum()[at[here]]
+    counts[at[here]] += 1
+    data = np.insert(csr.data[take], ends, 1.0)
+    columns = np.insert(columns, ends, n + np.searchsorted(cols, heads[here]))
+    return type(csr)(
+        (data, columns, counts_to_ptr(counts)), shape=(len(rows), n + len(cols))
+    )
+
+
+def _reach(keys: np.ndarray, width: int, adjacency, more=()) -> np.ndarray:
+    """``keys`` (``owner * width + row``), everything one hop from them in
+    their owner's copy of the graph, and the keys ``more``, ascending.
     ``adjacency`` is ``(row bounds, CSR)`` of ``pred`` and ``succ``: they
     are transposes, so the rows that aggregate FROM a row are the columns
     its own two adjacency rows name."""
-    for _ in range(depth):
-        owner, row = np.divmod(keys, width)
-        reached = [keys]
-        for ptr, csr in adjacency:
-            take, counts = expand_rows(ptr, row)
-            reached.append(owner.repeat(counts) * width + csr.indices[take])
-        keys = np.unique(np.concatenate(reached))
-    return keys
+    owner, row = np.divmod(keys, width)
+    reached = [keys, np.asarray(more, dtype=np.int64)]
+    for ptr, csr in adjacency:
+        take, counts = expand_rows(ptr, row)
+        reached.append(owner.repeat(counts) * width + csr.indices[take])
+    return np.unique(np.concatenate(reached))
 
 
 def _row_block(csr, rows: np.ndarray):

@@ -356,9 +356,25 @@ class TestWorkGate:
         found = [node] if node.name == name else []
         return found + [s for c in node.children for s in TestWorkGate._spans(c, name)]
 
-    def test_flow_scores_a_fraction_of_the_graph_per_candidate(self):
+    @staticmethod
+    def _count_kernel(monkeypatch) -> list:
+        """``(layer, rows)`` of every ``layer_forward`` call the scorer makes."""
+        from repro.flow import scorer as scorer_module
+
+        calls = []
+        kernel = scorer_module.layer_forward
+
+        def counted(weights, d, own_prev, *args, **kwargs):
+            calls.append((d, own_prev.shape[0]))
+            return kernel(weights, d, own_prev, *args, **kwargs)
+
+        monkeypatch.setattr(scorer_module, "layer_forward", counted)
+        return calls
+
+    def test_flow_scores_a_fraction_of_the_graph_per_candidate(self, monkeypatch):
         weights = load_gcn(TRAINED).layer_weights()
         netlist = generate_design(1000, seed=7002)
+        calls = self._count_kernel(monkeypatch)
         rows, updates = rows_scored(), patches()
         with trace("opi") as root:
             result = api.insert_observation_points(netlist, weights, self.CONFIG)
@@ -378,32 +394,31 @@ class TestWorkGate:
         assert result.iterations <= len(chunks) < candidates / 4
         assert sum(c.attrs["candidates"] for c in chunks) == candidates
         assert result.n_ops > 100
-        # Exactly the rows the one-candidate-at-a-time loop scored.
-        assert rows == 58082
+        # Rows whose logits were recomputed: each re-prediction's closure,
+        # and of each candidate's closure the part inside its fan-in cone.
+        # (58 082 until PR 23, when ranking scored whole closures.)
+        assert rows == 12255
         assert sum(c.attrs["rows"] for c in chunks) <= rows
-        assert rows <= 0.25 * updates * netlist.num_nodes
+        # Rows through the kernel, all layers / the last layer and head
+        # (177 426 / 59 142 until PR 23: every layer on every closure row).
+        assert sum(n for _, n in calls) <= 50_000
+        assert sum(n for d, n in calls if d == weights.depth - 1) <= 15_000
+        assert sum(c.attrs["kernel_rows"] for c in chunks) < sum(n for _, n in calls)
 
     def test_one_kernel_call_per_layer_per_chunk(self, monkeypatch):
         # The benchmark's smoke design; the loop that inserted and rolled
-        # back every candidate made 102 calls for the same 2 802 rows.
-        from repro.flow import scorer as scorer_module
-
+        # back every candidate made 102 calls, and until PR 23 the 36 calls
+        # took 8 922 rows for 2 802 logit rows.
         weights = load_gcn(TRAINED).layer_weights()
         netlist = generate_design(150, seed=7002)
-        calls = []
-        kernel = scorer_module.layer_forward
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(scorer_module, "layer_forward", counted)
+        calls = self._count_kernel(monkeypatch)
         rows = rows_scored()
         with trace("opi") as root:
             result = api.insert_observation_points(netlist, weights, self.CONFIG)
-        assert rows_scored() - rows == 2802
+        assert rows_scored() - rows == 917
         assert result.iterations == 5 and result.n_ops == 12
         chunks = len(self._spans(root, "opi.what_if"))
         # 33 candidates; the first iteration's 15 may take a second chunk.
         assert result.iterations <= chunks <= result.iterations + 1
         assert len(calls) == weights.depth * (chunks + result.iterations + 1)
+        assert sum(n for _, n in calls) <= 4_500

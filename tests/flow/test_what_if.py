@@ -1,5 +1,6 @@
 """Ranking in stacked what-if passes vs the sequential oracle, bit for bit."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -73,6 +74,60 @@ def pick_case(n_original: int, commits: list[int], picks: list[int], design):
     return list(dict.fromkeys(candidates))
 
 
+@contextmanager
+def stacked_logits():
+    """Every chunk's logits, as ``_stacked_logits`` returns them."""
+    seen = []
+    inner = IncrementalScorer._stacked_logits
+
+    def hooked(self, *args):
+        seen.append(inner(self, *args))
+        return seen[-1]
+
+    with mock.patch.object(IncrementalScorer, "_stacked_logits", hooked):
+        yield seen
+
+
+def check_sliced(weights, gates, seed, commits, candidates, chunk_rows) -> int:
+    """``what_if`` asked for each candidate's fan-in cone: the closure's
+    rows inside the cone, with the logits ``insert_op`` + ``rescore`` give
+    them on a copy and the labels the unsliced answer has there; nothing
+    touched.  Returns the number of chunks."""
+    design, scorer, _ = build(weights, gates, seed, commits)
+    other, sequential, _ = build(weights, gates, seed, commits)
+    previews = [design.preview_op(c) for c in candidates]
+    cones = [design.fanin_cone(c) for c in candidates]
+    whole = scorer.what_if(previews)
+
+    before = snapshot(design, scorer)
+    with (
+        mock.patch.object(inference, "WHAT_IF_ROWS", chunk_rows),
+        stacked_logits() as seen,
+    ):
+        sliced = scorer.what_if(previews, cones)
+    assert snapshot(design, scorer) == before
+    stacked = np.concatenate(seen)
+    at = 0
+    for candidate, cone, (rows, labels), (all_rows, all_labels) in zip(
+        candidates, cones, sliced, whole, strict=True
+    ):
+        _, checkpoint = other.insert_op(candidate)
+        _, token = sequential.rescore(checkpoint.changed_rows)
+        assert np.array_equal(all_rows, token[2])
+        inside = np.isin(all_rows, cone)
+        assert candidate in rows
+        assert np.array_equal(rows, all_rows[inside])
+        assert np.array_equal(labels, all_labels[inside])
+        logits = stacked[at : at + len(rows)]
+        assert np.array_equal(logits, sequential.logits[rows])
+        assert np.array_equal(labels, np.argmax(logits, axis=1))
+        at += len(rows)
+        sequential.rollback(token)
+        other.rollback(checkpoint)
+    assert at == len(stacked)
+    return len(seen)
+
+
 _CASE = dict(
     seed=st.integers(0, 5000),
     commits=st.lists(st.integers(0, 10**6), max_size=5),
@@ -141,6 +196,66 @@ class TestBatchedRank:
             sequential.rollback(token)
             other.rollback(checkpoint)
         assert at == len(stacked)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_CASE)
+    def test_sliced_logits_equal_insert_and_rescore_inside_the_cone(
+        self, small_weights, seed, commits, picks, chunk_rows
+    ):
+        gates = 40 + seed % 50
+        netlist = generate_design(gates, seed=seed)
+        commits = list(dict.fromkeys(c % netlist.num_nodes for c in commits))
+        candidates = pick_case(
+            netlist.num_nodes, commits, picks, IncrementalDesign(netlist)
+        )
+        chunks = check_sliced(
+            small_weights, gates, seed, commits, candidates, chunk_rows
+        )
+        if chunk_rows == 1:
+            assert chunks == len(candidates)
+        if chunk_rows == UNBOUNDED:
+            assert chunks == 1
+
+    @pytest.mark.parametrize("chunk_rows", [1, UNBOUNDED])
+    def test_single_candidate(self, small_weights, chunk_rows):
+        assert check_sliced(small_weights, 80, 11, [30], [52], chunk_rows) == 1
+
+    def test_target_already_observed_moves_no_attribute(self, small_weights):
+        # CO is 0 at a committed OP's target: another OP there changes
+        # wiring only, and the sliced pass still has to see the new edge.
+        design, _, _ = build(small_weights, 80, 11, [30])
+        assert design.preview_op(30).rows.tolist() == [design.num_nodes]
+        check_sliced(small_weights, 80, 11, [30], [30], UNBOUNDED)
+
+    def test_overlapping_cones_share_a_chunk(self, small_weights):
+        design, _, _ = build(small_weights, 80, 11, [])
+        inner = design.netlist.fanins(52)[0]
+        assert set(design.fanin_cone(inner)) < set(design.fanin_cone(52))
+        assert check_sliced(small_weights, 80, 11, [], [52, inner], UNBOUNDED) == 1
+
+    def test_within_that_misses_the_closure(self, small_weights, monkeypatch):
+        design, scorer, labels = build(small_weights, 80, 11, [30])
+        previews = [design.preview_op(c) for c in (52, 40)]
+        closures = [rows for rows, _ in scorer.what_if(previews)]
+        elsewhere = [
+            np.setdiff1d(np.arange(design.num_nodes), rows) for rows in closures
+        ]
+        assert all(len(rows) for rows in elsewhere)
+        # One candidate asked about elsewhere: an empty answer for it, the
+        # other's unaffected.
+        cone = design.fanin_cone(40)
+        (rows, changed), (kept, _) = scorer.what_if(previews, [elsewhere[0], cone])
+        assert len(rows) == len(changed) == 0
+        assert np.array_equal(kept, closures[1][np.isin(closures[1], cone)])
+
+        # All of them: no kernel call at all, and every impact 0.
+        class AskedElsewhere:
+            def what_if(self, previews, within):
+                return scorer.what_if(previews, elsewhere)
+
+        monkeypatch.setattr(scorer_module, "layer_forward", None)
+        ranked = ImpactEvaluator(design, AskedElsewhere()).rank([52, 40], labels)
+        assert [impact for _, impact in ranked] == [0, 0]
 
     def test_plain_callable_ranks_like_the_oracle(self):
         predictor = co_threshold_predictor()
