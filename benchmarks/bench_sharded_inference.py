@@ -184,19 +184,7 @@ def main(argv: list[str] | None = None) -> dict:
         "sweep_exchange_fraction": gate_exchange,
         "all_bit_identical": all(t["bit_identical"] for t in tiers),
     }
-    path = write_result(
-        "BENCH_sharded_inference",
-        payload,
-        trend_extra={
-            "sweep_exchange_fraction": gate_exchange,
-            "inprocess_speedups": {
-                str(t["tier"]): t["sharded_inprocess_speedup"] for t in tiers
-            },
-            "pool_speedups": {
-                str(t["tier"]): t.get("sharded_pool_speedup") for t in tiers
-            },
-        },
-    )
+    path = write_result("BENCH_sharded_inference", payload)
     print(f"wrote {path}")
     if args.gate_exchange is not None and gate_exchange >= args.gate_exchange:
         print(

@@ -5,12 +5,9 @@ Expensive shared state (the labelled benchmark suite) is session-scoped
 and backed by the on-disk label cache, so the first run pays for labelling
 once and later runs start immediately.
 
-Every ``bench_*`` test additionally appends its wall time to the
-perf-trend ledger (``results/TREND_<test>.jsonl``; see
-:mod:`repro.obs.trend`), so ``make bench`` feeds the regression gate in
-``scripts/bench_trend.py`` without per-bench boilerplate.  Standalone
-entry points (``bench_fault_sim.py`` etc.) get the same treatment from
-``write_result`` on their ``BENCH_*`` payloads.
+These benches reproduce the paper's results; none of them is the speed
+yardstick.  That is ``perf/`` + ``BENCHMARK.json``, gated by
+``make bench-check``.
 
 Environment knobs: ``REPRO_SCALE`` (design size), ``REPRO_FULL=1``
 (paper-strength settings), ``REPRO_RESULTS`` (output directory).
@@ -18,25 +15,11 @@ Environment knobs: ``REPRO_SCALE`` (design size), ``REPRO_FULL=1``
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.data.benchmarks import benchmark_scale
 from repro.data.dataset import load_suite
 from repro.experiments.common import experiment_label_config
-from repro.obs.trend import record_trend
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    start = time.perf_counter()
-    outcome = yield
-    if item.name.startswith("bench_") and outcome.excinfo is None:
-        record_trend(
-            item.name,
-            {"wall_seconds": round(time.perf_counter() - start, 6)},
-        )
 
 
 @pytest.fixture(scope="session")

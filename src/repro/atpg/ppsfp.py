@@ -133,9 +133,6 @@ class PpsfpConfig:
     #: explicit execution-fabric backend (``inprocess`` | ``forkpool`` |
     #: ``socket``); None defers to ``REPRO_EXEC_BACKEND`` then forkpool
     exec_backend: str | None = None
-    #: sampling-profiler mode around submits (``auto`` honours
-    #: ``REPRO_PROFILE`` then off; see :mod:`repro.obs.profile`)
-    profile: str = "auto"
 
 
 def _obs():
@@ -596,7 +593,6 @@ class PpsfpEngine:
             max_workers=self._n_workers(),
             initializer=_ppsfp_worker_init,
             initargs=(payload,),
-            profile=self.config.profile,
         )
 
     def _exec_policy(self) -> ExecPolicy:

@@ -14,11 +14,9 @@ Commands:
   (the remote end of the ``socket`` execution backend);
 * ``serve``      — run the online netlist-scoring daemon (``GET /metrics``
   exposes Prometheus text);
-* ``profile``    — re-run any subcommand under the sampling profiler
-  (collapsed-stack output; see :mod:`repro.obs.profile`);
-* ``obs-report`` — render a run's observability report (perf-trend
-  trajectories, profiler hot paths, fleet metrics) to
-  ``results/<run>/report.{json,md}``.
+* ``obs-report`` — print where a recorded run's time went (the span tree
+  of its ``trace.json``, wall/CPU per span) and write it to
+  ``results/<run>/report.md``.
 
 Every subcommand accepts ``--log-level``, ``--log-format {text,json}`` and
 ``--log-file`` (see :mod:`repro.obs.logs`).  Failures exit with a distinct
@@ -296,61 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="request logging + fault-injection request fields (smoke tests)",
     )
 
-    prof = sub.add_parser(
-        "profile",
-        parents=[log_flags],
-        help="run a repro subcommand under the sampling profiler",
-        description="Wrap any other subcommand in a whole-process sampling "
-        "profiler session (stdlib, thread-based).  Collapsed-stack files "
-        "land in the wrapped run's manifest directory when it writes one, "
-        "otherwise in --output-dir (default results/profiles).  Example: "
-        "repro profile --mode full train design.bench",
-        epilog=_EXIT_CODES_HELP,
-    )
-    prof.add_argument(
-        "--mode",
-        choices=["light", "full"],
-        default="light",
-        help="sampling cadence: light=25ms (<1%% overhead), full=5ms",
-    )
-    prof.add_argument(
-        "--output-dir",
-        default=None,
-        help="directory for profiles not claimed by a run manifest",
-    )
-    prof.add_argument(
-        "wrapped",
-        nargs=argparse.REMAINDER,
-        metavar="cmd ...",
-        help="the repro subcommand (and its arguments) to profile",
-    )
-
     rep = sub.add_parser(
         "obs-report",
         parents=[log_flags],
-        help="render a run's observability report (trend + hot paths + fleet)",
-        description="Render perf-trend trajectories (results/TREND_*.jsonl), "
-        "profiler hot paths, and fleet-labelled metric families into "
-        "results/<run>/report.{json,md}.  Defaults to the most recent run "
-        "directory containing a manifest.",
+        help="print where a recorded run's time went (span tree + fleet metrics)",
+        description="Print the span tree a run recorded in trace.json (wall "
+        "and CPU per span) and the fleet-labelled metric families of its "
+        "manifest, and write both to results/<run>/report.md.  Defaults to "
+        "the most recent run directory containing a manifest.",
         epilog=_EXIT_CODES_HELP,
     )
     rep.add_argument(
         "--run",
         default=None,
         help="run id under results/ (or a run directory path)",
-    )
-    rep.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="trailing records forming the baseline median (default 5)",
-    )
-    rep.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative slowdown flagged as a regression (default 0.20)",
     )
     return parser
 
@@ -666,67 +623,34 @@ def _cmd_exec_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.obs import profile as profile_mod
-
-    wrapped = list(args.wrapped)
-    if wrapped and wrapped[0] == "--":
-        wrapped = wrapped[1:]
-    if not wrapped:
-        print(
-            "error: repro profile needs a subcommand to wrap, e.g. "
-            "`repro profile train design.bench`",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if wrapped[0] == "profile":
-        print("error: repro profile cannot wrap itself", file=sys.stderr)
-        return EXIT_CONFIG
-    # The env var is what engine ExecutionConfig(profile="auto") resolves,
-    # so fork-pool and remote workers inherit the mode too.
-    os.environ[profile_mod.PROFILE_ENV] = args.mode
-    if args.output_dir:
-        os.environ[profile_mod.PROFILE_DIR_ENV] = args.output_dir
-    with profile_mod.profile_block("cli", args.mode):
-        status = main(wrapped)
-    for path in profile_mod.flush_profiles(args.output_dir):
-        print(f"profile: {path}")
-    return status
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
-    from repro.obs import trend
+    from repro.obs.manifest import write_report
 
-    results_root = Path(os.environ.get("REPRO_RESULTS", "results"))
+    root = Path(os.environ.get("REPRO_RESULTS", "results"))
     if args.run:
-        run_dir = results_root / args.run
-        if not run_dir.is_dir() and Path(args.run).is_dir():
-            run_dir = Path(args.run)
-        if not run_dir.is_dir():
-            print(f"error: no run directory {run_dir}", file=sys.stderr)
-            return EXIT_INPUT
+        manifests = [
+            root / args.run / "manifest.json",
+            Path(args.run) / "manifest.json",
+        ]
     else:
         manifests = sorted(
-            results_root.glob("*/manifest.json"),
+            root.glob("*/manifest.json"),
             key=lambda p: p.stat().st_mtime,
+            reverse=True,
         )
-        # No recorded runs yet: a report of just the trend ledgers still
-        # has value, so give it a stable home instead of erroring.
-        run_dir = manifests[-1].parent if manifests else results_root / "obs-report"
-    kwargs = {}
-    if args.window is not None:
-        kwargs["window"] = args.window
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    json_path, md_path = trend.write_obs_report(run_dir, **kwargs)
-    print(md_path.read_text())
-    print(f"report: {json_path}")
-    print(f"report: {md_path}")
+    manifest = next((m for m in manifests if m.is_file()), None)
+    if manifest is None:
+        which = f" {args.run!r}" if args.run else ""
+        print(
+            f"error: no recorded run{which} under {root}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
+    print(write_report(manifest.parent), end="")
+    print(f"report: {manifest.parent / 'report.md'}")
     return 0
 
 
@@ -764,7 +688,6 @@ def main(argv: list[str] | None = None) -> int:
         "exec-info": _cmd_exec_info,
         "exec-worker": _cmd_exec_worker,
         "serve": _cmd_serve,
-        "profile": _cmd_profile,
         "obs-report": _cmd_obs_report,
     }
     try:

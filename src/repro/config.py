@@ -29,10 +29,7 @@ choice is never overridden by the environment.  Environment variables
   multi-host coordinator (see :mod:`repro.exec.coordinator`);
 * ``REPRO_WORKERS`` — worker-process count;
 * ``REPRO_SHARDS`` — inference shard count;
-* ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``);
-* ``REPRO_PROFILE`` — sampling-profiler mode (``off`` | ``light`` |
-  ``full``, see :mod:`repro.obs.profile`) attached around every
-  executor submit where the code left ``profile="auto"``.
+* ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``).
 
 Legacy ``backend=`` / ``fault_sim_backend=`` keyword arguments keep working
 through shims that emit :class:`DeprecationWarning`; new code (and all of
@@ -56,7 +53,6 @@ __all__ = [
     "INFERENCE_BACKENDS",
     "FAULT_SIM_BACKENDS",
     "EXEC_BACKENDS",
-    "PROFILE_MODES",
     "warn_deprecated_kwarg",
 ]
 
@@ -66,11 +62,8 @@ INFERENCE_BACKENDS = ("auto", "single", "sharded")
 FAULT_SIM_BACKENDS = ("auto", "serial", "batched", "parallel")
 #: vocabulary for the execution fabric (mirrors repro.exec.policy)
 EXEC_BACKENDS = ("auto", "inprocess", "forkpool", "socket")
-#: vocabulary for the sampling profiler (mirrors repro.obs.profile)
-PROFILE_MODES = ("auto", "off", "light", "full")
 
 _ENV_BACKEND = "REPRO_BACKEND"
-_ENV_PROFILE = "REPRO_PROFILE"
 _ENV_FAULT_SIM_BACKEND = "REPRO_FAULT_SIM_BACKEND"
 _ENV_EXEC_BACKEND = "REPRO_EXEC_BACKEND"
 _ENV_WORKERS = "REPRO_WORKERS"
@@ -120,10 +113,6 @@ class ExecutionConfig:
     #: runnable on any fleet host; with no reachable remote workers it
     #: degrades to the forkpool path unchanged.
     exec_backend: str = "auto"
-    #: sampling-profiler mode around executor submits (``auto`` | ``off``
-    #: | ``light`` | ``full``); ``auto`` honours ``REPRO_PROFILE`` then
-    #: ``off`` — the profiler is opt-in, never a silent tax
-    profile: str = "auto"
 
     def __post_init__(self) -> None:
         problems = []
@@ -139,13 +128,6 @@ class ExecutionConfig:
         ):
             problems.append(
                 f"exec_backend {self.exec_backend!r} must be one of {EXEC_BACKENDS}"
-            )
-        if (
-            not isinstance(self.profile, str)
-            or self.profile.lower() not in PROFILE_MODES
-        ):
-            problems.append(
-                f"profile {self.profile!r} must be one of {PROFILE_MODES}"
             )
         try:
             dt = np.dtype(self.dtype)
@@ -175,9 +157,6 @@ class ExecutionConfig:
         exec_backend = os.environ.get(_ENV_EXEC_BACKEND, "").strip().lower()
         if exec_backend:
             env["exec_backend"] = exec_backend
-        profile = os.environ.get(_ENV_PROFILE, "").strip().lower()
-        if profile:
-            env["profile"] = profile
         for key, var in (("workers", _ENV_WORKERS), ("shards", _ENV_SHARDS)):
             raw = os.environ.get(var, "").strip()
             if raw:
@@ -261,16 +240,6 @@ class ExecutionConfig:
                 return "sharded"
             return "single"
         return choice
-
-    def resolve_profile_mode(self) -> str:
-        """Concrete profiler mode (``off`` | ``light`` | ``full``).
-
-        ``auto`` honours ``REPRO_PROFILE`` and falls back to ``off`` —
-        attaching the sampler is always an explicit decision.
-        """
-        from repro.obs.profile import resolve_profile_mode
-
-        return resolve_profile_mode(self.profile)
 
     def resolve_exec_backend(self, default: str = "forkpool") -> str:
         """Map the fabric request to a concrete backend

@@ -481,7 +481,6 @@ class ParallelTrainer(Trainer):
             max_workers=min(self.max_workers or len(tasks), len(tasks)),
             policy=self._exec_policy(),
             sleep=self._sleep,
-            profile=execution.profile,
         )
         with executor:
             results = executor.submit(tasks)

@@ -30,7 +30,6 @@ from repro.exec.coordinator import Coordinator, get_coordinator
 from repro.exec.policy import ExecPolicy, ShardTask, resolve_exec_backend
 from repro.exec.scheduler import ensure_exec_metrics
 from repro.obs import logs
-from repro.obs.profile import profile_block
 from repro.obs.trace import annotate, span
 
 __all__ = [
@@ -50,18 +49,10 @@ class Executor:
 
     kind = "abstract"
 
-    def __init__(
-        self,
-        name: str = "exec",
-        policy: ExecPolicy | None = None,
-        profile: str | None = "auto",
-    ):
+    def __init__(self, name: str = "exec", policy: ExecPolicy | None = None):
         #: metric label and log field identifying the owning engine
         self.name = name
         self.policy = policy or ExecPolicy()
-        #: sampling-profiler mode around submits ("auto" resolves
-        #: REPRO_PROFILE at each submit, so it stays env-switchable)
-        self.profile = profile if profile is not None else "auto"
         #: failed task attempts in the most recent submit (engine counters)
         self.last_submit_failures = 0
 
@@ -74,12 +65,11 @@ class Executor:
         tasks = list(tasks)
         metrics = ensure_exec_metrics()
         start = time.perf_counter()
-        with profile_block(f"exec.{self.name}", self.profile):
-            backend, run = self._prepare(len(tasks))
-            metrics["tasks"].labels(self.name, backend).inc(len(tasks))
-            with span("exec.submit", engine=self.name, backend=backend,
-                      tasks=len(tasks)):
-                results = run(tasks, policy or self.policy)
+        backend, run = self._prepare(len(tasks))
+        metrics["tasks"].labels(self.name, backend).inc(len(tasks))
+        with span("exec.submit", engine=self.name, backend=backend,
+                  tasks=len(tasks)):
+            results = run(tasks, policy or self.policy)
         metrics["submit_seconds"].labels(self.name, backend).observe(
             time.perf_counter() - start
         )
@@ -241,19 +231,16 @@ def make_executor(
     policy: ExecPolicy | None = None,
     sleep=time.sleep,
     default: str = "forkpool",
-    profile: str | None = "auto",
 ) -> Executor:
     """Build the executor for a resolved backend.
 
     ``backend=None``/``"auto"`` honours ``REPRO_EXEC_BACKEND`` and then
     ``default`` — engines pass the backend their workload heuristics
     chose as ``default`` so the environment stays a pure override.
-    ``profile`` attaches the sampling profiler around every submit
-    (``"auto"`` resolves ``REPRO_PROFILE``, default off).
     """
     resolved = resolve_exec_backend(backend, default=default)
     if resolved == "inprocess":
-        return InProcessExecutor(name=name, policy=policy, profile=profile)
+        return InProcessExecutor(name=name, policy=policy)
     cls = DistributedExecutor if resolved == "socket" else ForkPoolExecutor
     return cls(
         max_workers,
@@ -262,5 +249,4 @@ def make_executor(
         initargs=initargs,
         policy=policy,
         sleep=sleep,
-        profile=profile,
     )

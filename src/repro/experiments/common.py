@@ -14,7 +14,6 @@ benchmark does not retrain from scratch.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -82,36 +81,14 @@ def results_dir() -> Path:
     return path
 
 
-def write_result(
-    name: str, payload: dict, trend_extra: dict | None = None
-) -> Path:
+def write_result(name: str, payload: dict) -> Path:
     """Persist an experiment's rows as JSON under :func:`results_dir`.
 
     The write is atomic, so an interrupted benchmark run never leaves a
-    truncated results file behind.  ``BENCH_*`` payloads additionally
-    append their ``*_seconds`` timings to the perf-trend ledger
-    (``results/TREND_<bench>.jsonl``; see :mod:`repro.obs.trend`) so the
-    regression gate in ``scripts/bench_trend.py`` sees every run.
-    ``trend_extra`` rides along in the ledger record's ``extra`` field —
-    non-timing context like speedups or exchange fractions that trend
-    reports can surface next to the gated metrics.
+    truncated results file behind.
     """
     path = results_dir() / f"{name}.json"
-    result = atomic_write_json(path, payload, indent=2, default=_jsonify)
-    if name.startswith("BENCH_"):
-        from repro.obs.trend import record_trend
-
-        try:
-            record_trend(
-                name[len("BENCH_") :],
-                json.loads(path.read_text()),
-                extra=trend_extra,
-            )
-        except (OSError, ValueError, TypeError):
-            # The trend ledger is best-effort bookkeeping; a full disk or
-            # unserialisable payload must not fail the benchmark itself.
-            pass
-    return result
+    return atomic_write_json(path, payload, indent=2, default=_jsonify)
 
 
 def checkpoint_dir() -> Path | None:

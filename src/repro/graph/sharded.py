@@ -402,7 +402,6 @@ class ShardedInference(FastInference):
             max_workers=max(1, self.execution.resolved_workers()),
             initializer=_exchange_worker_init,
             initargs=(payload,),
-            profile=self.execution.profile,
         )
 
     def _exec_policy(self) -> ExecPolicy:

@@ -12,14 +12,12 @@ Four pieces, all stdlib-only:
 * :mod:`repro.obs.manifest` — atomic ``results/<run>/manifest.json``
   records (config, git SHA, seed, dataset fingerprint, metric snapshot).
 
-Distributed extensions (see ``docs/architecture.md``):
+Distributed extension (see ``docs/architecture.md``):
+:mod:`repro.obs.remote` — cross-host trace propagation + worker
+telemetry forwarding for the execution fabric.
 
-* :mod:`repro.obs.remote` — cross-host trace propagation + worker
-  telemetry forwarding for the execution fabric;
-* :mod:`repro.obs.profile` — stdlib sampling profiler
-  (``REPRO_PROFILE=light|full``, ``repro profile <cmd>``);
-* :mod:`repro.obs.trend` — schema-versioned performance-trend records
-  (``results/TREND_<bench>.jsonl``) and the ``repro obs-report`` renderer.
+Speed is not measured here: ``perf/`` + ``BENCHMARK.json`` are the one
+benchmark, and ``python -m cProfile -m repro <cmd>`` is the profiler.
 
 Metric naming convention: ``repro_<subsystem>_<name>_<unit>``.
 """
@@ -27,7 +25,6 @@ Metric naming convention: ``repro_<subsystem>_<name>_<unit>``.
 from repro.obs.logs import configure as configure_logging
 from repro.obs.logs import get_logger, request_context, run_context
 from repro.obs.manifest import RunRecorder, dataset_fingerprint, git_sha
-from repro.obs.profile import flush_profiles, profile_block, resolve_profile_mode
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -55,9 +52,6 @@ __all__ = [
     "RunRecorder",
     "dataset_fingerprint",
     "git_sha",
-    "flush_profiles",
-    "profile_block",
-    "resolve_profile_mode",
     "Counter",
     "Gauge",
     "Histogram",

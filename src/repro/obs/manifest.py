@@ -3,15 +3,18 @@
 A manifest pins down what produced a result: the exact config, the git
 SHA, the RNG seed, a fingerprint of the input data, and the final metric
 snapshot.  It is written atomically to ``results/<run>/manifest.json``
-(plus the span tree to ``trace.json``), so BENCH_* trajectories and
-experiment outputs are comparable across PRs.
+(plus the span tree to ``trace.json``), so experiment outputs are
+comparable across PRs.
 
 :class:`RunRecorder` bundles the whole protocol: pick a run id, scope it
 onto the logs, open a trace root, and on exit write manifest + trace.
+:func:`write_report` reads the two files back as "where did the time go"
+(``repro obs-report``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
@@ -27,6 +30,7 @@ __all__ = [
     "git_sha",
     "dataset_fingerprint",
     "RunRecorder",
+    "write_report",
 ]
 
 
@@ -165,15 +169,10 @@ class RunRecorder:
     def write(self, status: str = "ok", error: str | None = None) -> Path:
         """Write ``manifest.json`` + ``trace.json`` atomically; returns the
         manifest path."""
-        from repro.obs import profile as profile_mod
-
         registry = self.registry or get_registry()
         root = self._root_span
         run_dir = self.run_dir
         run_dir.mkdir(parents=True, exist_ok=True)
-        profile_files = [
-            p.name for p in profile_mod.flush_profiles(run_dir)
-        ]
         manifest = {
             "run_id": self.run_id,
             "name": self.name,
@@ -190,8 +189,6 @@ class RunRecorder:
             "argv": sys.argv,
             "metrics": registry.snapshot(),
         }
-        if profile_files:
-            manifest["profiles"] = profile_files
         if error:
             manifest["error"] = error
         if self.extra:
@@ -208,3 +205,44 @@ class RunRecorder:
             extra={"status": status, "manifest": str(self.manifest_path)},
         )
         return self.manifest_path
+
+
+def write_report(run_dir: str | os.PathLike) -> str:
+    """Where a recorded run's time went, as markdown (``repro obs-report``).
+
+    A manifest summary, the span tree of ``trace.json`` through
+    :func:`repro.obs.trace.format_tree` (wall/CPU per span) and the names
+    of the fleet-scoped metric families (``repro_fleet_*`` /
+    ``repro_obs_*``) in the manifest's metric snapshot.  Written to
+    ``<run_dir>/report.md`` and returned.
+    """
+    run_dir = Path(run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    lines = [
+        f"# Run `{manifest.get('run_id') or run_dir.name}`",
+        "",
+        f"- command: `{manifest.get('command')}`",
+        f"- status: {manifest.get('status')}, {manifest.get('duration_s')} s",
+        f"- git sha: `{manifest.get('git_sha') or 'unknown'}`",
+        "",
+        "## Span tree",
+        "",
+    ]
+    trace_path = run_dir / "trace.json"
+    if trace_path.is_file():
+        tree = trace.Span.from_dict(json.loads(trace_path.read_text()))
+        lines += ["```", trace.format_tree(tree), "```"]
+    else:
+        lines.append(f"No span tree: {trace_path} is missing.")
+    fleet = sorted(
+        name
+        for name in manifest.get("metrics") or {}
+        if name.startswith(("repro_fleet_", "repro_obs_"))
+    )
+    lines += ["", "## Fleet metrics", ""]
+    lines += [f"- `{name}`" for name in fleet] or [
+        "None (remote or fork-pool workers forwarded no telemetry)."
+    ]
+    report = "\n".join(lines) + "\n"
+    (run_dir / "report.md").write_text(report)
+    return report

@@ -10,8 +10,8 @@ from repro.circuit import GateType, Netlist, generate_design
 
 @pytest.fixture(autouse=True)
 def _results_outside_the_checkout(tmp_path, monkeypatch):
-    """Run manifests, trend ledgers and profiles default to ``./results``;
-    no test may leave files in the checkout it runs from."""
+    """Run manifests and reports default to ``./results``; no test may
+    leave files in the checkout it runs from."""
     monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "results"))
 
 

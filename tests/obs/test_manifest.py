@@ -112,3 +112,72 @@ class TestRunRecorder:
             run.note(path=tmp_path)  # a PosixPath
         data = json.loads((tmp_path / "odd" / "manifest.json").read_text())
         assert data["results"]["path"] == str(tmp_path)
+
+
+class TestObsReport:
+    """``repro obs-report``: the recorded span tree, read back."""
+
+    def _record(self, root, run_id="rep"):
+        from repro.obs import span
+
+        registry = MetricsRegistry()
+        registry.counter("repro_fleet_tasks_total", "forwarded").inc()
+        registry.counter("repro_serve_requests_total", "not fleet").inc()
+        with mf.RunRecorder(
+            "unit", command="repro unit", registry=registry,
+            results_root=root, run_id=run_id,
+        ):
+            with span("outer.stage", rows=3):
+                with span("inner.kernel"):
+                    pass
+        return root / run_id
+
+    def test_prints_and_writes_the_span_tree(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
+        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+        run_dir = self._record(tmp_path)
+        assert cli.main(["obs-report", "--run", "rep"]) == 0
+        out = capsys.readouterr().out
+        report = (run_dir / "report.md").read_text()
+        for text in (out, report):
+            lines = text.splitlines()
+            outer = next(l for l in lines if "outer.stage" in l)
+            inner = next(l for l in lines if "inner.kernel" in l)
+            assert outer.startswith("  outer.stage") and "rows=3" in outer
+            assert inner.startswith("    inner.kernel")
+            assert "wall=" in inner and "cpu=" in inner
+            assert "`repro_fleet_tasks_total`" in text
+            assert "repro_serve_requests_total" not in text
+        assert not (run_dir / "report.json").exists()
+        # With no --run, the most recent recorded run is reported.
+        assert cli.main(["obs-report"]) == 0
+        assert "outer.stage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["obs-report"], ["obs-report", "--run", "nope"]])
+    def test_no_recorded_run_is_an_input_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+        assert cli.main(argv) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no recorded run")
+        assert f"under {tmp_path}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_trace_still_summarises_the_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+        run_dir = self._record(tmp_path)
+        (run_dir / "trace.json").unlink()
+        assert cli.main(["obs-report", "--run", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "command: `repro unit`" in out and "status: ok" in out
+        assert "trace.json is missing" in out
+        assert "outer.stage" not in out
