@@ -24,6 +24,7 @@ import numpy as np
 from repro.atpg.cones import get_cone_index, invalidate_cone_cache
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import collapse_faults
+from repro.config import ExecutionConfig
 from repro.data.benchmarks import benchmark_scale, generate_design
 from repro.experiments.common import write_result
 
@@ -79,7 +80,7 @@ def _grade_tier(n_gates: int, repeats: int) -> dict:
         row["parallel_speedup"] = None
         row["parallel_skipped"] = "single-core host"
     for backend in backends:
-        engine = FaultSimulator(netlist, backend=backend)
+        engine = FaultSimulator(netlist, ExecutionConfig(backend=backend))
         try:
             t, masks = _best_of(
                 lambda: engine.detection_masks(faults, values), repeats

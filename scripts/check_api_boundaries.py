@@ -1,23 +1,15 @@
 #!/usr/bin/env python3
-"""Lint: public-API boundaries and deprecated-kwarg hygiene.
+"""Lint: public-API boundaries.
 
-Eleven rules, all AST-based (comments and strings never false-positive):
+Ten rules, all AST-based (comments and strings never false-positive).
+They keep their numbers — docs and tests cite them — so number 2 is
+unused:
 
 1. **Examples are facade-only.** Files under ``examples/`` may import from
    the ``repro`` namespace only via ``repro.api`` (``from repro.api import
    ...``, ``from repro import api``, ``import repro.api``).  Everything
    the walkthroughs need is re-exported there; reaching into submodules
    from user-facing code defeats the stability contract.
-
-2. **No deprecated execution kwargs inside the library.** ``src/repro``
-   must spell backend selection ``execution=ExecutionConfig(...)``; the
-   legacy kwargs exist only as shims for downstream callers:
-
-   * ``backend=`` in calls to ``FaultSimulator`` / ``ObservabilityAnalyzer``
-     / ``LabelConfig`` / ``observability_counts``;
-   * ``fault_sim_backend=`` in calls to ``AtpgConfig`` (or anything else).
-
-   The defining modules themselves (where the shims live) are exempt.
 
 3. **Process parallelism lives in the execution fabric.** ``src/repro``
    must not import ``multiprocessing`` or ``concurrent`` (futures/pools)
@@ -51,7 +43,7 @@ Eleven rules, all AST-based (comments and strings never false-positive):
    :class:`repro.serve.client.ServeClient` exists to own.  The one
    exemption is ``scripts/check_metrics_scrape.py``, whose entire job
    is validating the raw Prometheus exposition bytes.  (Raw ``socket``
-   probes of protocol corners — idle keep-alive, the deprecated alias —
+   probes of protocol corners — idle keep-alive, unknown paths —
    remain allowed: the lint targets request plumbing, not wire tests.)
 
 7. **Equation (1) is written once.** Under ``src/repro``, attribute
@@ -120,32 +112,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 EXAMPLES = ROOT / "examples"
 
-#: callables whose ``backend=`` kwarg is deprecated (constructor shims);
-#: per-call overrides like ``detection_masks(..., backend=...)`` stay fine
-_BACKEND_SHIMMED = {
-    "FaultSimulator",
-    "ObservabilityAnalyzer",
-    "LabelConfig",
-    "observability_counts",
-}
-#: modules that define the shims and may mention the legacy spellings
-_SHIM_MODULES = {
-    PACKAGE / "config.py",
-    PACKAGE / "atpg" / "fault_sim.py",
-    PACKAGE / "atpg" / "observability.py",
-    PACKAGE / "atpg" / "generate.py",
-    PACKAGE / "testability" / "labels.py",
-}
-
-
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
 
 def example_import_violations(path: Path) -> list[tuple[int, str]]:
     """Non-facade ``repro`` imports in an example file."""
@@ -168,22 +134,6 @@ def example_import_violations(path: Path) -> list[tuple[int, str]]:
             ):
                 continue
             bad.append((node.lineno, f"from {node.module} import ..."))
-    return bad
-
-
-def deprecated_kwarg_violations(path: Path) -> list[tuple[int, str]]:
-    """Legacy execution-kwarg uses in a library file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    bad = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        for kw in node.keywords:
-            if kw.arg == "fault_sim_backend":
-                bad.append((node.lineno, f"{name}(fault_sim_backend=...)"))
-            elif kw.arg == "backend" and name in _BACKEND_SHIMMED:
-                bad.append((node.lineno, f"{name}(backend=...)"))
     return bad
 
 
@@ -493,14 +443,6 @@ def main() -> int:
                 "repro.api.ServeClient)"
             )
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path in _SHIM_MODULES:
-            continue
-        for lineno, what in deprecated_kwarg_violations(path):
-            violations.append(
-                f"{path.relative_to(ROOT)}:{lineno}: {what} "
-                "(library code must pass execution=ExecutionConfig(...))"
-            )
-    for path in sorted(PACKAGE.rglob("*.py")):
         if _EXEC_PACKAGE in path.parents:
             continue
         for lineno, what in pool_import_violations(path):
@@ -553,8 +495,7 @@ def main() -> int:
             print(f"  {v}")
         return 1
     print(
-        "examples are facade-only; no deprecated execution kwargs in "
-        "src/repro; process pools and raw sockets confined to repro.exec; "
+        "examples are facade-only; process pools and raw sockets confined to repro.exec; "
         "metric families repro_-prefixed, lazily registered, singly owned; "
         "scripts/examples speak to serve only via ServeClient; "
         "layer/head weights read only by the Equation (1) kernel; "

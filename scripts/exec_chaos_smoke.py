@@ -58,8 +58,6 @@ from repro.exec import (  # noqa: E402
 from repro.obs.metrics import MetricsRegistry, set_registry  # noqa: E402
 from repro.resilience.retry import RetryPolicy  # noqa: E402
 
-NO_SLEEP = lambda s: None  # noqa: E731
-
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}")
@@ -171,7 +169,6 @@ def _train_step(graphs):
         max_workers=2,
         worker_timeout=WORKER_TIMEOUT_S,
         retry_policy=RETRY,
-        sleep=NO_SLEEP,
     )
     loss = trainer.train_step(graphs)
     return loss, {k: v.copy() for k, v in model.state_dict().items()}

@@ -4,8 +4,8 @@
 Exercises the full robustness surface against a real subprocess, speaking
 the versioned API exclusively through :class:`repro.api.ServeClient` (the
 only raw sockets here probe protocol corners the client deliberately
-cannot produce — an idle keep-alive connection and the deprecated
-unversioned alias):
+cannot produce — an idle keep-alive connection and the retired
+unversioned ``/score`` path):
 
 1. start ``repro serve`` with a valid model on an ephemeral port;
 2. score a generated netlist (200, non-degraded) over ``/v1/score``;
@@ -20,8 +20,8 @@ unversioned alias):
 6. expire a deadline (504);
 7. hot-reload a corrupt checkpoint (422 + rollback; predictions
    unchanged) then a valid one (200);
-8. confirm the legacy ``/score`` alias still answers with a
-   ``Deprecation`` header;
+8. confirm ``POST /score`` answers 404 ``not_found`` (no unversioned
+   alias);
 9. admissions ran in the forked admission workers, not inline (the exec
    fabric's task counter for the ``admission`` engine moved with them);
 10. SIGTERM under load: the in-flight request completes, exit status 0,
@@ -33,6 +33,7 @@ Exits non-zero with a one-line FAIL message on the first violated check.
 from __future__ import annotations
 
 import io
+import json
 import os
 import signal
 import socket
@@ -309,26 +310,22 @@ def main() -> None:
             "valid reload swaps the model",
         )
 
-        # --- deprecated alias still answers, flagged ------------------ #
+        # --- the unversioned /score path is gone ---------------------- #
         # Raw socket on purpose: the typed client never speaks /score.
         legacy = socket.create_connection((host, int(port)), timeout=30)
         legacy.sendall(
             b"POST /score HTTP/1.1\r\nHost: smoke\r\n"
             b"Content-Length: 0\r\nConnection: close\r\n\r\n"
         )
-        head = legacy.recv(65536).decode("utf-8", "replace")
+        answer = b""
+        while chunk := legacy.recv(65536):
+            answer += chunk
         legacy.close()
+        head, _, body = answer.decode("utf-8", "replace").partition("\r\n\r\n")
         check(
-            head.startswith("HTTP/1.1 400"),
-            "legacy /score alias still answers (400 on an empty body)",
-        )
-        check(
-            "deprecation: true" in head.lower(),
-            "legacy /score answers carry a Deprecation header",
-        )
-        check(
-            'rel="successor-version"' in head,
-            "legacy /score points at its /v1 successor",
+            head.startswith("HTTP/1.1 404")
+            and json.loads(body)["error"]["code"] == "not_found",
+            "POST /score answers 404 not_found like any unknown path",
         )
 
         # --- admission ran off the daemon's GIL ----------------------- #

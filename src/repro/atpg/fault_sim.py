@@ -89,35 +89,17 @@ class FaultSimulator:
     ``execution`` selects the grading engine for :meth:`simulate_batch` /
     :meth:`detection_masks` (backend ``auto`` | ``serial`` | ``batched``
     | ``parallel``, plus the worker count); per-call overrides win.
-    :meth:`detection_mask` is always the serial oracle.  Passing a bare
-    backend string in ``execution``'s position (the pre-ExecutionConfig
-    signature) still works but emits :class:`DeprecationWarning`.
+    :meth:`detection_mask` is always the serial oracle.
     """
 
     def __init__(
         self,
         netlist: Netlist,
-        execution: "ExecutionConfig | str | None" = None,
+        execution: "ExecutionConfig | None" = None,
         config: PpsfpConfig | None = None,
-        *,
-        backend: str | None = None,
     ) -> None:
-        from repro.config import ExecutionConfig, warn_deprecated_kwarg
+        from repro.config import ExecutionConfig
 
-        if isinstance(execution, str):
-            warn_deprecated_kwarg(
-                "FaultSimulator(netlist, backend=...)",
-                "FaultSimulator(netlist, ExecutionConfig(backend=...))",
-            )
-            execution = ExecutionConfig(backend=execution)
-        if backend is not None:
-            warn_deprecated_kwarg(
-                "FaultSimulator(..., backend=...)",
-                "FaultSimulator(..., ExecutionConfig(backend=...))",
-            )
-            execution = (execution or ExecutionConfig()).replace(
-                backend=backend
-            )
         self.execution = execution or ExecutionConfig()
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)

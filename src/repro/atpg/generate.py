@@ -46,24 +46,10 @@ class AtpgConfig:
     #: weighted-random BIST; see :mod:`repro.atpg.weighted_random`)
     weighted_random: bool = False
     seed: int | None = 0
-    #: deprecated — use ``execution=ExecutionConfig(backend=...)``
-    fault_sim_backend: str | None = None
     #: execution config for fault simulation (backend ``auto`` | ``serial``
     #: | ``batched`` | ``parallel``); results are bit-identical, only
     #: speed differs
     execution: "ExecutionConfig | None" = None
-
-    def __post_init__(self) -> None:
-        if self.fault_sim_backend is not None:
-            from repro.config import ExecutionConfig, warn_deprecated_kwarg
-
-            warn_deprecated_kwarg(
-                "AtpgConfig(fault_sim_backend=...)",
-                "AtpgConfig(execution=ExecutionConfig(backend=...))",
-            )
-            self.execution = (
-                self.execution or ExecutionConfig()
-            ).replace(backend=self.fault_sim_backend)
 
 
 @dataclass

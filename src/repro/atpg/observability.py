@@ -41,7 +41,7 @@ _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 class ObservabilityAnalyzer:
     """Per-pattern observability masks for every node of a netlist.
 
-    ``backend`` picks how the exact stem masks are resolved:
+    ``execution.backend`` picks how the exact stem masks are resolved:
     ``serial`` walks each stem's cone gate by gate (the oracle);
     ``batched``/``parallel`` grade every stem in one fault-axis engine
     call (:mod:`repro.atpg.ppsfp`) before the backward walk — the masks
@@ -53,20 +53,12 @@ class ObservabilityAnalyzer:
         self,
         netlist: Netlist,
         exact_stems: bool = True,
-        backend: str | None = None,
+        *,
         config=None,
         execution=None,
     ) -> None:
-        from repro.config import ExecutionConfig, warn_deprecated_kwarg
+        from repro.config import ExecutionConfig
 
-        if backend is not None:
-            warn_deprecated_kwarg(
-                "ObservabilityAnalyzer(..., backend=...)",
-                "ObservabilityAnalyzer(..., execution=ExecutionConfig(backend=...))",
-            )
-            execution = (execution or ExecutionConfig()).replace(
-                backend=backend
-            )
         self.execution = execution or ExecutionConfig()
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)
@@ -291,24 +283,16 @@ def observability_counts(
     n_patterns: int,
     seed: int | np.random.Generator | None = 0,
     exact_stems: bool = True,
-    backend: str | None = None,
+    *,
     execution=None,
 ) -> np.ndarray:
     """Count, per node, how many of ``n_patterns`` random patterns observe it.
 
     Convenience wrapper: draws random patterns, runs the analyzer and
-    popcounts the masks (masking tail bits of the last word).  ``backend``
-    is the deprecated spelling of ``execution=ExecutionConfig(backend=...)``.
+    popcounts the masks (masking tail bits of the last word).
     """
-    from repro.config import ExecutionConfig, warn_deprecated_kwarg
     from repro.utils.rng import as_rng
 
-    if backend is not None:
-        warn_deprecated_kwarg(
-            "observability_counts(..., backend=...)",
-            "observability_counts(..., execution=ExecutionConfig(backend=...))",
-        )
-        execution = (execution or ExecutionConfig()).replace(backend=backend)
     rng = as_rng(seed)
     with ObservabilityAnalyzer(
         netlist, exact_stems=exact_stems, execution=execution

@@ -70,10 +70,6 @@ _MAX_AUTO_GROUP = 512
 
 BACKENDS = ("auto", "serial", "batched", "parallel")
 
-#: environment override applied wherever a caller leaves the backend on
-#: ``auto`` (explicit choices are never overridden)
-_BACKEND_ENV = "REPRO_FAULT_SIM_BACKEND"
-
 
 def resolve_backend(
     requested: str | None,
@@ -91,13 +87,6 @@ def resolve_backend(
     if choice not in BACKENDS:
         raise ValueError(f"unknown fault-sim backend {requested!r}; use {BACKENDS}")
     if choice == "auto":
-        env = os.environ.get(_BACKEND_ENV, "").lower()
-        if env and env != "auto":
-            if env not in BACKENDS:
-                raise ValueError(
-                    f"invalid {_BACKEND_ENV}={env!r}; use {BACKENDS}"
-                )
-            return env
         cpus = workers if workers else (os.cpu_count() or 1)
         if cpus > 1 and n_sites >= 1024 and n_words >= 1:
             return "parallel"

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-running HTTP service scoring .bench netlists with "
         "the best available predictor (POST /v1/score, /v1/score:batch, "
         "/reload; GET /healthz, /readyz, /metrics — Prometheus text "
-        "exposition; /score remains as a deprecated alias).  Small "
+        "exposition).  Small "
         "concurrent requests coalesce into block-diagonal batches; "
         "oversized designs route to the sharded engine.  SIGTERM drains "
         "gracefully.",

@@ -1,9 +1,5 @@
 """Unified execution configuration for every compute entry point.
 
-Four PRs of growth left the public surface fragmented: ``FaultSimulator``
-took ``backend=``, ``AtpgConfig`` took ``fault_sim_backend=``, the
-environment override lived in ``REPRO_FAULT_SIM_BACKEND``, and the new
-sharded inference engine would have added yet another knob.
 :class:`ExecutionConfig` is the one object that answers "how should this
 computation run" — backend choice, worker count, shard count, seed and
 dtype — with a single, documented environment-override resolution.
@@ -22,7 +18,6 @@ choice is never overridden by the environment.  Environment variables
 (lowest precedence, applied only where the code left ``auto``):
 
 * ``REPRO_BACKEND`` — inference backend;
-* ``REPRO_FAULT_SIM_BACKEND`` — fault-simulation backend (pre-existing);
 * ``REPRO_EXEC_BACKEND`` — execution-fabric backend (``inprocess`` |
   ``forkpool`` | ``socket``); ``inprocess`` is the process-wide
   kill-switch for fork pools, ``socket`` routes every engine through the
@@ -31,17 +26,15 @@ choice is never overridden by the environment.  Environment variables
 * ``REPRO_SHARDS`` — inference shard count;
 * ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``).
 
-Legacy ``backend=`` / ``fault_sim_backend=`` keyword arguments keep working
-through shims that emit :class:`DeprecationWarning`; new code (and all of
-``src/repro`` itself, enforced by ``scripts/check_api_boundaries.py``)
-passes an :class:`ExecutionConfig`.
+Every entry point (``FaultSimulator``, ``ObservabilityAnalyzer``,
+``LabelConfig``, ``AtpgConfig``, the inference engines) takes an
+:class:`ExecutionConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +44,15 @@ from repro.resilience.errors import ConfigError
 __all__ = [
     "ExecutionConfig",
     "INFERENCE_BACKENDS",
-    "FAULT_SIM_BACKENDS",
     "EXEC_BACKENDS",
-    "warn_deprecated_kwarg",
 ]
 
 #: vocabulary for the GCN inference engines
 INFERENCE_BACKENDS = ("auto", "single", "sharded")
-#: vocabulary for the fault-simulation engines (mirrors repro.atpg.ppsfp)
-FAULT_SIM_BACKENDS = ("auto", "serial", "batched", "parallel")
 #: vocabulary for the execution fabric (mirrors repro.exec.policy)
 EXEC_BACKENDS = ("auto", "inprocess", "forkpool", "socket")
 
 _ENV_BACKEND = "REPRO_BACKEND"
-_ENV_FAULT_SIM_BACKEND = "REPRO_FAULT_SIM_BACKEND"
 _ENV_EXEC_BACKEND = "REPRO_EXEC_BACKEND"
 _ENV_WORKERS = "REPRO_WORKERS"
 _ENV_SHARDS = "REPRO_SHARDS"
@@ -73,16 +61,6 @@ _ENV_DTYPE = "REPRO_DTYPE"
 #: node count above which ``auto`` prefers the sharded inference engine
 #: (below it, partitioning overhead outweighs the parallel matmuls)
 SHARDED_AUTO_MIN_NODES = 200_000
-
-
-def warn_deprecated_kwarg(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation message for a legacy kwarg shim."""
-    warnings.warn(
-        f"{old} is deprecated; pass {new} instead "
-        f"(the legacy kwarg will be removed after the next release)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 @dataclass(frozen=True)
@@ -252,23 +230,3 @@ class ExecutionConfig:
         from repro.exec.policy import resolve_exec_backend
 
         return resolve_exec_backend(self.exec_backend, default=default)
-
-    def resolve_fault_sim_backend(
-        self, n_sites: int, n_words: int
-    ) -> str:
-        """Map the request to a concrete fault-simulation backend.
-
-        Delegates to :func:`repro.atpg.ppsfp.resolve_backend` so the
-        workload heuristics and the ``REPRO_FAULT_SIM_BACKEND`` override
-        stay in one place.
-        """
-        from repro.atpg.ppsfp import resolve_backend
-
-        if self.backend.lower() not in FAULT_SIM_BACKENDS:
-            raise ConfigError(
-                f"unknown fault-sim backend {self.backend!r}; "
-                f"use one of {FAULT_SIM_BACKENDS}"
-            )
-        return resolve_backend(
-            self.backend, n_sites, n_words, workers=self.workers
-        )

@@ -404,7 +404,6 @@ class ParallelTrainer(Trainer):
         worker_timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         serial_fallback: bool = True,
-        sleep=time.sleep,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(model, config, execution=execution)
@@ -414,7 +413,6 @@ class ParallelTrainer(Trainer):
             max_attempts=3, base_delay=0.05
         )
         self.serial_fallback = serial_fallback
-        self._sleep = sleep
         #: the function shipped to workers; injectable for fault-injection
         #: tests (must be picklable, i.e. module-level)
         self.worker_fn = _worker_gradients
@@ -480,7 +478,6 @@ class ParallelTrainer(Trainer):
             name="train",
             max_workers=min(self.max_workers or len(tasks), len(tasks)),
             policy=self._exec_policy(),
-            sleep=self._sleep,
         )
         with executor:
             results = executor.submit(tasks)

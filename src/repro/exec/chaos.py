@@ -29,13 +29,15 @@ stale       return the result tagged with the previous attempt number —
 ==========  ==========================================================
 
 The first four are *process* modes, the last four *network* modes
-injected around the wire (:func:`net_action`).  Forked and remote
+injected around the wire.  Forked and remote
 workers run the same loop over the same frames, so every mode applies
 on every transport; only ``kill`` needs a worker that is a process of
 its own (the thread-based test fleets never use it).
 
-``rate`` (default 1.0) is the per-attempt injection probability.  Rolls
-are a pure hash of ``(REPRO_CHAOS_SEED, task key, attempt)`` — fully
+``rate`` (default 1.0) is the per-attempt injection probability.  The
+worker makes one roll per task attempt (:meth:`ChaosSpec.roll`) and
+branches on the mode it returns.  Rolls are a pure hash of
+``(REPRO_CHAOS_SEED, task key, attempt)`` — fully
 deterministic, so a chaos test failure replays exactly, and a task that
 fails on attempt 1 gets an independent roll on attempt 2 (at rate < 1 a
 retried task eventually passes; at rate 1.0 it exercises the fallback
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass
 
 from repro.resilience.errors import ConfigError
@@ -61,9 +62,7 @@ __all__ = [
     "NET_CHAOS_MODES",
     "ChaosSpec",
     "ChaosInjectedError",
-    "inject_before",
-    "corrupt_payload",
-    "net_action",
+    "flip_bytes",
 ]
 
 CHAOS_ENV = "REPRO_CHAOS"
@@ -121,67 +120,30 @@ class ChaosSpec:
             raise ConfigError(f"invalid {CHAOS_HANG_ENV}: {exc}") from exc
         return cls(mode=mode, rate=rate, seed=seed, hang_seconds=hang)
 
-    def should_inject(self, key: str, attempt: int) -> bool:
-        """Deterministic per-(task, attempt) roll against ``rate``."""
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        digest = hashlib.sha256(
-            f"{self.seed}|{key}|{attempt}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64 < self.rate
+    def roll(self, key: str, attempt: int) -> str | None:
+        """This spec's mode if the per-(task, attempt) roll hits, else None.
+
+        Only one mode is ever active, so this one hash decides every
+        injection an attempt can see.
+        """
+        if self.rate < 1.0:
+            if self.rate <= 0.0:
+                return None
+            digest = hashlib.sha256(
+                f"{self.seed}|{key}|{attempt}".encode()
+            ).digest()
+            if int.from_bytes(digest[:8], "big") / 2.0**64 >= self.rate:
+                return None
+        return self.mode
 
 
-def inject_before(spec: ChaosSpec, key: str, attempt: int) -> None:
-    """Apply pre-execution chaos (kill/hang/raise) inside a worker.
-
-    Network modes are handled around the wire (:func:`net_action`), so
-    they are no-ops here.
-    """
-    if spec.mode not in ("kill", "hang", "raise"):
-        return
-    if not spec.should_inject(key, attempt):
-        return
-    if spec.mode == "kill":
-        os._exit(137)
-    if spec.mode == "hang":
-        time.sleep(spec.hang_seconds)
-        return
-    if spec.mode == "raise":
-        raise ChaosInjectedError(
-            f"chaos: injected worker failure for task {key!r} "
-            f"(attempt {attempt})"
-        )
-
-
-def corrupt_payload(
-    spec: ChaosSpec, key: str, attempt: int, payload: bytes
-) -> bytes:
-    """Flip bytes of an already-checksummed result payload."""
-    if spec.mode != "corrupt" or not payload:
-        return payload
-    if not spec.should_inject(key, attempt):
+def flip_bytes(payload: bytes) -> bytes:
+    """``payload`` with its first, middle and last bytes inverted — the
+    ``corrupt`` mode, applied to a result after it was checksummed."""
+    if not payload:
         return payload
     mutated = bytearray(payload)
     mutated[0] ^= 0xFF
     mutated[len(mutated) // 2] ^= 0xFF
     mutated[-1] ^= 0xFF
     return bytes(mutated)
-
-
-def net_action(
-    spec: ChaosSpec | None, key: str, attempt: int
-) -> str | None:
-    """The network-chaos mode to apply at the wire layer, or None.
-
-    Returns ``disconnect | delay | partition | stale`` when the spec is a
-    network mode and the deterministic per-(task, attempt) roll hits —
-    same hash as :meth:`ChaosSpec.should_inject`, so a network-mode
-    failure replays exactly like a process-mode one.
-    """
-    if spec is None or spec.mode not in NET_CHAOS_MODES:
-        return None
-    if not spec.should_inject(key, attempt):
-        return None
-    return spec.mode

@@ -144,7 +144,6 @@ class ForkPoolExecutor(Executor):
         *,
         initializer=None,
         initargs: tuple = (),
-        sleep=time.sleep,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -229,7 +228,6 @@ def make_executor(
     initializer=None,
     initargs: tuple = (),
     policy: ExecPolicy | None = None,
-    sleep=time.sleep,
     default: str = "forkpool",
 ) -> Executor:
     """Build the executor for a resolved backend.
@@ -248,5 +246,4 @@ def make_executor(
         initializer=initializer,
         initargs=initargs,
         policy=policy,
-        sleep=sleep,
     )

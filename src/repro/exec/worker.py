@@ -158,13 +158,13 @@ def serve_connection(sock, worker_id, key, stop=None) -> tuple[str, int]:
                 continue
             (_, session, index, task_key, attempt, blob, chaos_spec,
              obs_ctx) = message
-            net_mode = chaos_mod.net_action(chaos_spec, task_key, attempt)
-            if net_mode == "disconnect":
+            mode = chaos_spec.roll(task_key, attempt) if chaos_spec else None
+            if mode == "disconnect":
                 # Drop the link instead of running — the coordinator must
                 # requeue onto a healthy peer; a TCP worker then
                 # reconnects like a host whose network blipped.
                 return "reconnect", completed
-            if net_mode == "partition":
+            if mode == "partition":
                 hang = chaos_spec.hang_seconds
                 suppress_hb_until[0] = time.monotonic() + hang
                 time.sleep(hang)
@@ -177,16 +177,21 @@ def serve_connection(sock, worker_id, key, stop=None) -> tuple[str, int]:
                 # would), checksum before corruption (so an injected — or
                 # real — corrupted return is detectable, not silently
                 # wrong).
-                if chaos_spec is not None:
-                    chaos_mod.inject_before(chaos_spec, task_key, attempt)
+                if mode == "kill":
+                    os._exit(137)
+                if mode == "hang":
+                    time.sleep(chaos_spec.hang_seconds)
+                if mode == "raise":
+                    raise chaos_mod.ChaosInjectedError(
+                        f"chaos: injected worker failure for task {task_key!r} "
+                        f"(attempt {attempt})"
+                    )
                 with capture:
                     fn, args = net_mod.unpickle(blob)
                     result = fn(*args)
                 crc, payload = net_mod.seal(result)
-                if chaos_spec is not None:
-                    payload = chaos_mod.corrupt_payload(
-                        chaos_spec, task_key, attempt, payload
-                    )
+                if mode == "corrupt":
+                    payload = chaos_mod.flip_bytes(payload)
             except Exception as exc:  # task failure travels as a frame
                 try:
                     exc_blob = pickle.dumps(exc)
@@ -195,13 +200,13 @@ def serve_connection(sock, worker_id, key, stop=None) -> tuple[str, int]:
                 send("error", session, index, attempt,
                      f"{type(exc).__name__}: {exc}", exc_blob)
                 continue
-            if net_mode == "delay":
+            if mode == "delay":
                 # Slow result path: heartbeats keep flowing, the result
                 # does not — this is what straggler re-dispatch is for.
                 time.sleep(chaos_spec.hang_seconds)
             # ``stale``: answer a previous generation; the coordinator
             # must reject it and re-dispatch instead of reducing it.
-            reply_attempt = attempt - 1 if net_mode == "stale" else attempt
+            reply_attempt = attempt - 1 if mode == "stale" else attempt
             send("result", session, index, reply_attempt, crc, payload,
                  capture.span_dict)
             completed += 1

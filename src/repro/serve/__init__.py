@@ -37,7 +37,7 @@ Structure:
   with atomic batch enqueue, crash-isolated workers that flush on what is
   queued, per-request deadlines, drain;
 * :mod:`~repro.serve.http` — the HTTP surface (``/v1/score``,
-  ``/v1/score:batch``, the deprecated ``/score`` alias, ``/reload``,
+  ``/v1/score:batch``, ``/reload``,
   ``/healthz``, ``/readyz``) and the SIGTERM-draining ``serve()`` runner;
 * :mod:`~repro.serve.client` — :class:`ServeClient`, the typed ``/v1``
   client every script/example must use instead of hand-rolled HTTP.

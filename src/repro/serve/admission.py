@@ -7,8 +7,7 @@ validate_netlist` in strict mode), and graph construction.  Each failure
 raises a typed error that :mod:`~repro.serve.protocol` maps to a 4xx —
 malformed input must never cost a worker thread or crash the daemon.
 
-The request envelope is the ``/v1/score`` contract (the unversioned
-``/score`` alias accepts the same body): ``netlist`` plus the optional
+The request envelope is the ``/v1/score`` contract: ``netlist`` plus the optional
 ``request_id`` (echoed in the response and in error bodies),
 ``deadline_ms``, ``batchable`` (opt-out hint for the coalescing lane),
 ``design``, ``return_predictions`` and — debug servers only —

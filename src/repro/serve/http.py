@@ -7,8 +7,6 @@ Endpoints (the versioned ``/v1`` paths are the contract; see
 ``/v1/score``        POST    admit + queue + wait; per-node predictions
 ``/v1/score:batch``  POST    many netlists in one call, coalesced into
                              block-diagonal batches; per-item results
-``/score``           POST    deprecated alias of ``/v1/score`` — same
-                             body, answers with a ``Deprecation`` header
 ``/reload``          POST    validate-then-swap a model checkpoint
 ``/healthz``         GET     liveness: always 200 while the process serves
 ``/readyz``          GET     readiness: 200 only when accepting traffic
@@ -113,14 +111,6 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> tuple[float, float]:
         """Send ``payload`` as JSON; returns the seconds spent in
         ``(encode, write)`` for the caller's stage accounting."""
-        if getattr(self, "_deprecated_route", False):
-            # RFC 8594-style signalling on the unversioned alias; the body
-            # and behaviour stay identical to /v1/score until removal.
-            headers = {
-                "Deprecation": "true",
-                "Link": '</v1/score>; rel="successor-version"',
-                **(headers or {}),
-            }
         started = time.perf_counter()
         body = encode_json(payload)
         encoded = time.perf_counter()
@@ -166,10 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": {"code": "not_found", "message": self.path}})
 
     def do_POST(self) -> None:
-        self._deprecated_route = self.path == "/score"
         try:
             with logs.request_context():
-                if self.path in ("/v1/score", "/score"):
+                if self.path == "/v1/score":
                     self._score()
                 elif self.path == "/v1/score:batch":
                     self._score_batch()

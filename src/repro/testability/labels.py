@@ -42,23 +42,9 @@ class LabelConfig:
     threshold: float = 0.01
     seed: int = 0
     exact_stems: bool = True
-    #: deprecated — use ``execution=ExecutionConfig(backend=...)``
-    backend: str | None = None
     #: execution config for the exact stem analysis (backend ``auto`` |
     #: ``serial`` | ``batched`` | ``parallel``, workers)
     execution: "ExecutionConfig | None" = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            from repro.config import ExecutionConfig, warn_deprecated_kwarg
-
-            warn_deprecated_kwarg(
-                "LabelConfig(backend=...)",
-                "LabelConfig(execution=ExecutionConfig(backend=...))",
-            )
-            self.execution = (
-                self.execution or ExecutionConfig()
-            ).replace(backend=self.backend)
 
 
 @dataclass

@@ -1,7 +1,5 @@
 """Batched/parallel fault-simulation engine vs the serial oracle."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -22,9 +20,12 @@ from repro.atpg.ppsfp import (
 )
 from repro.atpg.simulator import LogicSimulator
 from repro.circuit import GateType, Netlist, generate_design
+from repro.config import ExecutionConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 FIXTURES = ["c17", "mux2", "xor_pair", "reconvergent"]
+SERIAL = ExecutionConfig(backend="serial")
+BATCHED = ExecutionConfig(backend="batched")
 
 
 @pytest.fixture(autouse=True)
@@ -168,11 +169,6 @@ class TestResolveBackend:
     def test_auto_large_workload_multicore_is_parallel(self):
         assert resolve_backend("auto", 100_000, 4, workers=8) == "parallel"
 
-    def test_env_overrides_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SIM_BACKEND", "serial")
-        assert resolve_backend("auto", 100_000, 4, workers=8) == "serial"
-        assert resolve_backend("batched", 10, 1) == "batched"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("turbo", 10, 1)
@@ -201,10 +197,10 @@ class TestBatchedEquivalence:
         rng = np.random.default_rng(1)
         words = LogicSimulator(nl).random_source_words(2, rng)
         faults = full_fault_list(nl)
-        res_s = FaultSimulator(nl, backend="serial").simulate_batch(
+        res_s = FaultSimulator(nl, SERIAL).simulate_batch(
             faults, words, n_patterns=100
         )
-        res_b = FaultSimulator(nl, backend="batched").simulate_batch(
+        res_b = FaultSimulator(nl, BATCHED).simulate_batch(
             faults, words, n_patterns=100
         )
         assert res_s.detected == res_b.detected  # including order
@@ -216,10 +212,10 @@ class TestBatchedEquivalence:
         words = LogicSimulator(nl).random_source_words(1, rng)
         faults = full_fault_list(nl)
         for n_patterns in (1, 3, 63, 64):
-            res_s = FaultSimulator(nl, backend="serial").simulate_batch(
+            res_s = FaultSimulator(nl, SERIAL).simulate_batch(
                 faults, words, n_patterns=n_patterns
             )
-            res_b = FaultSimulator(nl, backend="batched").simulate_batch(
+            res_b = FaultSimulator(nl, BATCHED).simulate_batch(
                 faults, words, n_patterns=n_patterns
             )
             assert res_s.detected == res_b.detected
@@ -240,10 +236,10 @@ class TestBatchedEquivalence:
         rng = np.random.default_rng(4)
         batches = [LogicSimulator(nl).random_source_words(1, rng) for _ in range(3)]
         faults = full_fault_list(nl)
-        cov_s, rem_s = FaultSimulator(nl, backend="serial").fault_coverage(
+        cov_s, rem_s = FaultSimulator(nl, SERIAL).fault_coverage(
             faults, batches
         )
-        cov_b, rem_b = FaultSimulator(nl, backend="batched").fault_coverage(
+        cov_b, rem_b = FaultSimulator(nl, BATCHED).fault_coverage(
             faults, batches
         )
         assert cov_s == cov_b
@@ -273,11 +269,11 @@ class TestObservabilityBackends:
     def test_masks_bit_identical(self, fixture, request):
         nl = request.getfixturevalue(fixture)
         rng = np.random.default_rng(0)
-        serial = ObservabilityAnalyzer(nl, backend="serial")
+        serial = ObservabilityAnalyzer(nl, execution=SERIAL)
         values = serial.simulator.simulate(
             serial.simulator.random_source_words(2, rng)
         )
-        with ObservabilityAnalyzer(nl, backend="batched") as batched:
+        with ObservabilityAnalyzer(nl, execution=BATCHED) as batched:
             np.testing.assert_array_equal(
                 serial.masks_from_values(values),
                 batched.masks_from_values(values),
@@ -289,11 +285,11 @@ class TestObservabilityBackends:
         targets = [v for v in nl.nodes() if nl.fanouts(v)][:3]
         for t in targets:
             nl.insert_observation_point(t)
-        serial = ObservabilityAnalyzer(nl, backend="serial")
+        serial = ObservabilityAnalyzer(nl, execution=SERIAL)
         values = serial.simulator.simulate(
             serial.simulator.random_source_words(1, rng)
         )
-        with ObservabilityAnalyzer(nl, backend="batched") as batched:
+        with ObservabilityAnalyzer(nl, execution=BATCHED) as batched:
             np.testing.assert_array_equal(
                 serial.masks_from_values(values),
                 batched.masks_from_values(values),
@@ -376,9 +372,9 @@ class TestWorkCounters:
         reg = MetricsRegistry()
         set_registry(reg)
         try:
-            FaultSimulator(nl, backend="serial").simulate_batch(faults, words)
+            FaultSimulator(nl, SERIAL).simulate_batch(faults, words)
             serial_evals = reg.get("repro_atpg_cone_node_evals_total").value
-            FaultSimulator(nl, backend="batched").simulate_batch(faults, words)
+            FaultSimulator(nl, BATCHED).simulate_batch(faults, words)
             group_evals = reg.get("repro_atpg_cone_group_evals_total").value
         finally:
             set_registry(MetricsRegistry())
@@ -394,7 +390,7 @@ class TestWorkCounters:
         reg = MetricsRegistry()
         set_registry(reg)
         try:
-            FaultSimulator(nl, backend="batched").simulate_batch(faults, words)
+            FaultSimulator(nl, BATCHED).simulate_batch(faults, words)
             gauge = reg.get("repro_atpg_faults_per_second")
             assert gauge.labels(backend="batched").value > 0
         finally:

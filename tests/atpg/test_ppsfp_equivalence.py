@@ -19,7 +19,10 @@ from repro.atpg.faults import full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import GateType, Netlist
+from repro.config import ExecutionConfig
 
+SERIAL = ExecutionConfig(backend="serial")
+BATCHED = ExecutionConfig(backend="batched")
 _GATE_CHOICES = [
     GateType.AND,
     GateType.OR,
@@ -100,10 +103,10 @@ def test_simulate_batch_detections_and_first_patterns(netlist, n_patterns, seed)
     n_words = (n_patterns + 63) // 64
     words = FaultSimulator(netlist).simulator.random_source_words(n_words, rng)
     faults = full_fault_list(netlist)
-    res_s = FaultSimulator(netlist, backend="serial").simulate_batch(
+    res_s = FaultSimulator(netlist, SERIAL).simulate_batch(
         faults, words, n_patterns=n_patterns
     )
-    res_b = FaultSimulator(netlist, backend="batched").simulate_batch(
+    res_b = FaultSimulator(netlist, BATCHED).simulate_batch(
         faults, words, n_patterns=n_patterns
     )
     assert res_s.detected == res_b.detected
@@ -120,10 +123,10 @@ def test_fault_coverage_identical(netlist, seed):
     sim = FaultSimulator(netlist).simulator
     batches = [sim.random_source_words(1, rng) for _ in range(2)]
     faults = full_fault_list(netlist)
-    cov_s, rem_s = FaultSimulator(netlist, backend="serial").fault_coverage(
+    cov_s, rem_s = FaultSimulator(netlist, SERIAL).fault_coverage(
         faults, batches
     )
-    cov_b, rem_b = FaultSimulator(netlist, backend="batched").fault_coverage(
+    cov_b, rem_b = FaultSimulator(netlist, BATCHED).fault_coverage(
         faults, batches
     )
     assert cov_s == cov_b
@@ -138,11 +141,11 @@ def test_fault_coverage_identical(netlist, seed):
 )
 def test_observability_masks_bit_identical(netlist, n_words, seed):
     rng = np.random.default_rng(seed)
-    serial = ObservabilityAnalyzer(netlist, backend="serial")
+    serial = ObservabilityAnalyzer(netlist, execution=SERIAL)
     values = serial.simulator.simulate(
         serial.simulator.random_source_words(n_words, rng)
     )
-    with ObservabilityAnalyzer(netlist, backend="batched") as batched:
+    with ObservabilityAnalyzer(netlist, execution=BATCHED) as batched:
         np.testing.assert_array_equal(
             serial.masks_from_values(values),
             batched.masks_from_values(values),

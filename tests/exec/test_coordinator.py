@@ -46,7 +46,6 @@ trace = importlib.import_module("repro.obs.trace")
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-NO_SLEEP = lambda s: None  # noqa: E731
 FAST = ExecPolicy(
     retry=RetryPolicy(max_attempts=2, base_delay=0.0),
     worker_timeout=2.0,
@@ -100,7 +99,7 @@ def _sum(snapshot, name, **labels):
 class TestHappyPath:
     def test_dispatch_order_and_results(self, fleet, metrics):
         fleet(2)
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             assert ex.kind == "socket"
             assert ex.submit(_tasks(8)) == [i * i for i in range(8)]
             assert ex.last_submit_failures == 0
@@ -110,7 +109,7 @@ class TestHappyPath:
 
     def test_make_executor_builds_socket_backend(self, fleet):
         fleet(1)
-        ex = make_executor("socket", name="t", policy=FAST, sleep=NO_SLEEP)
+        ex = make_executor("socket", name="t", policy=FAST)
         try:
             assert isinstance(ex, DistributedExecutor)
             assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
@@ -119,7 +118,7 @@ class TestHappyPath:
 
     def test_initializer_reruns_on_session_switch(self, fleet):
         fleet(1)
-        kwargs = dict(initializer=_set_state, policy=FAST, sleep=NO_SLEEP)
+        kwargs = dict(initializer=_set_state, policy=FAST)
         tasks = [ShardTask(key=f"t{i}", fn=_read_state, args=(i,)) for i in range(2)]
         with DistributedExecutor(name="a", initargs=("alpha",), **kwargs) as ex:
             assert ex.submit(tasks) == [("alpha", 0), ("alpha", 1)]
@@ -128,7 +127,7 @@ class TestHappyPath:
 
     def test_task_errors_retry_then_rescue(self, fleet, metrics):
         fleet(2)
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(4, fn=_boom)) == [0, 1, 4, 9]
@@ -143,7 +142,7 @@ class TestHappyPath:
 class TestDegradationLadder:
     def test_zero_workers_degrades_to_forkpool(self, metrics, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CONNECT_TIMEOUT_S", "0.2")
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             with pytest.warns(ResourceWarning, match="degrading"):
                 assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
         # Same ladder, other socket source: the submit is accounted to the
@@ -167,7 +166,7 @@ class TestDegradationLadder:
             ShardTask(key=f"t{i}", fn=sleep_square, args=(i, delay))
             for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
         ]
-        with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=policy) as ex:
             assert ex.submit(tasks) == [0, 1, 4, 9]
         snap = metrics.snapshot()
         assert _sum(snap, "repro_exec_net_stragglers_total", engine="t") > 0
@@ -177,7 +176,7 @@ class TestDegradationLadder:
     ):
         fleet(2)
         monkeypatch.setenv("REPRO_CHAOS", "disconnect")
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(6)) == [i * i for i in range(6)]
@@ -198,7 +197,7 @@ class TestDegradationLadder:
     ):
         fleet(2)
         monkeypatch.setenv("REPRO_CHAOS", "corrupt")
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
@@ -360,7 +359,7 @@ class TestMalformedFrames:
             retry=RetryPolicy(max_attempts=1, base_delay=0.0),
             worker_timeout=0.2,
         )
-        with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=policy) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(1)) == [0]
@@ -389,7 +388,7 @@ class TestMalformedFrames:
         rogue.start()
         assert coordinator.wait_for_workers(5.0)
         with trace.trace("root", register_last=False):
-            with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=FAST) as ex:
                 assert ex.submit(_tasks(3)) == [0, 1, 4]
                 assert ex.last_submit_failures == 0
         assert _sum(
@@ -418,7 +417,7 @@ class TestMalformedFrames:
             retry=RetryPolicy(max_attempts=1, base_delay=0.0),
             worker_timeout=0.2,
         )
-        with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=policy) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(1)) == [0]
@@ -468,7 +467,7 @@ class TestSubprocessWorkers:
                 ShardTask(key=f"t{i}", fn=sleep_square, args=(i, 0.25))
                 for i in range(6)
             ]
-            with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=FAST) as ex:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     assert ex.submit(tasks) == [i * i for i in range(6)]

@@ -25,7 +25,6 @@ from repro.resilience.errors import ConfigError, ResultIntegrityError
 from repro.resilience.retry import RetryPolicy
 
 FAST = ExecPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.0))
-NO_SLEEP = lambda s: None  # noqa: E731
 
 
 def _square(x):
@@ -115,9 +114,9 @@ class TestChaosSpec:
 
     def test_rolls_are_deterministic_and_attempt_dependent(self):
         spec = ChaosSpec(mode="raise", rate=0.5, seed=7)
-        rolls = [spec.should_inject("task", a) for a in range(64)]
-        assert rolls == [ChaosSpec(mode="raise", rate=0.5, seed=7).should_inject("task", a) for a in range(64)]
-        assert any(rolls) and not all(rolls)
+        rolls = [spec.roll("task", a) for a in range(64)]
+        assert rolls == [ChaosSpec(mode="raise", rate=0.5, seed=7).roll("task", a) for a in range(64)]
+        assert set(rolls) == {"raise", None}
 
 
 # --------------------------------------------------------------------- #
@@ -138,13 +137,13 @@ class TestInProcess:
 
 class TestForkPool:
     def test_results_in_task_order(self):
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             assert ex.submit(_tasks(6)) == [0, 1, 4, 9, 16, 25]
 
     def test_ndarray_results_bit_identical(self):
         rng = np.random.default_rng(3)
         arr = rng.standard_normal((128, 16))
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             (result,) = ex.submit(
                 [ShardTask(key="a", fn=_square, args=(arr,))]
             )
@@ -155,7 +154,7 @@ class TestForkPool:
             ShardTask(key=f"t{i}", fn=_boom, args=(i,), fallback=lambda i=i: -i)
             for i in range(3)
         ]
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             with pytest.warns(ResourceWarning, match="serially"):
                 assert ex.submit(tasks) == [0, -1, -2]
             assert ex.last_submit_failures > 0
@@ -165,7 +164,7 @@ class TestForkPool:
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             serial_fallback=False,
         )
-        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(1, name="t", policy=policy) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with pytest.raises(RuntimeError, match="injected failure"):
@@ -182,7 +181,7 @@ class TestForkPool:
                 f"{len(tasks)} tasks dead after {rounds} rounds"
             ),
         )
-        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(1, name="t", policy=policy) as ex:
             with pytest.raises(Custom, match="dead after 1 rounds"):
                 ex.submit(_tasks(2, fn=_boom))
 
@@ -198,7 +197,7 @@ class TestForkPool:
         tasks.append(
             ShardTask(key="poison", fn=_die, args=(9,), fallback=lambda: 81)
         )
-        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=policy) as ex:
             with pytest.warns(ResourceWarning, match="quarantin"):
                 assert ex.submit(tasks) == [0, 1, 4, 81]
 
@@ -209,7 +208,7 @@ class TestForkPool:
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             worker_timeout=0.2,
         )
-        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(1, name="t", policy=policy) as ex:
             with pytest.warns(ResourceWarning):
                 assert ex.submit(_tasks(2)) == [0, 1]
             assert ex.last_submit_failures == 4
@@ -219,7 +218,7 @@ class TestForkPool:
     def test_integrity_failure_detected_and_rescued(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "corrupt")
         policy = ExecPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.0))
-        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=policy) as ex:
             with pytest.warns(ResourceWarning):
                 assert ex.submit(_tasks(3)) == [0, 1, 4]
 
@@ -229,13 +228,13 @@ class TestForkPool:
             retry=RetryPolicy(max_attempts=1, base_delay=0.0),
             serial_fallback=False,
         )
-        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(1, name="t", policy=policy) as ex:
             with pytest.raises(ResultIntegrityError):
                 ex.submit(_tasks(1))
 
     def test_killed_worker_recovers(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "kill")
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             with pytest.warns(ResourceWarning):
                 assert ex.submit(_tasks(3)) == [0, 1, 4]
 
@@ -246,13 +245,13 @@ class TestForkPool:
         monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         monkeypatch.setenv("REPRO_CHAOS_SEED", "11")
         policy = ExecPolicy(retry=RetryPolicy(max_attempts=8, base_delay=0.0))
-        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=policy) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert ex.submit(_tasks(4)) == [0, 1, 4, 9]
 
     def test_close_is_idempotent_and_reusable(self):
-        ex = ForkPoolExecutor(1, name="t", policy=FAST, sleep=NO_SLEEP)
+        ex = ForkPoolExecutor(1, name="t", policy=FAST)
         assert ex.submit(_tasks(2)) == [0, 1]
         ex.close()
         ex.close()
@@ -263,7 +262,7 @@ class TestForkPool:
         # Forked workers are watched like remote ones: heartbeat frames
         # over their socket, recorded per connection.
         monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.02")
-        with ForkPoolExecutor(2, name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             ex.submit(_tasks(2))
             workers = ex._pool.workers()
             assert len(workers) == 2
@@ -286,7 +285,7 @@ class TestForkPool:
         monkeypatch.setenv("REPRO_CHAOS", "kill:0.5")
         monkeypatch.setenv("REPRO_CHAOS_SEED", "1")
         policy = ExecPolicy(retry=RetryPolicy(max_attempts=8, base_delay=0.0))
-        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=policy) as ex:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 for _ in range(3):
@@ -305,7 +304,7 @@ class TestForkPool:
             retry=RetryPolicy(max_attempts=1, base_delay=0.0),
             serial_fallback=False,
         )
-        with ForkPoolExecutor(1, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(1, name="t", policy=policy) as ex:
             with pytest.raises(FileNotFoundError, match="typed"):
                 ex.submit([ShardTask(key="x", fn=_raise_typed)])
 
@@ -320,7 +319,7 @@ class TestForkPool:
             ShardTask(key=f"t{i}", fn=_sleep_square, args=(i, delay))
             for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
         ]
-        with ForkPoolExecutor(2, name="t", policy=policy, sleep=NO_SLEEP) as ex:
+        with ForkPoolExecutor(2, name="t", policy=policy) as ex:
             assert ex.submit(tasks) == [0, 1, 4, 9]
             assert ex.last_submit_failures == 0
         samples = metrics.snapshot()["repro_exec_net_stragglers_total"]["samples"]
@@ -339,7 +338,7 @@ class TestMetrics:
         try:
             # A killed worker (unlike a raising task) also costs a restart.
             monkeypatch.setenv("REPRO_CHAOS", "kill")
-            with ForkPoolExecutor(2, name="m", policy=FAST, sleep=NO_SLEEP) as ex:
+            with ForkPoolExecutor(2, name="m", policy=FAST) as ex:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     ex.submit(

@@ -27,7 +27,6 @@ from repro.exec.chaos import NET_CHAOS_MODES
 from repro.graph import ShardedInference
 from repro.resilience.retry import RetryPolicy
 
-NO_SLEEP = lambda s: None  # noqa: E731
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
 WORKER_TIMEOUT_S = 0.5
 
@@ -72,7 +71,6 @@ def _train_step(graphs):
         max_workers=2,
         worker_timeout=WORKER_TIMEOUT_S,
         retry_policy=FAST_RETRY,
-        sleep=NO_SLEEP,
     )
     loss = trainer.train_step(graphs)
     return loss, {k: v.copy() for k, v in model.state_dict().items()}

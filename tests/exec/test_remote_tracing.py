@@ -24,7 +24,6 @@ from repro.resilience.retry import RetryPolicy
 
 trace = importlib.import_module("repro.obs.trace")
 
-NO_SLEEP = lambda s: None  # noqa: E731
 FAST = ExecPolicy(
     retry=RetryPolicy(max_attempts=2, base_delay=0.0),
     worker_timeout=2.0,
@@ -100,7 +99,7 @@ class TestWorkerSpanGrafting:
     def test_worker_spans_land_under_coordinator_root(self, fleet, metrics):
         fleet(2)
         with trace.trace("submit-root") as root:
-            with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=FAST) as ex:
                 assert ex.submit(_tasks(6)) == [i * i for i in range(6)]
         submit = root.find("exec.submit")
         assert submit is not None, "submit span missing under the trace root"
@@ -124,7 +123,7 @@ class TestWorkerSpanGrafting:
             _FLAKY_CALLS.clear()
         fleet(2)
         with trace.trace("retry-root") as root:
-            with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=FAST) as ex:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     assert ex.submit(_tasks(4, fn=_flaky_square)) == [
@@ -154,7 +153,7 @@ class TestWorkerSpanGrafting:
             for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
         ]
         with trace.trace("straggler-root") as root:
-            with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=policy) as ex:
                 assert ex.submit(tasks) == [0, 1, 4, 9]
         stragglers = _named(root, "exec.straggler")
         assert stragglers, "straggler duplicate dispatch left no span"
@@ -180,7 +179,7 @@ class TestChaosBitIdentity:
         )
         oracle = [i * i for i in range(4)]
         with trace.trace(f"chaos-{mode}") as root:
-            with DistributedExecutor(name="t", policy=policy, sleep=NO_SLEEP) as ex:
+            with DistributedExecutor(name="t", policy=policy) as ex:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     assert ex.submit(_tasks(4)) == oracle
@@ -205,7 +204,7 @@ class TestTelemetryBackpressure:
         monkeypatch.setenv("REPRO_CHAOS", mode)
         # The 0.3 s hang stays under the (conftest's generous) heartbeat
         # timeout, so the only casualty can be telemetry.
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             assert ex.submit(_tasks(4, fn=_chatty_square)) == [
                 i * i for i in range(4)
             ]
@@ -216,7 +215,7 @@ class TestTelemetryBackpressure:
 
     def test_forwarded_metrics_merge_as_fleet_families(self, metrics, fleet):
         fleet(1)
-        with DistributedExecutor(name="t", policy=FAST, sleep=NO_SLEEP) as ex:
+        with DistributedExecutor(name="t", policy=FAST) as ex:
             assert ex.submit(_tasks(4)) == [i * i for i in range(4)]
             # Give the 50ms heartbeat a moment to carry the delta home.
             deadline = time.monotonic() + 3.0

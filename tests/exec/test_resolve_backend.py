@@ -23,7 +23,6 @@ from repro.graph import ShardedInference
 from repro.resilience.errors import ConfigError
 from repro.resilience.retry import RetryPolicy
 
-NO_SLEEP = lambda s: None  # noqa: E731
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
 
 
@@ -59,7 +58,6 @@ def _run_trainer(monkeypatch, explicit):
         TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
         max_workers=1,
         retry_policy=FAST_RETRY,
-        sleep=NO_SLEEP,
         execution=ExecutionConfig(exec_backend=explicit or "auto"),
     )
     trainer.train_step([graph])

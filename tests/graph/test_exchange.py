@@ -165,7 +165,7 @@ class _RecordingExecutor:
         self.rounds: list[list] = []
         self.last_submit_failures = 0
 
-    def submit(self, tasks, policy=None, sleep=None):
+    def submit(self, tasks, policy=None):
         tasks = list(tasks)
         self.rounds.append(tasks)
         return [task.run_fallback() for task in tasks]

@@ -194,7 +194,6 @@ class TestPoolResilience:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine._sleep = lambda s: None
             engine.worker_fn = _crashing_worker
             with pytest.warns(ResourceWarning):
                 out = engine.logits(graph)
@@ -204,7 +203,6 @@ class TestPoolResilience:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine._sleep = lambda s: None
             engine.serial_fallback = False
             engine.worker_fn = _crashing_worker
             with pytest.warns(ResourceWarning):

@@ -59,7 +59,7 @@ def call(srv, path, payload=None, method=None):
 class TestScore:
     def test_score_ok(self, server, bench_text):
         srv = server()
-        status, _, body = call(srv, "/score", {"netlist": bench_text, "design": "d1"})
+        status, _, body = call(srv, "/v1/score", {"netlist": bench_text, "design": "d1"})
         assert status == 200
         assert body["design"] == "d1"
         assert body["num_nodes"] == len(body["predictions"])
@@ -69,7 +69,7 @@ class TestScore:
 
     def test_score_with_model_not_degraded(self, server, bench_text, model_file):
         srv = server(model_path=model_file)
-        status, _, body = call(srv, "/score", {"netlist": bench_text})
+        status, _, body = call(srv, "/v1/score", {"netlist": bench_text})
         assert status == 200
         assert body["degraded"] is False
         assert body["predictor_level"] == "gcn"
@@ -77,7 +77,7 @@ class TestScore:
     def test_predictions_elided_on_request(self, server, bench_text):
         srv = server()
         status, _, body = call(
-            srv, "/score", {"netlist": bench_text, "return_predictions": False}
+            srv, "/v1/score", {"netlist": bench_text, "return_predictions": False}
         )
         assert status == 200
         assert "predictions" not in body
@@ -92,7 +92,7 @@ class TestScore:
     )
     def test_bad_input_maps_to_4xx(self, server, payload, status, code):
         srv = server()
-        got_status, _, body = call(srv, "/score", payload)
+        got_status, _, body = call(srv, "/v1/score", payload)
         assert got_status == status
         assert body["error"]["code"] == code
         assert body["error"]["type"]  # typed, never a traceback
@@ -100,7 +100,7 @@ class TestScore:
     def test_empty_body_is_400(self, server):
         srv = server()
         host, port = srv.address
-        req = urllib.request.Request(f"http://{host}:{port}/score", data=b"", method="POST")
+        req = urllib.request.Request(f"http://{host}:{port}/v1/score", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10)
         assert info.value.code == 400
@@ -120,7 +120,7 @@ class TestBackpressureAndDeadline:
         results = []
 
         def fire(payload):
-            results.append(call(srv, "/score", payload))
+            results.append(call(srv, "/v1/score", payload))
 
         threads = [
             threading.Thread(target=fire, args=({**slow},)) for _ in range(6)
@@ -141,7 +141,7 @@ class TestBackpressureAndDeadline:
         slots = srv.config.admission_capacity
         assert all(srv.admission_gate.acquire(blocking=False) for _ in range(slots))
         try:
-            status, headers, body = call(srv, "/score", {"netlist": bench_text})
+            status, headers, body = call(srv, "/v1/score", {"netlist": bench_text})
             assert status == 429
             assert body["error"]["code"] == "overloaded"
             assert headers.get("Retry-After") == "1"
@@ -150,14 +150,14 @@ class TestBackpressureAndDeadline:
             for _ in range(slots):
                 srv.admission_gate.release()
         # Releasing the gate restores service.
-        status, _, _ = call(srv, "/score", {"netlist": bench_text})
+        status, _, _ = call(srv, "/v1/score", {"netlist": bench_text})
         assert status == 200
 
     def test_deadline_gets_504(self, server, bench_text):
         srv = server()
         status, _, body = call(
             srv,
-            "/score",
+            "/v1/score",
             {"netlist": bench_text, "debug_sleep_ms": 2000, "deadline_ms": 100},
         )
         assert status == 504
@@ -220,7 +220,7 @@ class TestConnectionHygiene:
         body = b"x" * 200
         with socket.create_connection(srv.address, timeout=10) as sock:
             sock.sendall(
-                b"POST /score HTTP/1.1\r\nHost: t\r\n"
+                b"POST /v1/score HTTP/1.1\r\nHost: t\r\n"
                 b"Content-Type: application/json\r\n"
                 + f"Content-Length: {len(body)}\r\n\r\n".encode()
                 + body
@@ -243,14 +243,14 @@ class TestReload:
         assert status == 200
         assert body["model"]["level"] == "gcn"
 
-        _, _, before = call(srv, "/score", {"netlist": bench_text})
+        _, _, before = call(srv, "/v1/score", {"netlist": bench_text})
         status, _, body = call(srv, "/reload", {"path": str(corrupt_file)})
         assert status == 422
         assert body["error"]["code"] == "checkpoint_corrupt"
         assert body["rollback"]["level"] == "gcn"
         assert body["rollback"]["last_good"] == str(model_file)
 
-        _, _, after = call(srv, "/score", {"netlist": bench_text})
+        _, _, after = call(srv, "/v1/score", {"netlist": bench_text})
         assert before["predictions"] == after["predictions"]
         assert after["degraded"] is False
 
@@ -283,7 +283,7 @@ class TestLifecycle:
 
         def slow_score():
             inflight["result"] = call(
-                srv, "/score", {"netlist": bench_text, "debug_sleep_ms": 500}
+                srv, "/v1/score", {"netlist": bench_text, "debug_sleep_ms": 500}
             )
 
         t = threading.Thread(target=slow_score)
@@ -311,7 +311,7 @@ class TestLifecycle:
         srv = server()
         t = threading.Thread(
             target=lambda: call(
-                srv, "/score", {"netlist": bench_text, "debug_sleep_ms": 1500}
+                srv, "/v1/score", {"netlist": bench_text, "debug_sleep_ms": 1500}
             )
         )
         t.start()
@@ -330,7 +330,7 @@ class TestLifecycle:
         # Park a long job so drain() stays in its wait loop.
         t = threading.Thread(
             target=lambda: call(
-                srv, "/score", {"netlist": bench_text, "debug_sleep_ms": 1500}
+                srv, "/v1/score", {"netlist": bench_text, "debug_sleep_ms": 1500}
             )
         )
         t.start()
@@ -343,7 +343,7 @@ class TestLifecycle:
         status, _, body = call(srv, "/readyz")
         assert status == 503
         assert body["reason"] == "draining"
-        status, _, body = call(srv, "/score", {"netlist": bench_text})
+        status, _, body = call(srv, "/v1/score", {"netlist": bench_text})
         assert status == 503
         assert body["error"]["code"] == "draining"
         t.join(timeout=15)
@@ -389,7 +389,7 @@ class TestMetricsEndpoint:
 
     def test_counters_and_latency_move_with_traffic(self, server, bench_text):
         srv = server()
-        status, _, _ = call(srv, "/score", {"netlist": bench_text, "design": "m"})
+        status, _, _ = call(srv, "/v1/score", {"netlist": bench_text, "design": "m"})
         assert status == 200
         _, _, text = fetch_metrics(srv)
         assert 'repro_serve_requests_total{event="accepted"} 1' in text
@@ -399,7 +399,7 @@ class TestMetricsEndpoint:
 
     def test_rejections_are_counted(self, server):
         srv = server()
-        status, _, _ = call(srv, "/score", {"netlist": "not a bench"})
+        status, _, _ = call(srv, "/v1/score", {"netlist": "not a bench"})
         assert status in (400, 422)
         _, _, text = fetch_metrics(srv)
         # Admission failures happen before the queue; the request counter
@@ -409,7 +409,7 @@ class TestMetricsEndpoint:
     def test_servers_have_isolated_registries(self, server, bench_text):
         a = server()
         b = server()
-        call(a, "/score", {"netlist": bench_text, "design": "m"})
+        call(a, "/v1/score", {"netlist": bench_text, "design": "m"})
         _, _, text_a = fetch_metrics(a)
         _, _, text_b = fetch_metrics(b)
         assert 'repro_serve_requests_total{event="accepted"} 1' in text_a

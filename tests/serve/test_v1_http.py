@@ -1,10 +1,9 @@
-"""The versioned ``/v1`` wire contract: envelopes, batch calls, deprecation.
+"""The versioned ``/v1`` wire contract: envelopes, batch calls, error bodies.
 
-Complements ``test_http.py`` (transport-level behaviour, exercised over
-the legacy alias): everything here is specific to the ``/v1`` surface —
-the request/response envelope, ``/v1/score:batch`` per-item semantics,
-the structured error body with the CLI's exit-code taxonomy, and the
-``Deprecation`` signalling on the unversioned alias.
+Complements ``test_http.py`` (transport-level behaviour): everything here
+is specific to the ``/v1`` surface — the request/response envelope,
+``/v1/score:batch`` per-item semantics, the structured error body with
+the CLI's exit-code taxonomy, and the unversioned paths answering 404.
 """
 
 import json
@@ -211,31 +210,18 @@ class TestV1ScoreBatch:
 
 
 class TestDeprecatedAlias:
-    def test_legacy_score_answers_with_deprecation_header(
-        self, server, bench_text
-    ):
-        srv = server()
-        status, headers, body = call(
-            srv, "/score", {"netlist": bench_text, "design": "legacy"}
-        )
-        assert status == 200
-        assert body["design"] == "legacy"
-        assert headers.get("Deprecation") == "true"
-        assert 'rel="successor-version"' in headers.get("Link", "")
-        assert "/v1/score" in headers.get("Link", "")
-
-    def test_legacy_errors_also_signal_deprecation(self, server):
-        srv = server()
-        status, headers, _ = call(srv, "/score", {"netlist": "garbage("})
-        assert status == 400
-        assert headers.get("Deprecation") == "true"
+    """The unversioned alias is gone: ``/score`` and ``/score:batch``
+    answer 404 like any unknown path."""
 
     def test_v1_batch_has_no_unversioned_alias(self, server, bench_text):
         srv = server()
-        status, _, _ = call(
-            srv, "/score:batch", {"requests": [{"netlist": bench_text}]}
-        )
-        assert status == 404
+        for path, body in (
+            ("/score:batch", {"requests": [{"netlist": bench_text}]}),
+            ("/score", {"netlist": bench_text}),
+        ):
+            status, _, payload = call(srv, path, body)
+            assert status == 404
+            assert payload == {"error": {"code": "not_found", "message": path}}
 
 
 class TestExitCodeTaxonomy:

@@ -1,4 +1,4 @@
-"""ExecutionConfig: validation, env resolution, deprecation shims."""
+"""ExecutionConfig: validation, env resolution, the one spelling of a backend."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ import pytest
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.generate import AtpgConfig
 from repro.atpg.observability import ObservabilityAnalyzer, observability_counts
+from repro.atpg.ppsfp import BACKENDS, resolve_backend
 from repro.circuit import generate_design
-from repro.config import (
-    ExecutionConfig,
-    FAULT_SIM_BACKENDS,
-    INFERENCE_BACKENDS,
-)
+from repro.config import ExecutionConfig, INFERENCE_BACKENDS
+from repro.core.trainer import ParallelTrainer
+from repro.exec import DistributedExecutor, ForkPoolExecutor, make_executor
 from repro.resilience.errors import ConfigError
 from repro.testability import LabelConfig
 
@@ -118,27 +117,24 @@ class TestBackendResolution:
             == "single"
         )
 
-    def test_fault_sim_vocabulary(self):
-        cfg = ExecutionConfig(backend="batched")
-        assert cfg.resolve_fault_sim_backend(100, 4) == "batched"
-        with pytest.raises(ConfigError):
-            ExecutionConfig(backend="sharded").resolve_fault_sim_backend(100, 4)
-        for backend in FAULT_SIM_BACKENDS:
-            ExecutionConfig(backend=backend).resolve_fault_sim_backend(10, 1)
+    def test_fault_sim_vocabulary(self, netlist):
+        # The fault simulator reads its vocabulary off the same config.
+        for backend in BACKENDS:
+            fsim = FaultSimulator(netlist, ExecutionConfig(backend=backend))
+            assert fsim.backend == backend
+            resolve_backend(fsim.backend, 10, 1)
+        with pytest.raises(ValueError):
+            resolve_backend(ExecutionConfig(backend="sharded").backend, 100, 4)
 
 
 class TestDeprecationShims:
-    def test_fault_simulator_positional_str(self, netlist):
-        with pytest.warns(DeprecationWarning):
-            fsim = FaultSimulator(netlist, "batched")
-        assert fsim.execution.backend == "batched"
-        fsim.close()
+    """The shims are gone: backend selection is spelled ``ExecutionConfig``,
+    and each legacy keyword — like the constructor ``sleep=`` that was
+    accepted and ignored — is now a ``TypeError``."""
 
     def test_fault_simulator_backend_kwarg(self, netlist):
-        with pytest.warns(DeprecationWarning):
-            fsim = FaultSimulator(netlist, backend="serial")
-        assert fsim.backend == "serial"
-        fsim.close()
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            FaultSimulator(netlist, backend="serial")
 
     def test_fault_simulator_execution_no_warning(self, netlist, recwarn):
         fsim = FaultSimulator(netlist, ExecutionConfig(backend="batched"))
@@ -149,41 +145,32 @@ class TestDeprecationShims:
         ]
 
     def test_observability_analyzer_backend_kwarg(self, netlist):
-        with pytest.warns(DeprecationWarning):
-            analyzer = ObservabilityAnalyzer(netlist, backend="serial")
-        assert analyzer.backend == "serial"
-        analyzer.close()
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ObservabilityAnalyzer(netlist, backend="serial")
 
     def test_observability_counts_backend_kwarg(self, netlist):
-        with pytest.warns(DeprecationWarning):
-            counts = observability_counts(netlist, n_patterns=64, backend="serial")
-        assert counts.shape == (netlist.num_nodes,)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            observability_counts(netlist, n_patterns=64, backend="serial")
 
     def test_label_config_backend_field(self):
-        with pytest.warns(DeprecationWarning):
-            config = LabelConfig(backend="batched")
-        assert config.execution.backend == "batched"
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            LabelConfig(backend="batched")
 
     def test_atpg_config_fault_sim_backend_field(self):
-        with pytest.warns(DeprecationWarning):
-            config = AtpgConfig(fault_sim_backend="serial")
-        assert config.execution.backend == "serial"
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            AtpgConfig(**{"fault_sim_backend": "serial"})
 
-    def test_legacy_and_new_agree(self, netlist):
-        import warnings
-
-        patterns = FaultSimulator(netlist).simulator.random_source_words(
-            2, np.random.default_rng(0)
-        )
-        from repro.atpg import collapse_faults
-
-        faults = collapse_faults(netlist)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = FaultSimulator(netlist, "batched")
-        modern = FaultSimulator(netlist, ExecutionConfig(backend="batched"))
-        lres = legacy.simulate_batch(faults, patterns)
-        mres = modern.simulate_batch(faults, patterns)
-        assert lres.detected == mres.detected
-        legacy.close()
-        modern.close()
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_executor("inprocess", sleep=None),
+            lambda: ForkPoolExecutor(1, sleep=None),
+            lambda: DistributedExecutor(1, sleep=None),
+            lambda: ParallelTrainer(None, sleep=None),
+        ],
+        ids=["make_executor", "ForkPoolExecutor", "DistributedExecutor",
+             "ParallelTrainer"],
+    )
+    def test_constructor_sleep_is_gone(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build()
