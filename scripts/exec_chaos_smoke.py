@@ -30,6 +30,7 @@ Exits non-zero with a one-line FAIL message on the first violated check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -46,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.atpg.fault_sim import FaultSimulator  # noqa: E402
 from repro.atpg.faults import collapse_faults  # noqa: E402
-from repro.atpg.ppsfp import PpsfpConfig  # noqa: E402
+from repro.config import ExecutionConfig  # noqa: E402
 from repro.data.benchmarks import generate_design  # noqa: E402
 from repro.exec import (  # noqa: E402
     NET_CHAOS_MODES,
@@ -72,14 +73,11 @@ def _counter_total(snapshot: dict, name: str) -> float:
 def main() -> None:
     netlist = generate_design(200, seed=7)
     faults = collapse_faults(netlist)
-    fsim = FaultSimulator(
-        netlist,
-        config=PpsfpConfig(
-            workers=2,
-            shards=2,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=1.0,
-        ),
+    fsim = FaultSimulator(netlist, ExecutionConfig(workers=2))
+    fsim.engine.policy = dataclasses.replace(
+        fsim.engine.policy,
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+        worker_timeout=1.0,
     )
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
@@ -158,6 +156,13 @@ def _spawn_worker(port: int, worker_id: str) -> subprocess.Popen:
     )
 
 
+def _fast(policy):
+    """``policy`` with the section's short retry and deadline."""
+    return dataclasses.replace(
+        policy, retry=RETRY, worker_timeout=WORKER_TIMEOUT_S
+    )
+
+
 def _train_step(graphs):
     from repro.core.model import GCN, GCNConfig
     from repro.core.trainer import ParallelTrainer, TrainConfig
@@ -166,10 +171,9 @@ def _train_step(graphs):
     trainer = ParallelTrainer(
         model,
         TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
-        max_workers=2,
-        worker_timeout=WORKER_TIMEOUT_S,
-        retry_policy=RETRY,
+        execution=ExecutionConfig(workers=2),
     )
+    trainer.policy = _fast(trainer.policy)
     loss = trainer.train_step(graphs)
     return loss, {k: v.copy() for k, v in model.state_dict().items()}
 
@@ -195,19 +199,14 @@ def _labelled_graphs():
 def _make_fsim():
     netlist = generate_design(120, seed=7)
     faults = collapse_faults(netlist)
-    fsim = FaultSimulator(
-        netlist,
-        config=PpsfpConfig(
-            workers=2, shards=4, retry=RETRY, worker_timeout=WORKER_TIMEOUT_S
-        ),
-    )
+    fsim = FaultSimulator(netlist, ExecutionConfig(workers=2))
+    fsim.engine.policy = _fast(fsim.engine.policy)
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
     return fsim, faults, values
 
 
 def _make_inference():
-    from repro.config import ExecutionConfig
     from repro.core.graphdata import GraphData
     from repro.core.inference import FastInference
     from repro.core.model import GCN, GCNConfig
@@ -219,8 +218,7 @@ def _make_inference():
     engine = ShardedInference(
         weights, ExecutionConfig(shards=4, workers=2)
     )
-    engine.retry = RETRY
-    engine.worker_timeout = WORKER_TIMEOUT_S
+    engine.policy = _fast(engine.policy)
     return engine, graph, oracle
 
 

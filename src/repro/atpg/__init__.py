@@ -19,7 +19,6 @@ from repro.atpg.cones import (
 )
 from repro.atpg.ppsfp import (
     BatchedConeEngine,
-    PpsfpConfig,
     PpsfpEngine,
     resolve_backend,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "get_cone_index",
     "invalidate_cone_cache",
     "BatchedConeEngine",
-    "PpsfpConfig",
     "PpsfpEngine",
     "resolve_backend",
     "ObservabilityAnalyzer",

@@ -15,6 +15,11 @@ Backends (see :mod:`repro.atpg.ppsfp`):
 * ``parallel`` — the batched engine sharded across a process pool with
   the good-value matrix in shared memory.
 * ``auto`` (default) — picks for the workload and machine.
+
+All of it is chosen by the one :class:`~repro.config.ExecutionConfig`
+the simulator takes: ``backend`` names the engine, ``workers`` sizes the
+pool (and with one worker ``auto`` stays in process), ``exec_backend``
+names the fabric transport.
 """
 
 from __future__ import annotations
@@ -26,12 +31,7 @@ import numpy as np
 
 from repro.atpg.faults import Fault
 from repro.atpg.observability import _ConeValues, _eval_with_overrides
-from repro.atpg.ppsfp import (
-    PpsfpConfig,
-    PpsfpEngine,
-    _inject_rows,
-    resolve_backend,
-)
+from repro.atpg.ppsfp import PpsfpEngine, _inject_rows, resolve_backend
 from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit.netlist import Netlist
 from repro.obs.metrics import get_registry
@@ -88,15 +88,13 @@ class FaultSimulator:
 
     ``execution`` selects the grading engine for :meth:`simulate_batch` /
     :meth:`detection_masks` (backend ``auto`` | ``serial`` | ``batched``
-    | ``parallel``, plus the worker count); per-call overrides win.
-    :meth:`detection_mask` is always the serial oracle.
+    | ``parallel``, plus the worker count and fabric backend); per-call
+    backend overrides win.  :meth:`detection_mask` is always the serial
+    oracle.
     """
 
     def __init__(
-        self,
-        netlist: Netlist,
-        execution: "ExecutionConfig | None" = None,
-        config: PpsfpConfig | None = None,
+        self, netlist: Netlist, execution: "ExecutionConfig | None" = None
     ) -> None:
         from repro.config import ExecutionConfig
 
@@ -104,9 +102,6 @@ class FaultSimulator:
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)
         self.backend = self.execution.backend
-        self.config = config or PpsfpConfig()
-        if self.execution.workers is not None and config is None:
-            self.config.workers = self.execution.workers
         self._observed = set(netlist.observation_sites)
         self._observed.update(netlist.observation_points())
         self._engine: PpsfpEngine | None = None
@@ -119,7 +114,7 @@ class FaultSimulator:
         """The batched/parallel grading engine (created on first use)."""
         if self._engine is None:
             self._engine = PpsfpEngine(
-                self.simulator, self._observed, self.config
+                self.simulator, self._observed, self.execution
             )
         return self._engine
 
@@ -182,7 +177,7 @@ class FaultSimulator:
             backend or self.backend,
             len(faults),
             n_words,
-            workers=self.config.workers,
+            workers=self.execution.resolved_workers(),
         )
         if resolved == "serial":
             return np.stack([self.detection_mask(f, values) for f in faults])
@@ -220,7 +215,7 @@ class FaultSimulator:
             backend or self.backend,
             len(faults),
             n_words,
-            workers=self.config.workers,
+            workers=self.execution.resolved_workers(),
         )
         started = time.perf_counter()
         with span(

@@ -22,6 +22,10 @@ The stem-resimulation step is what makes the measure *global*: a node's
 observability depends on masking far downstream, information its local
 SCOAP attributes do not carry — which is precisely why the paper's GCN has
 signal to learn.
+
+The one :class:`~repro.config.ExecutionConfig` the analyzer takes says
+how the stem resimulations run: serially, batched in process, or sharded
+over ``workers`` processes on the ``exec_backend`` fabric.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ class ObservabilityAnalyzer:
     ``batched``/``parallel`` grade every stem in one fault-axis engine
     call (:mod:`repro.atpg.ppsfp`) before the backward walk — the masks
     depend only on the good values, never on each other, so they can all
-    be computed up front.  Results are bit-identical across backends.
+    be computed up front.  ``execution.workers`` and
+    ``execution.exec_backend`` size and place the ``parallel`` engine's
+    pool.  Results are bit-identical across backends.
     """
 
     def __init__(
@@ -54,7 +60,6 @@ class ObservabilityAnalyzer:
         netlist: Netlist,
         exact_stems: bool = True,
         *,
-        config=None,
         execution=None,
     ) -> None:
         from repro.config import ExecutionConfig
@@ -64,7 +69,6 @@ class ObservabilityAnalyzer:
         self.simulator = LogicSimulator(netlist)
         self.exact_stems = exact_stems
         self.backend = self.execution.backend
-        self._config = config
         self._engine = None
 
     def close(self) -> None:
@@ -146,7 +150,10 @@ class ObservabilityAnalyzer:
         if not stems:
             return {}
         resolved = resolve_backend(
-            backend or self.backend, len(stems), n_words
+            backend or self.backend,
+            len(stems),
+            n_words,
+            workers=self.execution.resolved_workers(),
         )
         if resolved == "serial":
             return {v: self._stem_mask(v, values) for v in stems}
@@ -159,7 +166,7 @@ class ObservabilityAnalyzer:
             self._engine = PpsfpEngine(
                 self.simulator,
                 set(self.netlist.observation_sites),
-                self._config,
+                self.execution,
             )
         sites = np.array(stems, dtype=np.int64)
         diffs = self._engine.masks(sites, values, stuck=None, backend=resolved)

@@ -17,7 +17,12 @@ with *fault-axis* vectorisation and optional multi-process sharding:
   batch through a fabric-owned shared-memory segment, and the fabric's
   supervision ladder applies — a failed or silent worker is killed and
   respawned and its task retried, then a bit-identical in-process
-  fallback.
+  fallback.  Where it runs (worker count, fabric backend) comes from the
+  caller's :class:`~repro.config.ExecutionConfig`; how it is supervised
+  is the engine's one :class:`~repro.exec.ExecPolicy` attribute,
+  ``policy``.  The tuning values (:data:`MAX_GROUP`,
+  :data:`MAX_GROUP_BYTES`, :data:`DENSE_THRESHOLD`,
+  :data:`SHARDS_PER_WORKER`) are module constants.
 
 Both paths produce *bit-identical* results to the serial oracle: every
 evaluation is an exact bitwise gate function of the same operands, only
@@ -36,12 +41,12 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.atpg.cones import ConeIndex, get_cone_index
 from repro.circuit.cells import GateType
+from repro.config import ExecutionConfig
 from repro.exec import (
     ExecPolicy,
     Executor,
@@ -49,14 +54,11 @@ from repro.exec import (
     attached_ndarray,
     make_executor,
     owned_ndarray,
-    resolve_exec_backend,
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
-    "PpsfpConfig",
     "PpsfpEngine",
     "BatchedConeEngine",
     "resolve_backend",
@@ -65,8 +67,15 @@ __all__ = [
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: auto-derived fault-chunk size ceiling (see ``_chunk_size``)
-_MAX_AUTO_GROUP = 512
+#: fault-chunk size ceiling (see ``BatchedConeEngine._chunk_size``)
+MAX_GROUP = 512
+#: memory budget for one fault group's value arrays
+MAX_GROUP_BYTES = 128 * 1024 * 1024
+#: union-cone coverage above which the cached whole-circuit schedule is
+#: cheaper than building a per-group union plan
+DENSE_THRESHOLD = 0.7
+#: fault shards per worker in one parallel call
+SHARDS_PER_WORKER = 2
 
 BACKENDS = ("auto", "serial", "batched", "parallel")
 
@@ -92,36 +101,6 @@ def resolve_backend(
             return "parallel"
         return "batched"
     return choice
-
-
-@dataclass
-class PpsfpConfig:
-    """Tuning knobs for the batched/parallel fault-simulation engine."""
-
-    #: ``auto`` | ``serial`` | ``batched`` | ``parallel``
-    backend: str = "auto"
-    #: faults per vectorised group (None = derived from ``max_group_bytes``)
-    group_size: int | None = None
-    #: memory budget for one fault group's value arrays
-    max_group_bytes: int = 128 * 1024 * 1024
-    #: union-cone coverage above which the cached whole-circuit schedule is
-    #: cheaper than building a per-group union plan
-    dense_threshold: float = 0.7
-    #: process count for the parallel backend (None = ``os.cpu_count()``)
-    workers: int | None = None
-    #: per-shard result timeout in seconds (None = wait forever)
-    worker_timeout: float | None = 120.0
-    #: fault shards per worker round (None = ``2 * workers``)
-    shards: int | None = None
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_attempts=3, base_delay=0.05)
-    )
-    #: after retries are exhausted, grade failed shards in-process
-    #: (bit-identical) instead of raising
-    serial_fallback: bool = True
-    #: explicit execution-fabric backend (``inprocess`` | ``forkpool`` |
-    #: ``socket``); None defers to ``REPRO_EXEC_BACKEND`` then forkpool
-    exec_backend: str | None = None
 
 
 def _obs():
@@ -205,19 +184,9 @@ class BatchedConeEngine:
     injection sites against one good-value matrix per call.
     """
 
-    def __init__(
-        self,
-        simulator,
-        observed,
-        group_size: int | None = None,
-        max_group_bytes: int = 128 * 1024 * 1024,
-        dense_threshold: float = 0.7,
-    ) -> None:
+    def __init__(self, simulator, observed) -> None:
         self.simulator = simulator
         self.observed = frozenset(int(v) for v in observed)
-        self.group_size = group_size
-        self.max_group_bytes = max_group_bytes
-        self.dense_threshold = dense_threshold
         #: nodes the whole-circuit schedule evaluates (dense-mode cost)
         self._n_scheduled = sum(
             len(out_idx) for _, _, out_idx, _ in simulator._schedule
@@ -278,17 +247,15 @@ class BatchedConeEngine:
         return diffs
 
     def _chunk_size(self, n_words: int) -> int:
-        if self.group_size is not None:
-            return max(1, int(self.group_size))
         n = max(1, self._n_scheduled)
         # vals plus per-group transients; factor 3 keeps peak usage within
-        # the configured budget.
+        # the budget.
         per_fault = 3 * n * max(1, n_words) * 8
         # Sites are level-sorted before chunking, so several chunks beat
         # one giant one even when memory allows it: later chunks get a high
         # min level (deep dense-mode skip) and tighter sparse unions.  The
         # cap was swept empirically (256–512 wins at every design size).
-        return max(1, min(self.max_group_bytes // per_fault, _MAX_AUTO_GROUP))
+        return max(1, min(MAX_GROUP_BYTES // per_fault, MAX_GROUP))
 
     # ------------------------------------------------------------------ #
     def _propagate_group(
@@ -299,7 +266,7 @@ class BatchedConeEngine:
         index: ConeIndex,
     ) -> tuple[np.ndarray, int]:
         union = index.union_cone(sites)
-        if len(union) >= self.dense_threshold * max(1, self._n_scheduled):
+        if len(union) >= DENSE_THRESHOLD * max(1, self._n_scheduled):
             return self._run_dense(sites, inject, values)
         return self._run_sparse(sites, inject, values, union, index)
 
@@ -446,16 +413,8 @@ def _ppsfp_worker_init(payload: bytes) -> None:
     global _WORKER_ENGINE
     from repro.atpg.simulator import LogicSimulator
 
-    netlist, observed, group_size, max_bytes, dense_threshold = pickle.loads(
-        payload
-    )
-    _WORKER_ENGINE = BatchedConeEngine(
-        LogicSimulator(netlist),
-        observed,
-        group_size=group_size,
-        max_group_bytes=max_bytes,
-        dense_threshold=dense_threshold,
-    )
+    netlist, observed = pickle.loads(payload)
+    _WORKER_ENGINE = BatchedConeEngine(LogicSimulator(netlist), observed)
 
 
 def _inject_rows(
@@ -490,22 +449,22 @@ class PpsfpEngine:
 
     Owns the in-process :class:`BatchedConeEngine` and, lazily, a
     fork-pool executor from the execution fabric for the ``parallel``
-    backend.  Worker supervision — retry ladder, worker respawn, the
-    bit-identical batched fallback — lives in :mod:`repro.exec`; this
-    engine only describes its shard tasks.
+    backend, sized by ``execution.resolved_workers()`` on the backend
+    ``execution.resolve_exec_backend()`` names.  Worker supervision —
+    retry ladder, worker respawn, the bit-identical batched fallback —
+    lives in :mod:`repro.exec` and follows :attr:`policy`; this engine
+    only describes its shard tasks.
     """
 
-    def __init__(self, simulator, observed, config: PpsfpConfig | None = None):
+    def __init__(
+        self, simulator, observed, execution: ExecutionConfig | None = None
+    ):
         self.simulator = simulator
         self.observed = frozenset(int(v) for v in observed)
-        self.config = config or PpsfpConfig()
-        self.batched = BatchedConeEngine(
-            simulator,
-            self.observed,
-            group_size=self.config.group_size,
-            max_group_bytes=self.config.max_group_bytes,
-            dense_threshold=self.config.dense_threshold,
-        )
+        self.execution = execution or ExecutionConfig()
+        #: supervision of every parallel call
+        self.policy = ExecPolicy()
+        self.batched = BatchedConeEngine(simulator, self.observed)
         self._executor: Executor | None = None
         #: injectable for fault-injection tests (must stay picklable)
         self.worker_fn = _ppsfp_worker_grade
@@ -525,10 +484,10 @@ class PpsfpEngine:
         """
         sites = np.asarray(sites, dtype=np.int64)
         resolved = resolve_backend(
-            backend or self.config.backend,
+            backend or self.execution.backend,
             len(sites),
             values.shape[1],
-            workers=self.config.workers,
+            workers=self.execution.resolved_workers(),
         )
         if resolved == "serial":
             raise ValueError(
@@ -563,32 +522,14 @@ class PpsfpEngine:
             pass
 
     # ------------------------------------------------------------------ #
-    def _n_workers(self) -> int:
-        return max(1, self.config.workers or os.cpu_count() or 1)
-
-    def _make_executor(self, backend: str = "forkpool") -> Executor:
-        payload = pickle.dumps(
-            (
-                self.simulator.netlist,
-                sorted(self.observed),
-                self.config.group_size,
-                self.config.max_group_bytes,
-                self.config.dense_threshold,
-            )
-        )
+    def _make_executor(self, backend: str) -> Executor:
+        payload = pickle.dumps((self.simulator.netlist, sorted(self.observed)))
         return make_executor(
             backend,
             name="atpg",
-            max_workers=self._n_workers(),
+            max_workers=self.execution.resolved_workers(),
             initializer=_ppsfp_worker_init,
             initargs=(payload,),
-        )
-
-    def _exec_policy(self) -> ExecPolicy:
-        return ExecPolicy(
-            retry=self.config.retry,
-            worker_timeout=self.config.worker_timeout,
-            serial_fallback=self.config.serial_fallback,
         )
 
     def _shard_fallback(
@@ -600,19 +541,17 @@ class PpsfpEngine:
     def _parallel_masks(
         self, sites: np.ndarray, stuck: np.ndarray | None, values: np.ndarray
     ) -> np.ndarray:
-        n_shards = self.config.shards or (2 * self._n_workers())
+        n_shards = SHARDS_PER_WORKER * self.execution.resolved_workers()
         n_shards = max(1, min(n_shards, len(sites)))
         bounds = np.array_split(np.arange(len(sites)), n_shards)
         shard_counter, failure_counter = _parallel_obs()
         shard_counter.inc(n_shards)
 
-        # The engine heuristics picked the fork pool; REPRO_EXEC_BACKEND
-        # can still force the in-process oracle (then no segment is shared
-        # and every shard runs its batched fallback serially) or route the
-        # shards through the multi-host socket coordinator.
-        resolved = resolve_exec_backend(
-            self.config.exec_backend, default="forkpool"
-        )
+        # The engine heuristics picked the fork pool; ``exec_backend`` (or
+        # REPRO_EXEC_BACKEND) can still force the in-process oracle (then
+        # no segment is shared and every shard runs its batched fallback
+        # serially) or route the shards through the socket coordinator.
+        resolved = self.execution.resolve_exec_backend(default="forkpool")
         if resolved == "inprocess":
             out = np.zeros((len(sites), values.shape[1]), dtype=np.uint64)
             for idx in bounds:
@@ -645,9 +584,7 @@ class PpsfpEngine:
                 )
                 for i, idx in enumerate(bounds)
             ]
-            results = self._executor.submit(
-                tasks, policy=self._exec_policy()
-            )
+            results = self._executor.submit(tasks, policy=self.policy)
         if self._executor.last_submit_failures:
             failure_counter.inc(self._executor.last_submit_failures)
         out = np.zeros((len(sites), values.shape[1]), dtype=np.uint64)

@@ -32,7 +32,6 @@ from repro.resilience.errors import (
     NumericalError,
     WorkerFailedError,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["TrainConfig", "TrainHistory", "Trainer", "ParallelTrainer"]
 
@@ -379,6 +378,15 @@ def _serial_gradients(payload: bytes, graph_name: str | None) -> list[np.ndarray
         ) from exc
 
 
+def _exhausted_error(tasks: list[ShardTask], rounds: int, exc: BaseException):
+    """The typed terminal error of a graph whose rescue is disabled."""
+    name = tasks[0].meta
+    return WorkerFailedError(
+        f"worker for graph {name!r} failed after {rounds} rounds: {exc}",
+        graph_name=name,
+    )
+
+
 class ParallelTrainer(Trainer):
     """Data-parallel trainer: one worker per graph, averaged gradients.
 
@@ -387,32 +395,29 @@ class ParallelTrainer(Trainer):
     graph; outputs are gathered and a single update is applied.  On a
     single-core host this demonstrates the scheme rather than a speedup.
 
-    Fault tolerance is delegated to the execution fabric
-    (:mod:`repro.exec`): a failed round — a worker raising, dying, or
-    exceeding ``worker_timeout`` — kills and respawns that worker and
-    retries only the failed graphs with exponential backoff.  Once
-    ``retry_policy.max_attempts`` rounds are exhausted, the stragglers are
-    computed serially in-process (gradients are identical either way); only if the
-    serial path fails too does :class:`WorkerFailedError` propagate.
+    ``execution.workers`` caps the pool (``None``: one worker per graph;
+    ``1``: no pool, the gradients are computed in process) and
+    ``execution.exec_backend`` names the fabric.  Fault tolerance is
+    delegated to the execution fabric (:mod:`repro.exec`) under
+    :attr:`policy`: a failed round — a worker raising, dying, or exceeding
+    ``policy.worker_timeout`` — kills and respawns that worker and retries
+    only the failed graphs with exponential backoff.  Once
+    ``policy.retry.max_attempts`` rounds are exhausted, the stragglers are
+    computed serially in-process (gradients are identical either way); only
+    if the serial path fails too does :class:`WorkerFailedError` propagate.
     """
 
     def __init__(
         self,
         model: GCN,
         config: TrainConfig | None = None,
-        max_workers: int | None = None,
-        worker_timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-        serial_fallback: bool = True,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(model, config, execution=execution)
-        self.max_workers = max_workers
-        self.worker_timeout = worker_timeout
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay=0.05
+        #: supervision of every step's gradient tasks
+        self.policy = ExecPolicy(
+            worker_timeout=None, exhausted_error=_exhausted_error
         )
-        self.serial_fallback = serial_fallback
         #: the function shipped to workers; injectable for fault-injection
         #: tests (must be picklable, i.e. module-level)
         self.worker_fn = _worker_gradients
@@ -440,23 +445,6 @@ class ParallelTrainer(Trainer):
         return total
 
     # ------------------------------------------------------------------ #
-    def _exec_policy(self) -> ExecPolicy:
-        """Fabric policy assembled per call so test hooks stay mutable."""
-
-        def exhausted(tasks: list[ShardTask], rounds: int, exc: BaseException):
-            name = tasks[0].meta
-            return WorkerFailedError(
-                f"worker for graph {name!r} failed after {rounds} rounds: {exc}",
-                graph_name=name,
-            )
-
-        return ExecPolicy(
-            retry=self.retry_policy,
-            worker_timeout=self.worker_timeout,
-            serial_fallback=self.serial_fallback,
-            exhausted_error=exhausted,
-        )
-
     def _gradients_with_recovery(
         self, graphs: list[GraphData], payloads: list[bytes]
     ) -> list[list[np.ndarray]]:
@@ -472,12 +460,14 @@ class ParallelTrainer(Trainer):
             for i, graph in enumerate(graphs)
         ]
         execution = self.execution or ExecutionConfig()
-        backend = execution.resolve_exec_backend(default="forkpool")
+        backend = execution.resolve_exec_backend(
+            default="inprocess" if execution.workers == 1 else "forkpool"
+        )
         executor = make_executor(
             backend,
             name="train",
-            max_workers=min(self.max_workers or len(tasks), len(tasks)),
-            policy=self._exec_policy(),
+            max_workers=min(execution.workers or len(tasks), len(tasks)),
+            policy=self.policy,
         )
         with executor:
             results = executor.submit(tasks)

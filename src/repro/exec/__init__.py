@@ -55,8 +55,6 @@ from repro.exec.scheduler import TaskScheduler, ensure_exec_metrics
 from repro.exec.worker import run_worker
 from repro.exec.shm import (
     SharedSegment,
-    WeightStore,
-    attach_manifest,
     attached_ndarray,
     leaked_segment_names,
     owned_ndarray,
@@ -83,8 +81,6 @@ __all__ = [
     "ShardTask",
     "SharedSegment",
     "TaskScheduler",
-    "WeightStore",
-    "attach_manifest",
     "attached_ndarray",
     "coordinator_address",
     "ensure_exec_metrics",

@@ -36,10 +36,8 @@ import numpy as np
 __all__ = [
     "SHM_PREFIX",
     "SharedSegment",
-    "WeightStore",
     "owned_ndarray",
     "attached_ndarray",
-    "attach_manifest",
     "sweep_orphans",
     "live_segment_names",
     "leaked_segment_names",
@@ -129,104 +127,6 @@ class SharedSegment:
         self.close_unlink()
 
 
-class WeightStore:
-    """Generation-versioned shared-memory home for a named set of arrays.
-
-    The serving layer's hot model weights live here: :meth:`publish`
-    copies each array into its own owned segment and returns zero-copy
-    views, so every scoring worker — including one respawned after a
-    crash — binds to the *same* physical pages instead of re-loading or
-    re-copying the checkpoint.  A re-publish (hot reload) creates the new
-    generation's segments first and only then unlinks the old ones, so an
-    attacher never observes a half-swapped store.
-
-    :meth:`manifest` describes the current generation (segment names,
-    shapes, dtypes, scalars) in plain JSON-able data; a *different*
-    process handed that manifest attaches with :func:`attach_manifest`.
-    Cleanup rides the module's existing guarantees — the owner calls
-    :meth:`close` (serve teardown does), the atexit registry catches
-    leaks, and :func:`sweep_orphans` reclaims after a hard kill.
-    """
-
-    def __init__(self, label: str = "weights") -> None:
-        self.label = label
-        self.generation = 0
-        self._lock = threading.Lock()
-        self._segments: dict[str, SharedSegment] = {}
-        self._scalars: dict[str, float] = {}
-
-    def publish(
-        self, arrays: dict[str, np.ndarray], scalars: dict[str, float] | None = None
-    ) -> dict[str, np.ndarray]:
-        """Copy ``arrays`` into a fresh generation; returns shared views."""
-        fresh = {key: SharedSegment.from_array(value) for key, value in arrays.items()}
-        with self._lock:
-            stale = self._segments
-            self._segments = fresh
-            self._scalars = dict(scalars or {})
-            self.generation += 1
-        for segment in stale.values():
-            segment.close_unlink()
-        return {key: segment.array for key, segment in fresh.items()}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Zero-copy views of the current generation (owner process)."""
-        with self._lock:
-            return {key: segment.array for key, segment in self._segments.items()}
-
-    def manifest(self) -> dict:
-        """JSON-able description of the current generation for attachers."""
-        with self._lock:
-            return {
-                "label": self.label,
-                "generation": self.generation,
-                "pid": os.getpid(),
-                "scalars": dict(self._scalars),
-                "arrays": {
-                    key: {
-                        "segment": segment.name,
-                        "shape": list(segment.array.shape),
-                        "dtype": segment.array.dtype.name,
-                    }
-                    for key, segment in self._segments.items()
-                },
-            }
-
-    def close(self) -> None:
-        """Unlink every segment of the current generation (idempotent)."""
-        with self._lock:
-            stale = self._segments
-            self._segments = {}
-            self._scalars = {}
-        for segment in stale.values():
-            segment.close_unlink()
-
-    def __enter__(self) -> "WeightStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-@contextlib.contextmanager
-def attach_manifest(manifest: dict):
-    """Attach to every array of a :meth:`WeightStore.manifest` at once.
-
-    Yields ``{key: ndarray}`` views over the publisher's segments; all
-    attachments close on exit.  The publisher must outlive the context —
-    its unlink drops the pages once the last mapping goes.
-    """
-    with contextlib.ExitStack() as stack:
-        yield {
-            key: stack.enter_context(
-                attached_ndarray(
-                    spec["segment"], tuple(spec["shape"]), spec["dtype"]
-                )
-            )
-            for key, spec in manifest["arrays"].items()
-        }
-
-
 @contextlib.contextmanager
 def owned_ndarray(source: np.ndarray):
     """Context manager: share ``source``, guarantee unlink on exit."""
@@ -280,10 +180,6 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-#: internal alias kept for the pre-existing callers
-_pid_alive = pid_alive
-
-
 def live_segment_names() -> list[str]:
     """Names of segments this process currently owns (diagnostics)."""
     with _lock:
@@ -315,7 +211,7 @@ def sweep_orphans() -> list[str]:
             pid = int(parts[2])
         except (IndexError, ValueError):
             continue
-        if _pid_alive(pid):
+        if pid_alive(pid):
             continue
         try:
             shm = shared_memory.SharedMemory(name=path.name)

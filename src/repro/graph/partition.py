@@ -16,11 +16,11 @@ synthetic generator and real synthesis netlists is the locality order
 1. **Degree-balanced targets** — cut positions that split the
    ``1 + fanin + fanout`` weight evenly across shards.
 2. **Min-crossing snap** — each cut is moved to the position with the
-   fewest straddling undirected edges within ``seed_slack`` of its
+   fewest straddling undirected edges within :data:`SEED_SLACK` of its
    balance target, aligning cuts with the thin inter-block interfaces.
-3. **Gain refinement** — up to ``refine_passes`` deterministic passes
+3. **Gain refinement** — up to :data:`REFINE_PASSES` deterministic passes
    move boundary nodes to the neighbouring shard holding most of their
-   neighbours, while both shards stay within ``balance_slack`` of the
+   neighbours, while both shards stay within :data:`BALANCE_SLACK` of the
    mean weight.
 
 Mini-batch training still consumes the classic *halo* form (owned nodes
@@ -56,9 +56,18 @@ __all__ = [
 ]
 
 
+#: how far (fraction of the node count) a cut may move from its balance
+#: target while hunting for the minimum edge-crossing point
+SEED_SLACK = 0.04
+#: per-shard degree-weight tolerance around the mean during refinement
+BALANCE_SLACK = 0.10
+#: maximum boundary-refinement passes
+REFINE_PASSES = 8
+
+
 @dataclass(frozen=True)
 class PartitionConfig:
-    """Partitioner tuning knobs."""
+    """How many shards, and how deep a halo."""
 
     #: number of shards (clamped to the node count; >= 1)
     n_shards: int = 2
@@ -67,25 +76,12 @@ class PartitionConfig:
     #: that need halos (mini-batch training) pass the model depth
     #: explicitly, so depth is never silently assumed.
     halo_hops: int | None = None
-    #: how far (fraction of the node count) a cut may move from its
-    #: balance target while hunting for the minimum edge-crossing point
-    seed_slack: float = 0.04
-    #: per-shard degree-weight tolerance around the mean during refinement
-    balance_slack: float = 0.10
-    #: maximum boundary-refinement passes (0 disables refinement)
-    refine_passes: int = 8
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if self.halo_hops is not None and self.halo_hops < 0:
             raise ValueError("halo_hops must be >= 0")
-        if not 0.0 <= self.seed_slack < 1.0:
-            raise ValueError("seed_slack must be in [0, 1)")
-        if not 0.0 <= self.balance_slack < 1.0:
-            raise ValueError("balance_slack must be in [0, 1)")
-        if self.refine_passes < 0:
-            raise ValueError("refine_passes must be >= 0")
 
 
 @dataclass
@@ -170,34 +166,6 @@ class GraphPartition:
             )
 
 
-def _dag_levels(pred: sp.csr_matrix) -> np.ndarray:
-    """Longest-path-from-source levels over the predecessor relation.
-
-    ``pred[v, u] != 0`` means ``u`` drives ``v``.  Kahn's algorithm over
-    that relation; nodes caught in cycles (sequential feedback through
-    flops appears as cycles in the exported adjacency) keep level 0 — they
-    only need *a* deterministic level, not a meaningful one.  Retained for
-    level-aware consumers (diagnostics, tests); the partitioner itself
-    works in creation order, which preserves block locality where level
-    order interleaves blocks and cuts nearly every edge.
-    """
-    n = pred.shape[0]
-    levels = np.zeros(n, dtype=np.int64)
-    indegree = np.diff(pred.indptr).astype(np.int64)
-    succ = pred.T.tocsr()  # fanout lists
-    stack = list(np.flatnonzero(indegree == 0)[::-1])
-    while stack:
-        u = stack.pop()
-        for w in succ.indices[succ.indptr[u] : succ.indptr[u + 1]]:
-            if levels[w] < levels[u] + 1:
-                levels[w] = levels[u] + 1
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                stack.append(int(w))
-    levels[indegree > 0] = 0  # cyclic leftovers: deterministic fallback
-    return levels
-
-
 def _balanced_boundaries(weights: np.ndarray, n_shards: int) -> list[np.ndarray]:
     """Split ``range(len(weights))`` into ``n_shards`` contiguous runs of
     near-equal total weight, every run non-empty."""
@@ -235,13 +203,10 @@ def _crossing_profile(undirected: sp.csr_matrix) -> np.ndarray:
 
 
 def _min_crossing_bounds(
-    weights: np.ndarray,
-    crossing: np.ndarray,
-    n_shards: int,
-    seed_slack: float,
+    weights: np.ndarray, crossing: np.ndarray, n_shards: int
 ) -> list[np.ndarray]:
     """Contiguous runs balanced by weight, each cut snapped to the
-    minimum-crossing position within ``seed_slack`` of its target.
+    minimum-crossing position within :data:`SEED_SLACK` of its target.
 
     Netlists are emitted block by block, so the crossing profile dips at
     block boundaries; snapping cuts into those dips is what keeps the
@@ -250,7 +215,7 @@ def _min_crossing_bounds(
     n = len(weights)
     cumulative = np.cumsum(weights, dtype=np.float64)
     total = float(cumulative[-1])
-    half = max(1, int(n * seed_slack))
+    half = max(1, int(n * SEED_SLACK))
     bounds = [0]
     for k in range(1, n_shards):
         target = int(np.searchsorted(cumulative, total * k / n_shards))
@@ -272,18 +237,16 @@ def _refine_owner(
     undirected: sp.csr_matrix,
     weights: np.ndarray,
     n_shards: int,
-    passes: int,
-    balance_slack: float,
 ) -> np.ndarray:
     """Deterministic gain-based boundary refinement.
 
-    Each pass visits the current boundary nodes in id order and moves a
-    node to the neighbouring shard holding strictly more of its
-    neighbours, provided both shards stay within ``balance_slack`` of the
-    mean degree weight and neither empties.  Stops early when a pass moves
-    nothing.
+    Each of up to :data:`REFINE_PASSES` passes visits the current boundary
+    nodes in id order and moves a node to the neighbouring shard holding
+    strictly more of its neighbours, provided both shards stay within
+    :data:`BALANCE_SLACK` of the mean degree weight and neither empties.
+    Stops early when a pass moves nothing.
     """
-    if n_shards < 2 or passes <= 0:
+    if n_shards < 2:
         return owner
     indptr, indices = undirected.indptr, undirected.indices
     n = len(owner)
@@ -292,9 +255,9 @@ def _refine_owner(
     np.add.at(load, owner, weights)
     counts = np.bincount(owner, minlength=n_shards)
     target = float(weights.sum()) / n_shards
-    lo = (1.0 - balance_slack) * target
-    hi = (1.0 + balance_slack) * target
-    for _ in range(passes):
+    lo = (1.0 - BALANCE_SLACK) * target
+    hi = (1.0 + BALANCE_SLACK) * target
+    for _ in range(REFINE_PASSES):
         cross = owner[row] != owner[indices]
         boundary = np.unique(row[cross])
         moved = 0
@@ -369,18 +332,11 @@ def partition_graph(
         owner = np.empty(n, dtype=np.int64)
         if n_shards > 1:
             crossing = _crossing_profile(undirected)
-            runs = _min_crossing_bounds(
-                weights, crossing, n_shards, config.seed_slack
-            )
+            runs = _min_crossing_bounds(weights, crossing, n_shards)
             for i, run in enumerate(runs):
                 owner[run] = i
             owner = _refine_owner(
-                owner,
-                undirected,
-                weights.astype(np.float64),
-                n_shards,
-                config.refine_passes,
-                config.balance_slack,
+                owner, undirected, weights.astype(np.float64), n_shards
             )
         else:
             owner[:] = 0

@@ -33,7 +33,8 @@ run_shard_round`), two drivers:
 
 Failed rounds follow the fabric's supervision ladder — a failed or silent
 worker is killed and respawned and its task retried, then per-task
-in-process rescue (bit-identical, same kernel).
+in-process rescue (bit-identical, same kernel) — as the engine's one
+``policy`` (:class:`~repro.exec.ExecPolicy`) says.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from repro.graph.partition import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ShardedInference"]
 
@@ -200,11 +200,8 @@ class ShardedInference(FastInference):
         self, weights: GCNWeights, execution: ExecutionConfig | None = None
     ) -> None:
         super().__init__(weights, execution)
-        self.retry: RetryPolicy = RetryPolicy(max_attempts=3, base_delay=0.05)
-        #: per-shard result timeout in seconds (None = wait forever)
-        self.worker_timeout: float | None = 120.0
-        #: grade failed shards in-process (bit-identical) after retries
-        self.serial_fallback: bool = True
+        #: supervision of every pooled shard round
+        self.policy = ExecPolicy()
         #: injectable for fault-injection tests (must stay picklable)
         self.worker_fn = _exchange_worker_round
         #: socket-transport counterpart (activation frames by value)
@@ -371,7 +368,7 @@ class ShardedInference(FastInference):
                         )
                         for i in range(len(shards))
                     ],
-                    policy=self._exec_policy(),
+                    policy=self.policy,
                 )
                 if executor.last_submit_failures:
                     *_, failure_counter = _obs()
@@ -399,16 +396,9 @@ class ShardedInference(FastInference):
         return make_executor(
             backend,
             name="inference",
-            max_workers=max(1, self.execution.resolved_workers()),
+            max_workers=self.execution.resolved_workers(),
             initializer=_exchange_worker_init,
             initargs=(payload,),
-        )
-
-    def _exec_policy(self) -> ExecPolicy:
-        return ExecPolicy(
-            retry=self.retry,
-            worker_timeout=self.worker_timeout,
-            serial_fallback=self.serial_fallback,
         )
 
     def _ensure_executor(self, plan: _Plan, backend: str) -> Executor:
@@ -481,7 +471,7 @@ class ShardedInference(FastInference):
                         for i in range(len(shards))
                     ]
                 )
-            executor.submit_rounds(rounds, policy=self._exec_policy())
+            executor.submit_rounds(rounds, policy=self.policy)
             if executor.last_submit_failures:
                 failure_counter.inc(executor.last_submit_failures)
             final = slabs[self.weights.depth % 2].array

@@ -31,8 +31,7 @@ Structure:
   merging with bit-identical per-request row slices, plus the
   request/node budgets of one pass;
 * :mod:`~repro.serve.models` — :class:`ModelManager`: hot reload with
-  validation + rollback, per-model circuit breaker, heuristic degrade,
-  shared-memory weight store;
+  validation + rollback, per-model circuit breaker, heuristic degrade;
 * :mod:`~repro.serve.service` — :class:`ScoringService`: bounded queue
   with atomic batch enqueue, crash-isolated workers that flush on what is
   queued, per-request deadlines, drain;

@@ -305,8 +305,8 @@ class AdmissionPool:
     attempt, then the in-process rung: the caller is a waiting client).
     ``REPRO_EXEC_BACKEND=inprocess`` turns the lanes into plain calls.
 
-    Build it before the process maps shared memory or starts its serving
-    threads, so the workers inherit neither: each lane forks once the
+    Build it before the process starts its serving threads, so the
+    workers inherit none of them: each lane forks once the
     lane before it has answered a probe admission, when the only other
     threads are earlier lanes' socket readers, parked in ``recv``.
     """

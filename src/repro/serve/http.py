@@ -388,7 +388,7 @@ class NetlistScoreServer:
     ) -> None:
         self.config = config or ServeConfig()
         #: forked admission workers (``serve()`` passes them in, forked
-        #: before this constructor maps shared memory and starts threads);
+        #: before this constructor starts threads);
         #: None admits in the handler thread.  Closed with the server.
         self.admission_pool = admission_pool
         self.manager = manager or ModelManager(
@@ -512,10 +512,9 @@ class NetlistScoreServer:
         self._release()
 
     def _release(self) -> None:
-        """What outlives the handler threads: admission workers, weights."""
+        """What outlives the handler threads: the admission workers."""
         if self.admission_pool is not None:
             self.admission_pool.close()
-        self.manager.close()  # release the shared-memory weight segments
 
 
 def serve(
@@ -540,8 +539,8 @@ def serve(
     logs) can watch stdout for readiness regardless of log configuration.
     """
     config = config or ServeConfig()
-    # Forked first: the workers must inherit no thread's held lock and no
-    # shared-memory mapping, and the server below creates both.
+    # Forked first: the workers must inherit no thread's held lock, and
+    # the server below starts threads.
     pool = AdmissionPool(config)
     try:
         server = NetlistScoreServer(

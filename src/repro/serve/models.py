@@ -12,15 +12,6 @@ every successful swap) fronts inference.  Any model failure degrades that
 request to the SCOAP :class:`~repro.resilience.degrade.HeuristicPredictor`
 with a ``degraded`` flag; once the breaker opens, the model is not even
 attempted until the reset timeout elapses.
-
-Hot GCN weights live in a :class:`~repro.exec.shm.WeightStore`: each
-swap publishes the layer matrices into shared-memory segments and binds
-inference to zero-copy views over them, so every scoring worker —
-including one respawned after a crash — attaches to the same physical
-pages instead of re-loading or re-copying the checkpoint, and an external
-process can attach via the manifest in :meth:`ModelManager.describe`.
-The store is best-effort: where shared memory is unavailable the manager
-falls back to plain in-heap arrays and keeps serving.
 """
 
 from __future__ import annotations
@@ -32,13 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import logs
 from repro.resilience.degrade import HeuristicPredictor, LoadedPredictor, load_predictor
 from repro.resilience.retry import CircuitBreaker, CircuitOpenError
 
 __all__ = ["ModelManager"]
-
-_log = logs.get_logger("serve")
 
 #: predictor levels considered fully healthy (not flagged degraded)
 _HEALTHY_LEVELS = frozenset({"cascade", "gcn"})
@@ -70,57 +58,10 @@ def _load_strict(path: str | Path) -> LoadedPredictor:
     )
 
 
-def _weights_arrays(weights) -> dict[str, np.ndarray]:
-    """Flatten a :class:`~repro.core.model.GCNWeights` into named arrays."""
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, matrices in (
-        ("encoder_weights", weights.encoder_weights),
-        ("encoder_biases", weights.encoder_biases),
-        ("fc_weights", weights.fc_weights),
-        ("fc_biases", weights.fc_biases),
-    ):
-        for i, matrix in enumerate(matrices):
-            if matrix is not None:  # None biases stay None on rebuild
-                arrays[f"{prefix}.{i}"] = matrix
-    return arrays
-
-
-def _weights_from_views(weights, views: dict[str, np.ndarray]):
-    """Rebuild a weight snapshot over shared-memory ``views``.
-
-    Layer count and ``None`` bias positions come from the original
-    snapshot; every actual matrix is replaced by its shared view, so the
-    rebuilt snapshot owns no weight memory of its own.
-    """
-    import dataclasses
-
-    def pick(prefix: str, originals) -> list:
-        return [
-            None if original is None else views[f"{prefix}.{i}"]
-            for i, original in enumerate(originals)
-        ]
-
-    return dataclasses.replace(
-        weights,
-        encoder_weights=pick("encoder_weights", weights.encoder_weights),
-        encoder_biases=pick("encoder_biases", weights.encoder_biases),
-        fc_weights=pick("fc_weights", weights.fc_weights),
-        fc_biases=pick("fc_biases", weights.fc_biases),
-    )
-
-
 def _predict_fn(
-    loaded: LoadedPredictor,
-    execution: "ExecutionConfig | None" = None,
-    store=None,
+    loaded: LoadedPredictor, execution: "ExecutionConfig | None" = None
 ) -> Callable[[object], np.ndarray]:
-    """Bind the deployment inference path for ``loaded`` at swap time.
-
-    With a :class:`~repro.exec.shm.WeightStore`, a single GCN's layer
-    matrices are published into shared memory and the engine binds to
-    zero-copy views; publication failure falls back to in-heap arrays
-    (the store is an optimisation, never a dependency).
-    """
+    """Bind the deployment inference path for ``loaded`` at swap time."""
     if loaded.level == "gcn":
         # Single GCNs score through the paper's sparse-matrix fast path,
         # which also carries the NumericalError non-finite guard; the
@@ -130,18 +71,6 @@ def _predict_fn(
         from repro.core.inference import FastInference
 
         weights = loaded.predictor.layer_weights()
-        if store is not None:
-            try:
-                views = store.publish(
-                    _weights_arrays(weights),
-                    scalars={"w_pr": weights.w_pr, "w_su": weights.w_su},
-                )
-                weights = _weights_from_views(weights, views)
-            except Exception as exc:  # pragma: no cover - no /dev/shm
-                _log.warning(
-                    "weight store unavailable; serving from heap",
-                    extra={"error": repr(exc)},
-                )
         return FastInference(weights, execution=execution).predict
     return loaded.predictor.predict
 
@@ -165,7 +94,6 @@ class ModelManager:
         execution: "ExecutionConfig | None" = None,
     ) -> None:
         from repro.config import ExecutionConfig
-        from repro.exec.shm import WeightStore
 
         self._lock = threading.Lock()
         #: how GCN scoring executes (backend/dtype/workers); environment
@@ -178,8 +106,6 @@ class ModelManager:
         self._reloads = 0
         self._rollbacks = 0
         self._model_failures = 0
-        #: shared-memory home of the hot GCN weights (see module docstring)
-        self.weight_store = WeightStore(label="serve-model")
         if model_path is None:
             self._current = LoadedPredictor(
                 predictor=self._heuristic,
@@ -188,7 +114,7 @@ class ModelManager:
             )
         else:
             self._current = load_predictor(model_path, heuristic=self._heuristic)
-        self._fn = _predict_fn(self._current, self.execution, self.weight_store)
+        self._fn = _predict_fn(self._current, self.execution)
         self._breaker = self._fresh_breaker()
         self._last_good: Path | None = (
             self._current.path if self._current.level in _HEALTHY_LEVELS else None
@@ -214,9 +140,6 @@ class ModelManager:
                 "reloads": self._reloads,
                 "rollbacks": self._rollbacks,
                 "model_failures": self._model_failures,
-                # Attach recipe for external readers; empty when the model
-                # is not a shm-published single GCN.
-                "weights_shm": self.weight_store.manifest(),
             }
 
     def reload(self, path: str | Path) -> dict:
@@ -233,11 +156,7 @@ class ModelManager:
             with self._lock:
                 self._rollbacks += 1
             raise
-        # Publishing the candidate's weights creates the new shm
-        # generation and unlinks the old one; in-flight scoring keeps its
-        # mappings (an unlinked segment's pages live until the last view
-        # goes), so the swap is never observable half-done.
-        fn = _predict_fn(candidate, self.execution, self.weight_store)
+        fn = _predict_fn(candidate, self.execution)
         with self._lock:
             self._current = candidate
             self._fn = fn
@@ -276,9 +195,5 @@ class ModelManager:
         return self._heuristic.predict(graph), info
 
     def close(self) -> None:
-        """Unlink the shared-memory weight segments (idempotent).
-
-        Serve teardown calls this; the shm module's atexit registry and
-        orphan sweep are the backstops for uncontrolled exits.
-        """
-        self.weight_store.close()
+        """Nothing to release: the weights live on the heap.  Callers close
+        a manager the way they close every other serve component."""

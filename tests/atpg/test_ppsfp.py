@@ -1,8 +1,11 @@
 """Batched/parallel fault-simulation engine vs the serial oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.atpg import ppsfp
 from repro.atpg.cones import (
     cone_cache_info,
     get_cone_index,
@@ -13,7 +16,6 @@ from repro.atpg.faults import Fault, full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg.ppsfp import (
     BatchedConeEngine,
-    PpsfpConfig,
     PpsfpEngine,
     _inject_rows,
     resolve_backend,
@@ -181,10 +183,11 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("fixture", FIXTURES)
     @pytest.mark.parametrize("dense_threshold", [0.0, 0.4, 100.0])
     def test_detection_masks_bit_identical(
-        self, fixture, dense_threshold, request
+        self, fixture, dense_threshold, request, monkeypatch
     ):
         nl = request.getfixturevalue(fixture)
-        fsim = FaultSimulator(nl, config=PpsfpConfig(dense_threshold=dense_threshold))
+        monkeypatch.setattr(ppsfp, "DENSE_THRESHOLD", dense_threshold)
+        fsim = FaultSimulator(nl)
         rng = np.random.default_rng(0)
         values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
         faults = full_fault_list(nl)
@@ -221,8 +224,9 @@ class TestBatchedEquivalence:
             assert res_s.detected == res_b.detected
             assert res_s.detecting_pattern == res_b.detecting_pattern
 
-    def test_small_fault_groups_chunk_correctly(self, c17):
-        fsim = FaultSimulator(c17, config=PpsfpConfig(group_size=1))
+    def test_small_fault_groups_chunk_correctly(self, c17, monkeypatch):
+        monkeypatch.setattr(ppsfp, "MAX_GROUP", 1)
+        fsim = FaultSimulator(c17)
         rng = np.random.default_rng(3)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         faults = full_fault_list(c17)
@@ -306,8 +310,9 @@ def _crashing_worker(*args, **kwargs):
 class TestParallelBackend:
     def test_parallel_masks_bit_identical(self):
         nl = generate_design(n_gates=120, seed=21)
-        fsim = FaultSimulator(
-            nl, config=PpsfpConfig(workers=2, shards=3, worker_timeout=60.0)
+        fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
+        fsim.engine.policy = dataclasses.replace(
+            fsim.engine.policy, worker_timeout=60.0
         )
         rng = np.random.default_rng(0)
         values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
@@ -321,7 +326,7 @@ class TestParallelBackend:
 
     def test_worker_failure_falls_back_batched(self):
         nl = generate_design(n_gates=80, seed=22)
-        fsim = FaultSimulator(nl, config=PpsfpConfig(workers=2, shards=2))
+        fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
         fsim.engine.worker_fn = _crashing_worker
         rng = np.random.default_rng(1)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
@@ -338,8 +343,9 @@ class TestParallelBackend:
 
     def test_no_fallback_raises_after_retries(self):
         nl = generate_design(n_gates=40, seed=23)
-        fsim = FaultSimulator(
-            nl, config=PpsfpConfig(workers=1, shards=1, serial_fallback=False)
+        fsim = FaultSimulator(nl, ExecutionConfig(workers=1))
+        fsim.engine.policy = dataclasses.replace(
+            fsim.engine.policy, serial_fallback=False
         )
         fsim.engine.worker_fn = _crashing_worker
         rng = np.random.default_rng(2)

@@ -8,6 +8,8 @@ detection masks, detected lists (order included), first-detecting-pattern
 indices, fault coverage and observability masks.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
-from repro.atpg.ppsfp import PpsfpConfig
+from repro.atpg import ppsfp
 from repro.circuit import GateType, Netlist
 from repro.config import ExecutionConfig
 
@@ -67,27 +69,27 @@ def netlists(draw):
     return nl
 
 
-_CONFIGS = st.builds(
-    PpsfpConfig,
-    dense_threshold=st.sampled_from([0.0, 0.4, 100.0]),
-    group_size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
-)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     netlist=netlists(),
-    config=_CONFIGS,
+    dense_threshold=st.sampled_from([0.0, 0.4, 100.0]),
+    max_group=st.one_of(
+        st.just(ppsfp.MAX_GROUP), st.integers(min_value=1, max_value=7)
+    ),
     n_words=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_detection_masks_bit_identical(netlist, config, n_words, seed):
-    fsim = FaultSimulator(netlist, config=config)
+def test_detection_masks_bit_identical(
+    netlist, dense_threshold, max_group, n_words, seed
+):
+    fsim = FaultSimulator(netlist)
     rng = np.random.default_rng(seed)
     values = fsim.good_values(fsim.simulator.random_source_words(n_words, rng))
     faults = full_fault_list(netlist)
     serial = np.stack([fsim.detection_mask(f, values) for f in faults])
-    batched = fsim.detection_masks(faults, values, backend="batched")
+    with mock.patch.object(ppsfp, "DENSE_THRESHOLD", dense_threshold), \
+            mock.patch.object(ppsfp, "MAX_GROUP", max_group):
+        batched = fsim.detection_masks(faults, values, backend="batched")
     np.testing.assert_array_equal(serial, batched)
 
 

@@ -1,9 +1,12 @@
 """Checkpoint/resume equivalence and parallel-trainer fault tolerance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.circuit import generate_design
+from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import ParallelTrainer, TrainConfig, Trainer
@@ -133,12 +136,15 @@ class TestParallelFaultTolerance:
             ) / len(graphs)
         return model, loss
 
-    def _parallel_trainer(self, seed=5, **kwargs):
+    def _parallel_trainer(self, seed=5, **policy):
         model = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,), seed=seed))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd")
-        kwargs.setdefault("retry_policy", NO_SLEEP)
-        kwargs.setdefault("max_workers", 2)
-        return model, ParallelTrainer(model, cfg, **kwargs)
+        trainer = ParallelTrainer(
+            model, cfg, execution=ExecutionConfig(workers=2)
+        )
+        policy.setdefault("retry", NO_SLEEP)
+        trainer.policy = dataclasses.replace(trainer.policy, **policy)
+        return model, trainer
 
     def test_raising_worker_retried_to_serial_parity(self, tmp_path, monkeypatch):
         """A worker that raises mid-epoch is retried; the epoch completes
@@ -179,7 +185,7 @@ class TestParallelFaultTolerance:
         serial_model, serial_loss = self._reference_step([g1, g2])
 
         model, trainer = self._parallel_trainer(
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0)
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         trainer.worker_fn = helpers.always_failing_worker
         with pytest.warns(ResourceWarning, match="serially"):
@@ -193,7 +199,7 @@ class TestParallelFaultTolerance:
         g1 = _labelled_graph(1)
         _, trainer = self._parallel_trainer(
             serial_fallback=False,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
         )
         trainer.worker_fn = helpers.always_failing_worker
         with pytest.warns(ResourceWarning):

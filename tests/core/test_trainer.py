@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_design
+from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import (
@@ -119,6 +120,8 @@ class TestParallelTrainer:
         parallel_model = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,), seed=5))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd")
         Trainer(serial_model, cfg).train_step([g1, g2])
-        ParallelTrainer(parallel_model, cfg, max_workers=2).train_step([g1, g2])
+        ParallelTrainer(
+            parallel_model, cfg, execution=ExecutionConfig(workers=2)
+        ).train_step([g1, g2])
         for ps, pp in zip(serial_model.parameters(), parallel_model.parameters()):
             assert np.allclose(ps.data, pp.data, atol=1e-12)

@@ -10,13 +10,13 @@ each chaos run suppresses them; correctness is asserted on the outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
@@ -32,6 +32,13 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
 #: asserts bit-identity only, so a clean task that a loaded host pushes
 #: past it costs a rescue, never a failure.
 WORKER_TIMEOUT_S = 0.5
+
+
+def _fast(policy):
+    """``policy`` with the suite's short retry and deadline."""
+    return dataclasses.replace(
+        policy, retry=FAST_RETRY, worker_timeout=WORKER_TIMEOUT_S
+    )
 
 
 def _arm(monkeypatch, mode: str) -> None:
@@ -64,10 +71,9 @@ def _train_step(graphs):
     trainer = ParallelTrainer(
         model,
         TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
-        max_workers=2,
-        worker_timeout=WORKER_TIMEOUT_S,
-        retry_policy=FAST_RETRY,
+        execution=ExecutionConfig(workers=2),
     )
+    trainer.policy = _fast(trainer.policy)
     loss = trainer.train_step(graphs)
     return loss, {k: v.copy() for k, v in model.state_dict().items()}
 
@@ -94,15 +100,8 @@ class TestTrainerChaos:
 @pytest.fixture(scope="module")
 def fault_sim_case():
     nl = generate_design(n_gates=80, seed=31)
-    fsim = FaultSimulator(
-        nl,
-        config=PpsfpConfig(
-            workers=2,
-            shards=2,
-            retry=FAST_RETRY,
-            worker_timeout=WORKER_TIMEOUT_S,
-        ),
-    )
+    fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
+    fsim.engine.policy = _fast(fsim.engine.policy)
     rng = np.random.default_rng(2)
     values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
     faults = full_fault_list(nl)
@@ -149,8 +148,7 @@ class TestInferenceChaos:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine.retry = FAST_RETRY
-            engine.worker_timeout = WORKER_TIMEOUT_S
+            engine.policy = _fast(engine.policy)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 logits = engine.logits(graph)

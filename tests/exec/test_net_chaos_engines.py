@@ -10,13 +10,13 @@ safe here because no net mode ever calls ``os._exit``.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
@@ -29,6 +29,13 @@ from repro.resilience.retry import RetryPolicy
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
 WORKER_TIMEOUT_S = 0.5
+
+
+def _fast(policy):
+    """``policy`` with the suite's short retry and deadline."""
+    return dataclasses.replace(
+        policy, retry=FAST_RETRY, worker_timeout=WORKER_TIMEOUT_S
+    )
 
 
 @pytest.fixture()
@@ -68,10 +75,9 @@ def _train_step(graphs):
     trainer = ParallelTrainer(
         model,
         TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
-        max_workers=2,
-        worker_timeout=WORKER_TIMEOUT_S,
-        retry_policy=FAST_RETRY,
+        execution=ExecutionConfig(workers=2),
     )
+    trainer.policy = _fast(trainer.policy)
     loss = trainer.train_step(graphs)
     return loss, {k: v.copy() for k, v in model.state_dict().items()}
 
@@ -101,15 +107,8 @@ class TestTrainerNetChaos:
 @pytest.fixture(scope="module")
 def fault_sim_case():
     nl = generate_design(n_gates=80, seed=31)
-    fsim = FaultSimulator(
-        nl,
-        config=PpsfpConfig(
-            workers=2,
-            shards=2,
-            retry=FAST_RETRY,
-            worker_timeout=WORKER_TIMEOUT_S,
-        ),
-    )
+    fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
+    fsim.engine.policy = _fast(fsim.engine.policy)
     rng = np.random.default_rng(2)
     values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
     faults = full_fault_list(nl)
@@ -154,8 +153,7 @@ class TestInferenceNetChaos:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine.retry = FAST_RETRY
-            engine.worker_timeout = WORKER_TIMEOUT_S
+            engine.policy = _fast(engine.policy)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 logits = engine.logits(graph)
@@ -175,8 +173,7 @@ class TestZeroWorkerDegradation:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine.retry = FAST_RETRY
-            engine.worker_timeout = WORKER_TIMEOUT_S
+            engine.policy = _fast(engine.policy)
             with pytest.warns(ResourceWarning, match="degrading"):
                 logits = engine.logits(graph)
         np.testing.assert_array_equal(logits, oracle)

@@ -9,11 +9,12 @@ reaches ``make_executor``; junk in the environment raises a typed
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
@@ -56,10 +57,9 @@ def _run_trainer(monkeypatch, explicit):
     trainer = ParallelTrainer(
         GCN(GCNConfig(hidden_dims=(4,), fc_dims=(4,), seed=5)),
         TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
-        max_workers=1,
-        retry_policy=FAST_RETRY,
         execution=ExecutionConfig(exec_backend=explicit or "auto"),
     )
+    trainer.policy = dataclasses.replace(trainer.policy, retry=FAST_RETRY)
     trainer.train_step([graph])
     return seen.get("backend", "inprocess")
 
@@ -70,11 +70,11 @@ def _run_fault_sim(monkeypatch, explicit):
     seen = _recorder(monkeypatch, ppsfp_mod)
     nl = generate_design(n_gates=40, seed=7)
     with FaultSimulator(
-        nl,
-        config=PpsfpConfig(
-            workers=1, shards=1, retry=FAST_RETRY, exec_backend=explicit
-        ),
+        nl, ExecutionConfig(workers=1, exec_backend=explicit or "auto")
     ) as fsim:
+        fsim.engine.policy = dataclasses.replace(
+            fsim.engine.policy, retry=FAST_RETRY
+        )
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         fsim.detection_masks(
@@ -93,7 +93,7 @@ def _run_inference(monkeypatch, explicit):
         weights,
         ExecutionConfig(shards=2, workers=2, exec_backend=explicit or "auto"),
     ) as engine:
-        engine.retry = FAST_RETRY
+        engine.policy = dataclasses.replace(engine.policy, retry=FAST_RETRY)
         engine.logits(graph)
     return seen.get("backend", "inprocess")
 

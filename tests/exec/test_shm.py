@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import generate_design
+from repro.config import ExecutionConfig
 from repro.exec import (
+    ExecPolicy,
     SharedSegment,
     attached_ndarray,
     leaked_segment_names,
     owned_ndarray,
     sweep_orphans,
 )
-from repro.exec.shm import WeightStore, attach_manifest, live_segment_names
+from repro.exec.shm import live_segment_names
 from repro.resilience.retry import RetryPolicy
 
 
@@ -128,89 +129,6 @@ class TestOrphanSweep:
             segment.close_unlink()
 
 
-class TestWeightStore:
-    """The serving layer's shared-memory home for hot model weights."""
-
-    def _arrays(self, seed: int = 0) -> dict:
-        rng = np.random.default_rng(seed)
-        return {
-            "encoder.0": rng.standard_normal((6, 4)),
-            "fc.0": rng.standard_normal((4, 2)),
-        }
-
-    def test_publish_returns_bit_identical_shared_views(self):
-        source = self._arrays()
-        with WeightStore(label="t") as store:
-            views = store.publish(source, scalars={"w_pr": 0.5})
-            assert set(views) == set(source)
-            for key, view in views.items():
-                np.testing.assert_array_equal(view, source[key])
-            # views alias the store's segments, not the caller's arrays
-            for key in views:
-                assert views[key] is not source[key]
-                np.testing.assert_array_equal(
-                    store.arrays()[key], source[key]
-                )
-
-    def test_generation_increments_per_publish(self):
-        with WeightStore(label="t") as store:
-            assert store.generation == 0
-            store.publish(self._arrays(1))
-            assert store.generation == 1
-            store.publish(self._arrays(2))
-            assert store.generation == 2
-
-    def test_republish_unlinks_previous_generation(self):
-        before = set(leaked_segment_names())
-        with WeightStore(label="t") as store:
-            store.publish(self._arrays(1))
-            first_gen = {
-                spec["segment"]
-                for spec in store.manifest()["arrays"].values()
-            }
-            store.publish(self._arrays(2))
-            live = set(live_segment_names())
-            assert not first_gen & live  # old generation gone
-        assert _our_leaks(before) == []  # close() unlinked the rest
-
-    def test_manifest_describes_current_generation(self):
-        with WeightStore(label="serve-model") as store:
-            store.publish(self._arrays(), scalars={"w_pr": 0.25, "w_su": 2.0})
-            manifest = store.manifest()
-            assert manifest["label"] == "serve-model"
-            assert manifest["generation"] == 1
-            assert manifest["scalars"] == {"w_pr": 0.25, "w_su": 2.0}
-            for key, spec in manifest["arrays"].items():
-                assert spec["shape"] == list(store.arrays()[key].shape)
-                assert spec["dtype"] == store.arrays()[key].dtype.name
-            # plain JSON-able data: another process can be handed this
-            import json
-
-            json.dumps(manifest)
-
-    def test_attach_manifest_roundtrip(self):
-        """A crash-replaced worker attaches to the same physical pages
-        instead of re-loading the checkpoint."""
-        source = self._arrays(5)
-        with WeightStore(label="t") as store:
-            store.publish(source)
-            with attach_manifest(store.manifest()) as attached:
-                assert set(attached) == set(source)
-                for key, view in attached.items():
-                    np.testing.assert_array_equal(view, source[key])
-                # owner-side mutation is visible through the attachment
-                store.arrays()["fc.0"][0, 0] = 123.0
-                assert attached["fc.0"][0, 0] == 123.0
-
-    def test_close_idempotent_and_empties_store(self):
-        store = WeightStore(label="t")
-        store.publish(self._arrays())
-        store.close()
-        store.close()
-        assert store.arrays() == {}
-        assert store.manifest()["arrays"] == {}
-
-
 class TestEngineKillRegression:
     def test_killed_worker_leaves_no_segments(self, monkeypatch):
         """Satellite regression: chaos-kill a fault-sim worker mid-task and
@@ -218,13 +136,9 @@ class TestEngineKillRegression:
         recovered result is still bit-identical to the serial oracle)."""
         before = set(leaked_segment_names())
         nl = generate_design(n_gates=80, seed=31)
-        fsim = FaultSimulator(
-            nl,
-            config=PpsfpConfig(
-                workers=2,
-                shards=2,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            ),
+        fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
+        fsim.engine.policy = ExecPolicy(
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))

@@ -8,7 +8,7 @@ import pytest
 from repro.circuit import generate_design
 from repro.core.graphdata import GraphData
 from repro.graph import PartitionConfig, partition_graph, shard_minibatches
-from repro.graph.partition import _balanced_boundaries, _dag_levels
+from repro.graph.partition import _balanced_boundaries
 from repro.nn.sparse import COOMatrix
 
 
@@ -147,17 +147,6 @@ class TestInvariants:
 
 
 class TestHelpers:
-    def test_dag_levels_chain(self):
-        graph = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        levels = _dag_levels(graph.pred.to_scipy())
-        assert levels.tolist() == [0, 1, 2, 3]
-
-    def test_dag_levels_cycle_fallback(self):
-        # 0 -> 1 -> 0 cycle plus a downstream node; cyclic nodes level 0.
-        graph = make_graph(3, [(0, 1), (1, 0), (1, 2)])
-        levels = _dag_levels(graph.pred.to_scipy())
-        assert levels[0] == 0 and levels[1] == 0
-
     def test_balanced_boundaries_nonempty(self):
         weights = np.array([100, 1, 1, 1, 1], dtype=np.int64)
         runs = _balanced_boundaries(weights, 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,9 @@ class TestPoolResilience:
         with ShardedInference(
             weights, ExecutionConfig(shards=2, workers=2)
         ) as engine:
-            engine.serial_fallback = False
+            engine.policy = dataclasses.replace(
+                engine.policy, serial_fallback=False
+            )
             engine.worker_fn = _crashing_worker
             with pytest.warns(ResourceWarning):
                 with pytest.raises(OSError):

@@ -6,15 +6,24 @@ import numpy as np
 import pytest
 
 from repro.atpg.fault_sim import FaultSimulator
+from repro.atpg.faults import full_fault_list
 from repro.atpg.generate import AtpgConfig
 from repro.atpg.observability import ObservabilityAnalyzer, observability_counts
-from repro.atpg.ppsfp import BACKENDS, resolve_backend
+from repro.atpg.ppsfp import (
+    BACKENDS,
+    BatchedConeEngine,
+    PpsfpEngine,
+    resolve_backend,
+)
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig, INFERENCE_BACKENDS
-from repro.core.trainer import ParallelTrainer
+from repro.core.graphdata import GraphData
+from repro.core.model import GCN, GCNConfig
+from repro.core.trainer import ParallelTrainer, TrainConfig
 from repro.exec import DistributedExecutor, ForkPoolExecutor, make_executor
+from repro.graph import PartitionConfig, ShardedInference
 from repro.resilience.errors import ConfigError
-from repro.testability import LabelConfig
+from repro.testability import LabelConfig, label_nodes
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +138,9 @@ class TestBackendResolution:
 
 class TestDeprecationShims:
     """The shims are gone: backend selection is spelled ``ExecutionConfig``,
-    and each legacy keyword — like the constructor ``sleep=`` that was
-    accepted and ignored — is now a ``TypeError``."""
+    and each legacy keyword — the constructor ``sleep=`` that was accepted
+    and ignored, the per-engine pool, supervision and tuning knobs — is
+    now a ``TypeError``."""
 
     def test_fault_simulator_backend_kwarg(self, netlist):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -167,10 +177,116 @@ class TestDeprecationShims:
             lambda: ForkPoolExecutor(1, sleep=None),
             lambda: DistributedExecutor(1, sleep=None),
             lambda: ParallelTrainer(None, sleep=None),
+            lambda: ParallelTrainer(None, **{"max_workers": 2}),
+            lambda: ParallelTrainer(None, **{"worker_timeout": 1.0}),
+            lambda: ParallelTrainer(None, **{"retry_policy": None}),
+            lambda: ParallelTrainer(None, **{"serial_fallback": False}),
+            lambda: FaultSimulator(None, config=None),
+            lambda: ObservabilityAnalyzer(None, config=None),
+            lambda: PpsfpEngine(None, (), config=None),
+            lambda: BatchedConeEngine(None, (), group_size=1),
+            lambda: BatchedConeEngine(None, (), max_group_bytes=1),
+            lambda: BatchedConeEngine(None, (), dense_threshold=0.5),
+            lambda: PartitionConfig(balance_slack=0.1),
+            lambda: PartitionConfig(refine_passes=1),
         ],
         ids=["make_executor", "ForkPoolExecutor", "DistributedExecutor",
-             "ParallelTrainer"],
+             "ParallelTrainer", "ParallelTrainer-max-workers",
+             "ParallelTrainer-worker-timeout", "ParallelTrainer-retry-policy",
+             "ParallelTrainer-serial-fallback", "FaultSimulator-config",
+             "ObservabilityAnalyzer-config", "PpsfpEngine-config",
+             "BatchedConeEngine-group-size",
+             "BatchedConeEngine-max-group-bytes",
+             "BatchedConeEngine-dense-threshold",
+             "PartitionConfig-balance-slack",
+             "PartitionConfig-refine-passes"],
     )
     def test_constructor_sleep_is_gone(self, build):
         with pytest.raises(TypeError, match="unexpected keyword"):
             build()
+
+
+# --------------------------------------------------------------------- #
+# One way to size a worker pool: ExecutionConfig, for every engine
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def pool_design():
+    """Enough stems and faults (>= 1024) for ``auto`` to pick the pool."""
+    return generate_design(3000, seed=3)
+
+
+def _label(design, execution):
+    label_nodes(design, LabelConfig(n_patterns=64, execution=execution))
+
+
+def _observe(design, execution):
+    with ObservabilityAnalyzer(design, execution=execution) as analyzer:
+        analyzer.masks(
+            analyzer.simulator.random_source_words(1, np.random.default_rng(0))
+        )
+
+
+def _fault_sim(design, execution):
+    with FaultSimulator(design, execution) as fsim:
+        words = fsim.simulator.random_source_words(1, np.random.default_rng(0))
+        faults = full_fault_list(design)[:1024]
+        fsim.detection_masks(faults, fsim.good_values(words))
+
+
+def _sharded(design, execution):
+    weights = GCN(GCNConfig(seed=5)).layer_weights()
+    graph = GraphData.from_netlist(generate_design(120, seed=23))
+    with ShardedInference(weights, execution) as engine:
+        engine.logits(graph)
+
+
+def _train(design, execution):
+    graphs = []
+    for seed in (1, 2):
+        g = GraphData.from_netlist(generate_design(40, seed=seed))
+        graphs.append(GraphData(
+            pred=g.pred, succ=g.succ, attributes=g.attributes,
+            labels=(g.attributes[:, 3] > 0).astype(np.int64), name=f"g{seed}",
+        ))
+    ParallelTrainer(
+        GCN(GCNConfig(hidden_dims=(4,), fc_dims=(4,), seed=5)),
+        TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd"),
+        execution=execution,
+    ).train_step(graphs)
+
+
+POOL_ENGINES = {
+    "label_nodes": _label,
+    "ObservabilityAnalyzer": _observe,
+    "FaultSimulator": _fault_sim,
+    "ShardedInference": _sharded,
+    "ParallelTrainer": _train,
+}
+POOL_CASES = [
+    ("workers=1", ExecutionConfig(workers=1), []),
+    ("inprocess", ExecutionConfig(exec_backend="inprocess"), []),
+    ("workers=2", ExecutionConfig(workers=2), [2]),
+]
+
+
+class TestPoolSizedByExecutionConfig:
+    @pytest.mark.parametrize("case", POOL_CASES, ids=[c[0] for c in POOL_CASES])
+    @pytest.mark.parametrize("engine", POOL_ENGINES)
+    def test_pools_built(self, engine, case, pool_design, monkeypatch):
+        """The pools an engine builds are the ones its ExecutionConfig
+        asks for: none with one worker or ``inprocess``, one of exactly
+        ``workers`` otherwise."""
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        _, execution, expected = case
+        built = []
+        real_init = ForkPoolExecutor.__init__
+
+        def spy(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.max_workers)
+
+        monkeypatch.setattr(ForkPoolExecutor, "__init__", spy)
+        POOL_ENGINES[engine](pool_design, execution)
+        assert built == expected
