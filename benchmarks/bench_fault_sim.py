@@ -1,9 +1,12 @@
-"""Fault-simulation engine benchmark: serial vs batched vs parallel.
+"""Fault-simulation engine benchmark: serial oracle vs batched vs parallel.
 
 Times the exact same grading workload (collapsed stuck-at fault list, 256
-random patterns) through every backend on a ladder of design sizes and
-writes ``results/BENCH_fault_sim.json`` with faults/sec, wall-clock and
-speedups over the serial oracle, plus a bit-identity check per tier.
+random patterns) three ways on a ladder of design sizes — the serial
+oracle in ``tests/atpg/reference_faultsim.py``, the engine in process
+(``workers=1``), and the engine on the worker pool (every core, with
+``POOL_MIN_SITES`` lowered so every tier pools) — and writes
+``results/BENCH_fault_sim.json`` with faults/sec, wall-clock and speedups
+over the oracle, plus a bit-identity check per tier.
 
 Run directly (``make bench-faultsim``); it is not a pytest-benchmark
 module — the engine's acceptance numbers come from wall-clock over a
@@ -17,16 +20,25 @@ best-of-N timing.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+from repro.atpg import ppsfp
 from repro.atpg.cones import get_cone_index, invalidate_cone_cache
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import collapse_faults
 from repro.config import ExecutionConfig
 from repro.data.benchmarks import benchmark_scale, generate_design
 from repro.experiments.common import write_result
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.atpg import reference_faultsim as reference  # noqa: E402
+
+#: the execution config behind each timed column
+_COLUMNS = {"batched": ExecutionConfig(workers=1), "parallel": ExecutionConfig()}
 
 #: tier gate counts as fractions of the default benchmark design size
 _TIERS = (0.15, 0.6, 1.0)
@@ -54,14 +66,14 @@ def _grade_tier(n_gates: int, repeats: int) -> dict:
 
     # Warm the shared cone index before timing: it is built once per
     # netlist content and amortised across every pattern batch, OPI
-    # iteration and backend in real use — and the serial oracle uses the
+    # iteration and path in real use — and the serial oracle uses the
     # very same cache, so warming favours neither side.
     index = get_cone_index(netlist)
     for fault in faults:
         index.cone(fault.node)
 
-    t_serial, reference = _best_of(
-        lambda: fsim.detection_masks(faults, values, backend="serial"), repeats
+    t_serial, (oracle, _) = _best_of(
+        lambda: reference.detection_masks(netlist, faults, values), repeats
     )
     row = {
         "gates": netlist.num_nodes,
@@ -79,18 +91,21 @@ def _grade_tier(n_gates: int, repeats: int) -> dict:
         row["parallel_seconds"] = None
         row["parallel_speedup"] = None
         row["parallel_skipped"] = "single-core host"
+    pool_min_sites = ppsfp.POOL_MIN_SITES
     for backend in backends:
-        engine = FaultSimulator(netlist, ExecutionConfig(backend=backend))
+        engine = FaultSimulator(netlist, _COLUMNS[backend])
+        ppsfp.POOL_MIN_SITES = 1
         try:
             t, masks = _best_of(
                 lambda: engine.detection_masks(faults, values), repeats
             )
         finally:
+            ppsfp.POOL_MIN_SITES = pool_min_sites
             engine.close()
         row[f"{backend}_seconds"] = t
         row[f"{backend}_faults_per_second"] = len(faults) / t
         row[f"{backend}_speedup"] = t_serial / t
-        row["bit_identical"] &= bool(np.array_equal(reference, masks))
+        row["bit_identical"] &= bool(np.array_equal(oracle, masks))
     return row
 
 

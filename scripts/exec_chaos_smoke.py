@@ -5,7 +5,7 @@ Default section — runs the fault-simulation engine through the fork-pool
 fabric under each *process* ``REPRO_CHAOS`` mode (kill / hang / raise /
 corrupt) plus a clean baseline, asserting after every run that:
 
-1. the recovered result is bit-identical to the batched serial oracle;
+1. the recovered result is bit-identical to the in-process result;
 2. the fabric actually exercised the recovery machinery (retries > 0 for
    every chaos mode; integrity rejections > 0 for ``corrupt``);
 3. no ``repro-exec-*`` shared-memory segment is left in ``/dev/shm``.
@@ -19,6 +19,10 @@ that the expected ``repro_exec_*`` counters moved, that a SIGKILLed
 worker mid-run leaves the survivor to finish, and that a fleet of zero
 workers runs the same ladder on forked local workers with identical
 numbers.
+
+The fault lists are small, so the script lowers
+``repro.atpg.ppsfp.POOL_MIN_SITES`` to 1 once its in-process oracles are
+computed: every later fault-simulation call grades on the pool.
 
 Metrics snapshots land in ``$REPRO_RESULTS/exec_chaos_metrics.json`` and
 ``$REPRO_RESULTS/exec_net_chaos_metrics.json`` (default ``results/``) so
@@ -45,6 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.atpg import ppsfp  # noqa: E402
 from repro.atpg.fault_sim import FaultSimulator  # noqa: E402
 from repro.atpg.faults import collapse_faults  # noqa: E402
 from repro.config import ExecutionConfig  # noqa: E402
@@ -81,7 +86,8 @@ def main() -> None:
     )
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
-    oracle = fsim.detection_masks(faults, values, backend="batched")
+    oracle = fsim.detection_masks(faults, values)
+    ppsfp.POOL_MIN_SITES = 1
 
     # Longer than the worker timeout: the hung worker is killed at its
     # deadline, not waited for.
@@ -98,7 +104,7 @@ def main() -> None:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                masks = fsim.detection_masks(faults, values, backend="parallel")
+                masks = fsim.detection_masks(faults, values)
         finally:
             os.environ.pop("REPRO_CHAOS", None)
         if not np.array_equal(masks, oracle):
@@ -227,7 +233,7 @@ def _run_engines(label, graphs, oracle_train, fsim, faults, values,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         loss, state = _train_step(graphs)
-        masks = fsim.detection_masks(faults, values, backend="parallel")
+        masks = fsim.detection_masks(faults, values)
         logits = inference.logits(graph)
     oracle_loss, oracle_state = oracle_train
     if loss != oracle_loss or any(
@@ -253,7 +259,8 @@ def distributed_main() -> None:
     oracle_train = _train_step(graphs)
     os.environ.pop("REPRO_EXEC_BACKEND", None)
     fsim, faults, values = _make_fsim()
-    oracle_masks = fsim.detection_masks(faults, values, backend="batched")
+    oracle_masks = fsim.detection_masks(faults, values)
+    ppsfp.POOL_MIN_SITES = 1
     inference, graph, oracle_logits = _make_inference()
 
     report: dict = {}
@@ -326,7 +333,7 @@ def distributed_main() -> None:
         killer.start()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            masks = fsim.detection_masks(faults, values, backend="parallel")
+            masks = fsim.detection_masks(faults, values)
         killer.join()
         if not np.array_equal(masks, oracle_masks):
             fail("worker-kill: survivor's masks diverged from the oracle")

@@ -438,9 +438,8 @@ def simulate_faults(
     """Grade a fault list against random patterns (PPSFP with dropping).
 
     ``faults`` defaults to the collapsed stuck-at list.  ``execution``
-    selects the grading backend (``auto`` | ``serial`` | ``batched`` |
-    ``parallel``) and worker count; coverage is bit-identical across
-    backends.
+    gives the worker count and fabric backend a large fault list may be
+    sharded over; coverage is bit-identical whatever it says.
     """
     from repro.utils.rng import as_rng
 

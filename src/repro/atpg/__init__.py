@@ -17,11 +17,7 @@ from repro.atpg.cones import (
     get_cone_index,
     invalidate_cone_cache,
 )
-from repro.atpg.ppsfp import (
-    BatchedConeEngine,
-    PpsfpEngine,
-    resolve_backend,
-)
+from repro.atpg.ppsfp import BatchedConeEngine, PpsfpEngine
 from repro.atpg.observability import ObservabilityAnalyzer, observability_counts
 from repro.atpg.faults import Fault, collapse_faults, full_fault_list
 from repro.atpg.fault_sim import FaultSimResult, FaultSimulator
@@ -45,7 +41,6 @@ __all__ = [
     "invalidate_cone_cache",
     "BatchedConeEngine",
     "PpsfpEngine",
-    "resolve_backend",
     "ObservabilityAnalyzer",
     "observability_counts",
     "Fault",

@@ -6,20 +6,14 @@ injected and only its forward cone resimulated, comparing values at the
 observation sites.  Detected faults are dropped from the active list, which
 is what makes random-phase ATPG affordable.
 
-Backends (see :mod:`repro.atpg.ppsfp`):
-
-* ``serial`` — the original per-fault, per-node Python walk.  Kept as the
-  executable specification; every other backend must match it bit for bit.
-* ``batched`` — fault-axis vectorisation: F faults graded per call with
-  grouped numpy ops over the union forward cone.
-* ``parallel`` — the batched engine sharded across a process pool with
-  the good-value matrix in shared memory.
-* ``auto`` (default) — picks for the workload and machine.
-
-All of it is chosen by the one :class:`~repro.config.ExecutionConfig`
-the simulator takes: ``backend`` names the engine, ``workers`` sizes the
-pool (and with one worker ``auto`` stays in process), ``exec_backend``
-names the fabric transport.
+Grading runs on :class:`~repro.atpg.ppsfp.PpsfpEngine`, which picks its
+path from the input: F faults per call with grouped numpy ops over the
+union forward cone, in process, or — for a call grading at least
+:data:`~repro.atpg.ppsfp.POOL_MIN_SITES` faults under an
+:class:`~repro.config.ExecutionConfig` that allows more than one worker
+off the ``inprocess`` fabric — the same engine sharded across the
+execution fabric's pool.  Both are bit-identical to the per-fault cone
+walk kept as the oracle in ``tests/atpg/reference_faultsim.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.atpg.faults import Fault
-from repro.atpg.observability import _ConeValues, _eval_with_overrides
-from repro.atpg.ppsfp import PpsfpEngine, _inject_rows, resolve_backend
+from repro.atpg.ppsfp import PpsfpEngine, _inject_rows
 from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit.netlist import Netlist
 from repro.obs.metrics import get_registry
@@ -56,22 +49,12 @@ def _obs():
     )
 
 
-def _serial_evals_counter():
-    return get_registry().counter(
-        "repro_atpg_cone_node_evals_total",
-        "per-node cone evaluations in the serial fault-simulation path",
-    )
-
-
 def _rate_gauge():
     return get_registry().gauge(
         "repro_atpg_faults_per_second",
         "fault gradings per wall-clock second, by backend",
         labelnames=("backend",),
     )
-
-
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -86,11 +69,9 @@ class FaultSimResult:
 class FaultSimulator:
     """Fault simulator bound to one netlist.
 
-    ``execution`` selects the grading engine for :meth:`simulate_batch` /
-    :meth:`detection_masks` (backend ``auto`` | ``serial`` | ``batched``
-    | ``parallel``, plus the worker count and fabric backend); per-call
-    backend overrides win.  :meth:`detection_mask` is always the serial
-    oracle.
+    ``execution`` sizes and places the grading engine's worker pool
+    (``workers``, ``exec_backend``); whether a call uses the pool is the
+    engine's decision (:meth:`PpsfpEngine.grading_path`).
     """
 
     def __init__(
@@ -101,7 +82,6 @@ class FaultSimulator:
         self.execution = execution or ExecutionConfig()
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)
-        self.backend = self.execution.backend
         self._observed = set(netlist.observation_sites)
         self._observed.update(netlist.observation_points())
         self._engine: PpsfpEngine | None = None
@@ -111,7 +91,7 @@ class FaultSimulator:
 
     @property
     def engine(self) -> PpsfpEngine:
-        """The batched/parallel grading engine (created on first use)."""
+        """The grading engine (created on first use)."""
         if self._engine is None:
             self._engine = PpsfpEngine(
                 self.simulator, self._observed, self.execution
@@ -130,63 +110,24 @@ class FaultSimulator:
         self.close()
 
     # ------------------------------------------------------------------ #
-    def detection_mask(self, fault: Fault, values: np.ndarray) -> np.ndarray:
-        """Packed mask of patterns that detect ``fault`` given good values.
-
-        A pattern detects the fault iff (a) it activates it — the fault-free
-        value at the site differs from the stuck value — and (b) the faulty
-        value propagates to an observation site.  This is the serial oracle:
-        one Python-level gate evaluation per cone node.
-        """
-        n_words = values.shape[1]
-        site_value = values[fault.node]
-        stuck = np.full(n_words, _ONES if fault.stuck_value else 0, dtype=np.uint64)
-        activated = site_value ^ stuck
-        if not activated.any():
-            return np.zeros(n_words, dtype=np.uint64)
-
-        faulty = _ConeValues(values)
-        faulty.set(fault.node, stuck)
-        diff = np.zeros(n_words, dtype=np.uint64)
-        if fault.node in self._observed:
-            diff |= activated
-        cone = self.simulator.forward_cone(fault.node)
-        for v in cone:
-            new = _eval_with_overrides(self.simulator, v, faulty)
-            faulty.set(v, new)
-            if v in self._observed:
-                diff |= new ^ values[v]
-        _serial_evals_counter().inc(len(cone))
-        return diff & activated
-
     def detection_masks(
-        self,
-        faults: list[Fault],
-        values: np.ndarray,
-        backend: str | None = None,
+        self, faults: list[Fault], values: np.ndarray
     ) -> np.ndarray:
         """Detection masks for every fault at once, shape ``(F, W)``.
 
-        Bit-identical across backends: row ``i`` equals
-        ``detection_mask(faults[i], values)``.
+        Bit ``p`` of row ``i`` is set iff pattern ``p`` detects
+        ``faults[i]`` given the good values: it activates the fault (the
+        fault-free value at the site differs from the stuck value) and the
+        faulty value propagates to an observation site.
         """
         n_words = values.shape[1]
         if not faults:
             return np.zeros((0, n_words), dtype=np.uint64)
-        resolved = resolve_backend(
-            backend or self.backend,
-            len(faults),
-            n_words,
-            workers=self.execution.resolved_workers(),
-        )
-        if resolved == "serial":
-            return np.stack([self.detection_mask(f, values) for f in faults])
         sites = np.array([f.node for f in faults], dtype=np.int64)
         stuck = np.array([f.stuck_value for f in faults], dtype=np.uint8)
-        diffs = self.engine.masks(sites, values, stuck, backend=resolved)
-        # Same post-processing the serial path applies per fault: the site
-        # itself counts as a propagation target when observed, and a
-        # pattern only detects when it activates the fault.
+        diffs = self.engine.masks(sites, values, stuck)
+        # The site itself counts as a propagation target when observed,
+        # and a pattern only detects when it activates the fault.
         activated = values[sites] ^ _inject_rows(sites, stuck, values)
         site_observed = np.array(
             [f.node in self._observed for f in faults], dtype=bool
@@ -200,7 +141,6 @@ class FaultSimulator:
         faults: list[Fault],
         source_words: np.ndarray,
         n_patterns: int | None = None,
-        backend: str | None = None,
     ) -> FaultSimResult:
         """Grade ``faults`` against one packed pattern batch.
 
@@ -211,21 +151,16 @@ class FaultSimulator:
             n_patterns = n_words * 64
         trim = tail_mask(n_patterns)
         result = FaultSimResult()
-        resolved = resolve_backend(
-            backend or self.backend,
-            len(faults),
-            n_words,
-            workers=self.execution.resolved_workers(),
-        )
+        path = self.engine.grading_path(len(faults))
         started = time.perf_counter()
         with span(
             "atpg.simulate_batch",
             faults=len(faults),
             patterns=n_patterns,
-            backend=resolved,
+            backend=path,
         ):
             values = self.good_values(source_words)
-            masks = self.detection_masks(faults, values, backend=resolved)
+            masks = self.detection_masks(faults, values)
             masks &= trim
             for i, fault in enumerate(faults):
                 mask = masks[i]
@@ -241,14 +176,13 @@ class FaultSimulator:
         graded.inc(len(faults))
         detected.inc(len(result.detected))
         if faults and elapsed > 0:
-            _rate_gauge().labels(backend=resolved).set(len(faults) / elapsed)
+            _rate_gauge().labels(backend=path).set(len(faults) / elapsed)
         return result
 
     def fault_coverage(
         self,
         faults: list[Fault],
         pattern_batches: list[np.ndarray],
-        backend: str | None = None,
     ) -> tuple[float, list[Fault]]:
         """Coverage of ``faults`` by the given batches, with fault dropping.
 
@@ -261,7 +195,7 @@ class FaultSimulator:
         for batch in pattern_batches:
             if not remaining:
                 break
-            result = self.simulate_batch(remaining, batch, backend=backend)
+            result = self.simulate_batch(remaining, batch)
             dropped = set(result.detected)
             remaining = [f for f in remaining if f not in dropped]
         return 1.0 - len(remaining) / total, remaining

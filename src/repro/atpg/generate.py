@@ -46,9 +46,8 @@ class AtpgConfig:
     #: weighted-random BIST; see :mod:`repro.atpg.weighted_random`)
     weighted_random: bool = False
     seed: int | None = 0
-    #: execution config for fault simulation (backend ``auto`` | ``serial``
-    #: | ``batched`` | ``parallel``); results are bit-identical, only
-    #: speed differs
+    #: worker count and fabric backend for fault simulation; results are
+    #: bit-identical, only speed differs
     execution: "ExecutionConfig | None" = None
 
 

@@ -23,9 +23,9 @@ observability depends on masking far downstream, information its local
 SCOAP attributes do not carry — which is precisely why the paper's GCN has
 signal to learn.
 
-The one :class:`~repro.config.ExecutionConfig` the analyzer takes says
-how the stem resimulations run: serially, batched in process, or sharded
-over ``workers`` processes on the ``exec_backend`` fabric.
+All stem resimulations of a call are one fault-axis engine call
+(:mod:`repro.atpg.ppsfp`); the one :class:`~repro.config.ExecutionConfig`
+the analyzer takes sizes and places that engine's worker pool.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.circuit.cells import GateType, controlling_value
 from repro.circuit.netlist import Netlist
-from repro.atpg.simulator import LogicSimulator, popcount_words, tail_mask
+from repro.atpg.simulator import LogicSimulator, tail_mask
 
 __all__ = ["ObservabilityAnalyzer", "observability_counts"]
 
@@ -45,30 +45,20 @@ _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 class ObservabilityAnalyzer:
     """Per-pattern observability masks for every node of a netlist.
 
-    ``execution.backend`` picks how the exact stem masks are resolved:
-    ``serial`` walks each stem's cone gate by gate (the oracle);
-    ``batched``/``parallel`` grade every stem in one fault-axis engine
-    call (:mod:`repro.atpg.ppsfp`) before the backward walk — the masks
-    depend only on the good values, never on each other, so they can all
-    be computed up front.  ``execution.workers`` and
-    ``execution.exec_backend`` size and place the ``parallel`` engine's
-    pool.  Results are bit-identical across backends.
+    Every exact stem mask is graded in one fault-axis engine call
+    (:class:`~repro.atpg.ppsfp.PpsfpEngine`) before the backward walk —
+    the masks depend only on the good values, never on each other, so
+    they can all be computed up front.  ``execution.workers`` and
+    ``execution.exec_backend`` size and place that engine's pool; results
+    are bit-identical whether it is used or not.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        exact_stems: bool = True,
-        *,
-        execution=None,
-    ) -> None:
+    def __init__(self, netlist: Netlist, *, execution=None) -> None:
         from repro.config import ExecutionConfig
 
         self.execution = execution or ExecutionConfig()
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)
-        self.exact_stems = exact_stems
-        self.backend = self.execution.backend
         self._engine = None
 
     def close(self) -> None:
@@ -92,9 +82,7 @@ class ObservabilityAnalyzer:
         values = self.simulator.simulate(source_words)
         return self.masks_from_values(values)
 
-    def masks_from_values(
-        self, values: np.ndarray, backend: str | None = None
-    ) -> np.ndarray:
+    def masks_from_values(self, values: np.ndarray) -> np.ndarray:
         """Same as :meth:`masks` given precomputed good-circuit values."""
         netlist = self.netlist
         n_words = values.shape[1]
@@ -111,14 +99,12 @@ class ObservabilityAnalyzer:
                 if netlist.gate_type(w) is not GateType.DFF
             ]
 
-        stem_masks: dict[int, np.ndarray] = {}
-        if self.exact_stems:
-            stems = [
-                v
-                for v in self.simulator.order
-                if v not in observed and len(_nondff_fanouts(v)) > 1
-            ]
-            stem_masks = self._resolve_stems(stems, values, backend)
+        stems = [
+            v
+            for v in self.simulator.order
+            if v not in observed and len(_nondff_fanouts(v)) > 1
+        ]
+        stem_masks = self._resolve_stems(stems, values)
 
         # Reverse topological walk.
         for v in reversed(self.simulator.order):
@@ -131,118 +117,31 @@ class ObservabilityAnalyzer:
             if len(fanouts) == 1:
                 g = fanouts[0]
                 obs[v] = obs[g] & _local_sensitisation(netlist, g, v, values)
-            elif self.exact_stems:
-                obs[v] = stem_masks[v]
             else:
-                mask = np.zeros(n_words, dtype=np.uint64)
-                for g in fanouts:
-                    mask |= obs[g] & _local_sensitisation(netlist, g, v, values)
-                obs[v] = mask
+                obs[v] = stem_masks[v]
         return obs
 
     def _resolve_stems(
-        self, stems: list[int], values: np.ndarray, backend: str | None
+        self, stems: list[int], values: np.ndarray
     ) -> dict[int, np.ndarray]:
-        """Exact observability mask for every fanout stem at once."""
-        from repro.atpg.ppsfp import resolve_backend
+        """Exact observability mask for every fanout stem at once.
 
-        n_words = values.shape[1]
+        Each stem's value is flipped and its forward cone resimulated,
+        observed at the observation *sites* only: an inserted OBS cell
+        exposes its fanin, which is already a site.
+        """
         if not stems:
             return {}
-        resolved = resolve_backend(
-            backend or self.backend,
-            len(stems),
-            n_words,
-            workers=self.execution.resolved_workers(),
-        )
-        if resolved == "serial":
-            return {v: self._stem_mask(v, values) for v in stems}
         if self._engine is None:
             from repro.atpg.ppsfp import PpsfpEngine
 
-            # Stem resolution observes at the observation *sites* only;
-            # inserted OBS cells expose their fanin, which is already a
-            # site — mirroring :meth:`_stem_mask` exactly.
             self._engine = PpsfpEngine(
                 self.simulator,
                 set(self.netlist.observation_sites),
                 self.execution,
             )
-        sites = np.array(stems, dtype=np.int64)
-        diffs = self._engine.masks(sites, values, stuck=None, backend=resolved)
-        observed = self._engine.observed
-        out: dict[int, np.ndarray] = {}
-        for i, v in enumerate(stems):
-            if not self.simulator.forward_cone(v):
-                out[v] = np.zeros(n_words, dtype=np.uint64)
-            elif v in observed:
-                out[v] = diffs[i] | _ONES
-            else:
-                out[v] = diffs[i]
-        return out
-
-    def _stem_mask(self, stem: int, values: np.ndarray) -> np.ndarray:
-        """Exact stem observability by faulty-cone resimulation."""
-        netlist = self.netlist
-        sim = self.simulator
-        cone = sim.forward_cone(stem)
-        n_words = values.shape[1]
-        if not cone:
-            return np.zeros(n_words, dtype=np.uint64)
-        faulty = _ConeValues(values)
-        faulty.set(stem, ~values[stem])
-        diff = np.zeros(n_words, dtype=np.uint64)
-        observed = set(netlist.observation_sites)
-        for v in cone:
-            new = _eval_with_overrides(sim, v, faulty)
-            faulty.set(v, new)
-            if v in observed:
-                diff |= new ^ values[v]
-        if stem in observed:
-            diff |= _ONES
-        return diff
-
-
-class _ConeValues:
-    """Sparse overlay of faulty values on top of the good-value matrix."""
-
-    __slots__ = ("base", "over")
-
-    def __init__(self, base: np.ndarray) -> None:
-        self.base = base
-        self.over: dict[int, np.ndarray] = {}
-
-    def get(self, node: int) -> np.ndarray:
-        hit = self.over.get(node)
-        return hit if hit is not None else self.base[node]
-
-    def set(self, node: int, words: np.ndarray) -> None:
-        self.over[node] = words
-
-
-def _eval_with_overrides(sim: LogicSimulator, node: int, vals: _ConeValues) -> np.ndarray:
-    gate_type = sim.netlist.gate_type(node)
-    fanins = sim.netlist.fanins(node)
-    if gate_type in (GateType.BUF, GateType.OBS, GateType.DFF):
-        return vals.get(fanins[0]).copy()
-    if gate_type is GateType.NOT:
-        return ~vals.get(fanins[0])
-    if gate_type in (GateType.AND, GateType.NAND):
-        out = vals.get(fanins[0]).copy()
-        for u in fanins[1:]:
-            out &= vals.get(u)
-        return ~out if gate_type is GateType.NAND else out
-    if gate_type in (GateType.OR, GateType.NOR):
-        out = vals.get(fanins[0]).copy()
-        for u in fanins[1:]:
-            out |= vals.get(u)
-        return ~out if gate_type is GateType.NOR else out
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        out = vals.get(fanins[0]).copy()
-        for u in fanins[1:]:
-            out ^= vals.get(u)
-        return ~out if gate_type is GateType.XNOR else out
-    raise ValueError(f"cannot resimulate gate type {gate_type!r}")
+        diffs = self._engine.masks(np.array(stems, dtype=np.int64), values)
+        return dict(zip(stems, diffs))
 
 
 def _local_sensitisation(
@@ -289,7 +188,6 @@ def observability_counts(
     netlist: Netlist,
     n_patterns: int,
     seed: int | np.random.Generator | None = 0,
-    exact_stems: bool = True,
     *,
     execution=None,
 ) -> np.ndarray:
@@ -301,9 +199,7 @@ def observability_counts(
     from repro.utils.rng import as_rng
 
     rng = as_rng(seed)
-    with ObservabilityAnalyzer(
-        netlist, exact_stems=exact_stems, execution=execution
-    ) as analyzer:
+    with ObservabilityAnalyzer(netlist, execution=execution) as analyzer:
         n_words = (n_patterns + 63) // 64
         source_words = analyzer.simulator.random_source_words(n_words, rng)
         masks = analyzer.masks(source_words)

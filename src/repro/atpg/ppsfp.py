@@ -1,9 +1,9 @@
 """Fault-batched, multi-core cone propagation (PPSFP v2).
 
-The serial fault simulator grades one fault at a time with a Python loop
-over every gate of its forward cone — literally millions of interpreter
-round-trips for one labelling run.  This module replaces that inner loop
-with *fault-axis* vectorisation and optional multi-process sharding:
+Grading one fault at a time with a Python loop over every gate of its
+forward cone costs millions of interpreter round-trips per labelling run.
+This module replaces that inner loop with *fault-axis* vectorisation and
+optional multi-process sharding:
 
 * :class:`BatchedConeEngine` grades ``F`` faults per call.  Faulty values
   live in arrays of shape ``(F, n_words)`` materialised only on the
@@ -11,35 +11,35 @@ with *fault-axis* vectorisation and optional multi-process sharding:
   ``(gate type, arity)`` group is one set of numpy ops for all faults at
   once — the same grouping trick ``LogicSimulator.simulate`` uses on the
   pattern axis, applied to the fault axis.
-* :class:`PpsfpEngine` adds the multi-core path: the undetected fault
-  list is sharded across the execution fabric's fork pool
-  (:mod:`repro.exec`), the good-value matrix is passed once per pattern
-  batch through a fabric-owned shared-memory segment, and the fabric's
-  supervision ladder applies — a failed or silent worker is killed and
-  respawned and its task retried, then a bit-identical in-process
-  fallback.  Where it runs (worker count, fabric backend) comes from the
-  caller's :class:`~repro.config.ExecutionConfig`; how it is supervised
-  is the engine's one :class:`~repro.exec.ExecPolicy` attribute,
-  ``policy``.  The tuning values (:data:`MAX_GROUP`,
+* :class:`PpsfpEngine` adds the multi-core path: a call grading at least
+  :data:`POOL_MIN_SITES` sites, under an
+  :class:`~repro.config.ExecutionConfig` that allows more than one worker
+  on a fabric other than ``inprocess``, is sharded across the execution
+  fabric's pool (:mod:`repro.exec`).  The good-value matrix is passed once
+  per pattern batch through a fabric-owned shared-memory segment, and the
+  fabric's supervision ladder applies — a failed or silent worker is
+  killed and respawned and its task retried, then a bit-identical
+  in-process fallback — as the engine's one
+  :class:`~repro.exec.ExecPolicy` attribute, ``policy``, says.  Every
+  other call is one in-process :meth:`BatchedConeEngine.propagate`.  The
+  tuning values (:data:`POOL_MIN_SITES`, :data:`MAX_GROUP`,
   :data:`MAX_GROUP_BYTES`, :data:`DENSE_THRESHOLD`,
   :data:`SHARDS_PER_WORKER`) are module constants.
 
-Both paths produce *bit-identical* results to the serial oracle: every
-evaluation is an exact bitwise gate function of the same operands, only
-the iteration order changes.  The equivalence suite in
-``tests/atpg/test_ppsfp_equivalence.py`` asserts this property on random
-netlists.
+Both paths produce *bit-identical* results to the per-fault cone walk
+(the oracle in ``tests/atpg/reference_faultsim.py``): every evaluation is
+an exact bitwise gate function of the same operands, only the iteration
+order changes.  ``tests/atpg/test_ppsfp_equivalence.py`` asserts this on
+random netlists.
 
 Injection model: a call supplies, per site, an arbitrary packed injection
 row.  Stuck-at faults inject constants; exact-stem observability injects
 the complement of the good value (a "flip").  Detection semantics
-(activation masks, site-observed handling) stay with the callers so the
-serial implementations remain the executable specification.
+(activation masks, site-observed handling) stay with the callers.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import numpy as np
@@ -58,15 +58,13 @@ from repro.exec import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 
-__all__ = [
-    "PpsfpEngine",
-    "BatchedConeEngine",
-    "resolve_backend",
-    "BACKENDS",
-]
+__all__ = ["PpsfpEngine", "BatchedConeEngine"]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: fewest sites one call must grade before sharding it over the worker
+#: pool pays for the per-call shared-memory segment and pickling
+POOL_MIN_SITES = 1024
 #: fault-chunk size ceiling (see ``BatchedConeEngine._chunk_size``)
 MAX_GROUP = 512
 #: memory budget for one fault group's value arrays
@@ -76,31 +74,6 @@ MAX_GROUP_BYTES = 128 * 1024 * 1024
 DENSE_THRESHOLD = 0.7
 #: fault shards per worker in one parallel call
 SHARDS_PER_WORKER = 2
-
-BACKENDS = ("auto", "serial", "batched", "parallel")
-
-
-def resolve_backend(
-    requested: str | None,
-    n_sites: int,
-    n_words: int,
-    workers: int | None = None,
-) -> str:
-    """Map a backend request to a concrete one (``serial|batched|parallel``).
-
-    ``auto`` picks ``parallel`` only when there is more than one core *and*
-    the call grades enough faults to amortise the per-call shared-memory
-    and pickling overhead; otherwise the in-process batched path wins.
-    """
-    choice = (requested or "auto").lower()
-    if choice not in BACKENDS:
-        raise ValueError(f"unknown fault-sim backend {requested!r}; use {BACKENDS}")
-    if choice == "auto":
-        cpus = workers if workers else (os.cpu_count() or 1)
-        if cpus > 1 and n_sites >= 1024 and n_words >= 1:
-            return "parallel"
-        return "batched"
-    return choice
 
 
 def _obs():
@@ -142,7 +115,7 @@ def _eval_axis_group(
 
     ``vals`` is ``(n_local, F, W)``; ``fanin_pos`` is ``(m, arity)`` row
     indices into ``vals``.  Returns ``(m, F, W)``.  Semantics mirror
-    ``observability._eval_with_overrides`` exactly (bitwise, so grouping
+    ``diagnosis._eval_with_overrides`` exactly (bitwise, so grouping
     cannot change results).
     """
     m = fanin_pos.shape[0]
@@ -445,15 +418,16 @@ def _ppsfp_worker_grade(
 
 
 class PpsfpEngine:
-    """Backend-dispatching cone-propagation engine.
+    """Cone-propagation engine that picks its grading path per call.
 
-    Owns the in-process :class:`BatchedConeEngine` and, lazily, a
-    fork-pool executor from the execution fabric for the ``parallel``
-    backend, sized by ``execution.resolved_workers()`` on the backend
-    ``execution.resolve_exec_backend()`` names.  Worker supervision —
-    retry ladder, worker respawn, the bit-identical batched fallback —
-    lives in :mod:`repro.exec` and follows :attr:`policy`; this engine
-    only describes its shard tasks.
+    Owns the in-process :class:`BatchedConeEngine` and, lazily, an
+    executor from the execution fabric, sized by
+    ``execution.resolved_workers()`` on the backend
+    ``execution.resolve_exec_backend()`` names.  :meth:`grading_path`
+    says which of the two a call takes.  Worker supervision — retry
+    ladder, worker respawn, the bit-identical in-process fallback — lives
+    in :mod:`repro.exec` and follows :attr:`policy`; this engine only
+    describes its shard tasks.
     """
 
     def __init__(
@@ -462,7 +436,7 @@ class PpsfpEngine:
         self.simulator = simulator
         self.observed = frozenset(int(v) for v in observed)
         self.execution = execution or ExecutionConfig()
-        #: supervision of every parallel call
+        #: supervision of every pooled call
         self.policy = ExecPolicy()
         self.batched = BatchedConeEngine(simulator, self.observed)
         self._executor: Executor | None = None
@@ -470,12 +444,27 @@ class PpsfpEngine:
         self.worker_fn = _ppsfp_worker_grade
 
     # ------------------------------------------------------------------ #
+    def grading_path(self, n_sites: int) -> str:
+        """``parallel`` when a call grading ``n_sites`` sites is sharded
+        over the worker pool, else ``batched`` (one in-process call).
+
+        The pool is used only when the call grades at least
+        :data:`POOL_MIN_SITES` sites, the config allows more than one
+        worker, and its fabric backend is not ``inprocess``.
+        """
+        if (
+            n_sites >= POOL_MIN_SITES
+            and self.execution.resolved_workers() > 1
+            and self.execution.resolve_exec_backend() != "inprocess"
+        ):
+            return "parallel"
+        return "batched"
+
     def masks(
         self,
         sites: np.ndarray,
         values: np.ndarray,
         stuck: np.ndarray | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """Difference masks for ``sites`` (see :meth:`BatchedConeEngine.propagate`).
 
@@ -483,24 +472,11 @@ class PpsfpEngine:
         the complement of the good value at each site.
         """
         sites = np.asarray(sites, dtype=np.int64)
-        resolved = resolve_backend(
-            backend or self.execution.backend,
-            len(sites),
-            values.shape[1],
-            workers=self.execution.resolved_workers(),
-        )
-        if resolved == "serial":
-            raise ValueError(
-                "PpsfpEngine only runs the batched/parallel backends; the "
-                "serial oracle lives with its caller"
-            )
-        with span(
-            "atpg.ppsfp.masks", sites=len(sites), backend=resolved
-        ):
-            if resolved == "parallel" and len(sites) > 1:
+        path = self.grading_path(len(sites))
+        with span("atpg.ppsfp.masks", sites=len(sites), backend=path):
+            if path == "parallel":
                 return self._parallel_masks(sites, stuck, values)
-            inject = _inject_rows(sites, stuck, values)
-            return self.batched.propagate(sites, inject, values)
+            return self._batched_masks(sites, stuck, values)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -532,7 +508,7 @@ class PpsfpEngine:
             initargs=(payload,),
         )
 
-    def _shard_fallback(
+    def _batched_masks(
         self, sites: np.ndarray, stuck: np.ndarray | None, values: np.ndarray
     ) -> np.ndarray:
         inject = _inject_rows(sites, stuck, values)
@@ -547,19 +523,7 @@ class PpsfpEngine:
         shard_counter, failure_counter = _parallel_obs()
         shard_counter.inc(n_shards)
 
-        # The engine heuristics picked the fork pool; ``exec_backend`` (or
-        # REPRO_EXEC_BACKEND) can still force the in-process oracle (then
-        # no segment is shared and every shard runs its batched fallback
-        # serially) or route the shards through the socket coordinator.
-        resolved = self.execution.resolve_exec_backend(default="forkpool")
-        if resolved == "inprocess":
-            out = np.zeros((len(sites), values.shape[1]), dtype=np.uint64)
-            for idx in bounds:
-                out[idx] = self._shard_fallback(
-                    sites[idx], None if stuck is None else stuck[idx], values
-                )
-            return out
-
+        resolved = self.execution.resolve_exec_backend()
         if self._executor is None or self._executor.kind != resolved:
             self.close()
             self._executor = self._make_executor(resolved)
@@ -575,7 +539,7 @@ class PpsfpEngine:
                         None if stuck is None else stuck[idx],
                     ),
                     fallback=(
-                        lambda idx=idx: self._shard_fallback(
+                        lambda idx=idx: self._batched_masks(
                             sites[idx],
                             None if stuck is None else stuck[idx],
                             values,

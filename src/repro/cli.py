@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--patterns", type=int, default=256)
     ana.add_argument("--threshold", type=float, default=0.01)
     ana.add_argument(
-        "--fault-sim-backend",
-        choices=["auto", "serial", "batched", "parallel"],
-        default="auto",
-        help="fault-simulation engine for the exact observability labels",
-    )
-    ana.add_argument(
         "--workers", type=int, default=None, help="worker processes (default: cores)"
     )
 
@@ -174,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     atpg.add_argument("netlist", help="input .bench path")
     atpg.add_argument("--max-random", type=int, default=2048)
     atpg.add_argument("--seed", type=int, default=0)
-    atpg.add_argument(
-        "--fault-sim-backend",
-        choices=["auto", "serial", "batched", "parallel"],
-        default="auto",
-        help="fault-simulation engine for the random/compaction phases",
-    )
     atpg.add_argument(
         "--workers", type=int, default=None, help="worker processes (default: cores)"
     )
@@ -342,9 +330,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         api.LabelConfig(
             n_patterns=args.patterns,
             threshold=args.threshold,
-            execution=_execution(
-                backend=args.fault_sim_backend, workers=args.workers
-            ),
+            execution=_execution(workers=args.workers),
         ),
     )
     print(f"SCOAP CO: median={np.median(scoap.co):.1f} max={scoap.co.max():.0f}")
@@ -482,9 +468,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         config=api.AtpgConfig(
             max_random_patterns=args.max_random,
             seed=args.seed,
-            execution=_execution(
-                backend=args.fault_sim_backend, workers=args.workers
-            ),
+            execution=_execution(workers=args.workers),
         ),
     )
     print(

@@ -1,17 +1,16 @@
 """Unified execution configuration for every compute entry point.
 
 :class:`ExecutionConfig` is the one object that answers "how should this
-computation run" — backend choice, worker count, shard count, seed and
-dtype — with a single, documented environment-override resolution.
+computation run" — inference backend, worker count, shard count, fabric
+backend and dtype — with a single, documented environment-override
+resolution.  One config is valid for every consumer:
 
-Consumers and their backend vocabularies:
-
-========================  =============================================
-consumer                  backends
-========================  =============================================
-inference (GCN scoring)   ``auto`` | ``single`` | ``sharded``
-fault simulation          ``auto`` | ``serial`` | ``batched`` | ``parallel``
-========================  =============================================
+* ``backend`` (``auto`` | ``single`` | ``sharded``) is read by the GCN
+  inference engines only;
+* ``workers`` and ``exec_backend`` size and place every worker pool —
+  sharded inference, multi-graph training and fault simulation, which
+  picks between in-process and pooled grading from its input (see
+  :mod:`repro.atpg.ppsfp`).
 
 ``auto`` always means "pick for the workload and machine", and an *explicit*
 choice is never overridden by the environment.  Environment variables
@@ -67,18 +66,16 @@ SHARDED_AUTO_MIN_NODES = 200_000
 class ExecutionConfig:
     """How a computation should execute (backend, parallelism, numerics).
 
-    Immutable; derive variants with :meth:`replace`.  ``backend`` is
-    interpreted by the consumer (see the module docstring for the two
-    vocabularies); validation therefore happens at resolution time, not
-    construction, except for obviously invalid values.
+    Immutable; derive variants with :meth:`replace`.  Every field is
+    validated at construction, so a config that builds is valid for
+    every consumer.
     """
 
-    #: backend request; ``auto`` defers to workload heuristics + env
+    #: inference backend (``auto`` | ``single`` | ``sharded``); ``auto``
+    #: defers to ``REPRO_BACKEND`` then the graph size
     backend: str = "auto"
     #: worker processes for parallel paths (None = machine core count)
     workers: int | None = None
-    #: deterministic seed forwarded to stochastic consumers (None = theirs)
-    seed: int | None = None
     #: numeric dtype for inference engines (``float64`` matches training)
     dtype: str = "float64"
     #: shard count for partitioned inference (None = derived from workers)
@@ -88,14 +85,20 @@ class ExecutionConfig:
     #: ``REPRO_EXEC_BACKEND`` then the engine's own workload heuristic.
     #: Under ``socket``, sharded inference ships per-layer activation
     #: frames by value (no ``/dev/shm`` references), so shard rounds are
-    #: runnable on any fleet host; with no reachable remote workers it
-    #: degrades to the forkpool path unchanged.
+    #: runnable on any fleet host; with no reachable remote workers the
+    #: same by-value rounds run on forked local workers — not the
+    #: forkpool transport's shared activation slabs.
     exec_backend: str = "auto"
 
     def __post_init__(self) -> None:
         problems = []
-        if not isinstance(self.backend, str) or not self.backend:
-            problems.append("backend must be a non-empty string")
+        if (
+            not isinstance(self.backend, str)
+            or self.backend.lower() not in INFERENCE_BACKENDS
+        ):
+            problems.append(
+                f"backend {self.backend!r} must be one of {INFERENCE_BACKENDS}"
+            )
         if self.workers is not None and self.workers < 1:
             problems.append("workers must be >= 1 (or None for auto)")
         if self.shards is not None and self.shards < 1:
@@ -198,11 +201,6 @@ class ExecutionConfig:
         more than one worker is available.
         """
         choice = self.backend.lower()
-        if choice not in INFERENCE_BACKENDS:
-            raise ConfigError(
-                f"unknown inference backend {self.backend!r}; "
-                f"use one of {INFERENCE_BACKENDS}"
-            )
         if choice == "auto":
             env = os.environ.get(_ENV_BACKEND, "").strip().lower()
             if env and env != "auto":

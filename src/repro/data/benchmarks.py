@@ -91,7 +91,7 @@ def generate_benchmark(name: str, scale: float | None = None) -> Netlist:
 def _cache_key(name: str, scale: float, config: LabelConfig) -> str:
     blob = (
         f"{name}|{scale}|{config.n_patterns}|{config.threshold}|"
-        f"{config.seed}|{config.exact_stems}|v1"
+        f"{config.seed}|v1"
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:20]
 

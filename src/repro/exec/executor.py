@@ -79,28 +79,6 @@ class Executor:
         """``(backend label, run(tasks, policy) -> results)`` for a submit."""
         raise NotImplementedError
 
-    def submit_rounds(
-        self,
-        rounds: Sequence[Sequence[ShardTask]],
-        policy: ExecPolicy | None = None,
-    ) -> list[list]:
-        """Run dependent task rounds in order, a barrier between rounds.
-
-        Round ``r + 1`` starts only after every task of round ``r``
-        completed (through the full supervision ladder, in-process
-        rescue included), which is what lets multi-round protocols like
-        per-layer boundary exchange assume their inputs are fully
-        materialised.  Returns the per-round result lists;
-        ``last_submit_failures`` accumulates across the rounds.
-        """
-        results: list[list] = []
-        failures = 0
-        for tasks in rounds:
-            results.append(self.submit(tasks, policy=policy))
-            failures += self.last_submit_failures
-        self.last_submit_failures = failures
-        return results
-
     def close(self) -> None:
         """Release workers/segments (idempotent; submit may be called again)."""
 

@@ -25,7 +25,10 @@ run_shard_round`), two drivers:
   the socket transport they are one task each over the coordinator's CRC
   framing, carrying the shard's local input rows and returning its owned
   output rows, so remote workers never need the submitting host's
-  ``/dev/shm`` and requeued/stale-generation tasks are safe to re-run;
+  ``/dev/shm`` and requeued/stale-generation tasks are safe to re-run.
+  With no fleet registered, the socket executor runs those same by-value
+  tasks on forked local workers — it does not switch to the forkpool
+  driver below;
 * **forkpool** — two parent-owned shared-memory activation slabs
   ping-ponged between layers; each round's tasks read the previous
   layer's slab and write disjoint owned rows into the next, so retries
@@ -442,12 +445,12 @@ class ShardedInference(FastInference):
         )
         try:
             slabs[0].array[:, : widths[0]] = graph.attributes
-            rounds: list[list[ShardTask]] = []
+            failures = 0
             for d, head_round in self._rounds(with_head):
                 src, dst = slabs[d % 2], slabs[(d + 1) % 2]
                 w_in = widths[d]
                 w_out = n_cols if head_round else widths[d + 1]
-                rounds.append(
+                executor.submit(
                     [
                         ShardTask(
                             key=f"shard{i}:layer{d}",
@@ -469,11 +472,12 @@ class ShardedInference(FastInference):
                             ),
                         )
                         for i in range(len(shards))
-                    ]
+                    ],
+                    policy=self.policy,
                 )
-            executor.submit_rounds(rounds, policy=self.policy)
-            if executor.last_submit_failures:
-                failure_counter.inc(executor.last_submit_failures)
+                failures += executor.last_submit_failures
+            if failures:
+                failure_counter.inc(failures)
             final = slabs[self.weights.depth % 2].array
             out[:] = final[:, :n_cols]
         finally:

@@ -6,8 +6,8 @@ iterative OPI flow, benchmark regeneration — share these primitives:
 * :mod:`~repro.resilience.errors` — the typed :class:`ReproError`
   hierarchy every layer raises instead of builtin internals;
 * :mod:`~repro.resilience.atomic` — temp+fsync+rename file writes;
-* :mod:`~repro.resilience.retry` — exponential backoff and a circuit
-  breaker for transient failures;
+* :mod:`~repro.resilience.retry` — the exponential backoff schedule and
+  a circuit breaker for transient failures;
 * :mod:`~repro.resilience.checkpoint` — the atomic, self-validating
   snapshot store behind ``Trainer.fit(checkpoint=...)`` and OPI resume;
 * :mod:`~repro.resilience.degrade` — the predictor degradation ladder
@@ -33,13 +33,7 @@ from repro.resilience.errors import (
     ReproError,
     WorkerFailedError,
 )
-from repro.resilience.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryPolicy,
-    retry,
-    retrying,
-)
+from repro.resilience.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from repro.resilience.watchdog import ConvergenceWatchdog
 
 __all__ = [
@@ -55,8 +49,6 @@ __all__ = [
     "atomic_write_json",
     "atomic_save_npz",
     "RetryPolicy",
-    "retry",
-    "retrying",
     "CircuitBreaker",
     "CircuitOpenError",
     "Checkpoint",

@@ -1,21 +1,20 @@
-"""Retry with exponential backoff and a circuit breaker.
+"""Exponential backoff schedule and a circuit breaker.
 
-The fault-tolerance primitives the trainer and flow layers share: a
-:func:`retry` helper for transient failures (worker death, pool breakage)
-and a :class:`CircuitBreaker` that stops hammering a dependency that keeps
-failing.  The sleep function is injectable so tests exercise the backoff
-schedule without waiting.
+The fault-tolerance primitives the execution fabric and the serving layer
+share: a :class:`RetryPolicy` (the backoff schedule the fabric's
+supervision ladder follows) and a :class:`CircuitBreaker` that stops
+hammering a dependency that keeps failing.  The breaker's clock is
+injectable so tests exercise its timeouts without waiting.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "retry", "retrying", "CircuitBreaker", "CircuitOpenError"]
+__all__ = ["RetryPolicy", "CircuitBreaker", "CircuitOpenError"]
 
 
 @dataclass(frozen=True)
@@ -37,59 +36,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be non-negative")
-
-
-def retry(
-    fn: Callable,
-    *args,
-    policy: RetryPolicy | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    on_retry: Callable[[int, BaseException], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    **kwargs,
-):
-    """Call ``fn(*args, **kwargs)``, retrying on ``retry_on`` exceptions.
-
-    ``on_retry(attempt, exc)`` is invoked before each backoff sleep (use it
-    to log, count, or rebuild broken state).  The final failure re-raises
-    the last exception unchanged.
-
-    Thread-safety: all retry state (attempt counter, last exception) is
-    local to the call, so one policy/decorated function may be shared
-    freely across threads — each caller gets an independent schedule.
-    """
-    policy = policy or RetryPolicy()
-    last: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return fn(*args, **kwargs)
-        except retry_on as exc:
-            last = exc
-            if attempt == policy.max_attempts:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(policy.delay(attempt))
-    raise last  # pragma: no cover - unreachable
-
-
-def retrying(
-    policy: RetryPolicy | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Decorator form of :func:`retry`."""
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapped(*args, **kwargs):
-            return retry(
-                fn, *args, policy=policy, retry_on=retry_on, sleep=sleep, **kwargs
-            )
-
-        return wrapped
-
-    return decorate
 
 
 class CircuitOpenError(RuntimeError):

@@ -41,9 +41,8 @@ class LabelConfig:
     n_patterns: int = 256
     threshold: float = 0.01
     seed: int = 0
-    exact_stems: bool = True
-    #: execution config for the exact stem analysis (backend ``auto`` |
-    #: ``serial`` | ``batched`` | ``parallel``, workers)
+    #: worker count and fabric backend for the exact stem analysis
+    #: (labels are bit-identical whatever it says)
     execution: "ExecutionConfig | None" = None
 
 
@@ -79,7 +78,6 @@ def label_nodes(netlist: Netlist, config: LabelConfig | None = None) -> LabelRes
         netlist,
         n_patterns=config.n_patterns,
         seed=config.seed,
-        exact_stems=config.exact_stems,
         execution=config.execution,
     )
     cutoff = config.threshold * config.n_patterns

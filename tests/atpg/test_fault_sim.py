@@ -27,8 +27,8 @@ class TestDetectionMask:
         fsim = FaultSimulator(nl)
         values = fsim.good_values(words)
         src_order = {s: i for i, s in enumerate(nl.sources)}
-        for fault in full_fault_list(nl):
-            mask = fsim.detection_mask(fault, values)
+        faults = full_fault_list(nl)
+        for fault, mask in zip(faults, fsim.detection_masks(faults, values)):
             for p in range(n_patterns):
                 bits = {s: (p >> src_order[s]) & 1 for s in nl.sources}
                 good = scalar_simulate(nl, bits)
@@ -54,7 +54,7 @@ class TestDetectionMask:
         words, n = all_patterns(nl)
         values = fsim.good_values(words)
         # c1 stuck at 1 is never activated (line already 1).
-        assert not fsim.detection_mask(Fault(c1, 1), values).any()
+        assert not fsim.detection_masks([Fault(c1, 1)], values).any()
 
 
 class TestSimulateBatch:

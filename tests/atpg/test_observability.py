@@ -77,39 +77,6 @@ class TestExactMasks:
         brute = brute_force_masks(reconvergent, words)
         assert np.array_equal(masks, brute)
 
-    def test_approximate_mode_exact_on_trees(self, and_chain, mux2, rng):
-        # Without reconvergent fanout the OR-of-branches shortcut is exact.
-        for nl in (and_chain,):
-            words = LogicSimulator(nl).random_source_words(1, rng)
-            exact = ObservabilityAnalyzer(nl, exact_stems=True).masks(words)
-            approx = ObservabilityAnalyzer(nl, exact_stems=False).masks(words)
-            assert np.array_equal(exact, approx)
-
-    def test_approximate_mode_agrees_on_non_stems(self, rng):
-        # Fanout-free nodes use the same backward rule in both modes; only
-        # stems may differ (reconvergence can mask or constructively add).
-        nl = generate_design(200, seed=3)
-        words = LogicSimulator(nl).random_source_words(1, rng)
-        exact = ObservabilityAnalyzer(nl, exact_stems=True).masks(words)
-        approx = ObservabilityAnalyzer(nl, exact_stems=False).masks(words)
-        observed = set(nl.observation_sites) | set(nl.observation_points())
-        from repro.circuit import GateType
-
-        for v in nl.nodes():
-            fanouts = [
-                w for w in nl.fanouts(v) if nl.gate_type(w) is not GateType.DFF
-            ]
-            stem_free_cone = len(fanouts) <= 1 and all(
-                len(nl.fanouts(w)) <= 1 for w in fanouts
-            )
-            if v in observed or not stem_free_cone:
-                continue
-            # agreement only guaranteed when the single fanout chain feeds
-            # nodes whose own masks agree; check the weaker invariant that
-            # a node whose fanout gate masks agree also agrees
-            if fanouts and np.array_equal(exact[fanouts[0]], approx[fanouts[0]]):
-                assert np.array_equal(exact[v], approx[v])
-
     def test_op_insertion_makes_target_observed(self, and_chain, rng):
         target = and_chain.find("g1")
         and_chain.insert_observation_point(target)

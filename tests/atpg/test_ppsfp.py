@@ -1,4 +1,4 @@
-"""Batched/parallel fault-simulation engine vs the serial oracle."""
+"""In-process and pooled fault-simulation engine vs the serial oracle."""
 
 import dataclasses
 
@@ -14,20 +14,16 @@ from repro.atpg.cones import (
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault, full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
-from repro.atpg.ppsfp import (
-    BatchedConeEngine,
-    PpsfpEngine,
-    _inject_rows,
-    resolve_backend,
-)
+from repro.atpg.ppsfp import PpsfpEngine
 from repro.atpg.simulator import LogicSimulator
 from repro.circuit import GateType, Netlist, generate_design
 from repro.config import ExecutionConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.resilience.errors import ConfigError
+from tests.atpg import reference_faultsim as reference
 
 FIXTURES = ["c17", "mux2", "xor_pair", "reconvergent"]
-SERIAL = ExecutionConfig(backend="serial")
-BATCHED = ExecutionConfig(backend="batched")
+IN_PROCESS = ExecutionConfig(workers=1)
 
 
 @pytest.fixture(autouse=True)
@@ -38,7 +34,7 @@ def _fresh_cone_cache():
 
 
 def _serial_masks(fsim, faults, values):
-    return np.stack([fsim.detection_mask(f, values) for f in faults])
+    return reference.detection_masks(fsim.netlist, faults, values)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -158,22 +154,40 @@ class TestConeCache:
 
 
 # --------------------------------------------------------------------- #
-# Backend resolution
+# Grading-path resolution: the engine picks from the input, the config
+# only says how many workers on which fabric
 # --------------------------------------------------------------------- #
 class TestResolveBackend:
-    def test_explicit_choices_pass_through(self):
-        for b in ("serial", "batched", "parallel"):
-            assert resolve_backend(b, 10, 1) == b
+    @staticmethod
+    def _path(n_sites, **execution):
+        nl = generate_design(n_gates=20, seed=1)
+        engine = PpsfpEngine(
+            LogicSimulator(nl), nl.observation_sites,
+            ExecutionConfig(**execution),
+        )
+        return engine.grading_path(n_sites)
+
+    def test_explicit_choices_pass_through(self, monkeypatch):
+        # An explicit fabric choice decides the pool's transport; only
+        # ``inprocess`` keeps a large call off the pool.
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
+        n = ppsfp.POOL_MIN_SITES
+        for fabric in ("forkpool", "socket"):
+            assert self._path(n, workers=8, exec_backend=fabric) == "parallel"
+        assert self._path(n, workers=8, exec_backend="inprocess") == "batched"
 
     def test_auto_small_workload_is_batched(self):
-        assert resolve_backend("auto", 10, 1, workers=8) == "batched"
+        assert self._path(10, workers=8) == "batched"
 
-    def test_auto_large_workload_multicore_is_parallel(self):
-        assert resolve_backend("auto", 100_000, 4, workers=8) == "parallel"
+    def test_auto_large_workload_multicore_is_parallel(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
+        assert self._path(100_000, workers=8) == "parallel"
+        assert self._path(100_000, workers=1) == "batched"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("turbo", 10, 1)
+        for backend in ("turbo", "serial", "batched", "parallel"):
+            with pytest.raises(ConfigError):
+                ExecutionConfig(backend=backend)
 
 
 # --------------------------------------------------------------------- #
@@ -192,7 +206,7 @@ class TestBatchedEquivalence:
         values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
         faults = full_fault_list(nl)
         serial = _serial_masks(fsim, faults, values)
-        batched = fsim.detection_masks(faults, values, backend="batched")
+        batched = fsim.detection_masks(faults, values)
         np.testing.assert_array_equal(serial, batched)
 
     def test_simulate_batch_identical_results(self):
@@ -200,10 +214,8 @@ class TestBatchedEquivalence:
         rng = np.random.default_rng(1)
         words = LogicSimulator(nl).random_source_words(2, rng)
         faults = full_fault_list(nl)
-        res_s = FaultSimulator(nl, SERIAL).simulate_batch(
-            faults, words, n_patterns=100
-        )
-        res_b = FaultSimulator(nl, BATCHED).simulate_batch(
+        res_s, _ = reference.simulate_batch(nl, faults, words, n_patterns=100)
+        res_b = FaultSimulator(nl, IN_PROCESS).simulate_batch(
             faults, words, n_patterns=100
         )
         assert res_s.detected == res_b.detected  # including order
@@ -215,10 +227,10 @@ class TestBatchedEquivalence:
         words = LogicSimulator(nl).random_source_words(1, rng)
         faults = full_fault_list(nl)
         for n_patterns in (1, 3, 63, 64):
-            res_s = FaultSimulator(nl, SERIAL).simulate_batch(
-                faults, words, n_patterns=n_patterns
+            res_s, _ = reference.simulate_batch(
+                nl, faults, words, n_patterns=n_patterns
             )
-            res_b = FaultSimulator(nl, BATCHED).simulate_batch(
+            res_b = FaultSimulator(nl, IN_PROCESS).simulate_batch(
                 faults, words, n_patterns=n_patterns
             )
             assert res_s.detected == res_b.detected
@@ -232,7 +244,7 @@ class TestBatchedEquivalence:
         faults = full_fault_list(c17)
         np.testing.assert_array_equal(
             _serial_masks(fsim, faults, values),
-            fsim.detection_masks(faults, values, backend="batched"),
+            fsim.detection_masks(faults, values),
         )
 
     def test_fault_coverage_identical(self):
@@ -240,10 +252,8 @@ class TestBatchedEquivalence:
         rng = np.random.default_rng(4)
         batches = [LogicSimulator(nl).random_source_words(1, rng) for _ in range(3)]
         faults = full_fault_list(nl)
-        cov_s, rem_s = FaultSimulator(nl, SERIAL).fault_coverage(
-            faults, batches
-        )
-        cov_b, rem_b = FaultSimulator(nl, BATCHED).fault_coverage(
+        cov_s, rem_s = reference.fault_coverage(nl, faults, batches)
+        cov_b, rem_b = FaultSimulator(nl, IN_PROCESS).fault_coverage(
             faults, batches
         )
         assert cov_s == cov_b
@@ -251,8 +261,8 @@ class TestBatchedEquivalence:
 
     def test_observation_points_propagate(self, reconvergent):
         nl = reconvergent
-        # An OP deep in the masked region changes detectability; both
-        # backends must agree after the mutation.
+        # An OP deep in the masked region changes detectability; engine
+        # and oracle must agree after the mutation.
         target = nl.find("m")
         nl.insert_observation_point(target)
         fsim = FaultSimulator(nl)
@@ -261,26 +271,25 @@ class TestBatchedEquivalence:
         faults = full_fault_list(nl)
         np.testing.assert_array_equal(
             _serial_masks(fsim, faults, values),
-            fsim.detection_masks(faults, values, backend="batched"),
+            fsim.detection_masks(faults, values),
         )
 
 
 # --------------------------------------------------------------------- #
-# Observability backend equivalence
+# Observability engine vs the per-stem oracle
 # --------------------------------------------------------------------- #
 class TestObservabilityBackends:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_masks_bit_identical(self, fixture, request):
         nl = request.getfixturevalue(fixture)
         rng = np.random.default_rng(0)
-        serial = ObservabilityAnalyzer(nl, execution=SERIAL)
-        values = serial.simulator.simulate(
-            serial.simulator.random_source_words(2, rng)
-        )
-        with ObservabilityAnalyzer(nl, execution=BATCHED) as batched:
+        with ObservabilityAnalyzer(nl, execution=IN_PROCESS) as analyzer:
+            values = analyzer.simulator.simulate(
+                analyzer.simulator.random_source_words(2, rng)
+            )
             np.testing.assert_array_equal(
-                serial.masks_from_values(values),
-                batched.masks_from_values(values),
+                reference.observability_masks(nl, values),
+                analyzer.masks_from_values(values),
             )
 
     def test_with_observation_points(self):
@@ -289,25 +298,28 @@ class TestObservabilityBackends:
         targets = [v for v in nl.nodes() if nl.fanouts(v)][:3]
         for t in targets:
             nl.insert_observation_point(t)
-        serial = ObservabilityAnalyzer(nl, execution=SERIAL)
-        values = serial.simulator.simulate(
-            serial.simulator.random_source_words(1, rng)
-        )
-        with ObservabilityAnalyzer(nl, execution=BATCHED) as batched:
+        with ObservabilityAnalyzer(nl, execution=IN_PROCESS) as analyzer:
+            values = analyzer.simulator.simulate(
+                analyzer.simulator.random_source_words(1, rng)
+            )
             np.testing.assert_array_equal(
-                serial.masks_from_values(values),
-                batched.masks_from_values(values),
+                reference.observability_masks(nl, values),
+                analyzer.masks_from_values(values),
             )
 
 
 # --------------------------------------------------------------------- #
-# Parallel backend
+# Pooled path (small fault lists pool once POOL_MIN_SITES is lowered)
 # --------------------------------------------------------------------- #
 def _crashing_worker(*args, **kwargs):
     raise RuntimeError("injected fault-sim worker failure")
 
 
 class TestParallelBackend:
+    @pytest.fixture(autouse=True)
+    def _pool_every_call(self, monkeypatch):
+        monkeypatch.setattr(ppsfp, "POOL_MIN_SITES", 1)
+
     def test_parallel_masks_bit_identical(self):
         nl = generate_design(n_gates=120, seed=21)
         fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
@@ -319,7 +331,7 @@ class TestParallelBackend:
         faults = full_fault_list(nl)
         try:
             serial = _serial_masks(fsim, faults, values)
-            parallel = fsim.detection_masks(faults, values, backend="parallel")
+            parallel = fsim.detection_masks(faults, values)
         finally:
             fsim.close()
         np.testing.assert_array_equal(serial, parallel)
@@ -333,9 +345,7 @@ class TestParallelBackend:
         faults = full_fault_list(nl)
         try:
             with pytest.warns(ResourceWarning):
-                parallel = fsim.detection_masks(
-                    faults, values, backend="parallel"
-                )
+                parallel = fsim.detection_masks(faults, values)
             serial = _serial_masks(fsim, faults, values)
         finally:
             fsim.close()
@@ -343,7 +353,7 @@ class TestParallelBackend:
 
     def test_no_fallback_raises_after_retries(self):
         nl = generate_design(n_gates=40, seed=23)
-        fsim = FaultSimulator(nl, ExecutionConfig(workers=1))
+        fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
         fsim.engine.policy = dataclasses.replace(
             fsim.engine.policy, serial_fallback=False
         )
@@ -354,7 +364,7 @@ class TestParallelBackend:
         try:
             with pytest.warns(ResourceWarning):
                 with pytest.raises(RuntimeError, match="injected"):
-                    fsim.detection_masks(faults, values, backend="parallel")
+                    fsim.detection_masks(faults, values)
         finally:
             fsim.close()
 
@@ -375,12 +385,11 @@ class TestWorkCounters:
         words = LogicSimulator(nl).random_source_words(1, rng)
         faults = full_fault_list(nl)
 
+        _, serial_evals = reference.simulate_batch(nl, faults, words)
         reg = MetricsRegistry()
         set_registry(reg)
         try:
-            FaultSimulator(nl, SERIAL).simulate_batch(faults, words)
-            serial_evals = reg.get("repro_atpg_cone_node_evals_total").value
-            FaultSimulator(nl, BATCHED).simulate_batch(faults, words)
+            FaultSimulator(nl, IN_PROCESS).simulate_batch(faults, words)
             group_evals = reg.get("repro_atpg_cone_group_evals_total").value
         finally:
             set_registry(MetricsRegistry())
@@ -396,7 +405,7 @@ class TestWorkCounters:
         reg = MetricsRegistry()
         set_registry(reg)
         try:
-            FaultSimulator(nl, BATCHED).simulate_batch(faults, words)
+            FaultSimulator(nl, IN_PROCESS).simulate_batch(faults, words)
             gauge = reg.get("repro_atpg_faults_per_second")
             assert gauge.labels(backend="batched").value > 0
         finally:

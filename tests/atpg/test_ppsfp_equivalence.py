@@ -1,9 +1,10 @@
-"""Property-based equivalence: batched engine vs serial oracle.
+"""Property-based equivalence: fault-axis engine vs serial oracle.
 
 Hypothesis generates arbitrary netlists (mixed gate types, duplicate
 fanins, observation points, degenerate shapes) and arbitrary pattern
 counts (tail-mask edge cases); every property asserts *bit-identical*
-results between the serial per-fault walk and the fault-axis engine —
+results between the serial per-fault walk
+(``tests/atpg/reference_faultsim.py``) and the fault-axis engine —
 detection masks, detected lists (order included), first-detecting-pattern
 indices, fault coverage and observability masks.
 """
@@ -22,9 +23,9 @@ from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg import ppsfp
 from repro.circuit import GateType, Netlist
 from repro.config import ExecutionConfig
+from tests.atpg import reference_faultsim as reference
 
-SERIAL = ExecutionConfig(backend="serial")
-BATCHED = ExecutionConfig(backend="batched")
+IN_PROCESS = ExecutionConfig(workers=1)
 _GATE_CHOICES = [
     GateType.AND,
     GateType.OR,
@@ -82,14 +83,14 @@ def netlists(draw):
 def test_detection_masks_bit_identical(
     netlist, dense_threshold, max_group, n_words, seed
 ):
-    fsim = FaultSimulator(netlist)
+    fsim = FaultSimulator(netlist, IN_PROCESS)
     rng = np.random.default_rng(seed)
     values = fsim.good_values(fsim.simulator.random_source_words(n_words, rng))
     faults = full_fault_list(netlist)
-    serial = np.stack([fsim.detection_mask(f, values) for f in faults])
+    serial, _ = reference.detection_masks(netlist, faults, values)
     with mock.patch.object(ppsfp, "DENSE_THRESHOLD", dense_threshold), \
             mock.patch.object(ppsfp, "MAX_GROUP", max_group):
-        batched = fsim.detection_masks(faults, values, backend="batched")
+        batched = fsim.detection_masks(faults, values)
     np.testing.assert_array_equal(serial, batched)
 
 
@@ -105,10 +106,10 @@ def test_simulate_batch_detections_and_first_patterns(netlist, n_patterns, seed)
     n_words = (n_patterns + 63) // 64
     words = FaultSimulator(netlist).simulator.random_source_words(n_words, rng)
     faults = full_fault_list(netlist)
-    res_s = FaultSimulator(netlist, SERIAL).simulate_batch(
-        faults, words, n_patterns=n_patterns
+    res_s, _ = reference.simulate_batch(
+        netlist, faults, words, n_patterns=n_patterns
     )
-    res_b = FaultSimulator(netlist, BATCHED).simulate_batch(
+    res_b = FaultSimulator(netlist, IN_PROCESS).simulate_batch(
         faults, words, n_patterns=n_patterns
     )
     assert res_s.detected == res_b.detected
@@ -125,10 +126,8 @@ def test_fault_coverage_identical(netlist, seed):
     sim = FaultSimulator(netlist).simulator
     batches = [sim.random_source_words(1, rng) for _ in range(2)]
     faults = full_fault_list(netlist)
-    cov_s, rem_s = FaultSimulator(netlist, SERIAL).fault_coverage(
-        faults, batches
-    )
-    cov_b, rem_b = FaultSimulator(netlist, BATCHED).fault_coverage(
+    cov_s, rem_s = reference.fault_coverage(netlist, faults, batches)
+    cov_b, rem_b = FaultSimulator(netlist, IN_PROCESS).fault_coverage(
         faults, batches
     )
     assert cov_s == cov_b
@@ -143,12 +142,11 @@ def test_fault_coverage_identical(netlist, seed):
 )
 def test_observability_masks_bit_identical(netlist, n_words, seed):
     rng = np.random.default_rng(seed)
-    serial = ObservabilityAnalyzer(netlist, execution=SERIAL)
-    values = serial.simulator.simulate(
-        serial.simulator.random_source_words(n_words, rng)
-    )
-    with ObservabilityAnalyzer(netlist, execution=BATCHED) as batched:
+    with ObservabilityAnalyzer(netlist, execution=IN_PROCESS) as analyzer:
+        values = analyzer.simulator.simulate(
+            analyzer.simulator.random_source_words(n_words, rng)
+        )
         np.testing.assert_array_equal(
-            serial.masks_from_values(values),
-            batched.masks_from_values(values),
+            reference.observability_masks(netlist, values),
+            analyzer.masks_from_values(values),
         )

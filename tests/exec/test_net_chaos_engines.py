@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.atpg import FaultSimulator, full_fault_list
+from repro.atpg import FaultSimulator, full_fault_list, ppsfp
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
@@ -112,19 +112,27 @@ def fault_sim_case():
     rng = np.random.default_rng(2)
     values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
     faults = full_fault_list(nl)
-    oracle = fsim.detection_masks(faults, values, backend="batched")
+    oracle = fsim.detection_masks(faults, values)  # below POOL_MIN_SITES
     yield fsim, faults, values, oracle
     fsim.close()
 
 
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every fault-sim call grades on the pool, however few its faults."""
+    monkeypatch.setattr(ppsfp, "POOL_MIN_SITES", 1)
+
+
 class TestFaultSimNetChaos:
     @pytest.mark.parametrize("mode", NET_CHAOS_MODES)
-    def test_masks_bit_identical(self, mode, fault_sim_case, fleet, monkeypatch):
+    def test_masks_bit_identical(
+        self, mode, fault_sim_case, fleet, pooled, monkeypatch
+    ):
         fsim, faults, values, oracle = fault_sim_case
         _arm(monkeypatch, mode)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            masks = fsim.detection_masks(faults, values, backend="parallel")
+            masks = fsim.detection_masks(faults, values)
         np.testing.assert_array_equal(masks, oracle)
 
 

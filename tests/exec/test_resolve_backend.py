@@ -68,18 +68,17 @@ def _run_fault_sim(monkeypatch, explicit):
     import repro.atpg.ppsfp as ppsfp_mod
 
     seen = _recorder(monkeypatch, ppsfp_mod)
+    monkeypatch.setattr(ppsfp_mod, "POOL_MIN_SITES", 1)
     nl = generate_design(n_gates=40, seed=7)
     with FaultSimulator(
-        nl, ExecutionConfig(workers=1, exec_backend=explicit or "auto")
+        nl, ExecutionConfig(workers=2, exec_backend=explicit or "auto")
     ) as fsim:
         fsim.engine.policy = dataclasses.replace(
             fsim.engine.policy, retry=FAST_RETRY
         )
         rng = np.random.default_rng(2)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
-        fsim.detection_masks(
-            full_fault_list(nl)[:8], values, backend="parallel"
-        )
+        fsim.detection_masks(full_fault_list(nl)[:8], values)
     return seen.get("backend", "inprocess")
 
 

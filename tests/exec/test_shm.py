@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.atpg import FaultSimulator, full_fault_list
+from repro.atpg import FaultSimulator, full_fault_list, ppsfp
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.exec import (
@@ -144,13 +144,12 @@ class TestEngineKillRegression:
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         faults = full_fault_list(nl)
         try:
-            serial = fsim.detection_masks(faults, values, backend="batched")
+            serial = fsim.detection_masks(faults, values)
+            monkeypatch.setattr(ppsfp, "POOL_MIN_SITES", 1)
             monkeypatch.setenv("REPRO_CHAOS", "kill")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                parallel = fsim.detection_masks(
-                    faults, values, backend="parallel"
-                )
+                parallel = fsim.detection_masks(faults, values)
         finally:
             monkeypatch.delenv("REPRO_CHAOS", raising=False)
             fsim.close()

@@ -178,19 +178,3 @@ class FlakyPredictor:
         return inner(graph)
 
     __call__ = predict
-
-
-class CrashOnNthCall:
-    """Callable failing on specific call numbers (1-based) — retry tests."""
-
-    def __init__(self, failing_calls, result="ok", exc: type = RuntimeError):
-        self.failing_calls = set(failing_calls)
-        self.result = result
-        self.exc = exc
-        self.calls = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls in self.failing_calls:
-            raise self.exc(f"injected failure on call {self.calls}")
-        return self.result

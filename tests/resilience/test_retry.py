@@ -1,15 +1,8 @@
-"""Retry/backoff and circuit-breaker behaviour."""
+"""Backoff schedule and circuit-breaker behaviour."""
 
 import pytest
 
-from repro.resilience.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryPolicy,
-    retry,
-    retrying,
-)
-from tests.helpers import CrashOnNthCall
+from repro.resilience.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -24,49 +17,6 @@ class TestRetryPolicy:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-
-
-class TestRetry:
-    def test_succeeds_after_transient_failures(self):
-        fn = CrashOnNthCall(failing_calls=[1, 2], result=42)
-        sleeps = []
-        out = retry(
-            fn, policy=RetryPolicy(max_attempts=3, base_delay=0.5), sleep=sleeps.append
-        )
-        assert out == 42
-        assert fn.calls == 3
-        assert sleeps == [0.5, 1.0]
-
-    def test_exhaustion_raises_last_error(self):
-        fn = CrashOnNthCall(failing_calls=range(1, 100))
-        with pytest.raises(RuntimeError, match="call 3"):
-            retry(fn, policy=RetryPolicy(max_attempts=3), sleep=lambda _: None)
-
-    def test_on_retry_callback_sees_each_failure(self):
-        fn = CrashOnNthCall(failing_calls=[1, 2])
-        seen = []
-        retry(
-            fn,
-            policy=RetryPolicy(max_attempts=3),
-            on_retry=lambda attempt, exc: seen.append(attempt),
-            sleep=lambda _: None,
-        )
-        assert seen == [1, 2]
-
-    def test_only_listed_exceptions_retried(self):
-        fn = CrashOnNthCall(failing_calls=[1], exc=KeyError)
-        with pytest.raises(KeyError):
-            retry(fn, retry_on=(ValueError,), sleep=lambda _: None)
-        assert fn.calls == 1
-
-    def test_decorator(self):
-        fn = CrashOnNthCall(failing_calls=[1], result="done")
-
-        @retrying(policy=RetryPolicy(max_attempts=2), sleep=lambda _: None)
-        def wrapped():
-            return fn()
-
-        assert wrapped() == "done"
 
 
 class TestCircuitBreaker:

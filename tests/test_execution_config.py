@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro import api
+from repro.atpg import ppsfp
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import full_fault_list
 from repro.atpg.generate import AtpgConfig
 from repro.atpg.observability import ObservabilityAnalyzer, observability_counts
-from repro.atpg.ppsfp import (
-    BACKENDS,
-    BatchedConeEngine,
-    PpsfpEngine,
-    resolve_backend,
-)
+from repro.atpg.ppsfp import BatchedConeEngine, PpsfpEngine
 from repro.circuit import generate_design
+from repro.cli import main as cli_main
 from repro.config import ExecutionConfig, INFERENCE_BACKENDS
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
@@ -126,14 +126,42 @@ class TestBackendResolution:
             == "single"
         )
 
-    def test_fault_sim_vocabulary(self, netlist):
-        # The fault simulator reads its vocabulary off the same config.
-        for backend in BACKENDS:
-            fsim = FaultSimulator(netlist, ExecutionConfig(backend=backend))
-            assert fsim.backend == backend
-            resolve_backend(fsim.backend, 10, 1)
-        with pytest.raises(ValueError):
-            resolve_backend(ExecutionConfig(backend="sharded").backend, 100, 4)
+    def test_fault_sim_vocabulary(self, netlist, tmp_path):
+        # The old fault-sim choices are no backend: a config spelling one
+        # fails to build, and the CLI flag that passed one is gone.
+        for backend in ("serial", "batched", "parallel"):
+            with pytest.raises(ConfigError, match="single"):
+                ExecutionConfig(backend=backend)
+        path = tmp_path / "tiny.bench"
+        api.save_netlist(netlist, path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["analyze", str(path), "--fault-sim-backend", "batched"])
+        assert exc.value.code == 2
+
+    def test_one_config_serves_every_consumer(self, netlist, monkeypatch):
+        """An inference backend is a valid config for fault simulation and
+        labelling too: they read only its worker count and fabric."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        sharded = ExecutionConfig(backend="sharded", workers=1)
+        reference = api.label_nodes(netlist, api.LabelConfig(n_patterns=64))
+        labelled = api.label_nodes(
+            netlist, api.LabelConfig(n_patterns=64, execution=sharded)
+        )
+        np.testing.assert_array_equal(labelled.labels, reference.labels)
+        summary = api.simulate_faults(netlist, n_patterns=64, execution=sharded)
+        assert summary.coverage == api.simulate_faults(
+            netlist, n_patterns=64
+        ).coverage
+        weights = GCN(GCNConfig(seed=5)).layer_weights()
+        assert api.score(weights, netlist, execution=sharded).backend == "sharded"
+
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        from_env = api.LabelConfig(
+            n_patterns=64, execution=ExecutionConfig.from_env()
+        )
+        np.testing.assert_array_equal(
+            api.label_nodes(netlist, from_env).labels, reference.labels
+        )
 
 
 class TestDeprecationShims:
@@ -147,8 +175,8 @@ class TestDeprecationShims:
             FaultSimulator(netlist, backend="serial")
 
     def test_fault_simulator_execution_no_warning(self, netlist, recwarn):
-        fsim = FaultSimulator(netlist, ExecutionConfig(backend="batched"))
-        assert fsim.backend == "batched"
+        fsim = FaultSimulator(netlist, ExecutionConfig(workers=1))
+        assert fsim.execution.workers == 1
         fsim.close()
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
@@ -226,10 +254,10 @@ def _observe(design, execution):
         )
 
 
-def _fault_sim(design, execution):
+def _fault_sim(design, execution, n_faults=ppsfp.POOL_MIN_SITES):
     with FaultSimulator(design, execution) as fsim:
         words = fsim.simulator.random_source_words(1, np.random.default_rng(0))
-        faults = full_fault_list(design)[:1024]
+        faults = full_fault_list(design)[:n_faults]
         fsim.detection_masks(faults, fsim.good_values(words))
 
 
@@ -259,6 +287,10 @@ POOL_ENGINES = {
     "label_nodes": _label,
     "ObservabilityAnalyzer": _observe,
     "FaultSimulator": _fault_sim,
+    # one fault short of POOL_MIN_SITES: in process whatever the config
+    "FaultSimulator-below-min": functools.partial(
+        _fault_sim, n_faults=ppsfp.POOL_MIN_SITES - 1
+    ),
     "ShardedInference": _sharded,
     "ParallelTrainer": _train,
 }
@@ -275,7 +307,8 @@ class TestPoolSizedByExecutionConfig:
     def test_pools_built(self, engine, case, pool_design, monkeypatch):
         """The pools an engine builds are the ones its ExecutionConfig
         asks for: none with one worker or ``inprocess``, one of exactly
-        ``workers`` otherwise."""
+        ``workers`` otherwise — except that fault simulation pools only a
+        call grading at least ``POOL_MIN_SITES`` faults."""
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
@@ -289,4 +322,6 @@ class TestPoolSizedByExecutionConfig:
 
         monkeypatch.setattr(ForkPoolExecutor, "__init__", spy)
         POOL_ENGINES[engine](pool_design, execution)
+        if engine == "FaultSimulator-below-min":
+            expected = []
         assert built == expected
