@@ -7,16 +7,17 @@ pool of small netlists:
 
 * **closed loop** — N client threads each drive ``submit_many``-then-wait
   groups (the ``score_many`` / ``/v1/score:batch`` pattern) back-to-back
-  for a fixed window, once against a ``batching=False`` service (the
-  one-request-per-pass baseline) and once against the coalescing
-  service.  Sustained req/s and the ``batch_speedup`` ratio come from
-  here; the ratio is reported, not gated — with 48 client threads their
-  wake-ups, not the passes, bound both lanes on a two-core host.
+  for a fixed window, once against a ``batch_max_requests=1`` service
+  (the one-request-per-pass baseline: a pass holds one request, so
+  nothing coalesces) and once against the coalescing service.
+  Sustained req/s and the ``batch_speedup`` ratio come from here; the
+  ratio is reported, not gated — with 48 client threads their wake-ups,
+  not the passes, bound both lanes on a two-core host.
 * **open loop** — a pacer submits at a fixed offered rate (60% of the
-  measured batched throughput: above what the solo lane sustains, below
-  the batch lane's ceiling) and a drainer records end-to-end latency
-  per request.  p50/p99 come from here, judged against the explicit
-  ``--gate-p99`` budget.
+  measured batched throughput: above what the one-per-pass service
+  sustains, below the batch lane's ceiling) and a drainer records
+  end-to-end latency per request.  p50/p99 come from here, judged
+  against the explicit ``--gate-p99`` budget.
 
 The batch-occupancy histogram is read back from the service's own
 ``/metrics`` registry (``repro_serve_batch_size``), so the numbers in
@@ -55,8 +56,7 @@ from repro.serve import ModelManager, ScoreRequest, ScoringService, ServeConfig
 #: the small-netlist tier: gate count per design at REPRO_SCALE=1.
 #: Deliberately tiny — coalescing monetises the *per-pass* overhead
 #: (python/scipy dispatch, the row-stable final layer, manager
-#: bookkeeping), which dominates scoring cost only for small blocks;
-#: large designs route past the batch lane to sharded inference anyway.
+#: bookkeeping), which dominates scoring cost only for small blocks.
 _BASE_GATES = 10
 #: distinct designs cycled through by the load generators
 _POOL = 24
@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> dict:
                 return max(rounds, key=lambda r: r["req_per_s"])
 
             solo_service = ScoringService(
-                manager, ServeConfig(batching=False, **base)
+                manager, ServeConfig(batch_max_requests=1, **base)
             )
             try:
                 solo = best_of(solo_service)
@@ -288,11 +288,12 @@ def main(argv: list[str] | None = None) -> dict:
             )
             try:
                 batched = best_of(batched_service)
-                # Offered load: comfortably above what the solo lane can
-                # sustain, comfortably below the batch lane's ceiling —
-                # the regime the coalescer exists for.  Best-of-N on the
-                # p99: tail noise on a timeshared host is 2x run-to-run,
-                # and the budget is a claim about the repeatable floor.
+                # Offered load: comfortably above what one request per
+                # pass can sustain, comfortably below the batch lane's
+                # ceiling — the regime the coalescer exists for.
+                # Best-of-N on the p99: tail noise on a timeshared host is
+                # 2x run-to-run, and the budget is a claim about the
+                # repeatable floor.
                 rate = max(10.0, 0.6 * batched["req_per_s"])
                 open_rounds = [
                     _open_loop(

@@ -228,9 +228,9 @@ def main() -> None:
             )
 
         # --- backpressure --------------------------------------------- #
-        # batchable=False keeps these on the solo lane: the coalescer
-        # would otherwise drain the queue into one merged pass and absorb
-        # the overload this section exists to produce.
+        # batchable=False scores each of these in a pass of its own: the
+        # coalescer would otherwise drain the queue into one merged pass
+        # and absorb the overload this section exists to produce.
         outcomes: list[object] = []
 
         def fire():

@@ -106,7 +106,6 @@ from repro.graph import (
     Shard,
     ShardedInference,
     partition_graph,
-    shard_minibatches,
 )
 from repro.metrics import (
     ConfusionMatrix,
@@ -189,7 +188,6 @@ __all__ = [
     "Shard",
     "ShardedInference",
     "partition_graph",
-    "shard_minibatches",
     # ATPG / diagnosis
     "AtpgConfig",
     "AtpgResult",
@@ -308,12 +306,9 @@ def build_graph(
 def _resolve_model(model):
     """Normalise ``score``'s model argument to ``(predictor, kind)``."""
     if isinstance(model, (str, Path)):
-        from repro.core.serialize import _open_npz
+        from repro.core.serialize import load_model
 
-        stored, path = _open_npz(Path(model), required=("__format__", "__config__"))
-        if "__n_stages__" in stored.files:
-            return load_cascade(path, strict=True), "cascade"
-        return load_gcn(path), "gcn"
+        model = load_model(model)
     if isinstance(model, MultiStageGCN):
         return model, "cascade"
     if isinstance(model, (GCN, GCNWeights, FastInference)):
@@ -381,14 +376,13 @@ def train(
     """Train a GCN on labelled graphs.
 
     ``gcn`` may be a prebuilt :class:`GCN` or a :class:`GCNConfig`
-    (default: the paper's architecture).  With an ``execution`` whose
-    backend resolves to ``sharded``, oversized graphs are split into
-    halo-padded shard mini-batches (see :func:`shard_minibatches`).
+    (default: the paper's architecture).  Every graph is trained whole;
+    ``execution`` does not change the model, it only configures the
+    engine :meth:`TrainResult.inference` returns.
     """
     execution = execution or ExecutionConfig.from_env()
     model = gcn if isinstance(gcn, GCN) else GCN(gcn)
-    trainer = Trainer(model, config, execution=execution)
-    history = trainer.fit(graphs, test_graphs)
+    history = Trainer(model, config).fit(graphs, test_graphs)
     return TrainResult(model=model, history=history, execution=execution)
 
 

@@ -141,11 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
         "infer",
         parents=[log_flags],
         help="score netlists with a trained model",
-        description="Run FastInference over the given .bench netlists and "
-        "write a run manifest + span-tree trace under results/<run-id>/.",
+        description="Score the given .bench netlists with a GCN or cascade "
+        "model file (as api.score does) and write a run manifest + span-tree "
+        "trace under results/<run-id>/.",
         epilog=_EXIT_CODES_HELP,
     )
-    inf.add_argument("model", help="model .npz from `repro train`")
+    inf.add_argument("model", help="model .npz (GCN or cascade)")
     inf.add_argument("netlists", nargs="+", help=".bench designs to score")
     inf.add_argument(
         "--fp32", action="store_true", help="deployment-style float32 inference"
@@ -231,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-running HTTP service scoring .bench netlists with "
         "the best available predictor (POST /v1/score, /v1/score:batch, "
         "/reload; GET /healthz, /readyz, /metrics — Prometheus text "
-        "exposition).  Small "
-        "concurrent requests coalesce into block-diagonal batches; "
-        "oversized designs route to the sharded engine.  SIGTERM drains "
-        "gracefully.",
+        "exposition).  Concurrent requests coalesce into block-diagonal "
+        "batches within the --batch-max-* budgets; every pass, batched or "
+        "not, picks the single or sharded engine by the same rule as "
+        "`repro infer`.  SIGTERM drains gracefully.",
         epilog=_EXIT_CODES_HELP,
     )
     srv.add_argument(
@@ -259,22 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=int, default=30_000, help="default per-request deadline"
     )
     srv.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="disable cross-request coalescing (one scoring pass per request)",
-    )
-    srv.add_argument(
         "--batch-max-requests",
         type=int,
         default=16,
-        help="netlists per coalesced block-diagonal batch",
+        help="netlists per coalesced block-diagonal batch (1: one scoring "
+        "pass per request)",
     )
     srv.add_argument(
         "--batch-max-nodes",
         type=int,
         default=200_000,
-        help="total node budget per batch; larger designs score solo "
-        "(and route to sharded inference past the auto threshold)",
+        help="total node budget per batch; a larger design is scored in a "
+        "pass of its own",
     )
     srv.add_argument(
         "--debug",
@@ -413,6 +410,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.core.serialize import load_model
     from repro.obs import RunRecorder
 
     execution = _execution(
@@ -421,7 +419,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         shards=args.shards,
         dtype="float32" if args.fp32 else None,
     )
-    engine = api.FastInference.from_file(args.model, execution=execution)
+    model = load_model(args.model)
+    if isinstance(model, api.GCN):
+        model = api.FastInference(model.layer_weights(), execution=execution)
     config = {
         "model": args.model,
         "fp32": args.fp32,
@@ -439,8 +439,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         run.set_dataset(graphs)
         summaries = []
         for graph in graphs:
-            predictions = engine.predict(graph)
-            positives = int(predictions.sum())
+            positives = api.score(model, graph).n_positive
             summaries.append(
                 {
                     "design": graph.name,
@@ -647,7 +646,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_capacity=args.queue_capacity,
         default_deadline_ms=args.deadline_ms,
-        batching=not args.no_batching,
         batch_max_requests=args.batch_max_requests,
         batch_max_nodes=args.batch_max_nodes,
         debug=args.debug,

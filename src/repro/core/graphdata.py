@@ -8,7 +8,7 @@ node labels.  The OPI flow mutates instances incrementally via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class GraphData:
     name: str = "graph"
     #: optional row mask restricting which nodes contribute to training loss
     train_mask: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
@@ -86,5 +85,4 @@ class GraphData:
             labels=self.labels,
             name=self.name,
             train_mask=mask,
-            extras=self.extras,
         )

@@ -29,7 +29,7 @@ from repro.core.trainer import TrainConfig
 from repro.resilience.atomic import atomic_save_npz
 from repro.resilience.errors import CheckpointCorruptError
 
-__all__ = ["save_gcn", "load_gcn", "save_cascade", "load_cascade"]
+__all__ = ["save_gcn", "load_gcn", "save_cascade", "load_cascade", "load_model"]
 
 _FORMAT_VERSION = 1
 
@@ -166,6 +166,7 @@ def save_cascade(cascade: MultiStageGCN, path: str | Path) -> Path:
         "__format__": np.array(_FORMAT_VERSION),
         "__n_stages__": np.array(len(cascade.stages)),
         "__filter_threshold__": np.array(cascade.config.filter_threshold),
+        "__decision_threshold__": np.array(cascade.decision_threshold),
         "__config__": np.array(_config_blob(cascade.config.gcn)),
     }
     for k, stage in enumerate(cascade.stages):
@@ -183,7 +184,8 @@ def load_cascade(path: str | Path, strict: bool = True) -> MultiStageGCN:
     :class:`ResourceWarning` and the surviving prefix of the cascade is
     returned (the filtering stages are order-dependent, so salvage stops
     at the first bad stage).  A cascade with no loadable stage raises
-    :class:`CheckpointCorruptError` either way.
+    :class:`CheckpointCorruptError` either way.  A file written before
+    the calibrated ``decision_threshold`` was saved loads at 0.5.
     """
     stored, path = _open_npz(
         path, required=("__format__", "__config__", "__n_stages__", "__filter_threshold__")
@@ -197,6 +199,8 @@ def load_cascade(path: str | Path, strict: bool = True) -> MultiStageGCN:
         filter_threshold=float(stored["__filter_threshold__"]),
     )
     cascade = MultiStageGCN(config)
+    if "__decision_threshold__" in stored.files:
+        cascade.decision_threshold = float(stored["__decision_threshold__"])
     cascade.stages = []
     for k in range(n_stages):
         try:
@@ -230,3 +234,16 @@ def load_cascade(path: str | Path, strict: bool = True) -> MultiStageGCN:
             f"cascade {path.name} has no loadable stages", path=path
         )
     return cascade
+
+
+def load_model(path: str | Path, strict: bool = True) -> GCN | MultiStageGCN:
+    """Load whatever :func:`save_gcn` or :func:`save_cascade` wrote.
+
+    The one place that tells the two formats apart: a file carrying
+    ``__n_stages__`` is a cascade (``strict`` as in :func:`load_cascade`),
+    anything else a single GCN.  Raises like the loader it picks.
+    """
+    stored, path = _open_npz(path, required=("__format__", "__config__"))
+    if "__n_stages__" in stored.files:
+        return load_cascade(path, strict=strict)
+    return load_gcn(path)

@@ -117,47 +117,18 @@ def masked_accuracy(model: GCN, graphs: list[GraphData]) -> float:
 class Trainer:
     """Serial multi-graph trainer (the reference implementation).
 
-    With an :class:`~repro.config.ExecutionConfig` whose backend resolves
-    to ``sharded`` for a training graph, that graph is split into
-    shard-as-minibatch subgraphs (:func:`repro.graph.partition.
-    shard_minibatches`): each mini-batch carries a model-depth halo so its
-    forward pass reproduces the full-graph embeddings of its owned nodes
-    exactly, and the loss masks cover every original node exactly once
-    across the batch set.
+    Every graph is trained whole, as in the paper: one epoch's loss is the
+    mean over graphs of each graph's masked cross-entropy.  How inference
+    is executed has no say here — the same graphs and config train the
+    same model whatever an :class:`~repro.config.ExecutionConfig` says.
     """
 
-    def __init__(
-        self,
-        model: GCN,
-        config: TrainConfig | None = None,
-        execution: ExecutionConfig | None = None,
-    ) -> None:
+    def __init__(self, model: GCN, config: TrainConfig | None = None) -> None:
         self.model = model
         self.config = config or TrainConfig()
-        self.execution = execution
         self.optimizer = self._make_optimizer()
         #: global L2 gradient norm of the most recent optimisation step
         self.last_grad_norm: float | None = None
-
-    def _prepare_graphs(self, graphs: list[GraphData]) -> list[GraphData]:
-        """Expand graphs into shard mini-batches where the config asks."""
-        if self.execution is None:
-            return graphs
-        from repro.graph.partition import shard_minibatches
-
-        out: list[GraphData] = []
-        for graph in graphs:
-            backend = self.execution.resolve_inference_backend(graph.num_nodes)
-            n_shards = self.execution.resolved_shards(graph.num_nodes)
-            if backend == "sharded" and n_shards > 1:
-                out.extend(
-                    shard_minibatches(
-                        graph, n_shards, self.model.config.depth
-                    )
-                )
-            else:
-                out.append(graph)
-        return out
 
     def _make_optimizer(self):
         cfg = self.config
@@ -188,7 +159,6 @@ class Trainer:
         reaches bit-identical weights to an uninterrupted one.
         """
         cfg = self.config
-        train_graphs = self._prepare_graphs(train_graphs)
         history = TrainHistory()
         start_epoch = 0
         if checkpoint is not None:
@@ -395,6 +365,7 @@ class ParallelTrainer(Trainer):
     graph; outputs are gathered and a single update is applied.  On a
     single-core host this demonstrates the scheme rather than a speedup.
 
+    ``execution`` places the workers and nothing else:
     ``execution.workers`` caps the pool (``None``: one worker per graph;
     ``1``: no pool, the gradients are computed in process) and
     ``execution.exec_backend`` names the fabric.  Fault tolerance is
@@ -413,7 +384,8 @@ class ParallelTrainer(Trainer):
         config: TrainConfig | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
-        super().__init__(model, config, execution=execution)
+        super().__init__(model, config)
+        self.execution = execution or ExecutionConfig()
         #: supervision of every step's gradient tasks
         self.policy = ExecPolicy(
             worker_timeout=None, exhausted_error=_exhausted_error
@@ -424,6 +396,9 @@ class ParallelTrainer(Trainer):
 
     def train_step(self, train_graphs: list[GraphData]) -> float:
         cfg = self.config
+        # The model travels with its parameters' gradients, which a
+        # worker's backward pass adds to: ship it without the last step's.
+        self.optimizer.zero_grad()
         payloads = [
             pickle.dumps((self.model, graph, cfg.class_weights))
             for graph in train_graphs
@@ -436,12 +411,13 @@ class ParallelTrainer(Trainer):
             accumulated = sum(grads[i] for grads in grad_lists) * scale
             p.grad = accumulated
         self.last_grad_norm = self._grad_norm()
-        self.optimizer.step()
 
+        # The loss this step descends, summed as Trainer.train_step does.
         with no_grad():
             total = 0.0
             for graph in train_graphs:
-                total += _graph_loss(self.model, graph, cfg.class_weights).item() * scale
+                total += (_graph_loss(self.model, graph, cfg.class_weights) * scale).item()
+        self.optimizer.step()
         return total
 
     # ------------------------------------------------------------------ #
@@ -459,7 +435,7 @@ class ParallelTrainer(Trainer):
             )
             for i, graph in enumerate(graphs)
         ]
-        execution = self.execution or ExecutionConfig()
+        execution = self.execution
         backend = execution.resolve_exec_backend(
             default="inprocess" if execution.workers == 1 else "forkpool"
         )

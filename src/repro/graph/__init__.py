@@ -23,7 +23,6 @@ from repro.graph.partition import (
     PartitionConfig,
     Shard,
     partition_graph,
-    shard_minibatches,
 )
 from repro.graph.sharded import ShardedInference
 
@@ -35,6 +34,5 @@ __all__ = [
     "ShardExchange",
     "compile_boundary_plan",
     "partition_graph",
-    "shard_minibatches",
     "ShardedInference",
 ]

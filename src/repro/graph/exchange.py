@@ -1,8 +1,6 @@
 """Per-layer boundary exchange plans for sharded GCN inference.
 
-The halo execution model recomputed a ``depth``-hop neighbourhood per
-shard — on netlist graphs that neighbourhood is almost the whole design,
-so every shard redid nearly all the work.  Boundary exchange replaces it:
+The scheme:
 
 * each shard *owns* a block of nodes and computes embeddings for owned
   rows only;

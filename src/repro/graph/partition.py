@@ -23,12 +23,6 @@ synthetic generator and real synthesis netlists is the locality order
    neighbours, while both shards stay within :data:`BALANCE_SLACK` of the
    mean weight.
 
-Mini-batch training still consumes the classic *halo* form (owned nodes
-plus a ``halo_hops``-hop borrowed neighbourhood, one hop per aggregation
-layer) via :func:`shard_minibatches`; inference passes
-``halo_hops=None`` and builds a :class:`~repro.graph.exchange.
-BoundaryPlan` instead.
-
 GROOT-style partition-based processing is how GNN pipelines reach
 multi-million-gate designs; unlike coarsening approaches, nothing here is
 approximate — boundary exchange preserves exact aggregation semantics,
@@ -44,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.graphdata import GraphData
-from repro.nn.sparse import COOMatrix
 from repro.obs.trace import span
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "Shard",
     "GraphPartition",
     "partition_graph",
-    "shard_minibatches",
 ]
 
 
@@ -67,52 +59,33 @@ REFINE_PASSES = 8
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    """How many shards, and how deep a halo."""
+    """How many shards."""
 
     #: number of shards (clamped to the node count; >= 1)
     n_shards: int = 2
-    #: halo depth in hops — one hop per aggregation layer for exactness.
-    #: ``None`` (the default) skips halo construction entirely; consumers
-    #: that need halos (mini-batch training) pass the model depth
-    #: explicitly, so depth is never silently assumed.
-    halo_hops: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.halo_hops is not None and self.halo_hops < 0:
-            raise ValueError("halo_hops must be >= 0")
 
 
 @dataclass
 class Shard:
-    """One shard: owned nodes plus the halo needed for local aggregation.
+    """One shard: the nodes it owns.
 
-    Under boundary exchange the halo is empty and ``nodes == owned``; the
-    frontier lives in the :class:`~repro.graph.exchange.BoundaryPlan`.
+    The one-hop frontier it reads from its peers lives in the
+    :class:`~repro.graph.exchange.BoundaryPlan`.
     """
 
     index: int
     #: global node ids this shard is responsible for (sorted, exclusive)
     owned: np.ndarray
-    #: global node ids borrowed for aggregation only (sorted, disjoint)
-    halo: np.ndarray
-    #: ``sorted(owned | halo)`` — the local node universe.  Sorted by
-    #: global id so local CSR rows keep the global summation order, which
-    #: is what makes sharded matmuls bit-identical to whole-graph ones.
-    nodes: np.ndarray
-    #: positions of ``owned`` within ``nodes``
-    local_owned: np.ndarray
     #: degree weight of the owned set (balance accounting)
     weight: int = 0
 
     @property
     def n_owned(self) -> int:
         return len(self.owned)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass
@@ -121,7 +94,6 @@ class GraphPartition:
 
     shards: list[Shard]
     n_nodes: int
-    halo_hops: int
     #: pred edges whose driver and sink live in different owned sets
     edge_cut: int = 0
     #: max over shards of (shard weight / mean shard weight); 1.0 = perfect
@@ -139,23 +111,12 @@ class GraphPartition:
     def validate(self) -> None:
         """Assert the owned sets are an exact partition of the node set.
 
-        Raises :class:`ValueError` on overlap, gaps, halo/owned collisions
-        or unsorted local universes — the invariants every consumer
-        (sharded inference, mini-batch training) builds on.
+        Raises :class:`ValueError` on overlap or gaps — the invariant
+        sharded inference builds on.
         """
         counts = np.zeros(self.n_nodes, dtype=np.int64)
         for shard in self.shards:
             counts[shard.owned] += 1
-            if len(np.intersect1d(shard.owned, shard.halo)):
-                raise ValueError(f"shard {shard.index}: halo overlaps owned")
-            if not np.array_equal(
-                shard.nodes, np.union1d(shard.owned, shard.halo)
-            ):
-                raise ValueError(f"shard {shard.index}: nodes != owned | halo")
-            if not np.array_equal(
-                shard.nodes[shard.local_owned], shard.owned
-            ):
-                raise ValueError(f"shard {shard.index}: local_owned mismatch")
         if (counts == 0).any():
             raise ValueError(
                 f"{int((counts == 0).sum())} node(s) owned by no shard"
@@ -287,22 +248,6 @@ def _refine_owner(
     return owner
 
 
-def _halo(
-    owned_mask: np.ndarray, undirected: sp.csr_matrix, hops: int
-) -> np.ndarray:
-    """Global ids within ``hops`` of the owned set, excluding it."""
-    seen = owned_mask.copy()
-    frontier = owned_mask.astype(np.float64)
-    for _ in range(hops):
-        frontier = undirected @ frontier
-        new = (frontier > 0) & ~seen
-        if not new.any():
-            break
-        seen |= new
-        frontier = new.astype(np.float64)
-    return np.flatnonzero(seen & ~owned_mask)
-
-
 def partition_graph(
     graph: GraphData, config: PartitionConfig | None = None
 ) -> GraphPartition:
@@ -311,13 +256,12 @@ def partition_graph(
     Deterministic: the same graph and config always yield the same
     partition.  Handles every degenerate shape the test suite throws at
     it — single-node graphs, disconnected components, more shards than
-    nodes (clamped), and halos that swallow the whole graph.
+    nodes (clamped).
     """
     config = config or PartitionConfig()
-    halo_hops = config.halo_hops or 0
     n = graph.num_nodes
     if n == 0:
-        return GraphPartition(shards=[], n_nodes=0, halo_hops=halo_hops)
+        return GraphPartition(shards=[], n_nodes=0)
     n_shards = min(config.n_shards, n)
     with span("graph.partition", nodes=n, shards=n_shards):
         pred = graph.pred.to_scipy()
@@ -344,23 +288,8 @@ def partition_graph(
         shards: list[Shard] = []
         for i in range(n_shards):
             owned = np.flatnonzero(owner == i)
-            if halo_hops:
-                owned_mask = np.zeros(n, dtype=bool)
-                owned_mask[owned] = True
-                halo = _halo(owned_mask, undirected, halo_hops)
-            else:
-                halo = np.empty(0, dtype=np.int64)
-            nodes = np.union1d(owned, halo)
-            local_owned = np.searchsorted(nodes, owned)
             shards.append(
-                Shard(
-                    index=i,
-                    owned=owned,
-                    halo=halo,
-                    nodes=nodes,
-                    local_owned=local_owned,
-                    weight=int(weights[owned].sum()),
-                )
+                Shard(index=i, owned=owned, weight=int(weights[owned].sum()))
             )
 
         drivers = graph.pred.cols
@@ -382,52 +311,9 @@ def partition_graph(
     return GraphPartition(
         shards=shards,
         n_nodes=n,
-        halo_hops=halo_hops,
         edge_cut=edge_cut,
         imbalance=imbalance,
         frontier_fraction=frontier_fraction,
         owner=owner,
     )
 
-
-def extract_shard_graph(graph: GraphData, shard: Shard) -> GraphData:
-    """The shard's local :class:`GraphData` (owned + halo universe).
-
-    Adjacency submatrices are sliced from the *cached whole-graph CSR*, so
-    entry values (duplicates already summed) and per-row column order are
-    exactly those of full-graph inference — the root of bit-identity.
-    ``train_mask`` restricts the loss to owned nodes (intersected with the
-    parent's mask), making the result directly usable as a mini-batch.
-    """
-    nodes = shard.nodes
-    pred_sub = graph.pred.to_scipy()[nodes][:, nodes]
-    succ_sub = graph.succ.to_scipy()[nodes][:, nodes]
-    mask = np.zeros(len(nodes), dtype=bool)
-    mask[shard.local_owned] = True
-    if graph.train_mask is not None:
-        mask &= graph.train_mask[nodes]
-    return GraphData(
-        pred=COOMatrix.from_scipy(pred_sub),
-        succ=COOMatrix.from_scipy(succ_sub),
-        attributes=graph.attributes[nodes],
-        labels=None if graph.labels is None else graph.labels[nodes],
-        name=f"{graph.name}#shard{shard.index}",
-        train_mask=mask,
-        extras={"shard_index": shard.index, "shard_nodes": nodes},
-    )
-
-
-def shard_minibatches(
-    graph: GraphData, n_shards: int, halo_hops: int
-) -> list[GraphData]:
-    """Split ``graph`` into shard-as-minibatch training graphs.
-
-    Each mini-batch is a halo-correct subgraph: with ``halo_hops`` equal
-    to the model depth, the forward pass over a shard reproduces the
-    full-graph embeddings of its owned nodes exactly, and the loss mask
-    covers each original (masked) node exactly once across the batch set.
-    """
-    partition = partition_graph(
-        graph, PartitionConfig(n_shards=n_shards, halo_hops=halo_hops)
-    )
-    return [extract_shard_graph(graph, shard) for shard in partition.shards]

@@ -7,8 +7,7 @@ layer embeddings for its *owned* rows only, reading the cut frontier's
 rows from its peers between layers.  The exchange schedule — who ships
 which activation rows to whom each round — is compiled once per
 partition into a :class:`~repro.graph.exchange.BoundaryPlan`; with a
-thin cut, per-shard work is ``owned + frontier`` rows instead of the
-near-whole-graph halo the precomputed-halo model re-ran per shard.
+thin cut, per-shard work is ``owned + frontier`` rows.
 
 Every path is bit-identical at float64 to the single-shard engine: the
 local adjacency rows are the global CSR rows (duplicate summation done

@@ -91,6 +91,26 @@ class LoadedPredictor:
     detail: str
     path: Path | None = None
 
+    @classmethod
+    def of(cls, model, path: str | Path) -> "LoadedPredictor":
+        """The ladder rung a model read from ``path`` stands on."""
+        from repro.core.multistage import MultiStageGCN
+
+        path = Path(path)
+        if not isinstance(model, MultiStageGCN):
+            return cls(model, level="gcn", detail="single GCN loaded", path=path)
+        loaded, expected = len(model.stages), model.config.n_stages
+        if loaded < expected:
+            return cls(
+                model,
+                level="cascade-partial",
+                detail=f"{loaded}/{expected} stages loaded",
+                path=path,
+            )
+        return cls(
+            model, level="cascade", detail=f"all {expected} stages loaded", path=path
+        )
+
     def predict(self, graph: "GraphData") -> np.ndarray:
         return self.predictor.predict(graph)
 
@@ -121,42 +141,13 @@ def load_predictor(
     the ladder, bottoming out at the SCOAP heuristic.  Inspect
     ``result.level``/``result.detail`` to see what actually loaded.
     """
-    from repro.core.serialize import _open_npz, load_cascade, load_gcn
+    from repro.core.serialize import load_model
 
-    path = Path(path)
     try:
-        stored, path = _open_npz(path, required=("__format__", "__config__"))
+        # A partial cascade has already warned about its dropped tail.
+        model = load_model(path, strict=False)
     except FileNotFoundError:
         return _degrade(f"model file {path} does not exist", path, heuristic, warn)
     except CheckpointCorruptError as exc:
         return _degrade(str(exc), path, heuristic, warn)
-
-    is_cascade = "__n_stages__" in stored.files
-    if is_cascade:
-        expected = int(stored["__n_stages__"])
-        try:
-            cascade = load_cascade(path, strict=False)
-        except CheckpointCorruptError as exc:
-            return _degrade(str(exc), path, heuristic, warn)
-        if len(cascade.stages) == expected:
-            return LoadedPredictor(
-                predictor=cascade,
-                level="cascade",
-                detail=f"all {expected} stages loaded",
-                path=path,
-            )
-        # load_cascade(strict=False) already warned about the dropped tail.
-        return LoadedPredictor(
-            predictor=cascade,
-            level="cascade-partial",
-            detail=f"{len(cascade.stages)}/{expected} stages loaded",
-            path=path,
-        )
-
-    try:
-        model = load_gcn(path)
-    except CheckpointCorruptError as exc:
-        return _degrade(str(exc), path, heuristic, warn)
-    return LoadedPredictor(
-        predictor=model, level="gcn", detail="single GCN loaded", path=path
-    )
+    return LoadedPredictor.of(model, path)

@@ -24,12 +24,12 @@ Two pieces:
   :meth:`~repro.serve.service.ScoringService.submit_many`) or whatever
   queued while the workers were busy, never the product of a wait.
 
-Routing (who may enter the batch lane) is decided at submit time in
-:class:`~repro.serve.service.ScoringService`: requests over
-``ServeConfig.batch_solo_nodes`` — or carrying ``"batchable": false`` —
-are scored solo, where :class:`~repro.config.ExecutionConfig` routing
-sends graphs past the sharded-auto threshold to
-:class:`~repro.graph.sharded.ShardedInference` instead.
+The node budget is the only size rule: a design over ``batch_max_nodes``
+opens a pass and fills it alone.  A request carrying ``"batchable":
+false`` is also scored in a pass of its own.  Every pass, batched or
+not, is one graph to the model manager, so a GCN's engine is chosen by
+:meth:`~repro.core.inference.FastInference.route` for serving and
+:func:`repro.api.score` alike.
 """
 
 from __future__ import annotations

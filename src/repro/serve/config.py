@@ -39,23 +39,15 @@ class ServeConfig:
     drain_timeout_s: float = 30.0  #: max wait for in-flight work on SIGTERM
     debug: bool = False  #: honour ``debug_sleep_ms`` in requests (smoke tests)
     # ------------------------------------------------------------------ #
-    # Cross-request batching (the coalescing layer; see serve.batch)
+    # Cross-request batching (the coalescing layer; see serve.batch): a
+    # worker takes what is queued and the budgets admit, and scores it in
+    # one pass at once — never by waiting.  ``batch_max_requests=1``
+    # scores every request in a pass of its own.
     # ------------------------------------------------------------------ #
-    #: coalesce what is queued into one scoring pass (never by waiting:
-    #: a worker takes what is there and scores at once)
-    batching: bool = True
     batch_max_requests: int = 16  #: netlists per block-diagonal batch
-    batch_max_nodes: int = 200_000  #: total node budget per batch
-    #: requests above this node count never enter the batch lane — they
-    #: are scored solo, where ``ExecutionConfig`` routing sends graphs
-    #: past the sharded-auto threshold to ``ShardedInference``; 0 derives
-    #: half the batch node budget
-    batch_solo_threshold: int = 0
-
-    @property
-    def batch_solo_nodes(self) -> int:
-        """Node count at which a request bypasses the batch lane."""
-        return self.batch_solo_threshold or max(1, self.batch_max_nodes // 2)
+    #: total node budget per batch — the only size rule: a design over it
+    #: is scored in a pass of its own
+    batch_max_nodes: int = 200_000
 
     @property
     def admission_capacity(self) -> int:
@@ -100,7 +92,5 @@ class ServeConfig:
             problems.append("batch_max_requests must be >= 1")
         if self.batch_max_nodes < 1:
             problems.append("batch_max_nodes must be >= 1")
-        if self.batch_solo_threshold < 0:
-            problems.append("batch_solo_threshold must be >= 0 (0 = auto)")
         if problems:
             raise ConfigError("invalid serve config: " + "; ".join(problems))

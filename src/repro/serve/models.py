@@ -32,32 +32,6 @@ __all__ = ["ModelManager"]
 _HEALTHY_LEVELS = frozenset({"cascade", "gcn"})
 
 
-def _load_strict(path: str | Path) -> LoadedPredictor:
-    """Strictly load ``path`` as a cascade or single GCN.
-
-    Unlike :func:`~repro.resilience.degrade.load_predictor`, this refuses
-    partially corrupt files: reload candidates must be fully valid.
-    Raises :class:`FileNotFoundError` or :class:`~repro.resilience.errors.
-    CheckpointCorruptError`.
-    """
-    from repro.core.serialize import _open_npz, load_cascade, load_gcn
-
-    path = Path(path)
-    stored, path = _open_npz(path, required=("__format__", "__config__"))
-    if "__n_stages__" in stored.files:
-        cascade = load_cascade(path, strict=True)
-        return LoadedPredictor(
-            predictor=cascade,
-            level="cascade",
-            detail=f"all {len(cascade.stages)} stages loaded",
-            path=path,
-        )
-    model = load_gcn(path)
-    return LoadedPredictor(
-        predictor=model, level="gcn", detail="single GCN loaded", path=path
-    )
-
-
 def _predict_fn(
     loaded: LoadedPredictor, execution: "ExecutionConfig | None" = None
 ) -> Callable[[object], np.ndarray]:
@@ -150,8 +124,12 @@ class ModelManager:
         serving, the rollback counter ticks, and the error propagates for
         the HTTP layer to report alongside :meth:`describe`.
         """
+        from repro.core.serialize import load_model
+
         try:
-            candidate = _load_strict(path)
+            # Strict: unlike the lenient startup load, a reload candidate
+            # with a corrupt stage is refused, not salvaged.
+            candidate = LoadedPredictor.of(load_model(path), path)
         except Exception:
             with self._lock:
                 self._rollbacks += 1

@@ -14,13 +14,13 @@ without sockets:
   admit* (:class:`~repro.serve.batch.BatchPolicy`) in one critical
   section, then scores at once.  A batch forms from one body, or from
   jobs that queued while the workers were busy — never from sleeping: no
-  stage waits for work that is not known to be coming.  Oversized or
-  ``batchable: false`` requests take the solo lane, where
-  :class:`~repro.config.ExecutionConfig` routing engages
-  :class:`~repro.graph.sharded.ShardedInference` past the sharded-auto
-  threshold.  Batched results are bit-identical to solo scoring at
-  float64 and a failed batched pass is rescued member-by-member, so
-  batching changes latency shape only, never answers.
+  stage waits for work that is not known to be coming.  The node budget
+  is the only size rule, and ``batchable: false`` requests are scored
+  alone; every pass is one graph to the model manager, where a GCN's
+  :meth:`~repro.core.inference.FastInference.route` picks its engine.  Batched
+  results are bit-identical to solo scoring at float64 and a failed
+  batched pass is rescued member-by-member, so batching changes latency
+  shape only, never answers.
 * **Deadlines** — each job carries an absolute monotonic deadline.  The
   submitting thread waits at most that long; a job whose deadline passes
   while still queued is cancelled (the worker skips it) and the caller
@@ -369,7 +369,7 @@ class ScoringService:
         return labels, dict(info, stages={"predict": time.perf_counter() - started})
 
     def _score_solo(self, job: Job) -> None:
-        """Score one already-claimed job through the solo lane."""
+        """Score one already-claimed job in a pass of its own."""
         try:
             labels, info = self._predict(job.request.graph, job.request.debug_sleep_s)
         except Exception as exc:
@@ -430,15 +430,7 @@ class ScoringService:
                     job = Job(
                         request,
                         deadline=now + request.deadline_s,
-                        # Routing decision: oversized designs and explicit
-                        # opt-outs take the solo lane (ExecutionConfig sends
-                        # the largest on to ShardedInference); everything
-                        # else may coalesce.
-                        batchable=(
-                            self.config.batching
-                            and request.batchable
-                            and request.graph.num_nodes <= self.config.batch_solo_nodes
-                        ),
+                        batchable=request.batchable,
                         enqueued_at=now,
                     )
                     self._queue.append(job)

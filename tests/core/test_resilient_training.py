@@ -124,16 +124,8 @@ class TestParallelFaultTolerance:
     def _reference_step(self, graphs, seed=5):
         model = GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,), seed=seed))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.0, optimizer="sgd")
-        Trainer(model, cfg).train_step(graphs)
-        # ParallelTrainer reports the post-update loss; evaluate the serial
-        # model the same way so the two are comparable.
-        from repro.core.trainer import _graph_loss
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            loss = sum(
-                _graph_loss(model, g, cfg.class_weights).item() for g in graphs
-            ) / len(graphs)
+        # Both trainers report the loss the step descends (pre-update).
+        loss = Trainer(model, cfg).train_step(graphs)
         return model, loss
 
     def _parallel_trainer(self, seed=5, **policy):

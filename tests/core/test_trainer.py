@@ -125,3 +125,41 @@ class TestParallelTrainer:
         ).train_step([g1, g2])
         for ps, pp in zip(serial_model.parameters(), parallel_model.parameters()):
             assert np.allclose(ps.data, pp.data, atol=1e-12)
+
+
+class TestOneConfigTrainsOneModel:
+    """How inference would execute never changes what training learns:
+    every trainer trains each graph whole, whatever the config says."""
+
+    CASES = {
+        "default": (ExecutionConfig(), {}),
+        "sharded": (ExecutionConfig(backend="sharded", shards=3, workers=1), {}),
+        "env": (None, {"REPRO_BACKEND": "sharded", "REPRO_SHARDS": "3"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trainers_agree_bit_for_bit(self, case, monkeypatch):
+        from repro import api
+
+        execution, env = self.CASES[case]
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        graphs = [_labelled_graph(seed=5, n=600), _labelled_graph(seed=6, n=200)]
+        gcn = GCNConfig(hidden_dims=(8, 16), fc_dims=(16,), seed=3)
+        cfg = TrainConfig(epochs=3, eval_every=1)
+
+        serial = GCN(gcn)
+        reference = Trainer(serial, cfg).fit(graphs)
+        parallel = GCN(gcn)
+        pooled = ParallelTrainer(
+            parallel,
+            cfg,
+            execution=(execution or ExecutionConfig.from_env()).replace(workers=1),
+        ).fit(graphs)
+        facade = api.train(graphs, config=cfg, gcn=gcn, execution=execution)
+
+        for model, history in ((parallel, pooled), (facade.model, facade.history)):
+            assert history.loss == reference.loss
+            for mine, theirs in zip(model.parameters(), serial.parameters()):
+                np.testing.assert_array_equal(mine.data, theirs.data)

@@ -1,4 +1,4 @@
-"""Property test: shard union minus halos is an exact node partition."""
+"""Property test: the shards' owned sets are an exact node partition."""
 
 from __future__ import annotations
 
@@ -40,21 +40,19 @@ def random_graphs(draw):
 @given(
     graph=random_graphs(),
     n_shards=st.integers(min_value=1, max_value=6),
-    halo_hops=st.integers(min_value=0, max_value=4),
 )
-def test_owned_sets_exactly_partition_nodes(graph, n_shards, halo_hops):
-    partition = partition_graph(
-        graph, PartitionConfig(n_shards=n_shards, halo_hops=halo_hops)
-    )
+def test_owned_sets_exactly_partition_nodes(graph, n_shards):
+    partition = partition_graph(graph, PartitionConfig(n_shards=n_shards))
     partition.validate()
 
-    # Union of (shard universe minus its halo) over all shards == all nodes,
-    # with no node owned twice.
-    owned_sets = [np.setdiff1d(s.nodes, s.halo) for s in partition.shards]
+    # Union of the owned sets over all shards == all nodes, with no node
+    # owned twice.
+    owned_sets = [s.owned for s in partition.shards]
     union = np.concatenate(owned_sets) if owned_sets else np.empty(0, np.int64)
     assert len(union) == graph.num_nodes
     assert np.array_equal(np.sort(union), np.arange(graph.num_nodes))
 
-    # And each shard's declared owned set is exactly that difference.
-    for shard, derived in zip(partition.shards, owned_sets):
-        assert np.array_equal(shard.owned, derived)
+    # And each owned set is sorted and agrees with the per-node owner map.
+    for shard in partition.shards:
+        assert np.array_equal(shard.owned, np.sort(shard.owned))
+        assert (partition.owner[shard.owned] == shard.index).all()

@@ -1,4 +1,4 @@
-"""Sharded inference: bit-identity, routing, pool resilience, training."""
+"""Sharded inference: bit-identity, routing, pool resilience."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
-from repro.core.trainer import TrainConfig, Trainer
 from repro.flow.modify import IncrementalDesign
 from repro.flow.scorer import IncrementalScorer
 from repro.graph import ShardedInference
@@ -226,28 +225,3 @@ class TestPoolResilience:
         finally:
             engine.close()
 
-
-class TestTrainerIntegration:
-    def test_shard_minibatch_training_runs(self, graph):
-        rng = np.random.default_rng(3)
-        labelled = GraphData(
-            pred=graph.pred,
-            succ=graph.succ,
-            attributes=graph.attributes,
-            labels=rng.integers(0, 2, size=graph.num_nodes),
-            name="labelled",
-        )
-        model = GCN(GCNConfig(seed=1))
-        import repro.config as config_mod
-
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=2),
-            execution=ExecutionConfig(backend="sharded", shards=3, workers=1),
-        )
-        # Force the minibatch path regardless of the auto threshold.
-        assert config_mod.SHARDED_AUTO_MIN_NODES > labelled.num_nodes
-        batches = trainer._prepare_graphs([labelled])
-        assert len(batches) == 3
-        history = trainer.fit([labelled])
-        assert history.loss

@@ -321,7 +321,6 @@ class TestFlushRule:
                 batch_max_requests=8,
                 # Room for the first two members, not for the third as well.
                 batch_max_nodes=nodes[0] + nodes[1] + nodes[2] - 1,
-                batch_solo_threshold=max(nodes),
             ),
         )
         try:
@@ -334,6 +333,55 @@ class TestFlushRule:
         assert manager.seen == [nodes[0] + nodes[1], nodes[2] + nodes[3]]
         assert [info["batch_size"] for _, info in results] == [2, 2, 2, 2]
         assert _passes(service) == (2, 4.0)
+
+    def test_member_over_half_the_node_budget_still_coalesces(self, model_file):
+        """The node budget is the only size rule: no member is held out of
+        a batch for being large, and its answer is still its solo one."""
+        manager = ModelManager(model_file)
+        requests = [_request(120, 700), _request(15, 701), _request(15, 702)]
+        nodes = [r.graph.num_nodes for r in requests]
+        budget = sum(nodes)
+        assert nodes[0] > budget // 2
+        solo = [manager.predict(r.graph)[0] for r in requests]
+        service = ScoringService(
+            manager,
+            ServeConfig(
+                workers=1, queue_capacity=8, batch_max_requests=8, batch_max_nodes=budget
+            ),
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        for (labels, info), expected in zip(results, solo):
+            np.testing.assert_array_equal(labels, expected)
+            assert info["batch_size"] == 3
+        assert _passes(service) == (1, 3.0)
+
+    def test_member_over_the_node_budget_is_scored_alone(self, model_file):
+        manager = HeldManager(model_file)
+        manager.release.set()
+        requests = [_request(15, 710), _request(120, 711), _request(15, 712)]
+        nodes = [r.graph.num_nodes for r in requests]
+        service = ScoringService(
+            manager,
+            ServeConfig(
+                workers=1,
+                queue_capacity=8,
+                batch_max_requests=8,
+                batch_max_nodes=nodes[1] - 1,
+            ),
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        # The oversized member opens a pass and nothing joins it.
+        assert manager.seen == nodes
+        assert [info.get("batch_size", 1) for _, info in results] == [1, 1, 1]
+        assert _passes(service) == (3, 3.0)
 
     def test_set_larger_than_the_room_left_loses_only_its_tail(self, model_file):
         manager = HeldManager(model_file)

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -33,6 +34,28 @@ class TestCommands:
         assert main(["atpg", str(path), "--max-random", "256"]) == 0
         out = capsys.readouterr().out
         assert "coverage=" in out
+
+    def test_infer_scores_a_saved_cascade(self, tmp_path, capsys):
+        from repro import api
+
+        netlist = api.generate_design(150, seed=71)
+        labels = np.zeros(netlist.num_nodes, dtype=np.int64)
+        labels[::7] = 1
+        cascade = api.MultiStageGCN(
+            api.MultiStageConfig(
+                n_stages=2,
+                gcn=api.GCNConfig(hidden_dims=(8,), fc_dims=(8,)),
+                train=api.TrainConfig(epochs=5, eval_every=5),
+            )
+        )
+        cascade.fit([api.build_graph(netlist, labels=labels)])
+        model = api.save_cascade(cascade, tmp_path / "cascade.npz")
+        design = api.save_netlist(netlist, tmp_path / "design.bench")
+
+        assert main(["infer", str(model), str(design)]) == 0
+        expected = api.score(model, api.load_netlist(design)).n_positive
+        out = capsys.readouterr().out
+        assert f"{design}: {expected}/{netlist.num_nodes} difficult-to-observe" in out
 
     def test_generate_writes_parseable_bench(self, tmp_path):
         from repro.circuit import load_bench
@@ -184,3 +207,9 @@ class TestServeParser:
         assert args.workers == 3
         assert args.queue_capacity == 16
         assert args.debug is False
+
+    def test_no_batching_flag_is_gone(self):
+        # One request per pass is spelled --batch-max-requests 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--no-batching", "--port", "0"])
+        assert exc.value.code == 2

@@ -19,10 +19,11 @@ from repro.cli import main as cli_main
 from repro.config import ExecutionConfig, INFERENCE_BACKENDS
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
-from repro.core.trainer import ParallelTrainer, TrainConfig
+from repro.core.trainer import ParallelTrainer, TrainConfig, Trainer
 from repro.exec import DistributedExecutor, ForkPoolExecutor, make_executor
 from repro.graph import PartitionConfig, ShardedInference
 from repro.resilience.errors import ConfigError
+from repro.serve import ServeConfig
 from repro.testability import LabelConfig, label_nodes
 
 
@@ -217,6 +218,10 @@ class TestDeprecationShims:
             lambda: BatchedConeEngine(None, (), dense_threshold=0.5),
             lambda: PartitionConfig(balance_slack=0.1),
             lambda: PartitionConfig(refine_passes=1),
+            lambda: PartitionConfig(n_shards=2, halo_hops=1),
+            lambda: Trainer(None, execution=ExecutionConfig()),
+            lambda: ServeConfig(batching=False),
+            lambda: ServeConfig(batch_solo_threshold=1),
         ],
         ids=["make_executor", "ForkPoolExecutor", "DistributedExecutor",
              "ParallelTrainer", "ParallelTrainer-max-workers",
@@ -227,7 +232,9 @@ class TestDeprecationShims:
              "BatchedConeEngine-max-group-bytes",
              "BatchedConeEngine-dense-threshold",
              "PartitionConfig-balance-slack",
-             "PartitionConfig-refine-passes"],
+             "PartitionConfig-refine-passes",
+             "PartitionConfig-halo-hops", "Trainer-execution",
+             "ServeConfig-batching", "ServeConfig-batch-solo-threshold"],
     )
     def test_constructor_sleep_is_gone(self, build):
         with pytest.raises(TypeError, match="unexpected keyword"):
