@@ -5,6 +5,9 @@ PYTHON ?= python
 BENCH_SHARDED_FLAGS ?=
 # Extra flags for bench-serve, e.g. "--gate-p99 0.5"
 BENCH_SERVE_FLAGS ?=
+# bench-check: the workloads to run (empty = all) and the runs per side
+WORKLOADS ?=
+RUNS ?= 3
 
 .PHONY: install test lint bench bench-full bench-faultsim bench-sharded bench-serve bench-check obs-report examples report serve-smoke faultsim-smoke clean-cache
 
@@ -39,21 +42,24 @@ bench-sharded:
 bench-serve:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py $(BENCH_SERVE_FLAGS)
 
-# The perf gate: the benchmark (perf/run.py, 5 s windows) three times on an
-# export of the commit BASE and three times on this tree, the sides taking
+# The perf gate: the benchmark (perf/run.py, 5 s windows) RUNS times on an
+# export of the commit BASE and RUNS times on this tree, the sides taking
 # turns to go first, then perf/compare.py -- exit 1 when an end-to-end metric
 # on any workload is `worse` than its BENCHMARK.json bound.  Run nothing else
-# on the machine meanwhile (~5 min).
+# on the machine meanwhile (~5 min at the defaults).  To check a claim on one
+# workload: make bench-check BASE=<parent> WORKLOADS=opi_flow RUNS=10
 bench-check:
-	@test -n "$(BASE)" || { echo "usage: make bench-check BASE=<git ref>"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-check BASE=<git ref> [WORKLOADS='a b'] [RUNS=n]"; exit 2; }
 	set -e; out=results/bench-check; \
 	rm -rf $$out; mkdir -p $$out/tree; \
 	git archive $(BASE) | tar -x -C $$out/tree; \
-	for run in base:1 head:1 head:2 base:2 base:3 head:3; do \
-	  side=$${run%:*}; seed=$${run#*:}; \
-	  if [ $$side = base ]; then root=$$out/tree; else root=.; fi; \
-	  $(PYTHON) $$root/perf/run.py --seconds 5 --seed $$seed \
-	    --out $$out/$$side/$$seed.json; \
+	for seed in $$(seq 1 $(RUNS)); do \
+	  if [ $$((seed % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
+	  for side in $$sides; do \
+	    if [ $$side = base ]; then root=$$out/tree; else root=.; fi; \
+	    $(PYTHON) $$root/perf/run.py --seconds 5 --seed $$seed \
+	      $(foreach w,$(WORKLOADS),--workload $(w)) --out $$out/$$side/$$seed.json; \
+	  done; \
 	done; \
 	$(PYTHON) perf/compare.py $$out/base $$out/head
 

@@ -27,6 +27,7 @@ __all__ = [
     "rows_to_csr",
     "csr_to_rows",
     "expand_rows",
+    "sorted_unique",
 ]
 
 
@@ -123,3 +124,15 @@ def expand_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     positions = np.arange(ends[-1] if len(ends) else 0)
     positions += (starts - (ends - counts)).repeat(counts)
     return positions, counts
+
+
+def sorted_unique(a) -> np.ndarray:
+    """``np.unique(a)``, by sorting and dropping each entry equal to the
+    one before it: the sweeps that dedupe row ids once per hop or level
+    call it on a few hundred to a few hundred thousand integers, where
+    numpy's hash path for plain ``np.unique`` costs several times more."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]

@@ -55,6 +55,11 @@ BLOCK_ROWS = 512
 #: for the same reason.
 WHAT_IF_ROWS = 1024
 
+#: Bytes of the ``candidates × nodes`` visited mask after which
+#: :func:`repro.flow.modify.walk_fanin_cones` starts another chunk of
+#: cones.  A constant for the same reason.
+CONE_MASK_BYTES = 16 * 2**20
+
 
 def _narrow_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for fewer than four output columns: per row, the

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.flow.modify import walk_fanin_cones
 from repro.testability.cop import compute_cop
 from repro.obs import logs
 
@@ -68,20 +69,6 @@ def _hard_nodes(netlist: Netlist, threshold: float) -> np.ndarray:
     return hard
 
 
-def _fanin_cone(netlist: Netlist, node: int) -> list[int]:
-    seen = {node}
-    stack = [node]
-    cone = [node]
-    while stack:
-        v = stack.pop()
-        for u in netlist.fanins(v):
-            if u not in seen:
-                seen.add(u)
-                cone.append(u)
-                stack.append(u)
-    return cone
-
-
 def run_baseline_opi(
     netlist: Netlist, config: BaselineOpiConfig | None = None
 ) -> BaselineOpiResult:
@@ -112,24 +99,21 @@ def run_baseline_opi(
         # Greedy: score each hard node by hard-node count in its fan-in cone
         # (observing a funnel fixes everything feeding it); take the best,
         # remove its cone from consideration, repeat within the round.
-        hard_ids = [int(v) for v in np.flatnonzero(hard)]
-        cones = {v: _fanin_cone(work, v) for v in hard_ids}
-        still_hard = set(hard_ids)
+        # Ties go to the smaller cone, then the lower id.
+        hard_ids = np.flatnonzero(hard)
+        structure = work.structure()
+        cones = walk_fanin_cones(structure.fanin_ptr, structure.fanin_idx, hard_ids)
+        sizes = np.array([len(cone) for cone in cones])
+        members, starts = np.concatenate(cones), sizes.cumsum() - sizes
         round_targets: list[int] = []
         for _ in range(config.per_round):
-            if not still_hard:
+            live = np.flatnonzero(hard[hard_ids])
+            if not len(live):
                 break
-            best = max(
-                still_hard,
-                key=lambda v: (
-                    sum(1 for u in cones[v] if u in still_hard),
-                    -len(cones[v]),
-                    -v,
-                ),
-            )
-            round_targets.append(best)
-            covered = {u for u in cones[best] if u in still_hard}
-            still_hard -= covered
+            covers = np.add.reduceat(hard[members], starts, dtype=np.int64)[live]
+            best = live[np.lexsort((hard_ids[live], sizes[live], -covers))[0]]
+            round_targets.append(int(hard_ids[best]))
+            hard[cones[best]] = False  # covered: no longer counts
 
         for target in round_targets:
             if config.max_ops is not None and result.n_ops >= config.max_ops:

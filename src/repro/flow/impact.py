@@ -6,11 +6,14 @@ impact of a location as the *reduction in positive predictions inside its
 fan-in cone* after tentatively inserting an OP there, and ranks candidates
 by it.
 
-Implementation: :class:`repro.flow.modify.IncrementalDesign` previews
-every candidate's insertion (the attribute rows it would move, nothing
-inserted), the :class:`~repro.flow.scorer.Scorer` is asked what labels
-each preview would change inside the candidate's (memoised) fan-in cone —
-so that it scores nothing else — and the surviving positives are counted.
+Implementation, a fixed number of array sweeps per iteration:
+:class:`repro.flow.modify.IncrementalDesign` previews every candidate's
+insertion in one stacked SCOAP relaxation (the attribute rows each would
+move, nothing inserted) and walks every candidate's fan-in cone not yet
+memoised in one stacked level walk; the :class:`~repro.flow.scorer.Scorer`
+is asked, in stacked what-if passes, what labels each preview would change
+inside its candidate's cone — so that it scores nothing else — and the
+surviving positives are counted.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ class ImpactEvaluator:
         design = self.design
         candidates = [int(c) for c in candidates]
         what_if = self.scorer.what_if(
-            [design.preview_op(c) for c in candidates],
-            [design.fanin_cone(c) for c in candidates],
+            design.preview_ops(candidates), design.fanin_cones(candidates)
         )
         scored = []
         for c, (rows, labels) in zip(candidates, what_if):

@@ -48,7 +48,8 @@ def _obs():
         ),
         "impact": reg.histogram(
             "repro_opi_impact_nodes",
-            "impact metric (affected-cone size) of ranked OP candidates",
+            "impact of ranked OP candidates: the drop in positive "
+            "predictions inside the candidate's fan-in cone (Fig. 6)",
             buckets=(1, 2, 5, 10, 20, 50, 100, 250, 1000),
         ),
         "positives": reg.gauge(

@@ -10,18 +10,25 @@ Inserting an observation point at node ``v`` means:
   cone via the incremental SCOAP relaxation.
 
 :class:`IncrementalDesign` owns all three representations and keeps them
-consistent; it also supports O(cone) rollback of a tentative insertion,
-which the impact evaluator leans on.  Every insertion reports the graph
-rows it touched (``changed_rows`` of its checkpoint), which is what lets a
-:class:`~repro.flow.scorer.Scorer` re-score only their D-hop closure, and
-the appended edge lands last in its CSR row, so the adjacency's cached CSR
-stays alive across insert and rollback (:mod:`repro.nn.sparse`).
-:meth:`IncrementalDesign.preview_op` reports the same without inserting
-anything, which is what lets a scorer rank many candidates in one pass.
+consistent; it also supports O(cone) rollback of a tentative insertion.
+Every insertion reports the graph rows it touched (``changed_rows`` of its
+checkpoint), which is what lets a :class:`~repro.flow.scorer.Scorer`
+re-score only their D-hop closure, and the appended edge lands last in its
+CSR row, so the adjacency's cached CSR stays alive across insert and
+rollback (:mod:`repro.nn.sparse`).
+
+Ranking an iteration's candidates is a fixed number of array sweeps:
+:meth:`IncrementalDesign.preview_ops` reports what each insertion would
+change, without inserting anything, from one stacked
+:func:`~repro.testability.incremental.relax_observability` call (which
+:meth:`~IncrementalDesign.insert_op` makes too, for one target), and
+:meth:`~IncrementalDesign.fanin_cones` walks every cone not yet memoised
+in one stacked level walk, :func:`walk_fanin_cones`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +36,15 @@ import numpy as np
 from repro.atpg.cones import invalidate_cone_cache
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
-from repro.circuit.structure import expand_rows
+from repro.circuit.structure import expand_rows, sorted_unique
+from repro.core import inference
 from repro.core.attributes import AttributeConfig, OP_ATTRIBUTES, normalize_attributes
 from repro.core.graphdata import GraphData
-from repro.testability.incremental import refresh_observability
-from repro.testability.scoap import ScoapResult, compute_scoap
+from repro.testability.incremental import relax_observability
+from repro.testability.scoap import ScoapResult, compute_scoap, crossing_costs
 from repro.utils.rowstore import RowStore
 
-__all__ = ["IncrementalDesign", "OpPreview"]
+__all__ = ["IncrementalDesign", "OpPreview", "walk_fanin_cones"]
 
 
 @dataclass
@@ -46,9 +54,10 @@ class _Checkpoint:
     n_nodes: int
     pred_nnz: int
     succ_nnz: int
-    changed_co: list[tuple[int, float]]
-    #: nodes whose CO moved, and their attribute rows before it did
-    attr_rows: tuple[list[int], np.ndarray]
+    #: nodes whose CO moved, and their CO before it did
+    changed_co: tuple[np.ndarray, np.ndarray]
+    #: the attribute rows of those nodes before the move
+    previous_rows: np.ndarray
     #: whether the insertion is what made the target an observed node
     target_newly_observed: bool
     #: graph rows whose attributes or adjacency the insertion changed:
@@ -63,8 +72,8 @@ class OpPreview:
 
     design: "IncrementalDesign"
     target: int
-    #: nodes whose CO would move, then the id the OBS cell would get, and
-    #: the attribute rows they would have
+    #: nodes whose CO would move (ascending), then the id the OBS cell
+    #: would get, and the attribute rows they would have
     rows: np.ndarray
     attributes: np.ndarray
 
@@ -86,14 +95,15 @@ class IncrementalDesign:
             netlist, attribute_config=self.attribute_config
         )
         #: observation sites plus OBS cells, kept current under insert and
-        #: rollback so neither the SCOAP relaxation nor the flow rescans
-        #: the netlist for them
+        #: rollback so that the flow does not rescan the netlist for them
         self.observed: set[int] = set(netlist.observation_sites)
         self.observed.update(netlist.observation_points())
-        #: fan-in wiring of the original cells and their memoised cones: an
-        #: OBS cell is a pure sink, so no insertion ever changes either
-        structure = netlist.structure()
-        self._fanin = (structure.fanin_ptr, structure.fanin_idx)
+        #: the wiring of the original cells, what crossing each of their
+        #: wires costs and their memoised fan-in cones: an OBS cell is a
+        #: pure sink and changes no controllability, so no insertion ever
+        #: changes any of them
+        self._structure = netlist.structure()
+        self._crossing = crossing_costs(self._structure, self.scoap.cc0, self.scoap.cc1)
         self._cones: dict[int, np.ndarray] = {}
         #: the paper's attribute row of a fresh OP, squashed like the rest
         self._op_row = normalize_attributes(
@@ -114,14 +124,14 @@ class IncrementalDesign:
     def num_nodes(self) -> int:
         return self.netlist.num_nodes
 
-    def _attr_rows(self, nodes: list[int]) -> np.ndarray:
-        """Attribute rows of ``nodes`` (original cells) from current SCOAP."""
+    def _attr_rows(self, nodes: np.ndarray, co: np.ndarray) -> np.ndarray:
+        """Attribute rows of ``nodes`` (original cells) at observability ``co``."""
         raw = np.stack(
             [
                 self.levels[nodes].astype(np.float64),
                 self.scoap.cc0[nodes],
                 self.scoap.cc1[nodes],
-                self.scoap.co[nodes],
+                co,
             ],
             axis=1,
         )
@@ -133,36 +143,35 @@ class IncrementalDesign:
             store.rows(n) for store in self._scoap_stores
         )
 
-    def _observe(self, target: int):
-        """Count ``target`` as observed and relax CO through its fan-in
-        cone (the OBS cell itself is never consulted: an observed node's
-        CO is 0).  Returns whether that made it observed, the relaxation's
-        undo list, the nodes that moved and their new attribute rows."""
-        newly_observed = target not in self.observed
-        self.observed.add(target)
-        changed = refresh_observability(
-            self.netlist, self.scoap, [target], self.levels, self.observed
+    def _relax(self, targets: Sequence[int]):
+        """Nodes whose CO observing each target would move (the OBS cell
+        itself is never consulted: an observed node's CO is 0), their new
+        CO and attribute rows, and the per-target bounds into them."""
+        nodes, co, bounds = relax_observability(
+            self._structure, self._crossing, self.scoap.co, targets
         )
-        moved = list(dict(changed))
-        return newly_observed, changed, moved, self._attr_rows(moved)
-
-    def _restore_co(self, changed: list[tuple[int, float]]) -> None:
-        # In reverse, so repeated relaxations of one node unwind to its
-        # original value.
-        for v, co in reversed(changed):
-            self.scoap.co[v] = co
+        return nodes, co, self._attr_rows(nodes, co), bounds
 
     # ------------------------------------------------------------------ #
+    def preview_ops(self, targets: Sequence[int]) -> list[OpPreview]:
+        """What inserting an OP at each of ``targets`` would change, each
+        on its own; the design, its graph and the netlist are left exactly
+        as they were."""
+        targets = [int(t) for t in targets]
+        nodes, _, rows, bounds = self._relax(targets)
+        # Each preview's OBS row goes behind its moved rows.
+        ends = bounds[1:]
+        nodes = np.insert(nodes, ends, self.num_nodes)
+        rows = np.insert(rows, ends, self._op_row, axis=0)
+        at = (bounds + np.arange(len(bounds))).tolist()
+        return [
+            OpPreview(self, target, nodes[a:b], rows[a:b])
+            for target, a, b in zip(targets, at, at[1:])
+        ]
+
     def preview_op(self, target: int) -> OpPreview:
-        """What inserting an OP at ``target`` would change; the design,
-        its graph and the netlist are left exactly as they were."""
-        newly_observed, changed, moved, rows = self._observe(target)
-        self._restore_co(changed)
-        if newly_observed:
-            self.observed.discard(target)
-        rows = np.vstack([rows, self._op_row])
-        moved.append(self.num_nodes)
-        return OpPreview(self, target, np.array(moved, dtype=np.int64), rows)
+        """:meth:`preview_ops` of one target."""
+        return self.preview_ops([target])[0]
 
     def insert_op(self, target: int) -> tuple[int, _Checkpoint]:
         """Insert an OP at ``target``; returns (new node id, checkpoint)."""
@@ -179,28 +188,31 @@ class IncrementalDesign:
         self.graph.pred.append(1.0, p, target)
         self.graph.succ.append(1.0, target, p)
 
-        self.observed.add(p)
+        target_newly_observed = target not in self.observed
+        self.observed.update((target, p))
 
         # SCOAP bookkeeping: grow arrays, seed the OP row, relax the cone.
         self._resize_scoap(n)
         self.scoap.cc0[p] = self.scoap.cc0[target] + 1.0
         self.scoap.cc1[p] = self.scoap.cc1[target] + 1.0
         self.scoap.co[p] = 0.0
-        target_newly_observed, changed, moved, rows = self._observe(target)
+        moved, co, rows, _ = self._relax([target])
+        previous = self.scoap.co[moved]
+        self.scoap.co[moved] = co
 
         # Attribute refresh: new OP row + every node whose CO moved.
         attributes = self.graph.attributes = self._attr_store.rows(n)
         attributes[p] = self._op_row
-        before = attributes[moved]
+        previous_rows = attributes[moved]
         attributes[moved] = rows
         return p, _Checkpoint(
             n_nodes=n_before,
             pred_nnz=pred_nnz,
             succ_nnz=succ_nnz,
-            changed_co=changed,
-            attr_rows=(moved, before),
+            changed_co=(moved, previous),
+            previous_rows=previous_rows,
             target_newly_observed=target_newly_observed,
-            changed_rows=[target, p, *moved],
+            changed_rows=[target, p, *moved.tolist()],
         )
 
     def rollback(self, checkpoint: _Checkpoint) -> None:
@@ -215,9 +227,9 @@ class IncrementalDesign:
         if checkpoint.target_newly_observed:
             self.observed.discard(target)
         self._resize_scoap(n)
-        self._restore_co(checkpoint.changed_co)
-        moved, rows = checkpoint.attr_rows
-        self.graph.attributes[moved] = rows
+        moved, co = checkpoint.changed_co
+        self.scoap.co[moved] = co
+        self.graph.attributes[moved] = checkpoint.previous_rows
         self.graph.attributes = self._attr_store.rows(n)
 
     def tentative_insert(self, target: int):
@@ -230,20 +242,53 @@ class IncrementalDesign:
         return undo
 
     # ------------------------------------------------------------------ #
+    def fanin_cones(self, nodes: Sequence[int]) -> list[np.ndarray]:
+        """Fan-in cone of each of ``nodes``, itself included, as ascending
+        node ids (used by impact evaluation).  Cones of original cells are
+        walked once, together; an OBS cell's is its target's plus itself,
+        not memoised, because a rollback frees its id for another target."""
+        n = self._structure.num_nodes
+        nodes = [int(v) for v in nodes]
+        owners = [v if v < n else self.netlist.fanins(v)[0] for v in nodes]
+        missing = [v for v in dict.fromkeys(owners) if v not in self._cones]
+        fanin = self._structure.fanin_ptr, self._structure.fanin_idx
+        self._cones.update(zip(missing, walk_fanin_cones(*fanin, missing)))
+        return [
+            self._cones[v] if v == owner else np.append(self._cones[owner], v)
+            for v, owner in zip(nodes, owners)
+        ]
+
     def fanin_cone(self, node: int, include_self: bool = True) -> np.ndarray:
-        """Fan-in cone of ``node`` as ascending node ids (used by impact
-        evaluation); walked once per original cell, level by level."""
-        ptr, idx = self._fanin
-        if node >= len(ptr) - 1:
-            # An OBS cell, a sink on its target; not memoised, because a
-            # rollback frees its id for another target.
-            cone = np.append(self.fanin_cone(self.netlist.fanins(node)[0]), node)
-        elif (cone := self._cones.get(node)) is None:
-            seen = np.zeros(len(ptr) - 1, dtype=bool)
-            frontier = np.array([node])
-            while len(frontier):
-                seen[frontier] = True
-                reached = np.unique(idx[expand_rows(ptr, frontier)[0]])
-                frontier = reached[~seen[reached]]
-            cone = self._cones[node] = np.flatnonzero(seen)
+        """:meth:`fanin_cones` of one node, ``node`` itself left out on
+        request."""
+        (cone,) = self.fanin_cones([node])
         return cone if include_self else cone[cone != node]
+
+
+def walk_fanin_cones(
+    fanin_ptr: np.ndarray, fanin_idx: np.ndarray, nodes: Sequence[int]
+) -> list[np.ndarray]:
+    """Fan-in cone of each of ``nodes``, itself included, as ascending ids
+    over the fan-in CSR ``(fanin_ptr, fanin_idx)``.
+
+    All cones are walked level by level at once, in a ``cones × nodes``
+    visited mask keyed ``cone * n + node``; the cone axis is cut into
+    chunks whose mask fits :data:`~repro.core.inference.CONE_MASK_BYTES`.
+    """
+    n = len(fanin_ptr) - 1
+    nodes = np.asarray(nodes, dtype=np.int64)
+    per_chunk = max(1, inference.CONE_MASK_BYTES // max(n, 1))
+    cones: list[np.ndarray] = []
+    for lo in range(0, len(nodes), per_chunk):
+        chunk = nodes[lo : lo + per_chunk]
+        seen = np.zeros(len(chunk) * n, dtype=bool)
+        frontier = np.arange(len(chunk)) * n + chunk
+        while len(frontier):
+            seen[frontier] = True
+            owner, node = np.divmod(frontier, n)
+            take, counts = expand_rows(fanin_ptr, node)
+            reached = sorted_unique(owner.repeat(counts) * n + fanin_idx[take])
+            frontier = reached[~seen[reached]]
+        owner, node = np.divmod(np.flatnonzero(seen), n)
+        cones += np.split(node, np.searchsorted(owner, np.arange(1, len(chunk))))
+    return cones

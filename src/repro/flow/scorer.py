@@ -15,7 +15,7 @@ be told what changed, so the flows talk to a :class:`Scorer` instead:
 * ``rollback(token)`` — restore the state before that ``rescore``, LIFO,
   paired with :meth:`repro.flow.modify.IncrementalDesign.rollback`;
 * ``what_if(previews, within)`` — what each of several alternative
-  insertions (:meth:`repro.flow.modify.IncrementalDesign.preview_op`)
+  insertions (:meth:`repro.flow.modify.IncrementalDesign.preview_ops`)
   would do to the labels the caller will read (``within``, per preview),
   each against the graph as it stands, nothing kept.
 
@@ -38,7 +38,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.circuit.structure import counts_to_ptr, expand_rows
+from repro.circuit.structure import counts_to_ptr, expand_rows, sorted_unique
 from repro.core import inference
 from repro.core.graphdata import GraphData
 from repro.core.inference import check_finite, head_forward, layer_forward
@@ -199,7 +199,11 @@ class IncrementalScorer:
     def rescore(self, changed_rows: Sequence[int]) -> tuple[np.ndarray, object]:
         graph, weights = self._graph, self.weights
         n = graph.num_nodes
-        rows = np.union1d(changed_rows, np.arange(self._n, n)).astype(np.int64)
+        rows = sorted_unique(
+            np.concatenate(
+                [np.asarray(changed_rows, dtype=np.int64), np.arange(self._n, n)]
+            )
+        )
         with span("opi.incremental_update", changed=len(rows)):
             pred = graph.pred.to_scipy()
             succ = graph.succ.to_scipy()
@@ -257,7 +261,7 @@ class IncrementalScorer:
         held = np.arange(len(previews) + 1) * (n + 1)
         target = held[:-1] + [p.target for p in previews]
         moved = [h + p.rows for h, p in zip(held, previews)]
-        changed = [np.unique(np.concatenate([target, *moved]))]
+        changed = [sorted_unique(np.concatenate([target, *moved]))]
         for _ in range(self.weights.depth):
             changed.append(_reach(changed[-1], n + 1, adjacency))
         need = [changed.pop()]
@@ -375,7 +379,7 @@ def _reach(keys: np.ndarray, width: int, adjacency, more=()) -> np.ndarray:
     for ptr, csr in adjacency:
         take, counts = expand_rows(ptr, row)
         reached.append(owner.repeat(counts) * width + csr.indices[take])
-    return np.unique(np.concatenate(reached))
+    return sorted_unique(np.concatenate(reached))
 
 
 def _row_block(csr, rows: np.ndarray):

@@ -2,7 +2,7 @@
 
 from repro.testability.scoap import SCOAP_INF, ScoapResult, compute_scoap
 from repro.testability.cop import CopResult, compute_cop
-from repro.testability.incremental import refresh_observability, update_scoap_after_op
+from repro.testability.incremental import relax_observability
 from repro.testability.labels import LabelConfig, LabelResult, label_nodes
 
 __all__ = [
@@ -11,8 +11,7 @@ __all__ = [
     "compute_scoap",
     "CopResult",
     "compute_cop",
-    "refresh_observability",
-    "update_scoap_after_op",
+    "relax_observability",
     "LabelConfig",
     "LabelResult",
     "label_nodes",

@@ -3,101 +3,86 @@
 The paper's iterative OPI flow (Section 4) re-runs GCN inference after each
 insertion round, which requires refreshed node attributes.  Recomputing
 SCOAP from scratch is O(V + E); inserting an OP only improves observability
-inside the fan-in cone of the target, so this module performs the backward
-relaxation from the insertion point and touches exactly the nodes whose
-``CO`` can change.  Controllability is unaffected by adding an OP (the OP
-is a pure sink), so ``CC0``/``CC1`` are reused.
+inside the fan-in cone of the target, so :func:`relax_observability`
+relaxes ``CO`` backwards from the insertion point and touches only the
+nodes whose ``CO`` can change.  Controllability is unaffected by adding an
+OP (the OP is a pure sink), so ``CC0``/``CC1`` — and with them the cost of
+crossing each wire, :func:`~repro.testability.scoap.crossing_costs` — are
+reused.
+
+The relaxation answers for many alternative insertions at once, each
+against the same ``CO``: the candidate axis is stacked into the keys
+``candidate * n + node``, and every frontier wave is a handful of array
+calls over all candidates, the way the full pass sweeps one level.  The
+node-by-node heap relaxation it replaced is the oracle in
+``tests/testability/reference_incremental.py``.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.circuit.netlist import Netlist
-from repro.testability.scoap import ScoapResult, branch_observability
+from repro.circuit.structure import NetlistStructure, expand_rows, sorted_unique
 
-__all__ = ["update_scoap_after_op", "refresh_observability"]
+__all__ = ["relax_observability"]
 
 
-def update_scoap_after_op(
-    netlist: Netlist,
-    scoap: ScoapResult,
-    op_node: int,
-    levels: np.ndarray,
-) -> ScoapResult:
-    """Update ``scoap`` in place after ``OBS`` cell ``op_node`` was added.
+def relax_observability(
+    structure: NetlistStructure,
+    crossing: np.ndarray,
+    co: np.ndarray,
+    targets: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``CO`` after observing each of ``targets``, one at a time, from ``co``.
 
-    ``levels`` are pre-insertion logic levels; the new OBS cell is appended
-    behind its target so only the target's backward cone needs revisiting.
-    Returns the same (mutated) :class:`ScoapResult` with arrays grown to the
-    new node count.
+    ``structure`` is the wiring the relaxation walks (inserted OBS cells,
+    pure sinks on observed nodes, may be missing from it), ``crossing``
+    its :func:`~repro.testability.scoap.crossing_costs` and ``co`` the
+    current observability of at least its nodes.  Returns ``(nodes,
+    new_co, bounds)``: target ``i`` moves ``nodes[bounds[i]:bounds[i + 1]]``
+    (ascending) to those entries of ``new_co``.  Nothing is written.
+
+    A target goes to 0, then waves run over the fan-in CSR: a wave
+    recomputes, from their fan-out rows, the fanins of the nodes the last
+    wave moved, and keeps the decreases — adding an OP never worsens
+    observability.  An observed node has CO 0 already and so never moves.
+    Every value is an integer-valued float, so the fixpoint is the full
+    pass's result bit for bit.
     """
-    n = netlist.num_nodes
-    if len(scoap.cc0) < n:
-        grow = n - len(scoap.cc0)
-        target = netlist.fanins(op_node)[0]
-        scoap.cc0 = np.concatenate([scoap.cc0, np.zeros(grow)])
-        scoap.cc1 = np.concatenate([scoap.cc1, np.zeros(grow)])
-        scoap.co = np.concatenate([scoap.co, np.zeros(grow)])
-        scoap.cc0[op_node] = scoap.cc0[target] + 1.0
-        scoap.cc1[op_node] = scoap.cc1[target] + 1.0
-        scoap.co[op_node] = 0.0
+    n = structure.num_nodes
+    targets = np.asarray(targets, dtype=np.int64)
+    # Targets already at CO 0 (observed ones, OBS cells) move nothing.
+    seeds = np.flatnonzero(co[targets] > 0.0)
+    # The overlay: sorted keys ``candidate * n + node`` of moved nodes and
+    # their new CO; every other node of a candidate reads ``co``.
+    keys = frontier = seeds * n + targets[seeds]
+    values = np.zeros(len(keys))
+    while len(frontier):
+        owner, node = np.divmod(frontier, n)
+        take, counts = expand_rows(structure.fanin_ptr, node)
+        rows = sorted_unique(owner.repeat(counts) * n + structure.fanin_idx[take])
+        owner, node = np.divmod(rows, n)
+        take, counts = expand_rows(structure.fanout_ptr, node)
+        sink = structure.fanout_idx[take]
+        cost = _lookup(keys, values, owner.repeat(counts) * n + sink, co[sink])[0]
+        cost += crossing[take]
+        # Every row drives the node it was reached from: no empty segment.
+        best = np.minimum.reduceat(cost, counts.cumsum() - counts)
+        current, at, known = _lookup(keys, values, rows, co[node])
+        moved = best < current
+        at, known, frontier, best = at[moved], known[moved], rows[moved], best[moved]
+        values[at[known]] = best[known]
+        keys = np.insert(keys, at[~known], frontier[~known])
+        values = np.insert(values, at[~known], best[~known])
+    bounds = np.searchsorted(keys, np.arange(len(targets) + 1) * n)
+    return keys % n, values, bounds
 
-    target = netlist.fanins(op_node)[0]
-    refresh_observability(netlist, scoap, [target], levels)
-    return scoap
 
-
-def refresh_observability(
-    netlist: Netlist,
-    scoap: ScoapResult,
-    seeds: list[int],
-    levels: np.ndarray,
-    observed: set[int] | None = None,
-) -> list[tuple[int, float]]:
-    """Backward relaxation of ``CO`` from ``seeds``.
-
-    Returns ``(node, previous_co)`` for every node whose CO changed, which
-    lets callers undo the relaxation cheaply.  ``observed`` is the set of
-    observation sites plus OBS cells; a caller that maintains it across
-    edits passes it in, otherwise it is collected by scanning the netlist.
-
-    Processes candidates highest-logic-level first (a node's CO depends only
-    on its fanouts, which sit at higher levels), re-queuing fanins whenever a
-    node's CO improves.  Only decreases are propagated — adding an OP can
-    never worsen observability.
-    """
-    if observed is None:
-        observed = set(netlist.observation_sites)
-        observed.update(netlist.observation_points())
-
-    # Cells appended since ``levels`` was computed sit behind all of them.
-    appended_level = int(levels.max(initial=0) + 1)
-
-    def level_of(v: int) -> int:
-        return int(levels[v]) if v < len(levels) else appended_level
-
-    heap: list[tuple[int, int]] = []
-    queued: set[int] = set()
-    for s in seeds:
-        heapq.heappush(heap, (-level_of(s), s))
-        queued.add(s)
-
-    changed: list[tuple[int, float]] = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        queued.discard(v)
-        if v in observed:
-            new_co = 0.0
-        else:
-            new_co = branch_observability(netlist, v, scoap.cc0, scoap.cc1, scoap.co)
-        if new_co < scoap.co[v] - 1e-12:
-            changed.append((v, float(scoap.co[v])))
-            scoap.co[v] = new_co
-            for u in netlist.fanins(v):
-                if u not in queued:
-                    heapq.heappush(heap, (-level_of(u), u))
-                    queued.add(u)
-    return changed
+def _lookup(keys, values, wanted, fallback):
+    """``values`` at ``wanted`` among the ascending ``keys``, ``fallback``
+    where a key is absent; also where each sits and whether it is there."""
+    at = np.searchsorted(keys, wanted)
+    known = np.append(keys, -1)[at] == wanted
+    return np.where(known, np.append(values, 0.0)[at], fallback), at, known

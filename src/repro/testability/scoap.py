@@ -19,9 +19,9 @@ import numpy as np
 from repro.circuit.cells import GateType
 from repro.circuit.levelize import levelize, topological_order, uses_level_batches
 from repro.circuit.netlist import Netlist
-from repro.circuit.structure import counts_to_ptr, expand_rows, gate_table
+from repro.circuit.structure import NetlistStructure, counts_to_ptr, expand_rows, gate_table
 
-__all__ = ["ScoapResult", "compute_scoap", "SCOAP_INF"]
+__all__ = ["ScoapResult", "compute_scoap", "crossing_costs", "SCOAP_INF"]
 
 #: Cost assigned to uncontrollable/unobservable nets (tie-cell outputs,
 #: dangling nodes).  Kept finite so the attribute matrix stays usable.
@@ -123,20 +123,12 @@ def observability_pass(
     cc0: np.ndarray,
     cc1: np.ndarray,
     order: list[int] | None = None,
-    co_init: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Backward observability pass given controllabilities.
-
-    ``co_init`` allows the incremental updater to seed known values;
-    otherwise observation sites start at 0 and everything else at INF.
-    """
+    """Backward observability pass given controllabilities: observation
+    sites start at 0 and everything else at INF."""
     if order is None:
         order = topological_order(netlist)
-    n = netlist.num_nodes
-    if co_init is None:
-        co = np.full(n, SCOAP_INF, dtype=np.float64)
-    else:
-        co = co_init.copy()
+    co = np.full(netlist.num_nodes, SCOAP_INF, dtype=np.float64)
     for site in netlist.observation_sites:
         co[site] = 0.0
     for p in netlist.observation_points():
@@ -217,6 +209,30 @@ def _level_groups(keys: np.ndarray, n_groups: int, ptr: np.ndarray, rows: np.nda
     return positions, counts, local_starts, row_bounds.tolist(), entry_bounds.tolist()
 
 
+def crossing_costs(
+    structure: NetlistStructure, cc0: np.ndarray, cc1: np.ndarray
+) -> np.ndarray:
+    """What a fault effect pays to cross each driven pin, aligned with
+    ``structure.fanout_idx``: a driver's CO through that pin is the sink's
+    CO plus this.
+
+    It is 1 plus the cost of the gate's side inputs, taken as the sum over
+    all its pins minus every pin the driver itself holds.  It reads
+    controllability only, which an inserted observation point never
+    changes, so one array serves a design's whole OPI flow.
+    """
+    n = structure.num_nodes
+    side_cost = np.stack([cc0, cc1, np.minimum(cc0, cc1), np.zeros(n)], axis=1).reshape(-1)
+    side = _SIDE[structure.types]
+    pin_sink = structure.pin_sinks()
+    all_pins = np.bincount(
+        pin_sink, weights=side_cost[4 * structure.fanin_idx + side[pin_sink]], minlength=n
+    )
+    driver, sink = structure.pin_drivers(), structure.fanout_idx
+    _, wire, held = np.unique(driver * n + sink, return_inverse=True, return_counts=True)
+    return 1.0 + all_pins[sink] - held[wire] * side_cost[4 * driver + side[sink]]
+
+
 def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:
     """SCOAP level by level over the array view.
 
@@ -278,18 +294,7 @@ def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:
     co[types == GateType.OBS] = 0.0
     co[np.array(netlist.primary_outputs, dtype=np.int64)] = 0.0
 
-    # Cost of crossing each driven pin: 1 + the gate's side inputs, taken as
-    # the sum over all its pins minus every pin the driver itself holds.
-    side_cost = np.stack([cc0, cc1, np.minimum(cc0, cc1), np.zeros(n)], axis=1).reshape(-1)
-    side = _SIDE[types]
-    pin_sink = structure.pin_sinks()
-    all_pins = np.bincount(
-        pin_sink, weights=side_cost[4 * structure.fanin_idx + side[pin_sink]], minlength=n
-    )
-    driver, sink = structure.pin_drivers(), structure.fanout_idx
-    _, wire, held = np.unique(driver * n + sink, return_inverse=True, return_counts=True)
-    crossing = 1.0 + all_pins[sink] - held[wire] * side_cost[4 * driver + side[sink]]
-
+    sink, crossing = structure.fanout_idx, crossing_costs(structure, cc0, cc1)
     drivers = levelization.order[::-1]
     drivers = drivers[np.diff(structure.fanout_ptr)[drivers] > 0]
     positions, _, starts, row_at, pin_at = _level_groups(

@@ -4,9 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import GateType, Netlist, generate_design, parse_bench, write_bench
-from repro.circuit.structure import csr_to_rows, expand_rows, rows_to_csr
+from repro.circuit.structure import csr_to_rows, expand_rows, rows_to_csr, sorted_unique
 from tests.circuit import reference_frontend as reference
 
 
@@ -92,3 +94,24 @@ class TestCsrHelpers:
         assert counts.tolist() == [3, 0, 2]
         positions, counts = expand_rows(ptr, np.array([], dtype=np.int64))
         assert len(positions) == 0 and len(counts) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-(2**62), 2**62), max_size=300), small=st.booleans())
+    def test_sorted_unique_is_np_unique(self, values, small):
+        a = np.array(values, dtype=np.int64)
+        if small:
+            a %= 7  # mostly repeats
+        expected = np.unique(a)
+        got = sorted_unique(a)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("a", [[], [5], np.array([], dtype=np.int64), np.array([4])])
+    def test_sorted_unique_empty_and_single(self, a):
+        expected = np.unique(a)
+        got = sorted_unique(a)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+    def test_sorted_unique_leaves_its_input_alone(self):
+        a = np.array([3, 1, 3])
+        sorted_unique(a)
+        assert a.tolist() == [3, 1, 3]

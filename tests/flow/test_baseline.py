@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_design
+from repro.flow import baseline
 from repro.flow.baseline import BaselineOpiConfig, run_baseline_opi
 from repro.testability.cop import compute_cop
 
@@ -64,3 +65,32 @@ class TestBaselineOpi:
             netlist, BaselineOpiConfig(detect_threshold=0.002, max_iterations=80)
         )
         assert loose.n_ops <= strict.n_ops
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BaselineOpiConfig(detect_threshold=0.005, max_iterations=80),
+            BaselineOpiConfig(detect_threshold=0.02, max_iterations=80),
+            BaselineOpiConfig(max_ops=4, max_iterations=50),
+        ],
+    )
+    def test_stacked_cones_choose_like_a_depth_first_walk(self, netlist, monkeypatch, config):
+        stacked = run_baseline_opi(netlist, config)
+
+        def depth_first(fanin_ptr, fanin_idx, nodes):
+            cones = []
+            for node in nodes:
+                seen, stack = {node}, [node]
+                while stack:
+                    v = stack.pop()
+                    for u in fanin_idx[fanin_ptr[v] : fanin_ptr[v + 1]].tolist():
+                        if u not in seen:
+                            seen.add(u)
+                            stack.append(u)
+                cones.append(np.array(sorted(seen)))
+            return cones
+
+        monkeypatch.setattr(baseline, "walk_fanin_cones", depth_first)
+        walked = run_baseline_opi(netlist, config)
+        assert stacked.inserted == walked.inserted
+        assert stacked.hard_history == walked.hard_history

@@ -1,12 +1,26 @@
 """Incremental design modification: consistency and rollback."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuit import generate_design
+from repro.circuit import GateType, generate_design, logic_levels
+from repro.core import inference
+from repro.core.attributes import normalize_attributes
 from repro.core.graphdata import GraphData
-from repro.flow.modify import IncrementalDesign
+from repro.flow.modify import IncrementalDesign, walk_fanin_cones
 from repro.testability import compute_scoap
+from repro.testability.scoap import ScoapResult
+
+from tests.circuit import reference_frontend as reference
+from tests.flow.reference_impact import reference_fanin_cone
+from tests.testability.reference_incremental import (
+    refresh_observability,
+    update_scoap_after_op,
+)
 
 
 @pytest.fixture
@@ -197,3 +211,129 @@ class TestFaninCone:
     def test_cone_exclude_self(self, design):
         cone = design.fanin_cone(5, include_self=False)
         assert 5 not in cone
+
+
+class HeapOracle:
+    """The node-by-node relaxation's view of a design under insert and
+    rollback: its own netlist copy and SCOAP arrays."""
+
+    def __init__(self, netlist, attribute_config):
+        self.netlist = netlist.copy()
+        self.config = attribute_config
+        self.levels = logic_levels(self.netlist)
+        self.scoap = compute_scoap(self.netlist)
+        self.saved = []
+
+    def preview(self, target):
+        """Moved nodes (ascending), their new CO and attribute rows."""
+        cc0, cc1, co = self.scoap.cc0, self.scoap.cc1, self.scoap.co.copy()
+        observed = set(self.netlist.observation_sites)
+        observed.update(self.netlist.observation_points(), [target])
+        changed = refresh_observability(
+            self.netlist, ScoapResult(cc0, cc1, co), [target], self.levels, observed
+        )
+        moved = np.array(sorted(dict(changed)), dtype=np.int64)
+        raw = np.stack(
+            [self.levels[moved].astype(np.float64), cc0[moved], cc1[moved], co[moved]],
+            axis=1,
+        )
+        return moved, co[moved], normalize_attributes(raw, self.config)
+
+    def insert(self, target):
+        scoap = self.scoap
+        self.saved.append(ScoapResult(scoap.cc0.copy(), scoap.cc1.copy(), scoap.co.copy()))
+        op = self.netlist.insert_observation_point(target)
+        update_scoap_after_op(self.netlist, scoap, op, self.levels)
+
+    def rollback(self):
+        self.netlist.remove_last_cell()
+        self.scoap = self.saved.pop()
+
+
+def build_design(kind, seed):
+    if kind == "generated":
+        return generate_design(40 + seed % 60, seed=seed)
+    return reference.random_netlist(seed, 20 + seed % 60)
+
+
+class TestArrayRelaxation:
+    """One stacked relaxation for previews and inserts, held to the heap."""
+
+    def check_previews(self, design, oracle, candidates):
+        previews = design.preview_ops(candidates)
+        _, co, _, bounds = design._relax(candidates)
+        assert [p.target for p in previews] == candidates
+        for i, (target, preview) in enumerate(zip(candidates, previews)):
+            moved, new_co, rows = oracle.preview(target)
+            assert preview.rows.tolist() == [*moved.tolist(), design.num_nodes]
+            assert np.array_equal(co[bounds[i] : bounds[i + 1]], new_co)
+            assert np.array_equal(preview.attributes[:-1], rows)
+            assert np.array_equal(preview.attributes[-1], design._op_row)
+            single = design.preview_op(target)
+            assert np.array_equal(single.rows, preview.rows)
+            assert np.array_equal(single.attributes, preview.attributes)
+
+    def check_co(self, design, oracle):
+        assert np.array_equal(design.scoap.co, oracle.scoap.co)
+        assert np.array_equal(design.scoap.cc0, oracle.scoap.cc0)
+        assert np.array_equal(design.scoap.cc1, oracle.scoap.cc1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["generated", "random"]),
+        seed=st.integers(0, 5000),
+        commits=st.lists(st.integers(0, 10**6), max_size=5),
+        rollbacks=st.integers(0, 5),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+    )
+    def test_previews_inserts_and_rollbacks_equal_the_heap(
+        self, kind, seed, commits, rollbacks, picks
+    ):
+        netlist = build_design(kind, seed)
+        design = IncrementalDesign(netlist.copy())
+        oracle = HeapOracle(netlist, design.attribute_config)
+        insertable = [
+            v for v in netlist.nodes() if netlist.gate_type(v) is not GateType.OBS
+        ]
+        commits = [insertable[c % len(insertable)] for c in commits]
+        checkpoints = []
+        self.check_previews(design, oracle, [p % design.num_nodes for p in picks])
+        for target in commits:
+            checkpoints.append(design.insert_op(target)[1])
+            oracle.insert(target)
+            self.check_co(design, oracle)
+            assert np.array_equal(design.scoap.co, compute_scoap(design.netlist).co)
+            # Candidates now include committed targets and OBS cells.
+            candidates = [p % design.num_nodes for p in picks]
+            self.check_previews(design, oracle, [*candidates, target, design.num_nodes - 1])
+        for checkpoint in checkpoints[::-1][:rollbacks]:
+            design.rollback(checkpoint)
+            oracle.rollback()
+            self.check_co(design, oracle)
+            self.check_previews(design, oracle, [p % design.num_nodes for p in picks])
+
+
+class TestWalkFaninCones:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["generated", "random"]),
+        seed=st.integers(0, 5000),
+        picks=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_one_cone_chunks_equal_the_depth_first_walk(self, kind, seed, picks):
+        design = IncrementalDesign(build_design(kind, seed))
+        structure = design.netlist.structure()
+        nodes = [p % design.num_nodes for p in picks]
+        whole = walk_fanin_cones(structure.fanin_ptr, structure.fanin_idx, nodes)
+        with mock.patch.object(inference, "CONE_MASK_BYTES", 1):
+            one_by_one = walk_fanin_cones(structure.fanin_ptr, structure.fanin_idx, nodes)
+            memoised = design.fanin_cones(nodes)
+        assert len(whole) == len(one_by_one) == len(memoised) == len(nodes)
+        for node, a, b, c in zip(nodes, whole, one_by_one, memoised):
+            expected = reference_fanin_cone(design, node)
+            assert a.tolist() == b.tolist() == c.tolist() == expected
+
+    def test_no_nodes(self, design):
+        structure = design.netlist.structure()
+        assert walk_fanin_cones(structure.fanin_ptr, structure.fanin_idx, []) == []
+        assert design.fanin_cones([]) == []

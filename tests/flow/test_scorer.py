@@ -1,6 +1,7 @@
 """The scorer protocol: incremental patches vs whole-graph passes, bit for bit."""
 
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import trace
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.errors import NumericalError
+from repro.testability import scoap as scoap_module
 
 from tests.flow.test_impact import co_threshold_predictor
 
@@ -375,6 +377,17 @@ class TestWorkGate:
         weights = load_gcn(TRAINED).layer_weights()
         netlist = generate_design(1000, seed=7002)
         calls = self._count_kernel(monkeypatch)
+
+        # Previews and inserts relax CO in array sweeps, never node by node.
+        def per_node(*args, **kwargs):
+            raise AssertionError("a node-by-node SCOAP relaxation ran")
+
+        original = scoap_module.branch_observability
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("repro."):
+                continue
+            if getattr(module, "branch_observability", None) is original:
+                monkeypatch.setattr(module, "branch_observability", per_node)
         rows, updates = rows_scored(), patches()
         with trace("opi") as root:
             result = api.insert_observation_points(netlist, weights, self.CONFIG)

@@ -1,28 +1,68 @@
-"""Incremental SCOAP updates vs full recomputation."""
+"""The stacked array CO relaxation vs the heap oracle and full recomputation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import generate_design, logic_levels
-from repro.testability.incremental import (
+from repro.circuit import GateType, generate_design, logic_levels
+from repro.testability.incremental import relax_observability
+from repro.testability.scoap import ScoapResult, compute_scoap, crossing_costs
+
+from tests.circuit import reference_frontend as reference
+from tests.testability.reference_incremental import (
     refresh_observability,
     update_scoap_after_op,
 )
-from repro.testability.scoap import compute_scoap
+
+
+def relax(structure, scoap, targets):
+    """``relax_observability`` over ``structure`` at ``scoap``'s CO."""
+    crossing = crossing_costs(structure, scoap.cc0, scoap.cc1)
+    return relax_observability(structure, crossing, scoap.co, targets)
+
+
+def oracle(netlist, scoap, target, levels):
+    """The heap's moved nodes (ascending) and their new CO when ``target``
+    counts as observed; ``scoap`` is left alone."""
+    co = scoap.co.copy()
+    observed = set(netlist.observation_sites) | set(netlist.observation_points())
+    observed.add(target)
+    changed = refresh_observability(
+        netlist, ScoapResult(scoap.cc0, scoap.cc1, co), [target], levels, observed
+    )
+    moved = np.array(sorted(dict(changed)), dtype=np.int64)
+    return moved, co[moved]
+
+
+def check_each_target(netlist, targets):
+    """One stacked call for all of ``targets`` equals the oracle, target by
+    target, and writes nothing."""
+    levels = logic_levels(netlist)
+    scoap = compute_scoap(netlist)
+    before = scoap.co.copy()
+    nodes, co, bounds = relax(netlist.structure(), scoap, targets)
+    assert np.array_equal(scoap.co, before)
+    assert len(bounds) == len(targets) + 1
+    for i, target in enumerate(targets):
+        moved, new_co = oracle(netlist, scoap, target, levels)
+        assert np.array_equal(nodes[bounds[i] : bounds[i + 1]], moved)
+        assert np.array_equal(co[bounds[i] : bounds[i + 1]], new_co)
 
 
 class TestUpdateAfterOp:
     def _insert_and_compare(self, netlist, target):
         levels = logic_levels(netlist)
         scoap = compute_scoap(netlist)
-        op = netlist.insert_observation_point(target)
-        update_scoap_after_op(netlist, scoap, op, levels)
+        structure = netlist.structure()
+        nodes, co, _ = relax(structure, scoap, [target])
+        moved, new_co = oracle(netlist, scoap, target, levels)
+        assert np.array_equal(nodes, moved) and np.array_equal(co, new_co)
+        scoap.co[nodes] = co
+        netlist.insert_observation_point(target)
         fresh = compute_scoap(netlist)
-        assert np.allclose(scoap.cc0, fresh.cc0)
-        assert np.allclose(scoap.cc1, fresh.cc1)
-        assert np.allclose(scoap.co, fresh.co)
+        assert np.array_equal(scoap.co, fresh.co[:-1])
+        assert fresh.co[-1] == 0.0
 
     def test_c17_all_targets(self, c17):
         for target in list(c17.nodes()):
@@ -30,19 +70,29 @@ class TestUpdateAfterOp:
 
     def test_generated_design_sample_targets(self, rng):
         nl = generate_design(300, seed=23)
-        for target in rng.choice(nl.num_nodes, size=8, replace=False):
-            self._insert_and_compare(nl.copy(), int(target))
+        targets = rng.choice(nl.num_nodes, size=8, replace=False).tolist()
+        for target in targets:
+            self._insert_and_compare(nl.copy(), target)
+        check_each_target(nl, targets)
 
     def test_sequential_insertions_stay_consistent(self, rng):
+        # The wiring and crossing costs of the original cells serve every
+        # later insertion: OBS cells are sinks and leave CC alone.
         nl = generate_design(200, seed=29)
+        other = nl.copy()
         levels = logic_levels(nl)
-        scoap = compute_scoap(nl)
-        for target in rng.choice(nl.num_nodes, size=5, replace=False):
-            op = nl.insert_observation_point(int(target))
-            update_scoap_after_op(nl, scoap, op, levels)
-        fresh = compute_scoap(nl)
-        assert np.allclose(scoap.co, fresh.co)
-        assert np.allclose(scoap.cc0, fresh.cc0)
+        structure = nl.structure()
+        scoap, expected = compute_scoap(nl), compute_scoap(other)
+        for target in rng.choice(nl.num_nodes, size=5, replace=False).tolist():
+            nodes, co, _ = relax(structure, scoap, [target])
+            p = nl.insert_observation_point(target)
+            scoap.co = np.append(scoap.co, 0.0)
+            scoap.co[nodes] = co
+            op = other.insert_observation_point(target)
+            update_scoap_after_op(other, expected, op, levels)
+            assert np.array_equal(scoap.co, expected.co)
+            assert np.array_equal(scoap.co, compute_scoap(nl).co)
+            assert p == len(scoap.co) - 1
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 5000), target_frac=st.floats(0.0, 0.999))
@@ -51,52 +101,54 @@ class TestUpdateAfterOp:
         target = int(target_frac * nl.num_nodes)
         self._insert_and_compare(nl, target)
 
-    def test_caller_maintained_observed_set_changes_nothing(self):
-        nl = generate_design(200, seed=29)
-        levels = logic_levels(nl)
-        target = 57
-        op = nl.insert_observation_point(target)
-        scanned, passed = compute_scoap(nl.copy()), compute_scoap(nl.copy())
-        for scoap in (scanned, passed):
-            scoap.co[op], scoap.co[target] = 0.0, 1e6  # stale: relax it
+    def test_observed_nodes_never_move(self):
+        nl = reference.random_netlist(7, 120)
         observed = set(nl.observation_sites) | set(nl.observation_points())
-        changed_scanned = refresh_observability(nl, scanned, [target], levels)
-        changed_passed = refresh_observability(
-            nl, passed, [target], levels, observed
-        )
-        assert changed_scanned == changed_passed and changed_passed
-        assert np.array_equal(scanned.co, passed.co)
+        scoap = compute_scoap(nl)
+        assert (scoap.co[sorted(observed)] == 0.0).all()
+        nodes, _, _ = relax(nl.structure(), scoap, list(nl.nodes()))
+        assert not observed & set(nodes.tolist())
 
     def test_co_never_increases(self, c17):
-        levels = logic_levels(c17)
         scoap = compute_scoap(c17)
-        before = scoap.co.copy()
-        op = c17.insert_observation_point(c17.find("G11"))
-        update_scoap_after_op(c17, scoap, op, levels)
-        assert (scoap.co[: len(before)] <= before + 1e-12).all()
+        nodes, co, _ = relax(c17.structure(), scoap, [c17.find("G11")])
+        assert len(nodes) and (co < scoap.co[nodes]).all()
 
     def test_target_becomes_perfectly_observable(self, and_chain):
-        levels = logic_levels(and_chain)
         scoap = compute_scoap(and_chain)
         g1 = and_chain.find("g1")
         assert scoap.co[g1] > 0
-        op = and_chain.insert_observation_point(g1)
-        update_scoap_after_op(and_chain, scoap, op, levels)
-        assert scoap.co[g1] == 0.0
+        nodes, co, _ = relax(and_chain.structure(), scoap, [g1])
+        assert co[nodes == g1].tolist() == [0.0]
 
-    def test_fallback_level_is_computed_once_per_call(self):
-        # Seeds appended after ``levels`` was taken all sit one level
-        # behind it; finding that level is O(n) and must not repeat.
-        class CountingLevels(np.ndarray):
-            max_calls = 0
 
-            def max(self, *args, **kwargs):
-                type(self).max_calls += 1
-                return super().max(*args, **kwargs)
+class TestStackedTargets:
+    @pytest.mark.parametrize("name", sorted(reference.hand_built_designs()))
+    def test_hand_built(self, name):
+        netlist = reference.hand_built_designs()[name]
+        check_each_target(netlist, list(netlist.nodes()))
 
-        nl = generate_design(120, seed=31)
-        levels = logic_levels(nl).view(CountingLevels)
-        ops = [nl.insert_observation_point(t) for t in (10, 40, 70, 100)]
-        scoap = compute_scoap(nl)
-        assert refresh_observability(nl, scoap, ops, levels) == []
-        assert CountingLevels.max_calls == 1
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_gates=st.integers(0, 120),
+        picks=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_random_designs(self, seed, n_gates, picks):
+        # Duplicate pins, tie cells, flop loops and OBS cells (as targets
+        # too); targets may repeat.
+        netlist = reference.random_netlist(seed, n_gates)
+        check_each_target(netlist, [p % netlist.num_nodes for p in picks])
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 5000), gates=st.integers(20, 400))
+    def test_generated_designs(self, seed, gates):
+        netlist = generate_design(gates, seed=seed)
+        targets = [
+            v for v in netlist.nodes() if netlist.gate_type(v) is not GateType.INPUT
+        ]
+        check_each_target(netlist, targets[:: max(1, len(targets) // 25)])
+
+    def test_no_targets(self, c17):
+        nodes, co, bounds = relax(c17.structure(), compute_scoap(c17), [])
+        assert len(nodes) == len(co) == 0 and bounds.tolist() == [0]
