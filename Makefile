@@ -45,7 +45,9 @@ bench-serve:
 # The perf gate: the benchmark (perf/run.py, 5 s windows) RUNS times on an
 # export of the commit BASE and RUNS times on this tree, the sides taking
 # turns to go first, then perf/compare.py -- exit 1 when an end-to-end metric
-# on any workload is `worse` than its BENCHMARK.json bound.  Run nothing else
+# on any workload is `worse` than its BENCHMARK.json bound -- and
+# scripts/check_flow_digest.py -- exit 1 when the OPI flow inserted other
+# points on some seed than it did at BASE.  Run nothing else
 # on the machine meanwhile (~5 min at the defaults).  To check a claim on one
 # workload: make bench-check BASE=<parent> WORKLOADS=opi_flow RUNS=10
 bench-check:
@@ -61,7 +63,8 @@ bench-check:
 	      $(foreach w,$(WORKLOADS),--workload $(w)) --out $$out/$$side/$$seed.json; \
 	  done; \
 	done; \
-	$(PYTHON) perf/compare.py $$out/base $$out/head
+	$(PYTHON) perf/compare.py $$out/base $$out/head; \
+	$(PYTHON) scripts/check_flow_digest.py $$out/base $$out/head
 
 obs-report:
 	PYTHONPATH=src $(PYTHON) -m repro obs-report

@@ -7,13 +7,14 @@ fan-in cone* after tentatively inserting an OP there, and ranks candidates
 by it.
 
 Implementation, a fixed number of array sweeps per iteration:
-:class:`repro.flow.modify.IncrementalDesign` previews every candidate's
-insertion in one stacked SCOAP relaxation (the attribute rows each would
-move, nothing inserted) and walks every candidate's fan-in cone not yet
-memoised in one stacked level walk; the :class:`~repro.flow.scorer.Scorer`
-is asked, in stacked what-if passes, what labels each preview would change
-inside its candidate's cone — so that it scores nothing else — and the
-surviving positives are counted.
+:meth:`repro.flow.modify.IncrementalDesign.preview_ops` previews every
+candidate's insertion in one stacked SCOAP relaxation (the attribute rows
+each would move, nothing inserted) — the caller takes the previews, ranks
+them here and commits the ones it selects — and the design walks every
+candidate's fan-in cone not yet memoised in one stacked level walk; the
+:class:`~repro.flow.scorer.Scorer` is asked, in stacked what-if passes,
+what labels each preview would change inside its candidate's cone — so
+that it scores nothing else — and the surviving positives are counted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.flow.modify import IncrementalDesign
+from repro.flow.modify import IncrementalDesign, OpPreview
 from repro.flow.scorer import Scorer
 
 __all__ = ["ImpactEvaluator"]
@@ -43,23 +44,24 @@ class ImpactEvaluator:
 
     def impact(self, candidate: int, baseline_predictions: np.ndarray) -> int:
         """Impact of observing ``candidate`` (Figure 6's ``5 - 1 = 4``)."""
-        return self.rank([candidate], baseline_predictions)[0][1]
+        previews = self.design.preview_ops([candidate])
+        return self.rank(previews, baseline_predictions)[0][1]
 
     def rank(
         self,
-        candidates: Sequence[int],
+        previews: Sequence[OpPreview],
         baseline_predictions: np.ndarray,
     ) -> list[tuple[int, int]]:
-        """Return ``(candidate, impact)`` sorted by decreasing impact.
+        """Return ``(candidate, impact)`` sorted by decreasing impact, one
+        per preview (of the design as it stands; ``target`` names the
+        candidate).
 
         Ties break towards lower observability-attribute candidates (the
         hardest nodes first), then lower node id for determinism.
         """
         design = self.design
-        candidates = [int(c) for c in candidates]
-        what_if = self.scorer.what_if(
-            design.preview_ops(candidates), design.fanin_cones(candidates)
-        )
+        candidates = [p.target for p in previews]
+        what_if = self.scorer.what_if(previews, design.fanin_cones(candidates))
         scored = []
         for c, (rows, labels) in zip(candidates, what_if):
             # ``rows`` lie inside the cone; its other labels stay as they

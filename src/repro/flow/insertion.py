@@ -5,12 +5,20 @@ classifier -> evaluate each positive's impact -> insert OPs at the
 top-ranked locations -> incrementally update the graph -> re-predict.
 Exit when no positive predictions remain (or safety limits trigger).
 
+An iteration previews every positive's insertion once
+(:meth:`~repro.flow.modify.IncrementalDesign.preview_ops`), ranks those
+previews and commits the selected ones in one
+:meth:`~repro.flow.modify.IncrementalDesign.insert_ops` step: the commit
+relaxes no SCOAP value again.
+
 Resilience: pass a :class:`~repro.resilience.checkpoint.Checkpointer` and
 the flow snapshots its inserted-target list after every iteration; an
 interrupted run restarts at its last completed iteration (node ids are
-append-only, so replaying the insertions on a fresh copy reproduces the
-design state exactly).  ``OpiConfig.stall_patience`` arms a watchdog that
-raises :class:`~repro.resilience.errors.ConvergenceError` when the
+append-only, so replaying the insertions on a fresh copy — one preview
+and one commit of the whole list — reproduces the design state exactly;
+a list the flow cannot have written is refused).
+``OpiConfig.stall_patience`` arms a watchdog that raises
+:class:`~repro.resilience.errors.ConvergenceError` when the
 positive-prediction count stops decreasing.
 """
 
@@ -186,9 +194,12 @@ def run_gcn_opi(
             result.iterations = iteration
             metrics["iterations"].inc()
 
+            # The design does not change before the commit, so the
+            # previews ranking reads are the ones the commit inserts.
             if config.use_impact:
                 with span("opi.rank_impact", candidates=len(candidates)):
-                    ranked = evaluator.rank(candidates, predictions)
+                    previews = design.preview_ops(candidates)
+                    ranked = evaluator.rank(previews, predictions)
                 for _, imp in ranked:
                     metrics["impact"].observe(imp)
                 ranked = [
@@ -204,18 +215,19 @@ def run_gcn_opi(
                 config.min_per_iteration,
                 int(round(config.select_fraction * len(ranked))),
             )
+            if config.max_ops is not None:
+                take = min(take, max(0, config.max_ops - result.n_ops))
             selected = [c for c, _ in ranked[:take]]
             with span("opi.insert", selected=len(selected)):
-                for target in selected:
-                    if (
-                        config.max_ops is not None
-                        and result.n_ops >= config.max_ops
-                    ):
-                        break
-                    _, inserted = design.insert_op(target)
-                    pending.extend(inserted.changed_rows)
-                    result.inserted.append(target)
-                    metrics["ops"].inc()
+                if config.use_impact:
+                    by_target = {p.target: p for p in previews}
+                    commit = [by_target[c] for c in selected]
+                else:
+                    commit = design.preview_ops(selected)
+                _, inserted = design.insert_ops(commit)
+                pending.extend(inserted.changed_rows)
+                result.inserted.extend(selected)
+                metrics["ops"].inc(len(selected))
             if checkpoint is not None:
                 _save_opi(checkpoint, iteration, netlist, result)
             if config.max_ops is not None and result.n_ops >= config.max_ops:
@@ -276,14 +288,19 @@ def _restore_opi(
             path=snapshot.path,
         )
     inserted = [int(v) for v in snapshot.arrays.get("inserted", [])]
-    if any(v < 0 or v >= netlist.num_nodes + len(inserted) for v in inserted):
+    # The flow inserts at unobserved original cells only, each at most once.
+    if any(v < 0 or v >= netlist.num_nodes or v in design.observed for v in inserted):
         raise CheckpointCorruptError(
-            "OPI checkpoint names an out-of-range insertion target",
+            "OPI checkpoint names an insertion target that is not an "
+            "unobserved cell of the original netlist",
             path=snapshot.path,
         )
-    for target in inserted:
-        design.insert_op(target)
-        result.inserted.append(target)
+    if len(set(inserted)) < len(inserted):
+        raise CheckpointCorruptError(
+            "OPI checkpoint names an insertion target twice", path=snapshot.path
+        )
+    design.insert_ops(design.preview_ops(inserted))
+    result.inserted.extend(inserted)
     result.positives_history[:] = [
         int(p) for p in snapshot.arrays.get("positives_history", [])
     ]

@@ -11,19 +11,20 @@ Inserting an observation point at node ``v`` means:
 
 :class:`IncrementalDesign` owns all three representations and keeps them
 consistent; it also supports O(cone) rollback of a tentative insertion.
-Every insertion reports the graph rows it touched (``changed_rows`` of its
+Every commit reports the graph rows it touched (``changed_rows`` of its
 checkpoint), which is what lets a :class:`~repro.flow.scorer.Scorer`
-re-score only their D-hop closure, and the appended edge lands last in its
-CSR row, so the adjacency's cached CSR stays alive across insert and
+re-score only their D-hop closure, and every appended edge lands last in
+its CSR row, so the adjacency's cached CSR stays alive across insert and
 rollback (:mod:`repro.nn.sparse`).
 
-Ranking an iteration's candidates is a fixed number of array sweeps:
+An iteration is a fixed number of array sweeps.  Ranking:
 :meth:`IncrementalDesign.preview_ops` reports what each insertion would
 change, without inserting anything, from one stacked
-:func:`~repro.testability.incremental.relax_observability` call (which
-:meth:`~IncrementalDesign.insert_op` makes too, for one target), and
-:meth:`~IncrementalDesign.fanin_cones` walks every cone not yet memoised
-in one stacked level walk, :func:`walk_fanin_cones`.
+:func:`~repro.testability.incremental.relax_observability` call — the
+only one the design makes — and :meth:`~IncrementalDesign.fanin_cones`
+walks every cone not yet memoised in one stacked level walk,
+:func:`walk_fanin_cones`.  Committing: :meth:`IncrementalDesign.insert_ops`
+inserts the selected previews in one step, relaxing nothing again.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.atpg.cones import invalidate_cone_cache
+from repro.circuit.cells import GateType
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import expand_rows, sorted_unique
@@ -49,7 +51,7 @@ __all__ = ["IncrementalDesign", "OpPreview", "walk_fanin_cones"]
 
 @dataclass
 class _Checkpoint:
-    """State needed to undo one tentative insertion."""
+    """State needed to undo one commit of insertions."""
 
     n_nodes: int
     pred_nnz: int
@@ -58,24 +60,30 @@ class _Checkpoint:
     changed_co: tuple[np.ndarray, np.ndarray]
     #: the attribute rows of those nodes before the move
     previous_rows: np.ndarray
-    #: whether the insertion is what made the target an observed node
-    target_newly_observed: bool
-    #: graph rows whose attributes or adjacency the insertion changed:
-    #: the target, the new OBS cell and every node whose CO moved
+    #: the targets the commit is what made observed nodes
+    newly_observed: list[int]
+    #: graph rows whose attributes or adjacency the commit changed: the
+    #: targets, the new OBS cells and every node whose CO moved
     changed_rows: list[int]
+    #: the design state the commit created
+    state: int
 
 
 @dataclass
 class OpPreview:
-    """What :meth:`IncrementalDesign.insert_op` at ``target`` would change,
-    computed without changing anything."""
+    """What inserting an OP at ``target`` would change, computed without
+    changing anything.  :meth:`IncrementalDesign.insert_ops` takes it in
+    the design state it was taken in only."""
 
     design: "IncrementalDesign"
     target: int
     #: nodes whose CO would move (ascending), then the id the OBS cell
-    #: would get, and the attribute rows they would have
+    #: would get, the attribute rows they would have and their CO
     rows: np.ndarray
     attributes: np.ndarray
+    co: np.ndarray
+    #: the design state it was taken in
+    state: int
 
 
 class IncrementalDesign:
@@ -109,6 +117,11 @@ class IncrementalDesign:
         self._op_row = normalize_attributes(
             OP_ATTRIBUTES[None, :], self.attribute_config
         )[0]
+        #: the states on the way to this one: the initial state, then one
+        #: fresh id per commit not rolled back (ids are never reused, so a
+        #: preview is current exactly while the last entry is its state)
+        self._states = [0]
+        self._next_state = 1
         # Capacity-doubled backing stores so appends don't copy every time.
         n = self.num_nodes
         self._attr_store = RowStore(self.graph.attributes)
@@ -143,29 +156,26 @@ class IncrementalDesign:
             store.rows(n) for store in self._scoap_stores
         )
 
-    def _relax(self, targets: Sequence[int]):
-        """Nodes whose CO observing each target would move (the OBS cell
-        itself is never consulted: an observed node's CO is 0), their new
-        CO and attribute rows, and the per-target bounds into them."""
-        nodes, co, bounds = relax_observability(
-            self._structure, self._crossing, self.scoap.co, targets
-        )
-        return nodes, co, self._attr_rows(nodes, co), bounds
-
     # ------------------------------------------------------------------ #
     def preview_ops(self, targets: Sequence[int]) -> list[OpPreview]:
         """What inserting an OP at each of ``targets`` would change, each
         on its own; the design, its graph and the netlist are left exactly
-        as they were."""
+        as they were.  The OBS cell itself is never consulted by the
+        relaxation: an observed node's CO is 0."""
         targets = [int(t) for t in targets]
-        nodes, _, rows, bounds = self._relax(targets)
-        # Each preview's OBS row goes behind its moved rows.
+        nodes, co, bounds = relax_observability(
+            self._structure, self._crossing, self.scoap.co, targets
+        )
+        rows = self._attr_rows(nodes, co)
+        # Each preview's OBS cell goes behind its moved nodes, at CO 0.
         ends = bounds[1:]
         nodes = np.insert(nodes, ends, self.num_nodes)
         rows = np.insert(rows, ends, self._op_row, axis=0)
+        co = np.insert(co, ends, 0.0)
         at = (bounds + np.arange(len(bounds))).tolist()
+        state = self._states[-1]
         return [
-            OpPreview(self, target, nodes[a:b], rows[a:b])
+            OpPreview(self, target, nodes[a:b], rows[a:b], co[a:b], state)
             for target, a, b in zip(targets, at, at[1:])
         ]
 
@@ -173,64 +183,123 @@ class IncrementalDesign:
         """:meth:`preview_ops` of one target."""
         return self.preview_ops([target])[0]
 
-    def insert_op(self, target: int) -> tuple[int, _Checkpoint]:
-        """Insert an OP at ``target``; returns (new node id, checkpoint)."""
+    def insert_ops(self, previews: Sequence[OpPreview]) -> tuple[list[int], _Checkpoint]:
+        """Insert an OP at each preview's target; returns (the new node
+        ids, one checkpoint that undoes them all).
+
+        Every preview must have been taken in this design as it stands now
+        (or in a state a rollback has returned it to), and no two may name
+        the same target: else ``ValueError``, and nothing changes.  The OBS
+        cells get ids ``n, n + 1, …`` in preview order, and the design
+        ends up as one :meth:`insert_op` per target in that order leaves
+        it, bit for bit: CO is the cost of the cheapest path to an
+        observed node over wires whose crossing costs read CC only, so
+        observing a set of targets gives the elementwise minimum of what
+        observing each alone gives — which their previews hold.
+        """
+        previews = list(previews)
+        targets = self._commit_targets(previews)
         n_before = self.num_nodes
-        pred_nnz, succ_nnz = self.graph.pred.nnz, self.graph.succ.nnz
+        n = n_before + len(targets)
+        ids = np.arange(n_before, n)
+        pred, succ = self.graph.pred, self.graph.succ
+        pred_nnz, succ_nnz = pred.nnz, succ.nnz
         # Drop the shared forward-cone index *before* the structure changes
         # so a concurrent reader can never warm it with mixed-generation
         # cones (see repro.atpg.cones).
         invalidate_cone_cache(self.netlist)
-        p = self.netlist.insert_observation_point(target)
-        n = self.netlist.num_nodes
-        self.graph.pred.resize((n, n))
-        self.graph.succ.resize((n, n))
-        self.graph.pred.append(1.0, p, target)
-        self.graph.succ.append(1.0, target, p)
+        for target in targets.tolist():
+            self.netlist.insert_observation_point(target)
+        ones = np.ones(len(targets))
+        for matrix, (rows, cols) in ((pred, (ids, targets)), (succ, (targets, ids))):
+            matrix.resize((n, n))
+            matrix.extend(ones, rows, cols)
 
-        target_newly_observed = target not in self.observed
-        self.observed.update((target, p))
+        newly_observed = [t for t in targets.tolist() if t not in self.observed]
+        self.observed.update(targets.tolist())
+        self.observed.update(ids.tolist())
 
-        # SCOAP bookkeeping: grow arrays, seed the OP row, relax the cone.
+        # Of the CO each preview moves a node to, the least; sorting by
+        # (node, CO) puts it first among the node's entries.
+        moved = np.concatenate([np.empty(0, np.int64), *(p.rows[:-1] for p in previews)])
+        co = np.concatenate([np.empty(0), *(p.co[:-1] for p in previews)])
+        order = np.lexsort((co, moved))
+        moved, co = moved[order], co[order]
+        first = np.ones(len(moved), dtype=bool)
+        np.not_equal(moved[1:], moved[:-1], out=first[1:])
+        moved, co = moved[first], co[first]
+
+        # SCOAP bookkeeping: grow arrays, seed the OP rows, lower CO.
         self._resize_scoap(n)
-        self.scoap.cc0[p] = self.scoap.cc0[target] + 1.0
-        self.scoap.cc1[p] = self.scoap.cc1[target] + 1.0
-        self.scoap.co[p] = 0.0
-        moved, co, rows, _ = self._relax([target])
-        previous = self.scoap.co[moved]
-        self.scoap.co[moved] = co
+        scoap = self.scoap
+        scoap.cc0[ids] = scoap.cc0[targets] + 1.0
+        scoap.cc1[ids] = scoap.cc1[targets] + 1.0
+        scoap.co[ids] = 0.0
+        previous = scoap.co[moved]
+        scoap.co[moved] = co
 
-        # Attribute refresh: new OP row + every node whose CO moved.
+        # Attribute refresh: new OP rows + every node whose CO moved.
         attributes = self.graph.attributes = self._attr_store.rows(n)
-        attributes[p] = self._op_row
+        attributes[ids] = self._op_row
         previous_rows = attributes[moved]
-        attributes[moved] = rows
-        return p, _Checkpoint(
+        attributes[moved] = self._attr_rows(moved, co)
+
+        state = self._next_state
+        self._next_state += 1
+        self._states.append(state)
+        return ids.tolist(), _Checkpoint(
             n_nodes=n_before,
             pred_nnz=pred_nnz,
             succ_nnz=succ_nnz,
             changed_co=(moved, previous),
             previous_rows=previous_rows,
-            target_newly_observed=target_newly_observed,
-            changed_rows=[target, p, *moved.tolist()],
+            newly_observed=newly_observed,
+            changed_rows=[*targets.tolist(), *ids.tolist(), *moved.tolist()],
+            state=state,
         )
 
+    def _commit_targets(self, previews: list[OpPreview]) -> np.ndarray:
+        """The targets of ``previews``, once they are known to be current
+        previews of this design at distinct targets that may take an OP."""
+        state = self._states[-1]
+        for preview in previews:
+            if preview.design is not self:
+                raise ValueError(f"the preview at {preview.target} is of another design")
+            if preview.state != state:
+                raise ValueError(
+                    f"the preview at {preview.target} is stale: the design "
+                    "changed after it was taken"
+                )
+            if self.netlist.gate_type(preview.target) is GateType.OBS:
+                raise ValueError(f"node {preview.target} is an observation point cell")
+        targets = np.array([p.target for p in previews], dtype=np.int64)
+        if len(sorted_unique(targets)) < len(targets):
+            raise ValueError("two previews name the same target")
+        return targets
+
+    def insert_op(self, target: int) -> tuple[int, _Checkpoint]:
+        """Insert an OP at ``target``; returns (new node id, checkpoint)."""
+        (p,), checkpoint = self.insert_ops(self.preview_ops([target]))
+        return p, checkpoint
+
     def rollback(self, checkpoint: _Checkpoint) -> None:
-        """Undo the most recent insertion recorded in ``checkpoint``."""
-        n = checkpoint.n_nodes
+        """Undo the most recent commit, recorded in ``checkpoint``."""
+        if checkpoint.state != self._states[-1]:
+            raise ValueError("only the most recent commit can be rolled back")
+        n, n_after = checkpoint.n_nodes, self.num_nodes
         invalidate_cone_cache(self.netlist)
-        (target,) = self.netlist.fanins(n)
-        self.netlist.remove_last_cell()
+        for _ in range(n_after - n):
+            self.netlist.remove_last_cell()
         self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))
         self.graph.succ.truncate(checkpoint.succ_nnz, (n, n))
-        self.observed.discard(n)
-        if checkpoint.target_newly_observed:
-            self.observed.discard(target)
+        self.observed.difference_update(range(n, n_after))
+        self.observed.difference_update(checkpoint.newly_observed)
         self._resize_scoap(n)
         moved, co = checkpoint.changed_co
         self.scoap.co[moved] = co
         self.graph.attributes[moved] = checkpoint.previous_rows
         self.graph.attributes = self._attr_store.rows(n)
+        self._states.pop()
 
     def tentative_insert(self, target: int):
         """Insert an OP, returning a zero-argument undo callable."""

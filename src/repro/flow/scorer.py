@@ -26,15 +26,17 @@ of the changed rows only — of one edit per ``rescore``, of a whole chunk
 of candidates stacked into one row block per layer per ``what_if``, and
 there only as far as the labels asked for reach back — so its float64
 logits stay ``np.array_equal`` to a whole-graph
-:class:`~repro.core.inference.FastInference` pass.
+:class:`~repro.core.inference.FastInference` pass.  Its row blocks are
+plain CSR records (:class:`_CsrRows`): no scipy matrix is built per call.
 :class:`WholeGraphScorer` adapts everything else — a plain callable, a
-cascade's ``predict`` — by re-predicting the whole graph.
+cascade's ``predict`` — by re-predicting the whole graph, with each
+preview committed and rolled back in turn.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -96,7 +98,8 @@ def as_scorer(predictor: "Predictor | Scorer") -> Scorer:
 class WholeGraphScorer:
     """Adapter for a plain ``GraphData -> labels`` callable: every
     ``rescore`` is a whole-graph call, and with no state besides the graph
-    there is nothing to roll back."""
+    there is nothing to roll back.  ``what_if`` commits each preview
+    itself, calls the predictor, and rolls the design back."""
 
     def __init__(self, predictor: Predictor) -> None:
         self.predictor = predictor
@@ -119,11 +122,12 @@ class WholeGraphScorer:
             within = [np.arange(self._graph.num_nodes)] * len(previews)
         results = []
         for preview, rows in zip(previews, within):
-            undo = preview.design.tentative_insert(preview.target)
+            design = preview.design
+            _, checkpoint = design.insert_ops([preview])
             try:
                 results.append((rows, self.bind(self._graph)[rows]))
             finally:
-                undo()
+                design.rollback(checkpoint)
         return results
 
 
@@ -346,7 +350,7 @@ def _locate(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return at, np.append(keys, -1)[at] == wanted
 
 
-def _stacked_block(ptr, csr, n, rows, cols, tails, heads):
+def _stacked_block(ptr, csr, n, rows, cols, tails, heads) -> "_CsrRows":
     """``csr[row]`` for the stacked ``rows``, entries in stored order, each
     column that ``cols`` holds the row's candidate's copy of pointed at
     the copy (column ``n + position``); those of ``tails`` among ``rows``
@@ -357,15 +361,21 @@ def _stacked_block(ptr, csr, n, rows, cols, tails, heads):
     take, counts = expand_rows(ptr, row)
     columns = csr.indices[take]
     copy, stacked = _locate(cols, owner.repeat(counts) * (n + 1) + columns)
-    columns = np.where(stacked, n + copy, columns)
     at, here = _locate(rows, tails)
-    ends = counts.cumsum()[at[here]]
     counts[at[here]] += 1
-    data = np.insert(csr.data[take], ends, 1.0)
-    columns = np.insert(columns, ends, n + np.searchsorted(cols, heads[here]))
-    return type(csr)(
-        (data, columns, counts_to_ptr(counts)), shape=(len(rows), n + len(cols))
-    )
+    indptr = counts_to_ptr(counts)
+    # The extra entries take the last slot of their rows, the stored
+    # entries the others, in order.
+    last = indptr[at[here] + 1] - 1
+    stored = np.ones(indptr[-1], dtype=bool)
+    stored[last] = False
+    data = np.empty(indptr[-1], dtype=csr.dtype)
+    data[stored] = csr.data[take]
+    data[last] = 1.0
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[stored] = np.where(stacked, n + copy, columns)
+    indices[last] = n + np.searchsorted(cols, heads[here])
+    return _CsrRows(data, indices, indptr, (len(rows), n + len(cols)), csr.dtype)
 
 
 def _reach(keys: np.ndarray, width: int, adjacency, more=()) -> np.ndarray:
@@ -382,10 +392,24 @@ def _reach(keys: np.ndarray, width: int, adjacency, more=()) -> np.ndarray:
     return sorted_unique(np.concatenate(reached))
 
 
-def _row_block(csr, rows: np.ndarray):
-    """``csr[rows]`` without scipy's fancy-indexing overhead."""
+def _row_block(csr, rows: np.ndarray) -> "_CsrRows":
+    """``csr[rows]``, without scipy's fancy indexing or constructor."""
     take, counts = expand_rows(csr.indptr, rows)
-    return type(csr)(
-        (csr.data[take], csr.indices[take], counts_to_ptr(counts)),
-        shape=(len(rows), csr.shape[1]),
+    indices = csr.indices[take]
+    indptr = counts_to_ptr(counts).astype(indices.dtype, copy=False)
+    return _CsrRows(
+        csr.data[take], indices, indptr, (len(rows), csr.shape[1]), csr.dtype
     )
+
+
+class _CsrRows(NamedTuple):
+    """A block of CSR rows as :func:`~repro.core.inference.layer_forward`
+    reads one: the arrays, the shape and the value type.  Built directly,
+    because scipy's constructor validates and index-dtype-checks arrays
+    the kernel only reads."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    dtype: np.dtype

@@ -5,8 +5,9 @@ The paper's fast inference hinges on two properties of the adjacency matrix
 (COO) format, and the OPI flow grows it one node at a time, so COO's cheap
 append matters.  :class:`COOMatrix` provides exactly that: amortised O(1)
 appends with capacity doubling, plus matmul through a lazily-built CSR
-cache that the OPI flow's edits — an append that lands last in its row, a
-LIFO truncate of such appends — patch in place instead of dropping.
+cache that the OPI flow's edits — appends, one or a batch, that land last
+in their rows, a LIFO truncate of such appends — patch in place instead of
+dropping.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class COOMatrix:
         self._cols[: self._n] = cols
         self._csr: sp.csr_matrix | None = None
         #: entries the cached CSR was sorted from; later ones were patched
-        #: in one by one, each last in its row, so they come out LIFO
+        #: in each last in its row, so they come out LIFO
         self._csr_base = 0
         self._csc: sp.csc_matrix | None = None
 
@@ -123,35 +124,54 @@ class COOMatrix:
 
     def append(self, value: float, row: int, col: int) -> None:
         """Append one ``(value, row, col)`` tuple — amortised O(1)."""
+        self.extend([value], [row], [col])
+
+    def extend(self, values, rows, cols) -> None:
+        """Append ``(value, row, col)`` tuples, in order — amortised O(1)
+        each.  Bounds are checked once, and the cached CSR takes all of
+        them in one splice when each lands last in its row — behind the
+        row's stored entries and this call's earlier ones — or is
+        dropped."""
+        values = np.asarray(values, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if not (len(values) == len(rows) == len(cols)):
+            raise ValueError("values/rows/cols must have equal length")
+        self._check_bounds(rows, cols)
         if self._rows is None:
             self._rebuild_triples()
-        if self._n == len(self._values):
-            new_cap = 2 * len(self._values)
+        end = self._n + len(values)
+        if end > len(self._values):
+            new_cap = max(2 * len(self._values), end)
             self._values = np.resize(self._values, new_cap)
             self._rows = np.resize(self._rows, new_cap)
             self._cols = np.resize(self._cols, new_cap)
-        if not (0 <= row < self._shape[0] and 0 <= col < self._shape[1]):
-            raise ValueError(f"coordinate ({row}, {col}) out of bounds for "
-                             f"shape {self._shape}")
-        self._values[self._n] = value
-        self._rows[self._n] = row
-        self._cols[self._n] = col
-        self._n += 1
+        self._values[self._n : end] = values
+        self._rows[self._n : end] = rows
+        self._cols[self._n : end] = cols
+        self._n = end
         self._csc = None
-        csr = self._csr
-        if csr is not None:
-            end = csr.indptr[row + 1]
-            if end > csr.indptr[row] and csr.indices[end - 1] >= col:
-                self._csr = None  # not last in its row: re-sort lazily
-            else:
-                csr.indices = _spliced(csr.indices, end, end, [col])
-                csr.data = _spliced(csr.data, end, end, [value])
-                csr.indptr[row + 1 :] += 1
+        if self._csr is not None and len(values):
+            self._splice(values, rows, cols)
 
-    def extend(self, values, rows, cols) -> None:
-        """Append multiple tuples at once."""
-        for value, row, col in zip(values, rows, cols):
-            self.append(float(value), int(row), int(col))
+    def _splice(self, values, rows, cols) -> None:
+        """Patch appended entries into the cached CSR, or drop it unless
+        each lands last in its row."""
+        csr = self._csr
+        order = np.argsort(rows, kind="stable")
+        values, rows, cols = values[order], rows[order], cols[order]
+        starts, ends = csr.indptr[rows], csr.indptr[rows + 1]
+        # What each entry must follow: the entry before it in its row.
+        before = np.where(ends > starts, np.append(csr.indices, -1)[ends - 1], -1)
+        same_row = np.zeros(len(rows), dtype=bool)
+        np.equal(rows[1:], rows[:-1], out=same_row[1:])
+        before[same_row] = cols[:-1][same_row[1:]]
+        if (cols <= before).any():
+            self._csr = None  # not last in its row: re-sort lazily
+            return
+        csr.indices = np.insert(csr.indices, ends, cols.astype(csr.indices.dtype))
+        csr.data = np.insert(csr.data, ends, values)
+        csr.indptr[1:] += np.bincount(rows, minlength=self._shape[0]).cumsum()
 
     def truncate(self, nnz: int, shape: tuple[int, int] | None = None) -> None:
         """Roll back to the first ``nnz`` entries.

@@ -63,7 +63,7 @@ class TestImpact:
         candidates = np.flatnonzero(baseline == 1)[:8]
         if len(candidates) < 2:
             pytest.skip("not enough candidates")
-        ranked = evaluator.rank(candidates.tolist(), baseline)
+        ranked = evaluator.rank(design.preview_ops(candidates), baseline)
         impacts = [imp for _, imp in ranked]
         assert impacts == sorted(impacts, reverse=True)
         assert {c for c, _ in ranked} == set(candidates.tolist())

@@ -35,6 +35,7 @@ class TestOpiCheckpointResume:
         assert resumed.inserted == reference.inserted
         assert resumed.positives_history == reference.positives_history
         assert resumed.n_ops == reference.n_ops
+        assert resumed.netlist.fingerprint() == reference.netlist.fingerprint()
 
     def test_completed_flow_not_rerun(self, netlist, tmp_path):
         predictor = co_threshold_predictor(threshold=6.0)
@@ -51,6 +52,37 @@ class TestOpiCheckpointResume:
         other = generate_design(150, seed=3)
         with pytest.raises(CheckpointCorruptError, match="nodes"):
             run_gcn_opi(other, predictor, OpiConfig(max_iterations=2), checkpoint=ckpt)
+
+
+    @pytest.mark.parametrize(
+        "inserted, problem",
+        [
+            # An OBS cell's id: the flow only ever targets original cells.
+            (lambda n, free: [free[0], n], "not an unobserved cell"),
+            # A primary output is observed already: never a candidate.
+            (lambda n, free: [free[0], n - 1], "not an unobserved cell"),
+            (lambda n, free: [free[0], free[1], free[0]], "twice"),
+        ],
+    )
+    def test_checkpoint_the_flow_cannot_write_is_rejected(
+        self, netlist, tmp_path, inserted, problem
+    ):
+        n = netlist.num_nodes
+        outputs = set(netlist.observation_sites)
+        assert n - 1 in outputs
+        free = [v for v in range(n) if v not in outputs]
+        ckpt = Checkpointer(tmp_path / "opi")
+        ckpt.save(
+            1,
+            {
+                "inserted": np.asarray(inserted(n, free), dtype=np.int64),
+                "positives_history": np.asarray([5], dtype=np.int64),
+            },
+            meta={"iteration": 1, "netlist": netlist.name, "n_nodes": n},
+        )
+        predictor = co_threshold_predictor(threshold=6.0)
+        with pytest.raises(CheckpointCorruptError, match=problem):
+            run_gcn_opi(netlist, predictor, OpiConfig(max_iterations=2), checkpoint=ckpt)
 
 
 class TestStallWatchdog:

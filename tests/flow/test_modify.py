@@ -199,6 +199,107 @@ class TestPreviewOp:
         )
 
 
+def design_state(design) -> list:
+    """Everything a commit writes, as comparable values."""
+    graph, scoap = design.graph, design.scoap
+    state = [
+        design.num_nodes,
+        *(a.tobytes() for a in (scoap.cc0, scoap.cc1, scoap.co, graph.attributes)),
+        sorted(design.observed),
+        design.netlist.fingerprint(),
+    ]
+    for matrix in (graph.pred, graph.succ):
+        live = matrix.to_scipy()
+        state += [matrix.shape, live.shape]
+        state += [a.tobytes() for a in (matrix.values, matrix.rows, matrix.cols)]
+        state += [a.tobytes() for a in (live.indptr, live.indices, live.data)]
+    return state
+
+
+class TestPreviewValidity:
+    """A preview commits only in the design state it was taken in."""
+
+    def test_foreign_duplicate_and_obs_previews_are_refused(self, design):
+        other = IncrementalDesign(generate_design(200, seed=41))
+        before = design_state(design)
+        with pytest.raises(ValueError, match="another design"):
+            design.insert_ops([other.preview_op(10)])
+        with pytest.raises(ValueError, match="same target"):
+            design.insert_ops(design.preview_ops([10, 33, 10]))
+        p, checkpoint = design.insert_op(10)
+        with pytest.raises(ValueError, match="observation point cell"):
+            design.insert_ops(design.preview_ops([33, p]))
+        design.rollback(checkpoint)
+        assert design_state(design) == before
+
+    def test_stale_preview_is_refused_until_a_rollback_returns(self, design):
+        preview = design.preview_op(10)
+        _, checkpoint = design.insert_op(57)
+        with pytest.raises(ValueError, match="stale"):
+            design.insert_ops([preview])
+        design.rollback(checkpoint)
+        # Back in the state it was taken in: current again.
+        (p,), checkpoint = design.insert_ops([preview])
+        assert p == design.num_nodes - 1 and design.netlist.fanins(p) == [10]
+        design.rollback(checkpoint)
+        # A new commit from the same state is a new state.
+        design.insert_op(57)
+        with pytest.raises(ValueError, match="stale"):
+            design.insert_ops([preview])
+
+    def test_only_the_latest_commit_rolls_back(self, design):
+        _, first = design.insert_op(10)
+        _, second = design.insert_op(57)
+        with pytest.raises(ValueError, match="most recent"):
+            design.rollback(first)
+        design.rollback(second)
+        design.rollback(first)
+
+    def test_empty_commit(self, design):
+        before = design_state(design)
+        ids, checkpoint = design.insert_ops([])
+        assert ids == [] and checkpoint.changed_rows == []
+        design.rollback(checkpoint)
+        assert design_state(design) == before
+
+
+class TestInsertOps:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["generated", "random"]),
+        seed=st.integers(0, 5000),
+        prior=st.lists(st.integers(0, 10**6), max_size=3),
+        picks=st.lists(st.integers(0, 10**6), max_size=10),
+    )
+    def test_one_commit_equals_one_insert_op_each(self, kind, seed, prior, picks):
+        netlist = build_design(kind, seed)
+        batch = IncrementalDesign(netlist.copy())
+        sequential = IncrementalDesign(netlist.copy())
+        insertable = [
+            v for v in netlist.nodes() if netlist.gate_type(v) is not GateType.OBS
+        ]
+        for c in prior:
+            for design in (batch, sequential):
+                design.insert_op(insertable[c % len(insertable)])
+        # On designs this small random picks share cone nodes, and a pick
+        # may repeat a prior target (its CO is 0 already).
+        targets = list(dict.fromkeys(insertable[p % len(insertable)] for p in picks))
+
+        before = design_state(batch)
+        assert design_state(sequential) == before
+        ids, checkpoint = batch.insert_ops(batch.preview_ops(targets))
+        expected_ids, changed = [], set()
+        for target in targets:
+            p, single = sequential.insert_op(target)
+            expected_ids.append(p)
+            changed.update(single.changed_rows)
+        assert ids == expected_ids
+        assert set(checkpoint.changed_rows) == changed
+        assert design_state(batch) == design_state(sequential)
+        batch.rollback(checkpoint)
+        assert design_state(batch) == before
+
+
 class TestFaninCone:
     def test_cone_contains_transitive_fanins(self, design):
         nl = design.netlist
@@ -261,17 +362,17 @@ class TestArrayRelaxation:
 
     def check_previews(self, design, oracle, candidates):
         previews = design.preview_ops(candidates)
-        _, co, _, bounds = design._relax(candidates)
         assert [p.target for p in previews] == candidates
-        for i, (target, preview) in enumerate(zip(candidates, previews)):
+        for target, preview in zip(candidates, previews):
             moved, new_co, rows = oracle.preview(target)
             assert preview.rows.tolist() == [*moved.tolist(), design.num_nodes]
-            assert np.array_equal(co[bounds[i] : bounds[i + 1]], new_co)
+            assert np.array_equal(preview.co, [*new_co, 0.0])
             assert np.array_equal(preview.attributes[:-1], rows)
             assert np.array_equal(preview.attributes[-1], design._op_row)
             single = design.preview_op(target)
             assert np.array_equal(single.rows, preview.rows)
             assert np.array_equal(single.attributes, preview.attributes)
+            assert np.array_equal(single.co, preview.co)
 
     def check_co(self, design, oracle):
         assert np.array_equal(design.scoap.co, oracle.scoap.co)

@@ -373,10 +373,54 @@ class TestWorkGate:
         monkeypatch.setattr(scorer_module, "layer_forward", counted)
         return calls
 
+    @staticmethod
+    def _count_relaxations(monkeypatch) -> list:
+        """One entry per ``relax_observability`` call the design makes."""
+        from repro.flow import modify
+
+        calls = []
+        relax = modify.relax_observability
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[3]))
+            return relax(*args, **kwargs)
+
+        monkeypatch.setattr(modify, "relax_observability", counted)
+        return calls
+
+    @staticmethod
+    def _forbid_scipy_in_scorer(monkeypatch) -> None:
+        """Fail on any scipy sparse matrix built inside ``what_if`` or
+        ``rescore``: the kernel reads their row blocks as plain arrays."""
+        from scipy.sparse import _base
+
+        inside = []
+        construct = _base._spbase.__init__
+
+        def guarded(self, *args, **kwargs):
+            if inside:
+                raise AssertionError(f"{inside[-1]} built a {type(self).__name__}")
+            return construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(_base._spbase, "__init__", guarded)
+        for name in ("what_if", "rescore"):
+            method = getattr(IncrementalScorer, name)
+
+            def entered(self, *args, _method=method, _name=name, **kwargs):
+                inside.append(_name)
+                try:
+                    return _method(self, *args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(IncrementalScorer, name, entered)
+
     def test_flow_scores_a_fraction_of_the_graph_per_candidate(self, monkeypatch):
         weights = load_gcn(TRAINED).layer_weights()
         netlist = generate_design(1000, seed=7002)
         calls = self._count_kernel(monkeypatch)
+        relaxations = self._count_relaxations(monkeypatch)
+        self._forbid_scipy_in_scorer(monkeypatch)
 
         # Previews and inserts relax CO in array sweeps, never node by node.
         def per_node(*args, **kwargs):
@@ -407,6 +451,9 @@ class TestWorkGate:
         assert result.iterations <= len(chunks) < candidates / 4
         assert sum(c.attrs["candidates"] for c in chunks) == candidates
         assert result.n_ops > 100
+        # One stacked relaxation per iteration previews every candidate, and
+        # the commit reuses those previews instead of relaxing again.
+        assert relaxations == result.positives_history[: result.iterations]
         # Rows whose logits were recomputed: each re-prediction's closure,
         # and of each candidate's closure the part inside its fan-in cone.
         # (58 082 until PR 23, when ranking scored whole closures.)
@@ -416,6 +463,7 @@ class TestWorkGate:
         # (177 426 / 59 142 until PR 23: every layer on every closure row).
         assert sum(n for _, n in calls) <= 50_000
         assert sum(n for d, n in calls if d == weights.depth - 1) <= 15_000
+        assert (len(calls), sum(n for _, n in calls)) == (117, 41_547)
         assert sum(c.attrs["kernel_rows"] for c in chunks) < sum(n for _, n in calls)
 
     def test_one_kernel_call_per_layer_per_chunk(self, monkeypatch):

@@ -151,7 +151,9 @@ class TestBatchedRank:
 
         before = snapshot(design, scorer)
         with mock.patch.object(inference, "WHAT_IF_ROWS", chunk_rows):
-            ranked = ImpactEvaluator(design, scorer).rank(candidates, labels)
+            ranked = ImpactEvaluator(design, scorer).rank(
+                design.preview_ops(candidates), labels
+            )
         assert snapshot(design, scorer) == before
         assert ranked == reference_rank(*oracle[:2], candidates, oracle[2])
 
@@ -254,7 +256,7 @@ class TestBatchedRank:
                 return scorer.what_if(previews, elsewhere)
 
         monkeypatch.setattr(scorer_module, "layer_forward", None)
-        ranked = ImpactEvaluator(design, AskedElsewhere()).rank([52, 40], labels)
+        ranked = ImpactEvaluator(design, AskedElsewhere()).rank(previews, labels)
         assert [impact for _, impact in ranked] == [0, 0]
 
     def test_plain_callable_ranks_like_the_oracle(self):
@@ -266,13 +268,13 @@ class TestBatchedRank:
         sequential.bind(other.graph)
         candidates = np.flatnonzero(labels == 1)[:8].tolist()
         assert len(candidates) > 1
-        ranked = ImpactEvaluator(design, scorer).rank(candidates, labels)
+        ranked = ImpactEvaluator(design, scorer).rank(design.preview_ops(candidates), labels)
         assert ranked == reference_rank(other, sequential, candidates, labels)
         assert any(impact > 0 for _, impact in ranked)
 
     def test_no_candidates(self, small_weights):
         design, scorer, labels = build(small_weights, 60, 1, [])
-        assert ImpactEvaluator(design, scorer).rank([], labels) == []
+        assert ImpactEvaluator(design, scorer).rank(design.preview_ops([]), labels) == []
 
     def test_unscored_edit_is_refused(self, small_weights):
         design, scorer, labels = build(small_weights, 60, 1, [])
@@ -289,11 +291,11 @@ class TestBatchedRank:
         def forbidden(*args, **kwargs):
             raise AssertionError("ranking mutated the design")
 
-        for name in ("resize", "append", "truncate"):
+        for name in ("resize", "append", "extend", "truncate"):
             monkeypatch.setattr(COOMatrix, name, forbidden)
         monkeypatch.setattr(Netlist, "insert_observation_point", forbidden)
         monkeypatch.setattr(modify, "invalidate_cone_cache", forbidden)
-        ranked = ImpactEvaluator(design, scorer).rank(candidates, labels)
+        ranked = ImpactEvaluator(design, scorer).rank(design.preview_ops(candidates), labels)
         assert len(ranked) == len(candidates)
 
     def test_numerical_error_leaves_the_scorer_usable(self):
@@ -307,11 +309,11 @@ class TestBatchedRank:
         clean = weights.fc_weights[0][0, 0]
         weights.fc_weights[0][0, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            evaluator.rank(candidates, labels)
+            evaluator.rank(design.preview_ops(candidates), labels)
         weights.fc_weights[0][0, 0] = clean
         # Nothing was patched: no re-bind needed before the next call.
         assert snapshot(design, scorer) == before
-        assert evaluator.rank(candidates, labels) == reference_rank(
+        assert evaluator.rank(design.preview_ops(candidates), labels) == reference_rank(
             *oracle[:2], candidates, oracle[2]
         )
 

@@ -186,6 +186,97 @@ class TestLiveCsr:
             _assert_csr_is_fresh(m)
 
 
+def _state(m: COOMatrix) -> list:
+    """Triples, shape and live CSR of ``m``, as bytes."""
+    live = m.to_scipy()
+    return [
+        m.shape,
+        live.shape,
+        *(a.tobytes() for a in (m.values, m.rows, m.cols)),
+        *(a.tobytes() for a in (live.indptr, live.indices, live.data)),
+    ]
+
+
+class TestExtend:
+    """``extend`` is the bulk ``append``: one bounds check, one splice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_extend_equals_the_same_appends(self, data):
+        n = data.draw(st.integers(1, 6))
+        nnz = data.draw(st.integers(0, 10))
+        coords = st.lists(st.integers(0, n - 1), min_size=nnz, max_size=nnz)
+        triples = (
+            np.ones(nnz),
+            np.array(data.draw(coords), dtype=np.int64),
+            np.array(data.draw(coords), dtype=np.int64),
+        )
+        bulk = COOMatrix((n, n), *triples)
+        if data.draw(st.booleans()):
+            # Shipped with a current CSR, it arrives as the CSR arrays
+            # alone when it holds no duplicate, and ``extend`` rebuilds
+            # the triples first (in CSR order, as its twin's are).
+            bulk.to_scipy()
+            blob = pickle.dumps(bulk)
+            bulk, twin = pickle.loads(blob), pickle.loads(blob)
+            triples = (twin.values, twin.rows, twin.cols)
+        single = COOMatrix((n, n), *triples)
+        before = _state(single)
+        grown = n + data.draw(st.integers(0, 3))
+        k = data.draw(st.integers(0, 8))
+        rows = data.draw(st.lists(st.integers(0, grown - 1), min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            # Every entry in a column no row holds yet: each lands last in
+            # its row unless one before it in the same row has a larger one.
+            cols = data.draw(st.permutations(range(grown, grown + k)))
+            grown += k
+        else:
+            cols = data.draw(st.lists(st.integers(0, grown - 1), min_size=k, max_size=k))
+        values = data.draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=k, max_size=k))
+        for m in (bulk, single):
+            m.resize((grown, grown))
+        bulk.extend(values, rows, cols)
+        for value, row, col in zip(values, rows, cols):
+            single.append(value, row, col)
+        assert _state(bulk) == _state(single)
+        _assert_csr_is_fresh(bulk)
+        bulk.truncate(nnz, (n, n))
+        assert _state(bulk) == before
+
+    def test_entries_landing_last_keep_the_cache(self):
+        m = COOMatrix((3, 3), [1.0, 1.0], [0, 1], [0, 1])
+        cache = m.to_scipy()
+        m.resize((5, 5))
+        # Two in one row, in column order; one in a new row.
+        m.extend([2.0, 3.0, 4.0], [0, 4, 0], [3, 2, 4])
+        assert m.to_scipy() is cache
+        _assert_csr_is_fresh(m)
+        m.extend([5.0], [0], [1])  # behind column 4 of row 0: not last
+        assert m.to_scipy() is not cache
+        _assert_csr_is_fresh(m)
+
+    def test_entries_out_of_order_in_one_row_drop_the_cache(self):
+        m = COOMatrix((2, 2), [1.0], [0], [0])
+        cache = m.to_scipy()
+        m.resize((2, 4))
+        m.extend([2.0, 3.0], [0, 0], [3, 2])
+        assert m.to_scipy() is not cache
+        _assert_csr_is_fresh(m)
+
+    def test_extend_checks_bounds_and_lengths_before_writing(self):
+        m = COOMatrix((2, 2), [1.0], [0], [0])
+        for args in (([1.0, 1.0], [0, 2], [0, 0]), ([1.0], [0, 1], [0, 0])):
+            with pytest.raises(ValueError):
+                m.extend(*args)
+        assert m.nnz == 1
+
+    def test_extend_passes_the_capacity(self):
+        m = COOMatrix((40, 40))
+        m.extend(np.ones(40), np.arange(40), np.arange(40)[::-1])
+        assert m.nnz == 40
+        assert np.array_equal(m.to_dense(), np.eye(40)[::-1])
+
+
 class TestOneFormatPickle:
     """A matrix whose CSR is current ships as the CSR arrays alone."""
 
