@@ -42,7 +42,9 @@ bench-sharded:
 bench-serve:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py $(BENCH_SERVE_FLAGS)
 
-# The perf gate: the benchmark (perf/run.py, 5 s windows) RUNS times on an
+# The perf gate: scripts/check_design_digest.py first -- exit 1 when the
+# workloads' designs generated by BASE's src differ from this tree's by a
+# byte -- then the benchmark (perf/run.py, 5 s windows) RUNS times on an
 # export of the commit BASE and RUNS times on this tree, the sides taking
 # turns to go first, then perf/compare.py -- exit 1 when an end-to-end metric
 # on any workload is `worse` than its BENCHMARK.json bound -- and
@@ -55,6 +57,7 @@ bench-check:
 	set -e; out=results/bench-check; \
 	rm -rf $$out; mkdir -p $$out/tree; \
 	git archive $(BASE) | tar -x -C $$out/tree; \
+	$(PYTHON) scripts/check_design_digest.py $$out/tree/src src; \
 	for seed in $$(seq 1 $(RUNS)); do \
 	  if [ $$((seed % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
 	  for side in $$sides; do \

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
-from repro.circuit.structure import NetlistStructure, counts_to_ptr, expand_rows, gate_table
+from repro.circuit.structure import NetlistStructure, counts_to_ptr, expand_rows
 from repro.resilience.errors import NetlistFormatError
 
 __all__ = ["parse_bench", "load_bench", "write_bench", "dump_bench", "BenchParseError"]
@@ -61,7 +61,15 @@ _TYPE_TO_BENCH = {
     GateType.BUF: "BUFF",
     GateType.DFF: "DFF",
     GateType.OBS: "BUFF",
+    GateType.CONST0: "XOR",  # of a primary input with itself
+    GateType.CONST1: "XNOR",
 }
+#: what follows a gate's name on its line, by type code
+_LINE_HEADS = np.array(
+    [f" = {_TYPE_TO_BENCH.get(t, '')}(" for t in GateType], dtype=object
+)
+#: what follows a pin: another pin, or (at index 1) the end of the line
+_PIN_ENDS = np.array([", ", ")\n"], dtype=object)
 
 #: One line of a ``.bench`` file.  Matches every line exactly once, blank
 #: and comment-only ones included, so the n-th match is line n.  Groups:
@@ -80,13 +88,6 @@ _LINE_RE = re.compile(
 _OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 _DFF = int(GateType.DFF)
-_T = GateType
-#: pins a gate must have: none, exactly one, or (coded 2) two or more
-_PIN_RULE = gate_table(
-    {**dict.fromkeys((_T.INPUT, _T.CONST0, _T.CONST1), 0),
-     **dict.fromkeys((_T.BUF, _T.NOT, _T.DFF, _T.OBS), 1)},
-    default=2,
-)
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -191,8 +192,7 @@ def _number(declared, n_inputs, outputs, codes, arity, pins, fail):
     types[n_inputs:] = codes
     pin_counts[n_inputs:] = arity
     pin_ptr = counts_to_ptr(pin_counts)
-    rule = _PIN_RULE[types]
-    arity_ok = np.where(rule == 2, pin_counts >= 2, pin_counts == rule)
+    arity_ok = Netlist._arity_ok(types, pin_counts)
     sinks = np.repeat(np.arange(n), pin_counts)
     # Nothing to reorder when every combinational gate follows its drivers.
     node_of = None
@@ -301,40 +301,60 @@ def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:
 
     ``OBS`` cells are emitted as buffers that are also declared ``OUTPUT``,
     which is the standard way observation points materialise in a scan
-    netlist export.
+    netlist export.  The lines are built as columns over
+    ``netlist.structure()`` and written at once; a netlist in array form
+    stays in it.
     """
-    stream.write(f"# {netlist.name}: {netlist.num_nodes} cells\n")
-    for v in netlist.primary_inputs:
-        stream.write(f"INPUT({netlist.cell_name(v)})\n")
-    for v in netlist.primary_outputs:
-        stream.write(f"OUTPUT({netlist.cell_name(v)})\n")
-    for v in netlist.observation_points():
-        stream.write(f"OUTPUT({netlist.cell_name(v)})\n")
+    structure = netlist.structure()
+    types, ptr = structure.types, structure.fanin_ptr
+    labels = _cell_names(netlist._given_names())
+    inputs = np.flatnonzero(types == GateType.INPUT)
+    gates = np.flatnonzero(types != GateType.INPUT)
     # ``.bench`` has no tie cells; constants become XOR/XNOR of any input
     # with itself, the standard encoding.
-    tie_driver = None
-    if any(
-        netlist.gate_type(v) in (GateType.CONST0, GateType.CONST1)
-        for v in netlist.nodes()
-    ):
-        pis = netlist.primary_inputs
-        if not pis:
-            raise ValueError(
-                "cannot export constants to .bench without a primary input"
+    ties = (types[gates] == GateType.CONST0) | (types[gates] == GateType.CONST1)
+    pin_counts = np.diff(ptr)[gates]
+    pin_counts[ties] = 2
+    pin_ptr = counts_to_ptr(pin_counts)
+    drivers = np.empty(pin_ptr[-1], dtype=np.int64)
+    tie_pins = np.repeat(ties, pin_counts)
+    drivers[~tie_pins] = structure.fanin_idx[expand_rows(ptr, gates[~ties])[0]]
+    if ties.any():
+        if not len(inputs):
+            raise ValueError("cannot export constants to .bench without a primary input")
+        drivers[tie_pins] = inputs[0]
+
+    # Gate lines, flat: each gate's ``name = KIND(``, then its pins, each
+    # followed by ", " or, the last, by ")\n".
+    heads = labels[gates] + _LINE_HEADS[types[gates]]
+    heads[pin_counts == 0] += ")\n"
+    row_ends = np.zeros(len(drivers), dtype=np.intp)
+    row_ends[pin_ptr[1:][pin_counts > 0] - 1] = 1
+    pins = labels[drivers] + _PIN_ENDS[row_ends]
+    tokens = np.empty(len(gates) + len(pins), dtype=object)
+    is_head = np.zeros(len(tokens), dtype=bool)
+    is_head[pin_ptr[:-1] + np.arange(len(gates))] = True
+    tokens[is_head] = heads
+    tokens[~is_head] = pins
+
+    observed = netlist.primary_outputs + np.flatnonzero(types == GateType.OBS).tolist()
+    stream.write(
+        "".join(
+            chain(
+                [f"# {netlist.name}: {netlist.num_nodes} cells\n"],
+                map("INPUT({})\n".format, labels[inputs].tolist()),
+                map("OUTPUT({})\n".format, labels[observed].tolist()),
+                tokens.tolist(),
             )
-        tie_driver = netlist.cell_name(pis[0])
-    for v in netlist.nodes():
-        gate_type = netlist.gate_type(v)
-        if gate_type is GateType.INPUT:
-            continue
-        if gate_type is GateType.CONST0:
-            stream.write(f"{netlist.cell_name(v)} = XOR({tie_driver}, {tie_driver})\n")
-            continue
-        if gate_type is GateType.CONST1:
-            stream.write(f"{netlist.cell_name(v)} = XNOR({tie_driver}, {tie_driver})\n")
-            continue
-        args = ", ".join(netlist.cell_name(u) for u in netlist.fanins(v))
-        stream.write(f"{netlist.cell_name(v)} = {_TYPE_TO_BENCH[gate_type]}({args})\n")
+        )
+    )
+
+
+def _cell_names(given: list[str | None]) -> np.ndarray:
+    """``Netlist.cell_name`` of every node, as an object array."""
+    return np.array(
+        [f"n{v}" if name is None else name for v, name in enumerate(given)], dtype=object
+    )
 
 
 def dump_bench(netlist: Netlist, path: str | Path) -> None:

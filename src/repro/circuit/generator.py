@@ -17,16 +17,28 @@ The generator is the substitution documented in DESIGN.md for the paper's
 industrial benchmarks; everything downstream (labels, training, OPI flow)
 consumes only the graph and its SCOAP attributes, so matching the shape of
 those statistics preserves the experiments' character.
+
+A design is a pure function of ``(n_gates, seed, config)``, down to the
+bytes of its ``.bench`` text.  The cells are collected as arrays and become
+a netlist in one :meth:`Netlist.from_structure`, numbered as
+``Netlist.add_cell`` would have numbered them; the hypothesis property in
+``tests/circuit/test_generator.py`` holds every design to the cell-by-cell
+oracle in ``tests/circuit/reference_generator.py``, and
+``scripts/check_design_digest.py`` holds the benchmark's designs to those
+of another commit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import NetlistStructure, counts_to_ptr
 from repro.utils.rng import as_rng
 
 __all__ = ["GeneratorConfig", "generate_design", "generate_random_dag"]
@@ -40,15 +52,32 @@ _TWO_INPUT_TYPES = (
     GateType.XNOR,
 )
 _TWO_INPUT_WEIGHTS = np.array([0.30, 0.18, 0.18, 0.16, 0.10, 0.08])
+_THREE_INPUT_TYPES = (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR)
+
+
+def _choice_cdf(weights: np.ndarray) -> list[float]:
+    """The table ``Generator.choice(p=weights / weights.sum())`` searches.
+
+    ``choice`` normalises the cumulative sum, draws one ``random()`` and
+    takes ``searchsorted(side="right")``, so ``bisect_right(cdf,
+    rng.random())`` draws the same index from the same stream, without
+    ``choice``'s per-call argument checks.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_TWO_INPUT_CDF = _choice_cdf(_TWO_INPUT_WEIGHTS)
 
 
 @dataclass
 class GeneratorConfig:
     """Knobs controlling the shape of a generated design.
 
-    Defaults reproduce the paper's aggregate statistics (edge/node ratio
-    ~1.5, sparsity > 99.95 %, positive-label rate below 1 % under the
-    default labelling threshold).
+    Defaults reproduce the paper's edge/node ratio (~1.5) and sparsity
+    (> 99.95 %).  Its positive-label rate they do not: see
+    :class:`~repro.testability.labels.LabelConfig`.
     """
 
     n_gates: int = 2000
@@ -71,12 +100,58 @@ class GeneratorConfig:
     hub_global_prob: float = 0.1  #: share of hub picks from the full hub list
 
 
-def _pick_gate_type(rng: np.random.Generator, n_fanin: int) -> GateType:
-    if n_fanin == 1:
-        return GateType.NOT if rng.random() < 0.75 else GateType.BUF
-    return _TWO_INPUT_TYPES[
-        rng.choice(len(_TWO_INPUT_TYPES), p=_TWO_INPUT_WEIGHTS / _TWO_INPUT_WEIGHTS.sum())
-    ]
+class _Cells:
+    """Cells appended in node-id order: named inputs first, then gates.
+
+    Holds what :meth:`Netlist.add_cell` would have stored, as flat lists
+    (type codes, pin counts, the drivers of every pin), and checks all of
+    it at once in :meth:`netlist`.
+    """
+
+    def __init__(self) -> None:
+        self.types: list[int] = []
+        self.pin_counts: list[int] = []
+        self.drivers: list[int] = []
+        self.input_names: list[str] = []
+
+    def add_input(self, name: str) -> int:
+        self.input_names.append(name)
+        return self.add(GateType.INPUT, ())
+
+    def add(self, gate_type: int, fanins) -> int:
+        node = len(self.types)
+        self.types.append(gate_type)
+        self.pin_counts.append(len(fanins))
+        self.drivers.extend(fanins)
+        return node
+
+    def fanout_free(self) -> np.ndarray:
+        """Ids of the gates (not inputs) that drive nothing, ascending."""
+        types = np.array(self.types, dtype=np.int64)
+        fanouts = np.bincount(np.array(self.drivers, dtype=np.int64), minlength=len(types))
+        return np.flatnonzero((fanouts == 0) & (types != GateType.INPUT))
+
+    def netlist(self, name: str, outputs: np.ndarray) -> Netlist:
+        """The netlist of these cells, ``outputs`` marked.
+
+        Raises ``ValueError`` where ``add_cell`` would have: a pin count
+        the gate type forbids, or a fanin that is not an earlier cell.
+        """
+        types = np.array(self.types, dtype=np.int64)
+        pin_counts = np.array(self.pin_counts, dtype=np.int64)
+        fanin_ptr = counts_to_ptr(pin_counts)
+        fanin_idx = np.array(self.drivers, dtype=np.int64)
+        bad = np.flatnonzero(~Netlist._arity_ok(types, pin_counts))
+        if len(bad):
+            v = int(bad[0])
+            Netlist._check_arity(GateType(types[v]), self.drivers[fanin_ptr[v]:fanin_ptr[v + 1]])
+        sinks = np.repeat(np.arange(len(types)), pin_counts)
+        dangling = (fanin_idx < 0) | (fanin_idx >= sinks)
+        if dangling.any():
+            raise ValueError(f"fanin id {fanin_idx[np.argmax(dangling)]} does not exist")
+        structure = NetlistStructure.from_fanins(types, fanin_ptr, fanin_idx)
+        names = self.input_names + [None] * (len(types) - len(self.input_names))
+        return Netlist.from_structure(name, structure, names, outputs.tolist())
 
 
 def generate_design(
@@ -89,29 +164,28 @@ def generate_design(
 
     ``n_gates`` counts non-source cells; the returned netlist additionally
     contains its primary inputs.  All fanout-free nodes are marked as
-    primary outputs, as a synthesis sweep would guarantee.
+    primary outputs, as a synthesis sweep would guarantee.  ``config`` is
+    read, never written: its ``n_gates`` gives way to the argument.
     """
-    if config is None:
-        config = GeneratorConfig(n_gates=n_gates)
-    else:
-        config.n_gates = n_gates
+    config = dataclasses.replace(config or GeneratorConfig(), n_gates=n_gates)
     if config.n_gates < 4:
         raise ValueError("n_gates must be at least 4")
     rng = as_rng(seed)
-    netlist = Netlist(name or f"synth{config.n_gates}")
+    random, integers = rng.random, rng.integers
+    cells = _Cells()
 
     n_inputs = config.n_inputs or max(16, config.n_gates // 40)
-    pis = [netlist.add_input(f"pi{i}") for i in range(n_inputs)]
+    pis = [cells.add_input(f"pi{i}") for i in range(n_inputs)]
 
     hubs: list[int] = list(rng.choice(pis, size=min(4, len(pis)), replace=False))
     inter_block: list[int] = []  # outputs exported by finished blocks
     remaining = config.n_gates
+    one_input = config.inverter_fraction
+    one_or_three = config.inverter_fraction + config.three_input_fraction
 
-    block_index = 0
     while remaining > 0:
         block_gates = int(min(remaining, config.block_size))
         remaining -= block_gates
-        block_index += 1
 
         # Block inputs: a thin interface sampled from a window of the PI
         # space (blocks sweeping the design see overlapping, drifting
@@ -131,9 +205,10 @@ def generate_design(
         # Build the block level by level so its logic depth is bounded:
         # deep random AND/OR cascades would make most of the design
         # unobservable, which real (engineered) logic is not.
-        depth = int(rng.integers(config.min_block_depth, config.max_block_depth + 1))
+        depth = int(integers(config.min_block_depth, config.max_block_depth + 1))
         per_level = max(2, block_gates // depth)
         level_pools: list[list[int]] = [candidates]
+        first_pin = len(cells.drivers)
         created: list[int] = []
         budget = block_gates
         while budget > 0:
@@ -144,38 +219,42 @@ def generate_design(
                 pool.extend(level_pools[-back])
             this_level: list[int] = []
             for _ in range(width):
-                r = rng.random()
-                if r < config.inverter_fraction:
-                    n_fanin = 1
-                elif r < config.inverter_fraction + config.three_input_fraction:
-                    n_fanin = 3
-                else:
-                    n_fanin = 2
+                r = random()
+                n_fanin = 1 if r < one_input else 3 if r < one_or_three else 2
                 fanins = _draw_fanins(rng, pool, hubs, n_fanin, config)
-                if n_fanin <= 2:
-                    gate_type = _pick_gate_type(rng, n_fanin)
+                if n_fanin == 1:
+                    gate_type = GateType.NOT if random() < 0.75 else GateType.BUF
+                elif n_fanin == 2:
+                    gate_type = _TWO_INPUT_TYPES[bisect_right(_TWO_INPUT_CDF, random())]
                 else:
-                    gate_type = rng.choice(
-                        [GateType.AND, GateType.OR, GateType.NAND, GateType.NOR]
-                    )
-                node = netlist.add_cell(GateType(gate_type), fanins)
+                    gate_type = _THREE_INPUT_TYPES[integers(0, 4)]
+                node = cells.add(gate_type, fanins)
                 this_level.append(node)
                 created.append(node)
-                if rng.random() < config.hub_fraction:
+                if random() < config.hub_fraction:
                     hubs.append(node)
             level_pools.append(this_level)
 
         # Export the block's fanout-free frontier, gating a share of it
-        # behind wide enables to create observability shadows.
-        frontier = [v for v in created if not netlist.fanouts(v)]
-        exported = _gate_block_outputs(netlist, rng, frontier, created, config)
+        # behind wide enables to create observability shadows.  Only this
+        # block's gates can drive its cells so far.
+        driving = set(cells.drivers[first_pin:])
+        frontier = [v for v in created if v not in driving]
+        exported = _gate_block_outputs(cells, rng, frontier, created, config)
         inter_block.extend(exported)
         if len(inter_block) > 4 * config.block_size:
             # Keep the newest exports so import locality survives trimming.
             inter_block = inter_block[-2 * config.block_size :]
 
-    _register_outputs(netlist, rng, config)
-    return netlist
+    # Mark every fanout-free gate observed, optionally through a DFF (an
+    # unused PI is legal).
+    sinks = cells.fanout_free()
+    if config.dff_fraction:
+        registered = rng.random(len(sinks)) < config.dff_fraction
+        for v in sinks[registered].tolist():
+            cells.add(GateType.DFF, (v,))
+        sinks = sinks[~registered]
+    return cells.netlist(name or f"synth{config.n_gates}", sinks)
 
 
 def _pick_block_interface(
@@ -244,7 +323,7 @@ def _draw_fanins(
 
 
 def _gate_block_outputs(
-    netlist: Netlist,
+    cells: _Cells,
     rng: np.random.Generator,
     frontier: list[int],
     created: list[int],
@@ -261,24 +340,9 @@ def _gate_block_outputs(
             terms = list(dict.fromkeys(terms))
             if len(terms) >= 2:
                 gate = GateType.AND if rng.random() < 0.5 else GateType.NOR
-                v = netlist.add_cell(gate, terms)
+                v = cells.add(gate, terms)
         exported.append(v)
     return exported
-
-
-def _register_outputs(
-    netlist: Netlist, rng: np.random.Generator, config: GeneratorConfig
-) -> None:
-    """Mark every fanout-free node observed, optionally through a DFF."""
-    for v in list(netlist.nodes()):
-        if netlist.fanouts(v) or netlist.is_output(v):
-            continue
-        if netlist.gate_type(v) is GateType.INPUT:
-            continue  # unused PI is legal
-        if config.dff_fraction and rng.random() < config.dff_fraction:
-            netlist.add_cell(GateType.DFF, (v,))
-        else:
-            netlist.mark_output(v)
 
 
 def generate_random_dag(
@@ -293,19 +357,14 @@ def generate_random_dag(
     the paper's edge/node ratio for the Figure-10 runtime sweep.
     """
     rng = as_rng(seed)
-    netlist = Netlist(f"dag{n_nodes}")
+    cells = _Cells()
     n_inputs = max(8, n_nodes // 100)
     for i in range(min(n_inputs, n_nodes)):
-        netlist.add_input(f"pi{i}")
+        cells.add_input(f"pi{i}")
     p_single = max(0.0, min(1.0, 2.0 - avg_fanin))
-    while netlist.num_nodes < n_nodes:
-        n = netlist.num_nodes
+    for n in range(len(cells.types), n_nodes):
         n_fanin = 1 if rng.random() < p_single else 2
         lo = max(0, n - 100)
         fanins = list({int(rng.integers(lo, n)) for _ in range(n_fanin)})
-        gate_type = GateType.NOT if len(fanins) == 1 else GateType.NAND
-        netlist.add_cell(gate_type, fanins)
-    for v in netlist.nodes():
-        if not netlist.fanouts(v) and netlist.gate_type(v) is not GateType.INPUT:
-            netlist.mark_output(v)
-    return netlist
+        cells.add(GateType.NOT if len(fanins) == 1 else GateType.NAND, fanins)
+    return cells.netlist(f"dag{n_nodes}", cells.fanout_free())

@@ -21,11 +21,18 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.circuit.cells import GateType
-from repro.circuit.structure import NetlistStructure, csr_to_rows, rows_to_csr
+from repro.circuit.structure import NetlistStructure, csr_to_rows, gate_table, rows_to_csr
 
 __all__ = ["Netlist"]
 
 _GATE_TYPES = tuple(GateType)  #: indexable by type code (codes are 0..len-1)
+_T = GateType
+#: pins a gate must have: none, exactly one, or (coded 2) two or more
+_PIN_RULE = gate_table(
+    {**dict.fromkeys((_T.INPUT, _T.CONST0, _T.CONST1), 0),
+     **dict.fromkeys((_T.BUF, _T.NOT, _T.DFF, _T.OBS), 1)},
+    default=2,
+)
 _PER_CELL = ("_types", "_fanins", "_fanouts", "_names", "_name_to_id")
 
 
@@ -209,6 +216,12 @@ class Netlist:
             if n < 2:
                 raise ValueError(f"{gate_type.name} takes >=2 fanins, got {n}")
 
+    @staticmethod
+    def _arity_ok(types: np.ndarray, pin_counts: np.ndarray) -> np.ndarray:
+        """Per cell, whether :meth:`_check_arity` accepts its pin count."""
+        rule = _PIN_RULE[types]
+        return np.where(rule == 2, pin_counts >= 2, pin_counts == rule)
+
     def _validate_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node id {node} does not exist")
@@ -243,6 +256,10 @@ class Netlist:
     def given_name(self, node: int) -> str | None:
         """The name ``node`` was created with, if any (for rebuilding it elsewhere)."""
         return self._names[node]
+
+    def _given_names(self) -> list[str | None]:
+        """Every cell's :meth:`given_name`, in array form as in list form."""
+        return self._loaded[1] if self._loaded is not None else self._names
 
     def cell_name(self, node: int) -> str:
         explicit = self._names[node]

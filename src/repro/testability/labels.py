@@ -33,9 +33,9 @@ class LabelConfig:
 
     ``threshold`` is the observation-probability cutoff: a node observed by
     fewer than ``threshold * n_patterns`` patterns is difficult-to-observe.
-    The default (1 %) yields positive rates in the sub-percent range on
-    generated designs, matching the paper's benchmark statistics (Table 1,
-    ~0.65 % positive).
+    The default (1 %) labels 4.7–6.1 % of the nodes positive on generated
+    designs of 2.7k–21.4k nodes, well above the paper's ~0.65 % (Table 1);
+    the rate does not fall with design size.
     """
 
     n_patterns: int = 256

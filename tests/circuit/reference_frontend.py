@@ -2,19 +2,20 @@
 
 These are the loops the array pipeline replaced, kept as oracles:
 ``parse_bench`` as it was (recursive builder, one ``add_cell`` per gate),
-Kahn's algorithm on a deque, levels as ``1 + max(fanin levels)``, and the
-double loop over pins.  The node-by-node SCOAP sweep still lives in
+``write_bench`` as it was (one line per node), Kahn's algorithm on a
+deque, levels as ``1 + max(fanin levels)``, and the double loop over pins.  The node-by-node SCOAP sweep still lives in
 ``repro.testability.scoap`` (it serves small designs), so it needs no copy.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from collections import deque
 
 import numpy as np
 
-from repro.circuit.bench import _GATE_NAMES, BenchParseError
+from repro.circuit.bench import _GATE_NAMES, _TYPE_TO_BENCH, BenchParseError
 from repro.circuit.cells import GateType, is_source
 from repro.circuit.levelize import CombinationalLoopError
 from repro.circuit.netlist import Netlist
@@ -99,6 +100,46 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             raise BenchParseError(f"output {sig!r} is never driven")
         netlist.mark_output(ids[sig])
     return netlist
+
+
+def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:
+    """The writer before the array one: one f-string per node, written as it goes.
+
+    On a netlist in array form the per-node accessors build every per-cell
+    list first.
+    """
+    stream.write(f"# {netlist.name}: {netlist.num_nodes} cells\n")
+    for v in netlist.primary_inputs:
+        stream.write(f"INPUT({netlist.cell_name(v)})\n")
+    for v in netlist.primary_outputs:
+        stream.write(f"OUTPUT({netlist.cell_name(v)})\n")
+    for v in netlist.observation_points():
+        stream.write(f"OUTPUT({netlist.cell_name(v)})\n")
+    # ``.bench`` has no tie cells; constants become XOR/XNOR of any input
+    # with itself, the standard encoding.
+    tie_driver = None
+    if any(
+        netlist.gate_type(v) in (GateType.CONST0, GateType.CONST1)
+        for v in netlist.nodes()
+    ):
+        pis = netlist.primary_inputs
+        if not pis:
+            raise ValueError(
+                "cannot export constants to .bench without a primary input"
+            )
+        tie_driver = netlist.cell_name(pis[0])
+    for v in netlist.nodes():
+        gate_type = netlist.gate_type(v)
+        if gate_type is GateType.INPUT:
+            continue
+        if gate_type is GateType.CONST0:
+            stream.write(f"{netlist.cell_name(v)} = XOR({tie_driver}, {tie_driver})\n")
+            continue
+        if gate_type is GateType.CONST1:
+            stream.write(f"{netlist.cell_name(v)} = XNOR({tie_driver}, {tie_driver})\n")
+            continue
+        args = ", ".join(netlist.cell_name(u) for u in netlist.fanins(v))
+        stream.write(f"{netlist.cell_name(v)} = {_TYPE_TO_BENCH[gate_type]}({args})\n")
 
 
 def topological_order(netlist: Netlist) -> list[int]:

@@ -7,14 +7,19 @@ compared with the node-by-node reference parser.
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import (
     BenchParseError,
     GateType,
+    Netlist,
     dump_bench,
     load_bench,
     write_bench,
 )
+from repro.circuit import bench
+from tests.circuit import reference_frontend
 from tests.circuit.reference_frontend import checked_parse_bench as parse_bench
 
 C17_TEXT = """
@@ -133,3 +138,74 @@ class TestRoundTrip:
         nl.mark_output(c1)
         with pytest.raises(ValueError, match="primary input"):
             write_bench(nl, io.StringIO())
+
+
+def written(netlist, writer=write_bench) -> str:
+    stream = io.StringIO()
+    writer(netlist, stream)
+    return stream.getvalue()
+
+
+def renamed(netlist: Netlist, names: list[str | None]) -> Netlist:
+    """The same wiring and marks in array form, cells named ``names``."""
+    return Netlist.from_structure(netlist.name, netlist.structure(), names, netlist._po_marks)
+
+
+class TestWriterMatchesReference:
+    """The column writer's text is the per-node writer's, byte for byte."""
+
+    @staticmethod
+    def check(netlist: Netlist) -> None:
+        expected = written(netlist, reference_frontend.write_bench)
+        array_form = netlist._loaded is not None
+        assert written(netlist) == expected
+        assert (netlist._loaded is not None) == array_form  # writing keeps the form
+        if not array_form:
+            copy = renamed(netlist, list(netlist._names))
+            assert written(copy) == expected
+            assert copy._loaded is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_gates=st.integers(0, 40))
+    def test_random_netlists(self, seed, n_gates):
+        """OBS cells, tie cells, flops in loops, repeated pins, both forms."""
+        self.check(reference_frontend.random_netlist(seed, n_gates))
+
+    @pytest.mark.parametrize("design", sorted(reference_frontend.hand_built_designs()))
+    def test_hand_built_designs(self, design):
+        self.check(reference_frontend.hand_built_designs()[design])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_named_cells_in_both_forms(self, seed, data):
+        netlist = reference_frontend.random_netlist(seed, 12)
+        flags = data.draw(st.lists(st.booleans(), min_size=netlist.num_nodes,
+                                   max_size=netlist.num_nodes))
+        names = [f"s{v}_{seed % 7}" if keep else None for v, keep in enumerate(flags)]
+        array_form = renamed(netlist, names)
+        self.check(array_form)
+        list_form = renamed(netlist, names)
+        list_form.gate_type(0)  # any per-cell accessor leaves array form
+        assert list_form._loaded is None
+        self.check(list_form)
+
+    def test_parsed_netlist(self):
+        netlist = bench.parse_bench(written(reference_frontend.random_netlist(3, 30)))
+        assert netlist._loaded is not None
+        self.check(netlist)
+
+    @pytest.mark.parametrize("array_form", [False, True])
+    def test_constants_without_pi_still_rejected(self, array_form):
+        nl = Netlist("no_pi")
+        zero = nl.add_cell(GateType.CONST0)
+        nl.add_cell(GateType.NOT, (zero,))
+        nl.mark_output(1)
+        if array_form:
+            nl = renamed(nl, [None, None])
+        for writer in (write_bench, reference_frontend.write_bench):
+            with pytest.raises(ValueError, match="without a primary input"):
+                writer(nl, io.StringIO())
+        stream = io.StringIO()
+        with pytest.raises(ValueError):
+            write_bench(nl, stream)
+        assert stream.getvalue() == ""  # nothing half-written
