@@ -31,9 +31,7 @@ unused:
    function (a pre-registration helper like ``ensure_exec_metrics`` —
    importing a module must never mutate the global registry), and must
    be created from exactly one module (two owners for one family is how
-   label sets silently diverge).  Computed names — the
-   ``repro_fleet_*`` re-registration in :mod:`repro.obs.remote` — are
-   validated at runtime by the registry itself.
+   label sets silently diverge).
 
 6. **Scripts and examples talk to serve through ServeClient.** Files
    under ``examples/`` and ``scripts/`` may not import ``urllib`` or

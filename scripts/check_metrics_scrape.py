@@ -65,7 +65,7 @@ def check_inprocess() -> int:
         return fail(f"in-process scrape invalid: {problems[0]}")
     families = parse_prometheus(body)
     expected = (
-        "repro_obs_telemetry_dropped_total",
+        "repro_obs_remote_spans_total",
         "repro_scrape_check_total",
         "repro_scrape_check_seconds",
     )
@@ -105,7 +105,7 @@ def check_serve() -> int:
     families = parse_prometheus(body)
     if not any(name.startswith("repro_serve_") for name in families):
         return fail("serve scrape carries no repro_serve_* families")
-    if "repro_obs_telemetry_dropped_total" not in families:
+    if "repro_obs_remote_spans_total" not in families:
         return fail("serve scrape missing observability-plane families")
     print(f"serve /metrics scrape ok: {len(families)} families over HTTP")
     return 0

@@ -10,8 +10,6 @@ Commands:
 * ``atpg``       — run the random+PODEM ATPG on a ``.bench`` netlist;
 * ``experiment`` — regenerate one of the paper's tables/figures;
 * ``exec-info``  — print the resolved execution-fabric configuration;
-* ``exec-worker`` — join a distributed coordinator as a compute worker
-  (the remote end of the ``socket`` execution backend);
 * ``serve``      — run the online netlist-scoring daemon (``GET /metrics``
   exposes Prometheus text);
 * ``obs-report`` — print where a recorded run's time went (the span tree
@@ -199,30 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the resolved execution-fabric configuration",
         description="Print the execution fabric's resolved backend, worker "
         "count, chaos-injection state (REPRO_EXEC_BACKEND / REPRO_CHAOS), "
-        "the distributed-coordinator settings, and the result of sweeping "
+        "the worker heartbeat settings, and the result of sweeping "
         "orphaned shared-memory segments.",
-    )
-
-    wkr = sub.add_parser(
-        "exec-worker",
-        parents=[log_flags],
-        help="join a distributed execution coordinator as a worker",
-        description="Connect to a repro.exec coordinator (the 'socket' "
-        "execution backend) and serve ShardTasks until the coordinator "
-        "shuts the fleet down.  Run one per core on each compute host.",
-    )
-    wkr.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address, e.g. 127.0.0.1:7077 (the coordinator "
-        "prints its bound address; see also REPRO_EXEC_COORD)",
-    )
-    wkr.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable worker identity for re-registration after reconnects "
-        "(default: host-pid derived)",
     )
 
     srv = sub.add_parser(
@@ -282,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "obs-report",
         parents=[log_flags],
-        help="print where a recorded run's time went (span tree + fleet metrics)",
+        help="print where a recorded run's time went (its span tree)",
         description="Print the span tree a run recorded in trace.json (wall "
-        "and CPU per span) and the fleet-labelled metric families of its "
-        "manifest, and write both to results/<run>/report.md.  Defaults to "
-        "the most recent run directory containing a manifest.",
+        "and CPU per span) and write it to results/<run>/report.md.  "
+        "Defaults to the most recent run directory containing a manifest.",
         epilog=_EXIT_CODES_HELP,
     )
     rep.add_argument(
@@ -551,10 +526,8 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
 
     from repro.exec import (
         CHAOS_ENV,
-        COORD_ENV,
         EXEC_BACKEND_ENV,
         ChaosSpec,
-        coordinator_address,
         leaked_segment_names,
         resolve_exec_backend,
         sweep_orphans,
@@ -563,8 +536,6 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
 
     execution = _execution()
     chaos = ChaosSpec.from_env()
-    host, port = coordinator_address()
-    exec_net.require_token(host)
     removed = sweep_orphans()
     info = {
         "backend": {
@@ -584,25 +555,13 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
                 "env": os.environ.get(CHAOS_ENV),
             }
         ),
-        "coordinator": {
-            "address": f"{host}:{port}",
-            "env": os.environ.get(COORD_ENV) or None,
-            "token_set": bool(os.environ.get(exec_net.TOKEN_ENV)),
-            "connect_timeout_s": exec_net.connect_timeout(),
-            "heartbeat_interval_s": exec_net.heartbeat_interval(),
-            "heartbeat_timeout_s": exec_net.heartbeat_timeout(),
+        "heartbeat": {
+            "interval_s": exec_net.heartbeat_interval(),
+            "timeout_s": exec_net.heartbeat_timeout(),
         },
         "sweep": {"removed": removed, "remaining": leaked_segment_names()},
     }
     print(json.dumps(info, indent=2))
-    return 0
-
-
-def _cmd_exec_worker(args: argparse.Namespace) -> int:
-    from repro.exec import parse_address, run_worker
-
-    address = parse_address(args.connect)
-    run_worker(address, worker_id=args.worker_id)
     return 0
 
 
@@ -668,7 +627,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "report": _cmd_report,
         "exec-info": _cmd_exec_info,
-        "exec-worker": _cmd_exec_worker,
         "serve": _cmd_serve,
         "obs-report": _cmd_obs_report,
     }

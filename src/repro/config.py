@@ -18,9 +18,8 @@ choice is never overridden by the environment.  Environment variables
 
 * ``REPRO_BACKEND`` — inference backend;
 * ``REPRO_EXEC_BACKEND`` — execution-fabric backend (``inprocess`` |
-  ``forkpool`` | ``socket``); ``inprocess`` is the process-wide
-  kill-switch for fork pools, ``socket`` routes every engine through the
-  multi-host coordinator (see :mod:`repro.exec.coordinator`);
+  ``forkpool``); ``inprocess`` is the process-wide kill-switch for fork
+  pools;
 * ``REPRO_WORKERS`` — worker-process count;
 * ``REPRO_SHARDS`` — inference shard count;
 * ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``).
@@ -49,7 +48,7 @@ __all__ = [
 #: vocabulary for the GCN inference engines
 INFERENCE_BACKENDS = ("auto", "single", "sharded")
 #: vocabulary for the execution fabric (mirrors repro.exec.policy)
-EXEC_BACKENDS = ("auto", "inprocess", "forkpool", "socket")
+EXEC_BACKENDS = ("auto", "inprocess", "forkpool")
 
 _ENV_BACKEND = "REPRO_BACKEND"
 _ENV_EXEC_BACKEND = "REPRO_EXEC_BACKEND"
@@ -81,13 +80,8 @@ class ExecutionConfig:
     #: shard count for partitioned inference (None = derived from workers)
     shards: int | None = None
     #: execution-fabric backend request (``auto`` | ``inprocess`` |
-    #: ``forkpool`` | ``socket``); ``auto`` honours
-    #: ``REPRO_EXEC_BACKEND`` then the engine's own workload heuristic.
-    #: Under ``socket``, sharded inference ships per-layer activation
-    #: frames by value (no ``/dev/shm`` references), so shard rounds are
-    #: runnable on any fleet host; with no reachable remote workers the
-    #: same by-value rounds run on forked local workers — not the
-    #: forkpool transport's shared activation slabs.
+    #: ``forkpool``); ``auto`` honours ``REPRO_EXEC_BACKEND`` then the
+    #: engine's own workload heuristic.
     exec_backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -219,7 +213,7 @@ class ExecutionConfig:
 
     def resolve_exec_backend(self, default: str = "forkpool") -> str:
         """Map the fabric request to a concrete backend
-        (``inprocess`` | ``forkpool`` | ``socket``).
+        (``inprocess`` | ``forkpool``).
 
         Delegates to :func:`repro.exec.policy.resolve_exec_backend`:
         explicit ``exec_backend`` wins, then ``REPRO_EXEC_BACKEND``, then

@@ -291,22 +291,6 @@ class FastInference:
         self.weights = weights.astype(self.dtype)
         self._sharded = None
 
-    @classmethod
-    def from_file(
-        cls, path, execution: ExecutionConfig | None = None
-    ) -> "FastInference":
-        """Build an engine from a model file saved by :func:`~repro.core.
-        serialize.save_gcn`.
-
-        Propagates the typed load errors (:class:`FileNotFoundError`,
-        :class:`~repro.resilience.errors.CheckpointCorruptError`); use
-        :func:`repro.resilience.degrade.load_predictor` when a fallback
-        predictor is preferable to failing.
-        """
-        from repro.core.serialize import load_gcn
-
-        return cls(load_gcn(path).layer_weights(), execution=execution)
-
     # ------------------------------------------------------------------ #
     def route(self, graph: GraphData) -> "FastInference":
         """The engine that serves ``graph`` under this config — the one

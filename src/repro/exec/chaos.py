@@ -17,22 +17,12 @@ hang        sleep ``REPRO_CHAOS_HANG_S`` seconds — trips the deadline
 raise       raise :class:`ChaosInjectedError` — an in-task exception
 corrupt     flip bytes of the pickled result *after* checksumming — the
             coordinator's integrity check must catch it
-disconnect  drop the connection instead of running the task — the
-            scheduler must requeue onto a healthy peer
-delay       sit on the result ``REPRO_CHAOS_HANG_S`` seconds while
-            heartbeating — trips straggler re-dispatch
-partition   go dark: suppress heartbeats *and* the result for
-            ``REPRO_CHAOS_HANG_S`` seconds — trips the silent-heartbeat
-            detector
-stale       return the result tagged with the previous attempt number —
-            the scheduler must reject it as stale
 ==========  ==========================================================
 
-The first four are *process* modes, the last four *network* modes
-injected around the wire.  Forked and remote
-workers run the same loop over the same frames, so every mode applies
-on every transport; only ``kill`` needs a worker that is a process of
-its own (the thread-based test fleets never use it).
+Only ``kill`` needs a worker that is a process of its own (the
+in-thread workers some tests run never use it).  The ladder's other
+rungs (straggler twins, stale attempts, silent heartbeats) are driven
+on a virtual clock in ``tests/exec/test_scheduler.py``.
 
 ``rate`` (default 1.0) is the per-attempt injection probability.  The
 worker makes one roll per task attempt (:meth:`ChaosSpec.roll`) and
@@ -48,6 +38,7 @@ inject: they are the oracle chaos runs are compared against.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -59,7 +50,6 @@ __all__ = [
     "CHAOS_HANG_ENV",
     "CHAOS_MODES",
     "PROCESS_CHAOS_MODES",
-    "NET_CHAOS_MODES",
     "ChaosSpec",
     "ChaosInjectedError",
     "flip_bytes",
@@ -68,11 +58,9 @@ __all__ = [
 CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
 CHAOS_HANG_ENV = "REPRO_CHAOS_HANG_S"
-#: modes injected around the task function
+#: modes injected around the task function — which is every mode
 PROCESS_CHAOS_MODES = ("kill", "hang", "raise", "corrupt")
-#: modes injected around the wire
-NET_CHAOS_MODES = ("disconnect", "delay", "partition", "stale")
-CHAOS_MODES = PROCESS_CHAOS_MODES + NET_CHAOS_MODES
+CHAOS_MODES = PROCESS_CHAOS_MODES
 
 
 class ChaosInjectedError(RuntimeError):
@@ -114,10 +102,18 @@ class ChaosSpec:
             seed = int(os.environ.get(CHAOS_SEED_ENV, "0") or "0")
         except ValueError as exc:
             raise ConfigError(f"invalid {CHAOS_SEED_ENV}: {exc}") from exc
+        hang_raw = os.environ.get(CHAOS_HANG_ENV, "60") or "60"
         try:
-            hang = float(os.environ.get(CHAOS_HANG_ENV, "60") or "60")
+            hang = float(hang_raw)
         except ValueError as exc:
             raise ConfigError(f"invalid {CHAOS_HANG_ENV}: {exc}") from exc
+        # A negative sleep raises in the worker, which would turn ``hang``
+        # into ``raise``; ``nan``/``inf`` are no duration at all.
+        if not math.isfinite(hang) or hang < 0:
+            raise ConfigError(
+                f"{CHAOS_HANG_ENV} must be a finite number >= 0, "
+                f"got {hang_raw!r}"
+            )
         return cls(mode=mode, rate=rate, seed=seed, hang_seconds=hang)
 
     def roll(self, key: str, attempt: int) -> str | None:

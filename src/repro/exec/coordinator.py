@@ -3,26 +3,19 @@
 A :class:`Coordinator` keeps connected workers (one reader thread each),
 turns their frames into scheduler events and performs the scheduler's
 actions.  It decides nothing about recovery itself — every such decision
-is :mod:`repro.exec.scheduler`'s.  Worker sockets come from two sources,
-and that is all a transport is:
-
-* **TCP accept** — ``Coordinator()`` listens on ``REPRO_EXEC_COORD``
-  and ``repro exec-worker --connect host:port`` processes dial in.  One
-  process-global instance (:func:`get_coordinator`) backs the ``socket``
-  backend, so the fleet outlives the executors engines create and close.
-* **fork + socketpair** — :meth:`Coordinator.spawn_local` forks children
-  that run the same worker loop on an inherited socket.  A private
-  ``Coordinator(listen=False)`` is the whole ``forkpool`` backend.
+is :mod:`repro.exec.scheduler`'s.  Its workers are children that
+:meth:`Coordinator.spawn_local` forks onto a ``socketpair`` each, running
+the one worker loop (:mod:`repro.exec.worker`) on the inherited end; a
+private coordinator is the whole ``forkpool`` backend.
 
 Trust: frames are authenticated before they are unpickled
-(:mod:`repro.exec.net`).  Beyond loopback the listener refuses to bind
-without ``REPRO_EXEC_TOKEN``; a peer that has not registered gets one
-small frame and a short timeout.
+(:mod:`repro.exec.net`) with a key only this process and its forks
+hold; a peer that has not registered gets one small frame and a short
+timeout.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import itertools
 import multiprocessing
@@ -45,12 +38,15 @@ from repro.obs import remote as remote_mod
 from repro.obs.trace import graft, span
 from repro.resilience.errors import ResultIntegrityError
 
-__all__ = ["Coordinator", "get_coordinator", "shutdown_coordinator"]
+__all__ = ["Coordinator"]
 
 _log = logs.get_logger("exec.net")
 
 #: how long the driver blocks on worker events between scheduler ticks
 _POLL_S = 0.02
+#: how long a submit tolerates having no worker to dispatch to (while a
+#: lost one is being replaced) before it rescues the rest in-process
+_NO_WORKER_GRACE_S = 5.0
 _FORK = multiprocessing.get_context("fork")
 #: signs socketpair frames; forked workers inherit it, nobody else can
 _LOCAL_KEY = os.urandom(32)
@@ -63,10 +59,10 @@ _local_seq = itertools.count()
 class _WorkerConn:
     """One registered worker connection (coordinator side)."""
 
-    def __init__(self, sock, key, proc, worker_id: str, pid: int, host: str):
+    def __init__(self, sock, proc, worker_id: str, pid: int, host: str):
         self.sock = sock
-        self.key = key
-        #: the forked child behind this connection (None for TCP workers)
+        #: the forked child behind this connection (None for a socket
+        #: adopted without one)
         self.proc = proc
         self.id = worker_id
         self.pid = pid
@@ -84,7 +80,7 @@ class _WorkerConn:
 
     def send(self, *message) -> None:
         with self.send_lock:
-            net_mod.send_frame(self.sock, message, self.key)
+            net_mod.send_frame(self.sock, message, _LOCAL_KEY)
 
     def kill(self, reason: str = "disconnect") -> None:
         """End the worker: SIGKILL + reap a local child, close the socket.
@@ -107,15 +103,14 @@ class _WorkerConn:
 class Coordinator:
     """Worker registry + reader threads + the submit driver.
 
-    Submits are serialized by a lock; registration, heartbeats and
-    telemetry are handled by per-connection reader threads at any time.
+    Submits are serialized by a lock; registration and heartbeats are
+    handled by per-connection reader threads at any time.
     """
 
-    def __init__(
-        self, address: tuple[str, int] | None = None, *, listen: bool = True
-    ):
-        #: the backend label of submits served here
-        self.kind = "socket" if listen else "forkpool"
+    #: the backend label of submits served here
+    kind = "forkpool"
+
+    def __init__(self):
         self._workers: dict[str, _WorkerConn] = {}
         self._workers_lock = threading.Lock()
         self._events: queue.Queue = queue.Queue()
@@ -126,31 +121,10 @@ class Coordinator:
         self._attempt_ids = itertools.count(1)
         self._local: list = []  # forked children, dead ones included
         self._local_target = 0
-        self._listener = None
-        self.address: tuple[str, int] | None = None
-        if listen:
-            host, port = address or net_mod.coordinator_address()
-            net_mod.require_token(host)
-            self._listener = socket.create_server((host, port))
-            #: the concrete (host, port) we bound — port resolved if 0
-            self.address = self._listener.getsockname()[:2]
-            threading.Thread(
-                target=self._accept_loop, name="repro-exec-accept", daemon=True
-            ).start()
 
     # ------------------------------------------------------------------ #
-    # Socket sources
+    # Workers
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        key = net_mod.wire_key()
-        while not self.closed:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._adopt(sock, key)
-
     def spawn_local(self, target: int) -> int:
         """Fork workers until ``target`` local ones are alive; return how
         many were forked.  Later losses are replaced up to that target."""
@@ -182,37 +156,41 @@ class Coordinator:
         # forked while a sibling's reader holds a lock it would inherit.
         for ours, proc in started:
             self._local.append(proc)
-            self._adopt(ours, _LOCAL_KEY, proc)
+            self._adopt(ours, proc)
         return missing
 
-    def _adopt(self, sock, key: bytes, proc=None) -> None:
+    def _adopt(self, sock, proc=None) -> None:
+        """Serve the worker on the far end of ``sock`` (``proc``, when
+        it is a child of ours, is killed with the connection)."""
         threading.Thread(
-            target=self._reader, args=(sock, key, proc),
+            target=self._reader, args=(sock, proc),
             name="repro-exec-reader", daemon=True,
         ).start()
 
-    def _reader(self, sock, key: bytes, proc) -> None:
+    def _reader(self, sock, proc) -> None:
         """Per-connection thread: register, then route frames until EOF."""
         conn: _WorkerConn | None = None
         malformed = remote_mod.ensure_obs_metrics()["malformed"]
         try:
             sock.settimeout(net_mod.REGISTER_TIMEOUT_S)
-            message = net_mod.recv_frame(sock, key, net_mod.MAX_HELLO_BYTES)
+            message = net_mod.recv_frame(
+                sock, _LOCAL_KEY, net_mod.MAX_HELLO_BYTES
+            )
             if not net_mod.well_formed(message, ("register",)):
                 malformed.labels("unregistered").inc()
                 return
             sock.settimeout(None)
-            conn = _WorkerConn(sock, key, proc, *message[1:])
-            with self._workers_lock:
-                previous = self._workers.pop(conn.id, None)
-                self._workers[conn.id] = conn
-            if previous is not None:  # same id re-registering after a blip
-                previous.kill()
+            conn = _WorkerConn(sock, proc, *message[1:])
+            # Welcome before the registry can hand the worker to a submit:
+            # a worker waiting for its welcome drops any other frame, so
+            # an ``init`` or ``task`` sent first would be lost and its
+            # attempt would hang on a heartbeating worker.
             conn.send(
                 "welcome", conn.id, net_mod.heartbeat_interval(),
                 logs.get_run_id(),
             )
-            self._count_workers()
+            with self._workers_lock:
+                self._workers[conn.id] = conn
             # Wakes a submit that is waiting for someone to dispatch to
             # (a fresh pool's first, or one whose worker is being replaced)
             # instead of leaving it to the next poll.
@@ -222,7 +200,7 @@ class Coordinator:
                 extra={"worker": conn.id, "pid": conn.pid, "host": conn.host},
             )
             while True:
-                message = net_mod.recv_frame(sock, key)
+                message = net_mod.recv_frame(sock, _LOCAL_KEY)
                 if not net_mod.well_formed(
                     message, ("heartbeat", "result", "error")
                 ):
@@ -231,9 +209,6 @@ class Coordinator:
                     malformed.labels(conn.id).inc()
                 elif message[0] == "heartbeat":
                     conn.last_hb = time.monotonic()
-                    # absorb_telemetry is defensive by contract: a bad
-                    # batch is counted, never raised into this thread.
-                    remote_mod.absorb_telemetry(conn.id, message[2])
                 else:
                     self._events.put((message[0], conn, *message[1:]))
         except (EOFError, OSError):
@@ -250,16 +225,11 @@ class Coordinator:
                 with self._workers_lock:
                     if self._workers.get(conn.id) is conn:
                         del self._workers[conn.id]
-                self._count_workers()
                 self._events.put(("gone", conn))
             with contextlib.suppress(OSError):
                 sock.close()
 
     # ------------------------------------------------------------------ #
-    def _count_workers(self) -> None:
-        if self._listener is not None:
-            ensure_exec_metrics()["workers"].set(self.worker_count())
-
     def worker_count(self) -> int:
         return len(self.workers())
 
@@ -277,7 +247,7 @@ class Coordinator:
         return True
 
     def close(self) -> None:
-        """Shut the listener down and end every worker."""
+        """End every worker."""
         if self.closed:
             return
         self.closed = True
@@ -288,9 +258,6 @@ class Coordinator:
         for proc in self._local:  # forked but never registered
             proc.kill()
             proc.join()
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
 
     # ------------------------------------------------------------------ #
     # The driver
@@ -329,7 +296,7 @@ class Coordinator:
                 session=session,
                 attempt_ids=self._attempt_ids,
                 hb_timeout=net_mod.heartbeat_timeout(),
-                grace=net_mod.connect_timeout(),
+                grace=_NO_WORKER_GRACE_S,
                 runnable=[task.fn is not None for task in tasks],
                 engine=engine,
                 backend=self.kind,
@@ -454,32 +421,3 @@ class Coordinator:
         with span("exec.fallback", engine=engine, tasks=len(rescued)):
             for i in rescued:
                 sched.results[i] = tasks[i].run_fallback()
-
-
-# --------------------------------------------------------------------- #
-# Process-global coordinator
-# --------------------------------------------------------------------- #
-_coordinator: Coordinator | None = None
-_coordinator_lock = threading.Lock()
-
-
-def get_coordinator() -> Coordinator:
-    """The process-global coordinator, binding ``REPRO_EXEC_COORD`` on
-    first use, so every executor in the process shares one fleet."""
-    global _coordinator
-    with _coordinator_lock:
-        if _coordinator is None or _coordinator.closed:
-            _coordinator = Coordinator()
-        return _coordinator
-
-
-def shutdown_coordinator() -> None:
-    """Close the global coordinator (workers see ``shutdown`` frames)."""
-    global _coordinator
-    with _coordinator_lock:
-        coordinator, _coordinator = _coordinator, None
-    if coordinator is not None:
-        coordinator.close()
-
-
-atexit.register(shutdown_coordinator)

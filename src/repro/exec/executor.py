@@ -8,11 +8,11 @@ order** regardless of completion order, so parallel and in-process runs
 are comparable elementwise.  ``inprocess`` runs each task's fallback
 serially — the oracle every recovery path must be bit-identical to,
 which is why chaos (:mod:`repro.exec.chaos`) never injects there.
-``forkpool`` and ``socket`` hand the tasks to a
-:class:`~repro.exec.coordinator.Coordinator` whose workers the one
-ladder in :mod:`repro.exec.scheduler` supervises; what the ladder gives
-up on is computed through the task's in-process fallback, so the numbers
-are identical at every rung.
+``forkpool`` hands the tasks to a private
+:class:`~repro.exec.coordinator.Coordinator` whose forked workers the
+one ladder in :mod:`repro.exec.scheduler` supervises; what the ladder
+gives up on is computed through the task's in-process fallback, so the
+numbers are identical at every rung.
 """
 
 from __future__ import annotations
@@ -22,25 +22,20 @@ import itertools
 import os
 import pickle
 import time
-import warnings
 from collections.abc import Sequence
 
-from repro.exec import net as net_mod
-from repro.exec.coordinator import Coordinator, get_coordinator
+from repro.exec.coordinator import Coordinator
 from repro.exec.policy import ExecPolicy, ShardTask, resolve_exec_backend
 from repro.exec.scheduler import ensure_exec_metrics
-from repro.obs import logs
-from repro.obs.trace import annotate, span
+from repro.obs.trace import span
 
 __all__ = [
     "Executor",
     "InProcessExecutor",
     "ForkPoolExecutor",
-    "DistributedExecutor",
     "make_executor",
 ]
 
-_log = logs.get_logger("exec")
 _session_seq = itertools.count()
 
 
@@ -131,16 +126,11 @@ class ForkPoolExecutor(Executor):
         self._session = f"{self.name}-{os.getpid()}-{next(_session_seq)}"
         self._pool: Coordinator | None = None
 
-    def _coordinator(self, n_tasks: int) -> Coordinator:
-        """The coordinator this submit runs on, with workers to run it."""
-        if self._pool is None:
-            self._pool = Coordinator(listen=False)
-        self._pool.spawn_local(min(self.max_workers, n_tasks))
-        return self._pool
-
     def _prepare(self, n_tasks):
-        coordinator = self._coordinator(n_tasks)
-        return coordinator.kind, functools.partial(self._run_on, coordinator)
+        if self._pool is None:
+            self._pool = Coordinator()
+        self._pool.spawn_local(min(self.max_workers, n_tasks))
+        return self.kind, functools.partial(self._run_on, self._pool)
 
     def _run_on(self, coordinator: Coordinator, tasks, policy):
         if self._init_blob is None:
@@ -166,37 +156,6 @@ class ForkPoolExecutor(Executor):
             pass
 
 
-class DistributedExecutor(ForkPoolExecutor):
-    """``socket`` backend: the process-global TCP coordinator's fleet.
-
-    Engines obtained through :func:`make_executor` cannot tell the
-    backends apart except by speed.  When no worker is registered within
-    the connect window the submit runs on forked local workers instead —
-    same ladder, same numbers — so ``socket`` is always safe to request.
-    ``close()`` releases only those local workers; the fleet stays.
-    """
-
-    kind = "socket"
-
-    def _coordinator(self, n_tasks: int) -> Coordinator:
-        fleet = get_coordinator()
-        window = net_mod.connect_timeout()
-        if fleet.wait_for_workers(window):
-            return fleet
-        warnings.warn(
-            f"no exec-worker registered within {window}s; "
-            f"degrading {self.name} to forked local workers",
-            ResourceWarning,
-            stacklevel=5,
-        )
-        annotate("exec.degrade", engine=self.name, rung="forkpool")
-        _log.warning(
-            "no workers registered; degrading to forkpool",
-            extra={"engine": self.name, "window_s": window},
-        )
-        return super()._coordinator(n_tasks)
-
-
 # --------------------------------------------------------------------- #
 def make_executor(
     backend: str | None = None,
@@ -214,11 +173,9 @@ def make_executor(
     ``default`` — engines pass the backend their workload heuristics
     chose as ``default`` so the environment stays a pure override.
     """
-    resolved = resolve_exec_backend(backend, default=default)
-    if resolved == "inprocess":
+    if resolve_exec_backend(backend, default=default) == "inprocess":
         return InProcessExecutor(name=name, policy=policy)
-    cls = DistributedExecutor if resolved == "socket" else ForkPoolExecutor
-    return cls(
+    return ForkPoolExecutor(
         max_workers,
         name=name,
         initializer=initializer,

@@ -1,8 +1,7 @@
 """Wire protocol of the execution fabric: one signed frame codec.
 
-Every message between a coordinator and a worker — a ``repro
-exec-worker`` over TCP or a forked child over a ``socketpair`` — travels
-as one length-prefixed, authenticated pickle frame::
+Every message between the coordinator and a forked worker travels over
+their ``socketpair`` as one length-prefixed, authenticated pickle frame::
 
     +----------+-----------------------+------------------------+
     | len (!I) | HMAC-SHA256 tag (32B) | pickle payload (len B) |
@@ -10,9 +9,8 @@ as one length-prefixed, authenticated pickle frame::
 
 The tag is verified (constant-time) *before* the payload is unpickled:
 a peer that does not hold the key cannot make this process load a
-pickle.  TCP frames are keyed by the shared secret ``REPRO_EXEC_TOKEN``
-(:func:`wire_key`); socketpair frames by a per-process random key the
-child inherits through ``fork``.  A bad tag or an over-long frame raises
+pickle.  Frames are keyed by a per-process random key the child
+inherits through ``fork``.  A bad tag or an over-long frame raises
 :class:`~repro.resilience.errors.ResultIntegrityError` and the
 connection is dropped.  :func:`unpickle` is the package's only
 ``pickle.loads``; the blobs nested inside frames (task, initializer,
@@ -27,9 +25,7 @@ is counted and dropped, never indexed):
                          under :data:`MAX_HELLO_BYTES` and
                          :data:`REGISTER_TIMEOUT_S`
 ``welcome``    c -> w    ``worker_id, hb_interval_s, run_id``
-``heartbeat``  w -> c    ``worker_id, telemetry`` — one batch of
-                         buffered logs + metric deltas
-                         (:mod:`repro.obs.remote`) or ``None``
+``heartbeat``  w -> c    ``worker_id``
 ``init``       c -> w    ``session, init_blob, run_id`` — pickled
                          ``(initializer, initargs)``, sent before the
                          first task of a session
@@ -44,26 +40,18 @@ is counted and dropped, never indexed):
 ``shutdown``   c -> w    no fields
 =============  ========  ==============================================
 
-Environment (all optional)::
+Environment (both optional)::
 
-    REPRO_EXEC_COORD              coordinator listen address, host:port
-                                  (default 127.0.0.1:0 — ephemeral port)
-    REPRO_EXEC_TOKEN              shared secret keying TCP frames;
-                                  required to listen beyond loopback
-    REPRO_EXEC_CONNECT_TIMEOUT_S  how long a submit waits for a worker
-                                  before falling back (default 5)
     REPRO_EXEC_HB_INTERVAL_S      worker heartbeat period (default 1)
     REPRO_EXEC_HB_TIMEOUT_S       heartbeat silence that declares a
                                   worker lost (default 4x interval)
-    REPRO_OBS_TELEMETRY_BUFFER    worker-side telemetry buffer capacity,
-                                  records (default 256)
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import ipaddress
+import math
 import os
 import pickle
 import socket
@@ -73,9 +61,6 @@ import zlib
 from repro.resilience.errors import ConfigError, ResultIntegrityError
 
 __all__ = [
-    "COORD_ENV",
-    "TOKEN_ENV",
-    "CONNECT_TIMEOUT_ENV",
     "HB_INTERVAL_ENV",
     "HB_TIMEOUT_ENV",
     "send_frame",
@@ -84,18 +69,10 @@ __all__ = [
     "seal",
     "unseal",
     "well_formed",
-    "wire_key",
-    "require_token",
-    "parse_address",
-    "coordinator_address",
-    "connect_timeout",
     "heartbeat_interval",
     "heartbeat_timeout",
 ]
 
-COORD_ENV = "REPRO_EXEC_COORD"
-TOKEN_ENV = "REPRO_EXEC_TOKEN"
-CONNECT_TIMEOUT_ENV = "REPRO_EXEC_CONNECT_TIMEOUT_S"
 HB_INTERVAL_ENV = "REPRO_EXEC_HB_INTERVAL_S"
 HB_TIMEOUT_ENV = "REPRO_EXEC_HB_TIMEOUT_S"
 
@@ -105,17 +82,8 @@ _HEADER = struct.Struct("!I32s")
 MAX_FRAME_BYTES = 1 << 31
 #: bound on the one frame read from a peer that has not registered yet
 MAX_HELLO_BYTES = 1 << 12
-#: seconds an accepted connection has to send its ``register`` frame
+#: seconds an adopted connection has to send its ``register`` frame
 REGISTER_TIMEOUT_S = 5.0
-#: frames on a loopback listener without a token are keyed by this
-#: constant: every local process can compute it, which is the loopback
-#: trust model (same host, same user) stated in docs/architecture.md
-_LOOPBACK_KEY = b"repro-exec-loopback"
-
-
-def wire_key() -> bytes:
-    """The key TCP frames are signed with (``REPRO_EXEC_TOKEN``)."""
-    return os.environ.get(TOKEN_ENV, "").encode() or _LOOPBACK_KEY
 
 
 def _tag(key: bytes, payload: bytes) -> bytes:
@@ -187,7 +155,7 @@ _NONE = type(None)
 _FIELDS: dict[str, tuple] = {
     "register": (str, int, str),
     "welcome": (str, _NUMBER, (str, _NONE)),
-    "heartbeat": (str, (dict, _NONE)),
+    "heartbeat": (str,),
     "init": (str, bytes, (str, _NONE)),
     "task": (str, int, str, int, bytes, object, object),
     "result": (str, int, int, int, bytes, (dict, _NONE)),
@@ -207,37 +175,6 @@ def well_formed(message, kinds: tuple[str, ...]) -> bool:
 
 
 # --------------------------------------------------------------------- #
-def parse_address(raw: str) -> tuple[str, int]:
-    """``host:port`` -> ``(host, port)`` with a typed error on junk."""
-    host, sep, port_raw = raw.strip().rpartition(":")
-    if not sep or not host:
-        raise ConfigError(
-            f"invalid coordinator address {raw!r}; expected host:port"
-        )
-    try:
-        port = int(port_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"invalid coordinator port in {raw!r}: {exc}"
-        ) from exc
-    if not 0 <= port <= 65535:
-        raise ConfigError(f"coordinator port {port} out of range in {raw!r}")
-    return host, port
-
-
-def require_token(host: str) -> None:
-    """Refuse a listen address beyond loopback unless a token is set."""
-    try:
-        loopback = ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        loopback = host == "localhost"
-    if not loopback and not os.environ.get(TOKEN_ENV):
-        raise ConfigError(
-            f"refusing to listen on {host!r} without {TOKEN_ENV}: beyond "
-            "loopback, task frames must be signed with a shared secret"
-        )
-
-
 def _env_seconds(var: str, default: float, *, minimum: float = 0.0) -> float:
     raw = os.environ.get(var, "").strip()
     if not raw:
@@ -246,22 +183,14 @@ def _env_seconds(var: str, default: float, *, minimum: float = 0.0) -> float:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"invalid {var}={raw!r}: {exc}") from exc
-    if value <= minimum:
-        raise ConfigError(f"{var} must be > {minimum}, got {value}")
+    # ``nan <= minimum`` is false, so finiteness is its own check: a
+    # ``nan`` interval would spin the heartbeat thread, an infinite
+    # timeout would switch the silent-heartbeat rung off.
+    if not math.isfinite(value) or value <= minimum:
+        raise ConfigError(
+            f"{var} must be a finite number > {minimum}, got {raw!r}"
+        )
     return value
-
-
-def coordinator_address() -> tuple[str, int]:
-    """The listen address from ``REPRO_EXEC_COORD`` (default ephemeral)."""
-    raw = os.environ.get(COORD_ENV, "").strip()
-    if not raw:
-        return ("127.0.0.1", 0)
-    return parse_address(raw)
-
-
-def connect_timeout() -> float:
-    """Seconds a submit waits for a worker before falling back."""
-    return _env_seconds(CONNECT_TIMEOUT_ENV, 5.0)
 
 
 def heartbeat_interval() -> float:

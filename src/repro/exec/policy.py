@@ -26,11 +26,9 @@ __all__ = [
 ]
 
 #: fabric backend vocabulary.  ``inprocess`` is the bit-identical serial
-#: oracle; ``forkpool`` supervises forked local workers; ``socket``
-#: supervises ``repro exec-worker`` processes registered over TCP, and
-#: forks local ones when none registers.  Callers only ever see
-#: :class:`~repro.exec.executor.Executor`.
-EXEC_BACKENDS = ("auto", "inprocess", "forkpool", "socket")
+#: oracle; ``forkpool`` supervises forked local workers.  Callers only
+#: ever see :class:`~repro.exec.executor.Executor`.
+EXEC_BACKENDS = ("auto", "inprocess", "forkpool")
 
 #: environment override applied wherever a caller leaves the backend on
 #: ``auto`` — the operational kill-switch (``inprocess`` disables every
@@ -42,7 +40,7 @@ def resolve_exec_backend(
     requested: str | None = None, default: str = "forkpool"
 ) -> str:
     """Map a backend request to a concrete non-``auto`` member of
-    :data:`EXEC_BACKENDS` (``inprocess | forkpool | socket``).
+    :data:`EXEC_BACKENDS` (``inprocess | forkpool``).
 
     An explicit ``requested`` choice always wins; ``auto``/``None`` honours
     ``REPRO_EXEC_BACKEND`` and then falls back to ``default`` — callers
@@ -123,7 +121,7 @@ class ExecPolicy:
     #: is killed (None = wait forever)
     worker_timeout: float | None = 120.0
     #: attempts of one task that ended with its worker lost or killed
-    #: (crash, disconnect, missed deadline, silent heartbeat) before the
+    #: (crash, missed deadline, silent heartbeat) before the
     #: task is quarantined: pulled out of the rotation as poison, ahead
     #: of its failure budget (None = disabled)
     quarantine_after: int | None = None

@@ -1,4 +1,4 @@
-"""The supervision ladder: one pure task scheduler under every transport.
+"""The supervision ladder: one pure task scheduler under the worker pool.
 
 :class:`TaskScheduler` is a state machine for one ``submit``.  It owns
 the attempts, the failure and death budgets, deadlines, straggler twins,
@@ -21,7 +21,7 @@ Actions out (the driver performs them in order)::
     ("rescue", indices, failures, exc)     run these fallbacks in-process
     ("done", results)                      the submit is over
 
-Invariants the transports rely on: a known worker runs at most one
+Invariants the driver relies on: a known worker runs at most one
 attempt; an attempt that ends without an answer ends with its worker
 killed *before* the task is dispatched again or reported done (tasks may
 write shared memory, so a superseded copy must not outlive its result);
@@ -80,10 +80,6 @@ def ensure_exec_metrics():
         ),
         "submit_seconds": reg.histogram(
             "repro_exec_submit_seconds", "wall time of one Executor.submit", both
-        ),
-        "workers": reg.gauge(
-            "repro_exec_net_workers",
-            "workers registered with the process-global coordinator",
         ),
         "dispatches": reg.counter(
             "repro_exec_net_dispatches_total", "task frames sent to workers", both

@@ -15,19 +15,12 @@ once, globally; per-row column order preserved by the sorted local
 universe), dense steps are row-independent, and exchanged rows are exact
 copies of the owner's computed rows.
 
-Three transports, one kernel (:func:`~repro.graph.exchange.
-run_shard_round`), two drivers:
+Two transports, one kernel (:func:`~repro.graph.exchange.
+run_shard_round`):
 
-* **inprocess** and **socket** share the by-value driver — per-shard
-  local buffers, frontier rows landed by the compiled ``send``/``recv``
-  index copies.  In process a round's shard computations are a loop; on
-  the socket transport they are one task each over the coordinator's CRC
-  framing, carrying the shard's local input rows and returning its owned
-  output rows, so remote workers never need the submitting host's
-  ``/dev/shm`` and requeued/stale-generation tasks are safe to re-run.
-  With no fleet registered, the socket executor runs those same by-value
-  tasks on forked local workers — it does not switch to the forkpool
-  driver below;
+* **inprocess** — per-shard local buffers, frontier rows landed by the
+  compiled ``send``/``recv`` index copies; a round's shard computations
+  are a loop;
 * **forkpool** — two parent-owned shared-memory activation slabs
   ping-ponged between layers; each round's tasks read the previous
   layer's slab and write disjoint owned rows into the next, so retries
@@ -107,7 +100,7 @@ _WORKER_STATE: tuple | None = None
 
 
 def _exchange_worker_init(payload: bytes) -> None:
-    """Build per-process state once (fork/socket initializer): the
+    """Build per-process state once (fork-pool initializer): the
     dtype-cast weights and every shard's compiled exchange structures, so
     any worker can run any shard's round (retries may land anywhere)."""
     global _WORKER_STATE
@@ -147,21 +140,6 @@ def _exchange_worker_round(
     return result.shape
 
 
-def _exchange_round_by_value(
-    shard_index: int,
-    layer: int,
-    with_head: bool,
-    local_prev: np.ndarray,
-) -> np.ndarray:
-    """One socket exchange round: the activation frame travels in the
-    task args, the owned rows travel back in the result — stateless per
-    round, so network requeues and duplicate deliveries are harmless."""
-    weights, _, shards = _worker_state()
-    return run_shard_round(
-        weights, shards[shard_index], local_prev, layer, with_head
-    )
-
-
 # --------------------------------------------------------------------- #
 class _Plan:
     """Partition + boundary-exchange cache for one (graph, shards) pair."""
@@ -189,7 +167,7 @@ class ShardedInference(FastInference):
 
     A :class:`~repro.core.inference.FastInference` whose pass runs
     partitioned: ``logits`` / ``predict`` / ``predict_proba`` / ``embed``
-    / ``from_file`` and the non-finite guard are inherited; this class
+    and the non-finite guard are inherited; this class
     holds what is about partitions and transports.  The partition and
     exchange plan are cached per graph, so repeated scoring of one design
     (the serve path) pays the partitioning cost once.  There is one
@@ -206,8 +184,6 @@ class ShardedInference(FastInference):
         self.policy = ExecPolicy()
         #: injectable for fault-injection tests (must stay picklable)
         self.worker_fn = _exchange_worker_round
-        #: socket-transport counterpart (activation frames by value)
-        self.socket_worker_fn = _exchange_round_by_value
         self._plan: _Plan | None = None
         self._executor: Executor | None = None
         self._pool_plan: _Plan | None = None
@@ -301,80 +277,47 @@ class ShardedInference(FastInference):
             nodes=graph.num_nodes,
             shards=plan.partition.n_shards,
         ):
-            resolved = self.execution.resolve_exec_backend(default="forkpool")
-            use_pool = (
+            if (
                 plan.partition.n_shards > 1
                 and self.execution.resolved_workers() > 1
-                and resolved != "inprocess"
-            )
-            if use_pool and resolved == "socket":
-                self._by_value_run(
-                    graph, plan, with_head, out,
-                    self._ensure_executor(plan, "socket"),
-                )
-            elif use_pool:
+                and self.execution.resolve_exec_backend() != "inprocess"
+            ):
                 self._shm_run(graph, plan, with_head, out)
             else:
-                self._by_value_run(graph, plan, with_head, out, None)
+                self._inprocess_run(graph, plan, with_head, out)
             self._record_exchange(plan, self._layer_widths(graph))
         return out
 
     # ------------------------------------------------------------------ #
-    # By-value transports: per-shard buffers + compiled send/recv copies
+    # In-process transport: per-shard buffers + compiled send/recv copies
     # ------------------------------------------------------------------ #
-    def _by_value_run(
+    def _inprocess_run(
         self,
         graph: GraphData,
         plan: _Plan,
         with_head: bool,
         out: np.ndarray,
-        executor: Executor | None,
     ) -> None:
-        """In-process (``executor is None``) and socket transports.
+        """In-process transport.
 
         Each shard keeps a local activation buffer over its universe; a
-        round computes every shard's owned rows — a loop in process, one
-        by-value task per shard on the socket fleet (no shared memory, so
-        workers can live on any host and every retry/requeue is
-        idempotent) — then lands them, and every peer's shipped frontier
-        rows, through the compiled index lists.
+        round computes every shard's owned rows in a loop, then lands
+        them, and every peer's shipped frontier rows, through the
+        compiled index lists.
         """
         shards = plan.exchange.shards
         attrs = self._cast_attributes(graph)
         current = [np.ascontiguousarray(attrs[sh.universe]) for sh in shards]
         for d, head_round in self._rounds(with_head):
-            if executor is None:
-                results = []
-                for i, sh in enumerate(shards):
-                    with span("inference.shard", shard=i, layer=d,
-                              nodes=sh.n_local):
-                        results.append(
-                            run_shard_round(
-                                self.weights, sh, current[i], d, head_round
-                            )
+            results = []
+            for i, sh in enumerate(shards):
+                with span("inference.shard", shard=i, layer=d,
+                          nodes=sh.n_local):
+                    results.append(
+                        run_shard_round(
+                            self.weights, sh, current[i], d, head_round
                         )
-            else:
-                results = executor.submit(
-                    [
-                        ShardTask(
-                            key=f"shard{i}:layer{d}",
-                            fn=self.socket_worker_fn,
-                            args=(i, d, head_round, current[i]),
-                            fallback=(
-                                lambda i=i, d=d, head_round=head_round,
-                                frame=current[i]: run_shard_round(
-                                    self.weights, shards[i], frame, d,
-                                    head_round,
-                                )
-                            ),
-                        )
-                        for i in range(len(shards))
-                    ],
-                    policy=self.policy,
-                )
-                if executor.last_submit_failures:
-                    *_, failure_counter = _obs()
-                    failure_counter.inc(executor.last_submit_failures)
+                    )
             if d == self.weights.depth - 1:
                 break
             for i, sh in enumerate(shards):
@@ -389,29 +332,24 @@ class ShardedInference(FastInference):
             out[sh.owned] = results[i]
 
     # ------------------------------------------------------------------ #
-    # Pool transports
+    # Pool transport
     # ------------------------------------------------------------------ #
-    def _make_executor(self, plan: _Plan, backend: str) -> Executor:
-        payload = pickle.dumps(
-            (self.weights, self.dtype.name, plan.exchange.shards)
-        )
-        return make_executor(
-            backend,
-            name="inference",
-            max_workers=self.execution.resolved_workers(),
-            initializer=_exchange_worker_init,
-            initargs=(payload,),
-        )
-
-    def _ensure_executor(self, plan: _Plan, backend: str) -> Executor:
+    def _ensure_executor(self, plan: _Plan) -> Executor:
         # The worker initializer bakes in this plan's exchange structures,
-        # so a new plan (or a different resolved backend) needs a new pool.
-        if self._executor is not None and (
-            self._pool_plan is not plan or self._executor.kind != backend
-        ):
+        # so a new plan needs a new pool.
+        if self._executor is not None and self._pool_plan is not plan:
             self.close()
         if self._executor is None:
-            self._executor = self._make_executor(plan, backend)
+            payload = pickle.dumps(
+                (self.weights, self.dtype.name, plan.exchange.shards)
+            )
+            self._executor = make_executor(
+                "forkpool",
+                name="inference",
+                max_workers=self.execution.resolved_workers(),
+                initializer=_exchange_worker_init,
+                initargs=(payload,),
+            )
             self._pool_plan = plan
         return self._executor
 
@@ -430,7 +368,7 @@ class ShardedInference(FastInference):
         each round is a barrier (all shards complete before the next
         starts), so the slab swap *is* the boundary exchange.
         """
-        executor = self._ensure_executor(plan, "forkpool")
+        executor = self._ensure_executor(plan)
         shards = plan.exchange.shards
         widths = self._layer_widths(graph)
         n = graph.num_nodes

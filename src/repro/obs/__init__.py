@@ -12,9 +12,9 @@ Four pieces, all stdlib-only:
 * :mod:`repro.obs.manifest` — atomic ``results/<run>/manifest.json``
   records (config, git SHA, seed, dataset fingerprint, metric snapshot).
 
-Distributed extension (see ``docs/architecture.md``):
-:mod:`repro.obs.remote` — cross-host trace propagation + worker
-telemetry forwarding for the execution fabric.
+:mod:`repro.obs.remote` carries trace context into the execution
+fabric's worker processes and grafts their spans back (see
+``docs/architecture.md``).
 
 Speed is not measured here: ``perf/`` + ``BENCHMARK.json`` are the one
 benchmark, and ``python -m cProfile -m repro <cmd>`` is the profiler.

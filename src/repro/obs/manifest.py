@@ -210,10 +210,8 @@ class RunRecorder:
 def write_report(run_dir: str | os.PathLike) -> str:
     """Where a recorded run's time went, as markdown (``repro obs-report``).
 
-    A manifest summary, the span tree of ``trace.json`` through
-    :func:`repro.obs.trace.format_tree` (wall/CPU per span) and the names
-    of the fleet-scoped metric families (``repro_fleet_*`` /
-    ``repro_obs_*``) in the manifest's metric snapshot.  Written to
+    A manifest summary and the span tree of ``trace.json`` through
+    :func:`repro.obs.trace.format_tree` (wall/CPU per span).  Written to
     ``<run_dir>/report.md`` and returned.
     """
     run_dir = Path(run_dir)
@@ -234,15 +232,6 @@ def write_report(run_dir: str | os.PathLike) -> str:
         lines += ["```", trace.format_tree(tree), "```"]
     else:
         lines.append(f"No span tree: {trace_path} is missing.")
-    fleet = sorted(
-        name
-        for name in manifest.get("metrics") or {}
-        if name.startswith(("repro_fleet_", "repro_obs_"))
-    )
-    lines += ["", "## Fleet metrics", ""]
-    lines += [f"- `{name}`" for name in fleet] or [
-        "None (remote or fork-pool workers forwarded no telemetry)."
-    ]
     report = "\n".join(lines) + "\n"
     (run_dir / "report.md").write_text(report)
     return report

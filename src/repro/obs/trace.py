@@ -151,8 +151,8 @@ def trace(name: str, register_last: bool = True, **attrs):
     """Open a root span, activating span recording inside the block.
 
     ``register_last=False`` opens a *detached* root: it records exactly
-    like a normal trace but never becomes :func:`last_trace` — remote
-    workers (and loopback worker threads sharing this process) use it so
+    like a normal trace but never becomes :func:`last_trace` — pool
+    workers (and in-thread test workers sharing this process) use it so
     capturing their subtree cannot clobber the submitting run's tree.
     """
     global _last_trace

@@ -172,8 +172,7 @@ class TestResolveBackend:
         # ``inprocess`` keeps a large call off the pool.
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         n = ppsfp.POOL_MIN_SITES
-        for fabric in ("forkpool", "socket"):
-            assert self._path(n, workers=8, exec_backend=fabric) == "parallel"
+        assert self._path(n, workers=8, exec_backend="forkpool") == "parallel"
         assert self._path(n, workers=8, exec_backend="inprocess") == "batched"
 
     def test_auto_small_workload_is_batched(self):

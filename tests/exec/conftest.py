@@ -8,14 +8,18 @@ pytest-timeout).
 
 from __future__ import annotations
 
+import contextlib
 import signal
+import socket
 import threading
 
 import pytest
 
-from repro.exec import Coordinator, run_worker
+from repro.exec import Coordinator
 from repro.exec import coordinator as coordinator_mod
+from repro.exec.worker import serve_connection
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.resilience.errors import ResultIntegrityError
 
 #: per-test wall-clock budget; generous next to the suite's sub-second
 #: worker timeouts so only a genuine supervision hang trips it
@@ -46,20 +50,8 @@ def _no_ambient_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
     monkeypatch.delenv("REPRO_CHAOS_HANG_S", raising=False)
     monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_COORD", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_CONNECT_TIMEOUT_S", raising=False)
     monkeypatch.delenv("REPRO_EXEC_HB_INTERVAL_S", raising=False)
     monkeypatch.delenv("REPRO_EXEC_HB_TIMEOUT_S", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_TOKEN", raising=False)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_coordinator():
-    """Tear the process-global coordinator down so tests never share one."""
-    yield
-    from repro.exec import shutdown_coordinator
-
-    shutdown_coordinator()
 
 
 @pytest.fixture()
@@ -72,36 +64,53 @@ def metrics():
 
 
 @pytest.fixture()
-def fast_net(monkeypatch):
-    """Fast heartbeats and a short connect window, so failure paths drain
-    in well under a second; the heartbeat *timeout* stays generous — only
-    the tests that partition a worker on purpose shorten it."""
+def fast_heartbeats(monkeypatch):
+    """Fast heartbeats and a short chaos hang, so failure paths drain in
+    well under a second; the heartbeat *timeout* stays generous."""
     monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.05")
     monkeypatch.setenv("REPRO_EXEC_HB_TIMEOUT_S", "5.0")
-    monkeypatch.setenv("REPRO_EXEC_CONNECT_TIMEOUT_S", "2.0")
     monkeypatch.setenv("REPRO_CHAOS_HANG_S", "0.3")
 
 
-@pytest.fixture()
-def fleet(fast_net, monkeypatch):
-    """``fleet(n)``: a private loopback coordinator plus ``n`` in-thread
-    workers named ``w0..``, torn down hard.
+def _adopt_peer(coordinator: Coordinator) -> socket.socket:
+    ours, theirs = socket.socketpair()
+    coordinator._adopt(ours)
+    return theirs
 
-    The coordinator is this test's own — bound here, closed here — and
-    installed as the process-global one for the test's duration so
-    engines asking for the ``socket`` backend reach it.
+
+@pytest.fixture()
+def adopt_peer():
+    """``adopt_peer(coordinator)``: hand one end of a fresh ``socketpair``
+    to ``coordinator`` and return the other — whatever speaks on it is a
+    worker candidate (tests play rogue peers with it)."""
+    return _adopt_peer
+
+
+def _serve(sock: socket.socket, worker_id: str) -> None:
+    with sock, contextlib.suppress(OSError, EOFError, ResultIntegrityError):
+        serve_connection(sock, worker_id, coordinator_mod._LOCAL_KEY)
+
+
+@pytest.fixture()
+def fleet(fast_heartbeats, monkeypatch):
+    """``fleet(n)``: a private coordinator plus ``n`` in-thread workers
+    named ``w0..``, each on a ``socketpair``, torn down hard.
+
+    The workers run the real worker loop (:func:`serve_connection`) on
+    frames signed with the coordinator's key; tests drive the coordinator
+    through :meth:`Coordinator.submit`.  Threads share the test process,
+    so no test may inject ``kill`` into them.
     """
-    stop = threading.Event()
+    # Nothing respawns a lost in-thread worker, so a submit that has lost
+    # them all need not wait the window a forked pool's respawn gets.
+    monkeypatch.setattr(coordinator_mod, "_NO_WORKER_GRACE_S", 0.3)
+    coordinator = Coordinator()
     threads: list[threading.Thread] = []
-    coordinator = Coordinator(("127.0.0.1", 0))
-    monkeypatch.setattr(coordinator_mod, "_coordinator", coordinator)
 
     def start(n=2):
         for i in range(n):
             t = threading.Thread(
-                target=run_worker,
-                args=(coordinator.address,),
-                kwargs={"worker_id": f"w{i}", "stop": stop},
+                target=_serve, args=(_adopt_peer(coordinator), f"w{i}"),
                 daemon=True,
             )
             t.start()
@@ -110,7 +119,6 @@ def fleet(fast_net, monkeypatch):
         return coordinator
 
     yield start
-    stop.set()
     coordinator.close()
     for t in threads:
         t.join(timeout=5.0)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.exec import (
     ChaosSpec,
     ExecPolicy,
@@ -74,6 +77,20 @@ class TestBackendResolution:
         with pytest.raises(ConfigError):
             resolve_exec_backend(None)
 
+    def test_socket_backend_is_a_config_error(self, monkeypatch):
+        # ``socket`` is rejected like any unknown name, and the error
+        # lists the backends there are.
+        remaining = re.escape(str(("auto", "inprocess", "forkpool")))
+        with pytest.raises(ConfigError, match=remaining):
+            resolve_exec_backend("socket")
+        with pytest.raises(ConfigError, match="forkpool"):
+            ExecutionConfig(exec_backend="socket")
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "socket")
+        with pytest.raises(ConfigError, match=remaining):
+            resolve_exec_backend(None)
+        with pytest.raises(ConfigError, match=remaining):
+            make_executor()
+
     def test_make_executor_kinds(self):
         assert isinstance(make_executor("inprocess"), InProcessExecutor)
         fork = make_executor("forkpool", max_workers=1)
@@ -112,11 +129,37 @@ class TestChaosSpec:
         with pytest.raises(ConfigError):
             ChaosSpec.from_env()
 
+    @pytest.mark.parametrize("raw", ["-1", "-0.5", "nan", "inf", "-inf", "x"])
+    def test_invalid_hang_seconds_rejected(self, raw, monkeypatch):
+        # A negative sleep raises in the worker, which would turn ``hang``
+        # into ``raise``; a non-finite one is no duration at all.
+        monkeypatch.setenv("REPRO_CHAOS", "hang")
+        monkeypatch.setenv("REPRO_CHAOS_HANG_S", raw)
+        with pytest.raises(ConfigError, match="REPRO_CHAOS_HANG_S"):
+            ChaosSpec.from_env()
+
     def test_rolls_are_deterministic_and_attempt_dependent(self):
         spec = ChaosSpec(mode="raise", rate=0.5, seed=7)
         rolls = [spec.roll("task", a) for a in range(64)]
         assert rolls == [ChaosSpec(mode="raise", rate=0.5, seed=7).roll("task", a) for a in range(64)]
         assert set(rolls) == {"raise", None}
+
+    def test_roll_formula_is_pinned(self):
+        # The replay contract: a roll hits iff the first 8 bytes of
+        # sha256("<seed>|<key>|<attempt>"), read big-endian as a fraction
+        # of 2**64, fall below the rate.  Changing that breaks every
+        # recorded chaos replay, so the formula is pinned here.
+        def expected(key, attempt):
+            digest = hashlib.sha256(f"7|{key}|{attempt}".encode()).digest()
+            hit = int.from_bytes(digest[:8], "big") / 2.0**64 < 0.5
+            return "raise" if hit else None
+
+        spec = ChaosSpec(mode="raise", rate=0.5, seed=7)
+        keys = [(f"t{i}", attempt) for i in range(20) for attempt in (1, 2)]
+        rolls = [spec.roll(key, attempt) for key, attempt in keys]
+        assert rolls == [expected(key, attempt) for key, attempt in keys]
+        assert "raise" in rolls and None in rolls
+        assert ChaosSpec(mode="kill", rate=0.0).roll("k", 1) is None
 
 
 # --------------------------------------------------------------------- #
@@ -259,11 +302,15 @@ class TestForkPool:
         ex.close()
 
     def test_heartbeats_recorded(self, monkeypatch):
-        # Forked workers are watched like remote ones: heartbeat frames
-        # over their socket, recorded per connection.
+        # Forked workers are watched through heartbeat frames over their
+        # socketpair, recorded per connection.
         monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.02")
         with ForkPoolExecutor(2, name="t", policy=FAST) as ex:
             ex.submit(_tasks(2))
+            # Both children were forked before the submit, but on one
+            # core the first to register can run both tasks before the
+            # second registers.
+            assert ex._pool.wait_for_workers(5.0, minimum=2)
             workers = ex._pool.workers()
             assert len(workers) == 2
             assert all(w.pid != os.getpid() and pid_alive(w.pid) for w in workers)
@@ -309,7 +356,7 @@ class TestForkPool:
                 ex.submit([ShardTask(key="x", fn=_raise_typed)])
 
     def test_straggler_twin_runs_on_the_fork_transport_too(self, metrics):
-        # straggler_fraction is one ladder rung, not a socket-only one.
+        # straggler_fraction is a rung of the fork pool's ladder too.
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             worker_timeout=5.0,

@@ -13,7 +13,6 @@ from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
-from repro.exec.shm import SHM_PREFIX
 from repro.graph import PartitionConfig, ShardedInference, partition_graph
 from repro.graph.exchange import compile_boundary_plan
 from repro.nn.sparse import COOMatrix
@@ -154,52 +153,3 @@ class TestCompiledPlan:
             assert np.array_equal(
                 sh.universe[sh.pred_rows.indices], rows.indices
             )
-
-
-class _RecordingExecutor:
-    """Stands in for the socket executor: records tasks, runs fallbacks."""
-
-    kind = "socket"
-
-    def __init__(self):
-        self.rounds: list[list] = []
-        self.last_submit_failures = 0
-
-    def submit(self, tasks, policy=None):
-        tasks = list(tasks)
-        self.rounds.append(tasks)
-        return [task.run_fallback() for task in tasks]
-
-    def close(self):
-        pass
-
-
-class TestSocketByValue:
-    def test_socket_tasks_carry_activations_not_shm_names(self, monkeypatch):
-        """The socket transport must ship activation frames in the task
-        args (usable by any remote host), never /dev/shm segment names."""
-        import repro.graph.sharded as sharded_mod
-
-        recorder = _RecordingExecutor()
-        monkeypatch.setattr(
-            sharded_mod, "make_executor", lambda *a, **k: recorder
-        )
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "socket")
-        graph = GraphData.from_netlist(generate_design(300, seed=7))
-        oracle = FastInference(WEIGHTS).logits(graph)
-        with ShardedInference(
-            WEIGHTS, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            out = engine.logits(graph)
-        assert np.array_equal(oracle, out)
-        assert len(recorder.rounds) == WEIGHTS.depth
-        for tasks in recorder.rounds:
-            for task in tasks:
-                assert any(
-                    isinstance(a, np.ndarray) and a.ndim == 2
-                    for a in task.args
-                )
-                assert not any(
-                    isinstance(a, str) and a.startswith(SHM_PREFIX)
-                    for a in task.args
-                )

@@ -16,7 +16,7 @@ from repro.core.model import GCN, GCNConfig
 from repro.flow.modify import IncrementalDesign
 from repro.flow.scorer import IncrementalScorer
 from repro.graph import ShardedInference
-from repro.graph.sharded import _exchange_round_by_value, _exchange_worker_round
+from repro.graph.sharded import _exchange_worker_round
 from repro.serve.batch import merge_graphs
 
 
@@ -221,7 +221,6 @@ class TestPoolResilience:
         )
         try:
             assert engine.worker_fn is _exchange_worker_round
-            assert engine.socket_worker_fn is _exchange_round_by_value
         finally:
             engine.close()
 

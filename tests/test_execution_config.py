@@ -20,7 +20,7 @@ from repro.config import ExecutionConfig, INFERENCE_BACKENDS
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import ParallelTrainer, TrainConfig, Trainer
-from repro.exec import DistributedExecutor, ForkPoolExecutor, make_executor
+from repro.exec import ForkPoolExecutor, make_executor
 from repro.graph import PartitionConfig, ShardedInference
 from repro.resilience.errors import ConfigError
 from repro.serve import ServeConfig
@@ -204,7 +204,6 @@ class TestDeprecationShims:
         [
             lambda: make_executor("inprocess", sleep=None),
             lambda: ForkPoolExecutor(1, sleep=None),
-            lambda: DistributedExecutor(1, sleep=None),
             lambda: ParallelTrainer(None, sleep=None),
             lambda: ParallelTrainer(None, **{"max_workers": 2}),
             lambda: ParallelTrainer(None, **{"worker_timeout": 1.0}),
@@ -223,8 +222,7 @@ class TestDeprecationShims:
             lambda: ServeConfig(batching=False),
             lambda: ServeConfig(batch_solo_threshold=1),
         ],
-        ids=["make_executor", "ForkPoolExecutor", "DistributedExecutor",
-             "ParallelTrainer", "ParallelTrainer-max-workers",
+        ids=["make_executor", "ForkPoolExecutor", "ParallelTrainer", "ParallelTrainer-max-workers",
              "ParallelTrainer-worker-timeout", "ParallelTrainer-retry-policy",
              "ParallelTrainer-serial-fallback", "FaultSimulator-config",
              "ObservabilityAnalyzer-config", "PpsfpEngine-config",
