@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.atpg import ppsfp
-from repro.atpg.cones import get_cone_index, invalidate_cone_cache
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import collapse_faults
 from repro.config import ExecutionConfig
@@ -63,14 +62,6 @@ def _grade_tier(n_gates: int, repeats: int) -> dict:
     fsim = FaultSimulator(netlist)
     rng = np.random.default_rng(1)
     values = fsim.good_values(fsim.simulator.random_source_words(_N_WORDS, rng))
-
-    # Warm the shared cone index before timing: it is built once per
-    # netlist content and amortised across every pattern batch, OPI
-    # iteration and path in real use — and the serial oracle uses the
-    # very same cache, so warming favours neither side.
-    index = get_cone_index(netlist)
-    for fault in faults:
-        index.cone(fault.node)
 
     t_serial, (oracle, _) = _best_of(
         lambda: reference.detection_masks(netlist, faults, values), repeats
@@ -112,7 +103,6 @@ def _grade_tier(n_gates: int, repeats: int) -> dict:
 def main() -> dict:
     scale = benchmark_scale()
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-    invalidate_cone_cache()
     tiers = []
     for fraction in _TIERS:
         n_gates = max(50, int(_BASE_GATES * fraction * scale))
@@ -131,6 +121,10 @@ def main() -> dict:
         )
     default_tier = tiers[-1]
     payload = {
+        "comment": (
+            "serial column: the oracle, walking each fault site's cone once "
+            "per call (its own per-call memo, nothing shared across calls)"
+        ),
         "scale": scale,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),

@@ -30,7 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from repro.atpg.cones import invalidate_cone_cache  # noqa: E402
 from repro.atpg.fault_sim import FaultSimulator  # noqa: E402
 from repro.atpg.faults import collapse_faults  # noqa: E402
 from repro.config import ExecutionConfig  # noqa: E402
@@ -51,7 +50,6 @@ def fail(message: str) -> None:
 def main() -> None:
     registry = MetricsRegistry()
     set_registry(registry)  # isolate from anything imported before us
-    invalidate_cone_cache()
     netlist = generate_design(800, seed=7)
     faults = collapse_faults(netlist)
     fsim = FaultSimulator(netlist, ExecutionConfig(workers=1))

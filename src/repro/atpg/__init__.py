@@ -11,12 +11,6 @@ from repro.atpg.simulator import (
     random_pattern_words,
     unpack_values,
 )
-from repro.atpg.cones import (
-    ConeIndex,
-    cone_cache_info,
-    get_cone_index,
-    invalidate_cone_cache,
-)
 from repro.atpg.ppsfp import BatchedConeEngine, PpsfpEngine
 from repro.atpg.observability import ObservabilityAnalyzer, observability_counts
 from repro.atpg.faults import Fault, collapse_faults, full_fault_list
@@ -35,10 +29,6 @@ __all__ = [
     "pack_patterns",
     "random_pattern_words",
     "unpack_values",
-    "ConeIndex",
-    "cone_cache_info",
-    "get_cone_index",
-    "invalidate_cone_cache",
     "BatchedConeEngine",
     "PpsfpEngine",
     "ObservabilityAnalyzer",

@@ -152,6 +152,8 @@ def diagnose(
     are omitted.  A score of 1.0 means the fault reproduces the log
     exactly (every observed fail predicted, nothing extra).
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     observed_bits = fail_log.fail_bits()
     if not observed_bits:
         return []

@@ -44,7 +44,6 @@ import pickle
 
 import numpy as np
 
-from repro.atpg.cones import ConeIndex, get_cone_index
 from repro.circuit.cells import GateType
 from repro.config import ExecutionConfig
 from repro.exec import (
@@ -165,6 +164,8 @@ class BatchedConeEngine:
             len(out_idx) for _, _, out_idx, _ in simulator._schedule
         )
         self._dense_obs = np.array(sorted(self.observed), dtype=np.int64)
+        self._is_observed = np.zeros(simulator.netlist.num_nodes, dtype=bool)
+        self._is_observed[self._dense_obs] = True
         #: logic level of each schedule group (homogeneous per group)
         self._dense_group_levels = [
             int(simulator.levels[out_idx[0]]) if len(out_idx) else 0
@@ -178,10 +179,6 @@ class BatchedConeEngine:
             self._dense_group_of[out_idx] = g
 
     # ------------------------------------------------------------------ #
-    @property
-    def cone_index(self) -> ConeIndex:
-        return get_cone_index(self.simulator.netlist)
-
     def propagate(
         self, sites: np.ndarray, inject: np.ndarray, values: np.ndarray
     ) -> np.ndarray:
@@ -204,13 +201,11 @@ class BatchedConeEngine:
         groups = 0
         # Order sites by cone level so groups share cone structure, then
         # chunk to the memory budget.
-        index = self.cone_index
-        levels = index.levels
-        order = np.argsort(levels[sites], kind="stable")
+        order = np.argsort(self.simulator.levels[sites], kind="stable")
         chunk = self._chunk_size(n_words)
         for start in range(0, n_sites, chunk):
             idx = order[start : start + chunk]
-            g = self._propagate_group(sites[idx], inject[idx], values, index)
+            g = self._propagate_group(sites[idx], inject[idx], values)
             diffs[idx] = g[0]
             group_evals += g[1]
             groups += 1
@@ -236,12 +231,11 @@ class BatchedConeEngine:
         sites: np.ndarray,
         inject: np.ndarray,
         values: np.ndarray,
-        index: ConeIndex,
     ) -> tuple[np.ndarray, int]:
-        union = index.union_cone(sites)
+        union = self.simulator.forward_union(sites)
         if len(union) >= DENSE_THRESHOLD * max(1, self._n_scheduled):
             return self._run_dense(sites, inject, values)
-        return self._run_sparse(sites, inject, values, union, index)
+        return self._run_sparse(sites, inject, values, union)
 
     def _run_dense(
         self, sites: np.ndarray, inject: np.ndarray, values: np.ndarray
@@ -299,11 +293,10 @@ class BatchedConeEngine:
         inject: np.ndarray,
         values: np.ndarray,
         union: np.ndarray,
-        index: ConeIndex,
     ) -> tuple[np.ndarray, int]:
         """Union-cone plan: values materialised only on cone signals."""
         netlist = self.simulator.netlist
-        levels = index.levels
+        levels = self.simulator.levels
         F = len(sites)
         n_words = values.shape[1]
         eval_set = set(int(v) for v in union)
@@ -366,9 +359,7 @@ class BatchedConeEngine:
             if sel is not None:
                 vals[pos[sites[sel]], sel] = inject[sel]
 
-        obs_ids = np.array(
-            [v for v in union.tolist() if v in self.observed], dtype=np.int64
-        )
+        obs_ids = union[self._is_observed[union]]
         if len(obs_ids) == 0:
             return np.zeros((F, n_words), dtype=np.uint64), evals
         delta = vals[pos[obs_ids]] ^ values[obs_ids][:, None, :]

@@ -13,6 +13,7 @@ import numpy as np
 from repro.circuit.cells import GateType
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import expand_rows, sorted_unique
 
 __all__ = ["LogicSimulator", "pack_patterns", "unpack_values", "random_pattern_words"]
 
@@ -157,18 +158,31 @@ class LogicSimulator:
         idx = np.array([fanins], dtype=np.int64)
         return _eval_group(gate_type, len(fanins), idx, values, n_words)[0]
 
-    def forward_cone(self, node: int) -> list[int]:
-        """Nodes strictly downstream of ``node`` (combinationally), topo-sorted.
+    def forward_union(self, sites) -> np.ndarray:
+        """Union of the forward cones of ``sites``, sorted by (level, id).
 
-        Cached: the traversal runs once per node per netlist *content* and
-        is shared across simulator instances through the fingerprint-keyed
-        LRU in :mod:`repro.atpg.cones`.  Like the uncached implementation
-        this always reflects the netlist's current structure.
+        A node is in ``v``'s cone when a path of one or more wires leads
+        there from ``v`` without entering a ``DFF`` (its value is captured),
+        so a site inside another site's cone is in the union.  One frontier
+        sweep over the fan-out CSR covers every site at once.
         """
-        from repro.atpg.cones import get_cone_index
+        structure = self.netlist.structure()
+        ptr, idx = structure.fanout_ptr, structure.fanout_idx
+        stop = structure.types == GateType.DFF
+        seen = np.zeros(structure.num_nodes, dtype=bool)
+        frontier = np.asarray(sites, dtype=np.int64)
+        reached = [np.empty(0, dtype=np.int64)]
+        while len(frontier):
+            sinks = idx[expand_rows(ptr, frontier)[0]]
+            frontier = sorted_unique(sinks[~(stop[sinks] | seen[sinks])])
+            seen[frontier] = True
+            reached.append(frontier)
+        cone = np.concatenate(reached)
+        return cone[np.lexsort((cone, self.levels[cone]))]
 
-        return list(get_cone_index(self.netlist).cone(node))
-
+    def forward_cone(self, node: int) -> list[int]:
+        """Nodes strictly downstream of ``node`` (combinationally), topo-sorted."""
+        return self.forward_union([node]).tolist()
 
 def _eval_group(
     gate_type: GateType,

@@ -15,7 +15,6 @@ mutation asks for them; loading, validating and scoring never do.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -331,8 +330,8 @@ class Netlist:
         """Invalidate cached structural state after out-of-band edits.
 
         Code that writes to the private lists directly (tests building
-        illegal netlists do) must call this so :meth:`fingerprint` and
-        :meth:`structure` never serve content that has since changed.
+        illegal netlists do) must call this so :meth:`structure` and every
+        other :meth:`cached` value never serve content that has since changed.
         """
         if self._loaded is not None:
             self._build_lists()  # the lists are the authority from here on
@@ -360,35 +359,6 @@ class Netlist:
         fanout_ptr, fanout_idx = rows_to_csr(self._fanouts)
         types = np.fromiter(self._types, dtype=np.int64, count=len(self._types))
         return NetlistStructure(types, fanin_ptr, fanin_idx, fanout_ptr, fanout_idx)
-
-    def fingerprint(self) -> str:
-        """Content hash of the structure (types, fanins, output marks).
-
-        Two netlists with identical structure — regardless of object
-        identity, cell names or design name — share a fingerprint, which is
-        what keys the shared forward-cone cache
-        (:mod:`repro.atpg.cones`).  The hash is memoised and recomputed
-        only after a structural mutation.
-        """
-        return self.cached("fingerprint", self._build_fingerprint)
-
-    def _build_fingerprint(self) -> str:
-        if self._loaded is not None:
-            structure = self._loaded[0]
-            types = structure.types.astype(np.int16)
-            fanin_ptr, fanin_idx = structure.fanin_ptr, structure.fanin_idx
-        else:
-            # Not via structure(): the OPI loop fingerprints after every
-            # tentative insertion and needs neither the fan-out half nor
-            # an int64 type array.
-            types = np.array(self._types, dtype=np.int16)
-            fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
-        h = hashlib.sha256()
-        h.update(types.tobytes())
-        h.update(np.diff(fanin_ptr).tobytes())
-        h.update(fanin_idx.tobytes())
-        h.update(np.array(sorted(self._po_marks), dtype=np.int64).tobytes())
-        return h.hexdigest()
 
     def observation_points(self) -> list[int]:
         """Return ids of inserted ``OBS`` cells."""

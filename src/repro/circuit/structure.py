@@ -7,8 +7,7 @@ flat arrays — gate-type codes plus fan-in and fan-out adjacency in CSR
 form — so levelization, SCOAP, validation and the adjacency export can run
 as array sweeps.  The parsers produce it directly and a loaded netlist
 keeps it as its content until something asks for per-cell lists; otherwise
-``Netlist.structure()`` builds it once per structural mutation, like the
-content fingerprint.
+``Netlist.structure()`` builds it once per structural mutation.
 """
 
 from __future__ import annotations

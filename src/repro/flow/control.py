@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.atpg.cones import invalidate_cone_cache
 from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
@@ -178,10 +177,6 @@ def run_gcn_cpi(
             if config.max_cps is not None and result.n_cps >= config.max_cps:
                 break
             force_to = stats.rare_value(target)
-            # In-place edit: drop any cone index built on the current
-            # structure (which may also serve the caller's original via a
-            # shared fingerprint) before it goes stale.
-            invalidate_cone_cache(work)
             work.insert_control_point(target, force_to)
             result.inserted.append((target, force_to))
         if config.max_cps is not None and result.n_cps >= config.max_cps:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.atpg.cones import invalidate_cone_cache
 from repro.circuit.cells import GateType
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
@@ -204,10 +203,6 @@ class IncrementalDesign:
         ids = np.arange(n_before, n)
         pred, succ = self.graph.pred, self.graph.succ
         pred_nnz, succ_nnz = pred.nnz, succ.nnz
-        # Drop the shared forward-cone index *before* the structure changes
-        # so a concurrent reader can never warm it with mixed-generation
-        # cones (see repro.atpg.cones).
-        invalidate_cone_cache(self.netlist)
         for target in targets.tolist():
             self.netlist.insert_observation_point(target)
         ones = np.ones(len(targets))
@@ -287,7 +282,6 @@ class IncrementalDesign:
         if checkpoint.state != self._states[-1]:
             raise ValueError("only the most recent commit can be rolled back")
         n, n_after = checkpoint.n_nodes, self.num_nodes
-        invalidate_cone_cache(self.netlist)
         for _ in range(n_after - n):
             self.netlist.remove_last_cell()
         self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))

@@ -4,7 +4,8 @@ Every fault (or flipped stem) is injected on its own and only its forward
 cone is resimulated, gate by gate, over a sparse overlay of the good
 values.  This is the executable specification the fault-axis engine in
 :mod:`repro.atpg.ppsfp` — in process or pooled — must match bit for bit.
-Each walk also returns how many cone nodes it evaluated: the interpreter
+The cones come from its own depth-first walk (:func:`forward_cone`), not
+from the engine's frontier sweep.  Each walk also returns how many cone nodes it evaluated: the interpreter
 work the engine's vectorised group evaluations replace.
 """
 
@@ -27,13 +28,30 @@ def _observed(netlist) -> set[int]:
     return set(netlist.observation_sites) | set(netlist.observation_points())
 
 
-def _cone_diff(sim, site, inject, values, observed) -> tuple[np.ndarray, int]:
+def forward_cone(netlist, levels, node: int) -> list[int]:
+    """Nodes strictly downstream of ``node``, a depth-first walk over
+    fan-outs that stops at ``DFF`` cells, sorted by ``(levels, id)``."""
+    seen, stack, cone = {node}, [node], []
+    while stack:
+        for w in netlist.fanouts(stack.pop()):
+            if w not in seen and netlist.gate_type(w) is not GateType.DFF:
+                seen.add(w)
+                cone.append(w)
+                stack.append(w)
+    cone.sort(key=lambda v: (levels[v], v))
+    return cone
+
+
+def _cone_diff(sim, cones, site, inject, values, observed) -> tuple[np.ndarray, int]:
     """XOR of faulty and good values over the observed nodes strictly
-    inside ``site``'s forward cone, with ``inject`` forced at ``site``."""
+    inside ``site``'s forward cone, with ``inject`` forced at ``site``.
+    ``cones`` memoises the walks of one call."""
     faulty = _ConeValues(values)
     faulty.set(site, inject)
     diff = np.zeros(values.shape[1], dtype=np.uint64)
-    cone = sim.forward_cone(site)
+    cone = cones.get(site)
+    if cone is None:
+        cone = cones[site] = forward_cone(sim.netlist, sim.levels, site)
     for v in cone:
         new = _eval_with_overrides(sim, v, faulty)
         faulty.set(v, new)
@@ -42,13 +60,13 @@ def _cone_diff(sim, site, inject, values, observed) -> tuple[np.ndarray, int]:
     return diff, len(cone)
 
 
-def _detection_mask(sim, observed, fault: Fault, values) -> tuple[np.ndarray, int]:
+def _detection_mask(sim, cones, observed, fault: Fault, values) -> tuple[np.ndarray, int]:
     n_words = values.shape[1]
     stuck = np.full(n_words, _ONES if fault.stuck_value else 0, dtype=np.uint64)
     activated = values[fault.node] ^ stuck
     if not activated.any():
         return np.zeros(n_words, dtype=np.uint64), 0
-    diff, evals = _cone_diff(sim, fault.node, stuck, values, observed)
+    diff, evals = _cone_diff(sim, cones, fault.node, stuck, values, observed)
     if fault.node in observed:
         diff |= activated
     return diff & activated, evals
@@ -60,10 +78,11 @@ def detection_masks(netlist, faults: list[Fault], values) -> tuple[np.ndarray, i
     observation site."""
     sim = LogicSimulator(netlist)
     observed = _observed(netlist)
+    cones: dict[int, list[int]] = {}
     masks = np.zeros((len(faults), values.shape[1]), dtype=np.uint64)
     evals = 0
     for i, fault in enumerate(faults):
-        masks[i], n = _detection_mask(sim, observed, fault, values)
+        masks[i], n = _detection_mask(sim, cones, observed, fault, values)
         evals += n
     return masks, evals
 
@@ -122,5 +141,5 @@ def observability_masks(netlist, values) -> np.ndarray:
             g = fanouts[0]
             obs[v] = obs[g] & _local_sensitisation(netlist, g, v, values)
         elif fanouts:
-            obs[v], _ = _cone_diff(sim, v, ~values[v], values, sites)
+            obs[v], _ = _cone_diff(sim, {}, v, ~values[v], values, sites)
     return obs

@@ -89,6 +89,13 @@ class TestDiagnose:
             pytest.skip("fault not detected by this pattern set")
         assert len(diagnose(netlist, patterns, log, top_k=2)) <= 2
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, tested_design, top_k):
+        netlist, patterns = tested_design
+        log = simulate_fail_log(netlist, patterns, collapse_faults(netlist)[7])
+        with pytest.raises(ValueError, match="top_k"):
+            diagnose(netlist, patterns, log, top_k=top_k)
+
     def test_observation_point_sharpens_diagnosis(self):
         """OPs shrink the top-score equivalence class (ref [25]'s point)."""
         netlist = generate_design(120, seed=89)

@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from repro.atpg import ppsfp
-from repro.atpg.cones import (
-    cone_cache_info,
-    get_cone_index,
-    invalidate_cone_cache,
-)
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import Fault, full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg.ppsfp import PpsfpEngine
 from repro.atpg.simulator import LogicSimulator
-from repro.circuit import GateType, Netlist, generate_design
+from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience.errors import ConfigError
@@ -26,90 +21,18 @@ FIXTURES = ["c17", "mux2", "xor_pair", "reconvergent"]
 IN_PROCESS = ExecutionConfig(workers=1)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cone_cache():
-    invalidate_cone_cache()
-    yield
-    invalidate_cone_cache()
-
-
 def _serial_masks(fsim, faults, values):
     return reference.detection_masks(fsim.netlist, faults, values)[0]
 
 
 # --------------------------------------------------------------------- #
-# Netlist fingerprint / mutation tracking
-# --------------------------------------------------------------------- #
-class TestFingerprint:
-    def test_structural_identity_ignores_names(self):
-        a, b = Netlist("a"), Netlist("b")
-        for nl, prefix in ((a, "x"), (b, "y")):
-            i1 = nl.add_input(f"{prefix}1")
-            i2 = nl.add_input(f"{prefix}2")
-            nl.mark_output(nl.add_cell(GateType.AND, (i1, i2)))
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_mutations_change_fingerprint(self):
-        nl = Netlist()
-        i1, i2 = nl.add_input(), nl.add_input()
-        g = nl.add_cell(GateType.AND, (i1, i2))
-        fp0 = nl.fingerprint()
-        nl.mark_output(g)
-        fp1 = nl.fingerprint()
-        assert fp1 != fp0
-        nl.insert_observation_point(i1)
-        assert nl.fingerprint() != fp1
-
-    def test_fingerprint_memoised_until_mutation(self):
-        nl = Netlist()
-        i1 = nl.add_input()
-        nl.mark_output(nl.add_cell(GateType.NOT, (i1,)))
-        v0 = nl.mutation_count
-        assert nl.fingerprint() == nl.fingerprint()
-        assert nl.mutation_count == v0  # fingerprint() itself never mutates
-        nl.note_external_mutation()
-        assert nl.mutation_count == v0 + 1
-
-    def test_copy_shares_fingerprint(self):
-        nl = Netlist()
-        i1, i2 = nl.add_input(), nl.add_input()
-        nl.mark_output(nl.add_cell(GateType.OR, (i1, i2)))
-        fp = nl.fingerprint()
-        assert nl.copy().fingerprint() == fp
-
-
-# --------------------------------------------------------------------- #
-# Cone cache
+# Forward cones
 # --------------------------------------------------------------------- #
 class TestConeCache:
     def test_forward_cone_matches_uncached_traversal(self, c17):
         sim = LogicSimulator(c17)
         for v in c17.nodes():
-            cone = sim.forward_cone(v)
-            # reference: BFS over fanouts, sorted by (level, id)
-            seen, stack, ref = {v}, [v], []
-            while stack:
-                u = stack.pop()
-                for w in c17.fanouts(u):
-                    if w not in seen and c17.gate_type(w) is not GateType.DFF:
-                        seen.add(w)
-                        ref.append(w)
-                        stack.append(w)
-            ref.sort(key=lambda u: (sim.levels[u], u))
-            assert cone == ref
-
-    def test_cache_shared_across_simulators(self, c17):
-        LogicSimulator(c17).forward_cone(0)
-        before = cone_cache_info()
-        LogicSimulator(c17).forward_cone(0)
-        after = cone_cache_info()
-        assert after["hits"] > before["hits"]
-        assert after["entries"] == before["entries"]
-
-    def test_structurally_equal_netlists_share_entry(self, c17):
-        LogicSimulator(c17).forward_cone(0)
-        LogicSimulator(c17.copy()).forward_cone(0)
-        assert cone_cache_info()["entries"] == 1
+            assert sim.forward_cone(v) == reference.forward_cone(c17, sim.levels, v)
 
     def test_mutation_gets_fresh_cones(self, c17):
         sim = LogicSimulator(c17)
@@ -118,39 +41,6 @@ class TestConeCache:
         op = c17.insert_observation_point(g16)
         after = LogicSimulator(c17).forward_cone(g16)
         assert op in after and op not in before
-
-    def test_invalidate_drops_current_entry(self, c17):
-        get_cone_index(c17).cone(0)
-        assert cone_cache_info()["entries"] == 1
-        invalidate_cone_cache(c17)
-        assert cone_cache_info()["entries"] == 0
-
-    def test_invalidate_with_nothing_cached_hashes_nothing(self, c17, monkeypatch):
-        # The OPI loop invalidates around every tentative insertion while
-        # the cache is empty: that must not cost a whole-netlist hash.
-        def no_hash():
-            raise AssertionError("fingerprinted a netlist for an empty cache")
-
-        monkeypatch.setattr(c17, "_build_fingerprint", no_hash)
-        invalidate_cone_cache(c17)
-        assert cone_cache_info()["entries"] == 0
-
-    def test_stale_copy_mutation_does_not_poison_original(self, c17):
-        # A copy shares the original's fingerprint until its first edit.
-        # If the copy is mutated *in place* (without invalidate_cone_cache)
-        # after an index was built on it, the cached entry's live netlist
-        # reference drifts away from its key.  The next lookup under the
-        # original netlist must detect this and rebuild, not serve cones
-        # computed against the mutated structure.
-        work = c17.copy()
-        get_cone_index(work).cone(0)  # cached under the shared fingerprint
-        g16 = work.find("G16")
-        work.insert_observation_point(g16)  # mutate WITHOUT invalidating
-
-        index = get_cone_index(c17)
-        assert index.netlist.fingerprint() == c17.fingerprint()
-        for v in range(c17.num_nodes):
-            assert all(u < c17.num_nodes for u in index.cone(v))
 
 
 # --------------------------------------------------------------------- #

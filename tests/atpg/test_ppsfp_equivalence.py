@@ -6,7 +6,8 @@ counts (tail-mask edge cases); every property asserts *bit-identical*
 results between the serial per-fault walk
 (``tests/atpg/reference_faultsim.py``) and the fault-axis engine —
 detection masks, detected lists (order included), first-detecting-pattern
-indices, fault coverage and observability masks.
+indices, fault coverage and observability masks — and between the oracle's
+depth-first cones and the simulator's frontier sweep.
 """
 
 from unittest import mock
@@ -21,9 +22,11 @@ from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg import ppsfp
+from repro.atpg.simulator import LogicSimulator
 from repro.circuit import GateType, Netlist
 from repro.config import ExecutionConfig
 from tests.atpg import reference_faultsim as reference
+from tests.circuit.reference_frontend import logic_levels
 
 IN_PROCESS = ExecutionConfig(workers=1)
 _GATE_CHOICES = [
@@ -150,3 +153,41 @@ def test_observability_masks_bit_identical(netlist, n_words, seed):
             reference.observability_masks(netlist, values),
             analyzer.masks_from_values(values),
         )
+
+
+@st.composite
+def netlists_with_flops(draw):
+    """A :func:`netlists` design with flops that drive more logic."""
+    nl = draw(netlists())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        node = st.integers(0, nl.num_nodes - 1)
+        q = nl.add_cell(GateType.DFF, [draw(node)])
+        gt = draw(st.sampled_from([GateType.AND, GateType.OR, GateType.XOR]))
+        nl.add_cell(gt, [q, draw(node)])
+    return nl
+
+
+@settings(max_examples=40, deadline=None)
+@given(netlist=netlists_with_flops(), data=st.data())
+def test_forward_union_is_the_union_of_oracle_cones(netlist, data):
+    sim = LogicSimulator(netlist)
+    levels = logic_levels(netlist)
+    cones = [reference.forward_cone(netlist, levels, v) for v in netlist.nodes()]
+    for v in netlist.nodes():
+        assert sim.forward_cone(v) == cones[v]
+
+    node = st.integers(0, netlist.num_nodes - 1)
+    sites = data.draw(st.lists(node, max_size=8), label="sites")
+    flops = [v for v in netlist.nodes() if netlist.gate_type(v) is GateType.DFF]
+    sites.append(data.draw(st.sampled_from(flops), label="flop"))
+    sites.append(sites[0])  # a repeated site
+    outer = data.draw(node, label="outer")
+    if cones[outer]:  # a site inside another site's cone
+        sites += [outer, data.draw(st.sampled_from(cones[outer]), label="inner")]
+    for chosen in ([], sites):
+        union = sorted(
+            {w for v in chosen for w in cones[v]}, key=lambda w: (levels[w], w)
+        )
+        got = sim.forward_union(chosen)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.array(union, dtype=np.int64))

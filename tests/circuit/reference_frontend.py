@@ -9,6 +9,7 @@ deque, levels as ``1 + max(fanin levels)``, and the double loop over pins.  The 
 
 from __future__ import annotations
 
+import hashlib
 import io
 import re
 from collections import deque
@@ -183,6 +184,21 @@ def edge_arrays(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
             drivers.append(driver)
             sinks.append(sink)
     return np.array(drivers, dtype=np.int64), np.array(sinks, dtype=np.int64)
+
+
+def structure_digest(netlist: Netlist) -> str:
+    """SHA-256 of a netlist's gate types, fan-in rows and output marks.
+
+    Structurally equal netlists share it whatever their names, node-object
+    identity or design name; any structural edit changes it.
+    """
+    structure = netlist.structure()
+    h = hashlib.sha256()
+    h.update(structure.types.astype(np.int16).tobytes())
+    h.update(np.diff(structure.fanin_ptr).astype(np.int64).tobytes())
+    h.update(structure.fanin_idx.astype(np.int64).tobytes())
+    h.update(np.array(netlist.primary_outputs, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 # --------------------------------------------------------------------- #

@@ -57,9 +57,9 @@ ACCESSORS = {
     "primary_inputs": lambda nl: nl.primary_inputs,
     "primary_outputs": lambda nl: nl.primary_outputs,
     "observation_sites": lambda nl: nl.observation_sites,
-    "fingerprint": lambda nl: nl.fingerprint(),
+    "structure_digest": reference.structure_digest,
     "mutation_count": lambda nl: nl.mutation_count,
-    "copy": lambda nl: reference.same_netlist(nl.copy(), nl) and nl.copy().fingerprint(),
+    "copy": lambda nl: reference.same_netlist(nl.copy(), nl) and reference.structure_digest(nl.copy()),
     "copy_then_mutate": lambda nl: _mutated_copy(nl),
     "type_counts": lambda nl: nl.type_counts(),
     "iter_edges": lambda nl: list(nl.iter_edges()),
@@ -69,10 +69,11 @@ ACCESSORS = {
 
 def _mutated_copy(netlist: Netlist):
     """A copy must not share what a mutation writes to."""
-    before = netlist.fingerprint()
+    before = reference.structure_digest(netlist)
     dup = netlist.copy()
     dup.insert_observation_point(0)
-    return netlist.fingerprint() == before, dup.fingerprint(), netlist.num_nodes
+    digest = reference.structure_digest
+    return digest(netlist) == before, digest(dup), netlist.num_nodes
 
 
 def insert_observation_point(netlist: Netlist) -> None:
@@ -136,10 +137,10 @@ class TestAccessors:
     def test_marking_an_output_keeps_the_arrays(self, monkeypatch):
         netlist = parse_bench(valid_bench(gates=300))
         monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
-        view, fingerprint = netlist.structure(), netlist.fingerprint()
+        view, digest = netlist.structure(), reference.structure_digest(netlist)
         netlist.mark_output(netlist.num_nodes // 2)
         assert netlist.structure() is view
-        assert netlist.fingerprint() != fingerprint
+        assert reference.structure_digest(netlist) != digest
         with pytest.raises(ValueError, match="does not exist"):
             netlist.mark_output(netlist.num_nodes)
 

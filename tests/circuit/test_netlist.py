@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuit import GateType, Netlist
+from tests.circuit.reference_frontend import structure_digest
 
 
 class TestConstruction:
@@ -135,6 +136,43 @@ class TestCopyAndIteration:
         assert "nodes=11" in text and "edges=12" in text
 
 
+class TestFingerprint:
+    def test_structural_identity_ignores_names(self):
+        a, b = Netlist("a"), Netlist("b")
+        for nl, prefix in ((a, "x"), (b, "y")):
+            i1 = nl.add_input(f"{prefix}1")
+            i2 = nl.add_input(f"{prefix}2")
+            nl.mark_output(nl.add_cell(GateType.AND, (i1, i2)))
+        assert structure_digest(a) == structure_digest(b)
+
+    def test_mutations_change_fingerprint(self):
+        nl = Netlist()
+        i1, i2 = nl.add_input(), nl.add_input()
+        g = nl.add_cell(GateType.AND, (i1, i2))
+        fp0 = structure_digest(nl)
+        nl.mark_output(g)
+        fp1 = structure_digest(nl)
+        assert fp1 != fp0
+        nl.insert_observation_point(i1)
+        assert structure_digest(nl) != fp1
+
+    def test_fingerprint_memoised_until_mutation(self):
+        nl = Netlist()
+        i1 = nl.add_input()
+        nl.mark_output(nl.add_cell(GateType.NOT, (i1,)))
+        v0 = nl.mutation_count
+        assert structure_digest(nl) == structure_digest(nl)
+        assert nl.mutation_count == v0  # reading the structure never mutates
+        nl.note_external_mutation()
+        assert nl.mutation_count == v0 + 1
+
+    def test_copy_shares_fingerprint(self):
+        nl = Netlist()
+        i1, i2 = nl.add_input(), nl.add_input()
+        nl.mark_output(nl.add_cell(GateType.OR, (i1, i2)))
+        assert structure_digest(nl.copy()) == structure_digest(nl)
+
+
 class TestLateWiringAndUndo:
     def test_flop_created_before_its_data_cone(self):
         nl = Netlist()
@@ -149,7 +187,7 @@ class TestLateWiringAndUndo:
 
     def test_remove_last_cell_undoes_add_cell(self, c17):
         before = c17.copy()
-        fingerprint, version = c17.fingerprint(), c17.mutation_count
+        digest, version = structure_digest(c17), c17.mutation_count
         g10, g16 = c17.find("G10"), c17.find("G16")
         extra = c17.add_cell(GateType.XOR, (g10, g16, g10), "extra")
         c17.replace_fanin(c17.find("G22"), g10, g16)  # extra is no longer last in G10's row
@@ -159,7 +197,7 @@ class TestLateWiringAndUndo:
         assert c17.num_nodes == before.num_nodes and not c17.is_output(extra)
         assert sorted(c17.fanouts(g10)) == sorted(before.fanouts(g10))
         assert sorted(c17.fanouts(g16)) == sorted(before.fanouts(g16))
-        assert c17.fingerprint() == fingerprint and c17.mutation_count > version
+        assert structure_digest(c17) == digest and c17.mutation_count > version
         with pytest.raises(KeyError):
             c17.find("extra")
         c17.add_cell(GateType.NOT, (g10,), "extra")  # the name is free again

@@ -206,7 +206,7 @@ def design_state(design) -> list:
         design.num_nodes,
         *(a.tobytes() for a in (scoap.cc0, scoap.cc1, scoap.co, graph.attributes)),
         sorted(design.observed),
-        design.netlist.fingerprint(),
+        reference.structure_digest(design.netlist),
     ]
     for matrix in (graph.pred, graph.succ):
         live = matrix.to_scipy()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.circuit import generate_design
 from repro.circuit.netlist import Netlist
 from repro.core import inference
-from repro.flow import modify
 from repro.flow import scorer as scorer_module
 from repro.flow.impact import ImpactEvaluator
 from repro.flow.modify import IncrementalDesign
@@ -19,6 +18,7 @@ from repro.flow.scorer import IncrementalScorer, as_scorer
 from repro.nn.sparse import COOMatrix
 from repro.resilience.errors import NumericalError
 
+from tests.circuit.reference_frontend import structure_digest
 from tests.flow.reference_impact import reference_fanin_cone, reference_rank
 from tests.flow.test_impact import co_threshold_predictor
 from tests.flow.test_scorer import _state, make_small_weights
@@ -55,7 +55,7 @@ def snapshot(design: IncrementalDesign, scorer: IncrementalScorer) -> list:
         *_state(design, scorer),
         *(np.ascontiguousarray(a).tobytes() for a in arrays),
         sorted(design.observed),
-        design.netlist.fingerprint(),
+        structure_digest(design.netlist),
         design.netlist.mutation_count,
         graph.pred.shape,
         graph.succ.shape,
@@ -294,7 +294,6 @@ class TestBatchedRank:
         for name in ("resize", "append", "extend", "truncate"):
             monkeypatch.setattr(COOMatrix, name, forbidden)
         monkeypatch.setattr(Netlist, "insert_observation_point", forbidden)
-        monkeypatch.setattr(modify, "invalidate_cone_cache", forbidden)
         ranked = ImpactEvaluator(design, scorer).rank(design.preview_ops(candidates), labels)
         assert len(ranked) == len(candidates)
 
