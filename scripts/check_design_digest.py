@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Gate: the benchmark's workloads run on the same designs on both sides.
+"""Gate: the benchmark's workloads run on the same designs, and the GCN sees
+the same graphs, on both sides.
 
 Usage:
   ``check_design_digest.py [--smoke]``
       print one line per ``perf/`` workload -- its name, the number of
-      designs its ``prepare`` builds for seed 1, and the sha256 of their
-      ``.bench`` texts -- generated by the ``repro`` on ``PYTHONPATH``;
+      designs its ``prepare`` builds for seed 1, the sha256 of their
+      ``.bench`` texts, and the sha256 of the graphs the front end builds
+      from those texts -- computed by the ``repro`` on ``PYTHONPATH``;
   ``check_design_digest.py [--smoke] BASE_SRC HEAD_SRC``
       run the above with ``PYTHONPATH`` set to each ``src`` directory in
       turn and compare the lines, as ``make bench-check`` does.
@@ -15,7 +17,10 @@ of ``perf/`` (``common.design_seed``), and for ``opi_flow`` the
 ``common.isomorphic_copy`` of its fixed design.  ``--smoke`` takes the
 workloads' smoke sizes.  A speed-up of the generator or the writer must
 not change a byte of them, or the perf gate would compare runs on
-different inputs.
+different inputs.  The graph digest covers what
+``api.build_graph(api.load_netlist(text))`` gives for each text: the
+attribute matrix and both adjacency matrices in CSR form.  A speed-up of
+the parser, levelisation or SCOAP must not move a bit of it.
 
 Exit status: 0 when every line matches (compare mode) or after printing,
 1 with one line per differing workload, 2 on bad usage.
@@ -56,13 +61,34 @@ def design_texts(size: str) -> dict[str, list[str]]:
     return texts
 
 
+def graph_digest(text: str) -> bytes:
+    """sha256 of the graph the front end builds from ``text``: attributes,
+    then the CSR arrays of the predecessor and successor matrices."""
+    import numpy as np
+
+    from repro import api
+
+    graph = api.build_graph(api.load_netlist(text))
+    h = hashlib.sha256()
+    arrays = [graph.attributes.astype(np.float64)]
+    for matrix in (graph.pred, graph.succ):
+        csr = matrix.to_scipy().copy()
+        csr.sort_indices()
+        arrays += [csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data.astype(np.float64)]
+    for array in arrays:
+        h.update(repr(array.shape).encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.digest()
+
+
 def digest_lines(size: str) -> list[str]:
     lines = []
     for name, texts in design_texts(size).items():
-        h = hashlib.sha256()
+        designs, graphs = hashlib.sha256(), hashlib.sha256()
         for text in texts:
-            h.update(hashlib.sha256(text.encode()).digest())
-        lines.append(f"{name} {len(texts)} {h.hexdigest()}")
+            designs.update(hashlib.sha256(text.encode()).digest())
+            graphs.update(graph_digest(text))
+        lines.append(f"{name} {len(texts)} {designs.hexdigest()} {graphs.hexdigest()}")
     return lines
 
 
@@ -87,6 +113,13 @@ def mismatches(base: list[str], head: list[str]) -> list[str]:
     ]
 
 
+def what_differs(mismatch: str) -> str:
+    """``"graphs"`` when a :func:`mismatches` line has equal designs on both
+    sides, else ``"designs"``."""
+    base, head = mismatch.removeprefix("base ").split(" != head ")
+    return "graphs" if base.split()[:3] == head.split()[:3] else "designs"
+
+
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
     args = [a for a in argv if a != "--smoke"]
@@ -101,10 +134,10 @@ def main(argv: list[str]) -> int:
     base, head = (side_lines(a, smoke) for a in args)
     bad = mismatches(base, head)
     for line in bad:
-        print(f"FAIL: designs differ: {line}")
+        print(f"FAIL: {what_differs(line)} differ: {line}")
     if bad:
         return 1
-    print(f"designs match on {len(base)} workload(s)")
+    print(f"designs and graphs match on {len(base)} workload(s)")
     return 0
 
 

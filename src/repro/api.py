@@ -289,7 +289,7 @@ def load_netlist(source: str | Path, name: str | None = None) -> Netlist:
 def save_netlist(netlist: Netlist, path: str | Path) -> Path:
     """Write ``netlist`` to ``path`` in ``.bench`` syntax."""
     path = Path(path)
-    with path.open("w") as stream:
+    with path.open("w", encoding="utf-8") as stream:
         write_bench(netlist, stream)
     return path
 

@@ -12,7 +12,7 @@ import gc
 import io
 import re
 from itertools import chain, compress, count, islice, repeat
-from operator import not_
+from operator import contains, not_
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
 
     def fail(message: str, gate: int | None = None):
         if gate is not None:
-            line = next(islice(compress(count(1), gate_names), gate, None))
+            line = next(islice(compress(count(1), gate_lines), gate, None))
             message = f"line {line}: {message}"
         raise BenchParseError(message)
 
@@ -122,7 +122,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        *columns, gate_names = _tokenise(text)
+        *columns, gate_lines = _tokenise(text)
         return _build(name, *_number(*columns, fail))
     finally:
         if was_enabled:
@@ -130,41 +130,126 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
 
 
 def _tokenise(text: str):
-    """Text -> the arguments of :func:`_number`, and the gate-name column.
+    """Text -> the arguments of :func:`_number`, and a gate-line mask.
 
-    The column has one entry per line (empty off gate lines) and is what
-    turns a gate's index back into a line number.  Raises on the first
-    malformed line or redefined signal.
+    The mask has one entry per line (true on gate lines) and is what turns
+    a gate's index back into a line number.  Raises on the first malformed
+    line or redefined signal.
+
+    A text whose every line has a shape :func:`write_bench` emits is cut
+    as whole columns (:func:`_canonical_columns`); any other text is read
+    by ``_LINE_RE``, one match per line (:func:`_regex_columns`).
     """
     if any(map(text.__contains__, _OTHER_LINE_BREAKS)):
         text = "\n".join(text.splitlines())
-    rows = _LINE_RE.findall(text)
-    keywords, io_signals, signals, gate_names, pin_texts, junk = zip(*rows)
+    rows = None
+    columns = _canonical_columns(text.split("\n"))
+    if columns is None:
+        rows = _LINE_RE.findall(text)
+        columns = _regex_columns(rows)
+    is_gate, inputs, outputs, signals, codes, tails = columns
 
-    io_signals = list(map(str.strip, compress(io_signals, keywords)))
-    is_input = list(map("INPUT".__eq__, map(str.upper, filter(None, keywords))))
-    inputs = list(compress(io_signals, is_input))
-    outputs = list(compress(io_signals, map(not_, is_input)))
-
-    signals = list(compress(signals, gate_names))
-    codes = list(map(_GATE_CODES.get, filter(None, gate_names)))
-    if None in codes:  # or not spelt in capitals
-        codes = list(map(_GATE_CODES.get, map(str.upper, filter(None, gate_names))))
-    pin_texts = list(compress(pin_texts, gate_names))
+    inputs = list(map(str.strip, inputs))
+    outputs = list(map(str.strip, outputs))
     # One split for the whole file.  Writers put ", " between pins: with
-    # the blank gone first, strip() hands most pins back as they are.
-    pins = list(map(str.strip, ",".join(pin_texts).replace(", ", ",").split(",")))
-    arity = np.fromiter(map(str.count, pin_texts, repeat(",")), np.int64, len(pin_texts)) + 1
+    # the blank gone first, most pins need no strip().
+    tail_text = "\n".join(tails)
+    pin_text = tail_text.replace(")\n", ",")[:-1].replace(", ", ",")
+    pins = pin_text.split(",")
+    if " " in pin_text or not pin_text.isprintable():  # maybe whitespace to strip
+        pins = list(map(str.strip, pins))
+    # A tail's one ")" ends it: a gate's arity is 1 + the commas before it.
+    chars = np.frombuffer(tail_text.encode("utf-8", "surrogatepass"), np.uint8)
+    commas = np.flatnonzero(chars == ord(",")).searchsorted(np.flatnonzero(chars == ord(")")))
+    arity = commas + 1
+    arity[1:] -= commas[:-1]
     if "" in pins:  # empty pins are dropped: ``AND(a,,b)`` has two, ``DFF()`` none
-        pin_lists = [[p for p in map(str.strip, row.split(",")) if p] for row in pin_texts]
+        pin_lists = [[p for p in map(str.strip, tail[:-1].split(",")) if p] for tail in tails]
         pins = list(chain.from_iterable(pin_lists))
         arity = list(map(len, pin_lists))
 
     names = inputs + signals
     declared = dict(zip(names, range(len(names))))
-    if any(junk) or None in codes or len(declared) != len(names):
-        _raise_line_error(rows, inputs)
-    return declared, len(inputs), outputs, codes, arity, pins, gate_names
+    junk = rows is not None and any(row[5] for row in rows)
+    if junk or None in codes or len(declared) != len(names):
+        _raise_line_error(rows or _LINE_RE.findall(text), inputs)
+    return declared, len(inputs), outputs, codes, arity, pins, is_gate
+
+
+_IO_HEADS = ("INPUT(", "OUTPUT(")
+#: characters that a canonical gate line's signal does not hold
+_NAME_BREAKS = " =#()"
+
+
+def _canonical_columns(lines: list[str]):
+    """Cut ``lines`` into columns, or return ``None`` if one is not canonical.
+
+    Canonical lines are the shapes :func:`write_bench` emits:
+    ``name = KIND(pins)`` with one blank either side of ``=``, a printable
+    name free of ``_NAME_BREAKS`` and ``KIND`` in capitals; ``INPUT(x)`` or
+    ``OUTPUT(x)`` with ``x`` not empty; a blank or a comment line.  No
+    ``#`` after the start, one ``(`` and one ``)`` on a gate line and one
+    ``)`` on an I/O line, each ``)`` ending its line.  On such lines the
+    columns equal the groups ``_LINE_RE`` reads.
+
+    Returns the gate-line mask, the INPUT and OUTPUT signals (unstripped),
+    and per gate line its signal, its type code and its pin text followed
+    by ``)``.  Each check runs once on a whole column: a separator counted
+    as often as there are lines, where every line holds at least one, is
+    held exactly once by each.
+    """
+    is_gate = list(map(contains, lines, repeat(" = ")))
+    other = list(compress(lines, map(not_, is_gate)))
+    is_io = list(map(str.startswith, other, repeat(_IO_HEADS)))
+    if not all(not line or line[0] == "#" for line in compress(other, map(not_, is_io))):
+        return None
+    io = list(compress(other, is_io))
+    io_text = "\n".join(io) + "\n"
+    if not (io_text.count(")") == io_text.count(")\n") == len(io)) or "()\n" in io_text or "#" in io_text:
+        return None
+    is_input = list(map(str.startswith, io, repeat("I")))
+    inputs = [line[6:-1] for line in compress(io, is_input)]
+    outputs = [line[7:-1] for line in compress(io, map(not_, is_input))]
+
+    n = is_gate.count(True)
+    if not n:
+        return is_gate, inputs, outputs, [], [], []
+    gate_text = "\n".join(compress(lines, is_gate)) + "\n"
+    # Each gate line holds " = ", so n of them in all is one per line; and
+    # n of ")" followed by "\n" is one ")" per line, at its end.
+    if not (gate_text.count(" = ") == gate_text.count("(") == n) or "#" in gate_text:
+        return None
+    if not (gate_text.count(")") == gate_text.count(")\n") == n):
+        return None
+    halves = gate_text[:-1].replace(" = ", "\n").split("\n")
+    signals = halves[0::2]
+    signal_text = "".join(signals)
+    if not all(signals) or not signal_text.isprintable():
+        return None
+    if any(map(signal_text.__contains__, _NAME_BREAKS)):
+        return None
+    # So every "(" is right of its line's " = ".  Two pieces a rest, if each
+    # has one "(": the first rest with k != 1 of them ends in a piece that
+    # holds ")" and, unless k is odd, lands on a gate name, which cannot;
+    # odd k alone, with n "(" over n rests, is k = 1 on every line.
+    pieces = "\n".join(halves[1::2]).replace("(", "\n").split("\n")
+    codes = list(map(_GATE_CODES.get, pieces[0::2]))
+    if None in codes:
+        return None
+    return is_gate, inputs, outputs, signals, codes, pieces[1::2]
+
+
+def _regex_columns(rows: list[tuple[str, ...]]):
+    """:func:`_canonical_columns` from ``_LINE_RE`` matches, one per line."""
+    keywords, io_signals, signals, gate_names, pin_texts, _ = zip(*rows)
+    io_signals = list(compress(io_signals, keywords))
+    is_input = list(map("INPUT".__eq__, map(str.upper, filter(None, keywords))))
+    inputs = list(compress(io_signals, is_input))
+    outputs = list(compress(io_signals, map(not_, is_input)))
+    signals = list(compress(signals, gate_names))
+    codes = list(map(_GATE_CODES.get, map(str.upper, filter(None, gate_names))))
+    tails = list(map("{})".format, compress(pin_texts, gate_names)))
+    return gate_names, inputs, outputs, signals, codes, tails
 
 
 def _number(declared, n_inputs, outputs, codes, arity, pins, fail):
@@ -182,11 +267,8 @@ def _number(declared, n_inputs, outputs, codes, arity, pins, fail):
     """
     names = list(declared)
     n = len(names)
-    drivers = list(map(declared.get, pins))
-    if None in drivers:
-        drivers = [-1 if d is None else d for d in drivers]
-    drivers = np.fromiter(drivers, np.int64, len(drivers))
-    marks = np.array([declared.get(o, -1) for o in outputs], dtype=np.int64)
+    drivers = np.fromiter(map(declared.get, pins, repeat(-1)), np.int64, len(pins))
+    marks = np.fromiter(map(declared.get, outputs, repeat(-1)), np.int64, len(outputs))
 
     types, pin_counts = np.zeros((2, n), dtype=np.int64)  # inputs: code 0, no pins
     types[n_inputs:] = codes
@@ -291,9 +373,9 @@ def _dependency_order(n_inputs, types, arity_ok, pin_ptr, drivers, pins, fail) -
 
 
 def load_bench(path: str | Path) -> Netlist:
-    """Read a ``.bench`` file from ``path``."""
+    """Read a ``.bench`` file from ``path`` (UTF-8, a leading byte-order mark dropped)."""
     path = Path(path)
-    return parse_bench(path.read_text(), name=path.stem)
+    return parse_bench(path.read_text(encoding="utf-8-sig"), name=path.stem)
 
 
 def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:
@@ -359,5 +441,5 @@ def _cell_names(given: list[str | None]) -> np.ndarray:
 
 def dump_bench(netlist: Netlist, path: str | Path) -> None:
     """Write ``netlist`` to a ``.bench`` file at ``path``."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_bench(netlist, fh)

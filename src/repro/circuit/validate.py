@@ -49,7 +49,7 @@ def validate_netlist(netlist: Netlist, strict: bool = False) -> ValidationReport
 
     Checks: combinational loops, observability of the design (at least one
     observation site), dangling non-observed sinks, unreachable observed
-    nodes, and fanin self-loops.
+    nodes, and combinational fanin self-loops.
 
     When ``strict`` is true, any error raises :class:`NetlistValidationError`.
     """
@@ -65,7 +65,9 @@ def validate_netlist(netlist: Netlist, strict: bool = False) -> ValidationReport
 
         structure = netlist.structure()
         types, pin_sink = structure.types, structure.pin_sinks()
-        for v in np.unique(pin_sink[pin_sink == structure.fanin_idx]).tolist():
+        # A flop fed by its own output is a sequential loop, not a combinational one.
+        self_fed = (pin_sink == structure.fanin_idx) & (types[pin_sink] != GateType.DFF)
+        for v in np.unique(pin_sink[self_fed]).tolist():
             report.errors.append(f"node {v} feeds itself combinationally")
 
         observed = np.zeros(netlist.num_nodes, dtype=bool)

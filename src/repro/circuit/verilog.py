@@ -152,9 +152,9 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
 
 
 def load_verilog(path: str | Path) -> Netlist:
-    """Read a structural Verilog file."""
+    """Read a structural Verilog file (UTF-8, a leading byte-order mark dropped)."""
     path = Path(path)
-    return parse_verilog(path.read_text(), name=path.stem)
+    return parse_verilog(path.read_text(encoding="utf-8-sig"), name=path.stem)
 
 
 def write_verilog(netlist: Netlist, stream) -> None:
@@ -201,5 +201,5 @@ def write_verilog(netlist: Netlist, stream) -> None:
 
 def dump_verilog(netlist: Netlist, path: str | Path) -> None:
     """Write ``netlist`` to a Verilog file at ``path``."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_verilog(netlist, fh)

@@ -229,8 +229,13 @@ def crossing_costs(
         pin_sink, weights=side_cost[4 * structure.fanin_idx + side[pin_sink]], minlength=n
     )
     driver, sink = structure.pin_drivers(), structure.fanout_idx
-    _, wire, held = np.unique(driver * n + sink, return_inverse=True, return_counts=True)
-    return 1.0 + all_pins[sink] - held[wire] * side_cost[4 * driver + side[sink]]
+    wire = driver * n + sink
+    if (wire[1:] > wire[:-1]).all():  # each fan-out row ascending: no pin held twice
+        held = 1.0
+    else:
+        _, at, count = np.unique(wire, return_inverse=True, return_counts=True)
+        held = count[at]
+    return 1.0 + all_pins[sink] - held * side_cost[4 * driver + side[sink]]
 
 
 def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:

@@ -2,6 +2,7 @@
 
 These are the loops the array pipeline replaced, kept as oracles:
 ``parse_bench`` as it was (recursive builder, one ``add_cell`` per gate),
+the array parser's tokeniser as it was (one regex match per line),
 ``write_bench`` as it was (one line per node), Kahn's algorithm on a
 deque, levels as ``1 + max(fanin levels)``, and the double loop over pins.  The node-by-node SCOAP sweep still lives in
 ``repro.testability.scoap`` (it serves small designs), so it needs no copy.
@@ -13,10 +14,20 @@ import hashlib
 import io
 import re
 from collections import deque
+from itertools import chain, compress, repeat
+from operator import not_
 
 import numpy as np
 
-from repro.circuit.bench import _GATE_NAMES, _TYPE_TO_BENCH, BenchParseError
+from repro.circuit.bench import (
+    _GATE_CODES,
+    _GATE_NAMES,
+    _LINE_RE,
+    _OTHER_LINE_BREAKS,
+    _TYPE_TO_BENCH,
+    BenchParseError,
+    _raise_line_error,
+)
 from repro.circuit.cells import GateType, is_source
 from repro.circuit.levelize import CombinationalLoopError
 from repro.circuit.netlist import Netlist
@@ -101,6 +112,46 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             raise BenchParseError(f"output {sig!r} is never driven")
         netlist.mark_output(ids[sig])
     return netlist
+
+
+def regex_tokenise(text: str):
+    """``repro.circuit.bench._tokenise`` as it was: one ``_LINE_RE`` match per line.
+
+    Text -> the arguments of ``_number``, and the gate-name column.
+
+    The column has one entry per line (empty off gate lines) and is what
+    turns a gate's index back into a line number.  Raises on the first
+    malformed line or redefined signal.
+    """
+    if any(map(text.__contains__, _OTHER_LINE_BREAKS)):
+        text = "\n".join(text.splitlines())
+    rows = _LINE_RE.findall(text)
+    keywords, io_signals, signals, gate_names, pin_texts, junk = zip(*rows)
+
+    io_signals = list(map(str.strip, compress(io_signals, keywords)))
+    is_input = list(map("INPUT".__eq__, map(str.upper, filter(None, keywords))))
+    inputs = list(compress(io_signals, is_input))
+    outputs = list(compress(io_signals, map(not_, is_input)))
+
+    signals = list(compress(signals, gate_names))
+    codes = list(map(_GATE_CODES.get, filter(None, gate_names)))
+    if None in codes:  # or not spelt in capitals
+        codes = list(map(_GATE_CODES.get, map(str.upper, filter(None, gate_names))))
+    pin_texts = list(compress(pin_texts, gate_names))
+    # One split for the whole file.  Writers put ", " between pins: with
+    # the blank gone first, strip() hands most pins back as they are.
+    pins = list(map(str.strip, ",".join(pin_texts).replace(", ", ",").split(",")))
+    arity = np.fromiter(map(str.count, pin_texts, repeat(",")), np.int64, len(pin_texts)) + 1
+    if "" in pins:  # empty pins are dropped: ``AND(a,,b)`` has two, ``DFF()`` none
+        pin_lists = [[p for p in map(str.strip, row.split(",")) if p] for row in pin_texts]
+        pins = list(chain.from_iterable(pin_lists))
+        arity = list(map(len, pin_lists))
+
+    names = inputs + signals
+    declared = dict(zip(names, range(len(names))))
+    if any(junk) or None in codes or len(declared) != len(names):
+        _raise_line_error(rows, inputs)
+    return declared, len(inputs), outputs, codes, arity, pins, gate_names
 
 
 def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:

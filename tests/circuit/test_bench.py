@@ -108,6 +108,18 @@ class TestRoundTrip:
         assert again.name == "c17"
         assert again.num_nodes == c17.num_nodes
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        text = C17_TEXT.replace("G22", "Gé22")  # not ASCII: read and written as UTF-8
+        path = tmp_path / "c17.bench"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        loaded = load_bench(path)
+        assert reference_frontend.same_netlist(loaded, parse_bench(text))
+        dump_bench(loaded, tmp_path / "again.bench")
+        buf = io.StringIO()
+        write_bench(loaded, buf)
+        assert (tmp_path / "again.bench").read_bytes() == buf.getvalue().encode("utf-8")
+        assert reference_frontend.same_netlist(load_bench(tmp_path / "again.bench"), loaded)
+
     def test_constants_exported_as_self_xor(self):
         from repro.circuit import Netlist
 

@@ -8,6 +8,11 @@ from repro.circuit import (
     NetlistValidationError,
     validate_netlist,
 )
+from repro.circuit.bench import parse_bench
+from tests.circuit.reference_frontend import hand_built_designs
+
+#: a flop that holds its own value: legal, a sequential loop
+FLOP_HOLDS_ITSELF = "INPUT(a)\nOUTPUT(b)\nb = DFF(b)\n"
 
 
 class TestValidate:
@@ -53,3 +58,22 @@ class TestValidate:
     def test_generated_designs_validate(self, small_design, medium_design):
         assert validate_netlist(small_design).ok
         assert validate_netlist(medium_design).ok
+
+
+class TestSelfLoops:
+    def test_flop_loop_passes_strict(self):
+        assert validate_netlist(hand_built_designs()["flop_loop"], strict=True).ok
+
+    def test_parsed_flop_self_loop_passes_strict(self):
+        assert validate_netlist(parse_bench(FLOP_HOLDS_ITSELF), strict=True).ok
+
+    def test_gate_self_loop_still_fails(self):
+        nl = Netlist()
+        a, c = nl.add_input("a"), nl.add_input("c")
+        g = nl.add_cell(GateType.AND, (a, c), "g")
+        nl.replace_fanin(g, a, g)
+        nl.mark_output(g)
+        report = validate_netlist(nl)
+        assert f"node {g} feeds itself combinationally" in report.errors
+        with pytest.raises(NetlistValidationError, match="feeds itself"):
+            validate_netlist(nl, strict=True)

@@ -225,6 +225,15 @@ class TestRoundTrip:
         assert again.name == "mux2"
         assert again.num_nodes == mux2.num_nodes
 
+    def test_file_with_byte_order_mark(self, mux2, tmp_path):
+        path = tmp_path / "mux2.v"
+        dump_verilog(mux2, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        again = load_verilog(path)
+        assert again.name == "mux2"
+        assert again.num_nodes == mux2.num_nodes
+        assert again.num_edges == mux2.num_edges
+
     def test_generated_design_round_trip(self):
         from repro.circuit import generate_design
 

@@ -24,6 +24,27 @@ def body(**kwargs) -> bytes:
     return json.dumps(kwargs).encode()
 
 
+class TestSelfLoops:
+    """A flop fed by its own output is legal; a gate fed by its own is not."""
+
+    def test_flop_loop_design_admitted(self):
+        from tests.circuit.reference_frontend import hand_built_designs
+
+        stream = io.StringIO()
+        write_bench(hand_built_designs()["flop_loop"], stream)
+        req = admit(body(netlist=stream.getvalue()), CFG)
+        assert req.graph.num_nodes == 5
+
+    def test_flop_holding_itself_admitted(self):
+        req = admit(body(netlist="INPUT(a)\nOUTPUT(b)\nb = DFF(b)\n"), CFG)
+        assert req.graph.num_nodes == 2
+
+    def test_gate_feeding_itself_rejected(self):
+        text = "INPUT(c)\nOUTPUT(a)\na = AND(a, c)\n"
+        with pytest.raises(BenchParseError, match="combinational loop"):
+            admit(body(netlist=text), CFG)
+
+
 class TestSchemaGate:
     def test_valid_request(self, bench_text):
         req = admit(body(netlist=bench_text, design="d", deadline_ms=500), CFG)

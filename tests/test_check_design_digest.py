@@ -1,4 +1,5 @@
-"""The bench-check design gate: both sides must benchmark the same designs."""
+"""The bench-check design gate: both sides must benchmark the same designs,
+and the front end must build the same graphs from them."""
 
 import importlib.util
 import shutil
@@ -17,6 +18,7 @@ _spec = importlib.util.spec_from_file_location("check_design_digest", SCRIPT)
 _script = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_script)
 mismatches = _script.mismatches
+what_differs = _script.what_differs
 
 
 def run(*args: str, pythonpath: Path | None = None) -> subprocess.CompletedProcess:
@@ -37,13 +39,13 @@ def test_one_line_per_workload(smoke_lines):
     assert [line.split()[0] for line in smoke_lines] == WORKLOADS
     # perf's smoke pools: 1, 4 and 16 designs, and one renumbered design
     assert [int(line.split()[1]) for line in smoke_lines] == [1, 4, 16, 1]
-    assert all(len(line.split()[2]) == 64 for line in smoke_lines)
+    assert all(len(line.split()[2]) == len(line.split()[3]) == 64 for line in smoke_lines)
 
 
 def test_same_src_on_both_sides_passes():
     result = run("--smoke", str(SRC), str(SRC))
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "designs match on 4 workload(s)" in result.stdout
+    assert "designs and graphs match on 4 workload(s)" in result.stdout
 
 
 def test_a_writer_that_changes_one_byte_fails(tmp_path, smoke_lines):
@@ -59,6 +61,28 @@ def test_a_writer_that_changes_one_byte_fails(tmp_path, smoke_lines):
     failed = result.stdout.splitlines()
     assert len(failed) == 4
     assert all(line.startswith("FAIL: designs differ: base ") for line in failed)
+
+
+def test_one_ulp_of_co_fails(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    attributes = changed / "repro" / "core" / "attributes.py"
+    text = attributes.read_text()
+    squash = "    out[:, 1:] = np.log1p(np.maximum(raw[:, 1:], 0.0)) / config.scoap_scale\n"
+    assert squash in text
+    # CO is the last attribute column: move every entry of it by one ulp.
+    attributes.write_text(text.replace(squash, squash + "    out[:, 3] = np.nextafter(out[:, 3], np.inf)\n"))
+    result = run("--smoke", str(SRC), str(changed))
+    assert result.returncode == 1
+    failed = result.stdout.splitlines()
+    assert len(failed) == 4
+    assert all(line.startswith("FAIL: graphs differ: base ") for line in failed)
+
+
+def test_what_differs():
+    assert what_differs("base a 1 aa gg != head a 1 aa hh") == "graphs"
+    assert what_differs("base a 1 aa gg != head a 1 xx gg") == "designs"
+    assert what_differs("base a 1 aa gg != head a missing") == "designs"
 
 
 def test_mismatches():
