@@ -10,7 +10,11 @@ resolution.  One config is valid for every consumer:
 * ``workers`` and ``exec_backend`` size and place every worker pool —
   sharded inference, multi-graph training and fault simulation, which
   picks between in-process and pooled grading from its input (see
-  :mod:`repro.atpg.ppsfp`).
+  :mod:`repro.atpg.ppsfp`); ``workers`` also sizes the threads the
+  whole-graph inference pass splits its row blocks between, at most
+  :func:`available_cpus` ÷ :func:`blas_threads` of them (see
+  :class:`repro.core.inference.FastInference`).  Left unset, it is the
+  number of CPUs this process may run on (:func:`available_cpus`).
 
 ``auto`` always means "pick for the workload and machine", and an *explicit*
 choice is never overridden by the environment.  Environment variables
@@ -61,6 +65,29 @@ _ENV_DTYPE = "REPRO_DTYPE"
 SHARDED_AUTO_MIN_NODES = 200_000
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a CPU-limited container), else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
+#: what a BLAS reads for its thread count, OpenBLAS's variable first
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads() -> int:
+    """Threads one BLAS call may use: the first of the BLAS's thread
+    variables that is set (read, never set here), else
+    :func:`available_cpus` — OpenBLAS's and MKL's default."""
+    for name in _BLAS_THREAD_ENV:
+        raw = os.environ.get(name, "").split(",")[0].strip()
+        if raw.isdigit() and int(raw) > 0:
+            return int(raw)
+    return available_cpus()
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """How a computation should execute (backend, parallelism, numerics).
@@ -73,7 +100,8 @@ class ExecutionConfig:
     #: inference backend (``auto`` | ``single`` | ``sharded``); ``auto``
     #: defers to ``REPRO_BACKEND`` then the graph size
     backend: str = "auto"
-    #: worker processes for parallel paths (None = machine core count)
+    #: worker processes for parallel paths, and most threads of the
+    #: whole-graph inference pass (None = :func:`available_cpus`)
     workers: int | None = None
     #: numeric dtype for inference engines (``float64`` matches training)
     dtype: str = "float64"
@@ -154,7 +182,8 @@ class ExecutionConfig:
         return np.dtype(self.dtype)
 
     def resolved_workers(self) -> int:
-        """Concrete worker count: explicit > ``REPRO_WORKERS`` > cores."""
+        """Concrete worker count: explicit > ``REPRO_WORKERS`` >
+        :func:`available_cpus`."""
         if self.workers is not None:
             return max(1, self.workers)
         raw = os.environ.get(_ENV_WORKERS, "").strip()
@@ -163,7 +192,7 @@ class ExecutionConfig:
                 return max(1, int(raw))
             except ValueError as exc:
                 raise ConfigError(f"invalid {_ENV_WORKERS}={raw!r}") from exc
-        return max(1, os.cpu_count() or 1)
+        return available_cpus()
 
     def resolved_shards(self, n_nodes: int | None = None) -> int:
         """Concrete shard count for partitioned inference.

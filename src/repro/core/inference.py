@@ -13,7 +13,9 @@ Equation (1) (:func:`layer_forward`) and of the classifier head
 block-diagonal batch, a row-subset patch and the dense ablation are all
 calls into them, which is what keeps their float64 logits bit-identical.
 Both compute their rows in cache-sized blocks (:data:`BLOCK_ROWS`), so
-every caller gets the blocking and none of them can tell.
+every caller gets the blocking and none of them can tell; the whole-graph
+pass also splits its blocks between the calling thread and pooled threads
+(:func:`_by_blocks`), which no caller can tell either.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import time
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, available_cpus, blas_threads
 from repro.core.graphdata import GraphData
 from repro.core.model import GCNWeights
+from repro.exec.executor import thread_pool
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.resilience.errors import NumericalError
@@ -48,6 +51,15 @@ __all__ = [
 #: (every row is computed alone) and no caller has a reason to want
 #: another value.
 BLOCK_ROWS = 512
+
+#: Blocks a row set must have before :func:`_by_blocks` splits it between
+#: threads; a smaller one runs serially on the calling thread.  Split ÷
+#: serial speed of the whole-graph pass over two threads on two cores, one
+#: BLAS thread (EXPERIMENTS.md): 0.94× at 3 blocks (1.1k nodes), 0.81× at
+#: 5, 1.11× at 9, 1.40× at 17, 1.43× at 34, 1.61× at 105.  Below the
+#: floor a split costs more than it saves.  A constant, not a knob, for
+#: the same reason as :data:`BLOCK_ROWS`.
+SPLIT_MIN_BLOCKS = 8
 
 #: Stacked rows after which :meth:`repro.flow.scorer.IncrementalScorer.what_if`
 #: starts another chunk of candidates, so that a chunk's layer blocks
@@ -162,17 +174,54 @@ def _head_rows(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _by_blocks(n: int, compute) -> np.ndarray:
+def _by_blocks(n: int, compute, *, threads: int = 1) -> np.ndarray:
     """``compute(lo, hi)`` over consecutive :data:`BLOCK_ROWS`-row ranges
-    of ``n`` rows, gathered into one array (a lone block *is* the array)."""
+    of ``n`` rows, gathered into one array (a lone block *is* the array).
+
+    With ``threads > 1`` and at least :data:`SPLIT_MIN_BLOCKS` blocks,
+    the blocks are cut into ``threads`` contiguous runs: the calling
+    thread computes the first and the pool the others (the numpy / scipy
+    calls inside a block release the GIL).  A run still queued when the
+    caller is done with its own — the pool busy with another caller's —
+    is taken back and computed here.  Every row is computed alone, so the
+    result is the same bit for bit at any thread count.  A call made on a
+    pool thread runs serially (:func:`repro.exec.executor.thread_pool`
+    gives it none): the pool never waits on itself.
+    """
     first = compute(0, min(n, BLOCK_ROWS))
     if n <= BLOCK_ROWS:
         return first
     out = np.empty((n, first.shape[1]), dtype=first.dtype)
     out[:BLOCK_ROWS] = first
-    for lo in range(BLOCK_ROWS, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        out[lo:hi] = compute(lo, hi)
+
+    def run(lo: int, hi: int) -> None:
+        for start in range(lo, hi, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, hi)
+            out[start:stop] = compute(start, stop)
+
+    blocks = -(-n // BLOCK_ROWS)
+    threads = min(threads, blocks)
+    pool = thread_pool() if threads > 1 and blocks >= SPLIT_MIN_BLOCKS else None
+    if pool is None:
+        run(BLOCK_ROWS, n)
+        return out
+    bounds = [
+        min(n, k * blocks // threads * BLOCK_ROWS) for k in range(threads + 1)
+    ]
+    runs = list(zip(bounds[1:-1], bounds[2:]))
+    futures = [pool.submit(run, lo, hi) for lo, hi in runs]
+    try:
+        run(BLOCK_ROWS, bounds[1])
+        for future, (lo, hi) in zip(futures, runs):
+            if future.cancel():
+                run(lo, hi)
+            else:
+                future.result()
+    finally:
+        # After an error too, no run may still be writing into ``out``.
+        for future in futures:
+            if not future.cancel():
+                future.exception()
     return out
 
 
@@ -184,6 +233,8 @@ def layer_forward(
     succ_rows,
     prev,
     with_head: bool = False,
+    *,
+    threads: int = 1,
 ) -> np.ndarray:
     """Equation (1), layer ``d``, for one row set:
     ``relu((own_prev + w_pr·pred_rows@prev + w_su·succ_rows@prev)·W_d + b_d)``
@@ -203,7 +254,9 @@ def layer_forward(
     head per block — so the n × K aggregate, and with ``with_head`` the
     final embedding and the head's intermediates, only ever exist one
     cache-sized block at a time.  The block size is a module constant
-    because nothing observable depends on it but the time taken.
+    because nothing observable depends on it but the time taken.  Nor
+    does anything depend on ``threads``, the most threads the blocks are
+    split between (:func:`_by_blocks`).
     """
     weight, bias = weights.encoder_weights[d], weights.encoder_biases[d]
     with_head = with_head and d == weights.depth - 1
@@ -220,7 +273,7 @@ def layer_forward(
         np.maximum(out, 0.0, out=out)
         return _head_rows(weights, out) if with_head else out
 
-    return _by_blocks(own_prev.shape[0], block)
+    return _by_blocks(own_prev.shape[0], block, threads=threads)
 
 
 def head_forward(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
@@ -277,24 +330,43 @@ class FastInference:
     ``backend`` routes large graphs to the partitioned multi-core engine
     (:class:`repro.graph.sharded.ShardedInference`, a subclass that
     overrides only the pass itself) when it resolves to ``sharded``.
+    ``threads`` is the most threads a whole-graph pass splits its row
+    blocks between; the serve daemon passes 1 (:mod:`repro.serve.models`
+    says why).  None means ``execution.resolved_workers()``, but no more
+    than the allowed CPUs ÷ :func:`~repro.config.blas_threads`: two
+    threads each calling a two-thread OpenBLAS gemm on two cores made
+    the pass at 53.7k nodes 1.4× slower than one thread.
     """
 
     #: name of the backend an engine of this class serves a graph with
     backend = "single"
 
     def __init__(
-        self, weights: GCNWeights, execution: ExecutionConfig | None = None
+        self,
+        weights: GCNWeights,
+        execution: ExecutionConfig | None = None,
+        *,
+        threads: int | None = None,
     ) -> None:
         self.execution = execution or ExecutionConfig()
         self.dtype = self.execution.numpy_dtype()
         # Cast-cached on the weight snapshot (no re-copy per construction).
         self.weights = weights.astype(self.dtype)
+        self.threads = threads
         self._sharded = None
 
     # ------------------------------------------------------------------ #
     def route(self, graph: GraphData) -> "FastInference":
         """The engine that serves ``graph`` under this config — the one
-        single-vs-sharded decision; its ``backend`` names the choice."""
+        single-vs-sharded decision; its ``backend`` names the choice.
+
+        Measured on a 2-core host (one BLAS thread, 268 662 nodes, median
+        of 5): the single pass over two threads takes 0.78 s and the
+        fork-pool sharded pass with two workers 1.66 s (2 shards) or
+        1.68 s (4 shards).  So on two cores no crossover was found: the
+        single pass is faster at every size measured, 3.2k to 269k nodes,
+        and ``auto``'s switch at ``SHARDED_AUTO_MIN_NODES`` now costs time
+        (EXPERIMENTS.md, "Sharded inference")."""
         if (
             self.execution.resolve_inference_backend(graph.num_nodes)
             != "sharded"
@@ -310,7 +382,8 @@ class FastInference:
 
     def _forward(self, graph: GraphData, with_head: bool) -> np.ndarray:
         """The whole-graph chain: every layer with ``own_prev is prev``,
-        the head fused into the last one."""
+        the head fused into the last one, each layer's blocks split over
+        ``threads`` threads."""
         with span("inference.csr_cache"):
             pred = graph.pred.to_scipy()
             succ = graph.succ.to_scipy()
@@ -319,9 +392,15 @@ class FastInference:
             pred = pred.astype(self.dtype)
             succ = succ.astype(self.dtype)
             h = h.astype(self.dtype)
+        threads = self.threads or min(
+            self.execution.resolved_workers(), available_cpus() // blas_threads()
+        )
         for d in range(self.weights.depth):
             with span("inference.sparse_matmul", layer=d):
-                h = layer_forward(self.weights, d, h, pred, succ, h, with_head)
+                h = layer_forward(
+                    self.weights, d, h, pred, succ, h, with_head,
+                    threads=threads,
+                )
         return h
 
     def _observe(self, graph: GraphData, elapsed: float) -> None:

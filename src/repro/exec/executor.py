@@ -13,6 +13,11 @@ which is why chaos (:mod:`repro.exec.chaos`) never injects there.
 one ladder in :mod:`repro.exec.scheduler` supervises; what the ladder
 gives up on is computed through the task's in-process fallback, so the
 numbers are identical at every rung.
+
+Threads that share one process's arrays — the whole-graph inference
+pass's row blocks (:func:`repro.core.inference.layer_forward`) — come
+from :func:`thread_pool` instead: one lazily created, process-wide
+``ThreadPoolExecutor``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ import functools
 import itertools
 import os
 import pickle
+import threading
 import time
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 
+from repro.config import available_cpus
 from repro.exec.coordinator import Coordinator
 from repro.exec.policy import ExecPolicy, ShardTask, resolve_exec_backend
 from repro.exec.scheduler import ensure_exec_metrics
@@ -120,7 +128,7 @@ class ForkPoolExecutor(Executor):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        self.max_workers = max(1, max_workers or os.cpu_count() or 1)
+        self.max_workers = max(1, max_workers or available_cpus())
         self._init = (initializer, initargs)
         self._init_blob: bytes | None = None
         self._session = f"{self.name}-{os.getpid()}-{next(_session_seq)}"
@@ -182,3 +190,44 @@ def make_executor(
         initargs=initargs,
         policy=policy,
     )
+
+
+# --------------------------------------------------------------------- #
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+#: ``.pooled`` is true on the pool's own threads
+_local = threading.local()
+
+
+def _mark_pooled() -> None:
+    _local.pooled = True
+
+
+def thread_pool() -> ThreadPoolExecutor | None:
+    """The process-wide thread pool — one thread fewer than
+    :func:`~repro.config.available_cpus`, the caller being the other, and
+    at least one — or None when called on one of its threads, whose
+    caller must then do its work itself: a pool that waits on itself can
+    deadlock.  Its size is fixed, so no caller's pool is ever shut down;
+    a run it cannot start in time the caller takes back."""
+    global _pool
+    if getattr(_local, "pooled", False):
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(1, available_cpus() - 1),
+                thread_name_prefix="repro-pool",
+                initializer=_mark_pooled,
+            )
+        return _pool
+
+
+def _forget_thread_pool() -> None:
+    """A forked child has none of its parent's threads (and maybe a lock
+    held by one of them): it starts a pool of its own when it needs one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_thread_pool)

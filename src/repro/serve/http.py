@@ -374,6 +374,11 @@ class _Server(ThreadingHTTPServer):
     block_on_close = True
     allow_reuse_address = True
 
+    def serve_forever(self, poll_interval: float = 0.02) -> None:
+        # shutdown() returns once the accept loop next polls: at the
+        # default 0.5 s every drain and close took up to half a second.
+        super().serve_forever(poll_interval)
+
 
 class NetlistScoreServer:
     """The assembled daemon: listener + scoring service + model manager."""

@@ -1,13 +1,20 @@
 """The row-blocked kernel against the unblocked oracles, bit for bit.
 
-Two contracts.  The narrow product is the sequential sum of rounded
+Three contracts.  The narrow product is the sequential sum of rounded
 products, whatever the height of the operand and wherever a row sits in
-it.  And nothing observable depends on ``BLOCK_ROWS``: every way of
+it.  Nothing observable depends on ``BLOCK_ROWS``: every way of
 computing a design's logits equals the unblocked reference at any block
-size, including blocks of one row (the ``m == 1`` padding paths).
+size, including blocks of one row (the ``m == 1`` padding paths).  And
+nothing depends on how many threads share a pass's blocks.
 """
 
 from __future__ import annotations
+
+import hashlib
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import generate_design
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, available_cpus, blas_threads
 from repro.core import inference
 from repro.core.graphdata import GraphData
 from repro.core.inference import (
@@ -25,6 +32,8 @@ from repro.core.inference import (
     row_stable_matmul,
 )
 from repro.core.model import GCN, GCNConfig
+from repro.exec import executor
+from repro.exec.executor import make_executor, thread_pool
 from repro.experiments.common import default_gcn_config
 from repro.flow.modify import IncrementalDesign
 from repro.flow.scorer import IncrementalScorer
@@ -221,3 +230,241 @@ class TestBlockInvariance:
                 FastInference(poisoned).logits(graph)
         assert info.value.diagnostics["graph"] == graph.name
         assert info.value.diagnostics["bad_nodes"] == graph.num_nodes
+
+
+# --------------------------------------------------------------------- #
+THREADS = [1, 2, 3]
+THREAD_BLOCKS = [1, 7, N - 1, N, N + 1]
+
+
+@pytest.fixture
+def split_any(monkeypatch):
+    """Let a pass of any block count, and any thread count whatever the
+    host and its BLAS, take the threaded path."""
+    monkeypatch.setattr(inference, "SPLIT_MIN_BLOCKS", 1)
+    monkeypatch.setattr(inference, "available_cpus", lambda: 64)
+    monkeypatch.setattr(inference, "blas_threads", lambda: 1)
+
+
+def threaded(threads: int) -> ExecutionConfig:
+    return ExecutionConfig(workers=threads, backend="single")
+
+
+def sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+@pytest.mark.usefixtures("split_any")
+class TestThreadInvariance:
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize("rows", THREAD_BLOCKS, ids=lambda b: f"block-{b}")
+    def test_whole_graph_pass(self, weights, monkeypatch, rows, threads):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", rows)
+        graph = make_graph()
+        engine = FastInference(weights, threaded(threads))
+        final = reference.embeddings(weights, graph)[-1]
+        expected = reference.logits(weights, graph)
+        assert identical(engine.logits(graph), expected)
+        assert identical(engine.embed(graph), final)
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize("rows", THREAD_BLOCKS, ids=lambda b: f"block-{b}")
+    def test_merged_batch(self, weights, monkeypatch, rows, threads):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", rows)
+        graphs = [make_graph(60, 3), make_graph(), make_graph(90, 4)]
+        merged = merge_graphs(graphs)
+        logits = FastInference(weights, threaded(threads)).logits(merged.graph)
+        for graph, part in zip(graphs, merged.split(logits)):
+            assert identical(
+                np.ascontiguousarray(part), reference.logits(weights, graph)
+            )
+
+    def test_non_finite_weight_still_raises(self, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 7)
+        graph = make_graph()
+        poisoned = GCN(GCNConfig(seed=5)).layer_weights()
+        poisoned.fc_weights[-1][3, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite") as info:
+                FastInference(poisoned, threaded(2)).logits(graph)
+        assert info.value.diagnostics["bad_nodes"] == graph.num_nodes
+
+
+@pytest.mark.usefixtures("split_any")
+class TestThreadSplit:
+    def test_error_in_a_pooled_run_reaches_the_caller(self, monkeypatch):
+        # 8 one-row blocks over 2 threads: the caller runs rows 1-3, the
+        # pool rows 4-7.  The caller waits until the pool has started, so
+        # the error is raised on a pool thread, not in a run taken back.
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
+        pool_started = threading.Event()
+
+        def compute(lo, hi):
+            if lo >= 4:
+                pool_started.set()
+                raise RuntimeError(f"boom on {threading.current_thread().name}")
+            if lo == 1:
+                assert pool_started.wait(timeout=30)
+            return np.zeros((hi - lo, 2))
+
+        with pytest.raises(RuntimeError, match="boom on repro-pool"):
+            inference._by_blocks(8, compute, threads=2)
+
+    def test_a_call_on_a_pool_thread_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
+        # Two pool threads, whatever the host: a nested split would hand
+        # a run to the idle one.
+        wide = ThreadPoolExecutor(
+            2, thread_name_prefix="repro-pool", initializer=executor._mark_pooled
+        )
+        monkeypatch.setattr(executor, "_pool", wide)
+        seen = set()
+
+        def compute(lo, hi):
+            seen.add(threading.current_thread().name)
+            return np.full((hi - lo, 2), float(lo))
+
+        def nested():
+            return inference._by_blocks(9, compute, threads=2)
+
+        try:
+            out = thread_pool().submit(nested).result(timeout=30)
+        finally:
+            wide.shutdown()
+        assert np.array_equal(out[:, 0], np.arange(9.0))
+        assert len(seen) == 1 and next(iter(seen)).startswith("repro-pool")
+
+    def test_callers_of_different_sizes_share_the_pool(self, monkeypatch):
+        # Both callers are past their first block before either asks for
+        # the pool, and each asks for a different number of threads: the
+        # pool one of them holds must still take its runs, as must the
+        # pool held here since before either call.
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
+        held = thread_pool()
+        both_started = threading.Barrier(2, timeout=30)
+
+        def compute(lo, hi):
+            if lo == 0:
+                both_started.wait()
+            return np.full((hi - lo, 2), float(lo))
+
+        calls = [(10, 2), (20, 4)]
+        with ThreadPoolExecutor(len(calls)) as callers:
+            outs = list(callers.map(
+                lambda call: inference._by_blocks(call[0], compute, threads=call[1]),
+                calls,
+            ))
+        for (n, _), out in zip(calls, outs):
+            assert np.array_equal(out[:, 0], np.arange(float(n)))
+        assert held.submit(int).result(timeout=30) == 0
+
+    def test_runs_a_busy_pool_has_not_started_are_taken_back(self, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
+        seen = set()
+
+        def compute(lo, hi):
+            seen.add(threading.current_thread().name)
+            return np.full((hi - lo, 2), float(lo))
+
+        release = threading.Event()
+        with ThreadPoolExecutor(1) as busy:
+            busy.submit(release.wait, 30)
+            monkeypatch.setattr(inference, "thread_pool", lambda: busy)
+            try:
+                out = inference._by_blocks(9, compute, threads=3)
+            finally:
+                release.set()
+        assert np.array_equal(out[:, 0], np.arange(9.0))
+        assert seen == {threading.current_thread().name}
+
+    def test_a_forked_child_runs_a_threaded_pass(self, weights, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 7)
+        graph = make_graph()
+        engine = FastInference(weights, threaded(2))
+        expected = sha256(engine.logits(graph))  # the parent's pool exists now
+
+        def child(conn):
+            # The inherited pool's threads did not survive the fork: a
+            # run on them would never start.
+            ran = thread_pool().submit(threading.current_thread).result(10)
+            conn.send((sha256(engine.logits(graph)), ran.name))
+            conn.close()
+
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=child, args=(sender,))
+        process.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child's pass hung"
+            digest, pool_thread = receiver.recv()
+            assert digest == expected and pool_thread.startswith("repro-pool")
+        finally:
+            process.join(timeout=30)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+
+    @pytest.mark.parametrize(
+        "cpus, blas, splits", [(2, 1, True), (2, 2, False), (4, 2, True), (2, 4, False)]
+    )
+    def test_a_threaded_blas_caps_the_split(
+        self, weights, monkeypatch, cpus, blas, splits
+    ):
+        # Pass threads x BLAS threads stay within the allowed CPUs.
+        monkeypatch.setattr(inference, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(inference, "blas_threads", lambda: blas)
+        asked = []
+
+        def pool():
+            asked.append(True)
+            return thread_pool()
+
+        monkeypatch.setattr(inference, "thread_pool", pool)
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 7)
+        graph = make_graph()
+        logits = FastInference(weights, threaded(2)).logits(graph)
+        assert identical(logits, reference.logits(weights, graph))
+        assert bool(asked) == splits
+
+    def test_one_allowed_cpu_runs_serially(self, weights, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert ExecutionConfig().resolved_workers() == 1
+        assert make_executor("forkpool").max_workers == 1
+
+        def no_pool():
+            raise AssertionError("a one-CPU pass asked for a thread pool")
+
+        monkeypatch.setattr(inference, "thread_pool", no_pool)
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 7)
+        graph = make_graph()
+        assert identical(
+            FastInference(weights).logits(graph), reference.logits(weights, graph)
+        )
+
+
+class TestBlasThreads:
+    NAMES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture(autouse=True)
+    def unset(self, monkeypatch):
+        for name in self.NAMES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def test_unset_is_every_allowed_cpu(self):
+        assert blas_threads() == available_cpus() == 3
+
+    def test_openblas_variable_first(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4,2")
+        assert blas_threads() == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert blas_threads() == 1
+
+    @pytest.mark.parametrize("raw", ["", "0", "-1", "many"])
+    def test_unusable_values_are_skipped(self, monkeypatch, raw):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", raw)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert blas_threads() == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_design
+from repro.config import ExecutionConfig
+from repro.core import inference
 from repro.core.graphdata import GraphData
 from repro.resilience.errors import CheckpointCorruptError
 from repro.serve import ModelManager
@@ -28,6 +30,18 @@ class TestInitialLoad:
         assert info["degraded"] is False
         assert info["predictor_level"] == "gcn"
         assert len(labels) == graph.num_nodes
+
+    def test_each_pass_runs_on_one_thread(self, model_file, graph, monkeypatch):
+        monkeypatch.setattr(inference, "SPLIT_MIN_BLOCKS", 1)
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 7)
+
+        def no_pool():
+            raise AssertionError("a serve pass asked for a thread pool")
+
+        monkeypatch.setattr(inference, "thread_pool", no_pool)
+        manager = ModelManager(model_file, execution=ExecutionConfig(workers=2))
+        _, info = manager.predict(graph)
+        assert info["degraded"] is False
 
     def test_corrupt_initial_load_degrades_not_raises(self, corrupt_file, graph):
         with pytest.warns(ResourceWarning):
