@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries.
 
-Ten rules, all AST-based (comments and strings never false-positive).
+Eleven rules, all AST-based (comments and strings never false-positive).
 They keep their numbers — docs and tests cite them — so number 2 is
 unused:
 
@@ -95,6 +95,16 @@ unused:
     bump that guards every memoised view.  Callers use the accessors and
     mutators (``remove_last_cell``, ``add_flop``, ``given_name``, ...).
 
+12. **Runtime imports are declared.** Every third-party package imported
+    under ``src/repro`` (by its top-level name, at module level or inside
+    a function; third-party means neither in ``sys.stdlib_module_names``
+    nor ``repro``) is named in ``pyproject.toml``'s ``[project]
+    dependencies``, and every name listed there is imported somewhere
+    under ``src/repro``.  The CI install lines copy that list, so an
+    undeclared import is a package that cannot be imported on a clean
+    runner, and an unused entry is an install nothing needs.
+    ``pyproject.toml`` is read without ``tomllib`` (absent on 3.10).
+
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
 """
@@ -109,6 +119,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 EXAMPLES = ROOT / "examples"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def example_import_violations(path: Path) -> list[tuple[int, str]]:
@@ -423,6 +434,78 @@ def netlist_private_violations(path: Path) -> list[tuple[int, str]]:
     ]
 
 
+#: the ``[project]`` table, up to the next table header
+_PROJECT_TABLE_RE = re.compile(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", re.M | re.S)
+#: ``dependencies = [ ... ]`` on one line or several
+_DEPENDENCIES_RE = re.compile(r"^dependencies\s*=\s*\[(.*?)\]", re.M | re.S)
+#: one requirement string; its name is what precedes any specifier or marker
+_REQUIREMENT_RE = re.compile(r""""([^"]*)"|'([^']*)'""")
+_NAME_RE = re.compile(r"\s*([A-Za-z0-9][A-Za-z0-9._-]*)")
+
+
+def _package_key(name: str) -> str:
+    """Distribution and import names compared case- and separator-blind
+    (every declared distribution imports under its own name)."""
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def declared_dependencies(pyproject: Path) -> set[str]:
+    """Names in ``[project] dependencies``, version specifiers dropped."""
+    section = _PROJECT_TABLE_RE.search(pyproject.read_text(encoding="utf-8"))
+    listed = section and _DEPENDENCIES_RE.search(section.group(1))
+    if not listed:
+        return set()
+    names = set()
+    for double, single in _REQUIREMENT_RE.findall(listed.group(1)):
+        name = _NAME_RE.match(double or single)
+        if name:
+            names.add(_package_key(name.group(1)))
+    return names
+
+
+def third_party_imports(path: Path) -> list[tuple[int, str]]:
+    """``(lineno, top-level name)`` of every third-party import in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, top))
+    return found
+
+
+def dependency_violations(
+    package: Path = PACKAGE, pyproject: Path = PYPROJECT
+) -> list[str]:
+    """Rule 12: imports and ``[project] dependencies`` name the same packages."""
+    root = package.parent.parent
+    declared = declared_dependencies(pyproject)
+    violations = []
+    imported: set[str] = set()
+    for path in sorted(package.rglob("*.py")):
+        for lineno, name in third_party_imports(path):
+            key = _package_key(name)
+            imported.add(key)
+            if key not in declared:
+                violations.append(
+                    f"{path.relative_to(root)}:{lineno}: import of {name!r}, "
+                    f"which {pyproject.name}'s dependencies do not declare"
+                )
+    for name in sorted(declared - imported):
+        violations.append(
+            f"{pyproject.name}: dependency {name!r} is imported nowhere under "
+            f"{package.relative_to(root)}"
+        )
+    return violations
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -487,6 +570,7 @@ def main() -> int:
             )
     violations.extend(metric_name_violations())
     violations.extend(contract_violations())
+    violations.extend(dependency_violations())
     if violations:
         print("API boundary violations:")
         for v in violations:
@@ -500,7 +584,8 @@ def main() -> int:
         "Predictor/Scorer declared once, in repro.flow.scorer; "
         "the exec scheduler imports no clock or I/O; "
         "repro.exec unpickles only in net.unpickle; "
-        "Netlist's per-cell lists touched only by circuit/netlist.py"
+        "Netlist's per-cell lists touched only by circuit/netlist.py; "
+        "runtime imports match pyproject.toml's dependencies"
     )
     return 0
 

@@ -42,16 +42,12 @@ import numpy as np
 from repro.atpg import (
     AtpgConfig,
     AtpgResult,
-    DiagnosisCandidate,
-    FailLog,
     Fault,
     FaultSimResult,
     FaultSimulator,
     collapse_faults,
-    diagnose,
     full_fault_list,
     run_atpg,
-    simulate_fail_log,
 )
 from repro.circuit import (
     GateType,
@@ -188,7 +184,7 @@ __all__ = [
     "Shard",
     "ShardedInference",
     "partition_graph",
-    # ATPG / diagnosis
+    # ATPG
     "AtpgConfig",
     "AtpgResult",
     "Fault",
@@ -197,10 +193,6 @@ __all__ = [
     "collapse_faults",
     "full_fault_list",
     "run_atpg",
-    "DiagnosisCandidate",
-    "FailLog",
-    "diagnose",
-    "simulate_fail_log",
     # flows
     "OpiConfig",
     "OpiResult",

@@ -17,12 +17,6 @@ from repro.atpg.faults import Fault, collapse_faults, full_fault_list
 from repro.atpg.fault_sim import FaultSimResult, FaultSimulator
 from repro.atpg.podem import Podem, PodemResult, TestCube, ThreeValuedSimulator
 from repro.atpg.generate import AtpgConfig, AtpgResult, run_atpg
-from repro.atpg.diagnosis import DiagnosisCandidate, FailLog, diagnose, simulate_fail_log
-from repro.atpg.weighted_random import (
-    WeightedPatternConfig,
-    compute_input_weights,
-    weighted_pattern_words,
-)
 
 __all__ = [
     "LogicSimulator",
@@ -45,11 +39,4 @@ __all__ = [
     "AtpgConfig",
     "AtpgResult",
     "run_atpg",
-    "DiagnosisCandidate",
-    "FailLog",
-    "diagnose",
-    "simulate_fail_log",
-    "WeightedPatternConfig",
-    "compute_input_weights",
-    "weighted_pattern_words",
 ]

@@ -42,9 +42,6 @@ class AtpgConfig:
     random_stall_batches: int = 2  #: consecutive low-yield batches tolerated
     max_backtracks: int = 50
     compaction: bool = True
-    #: bias the random phase with COP-derived input weights (classic
-    #: weighted-random BIST; see :mod:`repro.atpg.weighted_random`)
-    weighted_random: bool = False
     seed: int | None = 0
     #: worker count and fabric backend for fault simulation; results are
     #: bit-identical, only speed differs
@@ -91,25 +88,13 @@ def run_atpg(
     random_used = 0
     stall = 0
 
-    weights = None
-    if config.weighted_random:
-        from repro.atpg.weighted_random import (
-            compute_input_weights,
-            weighted_pattern_words,
-        )
-
-        weights = compute_input_weights(netlist)
-
     # ------------------------- random phase --------------------------- #
     while (
         remaining
         and random_used < config.max_random_patterns
         and stall < config.random_stall_batches
     ):
-        if weights is not None:
-            batch_words = weighted_pattern_words(weights, 1, rng)
-        else:
-            batch_words = fsim.simulator.random_source_words(1, rng)
+        batch_words = fsim.simulator.random_source_words(1, rng)
         result = fsim.simulate_batch(remaining, batch_words, n_patterns=64)
         if result.detected:
             dropped = set(result.detected)

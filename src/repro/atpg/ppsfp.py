@@ -113,8 +113,9 @@ def _eval_axis_group(
     """Evaluate one gate group for every fault at once.
 
     ``vals`` is ``(n_local, F, W)``; ``fanin_pos`` is ``(m, arity)`` row
-    indices into ``vals``.  Returns ``(m, F, W)``.  Semantics mirror
-    ``diagnosis._eval_with_overrides`` exactly (bitwise, so grouping
+    indices into ``vals``.  Returns ``(m, F, W)``.  Semantics mirror the
+    serial oracle's ``_eval_with_overrides`` in
+    ``tests/atpg/reference_faultsim.py`` exactly (bitwise, so grouping
     cannot change results).
     """
     m = fanin_pos.shape[0]

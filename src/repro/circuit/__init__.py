@@ -20,9 +20,8 @@ from repro.circuit.bench import (
     write_bench,
 )
 from repro.circuit.generator import GeneratorConfig, generate_design, generate_random_dag
-from repro.circuit.graph import adjacency_pair, edge_arrays, to_networkx
+from repro.circuit.graph import adjacency_pair, edge_arrays
 from repro.circuit.stats import NetlistStats, compute_stats
-from repro.circuit.transform import propagate_constants, simplify, sweep_dead_logic
 from repro.circuit.verilog import (
     VerilogParseError,
     dump_verilog,
@@ -32,9 +31,6 @@ from repro.circuit.verilog import (
 )
 
 __all__ = [
-    "propagate_constants",
-    "simplify",
-    "sweep_dead_logic",
     "NetlistStats",
     "compute_stats",
     "VerilogParseError",
@@ -63,5 +59,4 @@ __all__ = [
     "generate_random_dag",
     "adjacency_pair",
     "edge_arrays",
-    "to_networkx",
 ]

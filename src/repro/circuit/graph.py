@@ -1,19 +1,17 @@
 """Netlist-to-graph export.
 
 Produces the two directed adjacency structures the GCN aggregates over —
-predecessor (fanin) and successor (fanout) relations — in COO form, plus a
-networkx view for interoperability and debugging.
+predecessor (fanin) and successor (fanout) relations — in COO form.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.nn.sparse import COOMatrix
 
-__all__ = ["edge_arrays", "adjacency_pair", "to_networkx"]
+__all__ = ["edge_arrays", "adjacency_pair"]
 
 
 def edge_arrays(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
@@ -39,16 +37,3 @@ def adjacency_pair(netlist: Netlist) -> tuple[COOMatrix, COOMatrix]:
     succ = COOMatrix((n, n), values, rows=drivers, cols=sinks)
     return pred, succ
 
-
-def to_networkx(netlist: Netlist) -> nx.DiGraph:
-    """Export a :class:`networkx.DiGraph` with gate-type node attributes."""
-    graph = nx.DiGraph(name=netlist.name)
-    for v in netlist.nodes():
-        graph.add_node(
-            v,
-            gate_type=netlist.gate_type(v).name,
-            cell_name=netlist.cell_name(v),
-            is_output=netlist.is_output(v),
-        )
-    graph.add_edges_from(netlist.iter_edges())
-    return graph

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.atpg.diagnosis import _ConeValues, _eval_with_overrides
 from repro.atpg.fault_sim import FaultSimResult
 from repro.atpg.faults import Fault
 from repro.atpg.observability import _local_sensitisation
@@ -21,6 +20,48 @@ from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit import GateType
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+class _ConeValues:
+    """Sparse overlay of faulty values on top of the good-value matrix."""
+
+    __slots__ = ("base", "over")
+
+    def __init__(self, base: np.ndarray) -> None:
+        self.base = base
+        self.over: dict[int, np.ndarray] = {}
+
+    def get(self, node: int) -> np.ndarray:
+        hit = self.over.get(node)
+        return hit if hit is not None else self.base[node]
+
+    def set(self, node: int, words: np.ndarray) -> None:
+        self.over[node] = words
+
+
+def _eval_with_overrides(sim: LogicSimulator, node: int, vals: _ConeValues) -> np.ndarray:
+    gate_type = sim.netlist.gate_type(node)
+    fanins = sim.netlist.fanins(node)
+    if gate_type in (GateType.BUF, GateType.OBS, GateType.DFF):
+        return vals.get(fanins[0]).copy()
+    if gate_type is GateType.NOT:
+        return ~vals.get(fanins[0])
+    if gate_type in (GateType.AND, GateType.NAND):
+        out = vals.get(fanins[0]).copy()
+        for u in fanins[1:]:
+            out &= vals.get(u)
+        return ~out if gate_type is GateType.NAND else out
+    if gate_type in (GateType.OR, GateType.NOR):
+        out = vals.get(fanins[0]).copy()
+        for u in fanins[1:]:
+            out |= vals.get(u)
+        return ~out if gate_type is GateType.NOR else out
+    if gate_type in (GateType.XOR, GateType.XNOR):
+        out = vals.get(fanins[0]).copy()
+        for u in fanins[1:]:
+            out ^= vals.get(u)
+        return ~out if gate_type is GateType.XNOR else out
+    raise ValueError(f"cannot resimulate gate type {gate_type!r}")
 
 
 def _observed(netlist) -> set[int]:

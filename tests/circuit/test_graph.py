@@ -1,8 +1,8 @@
-"""Netlist -> graph export: COO adjacency and networkx view."""
+"""Netlist -> graph export: COO adjacency."""
 
 import numpy as np
 
-from repro.circuit import adjacency_pair, edge_arrays, to_networkx
+from repro.circuit import adjacency_pair, edge_arrays
 
 
 class TestEdgeArrays:
@@ -41,20 +41,3 @@ class TestAdjacencyPair:
         assert pred.shape == succ.shape == (n, n)
         assert pred.nnz == succ.nnz == medium_design.num_edges
 
-
-class TestToNetworkx:
-    def test_node_and_edge_counts(self, c17):
-        g = to_networkx(c17)
-        assert g.number_of_nodes() == c17.num_nodes
-        assert g.number_of_edges() == c17.num_edges
-
-    def test_attributes_present(self, c17):
-        g = to_networkx(c17)
-        g22 = c17.find("G22")
-        assert g.nodes[g22]["gate_type"] == "NAND"
-        assert g.nodes[g22]["is_output"] is True
-
-    def test_is_dag(self, small_design):
-        import networkx as nx
-
-        assert nx.is_directed_acyclic_graph(to_networkx(small_design))

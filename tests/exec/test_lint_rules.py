@@ -4,9 +4,10 @@
 clock, socket, thread, process or pickle), 10 (``pickle.loads`` appears
 under ``repro/exec`` only in ``net.unpickle``), the kernel half of 7
 (the narrow product and the row-block loop are defined only in
-``core/inference.py``) and 11 (the netlist's per-cell lists are touched
-only in ``circuit/netlist.py``).  Each rule gets a should-fail fixture so a
-vacuous pass is impossible.
+``core/inference.py``), 11 (the netlist's per-cell lists are touched
+only in ``circuit/netlist.py``) and 12 (the third-party packages imported
+under ``src/repro`` are exactly ``pyproject.toml``'s dependencies).  Each
+rule gets a should-fail fixture so a vacuous pass is impossible.
 """
 
 from __future__ import annotations
@@ -164,3 +165,82 @@ def test_the_netlist_api_passes(tmp_path):
         "    return netlist.given_name(0), netlist.fanins(0), '_fanouts'\n"
     )
     assert lint.netlist_private_violations(ok) == []
+
+
+def test_the_runtime_imports_are_declared():
+    assert lint.dependency_violations() == []
+    # ...and the rule is looking at the real thing.
+    imported = {
+        name
+        for path in lint.PACKAGE.rglob("*.py")
+        for _, name in lint.third_party_imports(path)
+    }
+    assert imported == lint.declared_dependencies(lint.PYPROJECT) == {"numpy", "scipy"}
+
+
+_PYPROJECT = """[project]
+name = "demo"
+dependencies = [
+    "numpy>=1.24",  # arrays
+    'Typing-Extensions ; python_version >= "3.10"',
+]
+
+[project.optional-dependencies]
+dev = ["pytest"]
+"""
+
+
+def _package(tmp_path, modules: dict[str, str]):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    for name, source in modules.items():
+        (package / name).write_text(source)
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(_PYPROJECT)
+    return package, pyproject
+
+
+def test_declared_dependencies_read_without_tomllib(tmp_path):
+    _, pyproject = _package(tmp_path, {})
+    assert lint.declared_dependencies(pyproject) == {"numpy", "typing_extensions"}
+
+
+@pytest.mark.parametrize(
+    "source,line,name",
+    [
+        ("import pandas as pd\n", 1, "pandas"),
+        ("x = 1\nfrom pandas.api import types\n", 2, "pandas"),
+        ("def f():\n    import torch\n", 2, "torch"),
+        ("import os, scipy.sparse\n", 1, "scipy"),
+    ],
+)
+def test_undeclared_import_is_caught(tmp_path, source, line, name):
+    package, pyproject = _package(
+        tmp_path,
+        {"ok.py": "import numpy\nimport typing_extensions\n", "bad.py": source},
+    )
+    assert lint.dependency_violations(package, pyproject) == [
+        f"src/repro/bad.py:{line}: import of {name!r}, "
+        "which pyproject.toml's dependencies do not declare"
+    ]
+
+
+def test_unused_dependency_is_caught(tmp_path):
+    package, pyproject = _package(tmp_path, {"a.py": "import numpy as np\n"})
+    assert lint.dependency_violations(package, pyproject) == [
+        "pyproject.toml: dependency 'typing_extensions' is imported nowhere "
+        "under src/repro"
+    ]
+
+
+def test_stdlib_relative_and_own_imports_pass(tmp_path):
+    package, pyproject = _package(
+        tmp_path,
+        {
+            "a.py": "from __future__ import annotations\nimport json, numpy.linalg\n"
+            "from . import b\nfrom repro.circuit import Netlist\n"
+            "# import pandas\ns = 'import torch'\n",
+            "b.py": "def f():\n    from typing_extensions import Self\n",
+        },
+    )
+    assert lint.dependency_violations(package, pyproject) == []
