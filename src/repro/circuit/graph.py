@@ -1,12 +1,14 @@
 """Netlist-to-graph export.
 
 Produces the two directed adjacency structures the GCN aggregates over —
-predecessor (fanin) and successor (fanout) relations — in COO form.
+predecessor (fanin) and successor (fanout) relations — in COO form, each
+with its CSR form cached from the netlist's fan-in or fan-out CSR.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.circuit.netlist import Netlist
 from repro.nn.sparse import COOMatrix
@@ -29,11 +31,28 @@ def adjacency_pair(netlist: Netlist) -> tuple[COOMatrix, COOMatrix]:
     adjacency (Equation 2); we keep them separate so the aggregation weights
     ``w_pr``/``w_su`` stay learnable scalars outside the matrix.
     """
-    drivers, sinks = edge_arrays(netlist)
-    n = netlist.num_nodes
-    values = np.ones(len(drivers), dtype=np.float64)
-    # COOMatrix copies what it is given into its own growable buffers.
-    pred = COOMatrix((n, n), values, rows=sinks, cols=drivers)
-    succ = COOMatrix((n, n), values, rows=drivers, cols=sinks)
-    return pred, succ
+    structure = netlist.structure()
+    n = structure.num_nodes
+    values = np.ones(len(structure.fanin_idx), dtype=np.float64)
 
+    def cached_csr(ptr: np.ndarray, idx: np.ndarray) -> sp.csr_matrix:
+        # The structure holds each matrix in CSR form already, rows in pin
+        # order: summing duplicate pins also sorts the rows, which gives what
+        # sorting the triples would, so the first matmul sorts nothing.
+        # ``copy`` keeps the structure's arrays out of the cache, which the
+        # OPI flow patches in place.
+        csr = sp.csr_matrix((values, idx, ptr), shape=(n, n), copy=True)
+        csr.sum_duplicates()
+        return csr
+
+    drivers, sinks = structure.fanin_idx, structure.pin_sinks()
+    # COOMatrix copies what it is given into its own growable buffers.
+    pred = COOMatrix(
+        (n, n), values, rows=sinks, cols=drivers,
+        csr=cached_csr(structure.fanin_ptr, drivers),
+    )
+    succ = COOMatrix(
+        (n, n), values, rows=drivers, cols=sinks,
+        csr=cached_csr(structure.fanout_ptr, structure.fanout_idx),
+    )
+    return pred, succ

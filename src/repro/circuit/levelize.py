@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.cells import SOURCE_TYPES, GateType, is_source
+from repro.circuit.cells import SOURCE_TYPES
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import NetlistStructure, counts_to_ptr, expand_rows, gate_table
 
@@ -26,25 +26,9 @@ __all__ = [
     "levelize",
     "Levelization",
     "CombinationalLoopError",
-    "LEVEL_BATCH_MIN_NODES",
-    "uses_level_batches",
 ]
 
-#: Designs smaller than this are swept node by node, larger ones level by
-#: level with numpy (here and in :mod:`repro.testability.scoap`).  A level
-#: sweep costs a few dozen numpy calls per level whatever the level holds;
-#: on small designs that is no faster than the scalar loop, and inside the
-#: threaded server the many short GIL-releasing calls made each request
-#: wait on its neighbours.  Measured, not tuned per deployment: see the
-#: "front end" section of docs/architecture.md.
-LEVEL_BATCH_MIN_NODES = 256
-
 _IS_SOURCE = gate_table(dict.fromkeys(SOURCE_TYPES, 1)).astype(bool)
-
-
-def uses_level_batches(netlist: Netlist) -> bool:
-    """Whether ``netlist`` is past the crossover (see above)."""
-    return netlist.num_nodes >= LEVEL_BATCH_MIN_NODES
 
 
 class CombinationalLoopError(ValueError):
@@ -79,57 +63,19 @@ def levelize(netlist: Netlist) -> Levelization:
     sequential loop through a flop is legal while a purely combinational loop
     raises :class:`CombinationalLoopError`.
     """
-    return netlist.cached("levelization", lambda: _levelize(netlist))
-
-
-def _levelize(netlist: Netlist) -> Levelization:
-    if uses_level_batches(netlist):
-        return _levelize_frontier(netlist.structure())
-    return _levelize_scalar(netlist)
-
-
-def _loop_error(indegree) -> CombinationalLoopError:
-    stuck = [v for v, d in enumerate(indegree) if d > 0]
-    return CombinationalLoopError(
-        f"combinational loop involving {len(stuck)} nodes (e.g. node {stuck[0]})"
-    )
-
-
-def _levelize_scalar(netlist: Netlist) -> Levelization:
-    """Kahn's algorithm node by node."""
-    n = netlist.num_nodes
-    source = [is_source(netlist.gate_type(v)) for v in netlist.nodes()]
-    indegree = [0 if source[v] else len(netlist.fanins(v)) for v in netlist.nodes()]
-    order = [v for v in netlist.nodes() if indegree[v] == 0]
-    levels = [0] * n
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in netlist.fanouts(v):
-            if source[w]:
-                continue
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                # The queue drains level by level, so the fanin that
-                # releases ``w`` is one of its deepest.
-                levels[w] = levels[v] + 1
-                order.append(w)
-    if len(order) != n:
-        raise _loop_error(indegree)
-    levels = np.array(levels, dtype=np.int64)
-    return Levelization(
-        np.array(order, dtype=np.int64), levels, counts_to_ptr(np.bincount(levels))
+    return netlist.cached(
+        "levelization", lambda: _levelize_frontier(netlist.structure())
     )
 
 
 def _levelize_frontier(structure: NetlistStructure) -> Levelization:
     """Kahn's algorithm one whole level per step.
 
-    Reproduces the first-in first-out order of :func:`_levelize_scalar`:
-    a node joins the queue when its last fanin is dequeued, so the next
-    level is the sinks the current one releases, each where the last of its
-    wires stands among the wires leaving the current level.
+    Reproduces the order of the node-by-node algorithm on a first-in
+    first-out queue: a node joins the queue when its last fanin is
+    dequeued, so the next level is the sinks the current one releases,
+    each where the last of its wires stands among the wires leaving the
+    current level.
     """
     n = structure.num_nodes
     combinational = ~_IS_SOURCE[structure.types]
@@ -158,7 +104,10 @@ def _levelize_frontier(structure: NetlistStructure) -> Levelization:
         frontier = released[last_wire[released] == wire]
     order = np.concatenate(buckets) if buckets else np.zeros(0, dtype=np.int64)
     if len(order) != n:
-        raise _loop_error(indegree.tolist())
+        stuck = np.flatnonzero(indegree > 0)
+        raise CombinationalLoopError(
+            f"combinational loop involving {len(stuck)} nodes (e.g. node {stuck[0]})"
+        )
     return Levelization(order, levels, counts_to_ptr([len(b) for b in buckets]))
 
 

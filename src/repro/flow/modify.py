@@ -35,11 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.cells import GateType
-from repro.circuit.levelize import logic_levels, topological_order
+from repro.circuit.graph import adjacency_pair
+from repro.circuit.levelize import logic_levels
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import expand_rows, sorted_unique
 from repro.core import inference
-from repro.core.attributes import AttributeConfig, OP_ATTRIBUTES, normalize_attributes
+from repro.core.attributes import (
+    AttributeConfig,
+    OP_ATTRIBUTES,
+    build_attributes,
+    normalize_attributes,
+)
 from repro.core.graphdata import GraphData
 from repro.testability.incremental import relax_observability
 from repro.testability.scoap import ScoapResult, compute_scoap, crossing_costs
@@ -95,12 +101,14 @@ class IncrementalDesign:
     ) -> None:
         self.netlist = netlist
         self.attribute_config = attribute_config or AttributeConfig()
-        order = topological_order(netlist)
-        self.levels = logic_levels(netlist, order)
-        self.scoap: ScoapResult = compute_scoap(netlist, order)
-        self.graph = GraphData.from_netlist(
-            netlist, attribute_config=self.attribute_config
+        self.levels = logic_levels(netlist)
+        self.scoap: ScoapResult = compute_scoap(netlist)
+        # The graph's attributes from the SCOAP just computed, not a second pass.
+        pred, succ = adjacency_pair(netlist)
+        attributes = build_attributes(
+            netlist, self.scoap, self.levels, self.attribute_config
         )
+        self.graph = GraphData(pred, succ, attributes, name=netlist.name)
         #: observation sites plus OBS cells, kept current under insert and
         #: rollback so that the flow does not rescan the netlist for them
         self.observed: set[int] = set(netlist.observation_sites)

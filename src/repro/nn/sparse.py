@@ -37,7 +37,11 @@ class COOMatrix:
         values: np.ndarray | None = None,
         rows: np.ndarray | None = None,
         cols: np.ndarray | None = None,
+        csr: sp.csr_matrix | None = None,
     ) -> None:
+        """``csr``, when given, is these entries' CSR form with duplicates
+        summed, which :meth:`to_scipy` then returns instead of sorting the
+        triples; it becomes this matrix's, to be patched in place."""
         self._shape = (int(shape[0]), int(shape[1]))
         if values is None:
             values = np.empty(0, dtype=np.float64)
@@ -57,10 +61,10 @@ class COOMatrix:
         self._values[: self._n] = values
         self._rows[: self._n] = rows
         self._cols[: self._n] = cols
-        self._csr: sp.csr_matrix | None = None
+        self._csr = csr
         #: entries the cached CSR was sorted from; later ones were patched
         #: in each last in its row, so they come out LIFO
-        self._csr_base = 0
+        self._csr_base = self._n
         self._csc: sp.csc_matrix | None = None
 
     # ------------------------------------------------------------------ #
@@ -247,8 +251,7 @@ class COOMatrix:
         rows = np.repeat(
             np.arange(self._shape[0], dtype=np.int64), np.diff(csr.indptr)
         )
-        self.__init__(self._shape, csr.data, rows, csr.indices)
-        self._csr, self._csr_base = csr, self._n
+        self.__init__(self._shape, csr.data, rows, csr.indices, csr=csr)
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.cells import GateType
-from repro.circuit.levelize import levelize, topological_order, uses_level_batches
+from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import NetlistStructure, counts_to_ptr, expand_rows, gate_table
 
@@ -41,142 +41,6 @@ class ScoapResult:
         return np.stack([self.cc0, self.cc1, self.co], axis=1)
 
 
-def _xor_controllability(
-    terms: list[tuple[float, float]],
-) -> tuple[float, float]:
-    """DP over input parity: cheapest way to make the XOR 0 (even) or 1 (odd)."""
-    even, odd = terms[0]
-    for cc0, cc1 in terms[1:]:
-        even, odd = min(even + cc0, odd + cc1), min(even + cc1, odd + cc0)
-    return even, odd
-
-
-def compute_scoap(
-    netlist: Netlist, order: list[int] | None = None
-) -> ScoapResult:
-    """Compute SCOAP controllability and observability for every node.
-
-    Small designs are swept node by node in ``order``; from
-    :data:`~repro.circuit.levelize.LEVEL_BATCH_MIN_NODES` nodes up the
-    sweep runs level by level (:func:`_compute_scoap_batched`), with equal
-    results.
-    """
-    if uses_level_batches(netlist):
-        return _compute_scoap_batched(netlist)
-    return _compute_scoap_scalar(netlist, order)
-
-
-def _compute_scoap_scalar(
-    netlist: Netlist, order: list[int] | None = None
-) -> ScoapResult:
-    """The defining node-by-node sweep (and the batched sweep's oracle)."""
-    if order is None:
-        order = topological_order(netlist)
-    n = netlist.num_nodes
-    cc0 = np.zeros(n, dtype=np.float64)
-    cc1 = np.zeros(n, dtype=np.float64)
-
-    # Forward pass: controllability.
-    for v in order:
-        t = netlist.gate_type(v)
-        if t in (GateType.INPUT, GateType.DFF):
-            cc0[v] = cc1[v] = 1.0
-            continue
-        if t is GateType.CONST0:
-            cc0[v], cc1[v] = 1.0, SCOAP_INF
-            continue
-        if t is GateType.CONST1:
-            cc0[v], cc1[v] = SCOAP_INF, 1.0
-            continue
-        fanins = netlist.fanins(v)
-        f0 = [cc0[u] for u in fanins]
-        f1 = [cc1[u] for u in fanins]
-        if t in (GateType.BUF, GateType.OBS):
-            cc0[v], cc1[v] = f0[0] + 1.0, f1[0] + 1.0
-        elif t is GateType.NOT:
-            cc0[v], cc1[v] = f1[0] + 1.0, f0[0] + 1.0
-        elif t is GateType.AND:
-            cc0[v], cc1[v] = min(f0) + 1.0, sum(f1) + 1.0
-        elif t is GateType.NAND:
-            cc0[v], cc1[v] = sum(f1) + 1.0, min(f0) + 1.0
-        elif t is GateType.OR:
-            cc0[v], cc1[v] = sum(f0) + 1.0, min(f1) + 1.0
-        elif t is GateType.NOR:
-            cc0[v], cc1[v] = min(f1) + 1.0, sum(f0) + 1.0
-        elif t in (GateType.XOR, GateType.XNOR):
-            even, odd = _xor_controllability(list(zip(f0, f1)))
-            if t is GateType.XOR:
-                cc0[v], cc1[v] = even + 1.0, odd + 1.0
-            else:
-                cc0[v], cc1[v] = odd + 1.0, even + 1.0
-        else:  # pragma: no cover - exhaustive over GateType
-            raise ValueError(f"unhandled gate type {t!r}")
-        cc0[v] = min(cc0[v], SCOAP_INF)
-        cc1[v] = min(cc1[v], SCOAP_INF)
-
-    co = observability_pass(netlist, cc0, cc1, order)
-    return ScoapResult(cc0=cc0, cc1=cc1, co=co)
-
-
-def observability_pass(
-    netlist: Netlist,
-    cc0: np.ndarray,
-    cc1: np.ndarray,
-    order: list[int] | None = None,
-) -> np.ndarray:
-    """Backward observability pass given controllabilities: observation
-    sites start at 0 and everything else at INF."""
-    if order is None:
-        order = topological_order(netlist)
-    co = np.full(netlist.num_nodes, SCOAP_INF, dtype=np.float64)
-    for site in netlist.observation_sites:
-        co[site] = 0.0
-    for p in netlist.observation_points():
-        co[p] = 0.0
-
-    for v in reversed(order):
-        branch = branch_observability(netlist, v, cc0, cc1, co)
-        co[v] = min(co[v], branch)
-    return co
-
-
-def branch_observability(
-    netlist: Netlist,
-    node: int,
-    cc0: np.ndarray,
-    cc1: np.ndarray,
-    co: np.ndarray,
-) -> float:
-    """Min over fanout branches of the observability of ``node``.
-
-    The SCOAP rule per branch through gate ``g``: the gate's own CO plus the
-    cost of setting every side input to its non-controlling value, plus one.
-    """
-    best = SCOAP_INF
-    for g in netlist.fanouts(node):
-        t = netlist.gate_type(g)
-        if t in (GateType.DFF, GateType.OBS):
-            return 0.0  # scan-captured directly
-        base = co[g] + 1.0
-        if t in (GateType.BUF, GateType.NOT):
-            cost = base
-        elif t in (GateType.AND, GateType.NAND):
-            cost = base + sum(cc1[u] for u in netlist.fanins(g) if u != node)
-        elif t in (GateType.OR, GateType.NOR):
-            cost = base + sum(cc0[u] for u in netlist.fanins(g) if u != node)
-        elif t in (GateType.XOR, GateType.XNOR):
-            cost = base + sum(
-                min(cc0[u], cc1[u]) for u in netlist.fanins(g) if u != node
-            )
-        else:  # pragma: no cover - sources have no fanin edges
-            raise ValueError(f"unhandled fanout gate type {t!r}")
-        best = min(best, cost)
-    return min(best, SCOAP_INF)
-
-
-# --------------------------------------------------------------------- #
-# Level-batched sweep
-# --------------------------------------------------------------------- #
 _T = GateType
 _PARITY = gate_table({_T.XOR: 1, _T.XNOR: 1})
 #: Every other gate is an AND or an OR with optional output inversion
@@ -238,11 +102,15 @@ def crossing_costs(
     return 1.0 + all_pins[sink] - held * side_cost[4 * driver + side[sink]]
 
 
-def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:
-    """SCOAP level by level over the array view.
+def compute_scoap(
+    netlist: Netlist, order: list[int] | None = None
+) -> ScoapResult:
+    """Compute SCOAP controllability and observability for every node,
+    level by level over the array view.
 
     Every value is an integer-valued float far below 2**53, so sums are
-    exact in any order and the result equals the scalar sweep bit for bit.
+    exact in any order.  ``order`` is accepted for callers that already
+    hold a topological order; the sweep reads :func:`levelize`'s.
     """
     structure = netlist.structure()
     levelization = levelize(netlist)
@@ -282,7 +150,7 @@ def _compute_scoap_batched(netlist: Netlist) -> ScoapResult:
             # Parity gates, a = CC0 and b = CC1 of every pin.  The cheapest
             # assignment sets each pin to its cheaper value; if that has
             # the wrong parity, the pin that is cheapest to flip flips.
-            # Equal to the pin-by-pin dynamic programme of the scalar sweep.
+            # Equal to a pin-by-pin dynamic programme over input parity.
             delta = b - a
             cheapest = np.add.reduceat(a + np.minimum(delta, 0.0), first)
             ones_odd = np.add.reduceat(delta < 0.0, first, dtype=np.int64) % 2 == 1

@@ -4,8 +4,10 @@ These are the loops the array pipeline replaced, kept as oracles:
 ``parse_bench`` as it was (recursive builder, one ``add_cell`` per gate),
 the array parser's tokeniser as it was (one regex match per line),
 ``write_bench`` as it was (one line per node), Kahn's algorithm on a
-deque, levels as ``1 + max(fanin levels)``, and the double loop over pins.  The node-by-node SCOAP sweep still lives in
-``repro.testability.scoap`` (it serves small designs), so it needs no copy.
+deque, levels as ``1 + max(fanin levels)``, the double loop over pins, and
+the node-by-node levelization that served small designs until every design
+went through the level-by-level sweep.  The node-by-node SCOAP sweep is in
+``tests/testability/reference_scoap.py``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from repro.circuit.bench import (
     _raise_line_error,
 )
 from repro.circuit.cells import GateType, is_source
-from repro.circuit.levelize import CombinationalLoopError
+from repro.circuit.levelize import CombinationalLoopError, Levelization
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import counts_to_ptr
 
 _ASSIGN_RE = re.compile(r"^(?P<lhs>[^=\s]+)\s*=\s*(?P<gate>\w+)\s*\((?P<args>[^)]*)\)$")
 _IO_RE = re.compile(r"^(?P<kind>INPUT|OUTPUT)\s*\((?P<name>[^)]+)\)$", re.IGNORECASE)
@@ -226,6 +229,41 @@ def logic_levels(netlist: Netlist) -> np.ndarray:
         if not is_source(netlist.gate_type(v)):
             levels[v] = 1 + max(levels[u] for u in netlist.fanins(v))
     return levels
+
+
+def _loop_error(indegree) -> CombinationalLoopError:
+    stuck = [v for v, d in enumerate(indegree) if d > 0]
+    return CombinationalLoopError(
+        f"combinational loop involving {len(stuck)} nodes (e.g. node {stuck[0]})"
+    )
+
+
+def levelize_scalar(netlist: Netlist) -> Levelization:
+    """Kahn's algorithm node by node."""
+    n = netlist.num_nodes
+    source = [is_source(netlist.gate_type(v)) for v in netlist.nodes()]
+    indegree = [0 if source[v] else len(netlist.fanins(v)) for v in netlist.nodes()]
+    order = [v for v in netlist.nodes() if indegree[v] == 0]
+    levels = [0] * n
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w in netlist.fanouts(v):
+            if source[w]:
+                continue
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                # The queue drains level by level, so the fanin that
+                # releases ``w`` is one of its deepest.
+                levels[w] = levels[v] + 1
+                order.append(w)
+    if len(order) != n:
+        raise _loop_error(indegree)
+    levels = np.array(levels, dtype=np.int64)
+    return Levelization(
+        np.array(order, dtype=np.int64), levels, counts_to_ptr(np.bincount(levels))
+    )
 
 
 def edge_arrays(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:

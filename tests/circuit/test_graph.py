@@ -1,8 +1,18 @@
-"""Netlist -> graph export: COO adjacency."""
+"""Netlist -> graph export: COO adjacency and its structure-built CSR."""
+
+import io
+import json
+import pickle
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuit import adjacency_pair, edge_arrays
+from repro.circuit import adjacency_pair, edge_arrays, generate_design, write_bench
+from repro.serve import ServeConfig, admit
+from tests.circuit import reference_frontend as reference
 
 
 class TestEdgeArrays:
@@ -41,3 +51,58 @@ class TestAdjacencyPair:
         assert pred.shape == succ.shape == (n, n)
         assert pred.nnz == succ.nnz == medium_design.num_edges
 
+
+def sorted_from_triples(matrix) -> sp.csr_matrix:
+    """The CSR that sorting the matrix's COO triples gives."""
+    coo = sp.coo_matrix((matrix.values, (matrix.rows, matrix.cols)), shape=matrix.shape)
+    return coo.tocsr()
+
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    got, want = got.copy(), want.copy()
+    got.sort_indices()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestStructureBuiltCsr:
+    """The CSR each matrix gets from the structure's fan-in or fan-out CSR
+    equals the one its COO triples sort into: duplicate pins summed, every
+    row ascending."""
+
+    @staticmethod
+    def check(netlist):
+        for matrix in adjacency_pair(netlist):
+            csr = matrix.to_scipy()
+            assert csr.has_canonical_format
+            assert_same_csr(csr, sorted_from_triples(matrix))
+
+    @pytest.mark.parametrize("name", sorted(reference.hand_built_designs()))
+    def test_hand_built(self, name):
+        self.check(reference.hand_built_designs()[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_gates=st.integers(0, 120))
+    def test_random_designs(self, seed, n_gates):
+        # Rewired flops leave fan-out rows out of sink order.
+        self.check(reference.random_netlist(seed, n_gates))
+
+    def test_after_observation_points(self):
+        netlist = generate_design(200, seed=4)
+        for target in (3, 40, 40, netlist.num_nodes - 1):
+            netlist.insert_observation_point(target)
+        assert netlist._loaded is None  # the structure is built from lists
+        self.check(netlist)
+
+    def test_admitted_request_after_a_pickle_round_trip(self):
+        stream = io.StringIO()
+        write_bench(generate_design(60, seed=9), stream)
+        request = admit(json.dumps({"netlist": stream.getvalue()}).encode(), ServeConfig())
+        shipped = pickle.loads(pickle.dumps(request.graph))
+        pairs = ((request.graph.pred, shipped.pred), (request.graph.succ, shipped.succ))
+        for before, after in pairs:
+            assert_same_csr(after.to_scipy(), sorted_from_triples(before))
+            assert_same_csr(before.to_scipy(), sorted_from_triples(before))

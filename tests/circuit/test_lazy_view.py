@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.circuit.netlist as netlist_module
+import repro.nn.sparse as sparse_module
 from repro import api
 from repro.circuit import (
     BenchParseError,
@@ -152,15 +153,36 @@ def _never(*_):
 class TestLoadPathStaysInArrays:
     """The point of the lazy view: text -> scores builds no per-cell object."""
 
-    @pytest.fixture
-    def text(self) -> str:
-        # Past LEVEL_BATCH_MIN_NODES (smaller designs are swept cell by cell,
-        # from the lists), with the dangling-gate warnings validation words.
-        netlist = generate_design(400, seed=8)
+    @staticmethod
+    def design_text(gates: int) -> str:
+        """A generated design with the dangling gate validation warns of."""
+        netlist = generate_design(gates, seed=8)
         netlist.add_cell(GateType.NOT, (netlist.num_nodes // 2,))
         stream = io.StringIO()
         write_bench(netlist, stream)
         return stream.getvalue()
+
+    @pytest.fixture
+    def text(self) -> str:
+        return self.design_text(400)
+
+    @pytest.fixture
+    def tiny_text(self) -> str:
+        """``serve_tiny_batch``'s design size, well under 256 nodes."""
+        return self.design_text(60)
+
+    @staticmethod
+    def forbid_coo_to_csr(monkeypatch) -> None:
+        def refused(*args, **kwargs):
+            raise AssertionError("an adjacency was sorted from its COO triples")
+
+        monkeypatch.setattr(sparse_module.sp, "coo_matrix", refused)
+
+    @staticmethod
+    def assert_adjacency_of(graph, expected) -> None:
+        for got, want in ((graph.pred, expected.pred), (graph.succ, expected.succ)):
+            got, want = got.to_scipy(), want.to_scipy()
+            assert (got != want).nnz == 0 and got.shape == want.shape
 
     def test_api_score(self, monkeypatch, text):
         weights = GCN(GCNConfig(seed=3)).layer_weights()
@@ -177,6 +199,26 @@ class TestLoadPathStaysInArrays:
         assert np.array_equal(
             request.graph.attributes, api.build_graph(reference.parse_bench(text)).attributes
         )
+
+    def test_tiny_design_is_built_in_arrays(self, monkeypatch, tiny_text):
+        expected = api.build_graph(reference.parse_bench(tiny_text))
+        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+        netlist = api.load_netlist(tiny_text)
+        assert validate_netlist(netlist, strict=True).warnings
+        graph = api.build_graph(netlist)
+        assert netlist._loaded is not None and netlist.num_nodes < 256
+        self.forbid_coo_to_csr(monkeypatch)
+        assert np.array_equal(graph.attributes, expected.attributes)
+        self.assert_adjacency_of(graph, expected)
+
+    def test_tiny_serve_admit(self, monkeypatch, tiny_text):
+        expected = api.build_graph(reference.parse_bench(tiny_text))
+        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+        request = admit(json.dumps({"netlist": tiny_text}).encode(), ServeConfig())
+        assert request.warnings
+        self.forbid_coo_to_csr(monkeypatch)
+        assert np.array_equal(request.graph.attributes, expected.attributes)
+        self.assert_adjacency_of(request.graph, expected)
 
 
 class TestIscasFixtures:

@@ -89,14 +89,15 @@ class TestLogicLevels:
 
 
 class TestSweepsAgree:
-    """Scalar and frontier sweeps against the deque/longest-path reference."""
+    """The frontier sweep and the node-by-node reference sweep against the
+    deque/longest-path reference."""
 
     @staticmethod
     def check(netlist):
         expected_order = reference.topological_order(netlist)
         expected_levels = reference.logic_levels(netlist)
         for sweep in (
-            levelize_module._levelize_scalar(netlist),
+            reference.levelize_scalar(netlist),
             levelize_module._levelize_frontier(netlist.structure()),
         ):
             assert sweep.order.tolist() == expected_order
@@ -124,11 +125,15 @@ class TestSweepsAgree:
         self.check(generate_design(gates, seed=seed))
 
     @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_public_functions_on_both_sides_of_the_crossover(
-        self, monkeypatch, medium_design, threshold
-    ):
-        monkeypatch.setattr(levelize_module, "LEVEL_BATCH_MIN_NODES", threshold)
-        design = medium_design.copy()
+    def test_public_functions_on_both_sides_of_the_crossover(self, medium_design, threshold):
+        """The public functions on a design from each side of the former
+        256-node crossover, below which a scalar sweep used to run; both
+        sides now take the one frontier sweep.  The ids keep the two values
+        the crossover's threshold was set to: at 0 every design was at or
+        above it (here the medium design), at 10**9 every design was below
+        it (here a 120-gate design)."""
+        design = medium_design.copy() if threshold == 0 else generate_design(120, seed=5)
+        assert (design.num_nodes >= 256) == (threshold == 0)
         design.note_external_mutation()  # drop whatever the fixture memoised
         assert topological_order(design) == reference.topological_order(design)
         assert np.array_equal(logic_levels(design), reference.logic_levels(design))
@@ -143,7 +148,7 @@ class TestSweepsAgree:
         with pytest.raises(CombinationalLoopError) as expected:
             reference.topological_order(nl)
         for sweep in (
-            lambda: levelize_module._levelize_scalar(nl),
+            lambda: reference.levelize_scalar(nl),
             lambda: levelize_module._levelize_frontier(nl.structure()),
         ):
             with pytest.raises(CombinationalLoopError) as err:
@@ -154,9 +159,9 @@ class TestSweepsAgree:
 class TestMemoisation:
     def test_one_sweep_serves_order_levels_and_validation(self, monkeypatch, c17):
         sweeps = []
-        real = levelize_module._levelize
+        real = levelize_module._levelize_frontier
         monkeypatch.setattr(
-            levelize_module, "_levelize", lambda nl: sweeps.append(nl) or real(nl)
+            levelize_module, "_levelize_frontier", lambda s: sweeps.append(s) or real(s)
         )
         design = c17.copy()
         design.note_external_mutation()

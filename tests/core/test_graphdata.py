@@ -4,15 +4,24 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import generate_design, parse_bench, write_bench
-from repro.circuit import levelize as levelize_module
 from repro.core.attributes import AttributeConfig, build_attributes, normalize_attributes
 from repro.core.graphdata import GraphData
-from repro.testability import scoap as scoap_module
+from repro.serve.batch import merge_graphs
 from tests.circuit import reference_frontend as reference
+from tests.testability import reference_scoap
+
+
+def _reference_csr(netlist, pred):
+    """The node-by-node edge list as a CSR matrix, duplicate pins summed."""
+    drivers, sinks = reference.edge_arrays(netlist)
+    rows, cols = (sinks, drivers) if pred else (drivers, sinks)
+    n = netlist.num_nodes
+    return scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
 
 
 class TestFromNetlist:
@@ -52,46 +61,69 @@ class TestMasking:
 
 
 class TestMatchesNodeByNodeBuilder:
-    """``from_netlist`` against the per-node loops it replaced."""
+    """``from_netlist`` against the per-node loops it replaced, for a design
+    scored on its own (``scalar``) and merged into a serving batch between
+    two other designs (``batched``)."""
 
     @staticmethod
-    def check(netlist):
-        graph = GraphData.from_netlist(netlist)
-        drivers, sinks = reference.edge_arrays(netlist)
-        for matrix, rows, cols in ((graph.pred, sinks, drivers), (graph.succ, drivers, sinks)):
-            assert matrix.shape == (netlist.num_nodes, netlist.num_nodes)
-            assert np.array_equal(matrix.rows, rows)  # same coordinates, same order
-            assert np.array_equal(matrix.cols, cols)
-            assert np.array_equal(matrix.values, np.ones(len(rows)))
-        scoap = scoap_module._compute_scoap_scalar(
-            netlist, reference.topological_order(netlist)
-        )
+    def check(netlist, assembly="scalar"):
+        scoap = reference_scoap.compute_scoap(netlist, reference.topological_order(netlist))
         raw = np.stack(
             [reference.logic_levels(netlist).astype(np.float64), scoap.cc0, scoap.cc1, scoap.co],
             axis=1,
         )
-        assert np.array_equal(graph.attributes, normalize_attributes(raw))
+        if assembly == "scalar":
+            graph = GraphData.from_netlist(netlist)
+            drivers, sinks = reference.edge_arrays(netlist)
+            for matrix, rows, cols in (
+                (graph.pred, sinks, drivers), (graph.succ, drivers, sinks)
+            ):
+                assert matrix.shape == (netlist.num_nodes, netlist.num_nodes)
+                assert np.array_equal(matrix.rows, rows)  # same coordinates, same order
+                assert np.array_equal(matrix.cols, cols)
+                assert np.array_equal(matrix.values, np.ones(len(rows)))
+            assert np.array_equal(graph.attributes, normalize_attributes(raw))
+        else:
+            members = [reference.hand_built_designs()["flop_loop"], netlist]
+            members.append(reference.hand_built_designs()["duplicate_pins"])
+            batch = merge_graphs([GraphData.from_netlist(m) for m in members])
+            for matrix, pred in ((batch.graph.pred, True), (batch.graph.succ, False)):
+                actual = matrix.to_scipy().copy()
+                actual.sort_indices()
+                expected = scipy.sparse.block_diag(
+                    [_reference_csr(m, pred) for m in members], format="csr"
+                )
+                expected.sort_indices()
+                assert actual.shape == expected.shape
+                assert np.array_equal(actual.indptr, expected.indptr)
+                assert np.array_equal(actual.indices, expected.indices)
+                assert np.array_equal(actual.data, expected.data)
+            start = members[0].num_nodes
+            assert batch.slices[1] == slice(start, start + netlist.num_nodes)
+            assert np.array_equal(
+                batch.split(batch.graph.attributes)[1], normalize_attributes(raw)
+            )
         assert np.array_equal(
             build_attributes(netlist, config=AttributeConfig(normalize=False)), raw
         )
 
-    @pytest.fixture(params=[0, 10**9], ids=["batched", "scalar"])
-    def crossover(self, request, monkeypatch):
-        monkeypatch.setattr(levelize_module, "LEVEL_BATCH_MIN_NODES", request.param)
+    @pytest.fixture(params=["batched", "scalar"])
+    def assembly(self, request):
+        return request.param
 
     @pytest.mark.parametrize("name", sorted(reference.hand_built_designs()))
-    def test_hand_built(self, crossover, name):
-        self.check(reference.hand_built_designs()[name])
+    def test_hand_built(self, assembly, name):
+        self.check(reference.hand_built_designs()[name], assembly)
 
     @settings(
         max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(seed=st.integers(0, 10**6), n_gates=st.integers(0, 120))
-    def test_random_designs(self, crossover, seed, n_gates):
-        self.check(reference.random_netlist(seed, n_gates))
+    def test_random_designs(self, assembly, seed, n_gates):
+        self.check(reference.random_netlist(seed, n_gates), assembly)
 
-    def test_parsed_design(self, crossover):
+    def test_parsed_design(self, assembly):
         stream = io.StringIO()
         write_bench(generate_design(700, seed=3), stream)
-        self.check(parse_bench(stream.getvalue()))
+        self.check(parse_bench(stream.getvalue()), assembly)

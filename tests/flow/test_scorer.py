@@ -422,16 +422,21 @@ class TestWorkGate:
         relaxations = self._count_relaxations(monkeypatch)
         self._forbid_scipy_in_scorer(monkeypatch)
 
-        # Previews and inserts relax CO in array sweeps, never node by node.
-        def per_node(*args, **kwargs):
-            raise AssertionError("a node-by-node SCOAP relaxation ran")
+        # Previews and inserts relax CO in array sweeps, never by a fresh
+        # SCOAP pass: the flow's one pass is its start's, which also gives
+        # the graph its attributes.
+        sweeps = []
+        original = scoap_module.compute_scoap
 
-        original = scoap_module.branch_observability
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return original(*args, **kwargs)
+
         for name, module in list(sys.modules.items()):
             if not name.startswith("repro."):
                 continue
-            if getattr(module, "branch_observability", None) is original:
-                monkeypatch.setattr(module, "branch_observability", per_node)
+            if getattr(module, "compute_scoap", None) is original:
+                monkeypatch.setattr(module, "compute_scoap", counted)
         rows, updates = rows_scored(), patches()
         with trace("opi") as root:
             result = api.insert_observation_points(netlist, weights, self.CONFIG)
@@ -454,6 +459,7 @@ class TestWorkGate:
         # One stacked relaxation per iteration previews every candidate, and
         # the commit reuses those previews instead of relaxing again.
         assert relaxations == result.positives_history[: result.iterations]
+        assert len(sweeps) == 1
         # Rows whose logits were recomputed: each re-prediction's closure,
         # and of each candidate's closure the part inside its fan-in cone.
         # (58 082 until PR 23, when ranking scored whole closures.)

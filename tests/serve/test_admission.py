@@ -175,16 +175,17 @@ class TestParserBugsAnswer400:
 
 
 class TestLevelizesOnce:
-    @pytest.mark.parametrize("gates", [120, 1500], ids=["scalar_sweep", "level_sweep"])
+    @pytest.mark.parametrize("gates", [120, 1500], ids=["small_design", "large_design"])
     def test_one_sweep_per_admitted_design(self, monkeypatch, gates):
         from repro.circuit import generate_design
         from repro.circuit import levelize as levelize_module
 
-        assert gates < levelize_module.LEVEL_BATCH_MIN_NODES or gates > 1000
         sweeps = []
-        real = levelize_module._levelize
+        real = levelize_module._levelize_frontier
         monkeypatch.setattr(
-            levelize_module, "_levelize", lambda netlist: sweeps.append(1) or real(netlist)
+            levelize_module,
+            "_levelize_frontier",
+            lambda structure: sweeps.append(1) or real(structure),
         )
         text = io.StringIO()
         write_bench(generate_design(gates, seed=7), text)

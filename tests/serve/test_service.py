@@ -150,11 +150,13 @@ class TestDeadlines:
 
 
 class TestCrashIsolation:
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_thread_killing_job_is_failed_and_worker_respawned(self):
+    def test_thread_killing_job_is_failed_and_worker_respawned(self, monkeypatch):
+        # The worker dies of its SystemExit: catch that death here, where it
+        # is provoked, instead of leaving it to surface under a later test.
+        deaths = []
+        monkeypatch.setattr(threading, "excepthook", deaths.append)
         service = make_service(ExplodingManager(kills=1))
+        (doomed,) = service._workers
         try:
             job = service.submit(request())
             assert job.wait(5.0)
@@ -165,8 +167,13 @@ class TestCrashIsolation:
             labels, _ = service.score(request())
             assert len(labels) == GRAPH.num_nodes
             assert service.snapshot()["worker_restarts"] >= 1
+            doomed.join(timeout=5.0)
+            assert not doomed.is_alive()
         finally:
             service.stop()
+        (death,) = deaths
+        assert death.thread is doomed
+        assert death.exc_type is SystemExit and death.exc_value is job.error
 
 
 class TestDrain:

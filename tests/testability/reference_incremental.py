@@ -3,9 +3,9 @@
 This is how ``CO`` was refreshed after an observation-point insertion
 before :func:`repro.testability.incremental.relax_observability` swept
 all candidates in stacked frontier waves: a heap of ``(-level, node)``,
-one :func:`~repro.testability.scoap.branch_observability` call per popped
-node.  It shares with the array relaxation nothing but the controllability
-it reads.
+one :func:`~tests.testability.reference_scoap.branch_observability` call
+per popped node.  It shares with the array relaxation nothing but the
+controllability it reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import heapq
 import numpy as np
 
 from repro.circuit.netlist import Netlist
-from repro.testability.scoap import ScoapResult, branch_observability
+from repro.testability.scoap import ScoapResult
+from tests.testability.reference_scoap import branch_observability
 
 
 def update_scoap_after_op(

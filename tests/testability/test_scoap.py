@@ -1,15 +1,16 @@
 """SCOAP: hand-computed values on canonical circuits, invariants."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import GateType, Netlist, generate_design
-from repro.circuit import levelize as levelize_module
-from repro.testability import scoap as scoap_module
+from repro.circuit import GateType, Netlist, generate_design, parse_bench, write_bench
 from repro.testability.scoap import SCOAP_INF, compute_scoap
 from tests.circuit import reference_frontend as reference
+from tests.testability import reference_scoap
 
 
 class TestControllability:
@@ -148,14 +149,12 @@ class TestInvariants:
 
 
 class TestBatchedSweepAgrees:
-    """The level-batched sweep against the node-by-node one, bit for bit."""
+    """The level-batched sweep against the node-by-node oracle, bit for bit."""
 
     @staticmethod
     def check(netlist):
-        expected = scoap_module._compute_scoap_scalar(
-            netlist, reference.topological_order(netlist)
-        )
-        batched = scoap_module._compute_scoap_batched(netlist)
+        expected = reference_scoap.compute_scoap(netlist, reference.topological_order(netlist))
+        batched = compute_scoap(netlist)
         for name in ("cc0", "cc1", "co"):
             got, want = getattr(batched, name), getattr(expected, name)
             assert got.dtype == want.dtype == np.float64
@@ -188,10 +187,8 @@ class TestBatchedSweepAgrees:
     def test_generated_designs(self, seed, gates):
         self.check(generate_design(gates, seed=seed))
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_compute_scoap_on_both_sides_of_the_crossover(self, monkeypatch, threshold):
-        monkeypatch.setattr(levelize_module, "LEVEL_BATCH_MIN_NODES", threshold)
-        design = generate_design(300, seed=5)
-        expected = self.check(design)
-        got = compute_scoap(design)
-        assert np.array_equal(got.as_matrix(), expected.as_matrix())
+    def test_compute_scoap_on_a_parsed_design(self):
+        # Array form end to end: the structure comes from the parser, not lists.
+        stream = io.StringIO()
+        write_bench(generate_design(300, seed=5), stream)
+        self.check(parse_bench(stream.getvalue()))
