@@ -14,7 +14,10 @@ unversioned ``/score`` path):
    was one scoring pass, and that a solo request on the idle daemon
    waited for nothing in the queue;
 4. reject malformed input (400) and a structurally broken netlist (422),
-   both carrying the exit-code taxonomy;
+   both carrying the exit-code taxonomy, and score a ``strict=False``
+   batch that mixes valid designs with a parse error, an unobservable
+   netlist and a combinational loop: each valid member as it scores solo,
+   each bad one with its own error;
 5. overload the queue (at least one 429 with ``Retry-After``; every
    accepted request answered);
 6. expire a deadline (504);
@@ -226,6 +229,43 @@ def main() -> None:
                 (exc.status, exc.code) == (422, "netlist_invalid"),
                 "structurally invalid netlist rejected with 422",
             )
+
+        # --- a mixed batch: shared admission sweeps, own answers ------- #
+        # The valid members are admitted over one union; each must still
+        # score as it does solo, and each bad member keep its own error.
+        designs = []
+        for seed in (21, 22, 23):
+            text = io.StringIO()
+            write_bench(generate_design(60 + 40 * (seed - 21), seed=seed), text)
+            designs.append(text.getvalue())
+        loop = "INPUT(c)\nOUTPUT(a)\na = AND(b, c)\nb = NOT(a)\n"
+        mixed = client.score_many(
+            [designs[0], "a = FROB(b)\n", designs[1], "INPUT(a)\nb = NOT(a)\n",
+             loop, designs[2]],
+            design="smoke-mixed",
+            strict=False,
+        )
+        check(len(mixed) == 6, "one answer per member of the mixed batch")
+        for position, text in zip((0, 2, 5), designs):
+            answer = mixed[position]
+            check(
+                not isinstance(answer, ServeClientError)
+                and answer.labels.tolist() == client.score(text).labels.tolist(),
+                f"mixed batch member {position} scores as it does solo",
+            )
+        for position, expected in ((1, (400, "netlist_parse_error")),
+                                   (3, (422, "netlist_invalid")),
+                                   (4, (400, "netlist_parse_error"))):
+            answer = mixed[position]
+            check(
+                isinstance(answer, ServeClientError)
+                and (answer.status, answer.code) == expected,
+                f"mixed batch member {position} answers {expected} (got {answer!r})",
+            )
+        check(
+            "combinational loop" in str(mixed[4]),
+            f"the looped member names its loop ({mixed[4]})",
+        )
 
         # --- backpressure --------------------------------------------- #
         # batchable=False scores each of these in a pass of its own: the

@@ -24,6 +24,7 @@ __all__ = [
     "topological_order",
     "logic_levels",
     "levelize",
+    "levelize_members",
     "Levelization",
     "CombinationalLoopError",
 ]
@@ -108,7 +109,36 @@ def _levelize_frontier(structure: NetlistStructure) -> Levelization:
         raise CombinationalLoopError(
             f"combinational loop involving {len(stuck)} nodes (e.g. node {stuck[0]})"
         )
-    return Levelization(order, levels, counts_to_ptr([len(b) for b in buckets]))
+    # A cell-less netlist is one empty level, so that ``depth`` is 0.
+    return Levelization(order, levels, counts_to_ptr([len(b) for b in buckets] or [0]))
+
+
+def levelize_members(members: list[Netlist], union: Netlist) -> Levelization:
+    """Levelize ``union`` once and memoise each member's share on the member.
+
+    ``union`` is the block-diagonal union of ``members``, in that order
+    (:meth:`Netlist.disjoint_union`).  Each of Kahn's levels of the union
+    is the members' own levels concatenated in member order (true of the
+    sources, and each next level is what the previous one releases, wire
+    by wire), so a member's order is the union's filtered to its id range,
+    and its levels are its slice of the union's.  Afterwards
+    ``levelize(member)`` is a memo hit equal to the member's own sweep.
+    """
+    levelization = levelize(union)
+    sizes = [member.num_nodes for member in members]
+    offsets = counts_to_ptr(sizes)
+    owner = np.repeat(np.arange(len(members)), sizes)
+    # A stable sort by owner keeps each member's entries in union order.
+    order = levelization.order[np.argsort(owner[levelization.order], kind="stable")]
+    for member, start, stop in zip(members, offsets[:-1].tolist(), offsets[1:].tolist()):
+        levels = levelization.levels[start:stop]
+        share = Levelization(
+            order[start:stop] - start,
+            levels,
+            counts_to_ptr(np.bincount(levels, minlength=1)),
+        )
+        member.cached("levelization", lambda: share)
+    return levelization
 
 
 def topological_order(netlist: Netlist) -> list[int]:

@@ -112,6 +112,22 @@ class Netlist:
         netlist._cache_version = netlist._version
         return netlist
 
+    @classmethod
+    def disjoint_union(cls, members: Sequence["Netlist"]) -> "Netlist":
+        """One netlist holding ``members`` side by side, in that order.
+
+        Member ``i``'s node ``v`` is node ``v + offset`` of the union, where
+        ``offset`` is the node count of the members before it; no wire
+        crosses between members, so the union's adjacency is block
+        diagonal.  Cells are unnamed, and the members are left alone.
+        """
+        structure = NetlistStructure.concatenate([m.structure() for m in members])
+        offset, outputs = 0, []
+        for member in members:
+            outputs.extend(v + offset for v in member._po_marks)
+            offset += member.num_nodes
+        return cls.from_structure("union", structure, [None] * offset, outputs)
+
     def _build_lists(self) -> None:
         """Leave array form: build the per-cell containers from ``_loaded``.
 

@@ -63,6 +63,24 @@ class NetlistStructure:
         fanout_ptr = counts_to_ptr(np.bincount(fanin_idx, minlength=n))
         return cls(types, fanin_ptr, fanin_idx, fanout_ptr, sinks[by_driver])
 
+    @classmethod
+    def concatenate(cls, structures: list["NetlistStructure"]) -> "NetlistStructure":
+        """The block-diagonal structure of ``structures``, in that order:
+        the ids of each are shifted past those of the ones before it."""
+        node_offsets = counts_to_ptr([s.num_nodes for s in structures])
+        edge_offsets = counts_to_ptr([len(s.fanin_idx) for s in structures])
+
+        def stacked(ptrs, idxs):
+            ptr = np.concatenate(
+                [p[:-1] + e for p, e in zip(ptrs, edge_offsets.tolist())] + [edge_offsets[-1:]]
+            )
+            idx = np.concatenate([i + o for i, o in zip(idxs, node_offsets.tolist())])
+            return ptr, idx
+
+        fanin = stacked([s.fanin_ptr for s in structures], [s.fanin_idx for s in structures])
+        fanout = stacked([s.fanout_ptr for s in structures], [s.fanout_idx for s in structures])
+        return cls(np.concatenate([s.types for s in structures]), *fanin, *fanout)
+
     @property
     def num_nodes(self) -> int:
         return len(self.types)

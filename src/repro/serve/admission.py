@@ -41,6 +41,13 @@ then members ``i::k`` — and the ``(index, outcome)`` lists are merged in
 index order, so no lane idles while a body still has members to admit
 and the answer does not depend on ``k``.
 
+Shared sweeps.  The members a lane admits are parsed and checked one by
+one, then levelized and given their SCOAP measures by one sweep each over
+their block-diagonal union: the per-level cost of those sweeps is paid
+once per lane, not once per member.  Each member is still validated on
+its own, and its graph equals the one it would get alone.  A solo body
+is a batch of one, its own union.
+
 One format across the boundary.  The finished graph's adjacency is
 pickled as its CSR arrays alone (:class:`~repro.nn.sparse.COOMatrix`
 rebuilds the triples from them if anyone asks; scoring does not), so the
@@ -60,7 +67,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.circuit.bench import parse_bench
+from repro.circuit.graph import adjacency_pair
+from repro.circuit.levelize import levelize, levelize_members
+from repro.circuit.netlist import Netlist
+from repro.circuit.structure import counts_to_ptr
 from repro.circuit.validate import NetlistValidationError, validate_netlist
+from repro.core.attributes import build_attributes
 from repro.core.graphdata import GraphData
 from repro.exec import ExecPolicy, ShardTask, make_executor
 from repro.resilience.errors import NetlistFormatError
@@ -71,6 +83,7 @@ from repro.serve.protocol import (
     PayloadTooLargeError,
     RequestError,
 )
+from repro.testability.scoap import ScoapResult, compute_scoap
 
 __all__ = [
     "ScoreRequest",
@@ -140,7 +153,19 @@ def admit(raw: bytes, config: ServeConfig) -> ScoreRequest:
 
 
 def admit_payload(payload, config: ServeConfig) -> ScoreRequest:
-    """Validate one decoded score envelope (shared by solo and batch)."""
+    """Validate one decoded score envelope: a batch of one."""
+    [outcome] = _admit_all([payload], config)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _parse_member(payload, config: ServeConfig) -> tuple[Netlist, dict, float]:
+    """Schema-check one envelope and parse its netlist.
+
+    Returns the netlist, the :class:`ScoreRequest` fields the envelope
+    sets and the seconds parsing took.
+    """
     if not isinstance(payload, dict):
         raise _schema_error("body must be a JSON object")
     unknown = sorted(set(payload) - _ALLOWED_KEYS)
@@ -191,27 +216,116 @@ def admit_payload(payload, config: ServeConfig) -> ScoreRequest:
         raise PayloadTooLargeError(
             f"netlist has {netlist.num_nodes} nodes; limit is {config.max_nodes}"
         )
-    parsed = time.perf_counter()
-    # Strict: structural errors raise NetlistValidationError (422).
-    report = validate_netlist(netlist, strict=True)
-    validated = time.perf_counter()
-    graph = GraphData.from_netlist(netlist, name=design)
-    built = time.perf_counter()
-    return ScoreRequest(
-        graph=graph,
-        design=design,
-        deadline_s=deadline_ms / 1000.0,
-        request_id=request_id,
-        batchable=batchable,
-        return_predictions=return_predictions,
-        debug_sleep_s=max(0.0, float(debug_sleep_ms)) / 1000.0,
-        warnings=list(report.warnings),
-        stages={
-            "parse": parsed - started,
-            "validate": validated - parsed,
-            "build": built - validated,
-        },
-    )
+    fields = {
+        "design": design,
+        "deadline_s": deadline_ms / 1000.0,
+        "request_id": request_id,
+        "batchable": batchable,
+        "return_predictions": return_predictions,
+        "debug_sleep_s": max(0.0, float(debug_sleep_ms)) / 1000.0,
+    }
+    return netlist, fields, time.perf_counter() - started
+
+
+def _admit_all(payloads: list, config: ServeConfig) -> list["ScoreRequest | Exception"]:
+    """Admit decoded envelopes, one outcome per envelope in order.
+
+    Each envelope is schema-checked, parsed and size-checked on its own,
+    so each gets its own error; the members that parsed then share one
+    levelize and one SCOAP sweep (:func:`_admit_parsed`).
+    """
+    outcomes: list = []
+    for payload in payloads:
+        try:
+            outcomes.append(_parse_member(payload, config))
+        except Exception as exc:  # typed by the protocol layer per item
+            outcomes.append(exc)
+    parsed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
+    if parsed:
+        finished = _admit_parsed([outcomes[i] for i in parsed])
+        for i, outcome in zip(parsed, finished):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _admit_parsed(members: list[tuple[Netlist, dict, float]]) -> list:
+    """:func:`_admit_together`, or each member alone if the shared sweeps fail."""
+    try:
+        return _admit_together(members)
+    except Exception as exc:
+        if len(members) == 1:
+            return [exc]
+        # A combinational loop (or any other fault one member brings to the
+        # union's sweeps) must not reach its neighbours: each member is
+        # then admitted alone and answers for itself, as it would solo.
+        return [outcome for member in members for outcome in _admit_parsed([member])]
+
+
+def _admit_together(members: list[tuple[Netlist, dict, float]]) -> list:
+    """Validate and build parsed members over one block-diagonal union.
+
+    The union of the members is as deep as its deepest member, so one
+    levelize and one SCOAP sweep over it make the per-level calls once
+    for all of them.  Each member's levelization is memoised from the
+    union's (:func:`levelize_members`) and its SCOAP is its slice of the
+    union's: SCOAP reads a node's fan-in and fan-out cones only, and no
+    wire crosses members.  A single member is its own union, not a copy.
+    Each member is still validated on its own (its errors and warnings
+    stay its own), and the shared sweeps' seconds are split between the
+    members by node count.  A validation failure is the member's
+    outcome; any other exception is raised.
+    """
+    netlists = [netlist for netlist, _, _ in members]
+    started = time.perf_counter()
+    if len(members) == 1:
+        union = netlists[0]  # its validation levelizes it, timed below
+    else:
+        union = Netlist.disjoint_union(netlists)
+        levelize_members(netlists, union)
+    levelize_s = time.perf_counter() - started
+
+    reports: list = []
+    for netlist in netlists:
+        started = time.perf_counter()
+        try:
+            # Strict: structural errors raise NetlistValidationError (422).
+            report = validate_netlist(netlist, strict=True)
+        except NetlistValidationError as exc:
+            report = exc
+        reports.append((report, time.perf_counter() - started))
+    scoap_s, scoap = 0.0, None
+    if not all(isinstance(report, Exception) for report, _ in reports):
+        started = time.perf_counter()
+        scoap = compute_scoap(union)
+        scoap_s = time.perf_counter() - started
+
+    outcomes: list = []
+    bounds = counts_to_ptr([netlist.num_nodes for netlist in netlists]).tolist()
+    total = max(1, bounds[-1])
+    for (netlist, fields, parse_s), (report, validate_s), lo, hi in zip(
+        members, reports, bounds[:-1], bounds[1:]
+    ):
+        if isinstance(report, Exception):
+            outcomes.append(report)
+            continue
+        started = time.perf_counter()
+        pred, succ = adjacency_pair(netlist)
+        share = ScoapResult(scoap.cc0[lo:hi], scoap.cc1[lo:hi], scoap.co[lo:hi])
+        attributes = build_attributes(netlist, share, levelize(netlist).levels)
+        graph = GraphData(pred, succ, attributes, name=fields["design"])
+        built_s = time.perf_counter() - started
+        weight = (hi - lo) / total
+        outcomes.append(ScoreRequest(
+            graph=graph,
+            **fields,
+            warnings=list(report.warnings),
+            stages={
+                "parse": parse_s,
+                "validate": validate_s + weight * levelize_s,
+                "build": built_s + weight * scoap_s,
+            },
+        ))
+    return outcomes
 
 
 def admit_batch(
@@ -250,14 +364,9 @@ def admit_batch(
             f"batch of {len(items)} requests exceeds the per-call limit of "
             f"{config.batch_max_requests}"
         )
-    admitted: list[tuple[int, ScoreRequest | BaseException]] = []
     first, stride = part
-    for index in range(first, len(items), stride):
-        try:
-            admitted.append((index, admit_payload(items[index], config)))
-        except Exception as exc:  # typed by the protocol layer per item
-            admitted.append((index, exc))
-    return admitted
+    indices = range(first, len(items), stride)
+    return list(zip(indices, _admit_all([items[i] for i in indices], config)))
 
 
 #: what a client can get wrong: returned by :func:`run_admission`, never raised

@@ -31,6 +31,7 @@ from repro.circuit.bench import (
     _raise_line_error,
 )
 from repro.circuit.cells import GateType, is_source
+from repro.circuit.generator import generate_design
 from repro.circuit.levelize import CombinationalLoopError, Levelization
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import counts_to_ptr
@@ -262,7 +263,7 @@ def levelize_scalar(netlist: Netlist) -> Levelization:
         raise _loop_error(indegree)
     levels = np.array(levels, dtype=np.int64)
     return Levelization(
-        np.array(order, dtype=np.int64), levels, counts_to_ptr(np.bincount(levels))
+        np.array(order, dtype=np.int64), levels, counts_to_ptr(np.bincount(levels, minlength=1))
     )
 
 
@@ -477,3 +478,26 @@ def hand_built_designs() -> dict[str, Netlist]:
     side = nl.add_cell(GateType.AND, (top, stuck, a))  # side input cost INF: CO clamps
     nl.mark_output(side)
     return designs
+
+
+#: what :func:`union_member` can build
+MEMBER_KINDS = ("generated", "random", "flop_loop", "flop_holds_itself", "tie_cells", "empty")
+
+
+def union_member(kind: str, seed: int) -> Netlist:
+    """A fresh design of one kind, to be a member of a disjoint union.
+
+    ``random`` designs close loops through flops and may hold tie cells;
+    ``flop_loop`` / ``flop_holds_itself`` are the DFF-fed loops and
+    ``tie_cells`` the CONST cells of :func:`hand_built_designs`; ``empty``
+    has no cell.
+    """
+    if kind == "generated":
+        return generate_design(20 + seed % 180, seed=seed)
+    if kind == "random":
+        return random_netlist(seed, seed % 60)
+    if kind == "flop_holds_itself":
+        return parse_bench("INPUT(a)\nOUTPUT(b)\nb = DFF(b)\n")
+    if kind == "empty":
+        return Netlist("empty")
+    return hand_built_designs()[kind]

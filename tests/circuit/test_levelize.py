@@ -138,6 +138,16 @@ class TestSweepsAgree:
         assert topological_order(design) == reference.topological_order(design)
         assert np.array_equal(logic_levels(design), reference.logic_levels(design))
 
+    def test_cell_less_netlist_is_one_empty_level(self):
+        empty = Netlist()
+        for sweep in (
+            reference.levelize_scalar(empty),
+            levelize_module._levelize_frontier(empty.structure()),
+        ):
+            assert sweep.level_ptr.tolist() == [0, 0]
+            assert sweep.depth == 0
+            assert len(sweep.order) == len(sweep.levels) == 0
+
     def test_both_sweeps_report_the_same_loop(self):
         nl = Netlist()
         a = nl.add_input("a")
@@ -180,3 +190,30 @@ class TestMemoisation:
         order.clear()
         assert logic_levels(c17).min() == 0
         assert len(topological_order(c17)) == c17.num_nodes
+
+
+#: a union member: a kind of :func:`reference.union_member` and its seed
+MEMBER = st.tuples(st.sampled_from(reference.MEMBER_KINDS), st.integers(0, 10**4))
+
+
+class TestUnionLevelization:
+    """``levelize_members``: one sweep over a block-diagonal union leaves
+    each member the levelization of its own sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(MEMBER, min_size=1, max_size=6))
+    def test_member_shares_equal_their_own_sweeps(self, draws):
+        members = [reference.union_member(kind, seed) for kind, seed in draws]
+        union = Netlist.disjoint_union(members)
+        whole = levelize_module.levelize_members(members, union)
+        assert whole is levelize_module.levelize(union)
+        assert whole.depth == max(
+            levelize_module._levelize_frontier(m.structure()).depth for m in members
+        )
+        for member in members:
+            own = levelize_module._levelize_frontier(member.structure())
+            share = levelize_module.levelize(member)
+            assert np.array_equal(share.order, own.order)
+            assert np.array_equal(share.levels, own.levels)
+            assert np.array_equal(share.level_ptr, own.level_ptr)
+            assert share.order.dtype == share.levels.dtype == np.int64

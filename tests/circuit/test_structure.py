@@ -48,6 +48,41 @@ class TestContent:
         assert captured == set(design.observation_sites) - set(design.primary_outputs)
 
 
+class TestDisjointUnion:
+    """``Netlist.disjoint_union``: the members side by side, ids shifted."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.sampled_from(reference.MEMBER_KINDS), st.integers(0, 10**4)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_members_side_by_side(self, draws):
+        members = [reference.union_member(kind, seed) for kind, seed in draws]
+        union = Netlist.disjoint_union(members)
+        assert union._loaded is not None  # array form, like a parsed netlist
+        view = union.structure()
+        fanins, fanouts = (csr_to_rows(view.fanin_ptr, view.fanin_idx),
+                           csr_to_rows(view.fanout_ptr, view.fanout_idx))
+        outputs, offset = [], 0
+        for member in members:
+            ids = range(offset, offset + member.num_nodes)
+            shift = [[u + offset for u in row] for row in (member.fanins(v) for v in member.nodes())]
+            assert [fanins[v] for v in ids] == shift
+            shift = [[u + offset for u in row] for row in (member.fanouts(v) for v in member.nodes())]
+            assert [fanouts[v] for v in ids] == shift
+            assert view.types[offset:offset + member.num_nodes].tolist() == [
+                int(member.gate_type(v)) for v in member.nodes()
+            ]
+            outputs += [v + offset for v in member.primary_outputs]
+            offset += member.num_nodes
+        assert union.num_nodes == offset
+        assert union.primary_outputs == outputs
+        assert_mirrors_lists(union)
+
+
 class TestMemoisation:
     def test_same_object_until_mutated(self, c17):
         assert c17.structure() is c17.structure()

@@ -108,6 +108,11 @@ class TestNetlistGate:
         with pytest.raises(NetlistValidationError):
             admit(body(netlist="INPUT(a)\nb = NOT(a)\n"), CFG)
 
+    def test_cell_less_netlist_is_refused(self):
+        with pytest.raises(NetlistValidationError, match="netlist is empty") as info:
+            admit(body(netlist="# nothing\n"), CFG)
+        assert status_for(info.value) == (422, "netlist_invalid")
+
     def test_warnings_surface(self):
         text = "INPUT(a)\nINPUT(b)\nc = AND(a, b)\nd = NOT(a)\nOUTPUT(c)\n"
         req = admit(body(netlist=text), CFG)
@@ -174,27 +179,58 @@ class TestParserBugsAnswer400:
         assert admit(body(netlist=text), CFG).graph.num_nodes == 5001
 
 
+def count_sweeps(monkeypatch) -> dict[str, list[int]]:
+    """Record the node count of every levelize and SCOAP sweep admission runs."""
+    from repro.circuit import levelize as levelize_module
+    from repro.serve import admission
+
+    sweeps: dict[str, list[int]] = {"levelize": [], "scoap": []}
+    levelize_frontier = levelize_module._levelize_frontier
+    compute_scoap = admission.compute_scoap
+    monkeypatch.setattr(
+        levelize_module,
+        "_levelize_frontier",
+        lambda structure: sweeps["levelize"].append(structure.num_nodes)
+        or levelize_frontier(structure),
+    )
+    monkeypatch.setattr(
+        admission,
+        "compute_scoap",
+        lambda netlist: sweeps["scoap"].append(netlist.num_nodes) or compute_scoap(netlist),
+    )
+    return sweeps
+
+
+def generated_text(gates: int, seed: int) -> str:
+    from repro.circuit import generate_design
+
+    text = io.StringIO()
+    write_bench(generate_design(gates, seed=seed), text)
+    return text.getvalue()
+
+
 class TestLevelizesOnce:
     @pytest.mark.parametrize("gates", [120, 1500], ids=["small_design", "large_design"])
     def test_one_sweep_per_admitted_design(self, monkeypatch, gates):
-        from repro.circuit import generate_design
-        from repro.circuit import levelize as levelize_module
-
-        sweeps = []
-        real = levelize_module._levelize_frontier
-        monkeypatch.setattr(
-            levelize_module,
-            "_levelize_frontier",
-            lambda structure: sweeps.append(1) or real(structure),
-        )
-        text = io.StringIO()
-        write_bench(generate_design(gates, seed=7), text)
-        request = admit(body(netlist=text.getvalue()), CFG)
+        sweeps = count_sweeps(monkeypatch)
+        request = admit(body(netlist=generated_text(gates, 7)), CFG)
         assert request.graph.num_nodes > gates
-        assert len(sweeps) == 1
+        nodes = request.graph.num_nodes
+        assert sweeps == {"levelize": [nodes], "scoap": [nodes]}
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_one_sweep_per_batch(self, monkeypatch, k):
+        sweeps = count_sweeps(monkeypatch)
+        envelopes = [{"netlist": generated_text(60, seed)} for seed in range(k)]
+        admitted = admit_batch(body(requests=envelopes), CFG)
+        nodes = sum(request.graph.num_nodes for _, request in admitted)
+        assert sweeps == {"levelize": [nodes], "scoap": [nodes]}
 
 
 #: one well-formed member and one of each way a member can be refused
+#: (a netlist without cells is refused after parsing), plus members that
+#: must keep what is theirs: a flop loop, a dangling gate's warning, a
+#: generated design
 GOOD = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NAND(a, b)\ny = NOT(n)\n"
 MEMBERS = {
     "good": {"netlist": GOOD},
@@ -202,21 +238,44 @@ MEMBERS = {
     "invalid": {"netlist": "INPUT(a)\nb = NOT(a)\n"},
     "schema": {"netlist": GOOD, "deadline_ms": "soon"},
     "not_an_object": 7,
+    "combinational_loop": {"netlist": "INPUT(c)\nOUTPUT(a)\na = AND(b, c)\nb = NOT(a)\n"},
+    "flop_loop": {"netlist": "INPUT(a)\nOUTPUT(g)\nd = DFF(h)\ng = NAND(a, d)\nh = NOT(g)\n"},
+    "dangling": {"netlist": "INPUT(a)\nINPUT(b)\nc = AND(a, b)\nd = NOT(a)\nOUTPUT(c)\n"},
+    "generated": {"netlist": generated_text(60, 3)},
+    "empty": {"netlist": "# nothing\n"},
 }
+ADMITTED = {"good", "flop_loop", "dangling", "generated"}
+
+
+def comparable(item):
+    """What an admission outcome answers: the error's type and message, or
+    the graph (attributes, both COO triples and both CSRs) and warnings."""
+    if isinstance(item, BaseException):
+        return type(item).__name__, str(item)
+    graph = item.graph
+    arrays = [graph.attributes]
+    for matrix in (graph.pred, graph.succ):
+        csr = matrix.to_scipy()
+        arrays += [matrix.values, matrix.rows, matrix.cols, csr.data, csr.indices, csr.indptr]
+    return (
+        item.design,
+        item.warnings,
+        [(array.dtype.str, array.shape, array.tobytes()) for array in arrays],
+    )
+
+
+def solo(envelope):
+    """``admit`` of one envelope on its own: the request or its error."""
+    try:
+        return admit(body(**envelope) if isinstance(envelope, dict) else b"7", CFG)
+    except Exception as exc:
+        return exc
 
 
 class TestSplitBatchAdmission:
     """``admit_batch(raw, cfg, part=(i, k))``: the k parts of a body are
-    disjoint, cover it, and merged by index are the unsplit answer."""
-
-    @staticmethod
-    def comparable(entries):
-        return [
-            (index, type(item).__name__, str(item))
-            if isinstance(item, BaseException)
-            else (index, item.design, item.graph.attributes.tobytes())
-            for index, item in entries
-        ]
+    disjoint, cover it, and merged by index are the unsplit answer, each
+    member that of a solo ``admit`` of its envelope."""
 
     @settings(max_examples=25, deadline=None)
     @given(kinds=st.lists(st.sampled_from(sorted(MEMBERS)), min_size=1, max_size=7))
@@ -229,14 +288,60 @@ class TestSplitBatchAdmission:
         whole = admit_batch(raw, CFG)
         assert [index for index, _ in whole] == list(range(len(kinds)))
         assert [isinstance(item, BaseException) for _, item in whole] == [
-            kind != "good" for kind in kinds
+            kind not in ADMITTED for kind in kinds
         ]
+        expected = [comparable(solo(envelope)) for envelope in envelopes]
+        assert [comparable(item) for _, item in whole] == expected
         for k in (1, 2, 3):
             parts = [admit_batch(raw, CFG, part=(i, k)) for i in range(k)]
             for i, part in enumerate(parts):
                 assert [index for index, _ in part] == list(range(i, len(kinds), k))
             merged = sorted((e for part in parts for e in part), key=lambda e: e[0])
-            assert self.comparable(merged) == self.comparable(whole)
+            assert [comparable(item) for _, item in merged] == expected
+
+    def test_a_dangling_gates_warning_stays_on_its_member(self):
+        envelopes = [MEMBERS["good"], MEMBERS["dangling"], MEMBERS["flop_loop"]]
+        admitted = [item for _, item in admit_batch(body(requests=envelopes), CFG)]
+        assert [bool(item.warnings) for item in admitted] == [False, True, False]
+        assert admitted[1].warnings == ["dangling gate 3 (NOT) is never observed"]
+
+    def test_a_loop_in_the_union_falls_back_to_member_by_member(self, monkeypatch):
+        """The parser refuses a combinational loop, so a looped netlist is
+        planted behind it: the union's levelize then fails, and each member
+        is admitted alone, the looped one refused as it would be solo."""
+        from repro.circuit import GateType, Netlist
+        from repro.serve import admission
+
+        def looped(name):
+            netlist = Netlist(name)
+            a = netlist.add_input("a")
+            n1 = netlist.add_cell(GateType.NOT, (a,))
+            n2 = netlist.add_cell(GateType.NOT, (n1,))
+            netlist.replace_fanin(n1, a, n2)
+            netlist.mark_output(n2)
+            return netlist
+
+        parse = admission.parse_bench
+        monkeypatch.setattr(
+            admission,
+            "parse_bench",
+            lambda text, name: looped(name) if text == "LOOP\n" else parse(text, name=name),
+        )
+        sweeps = count_sweeps(monkeypatch)
+        envelopes = [MEMBERS["generated"], {"netlist": "LOOP\n"}, MEMBERS["dangling"]]
+        expected = [comparable(solo(envelope)) for envelope in envelopes]
+        assert expected[1] == (
+            "NetlistValidationError",
+            "combinational loop involving 2 nodes (e.g. node 1)",
+        )
+        sweeps["levelize"].clear()
+        sweeps["scoap"].clear()
+        whole = admit_batch(body(requests=envelopes), CFG)
+        assert [comparable(item) for _, item in whole] == expected
+        # The union's failed sweep, then each member's own.
+        sizes = [item.graph.num_nodes for _, item in whole if not isinstance(item, Exception)]
+        assert len(sweeps["levelize"]) == 4
+        assert sweeps["scoap"] == sizes
 
     @pytest.mark.parametrize(
         "raw, error",
@@ -258,6 +363,8 @@ class TestSplitBatchAdmission:
         assert len(messages) == 1
 
     def test_admitted_members_carry_their_stage_times(self):
-        [(_, request)] = admit_batch(body(requests=[{"netlist": GOOD}]), CFG)
-        assert set(request.stages) == {"parse", "validate", "build"}
-        assert all(seconds >= 0.0 for seconds in request.stages.values())
+        for k in (1, 3):  # a member alone, and members sharing the sweeps
+            admitted = admit_batch(body(requests=[{"netlist": GOOD}] * k), CFG)
+            for _, request in admitted:
+                assert set(request.stages) == {"parse", "validate", "build"}
+                assert all(seconds > 0.0 for seconds in request.stages.values())

@@ -83,6 +83,15 @@ class TestTrainAndScore:
         assert 0 <= result.n_positive <= n
         assert ((result.proba >= 0) & (result.proba <= 1)).all()
 
+    def test_score_of_a_cell_less_netlist_is_empty(self, trained):
+        empty = api.load_netlist("# nothing\n")
+        assert empty.num_nodes == 0
+        assert api.build_graph(empty).attributes.shape == (0, 4)
+        result = api.score(trained.model, empty)
+        assert result.labels.shape == result.proba.shape == (0,)
+        assert result.logits.shape == (0, 2)
+        assert result.n_positive == 0
+
     def test_score_from_checkpoint_path(self, trained, labelled_graph, tmp_path):
         path = tmp_path / "model.npz"
         trained.save(path)

@@ -192,3 +192,34 @@ class TestBatchedSweepAgrees:
         stream = io.StringIO()
         write_bench(generate_design(300, seed=5), stream)
         self.check(parse_bench(stream.getvalue()))
+
+
+class TestUnionSweep:
+    """SCOAP of a block-diagonal union, sliced per member, is each
+    member's own: a node's measures read its fan-in and fan-out cones
+    only, and no wire crosses members."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.sampled_from(reference.MEMBER_KINDS), st.integers(0, 10**4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_slices_equal_each_members_own(self, draws):
+        members = [reference.union_member(kind, seed) for kind, seed in draws]
+        union = compute_scoap(Netlist.disjoint_union(members))
+        start = 0
+        for member in members:
+            own = compute_scoap(member)
+            stop = start + member.num_nodes
+            assert np.array_equal(union.cc0[start:stop], own.cc0)
+            assert np.array_equal(union.cc1[start:stop], own.cc1)
+            assert np.array_equal(union.co[start:stop], own.co)
+            start = stop
+        assert start == len(union.co)
+
+    def test_empty_netlist_has_empty_measures(self):
+        scoap = compute_scoap(Netlist())
+        assert scoap.as_matrix().shape == (0, 3)
