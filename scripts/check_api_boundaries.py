@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: public-API boundaries.
 
-Eleven rules, all AST-based (comments and strings never false-positive).
+Twelve rules, all AST-based (comments and strings never false-positive).
 They keep their numbers — docs and tests cite them — so number 2 is
 unused:
 
@@ -104,6 +104,14 @@ unused:
     undeclared import is a package that cannot be imported on a clean
     runner, and an unused entry is an install nothing needs.
     ``pyproject.toml`` is read without ``tomllib`` (absent on 3.10).
+
+13. **Only code that builds a sharded engine imports it.** Under
+    ``src/repro`` no module outside ``repro/graph/`` may import
+    ``repro.graph.sharded`` or ``ShardedInference`` (at module level or
+    inside a function), except ``api.py``'s module-level re-export.  An
+    engine's class is its engine: ``FastInference`` always runs the
+    whole-graph pass, and a lazy import of the sharded engine is how a
+    size-based route from it would come back.
 
 Exit status: 0 when clean, 1 with one ``path:line`` diagnostic per
 violation otherwise.
@@ -506,6 +514,60 @@ def dependency_violations(
     return violations
 
 
+#: the package that owns the sharded engine, and the facade that
+#: re-exports it (at module level only)
+_GRAPH_PACKAGE = PACKAGE / "graph"
+_FACADE = PACKAGE / "api.py"
+_SHARDED_MODULE = "repro.graph.sharded"
+_SHARDED_NAMES = {"sharded", "ShardedInference"}
+
+
+def _absolute_module(path: Path, node: ast.ImportFrom, package: Path) -> str:
+    """The absolute module a (possibly relative) ``from`` import names."""
+    if node.level == 0:
+        return node.module or ""
+    parts = ["repro", *path.relative_to(package).parent.parts]
+    parts = parts[: len(parts) - (node.level - 1)]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
+def sharded_import_violations(
+    path: Path, package: Path = PACKAGE
+) -> list[tuple[int, str]]:
+    """Imports of the sharded engine (its module or its class) in
+    ``path``; a facade's module-level imports are not counted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    facade = path == package / "api.py"
+    bad: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+        if not (facade and not in_function):
+            if isinstance(node, ast.Import):
+                bad.extend(
+                    (node.lineno, f"import {alias.name}")
+                    for alias in node.names
+                    if alias.name == _SHARDED_MODULE
+                    or alias.name.startswith(_SHARDED_MODULE + ".")
+                )
+            elif isinstance(node, ast.ImportFrom):
+                module = _absolute_module(path, node, package)
+                names = {alias.name for alias in node.names}
+                if (
+                    module == _SHARDED_MODULE
+                    or module.startswith(_SHARDED_MODULE + ".")
+                    or (module == "repro.graph" and names & _SHARDED_NAMES)
+                    or "ShardedInference" in names
+                ):
+                    bad.append((node.lineno, f"from {module} import ..."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return bad
+
+
 def main() -> int:
     violations: list[str] = []
     for path in sorted(EXAMPLES.glob("*.py")):
@@ -550,6 +612,13 @@ def main() -> int:
                     "core/inference.py (the narrow product and the row-block "
                     "loop are written once)"
                 )
+        if _GRAPH_PACKAGE not in path.parents:
+            for lineno, what in sharded_import_violations(path):
+                violations.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: {what} imports the "
+                    "sharded engine outside repro/graph (only code that "
+                    "builds a ShardedInference may; nothing routes to it)"
+                )
         if path != _NETLIST_MODULE:
             for lineno, what in netlist_private_violations(path):
                 violations.append(
@@ -585,7 +654,8 @@ def main() -> int:
         "the exec scheduler imports no clock or I/O; "
         "repro.exec unpickles only in net.unpickle; "
         "Netlist's per-cell lists touched only by circuit/netlist.py; "
-        "runtime imports match pyproject.toml's dependencies"
+        "runtime imports match pyproject.toml's dependencies; "
+        "the sharded engine imported only by repro/graph and the facade"
     )
     return 0
 

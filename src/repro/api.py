@@ -10,8 +10,8 @@ Two layers:
 * **Verbs** — :func:`load_netlist`, :func:`score`, :func:`train`,
   :func:`insert_observation_points`, :func:`simulate_faults` cover the
   paper's end-to-end flow with typed results and a single
-  :class:`~repro.config.ExecutionConfig` knob for backend / workers /
-  dtype selection.
+  :class:`~repro.config.ExecutionConfig` knob for worker and dtype
+  selection.
 * **Stable re-exports** — the underlying classes (``GCN``, ``Trainer``,
   ``FaultSimulator``, the OPI/CPI flows, partition/sharding, metrics…)
   for code that needs more control than the verbs expose.
@@ -331,9 +331,10 @@ def score(
 
     ``model`` may be a checkpoint path (single GCN or cascade), a trained
     :class:`GCN` / :class:`MultiStageGCN`, bare :class:`GCNWeights`, or a
-    prebuilt inference engine.  ``execution`` picks dtype, worker count
-    and the single/sharded inference backend (``auto`` routes large
-    graphs to :class:`ShardedInference`); a prebuilt engine keeps its own.
+    prebuilt inference engine.  ``execution`` picks dtype and worker
+    count; a prebuilt engine keeps its own.  Weights and models are scored
+    by the whole-graph pass; only a prebuilt :class:`ShardedInference`
+    shards, and ``backend`` in the result names the engine's class.
     """
     graph = target if isinstance(target, GraphData) else build_graph(target)
     predictor, kind = _resolve_model(model)
@@ -347,7 +348,7 @@ def score(
             backend="cascade",
             model_kind=kind,
         )
-    engine = _as_engine(predictor, execution).route(graph)
+    engine = _as_engine(predictor, execution)
     logits = engine.logits(graph)
     return ScoreResult(
         labels=np.argmax(logits, axis=1).astype(np.int64),

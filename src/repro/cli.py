@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[log_flags],
         help="score netlists with a trained model",
         description="Score the given .bench netlists with a GCN or cascade "
-        "model file (as api.score does) and write a run manifest + span-tree "
+        "model file (as api.score does: one whole-graph pass per design) and write a run manifest + span-tree "
         "trace under results/<run-id>/.",
         epilog=_EXIT_CODES_HELP,
     )
@@ -150,16 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--fp32", action="store_true", help="deployment-style float32 inference"
     )
     inf.add_argument(
-        "--backend",
-        choices=["auto", "single", "sharded"],
-        default="auto",
-        help="inference engine (auto routes large graphs to sharded)",
-    )
-    inf.add_argument(
-        "--workers", type=int, default=None, help="worker processes (default: cores)"
-    )
-    inf.add_argument(
-        "--shards", type=int, default=None, help="shard count (default: workers)"
+        "--workers",
+        type=int,
+        default=None,
+        help="threads of the whole-graph pass (default: cores)",
     )
     inf.add_argument("--run-name", default=None, help="run id (default: derived)")
 
@@ -210,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         "/reload; GET /healthz, /readyz, /metrics — Prometheus text "
         "exposition).  Concurrent requests coalesce into block-diagonal "
         "batches within the --batch-max-* budgets; every pass, batched or "
-        "not, picks the single or sharded engine by the same rule as "
-        "`repro infer`.  SIGTERM drains gracefully.",
+        "not, is one whole-graph pass, as in `repro infer`.  SIGTERM drains "
+        "gracefully.",
         epilog=_EXIT_CODES_HELP,
     )
     srv.add_argument(
@@ -389,10 +383,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.obs import RunRecorder
 
     execution = _execution(
-        backend=args.backend,
-        workers=args.workers,
-        shards=args.shards,
-        dtype="float32" if args.fp32 else None,
+        workers=args.workers, dtype="float32" if args.fp32 else None
     )
     model = load_model(args.model)
     if isinstance(model, api.GCN):
@@ -400,9 +391,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     config = {
         "model": args.model,
         "fp32": args.fp32,
-        "backend": args.backend,
         "workers": args.workers,
-        "shards": args.shards,
     }
     with RunRecorder(
         "infer", command="repro infer", config=config, run_id=args.run_name

@@ -1,12 +1,15 @@
 """Unified execution configuration for every compute entry point.
 
 :class:`ExecutionConfig` is the one object that answers "how should this
-computation run" — inference backend, worker count, shard count, fabric
-backend and dtype — with a single, documented environment-override
-resolution.  One config is valid for every consumer:
+computation run" — worker count, shard count, fabric backend and dtype —
+with a single, documented environment-override resolution.  One config is
+valid for every consumer:
 
-* ``backend`` (``auto`` | ``single`` | ``sharded``) is read by the GCN
-  inference engines only;
+* ``backend`` (``auto`` | ``single`` | ``sharded``) is validated and read
+  by nothing: an inference engine's class is its engine
+  (:class:`~repro.core.inference.FastInference` runs the whole-graph
+  pass, :class:`~repro.graph.sharded.ShardedInference` shards);
+* ``shards`` is the shard count a ``ShardedInference`` partitions into;
 * ``workers`` and ``exec_backend`` size and place every worker pool —
   sharded inference, multi-graph training and fault simulation, which
   picks between in-process and pooled grading from its input (see
@@ -20,12 +23,10 @@ resolution.  One config is valid for every consumer:
 choice is never overridden by the environment.  Environment variables
 (lowest precedence, applied only where the code left ``auto``):
 
-* ``REPRO_BACKEND`` — inference backend;
 * ``REPRO_EXEC_BACKEND`` — execution-fabric backend (``inprocess`` |
   ``forkpool``); ``inprocess`` is the process-wide kill-switch for fork
   pools;
 * ``REPRO_WORKERS`` — worker-process count;
-* ``REPRO_SHARDS`` — inference shard count;
 * ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``).
 
 Every entry point (``FaultSimulator``, ``ObservabilityAnalyzer``,
@@ -54,15 +55,9 @@ INFERENCE_BACKENDS = ("auto", "single", "sharded")
 #: vocabulary for the execution fabric (mirrors repro.exec.policy)
 EXEC_BACKENDS = ("auto", "inprocess", "forkpool")
 
-_ENV_BACKEND = "REPRO_BACKEND"
 _ENV_EXEC_BACKEND = "REPRO_EXEC_BACKEND"
 _ENV_WORKERS = "REPRO_WORKERS"
-_ENV_SHARDS = "REPRO_SHARDS"
 _ENV_DTYPE = "REPRO_DTYPE"
-
-#: node count above which ``auto`` prefers the sharded inference engine
-#: (below it, partitioning overhead outweighs the parallel matmuls)
-SHARDED_AUTO_MIN_NODES = 200_000
 
 
 def available_cpus() -> int:
@@ -88,6 +83,21 @@ def blas_threads() -> int:
     return available_cpus()
 
 
+def _env_workers() -> int | None:
+    """``REPRO_WORKERS`` as a worker count (None when unset); a value that
+    is not a positive integer is a :class:`ConfigError`."""
+    raw = os.environ.get(_ENV_WORKERS, "").strip()
+    if not raw:
+        return None
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {_ENV_WORKERS}={raw!r}: {exc}") from exc
+    if workers < 1:
+        raise ConfigError(f"invalid {_ENV_WORKERS}={raw!r}: must be >= 1")
+    return workers
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """How a computation should execute (backend, parallelism, numerics).
@@ -97,15 +107,15 @@ class ExecutionConfig:
     every consumer.
     """
 
-    #: inference backend (``auto`` | ``single`` | ``sharded``); ``auto``
-    #: defers to ``REPRO_BACKEND`` then the graph size
+    #: inference backend (``auto`` | ``single`` | ``sharded``): validated,
+    #: read by nothing — the engine's class is the choice
     backend: str = "auto"
     #: worker processes for parallel paths, and most threads of the
     #: whole-graph inference pass (None = :func:`available_cpus`)
     workers: int | None = None
     #: numeric dtype for inference engines (``float64`` matches training)
     dtype: str = "float64"
-    #: shard count for partitioned inference (None = derived from workers)
+    #: shard count of a ``ShardedInference`` (None = the worker count)
     shards: int | None = None
     #: execution-fabric backend request (``auto`` | ``inprocess`` |
     #: ``forkpool``); ``auto`` honours ``REPRO_EXEC_BACKEND`` then the
@@ -154,19 +164,12 @@ class ExecutionConfig:
         from_env()`` in a clean environment equals ``ExecutionConfig()``.
         """
         env: dict = {}
-        backend = os.environ.get(_ENV_BACKEND, "").strip().lower()
-        if backend:
-            env["backend"] = backend
         exec_backend = os.environ.get(_ENV_EXEC_BACKEND, "").strip().lower()
         if exec_backend:
             env["exec_backend"] = exec_backend
-        for key, var in (("workers", _ENV_WORKERS), ("shards", _ENV_SHARDS)):
-            raw = os.environ.get(var, "").strip()
-            if raw:
-                try:
-                    env[key] = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"invalid {var}={raw!r}: {exc}") from exc
+        workers = _env_workers()
+        if workers is not None:
+            env["workers"] = workers
         dtype = os.environ.get(_ENV_DTYPE, "").strip().lower()
         if dtype:
             env["dtype"] = dtype
@@ -185,14 +188,9 @@ class ExecutionConfig:
         """Concrete worker count: explicit > ``REPRO_WORKERS`` >
         :func:`available_cpus`."""
         if self.workers is not None:
-            return max(1, self.workers)
-        raw = os.environ.get(_ENV_WORKERS, "").strip()
-        if raw:
-            try:
-                return max(1, int(raw))
-            except ValueError as exc:
-                raise ConfigError(f"invalid {_ENV_WORKERS}={raw!r}") from exc
-        return available_cpus()
+            return self.workers
+        workers = _env_workers()
+        return available_cpus() if workers is None else workers
 
     def resolved_shards(self, n_nodes: int | None = None) -> int:
         """Concrete shard count for partitioned inference.
@@ -200,46 +198,12 @@ class ExecutionConfig:
         Defaults to the worker count (one shard per worker keeps the
         gather step cheap); clamped to ``n_nodes`` when given.
         """
-        shards = self.shards
-        if shards is None:
-            raw = os.environ.get(_ENV_SHARDS, "").strip()
-            if raw:
-                try:
-                    shards = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"invalid {_ENV_SHARDS}={raw!r}") from exc
-        if shards is None:
-            shards = self.resolved_workers()
-        shards = max(1, shards)
+        shards = self.shards or self.resolved_workers()
         if n_nodes is not None:
             shards = max(1, min(shards, n_nodes))
         return shards
 
     # ------------------------------------------------------------------ #
-    def resolve_inference_backend(self, n_nodes: int) -> str:
-        """Map the request to ``single`` or ``sharded`` for ``n_nodes``.
-
-        ``auto`` honours ``REPRO_BACKEND`` first, then picks ``sharded``
-        only when the graph is large enough to amortise partitioning *and*
-        more than one worker is available.
-        """
-        choice = self.backend.lower()
-        if choice == "auto":
-            env = os.environ.get(_ENV_BACKEND, "").strip().lower()
-            if env and env != "auto":
-                if env not in INFERENCE_BACKENDS:
-                    raise ConfigError(
-                        f"invalid {_ENV_BACKEND}={env!r}; use {INFERENCE_BACKENDS}"
-                    )
-                return env
-            if (
-                n_nodes >= SHARDED_AUTO_MIN_NODES
-                and self.resolved_workers() > 1
-            ):
-                return "sharded"
-            return "single"
-        return choice
-
     def resolve_exec_backend(self, default: str = "forkpool") -> str:
         """Map the fabric request to a concrete backend
         (``inprocess`` | ``forkpool``).

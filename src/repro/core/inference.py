@@ -324,12 +324,13 @@ def _obs():
 class FastInference:
     """Matrix-form inference engine for a trained GCN.
 
-    ``execution`` selects numerics and backend: ``dtype`` defaults to
-    float64 (matching the training tape) — ``float32`` gives
-    deployment-style inference, as in the paper's fp32 GPU path — and
-    ``backend`` routes large graphs to the partitioned multi-core engine
-    (:class:`repro.graph.sharded.ShardedInference`, a subclass that
-    overrides only the pass itself) when it resolves to ``sharded``.
+    Every call runs the whole-graph pass: no config and no environment
+    variable makes this class partition or fork.  ``execution`` selects
+    numerics and threads: ``dtype`` defaults to float64 (matching the
+    training tape) — ``float32`` gives deployment-style inference, as in
+    the paper's fp32 GPU path.  The partitioned engine is a class of its
+    own (:class:`repro.graph.sharded.ShardedInference`, a subclass that
+    overrides only the pass itself), built by the code that wants it.
     ``threads`` is the most threads a whole-graph pass splits its row
     blocks between; the serve daemon passes 1 (:mod:`repro.serve.models`
     says why).  None means ``execution.resolved_workers()``, but no more
@@ -353,33 +354,8 @@ class FastInference:
         # Cast-cached on the weight snapshot (no re-copy per construction).
         self.weights = weights.astype(self.dtype)
         self.threads = threads
-        self._sharded = None
 
     # ------------------------------------------------------------------ #
-    def route(self, graph: GraphData) -> "FastInference":
-        """The engine that serves ``graph`` under this config — the one
-        single-vs-sharded decision; its ``backend`` names the choice.
-
-        Measured on a 2-core host (one BLAS thread, 268 662 nodes, median
-        of 5): the single pass over two threads takes 0.78 s and the
-        fork-pool sharded pass with two workers 1.66 s (2 shards) or
-        1.68 s (4 shards).  So on two cores no crossover was found: the
-        single pass is faster at every size measured, 3.2k to 269k nodes,
-        and ``auto``'s switch at ``SHARDED_AUTO_MIN_NODES`` now costs time
-        (EXPERIMENTS.md, "Sharded inference")."""
-        if (
-            self.execution.resolve_inference_backend(graph.num_nodes)
-            != "sharded"
-        ):
-            return self
-        if self._sharded is None:
-            from repro.graph.sharded import ShardedInference
-
-            self._sharded = ShardedInference(
-                self.weights, execution=self.execution
-            )
-        return self._sharded
-
     def _forward(self, graph: GraphData, with_head: bool) -> np.ndarray:
         """The whole-graph chain: every layer with ``own_prev is prev``,
         the head fused into the last one, each layer's blocks split over
@@ -411,7 +387,7 @@ class FastInference:
 
     def embed(self, graph: GraphData) -> np.ndarray:
         """Compute final node embeddings for the whole graph."""
-        return self.route(graph)._forward(graph, with_head=False)
+        return self._forward(graph, with_head=False)
 
     def logits(self, graph: GraphData) -> np.ndarray:
         """Class logits for every node.
@@ -419,12 +395,11 @@ class FastInference:
         Raises :class:`~repro.resilience.errors.NumericalError` if any
         logit is NaN/inf.
         """
-        engine = self.route(graph)
         start = time.perf_counter()
         with span("inference.logits", graph=graph.name, nodes=graph.num_nodes):
-            h = engine._forward(graph, with_head=True)
+            h = self._forward(graph, with_head=True)
             check_finite(h, graph.name, "logits")
-        engine._observe(graph, time.perf_counter() - start)
+        self._observe(graph, time.perf_counter() - start)
         return h
 
     def predict(self, graph: GraphData) -> np.ndarray:

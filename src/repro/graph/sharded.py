@@ -168,10 +168,19 @@ class ShardedInference(FastInference):
     A :class:`~repro.core.inference.FastInference` whose pass runs
     partitioned: ``logits`` / ``predict`` / ``predict_proba`` / ``embed``
     and the non-finite guard are inherited; this class
-    holds what is about partitions and transports.  The partition and
-    exchange plan are cached per graph, so repeated scoring of one design
-    (the serve path) pays the partitioning cost once.  There is one
-    exchange round per aggregation layer (``weights.depth``).
+    holds what is about partitions and transports.  It shards whenever it
+    is built, and only code that builds one gets a sharded pass: nothing
+    routes a graph here, because on two cores the threaded whole-graph
+    pass was faster at every size measured, 3.2k to 269k nodes
+    (EXPERIMENTS.md, "The threaded single pass against sharding").  The
+    class stays for three uses: the in-process shard loop checks the
+    exchange plan without forking, the benchmark's probe measures the
+    fork pool and checks its logits against the single pass, and a
+    partition-ordered whole-graph pass (ROADMAP item 7) builds on the
+    partition.  The partition and exchange plan are cached per graph, so
+    repeated scoring of one design pays the partitioning cost once.
+    There is one exchange round per aggregation layer
+    (``weights.depth``).
     """
 
     backend = "sharded"
@@ -187,9 +196,6 @@ class ShardedInference(FastInference):
         self._plan: _Plan | None = None
         self._executor: Executor | None = None
         self._pool_plan: _Plan | None = None
-
-    def route(self, graph: GraphData) -> "ShardedInference":
-        return self
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

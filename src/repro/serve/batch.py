@@ -27,9 +27,9 @@ Two pieces:
 The node budget is the only size rule: a design over ``batch_max_nodes``
 opens a pass and fills it alone.  A request carrying ``"batchable":
 false`` is also scored in a pass of its own.  Every pass, batched or
-not, is one graph to the model manager, so a GCN's engine is chosen by
-:meth:`~repro.core.inference.FastInference.route` for serving and
-:func:`repro.api.score` alike.
+not, is one graph to the model manager, which scores it with one
+whole-graph :class:`~repro.core.inference.FastInference` pass, as
+:func:`repro.api.score` does.
 """
 
 from __future__ import annotations

@@ -38,10 +38,11 @@ def _predict_fn(
     """Bind the deployment inference path for ``loaded`` at swap time."""
     if loaded.level == "gcn":
         # Single GCNs score through the paper's sparse-matrix fast path,
-        # which also carries the NumericalError non-finite guard; the
-        # execution config routes large graphs to the sharded engine and
-        # picks the serving dtype.  Weight casts are cached on the layer
-        # snapshot, so hot reloads don't re-copy matrices per swap.  One
+        # which also carries the NumericalError non-finite guard; every
+        # pass is the whole-graph one (this engine never partitions or
+        # forks), and the execution config picks the serving dtype.
+        # Weight casts are cached on the layer snapshot, so hot reloads
+        # don't re-copy matrices per swap.  One
         # thread per pass: the scoring threads and admission workers
         # already share the cores, and splitting the pass made two
         # closed-loop clients scoring 5k-gate designs see 5 % more
@@ -74,8 +75,8 @@ class ModelManager:
         from repro.config import ExecutionConfig
 
         self._lock = threading.Lock()
-        #: how GCN scoring executes (backend/dtype/workers); environment
-        #: overrides (``REPRO_BACKEND`` etc.) apply when not given
+        #: how GCN scoring executes (dtype); environment overrides
+        #: (``REPRO_DTYPE`` etc.) apply when not given
         self.execution = execution or ExecutionConfig.from_env()
         self._heuristic = heuristic or HeuristicPredictor()
         self._breaker_threshold = breaker_threshold

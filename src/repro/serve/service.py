@@ -16,8 +16,8 @@ without sockets:
   jobs that queued while the workers were busy — never from sleeping: no
   stage waits for work that is not known to be coming.  The node budget
   is the only size rule, and ``batchable: false`` requests are scored
-  alone; every pass is one graph to the model manager, where a GCN's
-  :meth:`~repro.core.inference.FastInference.route` picks its engine.  Batched
+  alone; every pass is one graph to the model manager, where a GCN
+  scores it with one whole-graph pass.  Batched
   results are bit-identical to solo scoring at float64 and a failed
   batched pass is rescued member-by-member, so batching changes latency
   shape only, never answers.

@@ -132,19 +132,16 @@ class TestOneConfigTrainsOneModel:
     every trainer trains each graph whole, whatever the config says."""
 
     CASES = {
-        "default": (ExecutionConfig(), {}),
-        "sharded": (ExecutionConfig(backend="sharded", shards=3, workers=1), {}),
-        "env": (None, {"REPRO_BACKEND": "sharded", "REPRO_SHARDS": "3"}),
+        "default": ExecutionConfig(),
+        "sharded": ExecutionConfig(backend="sharded", shards=3, workers=1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_trainers_agree_bit_for_bit(self, case, monkeypatch):
         from repro import api
 
-        execution, env = self.CASES[case]
+        execution = self.CASES[case]
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         graphs = [_labelled_graph(seed=5, n=600), _labelled_graph(seed=6, n=200)]
         gcn = GCNConfig(hidden_dims=(8, 16), fc_dims=(16,), seed=3)
         cfg = TrainConfig(epochs=3, eval_every=1)
@@ -155,7 +152,7 @@ class TestOneConfigTrainsOneModel:
         pooled = ParallelTrainer(
             parallel,
             cfg,
-            execution=(execution or ExecutionConfig.from_env()).replace(workers=1),
+            execution=execution.replace(workers=1),
         ).fit(graphs)
         facade = api.train(graphs, config=cfg, gcn=gcn, execution=execution)
 

@@ -5,9 +5,11 @@ clock, socket, thread, process or pickle), 10 (``pickle.loads`` appears
 under ``repro/exec`` only in ``net.unpickle``), the kernel half of 7
 (the narrow product and the row-block loop are defined only in
 ``core/inference.py``), 11 (the netlist's per-cell lists are touched
-only in ``circuit/netlist.py``) and 12 (the third-party packages imported
-under ``src/repro`` are exactly ``pyproject.toml``'s dependencies).  Each
-rule gets a should-fail fixture so a vacuous pass is impossible.
+only in ``circuit/netlist.py``), 12 (the third-party packages imported
+under ``src/repro`` are exactly ``pyproject.toml``'s dependencies) and 13
+(only ``repro/graph`` and the facade's re-export import the sharded
+engine).  Each rule gets a should-fail fixture so a vacuous pass is
+impossible.
 """
 
 from __future__ import annotations
@@ -244,3 +246,89 @@ def test_stdlib_relative_and_own_imports_pass(tmp_path):
         },
     )
     assert lint.dependency_violations(package, pyproject) == []
+
+
+def test_only_graph_and_the_facade_import_the_sharded_engine(tmp_path):
+    for path in sorted(lint.PACKAGE.rglob("*.py")):
+        if lint._GRAPH_PACKAGE not in path.parents:
+            assert lint.sharded_import_violations(path) == [], path
+    # ...and the rule is looking at the real thing: the facade's re-export
+    # is an import of the engine anywhere but in the facade.
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    moved = package / "facade.py"
+    moved.write_text(lint._FACADE.read_text(encoding="utf-8"))
+    assert [w for _, w in lint.sharded_import_violations(moved, package)] == [
+        "from repro.graph import ..."
+    ]
+
+
+#: what ``FastInference`` held before its engine became its class: a lazy
+#: sharded engine behind a size-based route
+_OLD_ROUTE = """\
+    def route(self, graph):
+        if self.execution.backend != "sharded":
+            return self
+        if self._sharded is None:
+            from repro.graph.sharded import ShardedInference
+
+            self._sharded = ShardedInference(
+                self.weights, execution=self.execution
+            )
+        return self._sharded
+
+"""
+
+
+def test_a_lazy_route_to_the_sharded_engine_is_caught(tmp_path):
+    package = tmp_path / "src" / "repro"
+    (package / "core").mkdir(parents=True)
+    engine = package / "core" / "inference.py"
+    source = (lint.PACKAGE / "core" / "inference.py").read_text(encoding="utf-8")
+    anchor = "    def _forward(self, graph: GraphData, with_head: bool)"
+    assert source.count(anchor) == 1
+    engine.write_text(source)
+    assert lint.sharded_import_violations(engine, package) == []
+    engine.write_text(source.replace(anchor, _OLD_ROUTE + anchor))
+    line = source[: source.index(anchor)].count("\n") + 5
+    found = lint.sharded_import_violations(engine, package)
+    assert found == [(line, "from repro.graph.sharded import ...")]
+
+
+@pytest.mark.parametrize(
+    "name,source,line,what",
+    [
+        ("core/a.py", "import repro.graph.sharded\n", 1,
+         "import repro.graph.sharded"),
+        ("core/a.py", "def f():\n    from repro.graph import ShardedInference\n",
+         2, "from repro.graph import ..."),
+        ("serve/a.py", "from repro.api import ShardedInference\n", 1,
+         "from repro.api import ..."),
+        ("core/a.py", "x = 1\nfrom ..graph.sharded import _Plan\n", 2,
+         "from repro.graph.sharded import ..."),
+        ("core/a.py", "from ..graph import sharded\n", 1,
+         "from repro.graph import ..."),
+        ("api.py", "from repro.graph import ShardedInference\n"
+         "def score():\n    from repro.graph.sharded import ShardedInference\n",
+         3, "from repro.graph.sharded import ..."),
+    ],
+)
+def test_sharded_engine_import_is_caught(tmp_path, name, source, line, what):
+    package = tmp_path / "src" / "repro"
+    bad = package / name
+    bad.parent.mkdir(parents=True)
+    bad.write_text(source)
+    assert lint.sharded_import_violations(bad, package) == [(line, what)]
+
+
+def test_building_nothing_sharded_passes(tmp_path):
+    package = tmp_path / "src" / "repro"
+    (package / "core").mkdir(parents=True)
+    ok = package / "core" / "a.py"
+    ok.write_text(
+        "from repro.graph import partition_graph\n"
+        "from repro.core.inference import FastInference\n"
+        "# from repro.graph.sharded import ShardedInference\n"
+        "s = 'ShardedInference'\n"
+    )
+    assert lint.sharded_import_violations(ok, package) == []

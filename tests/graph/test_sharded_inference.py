@@ -1,4 +1,4 @@
-"""Sharded inference: bit-identity, routing, pool resilience."""
+"""Sharded inference: bit-identity, no routing, pool resilience."""
 
 from __future__ import annotations
 
@@ -15,17 +15,24 @@ from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.flow.modify import IncrementalDesign
 from repro.flow.scorer import IncrementalScorer
-from repro.graph import ShardedInference
+from repro.core.serialize import save_gcn
+from repro.graph import ShardedInference, partition, sharded
 from repro.graph.sharded import _exchange_worker_round
+from repro.serve import ModelManager
 from repro.serve.batch import merge_graphs
 
 
 @pytest.fixture(scope="module")
-def weights():
+def model():
     model = GCN(GCNConfig(seed=5))
     rng = np.random.default_rng(2)
     for p in model.parameters():
         p.data = p.data + rng.normal(scale=0.05, size=p.data.shape)
+    return model
+
+
+@pytest.fixture(scope="module")
+def weights(model):
     return model.layer_weights()
 
 
@@ -159,25 +166,55 @@ class TestConfiguration:
 
 
 class TestRouting:
-    def test_fastinference_routes_to_sharded(self, weights, graph, monkeypatch):
-        import repro.config as config_mod
+    def test_no_config_or_environment_routes_to_sharded(
+        self, model, weights, graph, tmp_path, monkeypatch
+    ):
+        """Every way of asking for the sharded engine other than building
+        one — environment, config, the serve daemon's config — gets the
+        whole-graph pass: nothing partitions, nothing forks."""
+        calls = []
 
-        monkeypatch.setattr(config_mod, "SHARDED_AUTO_MIN_NODES", 100)
-        fast = FastInference(
-            weights, execution=ExecutionConfig(workers=2, shards=2)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a graph was partitioned")
+
+        # The engine calls partition_graph through its own module's name.
+        monkeypatch.setattr(partition, "partition_graph", spy)
+        monkeypatch.setattr(sharded, "partition_graph", spy)
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        monkeypatch.setenv("REPRO_SHARDS", "3")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        reference = FastInference(weights).logits(graph)
+
+        scored = api.score(weights, graph)
+        assert (scored.backend, calls) == ("single", [])
+        assert np.array_equal(scored.logits, reference)
+
+        engine = FastInference(
+            weights, ExecutionConfig(backend="sharded", workers=2)
         )
-        self._assert_served_by(fast, "sharded", weights, graph)
+        assert np.array_equal(engine.logits(graph), reference)
+        assert (api.score(engine, graph).backend, calls) == ("single", [])
+
+        manager = ModelManager(
+            save_gcn(model, tmp_path / "model.npz"),
+            execution=ExecutionConfig.from_env(),
+        )
+        labels, info = manager.predict(graph)
+        assert (info["degraded"], calls) == (False, [])
+        assert manager._fn.__self__.backend == "single"
+        assert np.array_equal(labels, np.argmax(reference, axis=1))
 
     def test_single_backend_stays_in_process(self, weights, graph):
         fast = FastInference(weights, execution=ExecutionConfig(backend="single"))
         self._assert_served_by(fast, "single", weights, graph)
 
     def test_explicit_sharded_backend(self, weights, graph):
-        fast = FastInference(
-            weights,
-            execution=ExecutionConfig(backend="sharded", shards=3, workers=1),
-        )
-        self._assert_served_by(fast, "sharded", weights, graph)
+        # The one way to a sharded pass: build the sharded engine.
+        with ShardedInference(
+            weights, ExecutionConfig(shards=3, workers=1)
+        ) as engine:
+            self._assert_served_by(engine, "sharded", weights, graph)
 
     @staticmethod
     def _assert_served_by(engine, backend, weights, graph):

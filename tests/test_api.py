@@ -124,24 +124,28 @@ class TestTrainAndScore:
             execution=api.ExecutionConfig(backend="sharded", shards=2, workers=1),
         )
         assert np.array_equal(single.logits, sharded.logits)
-        assert sharded.backend == "sharded"
+        # A config builds the whole-graph engine whatever its backend says.
+        assert sharded.backend == "single"
 
     def test_score_reports_the_prebuilt_engines_backend(
         self, trained, labelled_graph
     ):
         # Regression: the backend used to be resolved from the *call's*
         # default ExecutionConfig, so a sharded engine reported "single".
+        # It names the engine's class, whatever the engine's config says.
         weights = trained.model.layer_weights()
         sharded = api.ExecutionConfig(backend="sharded", shards=2, workers=1)
-        routed = api.score(
+        configured = api.score(
             api.FastInference(weights, execution=sharded), labelled_graph
         )
-        assert routed.backend == "sharded"
+        assert configured.backend == "single"
         with api.ShardedInference(weights, sharded) as engine:
-            assert api.score(engine, labelled_graph).backend == "sharded"
+            built = api.score(engine, labelled_graph)
+        assert built.backend == "sharded"
         single = api.score(api.FastInference(weights), labelled_graph)
         assert single.backend == "single"
-        assert np.array_equal(routed.logits, single.logits)
+        assert np.array_equal(configured.logits, single.logits)
+        assert np.array_equal(built.logits, single.logits)
 
     def test_train_result_inference_roundtrip(self, trained, labelled_graph):
         engine = trained.inference()

@@ -66,14 +66,17 @@ class TestValidation:
 
 class TestEnvResolution:
     def test_from_env_reads_variables(self, monkeypatch):
+        # Nothing reads REPRO_BACKEND or REPRO_SHARDS: no variable picks
+        # an inference engine.
         monkeypatch.setenv("REPRO_BACKEND", "sharded")
         monkeypatch.setenv("REPRO_WORKERS", "5")
         monkeypatch.setenv("REPRO_SHARDS", "7")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         cfg = ExecutionConfig.from_env()
-        assert cfg.backend == "sharded"
+        assert cfg.backend == "auto"
         assert cfg.workers == 5
-        assert cfg.shards == 7
+        assert cfg.shards is None
+        assert cfg.resolved_shards() == 5
         assert cfg.dtype == "float32"
 
     def test_explicit_overrides_beat_env(self, monkeypatch):
@@ -81,17 +84,21 @@ class TestEnvResolution:
         assert ExecutionConfig.from_env(workers=2).workers == 2
 
     def test_bad_env_values_raise(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            ExecutionConfig.from_env()
+        # resolved_workers() is how most engines reach REPRO_WORKERS, so
+        # it must refuse what from_env() refuses, not clamp it to 1.
+        for raw in ("many", "0", "-3"):
+            monkeypatch.setenv("REPRO_WORKERS", raw)
+            with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+                ExecutionConfig.from_env()
+            with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+                ExecutionConfig().resolved_workers()
 
     def test_resolved_workers_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert ExecutionConfig().resolved_workers() == 4
         assert ExecutionConfig(workers=2).resolved_workers() == 2
 
-    def test_resolved_shards_defaults_to_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    def test_resolved_shards_defaults_to_workers(self):
         assert ExecutionConfig(workers=3).resolved_shards() == 3
         assert ExecutionConfig(workers=3).resolved_shards(n_nodes=2) == 2
         assert ExecutionConfig(shards=5, workers=2).resolved_shards() == 5
@@ -99,33 +106,22 @@ class TestEnvResolution:
 
 class TestBackendResolution:
     def test_inference_vocabulary(self):
+        # Still a validated field (a benchmark probe builds one) that no
+        # engine reads: an invalid one fails to build.
         for backend in INFERENCE_BACKENDS:
-            ExecutionConfig(backend=backend).resolve_inference_backend(10)
-        with pytest.raises(ConfigError):
-            ExecutionConfig(backend="warp").resolve_inference_backend(10)
+            assert ExecutionConfig(backend=backend).backend == backend
+        with pytest.raises(ConfigError, match="backend 'warp'"):
+            ExecutionConfig(backend="warp")
 
-    def test_auto_small_graph_single(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        cfg = ExecutionConfig(workers=8)
-        assert cfg.resolve_inference_backend(1000) == "single"
+    def test_auto_small_graph_single(self, netlist):
+        weights = GCN(GCNConfig(seed=5)).layer_weights()
+        engine = api.FastInference(weights, ExecutionConfig(workers=8))
+        assert api.score(engine, netlist).backend == "single"
 
-    def test_auto_large_graph_sharded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        cfg = ExecutionConfig(workers=8)
-        assert cfg.resolve_inference_backend(1_000_000) == "sharded"
-
-    def test_auto_single_worker_stays_single(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        cfg = ExecutionConfig(workers=1)
-        assert cfg.resolve_inference_backend(1_000_000) == "single"
-
-    def test_env_backend_wins_over_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        assert ExecutionConfig().resolve_inference_backend(10) == "sharded"
-        assert (
-            ExecutionConfig(backend="single").resolve_inference_backend(10)
-            == "single"
-        )
+    def test_auto_single_worker_stays_single(self, netlist):
+        weights = GCN(GCNConfig(seed=5)).layer_weights()
+        result = api.score(weights, netlist, execution=ExecutionConfig(workers=1))
+        assert result.backend == "single"
 
     def test_fault_sim_vocabulary(self, netlist, tmp_path):
         # The old fault-sim choices are no backend: a config spelling one
@@ -139,10 +135,9 @@ class TestBackendResolution:
             cli_main(["analyze", str(path), "--fault-sim-backend", "batched"])
         assert exc.value.code == 2
 
-    def test_one_config_serves_every_consumer(self, netlist, monkeypatch):
+    def test_one_config_serves_every_consumer(self, netlist):
         """An inference backend is a valid config for fault simulation and
         labelling too: they read only its worker count and fabric."""
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         sharded = ExecutionConfig(backend="sharded", workers=1)
         reference = api.label_nodes(netlist, api.LabelConfig(n_patterns=64))
         labelled = api.label_nodes(
@@ -153,16 +148,10 @@ class TestBackendResolution:
         assert summary.coverage == api.simulate_faults(
             netlist, n_patterns=64
         ).coverage
+        # ...and for scoring, which reads no backend either: the config
+        # builds a whole-graph engine.
         weights = GCN(GCNConfig(seed=5)).layer_weights()
-        assert api.score(weights, netlist, execution=sharded).backend == "sharded"
-
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        from_env = api.LabelConfig(
-            n_patterns=64, execution=ExecutionConfig.from_env()
-        )
-        np.testing.assert_array_equal(
-            api.label_nodes(netlist, from_env).labels, reference.labels
-        )
+        assert api.score(weights, netlist, execution=sharded).backend == "single"
 
 
 class TestDeprecationShims:
@@ -316,7 +305,6 @@ class TestPoolSizedByExecutionConfig:
         call grading at least ``POOL_MIN_SITES`` faults."""
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         _, execution, expected = case
         built = []
         real_init = ForkPoolExecutor.__init__
