@@ -7,11 +7,12 @@ the entire network becomes a short chain of matmuls — three orders of
 magnitude faster at a million nodes.
 
 This module is the pure-numpy/scipy hot path: no autograd tape, CSR-cached
-adjacency, in-place ReLU.  It holds the one inference-side definition of
-Equation (1) (:func:`layer_forward`) and of the classifier head
-(:func:`head_forward`); the whole-graph pass, a shard round, a
-block-diagonal batch, a row-subset patch and the dense ablation are all
-calls into them, which is what keeps their float64 logits bit-identical.
+adjacency, Equation (1) combined and ReLU applied in place.  It holds the
+one inference-side definition of Equation (1) (:func:`layer_forward`) and
+of the classifier head (:func:`head_forward`); the whole-graph pass, a
+shard round, a block-diagonal batch, a row-subset patch and the dense
+ablation are all calls into them, which is what keeps their float64
+logits bit-identical.
 Both compute their rows in cache-sized blocks (:data:`BLOCK_ROWS`), so
 every caller gets the blocking and none of them can tell; the whole-graph
 pass also splits its blocks between the calling thread and pooled threads
@@ -78,25 +79,21 @@ def _narrow_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     left-to-right sum over ``k`` of the rounded products
     ``a[i, k] * b[k, j]``, starting from ``+0.0``.
 
-    ``add.reduce`` down the leading axis of a C-contiguous ``(K, m)``
-    array adds row ``k`` into an ``m``-wide accumulator for ``k = 0, 1, …``
-    — that sequential order, vectorised across rows — provided ``m >= 2``
-    (a ``(K, 1)`` operand coalesces to 1-D and is summed pairwise), hence
-    the zero column beside a single row.  The reduction starts from the
-    first product rather than ``+0.0``, which shows only when every term
-    is ``-0.0``: the final ``+ 0.0`` restores that sign.
+    One call of the kernel behind :func:`_aggregate`, with ``b.T`` as
+    ``n`` dense CSR rows and ``a.T`` (``K × m``) as its ``m`` vectors:
+    step ``k`` of row ``j`` adds ``b[k, j] · a.T[k]`` into a zeroed
+    ``m``-wide accumulator — that sequential order, one axpy across all
+    rows at a time.
     """
-    m = a.shape[0]
-    if m == 1:
-        a = np.concatenate([a, np.zeros_like(a)], axis=0)
-    a_t = np.ascontiguousarray(a.T, dtype=np.result_type(a, b))
-    products = np.empty_like(a_t)
-    out_t = np.empty((b.shape[1], a_t.shape[1]), dtype=a_t.dtype)
-    for j in range(b.shape[1]):
-        np.multiply(a_t, b[:, j : j + 1], out=products)
-        np.add.reduce(products, axis=0, out=out_t[j])
-    out_t += 0.0
-    return np.ascontiguousarray(out_t[:, :m].T)
+    (m, k), n = a.shape, b.shape[1]
+    dtype = np.result_type(a, b)
+    out_t = np.zeros((n, m), dtype=dtype)
+    csr_matvecs(
+        n, k, m, np.arange(n + 1) * k, np.arange(n * k) % k,
+        np.ascontiguousarray(b.T, dtype=dtype).ravel(),
+        np.ascontiguousarray(a.T, dtype=dtype).ravel(), out_t.ravel(),
+    )
+    return np.ascontiguousarray(out_t.T)
 
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,8 +117,8 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are zero-padded up to the blocked kernel's minimum height; padding rows
     are exact zeros that never feed back into real outputs.  Which NaN
     (sign, payload) an entry with several NaN terms ends up with is outside
-    the contract: x86 keeps the first operand's, and a ufunc's SIMD body
-    and scalar tail order their operands differently.
+    the contract: x86 keeps the first operand's, and the oracle's ufunc
+    orders them differently in its SIMD body and its scalar tail.
     """
     m, n = a.shape[0], b.shape[1]
     if n < 4:
@@ -262,12 +259,15 @@ def layer_forward(
     with_head = with_head and d == weights.depth - 1
 
     def block(lo: int, hi: int) -> np.ndarray:
-        out = row_stable_matmul(
-            own_prev[lo:hi]
-            + weights.w_pr * _aggregate(pred_rows, lo, hi, prev)
-            + weights.w_su * _aggregate(succ_rows, lo, hi, prev),
-            weight,
-        )
+        # own + w_pr·pred + w_su·succ in place, rounded and typed as written.
+        x = _aggregate(pred_rows, lo, hi, prev)
+        x *= weights.w_pr
+        s = _aggregate(succ_rows, lo, hi, prev)
+        s *= weights.w_su
+        x = x.astype(np.result_type(own_prev, x, s), copy=False)
+        x += own_prev[lo:hi]
+        x += s
+        out = row_stable_matmul(x, weight)
         if bias is not None:
             out += bias
         np.maximum(out, 0.0, out=out)

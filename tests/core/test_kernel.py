@@ -1,11 +1,12 @@
 """The row-blocked kernel against the unblocked oracles, bit for bit.
 
-Three contracts.  The narrow product is the sequential sum of rounded
-products, whatever the height of the operand and wherever a row sits in
-it.  Nothing observable depends on ``BLOCK_ROWS``: every way of
-computing a design's logits equals the unblocked reference at any block
-size, including blocks of one row (the ``m == 1`` padding paths).  And
-nothing depends on how many threads share a pass's blocks.
+Four contracts.  The narrow product is the sequential sum of rounded
+products, whatever the height, layout or dtypes of the operands and
+wherever a row sits in them.  Nothing observable depends on
+``BLOCK_ROWS``: every way of computing a design's logits equals the
+unblocked reference at any block size, including blocks of one row (the
+``m == 1`` padding paths).  No pass writes into its inputs.  And nothing
+depends on how many threads share a pass's blocks.
 """
 
 from __future__ import annotations
@@ -63,21 +64,31 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 @st.composite
 def operands(draw):
-    m = draw(st.integers(1, 300))
+    """``(a, b, rows)``: ``a`` (m × K), ``b`` (K × n), each float64 or
+    float32 (mixed too), ``a`` sometimes a column slice of a wider array
+    and ``b`` sometimes a transposed view, and a row subset of ``a``."""
+    m = draw(st.integers(0, 300))
     k = draw(st.integers(1, 130))
     n = draw(st.integers(1, 3))
-    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    f32, f64 = np.float32, np.float64
+    dtypes = draw(st.sampled_from([(f64, f64), (f32, f32), (f32, f64), (f64, f32)]))
+    offset = draw(st.sampled_from([0, 0, 3]))  # a = wide[:, offset : offset + k]
+    transposed = draw(st.booleans())  # b = (n × K).T
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.0, 0.02, 0.3]))
     arrays = []
-    for shape in ((m, k), (k, n)):
+    for shape, dtype in zip(
+        ((m, k + 2 * offset), (n, k) if transposed else (k, n)), dtypes
+    ):
         x = rng.standard_normal(shape)
         mask = rng.random(shape) < density
         x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
         with np.errstate(over="ignore", under="ignore"):
             arrays.append(x.astype(dtype))
-    rows = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
-    return arrays[0], arrays[1], rows
+    a = arrays[0][:, offset : offset + k]
+    b = arrays[1].T if transposed else arrays[1]
+    rows = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
+    return a, b, rows
 
 
 class TestNarrowProduct:
@@ -221,6 +232,21 @@ class TestBlockInvariance:
         assert out.shape == (0, 32) and out.dtype == np.float64
         assert head_forward(weights, np.empty((0, 128))).shape == (0, 2)
 
+    @pytest.mark.parametrize("narrow", [np.float32, np.float64])
+    def test_own_rows_wider_than_the_layer_input(self, weights, block, narrow):
+        # A float64 own_prev beside float32 neighbours (and the reverse):
+        # the block returns the unblocked expression's dtype and bits.
+        graph = make_graph()
+        wide = np.float64 if narrow == np.float32 else np.float32
+        pred = graph.pred.to_scipy().astype(narrow)
+        succ = graph.succ.to_scipy().astype(narrow)
+        prev = graph.attributes.astype(narrow)
+        own = graph.attributes.astype(wide)
+        expected = reference.layer_forward(weights, 0, own, pred, succ, prev)
+        out = layer_forward(weights, 0, own, pred, succ, prev)
+        assert expected.dtype == np.float64
+        assert same_bits(out, expected)
+
     def test_non_finite_weight_still_raises(self, weights, block):
         graph = make_graph()
         poisoned = GCN(GCNConfig(seed=5)).layer_weights()
@@ -230,6 +256,68 @@ class TestBlockInvariance:
                 FastInference(poisoned).logits(graph)
         assert info.value.diagnostics["graph"] == graph.name
         assert info.value.diagnostics["bad_nodes"] == graph.num_nodes
+
+
+def snapshot(*arrays: np.ndarray) -> list[tuple]:
+    return [(x.dtype, x.shape, x.tobytes()) for x in arrays]
+
+
+class TestInputsUntouched:
+    """The pass combines Equation (1) in place on its own aggregates: no
+    call writes into the arrays it was given or the caches it reads."""
+
+    def test_whole_graph_pass(self, weights, block):
+        graph = make_graph()
+        before = snapshot(graph.attributes)
+        FastInference(weights).logits(graph)
+        FastInference(weights).embed(graph)
+        assert snapshot(graph.attributes) == before
+
+    def test_four_shards_in_process(self, weights, block):
+        graph = make_graph()
+        before = snapshot(graph.attributes)
+        with ShardedInference(
+            weights, ExecutionConfig(shards=4, workers=1)
+        ) as engine:
+            engine.logits(graph)
+        assert snapshot(graph.attributes) == before
+
+    def test_merged_batch(self, weights, block):
+        graphs = [make_graph(60, 3), make_graph(), make_graph(90, 4)]
+        merged = merge_graphs(graphs)
+        before = snapshot(merged.graph.attributes, *(g.attributes for g in graphs))
+        FastInference(weights).logits(merged.graph)
+        assert snapshot(
+            merged.graph.attributes, *(g.attributes for g in graphs)
+        ) == before
+
+    def test_incremental_scorer(self, weights, block):
+        design = IncrementalDesign(generate_design(150, seed=23))
+        scorer = IncrementalScorer(weights)
+        attributes = snapshot(design.graph.attributes)
+        scorer.bind(design.graph)
+        assert snapshot(design.graph.attributes) == attributes
+        fresh = reference.embeddings(weights, design.graph)
+        cached = [store.rows(N) for store in scorer._stores]
+        assert snapshot(*cached[:-2]) == snapshot(design.graph.attributes, *fresh)
+
+        # what_if patches nothing: every cached row keeps its bytes.
+        held = [x.copy() for x in cached]
+        scorer.what_if(design.preview_ops([10, 77, 120]))
+        assert snapshot(*(store.rows(N) for store in scorer._stores)) == (
+            snapshot(*held)
+        )
+
+        # rescore rewrites the rows it recomputes, and no others.
+        _, checkpoint = design.insert_op(77)
+        _, (_, _, rows, _) = scorer.rescore(checkpoint.changed_rows)
+        kept = np.setdiff1d(np.arange(N), rows)
+        now = [store.rows(N) for store in scorer._stores]
+        assert snapshot(*(x[kept] for x in now)) == snapshot(*(x[kept] for x in held))
+        layers = reference.embeddings(weights, design.graph)
+        assert snapshot(*(store.rows(N + 1) for store in scorer._stores[1:-2])) == (
+            snapshot(*layers)
+        )
 
 
 # --------------------------------------------------------------------- #
