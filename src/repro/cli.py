@@ -545,8 +545,8 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
             }
         ),
         "heartbeat": {
-            "interval_s": exec_net.heartbeat_interval(),
-            "timeout_s": exec_net.heartbeat_timeout(),
+            "interval_s": exec_net.HB_INTERVAL_S,
+            "timeout_s": exec_net.HB_TIMEOUT_S,
         },
         "sweep": {"removed": removed, "remaining": leaked_segment_names()},
     }

@@ -348,15 +348,6 @@ def _serial_gradients(payload: bytes, graph_name: str | None) -> list[np.ndarray
         ) from exc
 
 
-def _exhausted_error(tasks: list[ShardTask], rounds: int, exc: BaseException):
-    """The typed terminal error of a graph whose rescue is disabled."""
-    name = tasks[0].meta
-    return WorkerFailedError(
-        f"worker for graph {name!r} failed after {rounds} rounds: {exc}",
-        graph_name=name,
-    )
-
-
 class ParallelTrainer(Trainer):
     """Data-parallel trainer: one worker per graph, averaged gradients.
 
@@ -372,10 +363,10 @@ class ParallelTrainer(Trainer):
     delegated to the execution fabric (:mod:`repro.exec`) under
     :attr:`policy`: a failed round — a worker raising, dying, or exceeding
     ``policy.worker_timeout`` — kills and respawns that worker and retries
-    only the failed graphs with exponential backoff.  Once
-    ``policy.retry.max_attempts`` rounds are exhausted, the stragglers are
-    computed serially in-process (gradients are identical either way); only
-    if the serial path fails too does :class:`WorkerFailedError` propagate.
+    only the failed graphs with exponential backoff.  A graph whose
+    ``policy.retry.max_attempts`` rounds are spent is computed serially
+    in-process (gradients are identical either way); only if the serial
+    path fails too does :class:`WorkerFailedError` propagate, naming it.
     """
 
     def __init__(
@@ -387,9 +378,7 @@ class ParallelTrainer(Trainer):
         super().__init__(model, config)
         self.execution = execution or ExecutionConfig()
         #: supervision of every step's gradient tasks
-        self.policy = ExecPolicy(
-            worker_timeout=None, exhausted_error=_exhausted_error
-        )
+        self.policy = ExecPolicy(worker_timeout=None)
         #: the function shipped to workers; injectable for fault-injection
         #: tests (must be picklable, i.e. module-level)
         self.worker_fn = _worker_gradients
@@ -431,7 +420,6 @@ class ParallelTrainer(Trainer):
                 fn=self.worker_fn,
                 args=(payloads[i],),
                 fallback=lambda p=payloads[i], n=graph.name: _serial_gradients(p, n),
-                meta=graph.name,
             )
             for i, graph in enumerate(graphs)
         ]

@@ -9,7 +9,9 @@ serial :class:`InProcessExecutor` oracle or :class:`ForkPoolExecutor`
 over forked workers — bit-identical by construction.
 
 One supervision ladder (:mod:`repro.exec.scheduler`, a pure state
-machine), one worker loop (:mod:`repro.exec.worker`), one signed frame
+machine: retries with backoff, deadlines, heartbeats and stale-attempt
+rejection, at most one live attempt per task, then the in-process
+rescue; :class:`ExecPolicy` sets its budget and deadline), one worker loop (:mod:`repro.exec.worker`), one signed frame
 codec (:mod:`repro.exec.net`); :mod:`repro.exec.coordinator` drives
 them, :mod:`repro.exec.shm` guarantees the shared-memory lifecycle, and
 :mod:`repro.exec.chaos` is the built-in fault-injection layer

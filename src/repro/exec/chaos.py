@@ -21,8 +21,8 @@ corrupt     flip bytes of the pickled result *after* checksumming — the
 
 Only ``kill`` needs a worker that is a process of its own (the
 in-thread workers some tests run never use it).  The ladder's other
-rungs (straggler twins, stale attempts, silent heartbeats) are driven
-on a virtual clock in ``tests/exec/test_scheduler.py``.
+rungs (stale attempts, silent heartbeats, the no-worker grace window)
+are driven on a virtual clock in ``tests/exec/test_scheduler.py``.
 
 ``rate`` (default 1.0) is the per-attempt injection probability.  The
 worker makes one roll per task attempt (:meth:`ChaosSpec.roll`) and

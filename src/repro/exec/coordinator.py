@@ -186,7 +186,7 @@ class Coordinator:
             # an ``init`` or ``task`` sent first would be lost and its
             # attempt would hang on a heartbeating worker.
             conn.send(
-                "welcome", conn.id, net_mod.heartbeat_interval(),
+                "welcome", conn.id, net_mod.HB_INTERVAL_S,
                 logs.get_run_id(),
             )
             with self._workers_lock:
@@ -274,9 +274,8 @@ class Coordinator:
         """Run ``tasks`` on the registered workers; reduce in task order.
 
         Tasks the scheduler gives up on (or that have no ``fn``) are
-        computed through their parent-side fallbacks when
-        ``policy.serial_fallback`` — bit-identical to the in-process
-        oracle by construction.
+        computed through their parent-side fallbacks — bit-identical to
+        the in-process oracle by construction.
         """
         tasks = list(tasks)
         with self._submit_lock:
@@ -295,7 +294,7 @@ class Coordinator:
                 policy,
                 session=session,
                 attempt_ids=self._attempt_ids,
-                hb_timeout=net_mod.heartbeat_timeout(),
+                hb_timeout=net_mod.HB_TIMEOUT_S,
                 grace=_NO_WORKER_GRACE_S,
                 runnable=[task.fn is not None for task in tasks],
                 engine=engine,
@@ -331,14 +330,14 @@ class Coordinator:
                             conn, reason = args
                             conn.kill(reason)
                         elif kind == "rescue":
-                            self._rescue(tasks, policy, engine, sched, *args)
+                            self._rescue(tasks, engine, sched, *args)
                         else:
                             return args[0]
-                    self._feed(sched, policy, engine)
+                    self._feed(sched, engine)
             finally:
                 self.last_submit_failures = sched.failed_attempts
 
-    def _feed(self, sched: TaskScheduler, policy, engine: str) -> None:
+    def _feed(self, sched: TaskScheduler, engine: str) -> None:
         """Block briefly on worker events and hand them to the scheduler."""
         try:
             event = self._events.get(timeout=_POLL_S)
@@ -361,9 +360,7 @@ class Coordinator:
                 session, index, attempt, crc, payload, span_blob = fields
 
                 def decode():
-                    value = net_mod.unseal(
-                        crc, payload, sched.keys[index], policy.verify_integrity
-                    )
+                    value = net_mod.unseal(crc, payload, sched.keys[index])
                     self._graft(span_blob, conn, attempt, engine)
                     return value
 
@@ -395,18 +392,13 @@ class Coordinator:
         except Exception:
             obs["malformed"].labels(conn.id).inc()
 
-    def _rescue(self, tasks, policy, engine, sched, rescued, failures, last_exc):
+    def _rescue(self, tasks, engine, sched, rescued, last_exc):
         # Tasks without an ``fn`` are parent-side by design, not failures.
         gave_up = [tasks[i] for i in rescued if tasks[i].fn is not None]
-        if gave_up and not policy.serial_fallback:
-            if policy.exhausted_error is not None:
-                raise policy.exhausted_error(
-                    gave_up, failures, last_exc
-                ) from last_exc
-            raise last_exc
         if gave_up:
             warnings.warn(
-                f"failure budget spent for {len(gave_up)} task(s); "
+                f"gave up on {len(gave_up)} task(s) in the pool (last error "
+                f"{type(last_exc).__name__}: {last_exc}); "
                 "computing them serially in-process",
                 ResourceWarning,
                 stacklevel=5,

@@ -39,42 +39,34 @@ is counted and dropped, never indexed):
                          ``exc_blob`` the pickled exception or ``None``
 ``shutdown``   c -> w    no fields
 =============  ========  ==============================================
-
-Environment (both optional)::
-
-    REPRO_EXEC_HB_INTERVAL_S      worker heartbeat period (default 1)
-    REPRO_EXEC_HB_TIMEOUT_S       heartbeat silence that declares a
-                                  worker lost (default 4x interval)
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import math
-import os
 import pickle
 import socket
 import struct
 import zlib
 
-from repro.resilience.errors import ConfigError, ResultIntegrityError
+from repro.resilience.errors import ResultIntegrityError
 
 __all__ = [
-    "HB_INTERVAL_ENV",
-    "HB_TIMEOUT_ENV",
+    "HB_INTERVAL_S",
+    "HB_TIMEOUT_S",
     "send_frame",
     "recv_frame",
     "unpickle",
     "seal",
     "unseal",
     "well_formed",
-    "heartbeat_interval",
-    "heartbeat_timeout",
 ]
 
-HB_INTERVAL_ENV = "REPRO_EXEC_HB_INTERVAL_S"
-HB_TIMEOUT_ENV = "REPRO_EXEC_HB_TIMEOUT_S"
+#: seconds between a worker's heartbeat frames (sent in the welcome)
+HB_INTERVAL_S = 1.0
+#: heartbeat silence that declares a busy worker lost
+HB_TIMEOUT_S = 4.0
 
 _HEADER = struct.Struct("!I32s")
 #: sanity bound on one frame; a length beyond this is garbage, not data
@@ -138,9 +130,9 @@ def seal(result) -> tuple[int, bytes]:
     return zlib.crc32(payload), payload
 
 
-def unseal(crc: int, payload: bytes, key: str, verify: bool = True):
+def unseal(crc: int, payload: bytes, key: str):
     """Coordinator side: check a result payload's CRC32, then load it."""
-    if verify and zlib.crc32(payload) != crc:
+    if zlib.crc32(payload) != crc:
         raise ResultIntegrityError(
             f"task {key!r} returned a corrupted payload "
             f"(CRC mismatch over {len(payload)} bytes)",
@@ -173,31 +165,3 @@ def well_formed(message, kinds: tuple[str, ...]) -> bool:
         isinstance(value, kind) for value, kind in zip(message[1:], fields)
     )
 
-
-# --------------------------------------------------------------------- #
-def _env_seconds(var: str, default: float, *, minimum: float = 0.0) -> float:
-    raw = os.environ.get(var, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {var}={raw!r}: {exc}") from exc
-    # ``nan <= minimum`` is false, so finiteness is its own check: a
-    # ``nan`` interval would spin the heartbeat thread, an infinite
-    # timeout would switch the silent-heartbeat rung off.
-    if not math.isfinite(value) or value <= minimum:
-        raise ConfigError(
-            f"{var} must be a finite number > {minimum}, got {raw!r}"
-        )
-    return value
-
-
-def heartbeat_interval() -> float:
-    """Seconds between worker heartbeat frames."""
-    return _env_seconds(HB_INTERVAL_ENV, 1.0)
-
-
-def heartbeat_timeout() -> float:
-    """Heartbeat silence that declares a worker partitioned/dead."""
-    return _env_seconds(HB_TIMEOUT_ENV, 4.0 * heartbeat_interval())

@@ -8,8 +8,9 @@ it without cycles.  The supervision ladder that interprets an
 
 from __future__ import annotations
 
+import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,16 +81,13 @@ class ShardTask:
     ndarrays travel by segment name, see :mod:`repro.exec.shm`).
     ``fallback`` is a zero-argument *parent-side* callable producing a
     bit-identical result in-process; it is what the in-process backend
-    runs and what rescues the task once retries/quarantine exhaust.
-    ``meta`` never leaves the parent — engines use it to attach context
-    (e.g. a graph name) for error reporting.
+    runs and what rescues the task once its retries are spent.
     """
 
     key: str
     fn: Callable | None = None
     args: tuple = ()
     fallback: Callable[[], Any] | None = None
-    meta: Any = None
 
     def run_fallback(self):
         """Compute this task's result in the parent process."""
@@ -104,14 +102,13 @@ class ShardTask:
 class ExecPolicy:
     """Supervision policy for one :meth:`Executor.submit` call.
 
-    One meaning per field on every transport (the ladder is
-    :class:`~repro.exec.scheduler.TaskScheduler`).  An *attempt* is one
+    The ladder that reads it is
+    :class:`~repro.exec.scheduler.TaskScheduler`.  An *attempt* is one
     dispatch of one task to one worker.  ``retry.max_attempts`` bounds a
     task's failed attempts of any cause, and ``retry.delay(k)`` is how
-    long its ``k``-th failure keeps it out of the dispatch queue.
-    ``exhausted_error`` lets an engine type the terminal error
-    (``(failed_tasks, failures, last_exc) -> BaseException``); without it
-    the last underlying worker exception propagates unchanged.
+    long its ``k``-th failure keeps it out of the dispatch queue.  A task
+    whose budget is spent is computed through its in-process fallback,
+    bit-identical to a worker's result.
     """
 
     retry: RetryPolicy = field(
@@ -120,33 +117,14 @@ class ExecPolicy:
     #: per-attempt result deadline in seconds; a worker that misses it
     #: is killed (None = wait forever)
     worker_timeout: float | None = 120.0
-    #: attempts of one task that ended with its worker lost or killed
-    #: (crash, missed deadline, silent heartbeat) before the
-    #: task is quarantined: pulled out of the rotation as poison, ahead
-    #: of its failure budget (None = disabled)
-    quarantine_after: int | None = None
-    #: rescue exhausted/quarantined tasks via their in-process fallback
-    #: (bit-identical) instead of raising
-    serial_fallback: bool = True
-    #: checksum worker results end-to-end (detects corrupted returns)
-    verify_integrity: bool = True
-    #: fraction of ``worker_timeout`` after which an unanswered task is
-    #: duplicate-sent to a second idle worker — the first valid result
-    #: wins and the loser's worker is killed.  ``None`` disables it.
-    straggler_fraction: float | None = 0.5
-    #: factory for the terminal exception when rescue is disabled
-    exhausted_error: (
-        Callable[[Sequence[ShardTask], int, BaseException], BaseException] | None
-    ) = None
 
     def __post_init__(self) -> None:
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ConfigError("quarantine_after must be >= 1 (or None)")
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ConfigError("worker_timeout must be positive (or None)")
-        if self.straggler_fraction is not None and not (
-            0.0 < self.straggler_fraction <= 1.0
+        # ``nan <= 0`` is false, so finiteness is its own check: a ``nan``
+        # deadline would never expire and switch the deadline rung off.
+        if self.worker_timeout is not None and not (
+            math.isfinite(self.worker_timeout) and self.worker_timeout > 0
         ):
             raise ConfigError(
-                "straggler_fraction must be in (0, 1] (or None to disable)"
+                "worker_timeout must be a finite number > 0 (or None), "
+                f"got {self.worker_timeout!r}"
             )

@@ -1,9 +1,8 @@
 """The supervision ladder: one pure task scheduler under the worker pool.
 
 :class:`TaskScheduler` is a state machine for one ``submit``.  It owns
-the attempts, the failure and death budgets, deadlines, straggler twins,
-stale-attempt rejection, quarantine and the task-order reduction; it
-owns no socket, thread, process or clock — time arrives as an argument,
+the attempts, the failure budgets, deadlines, stale-attempt rejection
+and the task-order reduction; it owns no socket, thread, process or clock — time arrives as an argument,
 so the whole ladder runs in microseconds under a test's virtual clock.
 
 Events in (a driver calls these as frames arrive)::
@@ -18,14 +17,14 @@ Actions out (the driver performs them in order)::
 
     ("dispatch", index, attempt, worker)   send the task frame
     ("kill", worker, reason)               end that worker, now
-    ("rescue", indices, failures, exc)     run these fallbacks in-process
+    ("rescue", indices, exc)               run these fallbacks in-process
     ("done", results)                      the submit is over
 
 Invariants the driver relies on: a known worker runs at most one
-attempt; an attempt that ends without an answer ends with its worker
-killed *before* the task is dispatched again or reported done (tasks may
-write shared memory, so a superseded copy must not outlive its result);
-a result is reduced only from the attempt currently running on the
+attempt, and a task has at most one live attempt; an attempt that ends
+without an answer ends with its worker killed *before* the task is
+dispatched again or reported done (tasks may write shared memory, so a
+superseded copy must not outlive its result); a result is reduced only from the attempt currently running on the
 worker that sent it, in this session, for a task still undecided.
 """
 
@@ -70,10 +69,6 @@ def ensure_exec_metrics():
             "repro_exec_fallbacks_total",
             "tasks rescued through the bit-identical in-process fallback", both,
         ),
-        "quarantined": reg.counter(
-            "repro_exec_tasks_quarantined_total",
-            "poison tasks pulled out of the rotation after worker deaths", both,
-        ),
         "integrity": reg.counter(
             "repro_exec_integrity_failures_total",
             "frames or result payloads rejected by an integrity check", both,
@@ -87,10 +82,6 @@ def ensure_exec_metrics():
         "requeues": reg.counter(
             "repro_exec_net_requeues_total", "attempts that failed, by cause",
             (*both, "reason"),
-        ),
-        "stragglers": reg.counter(
-            "repro_exec_net_stragglers_total",
-            "straggler duplicate dispatches (first valid result wins)", both,
         ),
         "stale_results": reg.counter(
             "repro_exec_net_stale_results_total",
@@ -140,7 +131,6 @@ class TaskScheduler:
         #: tasks given up on; the driver computes them in-process
         self.rescued = {i for i in range(n) if runnable and not runnable[i]}
         self.failures = [0] * n  # failed attempts, any cause
-        self.deaths = [0] * n  # failed attempts that took their worker along
         self.pending = [i for i in range(n) if i not in self.rescued]
         self.ready_at = [0.0] * n
         #: worker -> when it was last heard from
@@ -185,12 +175,6 @@ class TaskScheduler:
         self._end(attempt)
         self.results[index] = value
         self.done[index] = True
-        # The first valid result wins; a straggler twin still computing
-        # must not outlive it (see the module docstring).
-        for twin, (i, other, _) in sorted(self.attempts.items()):
-            if i == index:
-                self._end(twin)
-                self._lose(other, "superseded", kill=True)
 
     def error(
         self, worker: Hashable, session: str, index: int, attempt: int,
@@ -230,18 +214,9 @@ class TaskScheduler:
     def tick(self, now: float) -> list[tuple]:
         """Apply everything time decides; return the actions to perform."""
         self._now = now
-        policy = self.policy
-        timeout = policy.worker_timeout
-        straggler_after = (
-            timeout * policy.straggler_fraction
-            if timeout is not None and policy.straggler_fraction is not None
-            else None
-        )
+        timeout = self.policy.worker_timeout
         for attempt, (index, worker, sent_at) in sorted(self.attempts.items()):
-            if attempt not in self.attempts:
-                continue
-            age = now - sent_at
-            if timeout is not None and age > timeout:
+            if timeout is not None and now - sent_at > timeout:
                 self._lose(
                     worker, "deadline",
                     TimeoutError(
@@ -252,21 +227,6 @@ class TaskScheduler:
                 )
             elif now - self.workers[worker] > self.hb_timeout:
                 self._lose(worker, "stale_heartbeat", kill=True)
-            elif (
-                straggler_after is not None
-                and age > straggler_after
-                and sum(1 for i, _, _ in self.attempts.values() if i == index) == 1
-                # a twin is an attempt like any other: it needs budget
-                and self.failures[index] + 2 <= policy.retry.max_attempts
-            ):
-                twin = self._idle_worker(now, exclude=worker)
-                if twin is not None:
-                    self._dispatch(index, twin)
-                    self._metrics["stragglers"].labels(*self._labels).inc()
-                    annotate(
-                        "exec.straggler", task=self.keys[index],
-                        worker=str(twin), age_s=round(age, 3),
-                    )
         # One task per idle healthy worker: workers execute serially, so a
         # deeper queue would only distort the deadline accounting.
         for index in [i for i in self.pending if self.ready_at[i] <= now]:
@@ -297,22 +257,15 @@ class TaskScheduler:
             self.finished = True
             rescued = sorted(self.rescued)
             if rescued:
-                self._actions.append((
-                    "rescue", rescued,
-                    max(self.failures[i] for i in rescued), self.last_exc,
-                ))
+                self._actions.append(("rescue", rescued, self.last_exc))
             self._actions.append(("done", self.results))
         actions, self._actions = self._actions, []
         return actions
 
     # ------------------------------------------------------------------ #
-    def _idle_worker(self, now: float, exclude: Hashable = None):
+    def _idle_worker(self, now: float):
         for worker, heard in self.workers.items():
-            if (
-                worker not in self.running
-                and worker != exclude
-                and now - heard <= self.hb_timeout
-            ):
+            if worker not in self.running and now - heard <= self.hb_timeout:
                 return worker
         return None
 
@@ -342,20 +295,16 @@ class TaskScheduler:
             self._fail(
                 self.running[worker], reason,
                 exc or ConnectionError(f"worker {worker} lost ({reason})"),
-                death=True,
             )
 
-    def _fail(
-        self, attempt: int, reason: str, exc: BaseException, death: bool = False
-    ) -> None:
-        """One attempt failed: requeue, quarantine or give up on its task."""
+    def _fail(self, attempt: int, reason: str, exc: BaseException) -> None:
+        """One attempt failed: requeue its task or give up on it."""
         index, worker = self._end(attempt)
         key = self.keys[index]
         policy = self.policy
         self.last_exc = exc
         self.failed_attempts += 1
         self.failures[index] += 1
-        self.deaths[index] += death
         metrics, labels = self._metrics, self._labels
         metrics["retries"].labels(*labels).inc()
         metrics["requeues"].labels(*labels, reason).inc()
@@ -365,21 +314,7 @@ class TaskScheduler:
             "exec.requeue", task=key, attempt=attempt, reason=reason,
             worker=str(worker),
         )
-        if any(i == index for i, _, _ in self.attempts.values()):
-            return  # a surviving twin may still answer
-        if (
-            policy.quarantine_after is not None
-            and self.deaths[index] >= policy.quarantine_after
-        ):
-            metrics["quarantined"].labels(*labels).inc()
-            annotate("exec.quarantine", task=key, deaths=self.deaths[index])
-            warnings.warn(
-                f"quarantining poison task {key!r} after "
-                f"{self.deaths[index]} worker death(s)",
-                ResourceWarning, stacklevel=2,
-            )
-            self.rescued.add(index)
-        elif self.failures[index] >= policy.retry.max_attempts:
+        if self.failures[index] >= policy.retry.max_attempts:
             self.rescued.add(index)
         else:
             warnings.warn(

@@ -15,8 +15,8 @@ root (``trace(..., register_last=False)`` — it never clobbers the
 submitting process's :func:`last_trace`), serialises it with
 ``Span.to_dict``, and the parent reattaches it with :func:`graft` so one
 tree spans coordinator -> worker -> shard.  :func:`annotate` records
-zero-duration event spans (retries, straggler duplicate dispatches,
-fallback rungs) inside the active trace.
+zero-duration event spans (retries, rejected stale results) inside
+the active trace.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ def span(name: str, **attrs):
 def annotate(name: str, **attrs) -> Span | None:
     """Record a zero-duration event span under the active trace.
 
-    Supervision events (a requeue, a straggler duplicate-dispatch, a
-    rejected stale result) have no meaningful duration of their own but
-    must show up in the merged tree; this records them without the
-    enter/exit ceremony.  No-op outside a trace.
+    Supervision events (a requeue, a rejected stale result) have no
+    meaningful duration of their own but must show up in the merged
+    tree; this records them without the enter/exit ceremony.  No-op
+    outside a trace.
     """
     parent = _current.get()
     if parent is None:
@@ -219,8 +219,7 @@ def graft(subtree: "Span | dict", **extra_attrs) -> Span | None:
     ``subtree`` is a :class:`Span` or a ``Span.to_dict`` payload — the
     form worker span trees travel in over result frames.  ``extra_attrs``
     (worker id, attempt number) are merged into the grafted root so
-    retries and straggler duplicates stay distinguishable in the merged
-    tree.  Grafted spans count against :data:`MAX_SPANS` like locally
+    retries stay distinguishable in the merged tree.  Grafted spans count against :data:`MAX_SPANS` like locally
     recorded ones.  No-op outside a trace.
     """
     parent = _current.get()

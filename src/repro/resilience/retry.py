@@ -9,6 +9,7 @@ injectable so tests exercise its timeouts without waiting.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Callable
@@ -34,6 +35,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        # ``nan < 0`` is false, so finiteness is its own check: a ``nan``
+        # delay would keep a failed task out of every queue for ever.
+        if not all(
+            math.isfinite(v) for v in (self.base_delay, self.max_delay, self.backoff)
+        ):
+            raise ValueError("base_delay, max_delay and backoff must be finite")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be non-negative")
 

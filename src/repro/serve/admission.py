@@ -425,7 +425,6 @@ class AdmissionPool:
         policy = ExecPolicy(
             retry=RetryPolicy(max_attempts=1),
             worker_timeout=config.default_deadline_ms / 1000.0,
-            straggler_fraction=None,
         )
         self._executors = [
             make_executor(name="admission", max_workers=1, policy=policy)

@@ -240,23 +240,6 @@ class TestParallelBackend:
             fsim.close()
         np.testing.assert_array_equal(serial, parallel)
 
-    def test_no_fallback_raises_after_retries(self):
-        nl = generate_design(n_gates=40, seed=23)
-        fsim = FaultSimulator(nl, ExecutionConfig(workers=2))
-        fsim.engine.policy = dataclasses.replace(
-            fsim.engine.policy, serial_fallback=False
-        )
-        fsim.engine.worker_fn = _crashing_worker
-        rng = np.random.default_rng(2)
-        values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
-        faults = full_fault_list(nl)[:4]
-        try:
-            with pytest.warns(ResourceWarning):
-                with pytest.raises(RuntimeError, match="injected"):
-                    fsim.detection_masks(faults, values)
-        finally:
-            fsim.close()
-
     def test_close_is_idempotent(self):
         nl = generate_design(n_gates=30, seed=24)
         fsim = FaultSimulator(nl)

@@ -9,6 +9,7 @@ from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
+from repro.core import trainer as trainer_mod
 from repro.core.trainer import ParallelTrainer, TrainConfig, Trainer
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.errors import CheckpointCorruptError, WorkerFailedError
@@ -187,14 +188,18 @@ class TestParallelFaultTolerance:
         for ps, pp in zip(serial_model.parameters(), model.parameters()):
             assert np.allclose(ps.data, pp.data, atol=1e-12)
 
-    def test_no_fallback_raises_typed_error(self):
+    def test_failed_rescue_raises_typed_error(self, monkeypatch):
+        # Patched before the pool forks, so the workers and the serial
+        # rescue (``_serial_gradients``) both run the failing function.
+        monkeypatch.setattr(
+            trainer_mod, "_worker_gradients", helpers.always_failing_worker
+        )
         g1 = _labelled_graph(1)
         _, trainer = self._parallel_trainer(
-            serial_fallback=False,
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
         )
-        trainer.worker_fn = helpers.always_failing_worker
-        with pytest.warns(ResourceWarning):
+        assert trainer.worker_fn is helpers.always_failing_worker
+        with pytest.warns(ResourceWarning, match="serially"):
             with pytest.raises(WorkerFailedError) as excinfo:
                 trainer.train_step([g1])
         assert excinfo.value.graph_name == "g1"

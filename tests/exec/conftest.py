@@ -17,6 +17,7 @@ import pytest
 
 from repro.exec import Coordinator
 from repro.exec import coordinator as coordinator_mod
+from repro.exec import net as net_mod
 from repro.exec.worker import serve_connection
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience.errors import ResultIntegrityError
@@ -50,8 +51,6 @@ def _no_ambient_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
     monkeypatch.delenv("REPRO_CHAOS_HANG_S", raising=False)
     monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_HB_INTERVAL_S", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_HB_TIMEOUT_S", raising=False)
 
 
 @pytest.fixture()
@@ -67,8 +66,8 @@ def metrics():
 def fast_heartbeats(monkeypatch):
     """Fast heartbeats and a short chaos hang, so failure paths drain in
     well under a second; the heartbeat *timeout* stays generous."""
-    monkeypatch.setenv("REPRO_EXEC_HB_INTERVAL_S", "0.05")
-    monkeypatch.setenv("REPRO_EXEC_HB_TIMEOUT_S", "5.0")
+    monkeypatch.setattr(net_mod, "HB_INTERVAL_S", 0.05)
+    monkeypatch.setattr(net_mod, "HB_TIMEOUT_S", 5.0)
     monkeypatch.setenv("REPRO_CHAOS_HANG_S", "0.3")
 
 

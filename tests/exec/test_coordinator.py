@@ -37,7 +37,6 @@ KEY = coordinator_mod._LOCAL_KEY
 FAST = ExecPolicy(
     retry=RetryPolicy(max_attempts=2, base_delay=0.0),
     worker_timeout=2.0,
-    quarantine_after=2,
 )
 
 _INIT_STATE: dict = {}
@@ -57,11 +56,6 @@ def _square(x):
 
 def _boom(x):
     raise RuntimeError(f"injected failure for {x}")
-
-
-def sleep_square(x, delay):
-    time.sleep(delay)
-    return x * x
 
 
 def _tasks(n=8, fn=_square):
@@ -117,13 +111,13 @@ class TestHappyPath:
         # the worker loop drops frames that are not its welcome, and the
         # attempt then hung on a worker that kept heartbeating.
         coordinator = fleet(0)
-        real_interval = net_mod.heartbeat_interval
+        real_run_id = coordinator_mod.logs.get_run_id
 
-        def slow_interval():  # evaluated while building the welcome
+        def slow_run_id():  # evaluated while building the welcome
             time.sleep(0.3)
-            return real_interval()
+            return real_run_id()
 
-        monkeypatch.setattr(net_mod, "heartbeat_interval", slow_interval)
+        monkeypatch.setattr(coordinator_mod.logs, "get_run_id", slow_run_id)
         kinds: list[str] = []
 
         def late_peer(sock):
@@ -172,21 +166,6 @@ class TestHappyPath:
 
 # --------------------------------------------------------------------- #
 class TestDegradationLadder:
-    def test_straggler_redispatch_first_result_wins(self, fleet, metrics):
-        coordinator = fleet(2)
-        policy = ExecPolicy(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=2.0,
-            straggler_fraction=0.1,
-        )
-        tasks = [
-            ShardTask(key=f"t{i}", fn=sleep_square, args=(i, delay))
-            for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
-        ]
-        assert _submit(coordinator, tasks, policy) == [0, 1, 4, 9]
-        snap = metrics.snapshot()
-        assert _sum(snap, "repro_exec_net_stragglers_total", engine="t") > 0
-
     def test_corrupt_results_fail_integrity_then_rescue(
         self, fleet, metrics, monkeypatch
     ):

@@ -12,7 +12,7 @@ import zlib
 import pytest
 
 from repro.exec import net as net_mod
-from repro.resilience.errors import ConfigError, ResultIntegrityError
+from repro.resilience.errors import ResultIntegrityError
 
 KEY = b"unit-test-key"
 FLAGS: list[str] = []
@@ -158,25 +158,3 @@ class TestMessageShapes:
         kinds = tuple(net_mod._FIELDS)
         assert not net_mod.well_formed(message, kinds)
 
-
-# --------------------------------------------------------------------- #
-class TestHeartbeatEnv:
-    def test_env_seconds_validation(self, monkeypatch):
-        monkeypatch.setenv(net_mod.HB_INTERVAL_ENV, "0.25")
-        assert net_mod.heartbeat_interval() == 0.25
-        # Timeout defaults to 4x the (possibly overridden) interval.
-        assert net_mod.heartbeat_timeout() == 1.0
-        monkeypatch.setenv(net_mod.HB_TIMEOUT_ENV, "9")
-        assert net_mod.heartbeat_timeout() == 9.0
-        # ``nan <= 0`` is false and ``Event.wait(nan)`` returns at once: a
-        # ``nan`` interval would spin the heartbeat thread, an infinite
-        # timeout would switch the silent-heartbeat rung off.
-        for var, read in (
-            (net_mod.HB_INTERVAL_ENV, net_mod.heartbeat_interval),
-            (net_mod.HB_TIMEOUT_ENV, net_mod.heartbeat_timeout),
-        ):
-            for raw in ("junk", "-1", "0", "nan", "NaN", "inf", "-inf", "1e999"):
-                monkeypatch.setenv(var, raw)
-                with pytest.raises(ConfigError, match=var):
-                    read()
-            monkeypatch.delenv(var)

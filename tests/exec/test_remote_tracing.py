@@ -1,7 +1,7 @@
 """Worker span grafting over the fleet fixture's socketpair workers.
 
 The trace plane's end-to-end contract: worker ``exec.task`` spans
-(including retries and straggler duplicate dispatches) graft back under
+(including retries) graft back under
 the submitting trace root, and tracing never perturbs a result — under
 chaos too.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import importlib
 import pickle
 import threading
-import time
 import warnings
 
 import pytest
@@ -24,7 +23,6 @@ trace = importlib.import_module("repro.obs.trace")
 FAST = ExecPolicy(
     retry=RetryPolicy(max_attempts=2, base_delay=0.0),
     worker_timeout=2.0,
-    quarantine_after=2,
 )
 
 _FLAKY_LOCK = threading.Lock()
@@ -42,11 +40,6 @@ def _flaky_square(x):
         attempt = _FLAKY_CALLS[x]
     if attempt == 1:
         raise RuntimeError(f"injected first-attempt failure for {x}")
-    return x * x
-
-
-def _sleep_square(x, delay):
-    time.sleep(delay)
     return x * x
 
 
@@ -132,27 +125,6 @@ class TestWorkerSpanGrafting:
             snap, "repro_exec_net_requeues_total", engine="t", reason="error"
         ) > 0
 
-    def test_straggler_duplicate_dispatch_annotated(self, fleet, metrics):
-        coordinator = fleet(2)
-        policy = ExecPolicy(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            worker_timeout=2.0,
-            straggler_fraction=0.1,
-        )
-        tasks = [
-            ShardTask(key=f"t{i}", fn=_sleep_square, args=(i, delay))
-            for i, delay in enumerate((0.0, 0.0, 0.0, 0.5))
-        ]
-        with trace.trace("straggler-root") as root:
-            assert _submit(coordinator, tasks, policy) == [0, 1, 4, 9]
-        stragglers = _named(root, "exec.straggler")
-        assert stragglers, "straggler duplicate dispatch left no span"
-        assert all(s.attrs.get("worker") for s in stragglers)
-        assert all(s.wall_s == 0.0 for s in stragglers)  # annotations
-        snap = metrics.snapshot()
-        assert _sum(snap, "repro_exec_net_stragglers_total", engine="t") > 0
-
-
 # --------------------------------------------------------------------- #
 class TestChaosBitIdentity:
     # ``kill`` would end the test process: these workers are threads.
@@ -164,9 +136,7 @@ class TestChaosBitIdentity:
         monkeypatch.setenv("REPRO_CHAOS", mode)
         # Bit-identity is all that is asserted, so the windows are as
         # short as the modes allow: the 0.3 s hang outlives the deadline.
-        policy = ExecPolicy(
-            retry=FAST.retry, worker_timeout=0.2, quarantine_after=2
-        )
+        policy = ExecPolicy(retry=FAST.retry, worker_timeout=0.2)
         oracle = [i * i for i in range(4)]
         with trace.trace(f"chaos-{mode}") as root:
             with warnings.catch_warnings():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -236,18 +234,6 @@ class TestPoolResilience:
             with pytest.warns(ResourceWarning):
                 out = engine.logits(graph)
         assert np.array_equal(single, out)
-
-    def test_no_fallback_raises_after_retries(self, weights, graph):
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            engine.policy = dataclasses.replace(
-                engine.policy, serial_fallback=False
-            )
-            engine.worker_fn = _crashing_worker
-            with pytest.warns(ResourceWarning):
-                with pytest.raises(OSError):
-                    engine.logits(graph)
 
     def test_worker_fn_is_real_entrypoint(self):
         # The injectable default must stay the module-level picklable fn.

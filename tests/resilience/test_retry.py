@@ -18,6 +18,15 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["base_delay", "max_delay", "backoff"])
+    def test_rejects_non_finite_schedule(self, name, value):
+        # A ``nan`` delay passes ``< 0`` and puts a failed task's next
+        # attempt at ``nan``, which no clock ever reaches: the submit that
+        # waits for it never ends.
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(**{name: value})
+
 
 class TestCircuitBreaker:
     def _failing(self):

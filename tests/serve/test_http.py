@@ -376,13 +376,12 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_exec_task_retries_total counter" in text
         assert "# TYPE repro_exec_worker_restarts_total counter" in text
         assert "# TYPE repro_exec_fallbacks_total counter" in text
-        assert "# TYPE repro_exec_tasks_quarantined_total counter" in text
         assert "# TYPE repro_exec_integrity_failures_total counter" in text
         assert "# TYPE repro_exec_submit_seconds histogram" in text
         # One ladder, one counter set: no transport keeps copies of these
-        # four.
-        for folded in ("tasks_quarantined_total", "integrity_failures_total",
-                       "fallbacks_total", "submit_seconds"):
+        # three.
+        for folded in ("integrity_failures_total", "fallbacks_total",
+                       "submit_seconds"):
             assert f"repro_exec_net_{folded}" not in text
         assert "# TYPE repro_exec_net_requeues_total counter" in text
 
