@@ -1,18 +1,19 @@
 """Sharded-inference benchmark: single-process vs boundary-exchange shards.
 
 Scores a ladder of synthetic designs through the plain ``FastInference``
-chain and through ``ShardedInference`` (in-process shard loop and, on
-multi-core hosts or under ``--force-pool``, the fork-pool path) and
+chain and through ``ShardedInference`` (its slab rounds on the
+in-process executor and, on multi-core hosts or under ``--force-pool``,
+on the fork pool) and
 writes ``results/BENCH_sharded_inference.json`` with nodes/sec,
 wall-clock, speedups over the single-process baseline, partition quality
 (cut edges, imbalance) and the boundary-exchange volume per tier.  Every
 tier partitions into a fixed four shards so the exchange-fraction gate
 measures the same quantity run over run.
 
-``exchange_fraction`` counts the rows each shard ships to its peers per
-layer as a fraction of all nodes.  Since the whole-graph pass is itself
-row-blocked, the in-process shard loop is no longer a cache-blocking win
-over it: its speedup reads about 1× and what the tier measures is the
+``exchange_fraction`` counts the frontier rows each shard reads from its
+peers per layer as a fraction of all nodes.  Since the whole-graph pass
+is itself row-blocked, in-process sharding is no cache-blocking win over
+it: its speedup reads below 1× and what the tier measures is the
 exchange's overhead.
 
 On top of the three relative tiers there is a million-gate sweep tier

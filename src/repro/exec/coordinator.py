@@ -8,10 +8,10 @@ is :mod:`repro.exec.scheduler`'s.  Its workers are children that
 the one worker loop (:mod:`repro.exec.worker`) on the inherited end; a
 private coordinator is the whole ``forkpool`` backend.
 
-Trust: frames are authenticated before they are unpickled
-(:mod:`repro.exec.net`) with a key only this process and its forks
-hold; a peer that has not registered gets one small frame and a short
-timeout.
+A worker is registered when it is forked: its id and process are known
+then, so its first frame needs no handshake.  Trust: frames are
+authenticated before they are unpickled (:mod:`repro.exec.net`) with a
+key only this process and its forks hold.
 """
 
 from __future__ import annotations
@@ -59,15 +59,16 @@ _local_seq = itertools.count()
 class _WorkerConn:
     """One registered worker connection (coordinator side)."""
 
-    def __init__(self, sock, proc, worker_id: str, pid: int, host: str):
+    def __init__(self, sock, worker_id: str, proc):
         self.sock = sock
+        self.id = worker_id
         #: the forked child behind this connection (None for a socket
         #: adopted without one)
         self.proc = proc
-        self.id = worker_id
-        self.pid = pid
-        self.host = host
         self.send_lock = threading.Lock()
+        #: registration counts as hearing from the worker, so a worker
+        #: dispatched to before it first ran has a whole heartbeat
+        #: timeout to send its first frame
         self.last_hb = time.monotonic()
         self.alive = True
         #: session whose initializer this connection last ran
@@ -103,8 +104,8 @@ class _WorkerConn:
 class Coordinator:
     """Worker registry + reader threads + the submit driver.
 
-    Submits are serialized by a lock; registration and heartbeats are
-    handled by per-connection reader threads at any time.
+    Submits are serialized by a lock; heartbeats and replies are read by
+    per-connection reader threads at any time.
     """
 
     #: the backend label of submits served here
@@ -140,67 +141,46 @@ class Coordinator:
         with _fork_lock:
             for _ in range(missing):
                 ours, theirs = socket.socketpair()
+                worker_id = f"local-{os.getpid()}-{next(_local_seq)}"
                 proc = _FORK.Process(
                     target=worker_mod.local_worker_main,
-                    args=(
-                        theirs, [*inherited, ours],
-                        f"local-{os.getpid()}-{next(_local_seq)}", _LOCAL_KEY,
-                    ),
+                    args=(theirs, [*inherited, ours], worker_id, _LOCAL_KEY),
                     daemon=True,
                 )
                 proc.start()
                 theirs.close()
                 inherited.append(ours)
-                started.append((ours, proc))
+                started.append((ours, worker_id, proc))
         # Reader threads start only after every fork: a child must not be
         # forked while a sibling's reader holds a lock it would inherit.
-        for ours, proc in started:
+        for ours, worker_id, proc in started:
             self._local.append(proc)
-            self._adopt(ours, proc)
+            self._adopt(ours, worker_id, proc)
         return missing
 
-    def _adopt(self, sock, proc=None) -> None:
-        """Serve the worker on the far end of ``sock`` (``proc``, when
-        it is a child of ours, is killed with the connection)."""
+    def _adopt(self, sock, worker_id: str, proc=None) -> None:
+        """Register the worker on the far end of ``sock`` and serve it
+        (``proc``, when it is a child of ours, is killed with the
+        connection).  Frames sent before the worker runs wait in the
+        socket."""
+        conn = _WorkerConn(sock, worker_id, proc)
+        with self._workers_lock:
+            self._workers[worker_id] = conn
+        _log.info(
+            "worker registered",
+            extra={"worker": worker_id, "pid": proc.pid if proc else None},
+        )
         threading.Thread(
-            target=self._reader, args=(sock, proc),
+            target=self._reader, args=(conn,),
             name="repro-exec-reader", daemon=True,
         ).start()
 
-    def _reader(self, sock, proc) -> None:
-        """Per-connection thread: register, then route frames until EOF."""
-        conn: _WorkerConn | None = None
+    def _reader(self, conn: _WorkerConn) -> None:
+        """Per-connection thread: route frames until EOF."""
         malformed = remote_mod.ensure_obs_metrics()["malformed"]
         try:
-            sock.settimeout(net_mod.REGISTER_TIMEOUT_S)
-            message = net_mod.recv_frame(
-                sock, _LOCAL_KEY, net_mod.MAX_HELLO_BYTES
-            )
-            if not net_mod.well_formed(message, ("register",)):
-                malformed.labels("unregistered").inc()
-                return
-            sock.settimeout(None)
-            conn = _WorkerConn(sock, proc, *message[1:])
-            # Welcome before the registry can hand the worker to a submit:
-            # a worker waiting for its welcome drops any other frame, so
-            # an ``init`` or ``task`` sent first would be lost and its
-            # attempt would hang on a heartbeating worker.
-            conn.send(
-                "welcome", conn.id, net_mod.HB_INTERVAL_S,
-                logs.get_run_id(),
-            )
-            with self._workers_lock:
-                self._workers[conn.id] = conn
-            # Wakes a submit that is waiting for someone to dispatch to
-            # (a fresh pool's first, or one whose worker is being replaced)
-            # instead of leaving it to the next poll.
-            self._events.put(("hello", conn))
-            _log.info(
-                "worker registered",
-                extra={"worker": conn.id, "pid": conn.pid, "host": conn.host},
-            )
             while True:
-                message = net_mod.recv_frame(sock, _LOCAL_KEY)
+                message = net_mod.recv_frame(conn.sock, _LOCAL_KEY)
                 if not net_mod.well_formed(
                     message, ("heartbeat", "result", "error")
                 ):
@@ -220,14 +200,13 @@ class Coordinator:
                 "coordinator", self.kind
             ).inc()
         finally:
-            if conn is not None:
-                conn.alive = False
-                with self._workers_lock:
-                    if self._workers.get(conn.id) is conn:
-                        del self._workers[conn.id]
-                self._events.put(("gone", conn))
+            conn.alive = False
+            with self._workers_lock:
+                if self._workers.get(conn.id) is conn:
+                    del self._workers[conn.id]
+            self._events.put(("gone", conn))
             with contextlib.suppress(OSError):
-                sock.close()
+                conn.sock.close()
 
     # ------------------------------------------------------------------ #
     def worker_count(self) -> int:
@@ -236,15 +215,6 @@ class Coordinator:
     def workers(self) -> list[_WorkerConn]:
         with self._workers_lock:
             return [c for c in self._workers.values() if c.alive]
-
-    def wait_for_workers(self, timeout: float, minimum: int = 1) -> bool:
-        """Poll until >= ``minimum`` workers are registered (or time out)."""
-        end = time.monotonic() + max(0.0, timeout)
-        while self.worker_count() < minimum:
-            if time.monotonic() >= end:
-                return False
-            time.sleep(0.01)
-        return True
 
     def close(self) -> None:
         """End every worker."""
@@ -255,7 +225,7 @@ class Coordinator:
             with contextlib.suppress(OSError):
                 conn.send("shutdown")
             conn.kill()
-        for proc in self._local:  # forked but never registered
+        for proc in self._local:  # children whose connection already ended
             proc.kill()
             proc.join()
 
@@ -345,9 +315,7 @@ class Coordinator:
             return
         while True:
             kind, conn, *fields = event
-            if kind == "hello":
-                pass  # the registry has the worker; the next tick sees it
-            elif kind == "gone":
+            if kind == "gone":
                 sched.worker_lost(conn, conn.death_reason)
                 if conn.proc is not None:
                     # EOF can precede the child becoming waitable; reap it

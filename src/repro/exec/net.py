@@ -21,11 +21,8 @@ Messages are plain tuples ``(type, *fields)`` of fixed arity, checked by
 is counted and dropped, never indexed):
 
 =============  ========  ==============================================
-``register``   w -> c    ``worker_id, pid, host`` — first frame, read
-                         under :data:`MAX_HELLO_BYTES` and
-                         :data:`REGISTER_TIMEOUT_S`
-``welcome``    c -> w    ``worker_id, hb_interval_s, run_id``
-``heartbeat``  w -> c    ``worker_id``
+``heartbeat``  w -> c    ``worker_id`` — a worker's first frame, then
+                         one every :data:`HB_INTERVAL_S`
 ``init``       c -> w    ``session, init_blob, run_id`` — pickled
                          ``(initializer, initargs)``, sent before the
                          first task of a session
@@ -63,7 +60,7 @@ __all__ = [
     "well_formed",
 ]
 
-#: seconds between a worker's heartbeat frames (sent in the welcome)
+#: seconds between a worker's heartbeat frames
 HB_INTERVAL_S = 1.0
 #: heartbeat silence that declares a busy worker lost
 HB_TIMEOUT_S = 4.0
@@ -72,10 +69,6 @@ _HEADER = struct.Struct("!I32s")
 #: sanity bound on one frame; a length beyond this is garbage, not data
 #: (large ndarrays travel by shared-memory segment name, not by value)
 MAX_FRAME_BYTES = 1 << 31
-#: bound on the one frame read from a peer that has not registered yet
-MAX_HELLO_BYTES = 1 << 12
-#: seconds an adopted connection has to send its ``register`` frame
-REGISTER_TIMEOUT_S = 5.0
 
 
 def _tag(key: bytes, payload: bytes) -> bytes:
@@ -99,16 +92,16 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, key: bytes, max_bytes: int = MAX_FRAME_BYTES):
+def recv_frame(sock: socket.socket, key: bytes):
     """Receive one message; EOFError on close, integrity error on forgery.
 
     Nothing is unpickled unless the tag over the whole payload verifies
-    under ``key``, and nothing beyond ``max_bytes`` is even read.
+    under ``key``, and nothing beyond :data:`MAX_FRAME_BYTES` is even read.
     """
     length, tag = _HEADER.unpack(_read_exact(sock, _HEADER.size))
-    if length > max_bytes:
+    if length > MAX_FRAME_BYTES:
         raise ResultIntegrityError(
-            f"frame header announces {length} bytes (> {max_bytes}); "
+            f"frame header announces {length} bytes (> {MAX_FRAME_BYTES}); "
             "treating the stream as corrupt"
         )
     payload = _read_exact(sock, length)
@@ -141,12 +134,9 @@ def unseal(crc: int, payload: bytes, key: str):
     return unpickle(payload)
 
 
-_NUMBER = (int, float)
 _NONE = type(None)
 #: field types per message type — the frame table above, executable
 _FIELDS: dict[str, tuple] = {
-    "register": (str, int, str),
-    "welcome": (str, _NUMBER, (str, _NONE)),
     "heartbeat": (str,),
     "init": (str, bytes, (str, _NONE)),
     "task": (str, int, str, int, bytes, object, object),

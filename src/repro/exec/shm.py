@@ -104,9 +104,8 @@ class SharedSegment:
         )
         with _lock:
             _live[name] = shm
-        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        view[:] = 0
-        return cls(name, shm, view)
+        # A new segment reads as zeros: no fill, no page faulted in early.
+        return cls(name, shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf))
 
     def close_unlink(self) -> None:
         """Release the parent mapping and remove the segment (idempotent)."""

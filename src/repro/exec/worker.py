@@ -2,8 +2,8 @@
 
 A worker is a connected socket plus :func:`serve_connection`;
 :func:`local_worker_main` is the entry point of a child the coordinator
-forked onto a ``socketpair``.  Registration, heartbeats, chaos
-injection, result sealing and error frames all live here.
+forked onto a ``socketpair``.  Heartbeats, chaos injection, result
+sealing and error frames all live here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import contextlib
 import os
 import pickle
 import signal
-import socket
 import threading
 import time
 
@@ -41,11 +40,12 @@ def local_worker_main(sock, inherited, worker_id: str, key: bytes) -> None:
 
 
 def serve_connection(sock, worker_id, key) -> None:
-    """One registered connection's lifetime, until shutdown or EOF.
+    """One connection's lifetime, until shutdown or EOF.
 
-    One task runs at a time; heartbeats flow from a side thread even
-    while a task computes, which is what lets the coordinator tell *slow*
-    from *silent*.
+    The first frame is a heartbeat.  One task runs at a time; heartbeats
+    flow from a side thread even while a task computes, which is what
+    lets the coordinator tell *slow* from *silent*.  The run id comes
+    with the fork and is refreshed by every ``init`` and ``task`` frame.
     """
     send_lock = threading.Lock()
 
@@ -59,23 +59,15 @@ def serve_connection(sock, worker_id, key) -> None:
             if net_mod.well_formed(message, kinds):
                 return message
 
-    send("register", worker_id, os.getpid(), socket.gethostname())
-    _, _, hb_interval, run_id = receive("welcome")
-    # The coordinator's run id makes this worker's JSON logs joinable
-    # with the submitting run's (refreshed per task by the frame-carried
-    # obs context, which may postdate registration).
-    if run_id:
-        logs.set_run_id(run_id)
-
+    send("heartbeat", worker_id)
     closed = threading.Event()
 
     def heartbeat_loop():
-        while not closed.is_set():
+        while not closed.wait(net_mod.HB_INTERVAL_S):
             try:
                 send("heartbeat", worker_id)
             except OSError:
                 return
-            closed.wait(hb_interval)
 
     threading.Thread(
         target=heartbeat_loop, name="repro-exec-heartbeat", daemon=True

@@ -3,8 +3,6 @@
 * **Aggregator weights** — learned, asymmetric w_pr/w_su vs frozen
   symmetric weights (tests the value of distinguishing fanin from fanout,
   Equation (1)).
-* **Stage-1 class weight** — the cascade's positive-weight scale
-  (Section 3.3's "impose a large weight").
 * **COO vs dense adjacency** — the memory/runtime argument of
   Section 3.4.1.
 * **Labelling pattern count** — stability of the difficult-to-observe
@@ -14,7 +12,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,17 +20,11 @@ from repro.core.model import GCN
 from repro.core.trainer import Trainer, masked_accuracy
 from repro.data.dataset import BenchmarkDataset
 from repro.data.splits import balanced_indices
-from repro.experiments.common import (
-    default_gcn_config,
-    default_multistage_config,
-    default_train_config,
-)
-from repro.metrics import f1_score
+from repro.experiments.common import default_gcn_config, default_train_config
 
 __all__ = [
     "run_aggregator_ablation",
     "run_aggregator_family_ablation",
-    "run_stage_weight_ablation",
     "run_adjacency_ablation",
     "run_label_stability_ablation",
     "run_transductive_ablation",
@@ -82,32 +73,6 @@ def run_aggregator_ablation(
                 round(float(model.aggregator.w_pr.data), 3),
                 round(float(model.aggregator.w_su.data), 3),
             ]
-        )
-    return rows
-
-
-def run_stage_weight_ablation(
-    suite: dict[str, BenchmarkDataset],
-    scale: float,
-    test_name: str = "B4",
-    scales: tuple[float, ...] = (0.5, 1.0, 1.5, 3.0),
-) -> list[list]:
-    """F1 of the cascade as the positive-class weight scale varies."""
-    from repro.core.multistage import MultiStageGCN
-
-    train_names = [n for n in sorted(suite) if n != test_name]
-    train_graphs = [suite[n].graph for n in train_names]
-    test_graph = suite[test_name].graph
-    labels = suite[test_name].labels.labels
-    rows = []
-    for weight_scale in scales:
-        config = replace(
-            default_multistage_config(), positive_weight_scale=weight_scale
-        )
-        cascade = MultiStageGCN(config)
-        cascade.fit(train_graphs)
-        rows.append(
-            [weight_scale, round(f1_score(labels, cascade.predict(test_graph)), 3)]
         )
     return rows
 

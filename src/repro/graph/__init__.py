@@ -4,11 +4,12 @@ The paper's scalability result (Section 3.4.1) turns whole-graph inference
 into a short chain of sparse matmuls; this package runs that chain
 partitioned: a deterministic, locality-aware contiguous partitioner with
 min-crossing cut placement (:mod:`repro.graph.partition`), a boundary-
-exchange plan compiler that gives each shard send/recv index lists
-covering every cut edge exactly once (:mod:`repro.graph.exchange`), and a
-sharded inference engine that computes each layer for owned rows only and
-swaps just the cut-edge activations between layers — in process or
-through fork-pool shared-memory slabs (:mod:`repro.graph.sharded`).
+exchange plan compiler that gives each shard its owned rows, its frontier
+of foreign neighbours and its local adjacency
+(:mod:`repro.graph.exchange`), and a sharded inference engine that
+computes each layer for owned rows only, reading the frontier's rows
+from two ping-ponged shared-memory slabs — round tasks that forked
+workers or the in-process executor run (:mod:`repro.graph.sharded`).
 Results are bit-identical to the single-shard engine at float64.  Only
 code that builds a :class:`ShardedInference` gets a sharded pass; every
 other inference call runs the whole-graph pass.

@@ -6,17 +6,16 @@ The scheme:
   rows only;
 * its **frontier** is the one-hop set of foreign neighbours — the only
   rows it has to read but never computes;
-* between layers, shards swap exactly the cut-edge activations: shard
-  ``a`` sends the layer-``d`` embeddings of its owned nodes that sit on
-  ``b``'s frontier, and receives ``b``'s symmetric slice.
+* between layers, every shard reads its frontier rows from the
+  activations their owners computed the round before.
 
 The frontier is constant across layers (one aggregation hop per layer),
 so the whole schedule compiles once per partition into a
 :class:`BoundaryPlan`: per shard, the local universe (owned + frontier,
-sorted by global id), owned/frontier positions, row-sliced adjacency, and
-per-peer ``send``/``recv`` index lists.  ``exchange_fraction`` — frontier
-rows over the node count — is the scheme's cost metric: the fraction of
-one layer's activations that crosses shard boundaries per round.
+sorted by global id), owned positions and row-sliced adjacency.
+``exchange_fraction`` — frontier rows over the node count — is the
+scheme's cost metric: the fraction of one layer's activations that
+crosses shard boundaries per round.
 
 Bit-identity at float64 is preserved end to end: the local adjacency rows
 are the global CSR rows with columns renumbered into the (sorted) local
@@ -28,7 +27,7 @@ makes, on the shard's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,21 +85,6 @@ class ShardExchange:
     #: ``universe`` (values and per-row order exactly the global CSR's)
     pred_rows: sp.csr_matrix
     succ_rows: sp.csr_matrix
-    #: ``send[dst]``: positions into ``owned`` of the rows shard ``dst``
-    #: needs each round (sorted by global id)
-    send: dict[int, np.ndarray] = field(default_factory=dict)
-    #: ``recv[src]``: positions into ``universe`` where shard ``src``'s
-    #: shipped rows land (sorted by the same global ids as ``src``'s
-    #: matching ``send`` list)
-    recv: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def n_owned(self) -> int:
-        return len(self.owned)
-
-    @property
-    def n_local(self) -> int:
-        return len(self.universe)
 
 
 @dataclass
@@ -111,7 +95,8 @@ class BoundaryPlan:
     n_nodes: int
     #: undirected cut edges (each counted once)
     cut_edges: int = 0
-    #: sum over ordered shard pairs of rows shipped per round
+    #: frontier rows over all shards: the rows read across a shard
+    #: boundary per round (each has exactly one foreign owner)
     exchange_rows: int = 0
     #: ``exchange_rows / n_nodes`` — the per-round exchange cost
     exchange_fraction: float = 0.0
@@ -121,13 +106,8 @@ class BoundaryPlan:
         return len(self.shards)
 
     def validate(self) -> None:
-        """Assert the send/recv lists are exact and symmetric.
-
-        Every frontier node of shard ``b`` owned by shard ``a`` must
-        appear exactly once in ``a.send[b]`` and land at its position in
-        ``b``'s universe via ``b.recv[a]`` — the invariant that makes the
-        exchanged rows bit-exact copies of the owner's computed rows.
-        """
+        """Assert each shard's universe is its owned rows plus a disjoint
+        frontier, and ``owned_pos`` finds the owned rows in it."""
         for sh in self.shards:
             if len(np.intersect1d(sh.owned, sh.frontier)):
                 raise ValueError(f"shard {sh.index}: frontier overlaps owned")
@@ -139,27 +119,6 @@ class BoundaryPlan:
                 )
             if not np.array_equal(sh.universe[sh.owned_pos], sh.owned):
                 raise ValueError(f"shard {sh.index}: owned_pos mismatch")
-            covered: list[np.ndarray] = []
-            for src, pos in sorted(sh.recv.items()):
-                src_sh = self.shards[src]
-                sent = src_sh.owned[src_sh.send[sh.index]]
-                landed = sh.universe[pos]
-                if not np.array_equal(sent, landed):
-                    raise ValueError(
-                        f"send/recv mismatch between shards {src} and "
-                        f"{sh.index}"
-                    )
-                covered.append(landed)
-            got = (
-                np.sort(np.concatenate(covered))
-                if covered
-                else np.empty(0, dtype=np.int64)
-            )
-            if not np.array_equal(got, sh.frontier):
-                raise ValueError(
-                    f"shard {sh.index}: recv lists do not cover the frontier "
-                    f"exactly once"
-                )
 
 
 def _renumber_rows(
@@ -214,18 +173,7 @@ def compile_boundary_plan(
                 succ_rows=_renumber_rows(succ, owned, universe),
             )
         )
-    exchange_rows = 0
-    for dst in shards:
-        by_owner = owner[dst.frontier]
-        for src in range(n_shards):
-            ids = dst.frontier[by_owner == src]
-            if not len(ids):
-                continue
-            shards[src].send[dst.index] = np.searchsorted(
-                shards[src].owned, ids
-            )
-            dst.recv[src] = np.searchsorted(dst.universe, ids)
-            exchange_rows += len(ids)
+    exchange_rows = sum(len(sh.frontier) for sh in shards)
     return BoundaryPlan(
         shards=shards,
         n_nodes=n,

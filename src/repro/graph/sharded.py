@@ -4,10 +4,10 @@
 :class:`~repro.core.inference.FastInference`, but partitioned: each shard
 of a locality-aware edge cut (:mod:`repro.graph.partition`) computes
 layer embeddings for its *owned* rows only, reading the cut frontier's
-rows from its peers between layers.  The exchange schedule — who ships
-which activation rows to whom each round — is compiled once per
-partition into a :class:`~repro.graph.exchange.BoundaryPlan`; with a
-thin cut, per-shard work is ``owned + frontier`` rows.
+rows its peers computed the round before.  Each shard's universe and
+local adjacency are compiled once per partition into a
+:class:`~repro.graph.exchange.BoundaryPlan`; with a thin cut, per-shard
+work is ``owned + frontier`` rows.
 
 Every path is bit-identical at float64 to the single-shard engine: the
 local adjacency rows are the global CSR rows (duplicate summation done
@@ -15,20 +15,18 @@ once, globally; per-row column order preserved by the sorted local
 universe), dense steps are row-independent, and exchanged rows are exact
 copies of the owner's computed rows.
 
-Two transports, one kernel (:func:`~repro.graph.exchange.
-run_shard_round`):
+One transport, one kernel (:func:`~repro.graph.exchange.
+run_shard_round`): two parent-owned shared-memory activation slabs,
+ping-ponged between layers.  Each round is one task per shard that reads
+the previous layer's slab and writes its disjoint owned rows into the
+next, so retries are idempotent and the slab swap is the exchange.  The
+round tasks run on forked workers when there are several shards and
+several workers; otherwise the in-process executor runs each task's
+in-process twin, the same kernel on the same slabs, without forking.
 
-* **inprocess** — per-shard local buffers, frontier rows landed by the
-  compiled ``send``/``recv`` index copies; a round's shard computations
-  are a loop;
-* **forkpool** — two parent-owned shared-memory activation slabs
-  ping-ponged between layers; each round's tasks read the previous
-  layer's slab and write disjoint owned rows into the next, so retries
-  are idempotent and the slab swap is the exchange.
-
-Failed rounds follow the fabric's supervision ladder — a failed or silent
-worker is killed and respawned and its task retried, then per-task
-in-process rescue (bit-identical, same kernel) — as the engine's one
+Pooled rounds that fail follow the fabric's supervision ladder — a
+failed or silent worker is killed and respawned and its task retried,
+then per-task in-process rescue (the same twin) — as the engine's one
 ``policy`` (:class:`~repro.exec.ExecPolicy`) says.
 """
 
@@ -167,14 +165,14 @@ class ShardedInference(FastInference):
 
     A :class:`~repro.core.inference.FastInference` whose pass runs
     partitioned: ``logits`` / ``predict`` / ``predict_proba`` / ``embed``
-    and the non-finite guard are inherited; this class
-    holds what is about partitions and transports.  It shards whenever it
-    is built, and only code that builds one gets a sharded pass: nothing
+    and the non-finite guard are inherited; this class holds what is
+    about partitions and the slab rounds.  It shards whenever it is
+    built, and only code that builds one gets a sharded pass: nothing
     routes a graph here, because on two cores the threaded whole-graph
     pass was faster at every size measured, 3.2k to 269k nodes
     (EXPERIMENTS.md, "The threaded single pass against sharding").  The
-    class stays for three uses: the in-process shard loop checks the
-    exchange plan without forking, the benchmark's probe measures the
+    class stays for three uses: the in-process executor runs the same
+    round tasks without forking, the benchmark's probe measures the
     fork pool and checks its logits against the single pass, and a
     partition-ordered whole-graph pass (ROADMAP item 7) builds on the
     partition.  The partition and exchange plan are cached per graph, so
@@ -246,12 +244,6 @@ class ShardedInference(FastInference):
             w.shape[1] for w in self.weights.encoder_weights
         ]
 
-    def _cast_attributes(self, graph: GraphData) -> np.ndarray:
-        attrs = graph.attributes
-        if attrs.dtype != self.dtype:
-            attrs = attrs.astype(self.dtype)
-        return attrs
-
     def _record_exchange(self, plan: _Plan, widths: list[int]) -> None:
         rounds_c, rows_c, bytes_c, fraction_g = exchange_obs()
         depth = self.weights.depth
@@ -283,64 +275,22 @@ class ShardedInference(FastInference):
             nodes=graph.num_nodes,
             shards=plan.partition.n_shards,
         ):
-            if (
-                plan.partition.n_shards > 1
-                and self.execution.resolved_workers() > 1
-                and self.execution.resolve_exec_backend() != "inprocess"
-            ):
-                self._shm_run(graph, plan, with_head, out)
-            else:
-                self._inprocess_run(graph, plan, with_head, out)
+            self._shm_run(graph, plan, with_head, out)
             self._record_exchange(plan, self._layer_widths(graph))
         return out
 
     # ------------------------------------------------------------------ #
-    # In-process transport: per-shard buffers + compiled send/recv copies
-    # ------------------------------------------------------------------ #
-    def _inprocess_run(
-        self,
-        graph: GraphData,
-        plan: _Plan,
-        with_head: bool,
-        out: np.ndarray,
-    ) -> None:
-        """In-process transport.
-
-        Each shard keeps a local activation buffer over its universe; a
-        round computes every shard's owned rows in a loop, then lands
-        them, and every peer's shipped frontier rows, through the
-        compiled index lists.
-        """
-        shards = plan.exchange.shards
-        attrs = self._cast_attributes(graph)
-        current = [np.ascontiguousarray(attrs[sh.universe]) for sh in shards]
-        for d, head_round in self._rounds(with_head):
-            results = []
-            for i, sh in enumerate(shards):
-                with span("inference.shard", shard=i, layer=d,
-                          nodes=sh.n_local):
-                    results.append(
-                        run_shard_round(
-                            self.weights, sh, current[i], d, head_round
-                        )
-                    )
-            if d == self.weights.depth - 1:
-                break
-            for i, sh in enumerate(shards):
-                nxt = np.empty(
-                    (sh.n_local, results[i].shape[1]), dtype=self.dtype
-                )
-                nxt[sh.owned_pos] = results[i]
-                for src, positions in sh.recv.items():
-                    nxt[positions] = results[src][shards[src].send[i]]
-                current[i] = nxt
-        for i, sh in enumerate(shards):
-            out[sh.owned] = results[i]
-
-    # ------------------------------------------------------------------ #
-    # Pool transport
+    # The slab rounds
     # ------------------------------------------------------------------ #
     def _ensure_executor(self, plan: _Plan) -> Executor:
+        """The fork pool for ``plan``, or the in-process executor when
+        one shard, one worker or ``inprocess`` leaves nothing to fork."""
+        if (
+            plan.partition.n_shards == 1
+            or self.execution.resolved_workers() == 1
+            or self.execution.resolve_exec_backend() == "inprocess"
+        ):
+            return make_executor("inprocess", name="inference")
         # The worker initializer bakes in this plan's exchange structures,
         # so a new plan needs a new pool.
         if self._executor is not None and self._pool_plan is not plan:
@@ -368,7 +318,7 @@ class ShardedInference(FastInference):
     def _shm_run(
         self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
     ) -> None:
-        """Forkpool transport: two shared activation slabs, ping-ponged.
+        """Two shared activation slabs, ping-ponged.
 
         Round ``d`` reads slab ``d % 2`` and writes slab ``(d+1) % 2``;
         each round is a barrier (all shards complete before the next

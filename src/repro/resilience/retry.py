@@ -30,7 +30,12 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
-        return min(self.max_delay, self.base_delay * self.backoff ** (attempt - 1))
+        try:
+            growth = self.backoff ** (attempt - 1)
+        except OverflowError:
+            # Past float range is past every finite cap.
+            return self.max_delay if self.base_delay else 0.0
+        return min(self.max_delay, self.base_delay * growth)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

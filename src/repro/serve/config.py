@@ -68,9 +68,17 @@ class ServeConfig:
             problems.append("workers must be >= 1")
         if self.queue_capacity < 1:
             problems.append("queue_capacity must be >= 1")
-        if self.default_deadline_ms < 1:
-            problems.append("default_deadline_ms must be >= 1")
-        if self.max_deadline_ms < self.default_deadline_ms:
+        # Admission takes only an int ``deadline_ms``, and a NaN passes
+        # every ``<``: anything else would refuse every request.
+        deadlines = (self.default_deadline_ms, self.max_deadline_ms)
+        if not all(
+            isinstance(ms, int) and not isinstance(ms, bool) and ms >= 1
+            for ms in deadlines
+        ):
+            problems.append(
+                "default_deadline_ms and max_deadline_ms must be integers >= 1"
+            )
+        elif self.max_deadline_ms < self.default_deadline_ms:
             problems.append("max_deadline_ms must be >= default_deadline_ms")
         if self.max_body_bytes < 1:
             problems.append("max_body_bytes must be >= 1")

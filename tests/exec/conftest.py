@@ -71,17 +71,18 @@ def fast_heartbeats(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_HANG_S", "0.3")
 
 
-def _adopt_peer(coordinator: Coordinator) -> socket.socket:
+def _adopt_peer(coordinator: Coordinator, worker_id: str) -> socket.socket:
     ours, theirs = socket.socketpair()
-    coordinator._adopt(ours)
+    coordinator._adopt(ours, worker_id)
     return theirs
 
 
 @pytest.fixture()
 def adopt_peer():
-    """``adopt_peer(coordinator)``: hand one end of a fresh ``socketpair``
-    to ``coordinator`` and return the other — whatever speaks on it is a
-    worker candidate (tests play rogue peers with it)."""
+    """``adopt_peer(coordinator, worker_id)``: register one end of a fresh
+    ``socketpair`` with ``coordinator`` as worker ``worker_id`` and return
+    the other — whatever speaks on it is that worker (tests play rogue
+    peers with it)."""
     return _adopt_peer
 
 
@@ -108,13 +109,14 @@ def fleet(fast_heartbeats, monkeypatch):
 
     def start(n=2):
         for i in range(n):
+            worker_id = f"w{i}"
             t = threading.Thread(
-                target=_serve, args=(_adopt_peer(coordinator), f"w{i}"),
+                target=_serve,
+                args=(_adopt_peer(coordinator, worker_id), worker_id),
                 daemon=True,
             )
             t.start()
             threads.append(t)
-        assert coordinator.wait_for_workers(5.0, minimum=n)
         return coordinator
 
     yield start

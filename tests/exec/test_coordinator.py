@@ -13,7 +13,6 @@ import contextlib
 import hashlib
 import hmac
 import importlib
-import os
 import pickle
 import socket
 import struct
@@ -27,6 +26,7 @@ import pytest
 from repro.exec import ExecPolicy, ShardTask
 from repro.exec import coordinator as coordinator_mod
 from repro.exec import net as net_mod
+from repro.exec.worker import serve_connection
 from repro.resilience.retry import RetryPolicy
 from tests.exec.test_net import FLAGS, Bomb
 
@@ -103,54 +103,32 @@ class TestHappyPath:
             coordinator, tasks, session="b", init=(_set_state, ("beta",))
         ) == [("beta", 0), ("beta", 1)]
 
-    def test_welcome_is_the_first_frame_a_worker_sees(
+    def test_a_task_sent_before_the_worker_ran_is_answered(
         self, fleet, adopt_peer, monkeypatch
     ):
-        # Regression: the registry published a worker before its welcome
-        # was sent, so a waiting submit could send ``init``/``task`` first;
-        # the worker loop drops frames that are not its welcome, and the
-        # attempt then hung on a worker that kept heartbeating.
+        # A worker is registered before it runs, so a submit can send its
+        # ``init`` and ``task`` first: they wait in the socket, and the
+        # heartbeat-silence rung leaves a worker that has not spoken yet
+        # alone for a whole timeout.
+        monkeypatch.setattr(net_mod, "HB_TIMEOUT_S", 1.0)
         coordinator = fleet(0)
-        real_run_id = coordinator_mod.logs.get_run_id
+        sock = adopt_peer(coordinator, "late")
 
-        def slow_run_id():  # evaluated while building the welcome
-            time.sleep(0.3)
-            return real_run_id()
+        def late_start():
+            time.sleep(0.5)
+            with sock, contextlib.suppress(EOFError, OSError):
+                serve_connection(sock, "late", KEY)
 
-        monkeypatch.setattr(coordinator_mod.logs, "get_run_id", slow_run_id)
-        kinds: list[str] = []
-
-        def late_peer(sock):
-            """Records what it receives and answers every task."""
-            with sock:
-                net_mod.send_frame(sock, ("register", "late", 1, "h"), KEY)
-                with contextlib.suppress(EOFError, OSError):
-                    while True:
-                        task = net_mod.recv_frame(sock, KEY)
-                        kinds.append(task[0])
-                        if task[0] == "task":
-                            fn, args = pickle.loads(task[5])
-                            crc, payload = net_mod.seal(fn(*args))
-                            net_mod.send_frame(sock, (
-                                "result", task[1], task[2], task[4], crc,
-                                payload, None,
-                            ), KEY)
-
-        # The submit is already polling for a worker when this one arrives.
-        joiner = threading.Timer(
-            0.1, lambda: threading.Thread(
-                target=late_peer, args=(adopt_peer(coordinator),), daemon=True
-            ).start()
-        )
-        joiner.start()
-        policy = ExecPolicy(
-            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-            worker_timeout=2.0,
-        )
-        assert _submit(coordinator, _tasks(1), policy) == [0]
-        joiner.join(timeout=5.0)
-        assert coordinator.last_submit_failures == 0
-        assert kinds[:3] == ["welcome", "init", "task"]
+        late = threading.Thread(target=late_start, daemon=True)
+        late.start()
+        try:
+            assert _submit(
+                coordinator, _tasks(2), init=(_set_state, ("late",))
+            ) == [0, 1]
+            assert coordinator.last_submit_failures == 0
+        finally:
+            coordinator.close()
+            late.join(timeout=5.0)
 
     def test_task_errors_retry_then_rescue(self, fleet, metrics):
         coordinator = fleet(2)
@@ -208,21 +186,20 @@ class TestTrustBoundary:
         self, fleet, adopt_peer, metrics, forgery
     ):
         coordinator = fleet(0)
-        bomb = pickle.dumps(("register", Bomb(), 1, "host"))
+        bomb = pickle.dumps(("heartbeat", Bomb()))
         if forgery == "tampered":
-            good = pickle.dumps(("register", "w", 1, "host"))
+            good = pickle.dumps(("heartbeat", "w"))
             frame = struct.pack("!I", len(bomb)) + hmac.digest(
                 KEY, good, hashlib.sha256
             ) + bomb
         elif forgery == "unsigned":  # the pre-HMAC len|crc|payload frame
             frame = struct.pack("!II", len(bomb), zlib.crc32(bomb)) + bomb
             frame += b"\0" * 64
-        else:  # correctly signed, but larger than a stranger may send
-            bomb += b"\0" * net_mod.MAX_HELLO_BYTES
-            frame = struct.pack("!I", len(bomb)) + hmac.digest(
-                KEY, bomb, hashlib.sha256
-            ) + bomb
-        with adopt_peer(coordinator) as sock:
+        else:  # correctly signed, but announced beyond any frame's bound
+            frame = struct.pack(
+                "!I", net_mod.MAX_FRAME_BYTES + 1
+            ) + hmac.digest(KEY, bomb, hashlib.sha256) + bomb
+        with adopt_peer(coordinator, "w") as sock:
             sock.sendall(frame)
             assert _closed_by_peer(sock)
         assert coordinator.worker_count() == 0
@@ -231,62 +208,34 @@ class TestTrustBoundary:
             engine="coordinator",
         ) == 1
 
-    def test_worker_with_the_wrong_key_never_registers(
-        self, fleet, adopt_peer
-    ):
+    def test_worker_with_the_wrong_key_is_dropped(self, fleet, adopt_peer):
         coordinator = fleet(0)
-        with adopt_peer(coordinator) as sock:
+        with adopt_peer(coordinator, "w") as sock:
             net_mod.send_frame(
-                sock, ("register", "w", 1, "host"), b"not-the-coordinators"
+                sock, ("heartbeat", "w"), b"not-the-coordinators"
             )
             assert _closed_by_peer(sock)
         assert coordinator.worker_count() == 0
 
-    def test_silent_peer_is_dropped_at_the_registration_timeout(
-        self, fleet, adopt_peer, monkeypatch
-    ):
-        monkeypatch.setattr(net_mod, "REGISTER_TIMEOUT_S", 0.2)
-        coordinator = fleet(0)
-        start = time.monotonic()
-        with adopt_peer(coordinator) as sock:
-            assert _closed_by_peer(sock)
-        assert time.monotonic() - start < 2.0
-
-    def test_malformed_register_is_counted_and_dropped(
-        self, fleet, adopt_peer, metrics
-    ):
-        coordinator = fleet(0)
-        with adopt_peer(coordinator) as sock:
-            net_mod.send_frame(sock, ("register", "w"), KEY)
-            assert _closed_by_peer(sock)
-        assert coordinator.worker_count() == 0
-        assert _sum(
-            metrics.snapshot(), "repro_obs_telemetry_malformed_total",
-            worker="unregistered",
-        ) == 1
-
 
 def _rogue_worker(sock, replies):
-    """Registers properly, then answers every task with ``replies(task)``."""
-    with sock:
-        net_mod.send_frame(sock, ("register", "rogue", os.getpid(), "h"), KEY)
-        with contextlib.suppress(EOFError, OSError):
-            while True:
-                message = net_mod.recv_frame(sock, KEY)
-                if message[0] == "task":
-                    for reply in replies(message):
-                        net_mod.send_frame(sock, reply, KEY)
+    """Answers every task with ``replies(task)``."""
+    with sock, contextlib.suppress(EOFError, OSError):
+        while True:
+            message = net_mod.recv_frame(sock, KEY)
+            if message[0] == "task":
+                for reply in replies(message):
+                    net_mod.send_frame(sock, reply, KEY)
 
 
 @contextlib.contextmanager
 def _rogue(coordinator, adopt_peer, replies):
     """One registered rogue peer for the duration of the block."""
     rogue = threading.Thread(
-        target=_rogue_worker, args=(adopt_peer(coordinator), replies),
+        target=_rogue_worker, args=(adopt_peer(coordinator, "rogue"), replies),
         daemon=True,
     )
     rogue.start()
-    assert coordinator.wait_for_workers(5.0)
     try:
         yield
     finally:

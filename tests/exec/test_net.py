@@ -112,18 +112,9 @@ class TestNothingUnverifiedIsUnpickled:
         with pytest.raises((ResultIntegrityError, EOFError)):
             net_mod.recv_frame(b, KEY)
 
-    def test_oversized_first_frame(self, pair):
-        a, b = pair
-        payload = pickle.dumps(Bomb()) + b"\0" * net_mod.MAX_HELLO_BYTES
-        a.sendall(_frame(payload, hmac.digest(KEY, payload, hashlib.sha256)))
-        with pytest.raises(ResultIntegrityError, match="announces"):
-            net_mod.recv_frame(b, KEY, net_mod.MAX_HELLO_BYTES)
-
 
 class TestMessageShapes:
     GOOD = [
-        ("register", "w0", 41, "host"),
-        ("welcome", "w0", 0.5, None),
         ("heartbeat", "w0"),
         ("init", "s", b"blob", "run-1"),
         ("task", "s", 0, "t0", 7, b"blob", None, ("run", True)),
@@ -148,8 +139,8 @@ class TestMessageShapes:
             ("result", "s", "zero", 7, 123, b"payload", None),
             ("result", "s", 0, None, 123, b"payload", None),
             ("error", "s", 0, 7, None, None),
-            ("register", "w0", "not-a-pid", "host"),
-            ("register", "w0", 41),
+            ("init", "s", "blob-not-bytes", None),
+            ("init", "s", b"blob"),
             ({"unhashable": 1}, "w0"),
             ("heartbeat", "w0", None),
         ],

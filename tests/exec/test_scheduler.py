@@ -156,6 +156,24 @@ class TestLadderRungs:
         h.tick(0.6)
         assert h.running() == [(3, 0, "w0")]
 
+    def test_failures_past_float_range_backoff_retry_then_rescue(self):
+        # From the 1 025th failure ``backoff ** (k - 1)`` leaves float
+        # range; the ladder must keep retrying at the capped delay and
+        # rescue when the budget is spent, not raise out of ``_fail``.
+        budget = 1100
+        h = Harness(
+            n_tasks=1, workers=("w0",),
+            retry=RetryPolicy(max_attempts=budget, base_delay=0.01),
+        )
+        h.tick()
+        for attempt in range(1, budget):
+            h.fail(attempt)
+            h.tick(h.policy.retry.max_delay)
+            assert h.running() == [(attempt + 1, 0, "w0")]
+        h.fail(budget, exc := OSError("last"))
+        h.tick()
+        assert h.rescue == ([0], exc) and h.sched.failures == [budget]
+
     def test_deadline_kills_the_worker_before_the_task_runs_again(self):
         h = Harness(n_tasks=1, workers=("w0", "w1"), worker_timeout=1.0)
         h.tick()

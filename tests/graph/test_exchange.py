@@ -1,5 +1,6 @@
-"""Boundary-exchange properties: exact partitions, send/recv coverage of
-every cut edge, and bit-identical exchange logits on random leveled DAGs."""
+"""Boundary-exchange properties: exact partitions, frontiers that hold
+every cut edge's foreign end, and bit-identical exchange logits on random
+leveled DAGs."""
 
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ WEIGHTS = _weights()
 
 @settings(max_examples=60, deadline=None)
 @given(graph=leveled_dags(), n_shards=st.integers(min_value=1, max_value=6))
-def test_partition_exact_and_sendrecv_cover_cut(graph, n_shards):
+def test_partition_exact_and_frontier_owned_across_the_cut(graph, n_shards):
     partition = partition_graph(graph, PartitionConfig(n_shards=n_shards))
     partition.validate()
     pred = graph.pred.to_scipy()
@@ -65,23 +66,19 @@ def test_partition_exact_and_sendrecv_cover_cut(graph, n_shards):
     plan = compile_boundary_plan(pred, succ, owner, partition.n_shards)
     plan.validate()
 
-    # Every cut edge: its driver appears in exactly one shard's send list
-    # toward the sink's shard, and lands through that shard's recv list.
+    # Every frontier row is owned by another shard, and every cut edge's
+    # far end is on the near end's frontier: the slab rounds read each
+    # cut-edge row from its one owner.
+    for sh in plan.shards:
+        assert np.all(owner[sh.frontier] != sh.index)
     und = ((pred != 0) + (succ != 0)).tocoo()
     for u, v in zip(und.row, und.col):
-        a, b = int(owner[u]), int(owner[v])
-        if a == b:
-            continue
-        senders = [
-            s
-            for s in plan.shards
-            if b in s.send and u in s.owned[s.send[b]]
-        ]
-        assert len(senders) == 1 and senders[0].index == a
-        landed = plan.shards[b].universe[plan.shards[b].recv[a]]
-        assert u in landed
+        if owner[u] != owner[v]:
+            assert v in plan.shards[owner[u]].frontier
 
-    # The exchange volume matches the partition's frontier statistic.
+    # The exchange volume is the frontier, and matches the partition's
+    # frontier statistic.
+    assert plan.exchange_rows == sum(len(sh.frontier) for sh in plan.shards)
     assert plan.exchange_fraction == pytest.approx(
         partition.frontier_fraction
     )
@@ -133,7 +130,7 @@ class TestCompiledPlan:
         )
         assert plan.exchange_rows == 0
         assert plan.exchange_fraction == 0.0
-        assert plan.shards[0].send == {} and plan.shards[0].recv == {}
+        assert len(plan.shards[0].frontier) == 0
 
     def test_adjacency_rows_match_global(self, design_graph):
         """Local rows are the global CSR rows, columns renumbered only."""

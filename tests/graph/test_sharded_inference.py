@@ -46,13 +46,27 @@ def _crashing_worker(*args, **kwargs):
 # One arm per way of computing a design's logits other than the whole-graph
 # pass.  Each returns ``(graph, logits)``; the contract is that ``logits``
 # equals ``FastInference(weights).logits(graph)`` bit for bit.
-def _sharded_arm(n_shards):
+def _sharded_arm(n_shards, workers=1, backend_env=None):
+    """Sharded logits through the executor that ``workers`` and
+    ``REPRO_EXEC_BACKEND`` pick; embeddings are checked on the way."""
+
     def run(weights):
         graph = GraphData.from_netlist(generate_design(700, seed=23))
-        with ShardedInference(
-            weights, ExecutionConfig(shards=n_shards, workers=1)
-        ) as engine:
-            return graph, engine.logits(graph)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_EXEC_BACKEND", raising=False)
+            if backend_env is not None:
+                mp.setenv("REPRO_EXEC_BACKEND", backend_env)
+            with ShardedInference(
+                weights, ExecutionConfig(shards=n_shards, workers=workers)
+            ) as engine:
+                logits = engine.logits(graph)
+                embeddings = engine.embed(graph)
+                forked = engine._executor is not None
+        assert forked == (
+            n_shards > 1 and workers > 1 and backend_env != "inprocess"
+        )
+        assert np.array_equal(FastInference(weights).embed(graph), embeddings)
+        return graph, logits
 
     return run
 
@@ -96,6 +110,19 @@ class TestBitIdentity:
             pytest.param(_sharded_arm(2), id="sharded-2"),
             pytest.param(_sharded_arm(3), id="sharded-3"),
             pytest.param(_sharded_arm(7), id="sharded-7"),
+            pytest.param(
+                _sharded_arm(2, 2, "inprocess"), id="sharded-2-env-inprocess"
+            ),
+            pytest.param(
+                _sharded_arm(3, 2, "inprocess"), id="sharded-3-env-inprocess"
+            ),
+            pytest.param(
+                _sharded_arm(7, 2, "inprocess"), id="sharded-7-env-inprocess"
+            ),
+            pytest.param(_sharded_arm(1, 2), id="sharded-1-two-workers"),
+            pytest.param(_sharded_arm(2, 2), id="sharded-2-pool"),
+            pytest.param(_sharded_arm(3, 2), id="sharded-3-pool"),
+            pytest.param(_sharded_arm(7, 2), id="sharded-7-pool"),
             pytest.param(_batched_arm, id="batched"),
             pytest.param(_incremental_arm(1), id="incremental-1-op"),
             pytest.param(_incremental_arm(6), id="incremental-6-ops"),

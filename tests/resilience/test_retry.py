@@ -14,6 +14,15 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_delay=1.0, backoff=10.0, max_delay=3.0)
         assert policy.delay(4) == 3.0
 
+    def test_delay_capped_past_float_range(self):
+        # ``2.0 ** 1024`` leaves float range: the schedule must sit at its
+        # cap there, not raise out of the ladder that asked for a delay.
+        policy = RetryPolicy(max_attempts=5000)
+        assert [policy.delay(k) for k in (1025, 1100, 5000, 10**6)] == [
+            policy.max_delay
+        ] * 4
+        assert RetryPolicy(base_delay=0.0).delay(1100) == 0.0
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
