@@ -38,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry, set_registry  # noqa: E402
 from tests.atpg import reference_faultsim as reference  # noqa: E402
 
 #: serial cone-node evals per batched group eval; the measured ratio on
-#: the 800-gate design is ~200, so 20 leaves an order of magnitude slack
+#: the 800-gate design is ~130, so 20 leaves a 6x slack
 _MIN_WORK_RATIO = 20.0
 
 

@@ -144,11 +144,17 @@ class FaultSimulator:
     ) -> FaultSimResult:
         """Grade ``faults`` against one packed pattern batch.
 
-        ``n_patterns`` trims unused tail bits of the final word.
+        ``n_patterns`` trims unused tail bits of the final word; it must
+        be in ``1..64 * W`` for ``W`` packed words.
         """
         n_words = source_words.shape[1]
         if n_patterns is None:
             n_patterns = n_words * 64
+        elif not 1 <= n_patterns <= n_words * 64:
+            raise ValueError(
+                f"n_patterns must be in 1..{n_words * 64} for {n_words} "
+                f"packed words, got {n_patterns}"
+            )
         trim = tail_mask(n_patterns)
         result = FaultSimResult()
         path = self.engine.grading_path(len(faults))

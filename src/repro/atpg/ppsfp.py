@@ -23,8 +23,8 @@ optional multi-process sharding:
   :class:`~repro.exec.ExecPolicy` attribute, ``policy``, says.  Every
   other call is one in-process :meth:`BatchedConeEngine.propagate`.  The
   tuning values (:data:`POOL_MIN_SITES`, :data:`MAX_GROUP`,
-  :data:`MAX_GROUP_BYTES`, :data:`DENSE_THRESHOLD`,
-  :data:`SHARDS_PER_WORKER`) are module constants.
+  :data:`MAX_GROUP_BYTES`, :data:`SHARDS_PER_WORKER`) are module
+  constants.
 
 Both paths produce *bit-identical* results to the per-fault cone walk
 (the oracle in ``tests/atpg/reference_faultsim.py``): every evaluation is
@@ -44,7 +44,8 @@ import pickle
 
 import numpy as np
 
-from repro.circuit.cells import GateType
+from repro.atpg.simulator import LogicSimulator, eval_gate_group, gate_plan
+from repro.circuit.structure import sorted_unique
 from repro.config import ExecutionConfig
 from repro.exec import (
     ExecPolicy,
@@ -68,9 +69,6 @@ POOL_MIN_SITES = 1024
 MAX_GROUP = 512
 #: memory budget for one fault group's value arrays
 MAX_GROUP_BYTES = 128 * 1024 * 1024
-#: union-cone coverage above which the cached whole-circuit schedule is
-#: cheaper than building a per-group union plan
-DENSE_THRESHOLD = 0.7
 #: fault shards per worker in one parallel call
 SHARDS_PER_WORKER = 2
 
@@ -104,52 +102,6 @@ def _parallel_obs():
     )
 
 
-# --------------------------------------------------------------------- #
-# Fault-axis gate evaluation
-# --------------------------------------------------------------------- #
-def _eval_axis_group(
-    gate_type: GateType, arity: int, fanin_pos: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """Evaluate one gate group for every fault at once.
-
-    ``vals`` is ``(n_local, F, W)``; ``fanin_pos`` is ``(m, arity)`` row
-    indices into ``vals``.  Returns ``(m, F, W)``.  Semantics mirror the
-    serial oracle's ``_eval_with_overrides`` in
-    ``tests/atpg/reference_faultsim.py`` exactly (bitwise, so grouping
-    cannot change results).
-    """
-    m = fanin_pos.shape[0]
-    if gate_type is GateType.CONST0:
-        return np.zeros((m,) + vals.shape[1:], dtype=np.uint64)
-    if gate_type is GateType.CONST1:
-        return np.full((m,) + vals.shape[1:], _ONES, dtype=np.uint64)
-    out = vals[fanin_pos[:, 0]]  # fancy indexing: already a fresh array
-    if gate_type in (GateType.BUF, GateType.OBS, GateType.DFF):
-        return out
-    if gate_type is GateType.NOT:
-        np.invert(out, out=out)
-        return out
-    if gate_type in (GateType.AND, GateType.NAND):
-        for k in range(1, arity):
-            out &= vals[fanin_pos[:, k]]
-        if gate_type is GateType.NAND:
-            np.invert(out, out=out)
-        return out
-    if gate_type in (GateType.OR, GateType.NOR):
-        for k in range(1, arity):
-            out |= vals[fanin_pos[:, k]]
-        if gate_type is GateType.NOR:
-            np.invert(out, out=out)
-        return out
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        for k in range(1, arity):
-            out ^= vals[fanin_pos[:, k]]
-        if gate_type is GateType.XNOR:
-            np.invert(out, out=out)
-        return out
-    raise ValueError(f"cannot resimulate gate type {gate_type!r}")
-
-
 class BatchedConeEngine:
     """Single-process fault-axis cone propagation.
 
@@ -160,24 +112,12 @@ class BatchedConeEngine:
     def __init__(self, simulator, observed) -> None:
         self.simulator = simulator
         self.observed = frozenset(int(v) for v in observed)
-        #: nodes the whole-circuit schedule evaluates (dense-mode cost)
+        #: nodes the whole-circuit schedule evaluates (sizes a chunk)
         self._n_scheduled = sum(
             len(out_idx) for _, _, out_idx, _ in simulator._schedule
         )
-        self._dense_obs = np.array(sorted(self.observed), dtype=np.int64)
         self._is_observed = np.zeros(simulator.netlist.num_nodes, dtype=bool)
-        self._is_observed[self._dense_obs] = True
-        #: logic level of each schedule group (homogeneous per group)
-        self._dense_group_levels = [
-            int(simulator.levels[out_idx[0]]) if len(out_idx) else 0
-            for _, _, out_idx, _ in simulator._schedule
-        ]
-        #: schedule group that writes each node (-1 for sources: INPUT/DFF)
-        self._dense_group_of = np.full(
-            simulator.netlist.num_nodes, -1, dtype=np.int64
-        )
-        for g, (_, _, out_idx, _) in enumerate(simulator._schedule):
-            self._dense_group_of[out_idx] = g
+        self._is_observed[np.array(sorted(self.observed), dtype=np.int64)] = True
 
     # ------------------------------------------------------------------ #
     def propagate(
@@ -221,9 +161,9 @@ class BatchedConeEngine:
         # the budget.
         per_fault = 3 * n * max(1, n_words) * 8
         # Sites are level-sorted before chunking, so several chunks beat
-        # one giant one even when memory allows it: later chunks get a high
-        # min level (deep dense-mode skip) and tighter sparse unions.  The
-        # cap was swept empirically (256–512 wins at every design size).
+        # one giant one even when memory allows it: later chunks get
+        # tighter unions.  The cap was swept empirically (256–512 wins at
+        # every design size).
         return max(1, min(MAX_GROUP_BYTES // per_fault, MAX_GROUP))
 
     # ------------------------------------------------------------------ #
@@ -233,137 +173,54 @@ class BatchedConeEngine:
         inject: np.ndarray,
         values: np.ndarray,
     ) -> tuple[np.ndarray, int]:
-        union = self.simulator.forward_union(sites)
-        if len(union) >= DENSE_THRESHOLD * max(1, self._n_scheduled):
-            return self._run_dense(sites, inject, values)
-        return self._run_sparse(sites, inject, values, union)
+        """Grade one chunk on its union cone's plan.
 
-    def _run_dense(
-        self, sites: np.ndarray, inject: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Whole-circuit schedule with a fault axis (plan reuse, no build)."""
+        Faulty values live only on the local rows: the frontier (fan-ins
+        of the union read but never written, plus any site outside it),
+        then the union in plan order, so each group writes one slice.
+        """
         sim = self.simulator
-        F = len(sites)
-        n_nodes, n_words = values.shape
-        # A node downstream of any site sits strictly above that site's
-        # level, so groups below the lowest site level would only recompute
-        # good values — skip them.  Chunking orders sites by level, which
-        # makes this cut deep for high-level chunks.
-        min_level = int(self.simulator.levels[sites].min())
-        # Every node a surviving group writes is written before any read
-        # (fanins are strictly lower level, already written or good), so
-        # only the remaining rows need the good-value broadcast — the full
-        # (n_nodes, F, W) copy used to dominate the dense path.
-        need_good = np.ones(n_nodes, dtype=bool)
-        for g, (_, _, out_idx, _) in enumerate(sim._schedule):
-            if self._dense_group_levels[g] >= min_level:
-                need_good[out_idx] = False
-        good_ids = np.flatnonzero(need_good)
-        vals = np.empty((n_nodes, F, n_words), dtype=np.uint64)
-        vals[good_ids] = values[good_ids][:, None, :]
-        rows = np.arange(F)
-        vals[sites, rows] = inject
-        # Each node is written by exactly one schedule group, so a site's
-        # injected row only needs re-forcing once — right after its own
-        # group's write (a stuck line ignores its gate).  Sources (group
-        # -1) are never rewritten.
-        by_group: dict[int, list[int]] = {}
-        for i, g in enumerate(self._dense_group_of[sites].tolist()):
-            if g >= 0:
-                by_group.setdefault(g, []).append(i)
-        evals = 0
-        for g, (gate_type, arity, out_idx, fanin_idx) in enumerate(
-            sim._schedule
-        ):
-            if self._dense_group_levels[g] < min_level:
-                continue
-            vals[out_idx] = _eval_axis_group(gate_type, arity, fanin_idx, vals)
-            evals += 1
-            sel = by_group.get(g)
-            if sel is not None:
-                vals[sites[sel], sel] = inject[sel]
-        obs = self._dense_obs
-        if len(obs) == 0:
-            return np.zeros((F, n_words), dtype=np.uint64), evals
-        delta = vals[obs] ^ values[obs][:, None, :]
-        return np.bitwise_or.reduce(delta, axis=0), evals
-
-    def _run_sparse(
-        self,
-        sites: np.ndarray,
-        inject: np.ndarray,
-        values: np.ndarray,
-        union: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """Union-cone plan: values materialised only on cone signals."""
-        netlist = self.simulator.netlist
-        levels = self.simulator.levels
+        structure = sim.netlist.structure()
         F = len(sites)
         n_words = values.shape[1]
-        eval_set = set(int(v) for v in union)
-        # Frontier: boundary fanins read but never written, plus any
-        # injection site that is not inside another site's cone.
-        ext: list[int] = []
-        seen_ext: set[int] = set()
-        grouped: dict[tuple[int, GateType, int], list[int]] = {}
-        for v in union.tolist():
-            fanins = netlist.fanins(v)
-            for u in fanins:
-                if u not in eval_set and u not in seen_ext:
-                    seen_ext.add(u)
-                    ext.append(u)
-            key = (int(levels[v]), netlist.gate_type(v), len(fanins))
-            grouped.setdefault(key, []).append(v)
-        for s in sites.tolist():
-            if s not in eval_set and s not in seen_ext:
-                seen_ext.add(s)
-                ext.append(s)
-        local_ids = np.concatenate(
-            [np.array(ext, dtype=np.int64), union]
-        ) if ext else union
-        pos = np.full(netlist.num_nodes, -1, dtype=np.int64)
-        pos[local_ids] = np.arange(len(local_ids))
+        plan = gate_plan(structure, sim.levels, sim.forward_union(sites))
+        pos = np.full(structure.num_nodes, -1, dtype=np.int64)
+        pos[plan.nodes] = 0
+        reads = np.concatenate((plan.fanins, sites))
+        frontier = sorted_unique(reads[pos[reads] < 0])
+        n_ext = len(frontier)
+        pos[frontier] = np.arange(n_ext)
+        pos[plan.nodes] = np.arange(n_ext, n_ext + len(plan.nodes))
 
-        # Union rows are all written by their level group before any read
-        # (fanins are either frontier rows or lower-level union rows), so
-        # only the frontier needs the good-value broadcast.
-        n_ext = len(ext)
-        vals = np.empty((len(local_ids), F, n_words), dtype=np.uint64)
-        if n_ext:
-            vals[:n_ext] = values[local_ids[:n_ext]][:, None, :]
-        rows = np.arange(F)
-        vals[pos[sites], rows] = inject
-        # As in the dense path: a union site is written by exactly one
-        # ``(level, type, arity)`` group, so re-force its injected row only
-        # after that group's write.
-        in_union = np.isin(sites, union)
-        by_key: dict[tuple[int, GateType, int], list[int]] = {}
-        for i in np.flatnonzero(in_union).tolist():
-            s = int(sites[i])
-            by_key.setdefault(
-                (int(levels[s]), netlist.gate_type(s), len(netlist.fanins(s))),
-                [],
-            ).append(i)
+        # Union rows are all written by their group before any read
+        # (fan-ins are frontier rows or lower-level union rows), so only
+        # the frontier needs the good-value broadcast.
+        vals = np.empty((n_ext + len(plan.nodes), F, n_words), dtype=np.uint64)
+        vals[:n_ext] = values[frontier][:, None, :]
+        site_rows = pos[sites]
+        vals[site_rows, np.arange(F)] = inject
+        # A union site is written by exactly one group, so its injected
+        # row is re-forced once, right after that group's write (a stuck
+        # line ignores its gate).
+        inside = np.flatnonzero(site_rows >= n_ext)
+        group_of = np.searchsorted(plan.bounds, site_rows[inside] - n_ext, "right") - 1
+        by_group = np.argsort(group_of, kind="stable")
+        cuts = np.searchsorted(group_of[by_group], np.arange(len(plan.types) + 1))
+        by_group, cuts = inside[by_group], cuts.tolist()
 
         evals = 0
-        for key in sorted(grouped, key=lambda k: k[0]):
-            level, gate_type, arity = key
-            nodes = grouped[key]
-            fanin_pos = pos[
-                np.array([netlist.fanins(v) for v in nodes], dtype=np.int64)
-            ]
-            vals[pos[np.array(nodes, dtype=np.int64)]] = _eval_axis_group(
-                gate_type, arity, fanin_pos, vals
-            )
+        local = plan.groups(pos[plan.fanins])
+        for g, (gate_type, arity, lo, hi, table) in enumerate(local):
+            vals[n_ext + lo : n_ext + hi] = eval_gate_group(gate_type, arity, table, vals)
             evals += 1
-            sel = by_key.get(key)
-            if sel is not None:
-                vals[pos[sites[sel]], sel] = inject[sel]
+            if cuts[g] < cuts[g + 1]:
+                sel = by_group[cuts[g] : cuts[g + 1]]
+                vals[site_rows[sel], sel] = inject[sel]
 
-        obs_ids = union[self._is_observed[union]]
-        if len(obs_ids) == 0:
+        observed = np.flatnonzero(self._is_observed[plan.nodes])
+        if len(observed) == 0:
             return np.zeros((F, n_words), dtype=np.uint64), evals
-        delta = vals[pos[obs_ids]] ^ values[obs_ids][:, None, :]
+        delta = vals[n_ext + observed] ^ values[plan.nodes[observed]][:, None, :]
         return np.bitwise_or.reduce(delta, axis=0), evals
 
 
@@ -376,8 +233,6 @@ _WORKER_ENGINE: BatchedConeEngine | None = None
 def _ppsfp_worker_init(payload: bytes) -> None:
     """Build the per-process engine once (fork initializer)."""
     global _WORKER_ENGINE
-    from repro.atpg.simulator import LogicSimulator
-
     netlist, observed = pickle.loads(payload)
     _WORKER_ENGINE = BatchedConeEngine(LogicSimulator(netlist), observed)
 

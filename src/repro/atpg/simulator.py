@@ -8,17 +8,26 @@ simulation, observability analysis and data-set labelling.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.circuit.cells import GateType
 from repro.circuit.levelize import logic_levels, topological_order
 from repro.circuit.netlist import Netlist
-from repro.circuit.structure import expand_rows, sorted_unique
+from repro.circuit.structure import (
+    NetlistStructure,
+    counts_to_ptr,
+    expand_rows,
+    sorted_unique,
+)
 
 __all__ = ["LogicSimulator", "pack_patterns", "unpack_values", "random_pattern_words"]
 
 WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: gate type by code (a tuple lookup is cheaper than ``GateType(code)``)
+_GATE_TYPES = tuple(GateType)
 
 
 def pack_patterns(patterns: np.ndarray) -> np.ndarray:
@@ -75,49 +84,78 @@ def popcount_words(words: np.ndarray) -> int:
     return int(np.bitwise_count(words.astype(np.uint64)).sum())
 
 
+class GatePlan(NamedTuple):
+    """Gates grouped for vectorised evaluation (see :func:`gate_plan`)."""
+
+    nodes: np.ndarray  #: the planned nodes, group after group
+    fanins: np.ndarray  #: their fan-ins in pin order, flattened in ``nodes`` order
+    bounds: np.ndarray  #: ``(n_groups + 1,)`` group bounds into ``nodes``
+    types: np.ndarray  #: each group's gate-type code
+    arities: np.ndarray  #: each group's fan-in count
+
+    def groups(self, fanins: np.ndarray | None = None):
+        """Yield ``(gate_type, arity, lo, hi, table)`` for each group in order.
+
+        ``table`` is the ``(hi - lo, arity)`` view of the group's share of
+        ``fanins``: the plan's own by default, or any array laid out like
+        it (the same fan-ins translated to local rows, say).
+        """
+        fanins = self.fanins if fanins is None else fanins
+        bounds = self.bounds.tolist()
+        starts = counts_to_ptr(np.diff(self.bounds) * self.arities).tolist()
+        for g, (code, arity) in enumerate(zip(self.types.tolist(), self.arities.tolist())):
+            lo, hi = bounds[g], bounds[g + 1]
+            table = fanins[starts[g] : starts[g + 1]].reshape(hi - lo, arity)
+            yield _GATE_TYPES[code], arity, lo, hi, table
+
+
+def gate_plan(structure: NetlistStructure, levels: np.ndarray, nodes) -> GatePlan:
+    """Group ``nodes`` by (level, gate type, arity), lowest level first.
+
+    One ``lexsort`` orders the nodes, ids ascending inside a group, and
+    one gather takes every fan-in from the structure's CSR.  A gate's
+    fan-ins sit at lower levels, so evaluating the groups in order reads
+    each planned node only after its own group has written it.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    ptr = structure.fanin_ptr
+    level = levels[nodes]
+    types = structure.types[nodes]
+    arity = ptr[nodes + 1] - ptr[nodes]
+    order = np.lexsort((nodes, arity, types, level))
+    nodes, level, types, arity = nodes[order], level[order], types[order], arity[order]
+    first = np.ones(len(nodes), dtype=bool)
+    first[1:] = (
+        (level[1:] != level[:-1]) | (types[1:] != types[:-1]) | (arity[1:] != arity[:-1])
+    )
+    starts = np.flatnonzero(first)
+    fanins = structure.fanin_idx[expand_rows(ptr, nodes)[0]]
+    return GatePlan(nodes, fanins, np.append(starts, len(nodes)), types[starts], arity[starts])
+
+
 class LogicSimulator:
     """Levelised bit-parallel simulator for a fixed netlist.
 
-    The constructor compiles a schedule: nodes grouped by logic level, and
-    within each level by (gate type, arity), so :meth:`simulate` runs a
-    handful of vectorised numpy ops per level instead of a Python loop over
-    gates.  A per-gate evaluation path (:meth:`eval_node`) is exposed for
-    the cone-resimulation used by fault simulation.
+    The constructor compiles a schedule: every node but the sources
+    (``INPUT`` and ``DFF``) as one :func:`gate_plan`, so :meth:`simulate`
+    runs a handful of vectorised numpy ops per (level, gate type, arity)
+    group instead of a Python loop over gates.  A per-gate evaluation path
+    (:meth:`eval_node`) is exposed for cone resimulation.
     """
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self.order = topological_order(netlist)
         self.levels = logic_levels(netlist, self.order)
-        self.source_ids = np.array(netlist.sources, dtype=np.int64)
-        self._source_pos = {int(v): i for i, v in enumerate(self.source_ids)}
-        self._compile_schedule()
-
-    def _compile_schedule(self) -> None:
-        netlist = self.netlist
-        groups: dict[tuple[int, GateType, int], list[int]] = {}
-        for v in netlist.nodes():
-            t = netlist.gate_type(v)
-            if t in (GateType.INPUT, GateType.DFF):
-                continue
-            if t in (GateType.CONST0, GateType.CONST1):
-                key = (0, t, 0)
-            else:
-                key = (int(self.levels[v]), t, len(netlist.fanins(v)))
-            groups.setdefault(key, []).append(v)
-        schedule = []
-        for (level, gate_type, arity), nodes in sorted(
-            groups.items(), key=lambda item: item[0][0]
-        ):
-            out_idx = np.array(nodes, dtype=np.int64)
-            if arity:
-                fanin_idx = np.array(
-                    [netlist.fanins(v) for v in nodes], dtype=np.int64
-                )
-            else:
-                fanin_idx = np.empty((len(nodes), 0), dtype=np.int64)
-            schedule.append((gate_type, arity, out_idx, fanin_idx))
-        self._schedule = schedule
+        structure = netlist.structure()
+        is_source = (structure.types == GateType.INPUT) | (structure.types == GateType.DFF)
+        self.source_ids = np.flatnonzero(is_source)
+        plan = gate_plan(structure, self.levels, np.flatnonzero(~is_source))
+        #: ``(gate_type, arity, out_idx, fanin_idx)`` per group, in plan order
+        self._schedule = [
+            (gate_type, arity, plan.nodes[lo:hi], table)
+            for gate_type, arity, lo, hi, table in plan.groups()
+        ]
 
     # ------------------------------------------------------------------ #
     @property
@@ -145,18 +183,17 @@ class LogicSimulator:
         values = np.zeros((self.netlist.num_nodes, n_words), dtype=np.uint64)
         values[self.source_ids] = source_words
         for gate_type, arity, out_idx, fanin_idx in self._schedule:
-            values[out_idx] = _eval_group(gate_type, arity, fanin_idx, values, n_words)
+            values[out_idx] = eval_gate_group(gate_type, arity, fanin_idx, values)
         return values
 
     def eval_node(self, node: int, values: np.ndarray) -> np.ndarray:
         """Evaluate one gate against the rows of ``values`` (cone resim)."""
         gate_type = self.netlist.gate_type(node)
         fanins = self.netlist.fanins(node)
-        n_words = values.shape[1]
         if gate_type in (GateType.INPUT, GateType.DFF):
             return values[node]
         idx = np.array([fanins], dtype=np.int64)
-        return _eval_group(gate_type, len(fanins), idx, values, n_words)[0]
+        return eval_gate_group(gate_type, len(fanins), idx, values)[0]
 
     def forward_union(self, sites) -> np.ndarray:
         """Union of the forward cones of ``sites``, sorted by (level, id).
@@ -184,37 +221,45 @@ class LogicSimulator:
         """Nodes strictly downstream of ``node`` (combinationally), topo-sorted."""
         return self.forward_union([node]).tolist()
 
-def _eval_group(
-    gate_type: GateType,
-    arity: int,
-    fanin_idx: np.ndarray,
-    values: np.ndarray,
-    n_words: int,
+
+def eval_gate_group(
+    gate_type: GateType, arity: int, fanin_rows: np.ndarray, vals: np.ndarray
 ) -> np.ndarray:
-    """Vectorised evaluation of one (type, arity) gate group."""
-    n = fanin_idx.shape[0]
+    """Evaluate one (gate type, arity) group against the rows of ``vals``.
+
+    ``fanin_rows`` is ``(m, arity)`` row indices into ``vals``, whose
+    trailing shape is free: ``(W,)`` words for a simulation, ``(F, W)``
+    for every fault of a fault-axis call.  Returns ``(m,) +
+    vals.shape[1:]``.  Every case is an exact bitwise function of the
+    operands, so how gates are grouped cannot change a value.
+    """
+    m = fanin_rows.shape[0]
     if gate_type is GateType.CONST0:
-        return np.zeros((n, n_words), dtype=np.uint64)
+        return np.zeros((m,) + vals.shape[1:], dtype=np.uint64)
     if gate_type is GateType.CONST1:
-        return np.full((n, n_words), _ALL_ONES, dtype=np.uint64)
-    operands = values[fanin_idx]  # (n, arity, W)
-    if gate_type in (GateType.BUF, GateType.OBS):
-        return operands[:, 0]
+        return np.full((m,) + vals.shape[1:], _ALL_ONES, dtype=np.uint64)
+    out = vals[fanin_rows[:, 0]]  # fancy indexing: already a fresh array
+    if gate_type in (GateType.BUF, GateType.OBS, GateType.DFF):
+        return out
     if gate_type is GateType.NOT:
-        return ~operands[:, 0]
+        np.invert(out, out=out)
+        return out
     if gate_type in (GateType.AND, GateType.NAND):
-        out = operands[:, 0].copy()
         for k in range(1, arity):
-            out &= operands[:, k]
-        return ~out if gate_type is GateType.NAND else out
+            out &= vals[fanin_rows[:, k]]
+        if gate_type is GateType.NAND:
+            np.invert(out, out=out)
+        return out
     if gate_type in (GateType.OR, GateType.NOR):
-        out = operands[:, 0].copy()
         for k in range(1, arity):
-            out |= operands[:, k]
-        return ~out if gate_type is GateType.NOR else out
+            out |= vals[fanin_rows[:, k]]
+        if gate_type is GateType.NOR:
+            np.invert(out, out=out)
+        return out
     if gate_type in (GateType.XOR, GateType.XNOR):
-        out = operands[:, 0].copy()
         for k in range(1, arity):
-            out ^= operands[:, k]
-        return ~out if gate_type is GateType.XNOR else out
+            out ^= vals[fanin_rows[:, k]]
+        if gate_type is GateType.XNOR:
+            np.invert(out, out=out)
+        return out
     raise ValueError(f"cannot evaluate gate type {gate_type!r}")

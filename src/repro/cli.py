@@ -287,18 +287,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro import api
 
+    config = api.LabelConfig(
+        n_patterns=args.patterns,
+        threshold=args.threshold,
+        execution=_execution(workers=args.workers),
+    )
     netlist = api.load_netlist(args.netlist)
     print(netlist)
     scoap = api.compute_scoap(netlist)
     cop = api.compute_cop(netlist)
-    labels = api.label_nodes(
-        netlist,
-        api.LabelConfig(
-            n_patterns=args.patterns,
-            threshold=args.threshold,
-            execution=_execution(workers=args.workers),
-        ),
-    )
+    labels = api.label_nodes(netlist, config)
     print(f"SCOAP CO: median={np.median(scoap.co):.1f} max={scoap.co.max():.0f}")
     print(f"COP obs:  median={np.median(cop.obs):.4f} min={cop.obs.min():.2e}")
     print(

@@ -16,6 +16,8 @@ more neighbourhood context should win.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from repro.atpg.observability import observability_counts
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.resilience.errors import ConfigError
 
 __all__ = ["LabelConfig", "LabelResult", "label_nodes"]
 
@@ -35,7 +38,9 @@ class LabelConfig:
     fewer than ``threshold * n_patterns`` patterns is difficult-to-observe.
     The default (1 %) labels 4.7–6.1 % of the nodes positive on generated
     designs of 2.7k–21.4k nodes, well above the paper's ~0.65 % (Table 1);
-    the rate does not fall with design size.
+    the rate does not fall with design size.  An ``n_patterns`` below 1
+    or a ``threshold`` outside [0, 1] (NaN included) is a
+    :class:`~repro.resilience.errors.ConfigError`.
     """
 
     n_patterns: int = 256
@@ -44,6 +49,17 @@ class LabelConfig:
     #: worker count and fabric backend for the exact stem analysis
     #: (labels are bit-identical whatever it says)
     execution: "ExecutionConfig | None" = None
+
+    def __post_init__(self) -> None:
+        problems = []
+        n = self.n_patterns
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            problems.append(f"n_patterns must be an integer >= 1, got {n!r}")
+        t = self.threshold
+        if not (isinstance(t, numbers.Real) and math.isfinite(t) and 0 <= t <= 1):
+            problems.append(f"threshold must be a finite number in [0, 1], got {t!r}")
+        if problems:
+            raise ConfigError("invalid label config: " + "; ".join(problems))
 
 
 @dataclass
@@ -82,7 +98,5 @@ def label_nodes(netlist: Netlist, config: LabelConfig | None = None) -> LabelRes
     )
     cutoff = config.threshold * config.n_patterns
     labels = (counts < cutoff).astype(np.int64)
-    for v in netlist.nodes():
-        if netlist.gate_type(v) is GateType.OBS:
-            labels[v] = 0
+    labels[netlist.structure().types == GateType.OBS] = 0
     return LabelResult(labels=labels, observed_count=counts, n_patterns=config.n_patterns)

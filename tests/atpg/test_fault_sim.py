@@ -73,6 +73,13 @@ class TestSimulateBatch:
         one = fsim.simulate_batch(full_fault_list(c17), words, n_patterns=1)
         assert len(one.detected) <= len(full.detected)
 
+    @pytest.mark.parametrize("n_patterns", [0, -1, 65])
+    def test_pattern_count_outside_the_words_is_refused(self, c17, rng, n_patterns):
+        fsim = FaultSimulator(c17)
+        words = fsim.simulator.random_source_words(1, rng)
+        with pytest.raises(ValueError, match=r"n_patterns must be in 1\.\.64 "):
+            fsim.simulate_batch(full_fault_list(c17), words, n_patterns=n_patterns)
+
     def test_detection_consistent_with_exhaustive(self, mux2):
         # With ALL patterns, detected set == set of detectable faults.
         words, n = all_patterns(mux2)

@@ -11,7 +11,7 @@ from repro.atpg.faults import Fault, full_fault_list
 from repro.atpg.observability import ObservabilityAnalyzer
 from repro.atpg.ppsfp import PpsfpEngine
 from repro.atpg.simulator import LogicSimulator
-from repro.circuit import generate_design
+from repro.circuit import GateType, Netlist, generate_design
 from repro.config import ExecutionConfig
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience.errors import ConfigError
@@ -84,16 +84,21 @@ class TestResolveBackend:
 # --------------------------------------------------------------------- #
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("fixture", FIXTURES)
-    @pytest.mark.parametrize("dense_threshold", [0.0, 0.4, 100.0])
+    @pytest.mark.parametrize("chunk_share", [0.0, 0.4, 100.0])
     def test_detection_masks_bit_identical(
-        self, fixture, dense_threshold, request, monkeypatch
+        self, fixture, chunk_share, request, monkeypatch
     ):
+        # chunk_share sizes a chunk as a share of the fault list: 0.0 grades
+        # one site per chunk (smallest unions), 0.4 a partial union, 100.0
+        # the whole list in one chunk (a union over most of the circuit).
         nl = request.getfixturevalue(fixture)
-        monkeypatch.setattr(ppsfp, "DENSE_THRESHOLD", dense_threshold)
+        faults = full_fault_list(nl)
+        monkeypatch.setattr(
+            ppsfp, "MAX_GROUP", max(1, int(chunk_share * len(faults)))
+        )
         fsim = FaultSimulator(nl)
         rng = np.random.default_rng(0)
         values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
-        faults = full_fault_list(nl)
         serial = _serial_masks(fsim, faults, values)
         batched = fsim.detection_masks(faults, values)
         np.testing.assert_array_equal(serial, batched)
@@ -131,6 +136,43 @@ class TestBatchedEquivalence:
         rng = np.random.default_rng(3)
         values = fsim.good_values(fsim.simulator.random_source_words(1, rng))
         faults = full_fault_list(c17)
+        np.testing.assert_array_equal(
+            _serial_masks(fsim, faults, values),
+            fsim.detection_masks(faults, values),
+        )
+
+    def test_chunk_of_empty_cones(self):
+        # g drives only a flop's data pin and h only a primary output, so
+        # the chunk's union cone is empty and every site is frontier.
+        nl = Netlist("dead_ends")
+        a, b = nl.add_input("a"), nl.add_input("b")
+        g = nl.add_cell(GateType.AND, (a, b), "g")
+        q = nl.add_cell(GateType.DFF, (g,), "q")
+        h = nl.add_cell(GateType.OR, (a, q), "h")
+        nl.mark_output(h)
+        fsim = FaultSimulator(nl, IN_PROCESS)
+        assert len(fsim.simulator.forward_union([g, h])) == 0
+        rng = np.random.default_rng(6)
+        values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
+        faults = [Fault(v, s) for v in (g, h) for s in (0, 1)]
+        np.testing.assert_array_equal(
+            _serial_masks(fsim, faults, values),
+            fsim.detection_masks(faults, values),
+        )
+        diffs = fsim.engine.batched.propagate(
+            np.array([g, h]), ~values[[g, h]], values
+        )
+        assert not diffs.any()
+
+    def test_site_inside_another_sites_cone(self, c17):
+        # G16 is in G11's cone: in one chunk, G16's stuck row must survive
+        # its own group's write while G11's effect flows through it.
+        g11, g16 = c17.find("G11"), c17.find("G16")
+        fsim = FaultSimulator(c17, IN_PROCESS)
+        assert g16 in fsim.simulator.forward_cone(g11)
+        rng = np.random.default_rng(7)
+        values = fsim.good_values(fsim.simulator.random_source_words(2, rng))
+        faults = [Fault(v, s) for v in (g11, g16) for s in (0, 1)]
         np.testing.assert_array_equal(
             _serial_masks(fsim, faults, values),
             fsim.detection_masks(faults, values),

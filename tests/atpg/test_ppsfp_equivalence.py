@@ -76,7 +76,6 @@ def netlists(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     netlist=netlists(),
-    dense_threshold=st.sampled_from([0.0, 0.4, 100.0]),
     max_group=st.one_of(
         st.just(ppsfp.MAX_GROUP), st.integers(min_value=1, max_value=7)
     ),
@@ -84,17 +83,39 @@ def netlists(draw):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_detection_masks_bit_identical(
-    netlist, dense_threshold, max_group, n_words, seed
+    netlist, max_group, n_words, seed
 ):
     fsim = FaultSimulator(netlist, IN_PROCESS)
     rng = np.random.default_rng(seed)
     values = fsim.good_values(fsim.simulator.random_source_words(n_words, rng))
     faults = full_fault_list(netlist)
     serial, _ = reference.detection_masks(netlist, faults, values)
-    with mock.patch.object(ppsfp, "DENSE_THRESHOLD", dense_threshold), \
-            mock.patch.object(ppsfp, "MAX_GROUP", max_group):
+    with mock.patch.object(ppsfp, "MAX_GROUP", max_group):
         batched = fsim.detection_masks(faults, values)
     np.testing.assert_array_equal(serial, batched)
+
+
+@settings(max_examples=40, deadline=None)
+@given(netlist=netlists())
+def test_simulator_plan_covers_each_gate_once_above_its_fanins(netlist):
+    sim = LogicSimulator(netlist)
+    levels = logic_levels(netlist)
+    sources = [
+        v for v in netlist.nodes()
+        if netlist.gate_type(v) in (GateType.INPUT, GateType.DFF)
+    ]
+    np.testing.assert_array_equal(sim.source_ids, sources)
+    planned, last_level = [], 0
+    for gate_type, arity, out_idx, fanin_idx in sim._schedule:
+        assert fanin_idx.shape == (len(out_idx), arity)
+        for v, row in zip(out_idx.tolist(), fanin_idx.tolist()):
+            assert netlist.gate_type(v) is gate_type
+            assert row == netlist.fanins(v)
+            assert all(levels[u] < levels[v] for u in row)
+            assert levels[v] >= last_level
+            last_level = levels[v]
+        planned += out_idx.tolist()
+    assert sorted(planned) == sorted(set(netlist.nodes()) - set(sources))
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,6 +104,16 @@ class TestSimulate:
         )
         assert all(int(bits[p][v]) == ref[v] for v in nl.nodes())
 
+    def test_array_form_netlist_stays_arrays(self, rng):
+        # The schedule and the cone sweep read ``structure()`` only, so
+        # simulating never builds the per-cell lists.
+        nl = generate_design(200, seed=4)
+        assert nl._loaded is not None
+        sim = LogicSimulator(nl)
+        sim.simulate(sim.random_source_words(1, rng))
+        sim.forward_union(sim.source_ids)
+        assert nl._loaded is not None
+
 
 class TestConeAndEval:
     def test_forward_cone_topo_sorted(self, medium_design):

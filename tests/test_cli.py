@@ -191,6 +191,15 @@ class TestExitCodeMapping:
         assert "3 for bad inputs" in out
         assert "4 for runtime" in out
 
+    @pytest.mark.parametrize(
+        "flags", [["--patterns", "-5"], ["--patterns", "0"], ["--threshold", "nan"]]
+    )
+    def test_analyze_bad_label_config_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "t.bench"
+        path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")
+        assert main(["analyze", str(path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError:")
+
     def test_serve_bad_config_exits_2(self, capsys):
         code = main(["serve", "--workers", "0", "--port", "0"])
         assert code == 2

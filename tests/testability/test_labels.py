@@ -4,7 +4,32 @@ import numpy as np
 import pytest
 
 from repro.circuit import GateType, Netlist, generate_design
+from repro.resilience.errors import ConfigError
 from repro.testability.labels import LabelConfig, LabelResult, label_nodes
+
+
+class TestLabelConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_patterns": 0},
+            {"n_patterns": -5},
+            {"n_patterns": 64.0},
+            {"n_patterns": True},
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
+            {"threshold": -0.01},
+            {"threshold": 1.5},
+            {"threshold": "0.01"},
+        ],
+    )
+    def test_invalid_values_refused(self, kwargs):
+        with pytest.raises(ConfigError, match="invalid label config"):
+            LabelConfig(**kwargs)
+
+    def test_bounds_and_numpy_scalars_accepted(self):
+        LabelConfig(n_patterns=1, threshold=0.0)
+        LabelConfig(n_patterns=np.int64(64), threshold=np.float64(1.0))
 
 
 class TestLabelNodes:
