@@ -92,8 +92,13 @@ unused:
     ``._fanins`` / ``._fanouts`` / ``._names`` / ``._name_to_id``: a
     loaded :class:`Netlist` is arrays until one of those is asked for,
     and a module that pops or patches them by hand skips the version
-    bump that guards every memoised view.  Callers use the accessors and
-    mutators (``remove_last_cell``, ``add_flop``, ``given_name``, ...).
+    bump that guards every memoised view.  Callers use the mutators
+    (``remove_last_cell``, ``add_flop``, ...), the per-node accessors
+    (``fanins(v)``, ``gate_type(v)``, ``given_name(v)``, ...) for
+    cell-by-cell walks, and ``structure()`` or the whole-netlist
+    accessors built on it (``sources``, ``observed_nodes()``,
+    ``type_counts()``, ...) for everything else, which keeps a loaded
+    netlist in array form.
 
 12. **Runtime imports are declared.** Every third-party package imported
     under ``src/repro`` (by its top-level name, at module level or inside

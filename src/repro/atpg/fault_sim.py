@@ -82,8 +82,9 @@ class FaultSimulator:
         self.execution = execution or ExecutionConfig()
         self.netlist = netlist
         self.simulator = LogicSimulator(netlist)
-        self._observed = set(netlist.observation_sites)
-        self._observed.update(netlist.observation_points())
+        self._observed = netlist.observed_nodes()
+        self._is_observed = np.zeros(netlist.num_nodes, dtype=bool)
+        self._is_observed[self._observed] = True
         self._engine: PpsfpEngine | None = None
 
     def good_values(self, source_words: np.ndarray) -> np.ndarray:
@@ -129,9 +130,7 @@ class FaultSimulator:
         # The site itself counts as a propagation target when observed,
         # and a pattern only detects when it activates the fault.
         activated = values[sites] ^ _inject_rows(sites, stuck, values)
-        site_observed = np.array(
-            [f.node in self._observed for f in faults], dtype=bool
-        )
+        site_observed = self._is_observed[sites]
         diffs[site_observed] |= activated[site_observed]
         diffs &= activated
         return diffs

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 
@@ -39,45 +41,45 @@ def full_fault_list(netlist: Netlist, include_observation_cells: bool = False) -
     ``OBS`` cells are test infrastructure, excluded by default so inserting
     observation points does not inflate the fault universe being graded.
     """
-    faults: list[Fault] = []
-    for v in netlist.nodes():
-        if not include_observation_cells and netlist.gate_type(v) is GateType.OBS:
-            continue
-        faults.append(Fault(v, 0))
-        faults.append(Fault(v, 1))
-    return faults
+    kept = include_observation_cells | (netlist.structure().types != GateType.OBS)
+    return [Fault(v, value) for v in np.flatnonzero(kept).tolist() for value in (0, 1)]
 
 
 def collapse_faults(netlist: Netlist, faults: list[Fault] | None = None) -> list[Fault]:
-    """Equivalence-collapse ``faults`` across BUF/NOT chains.
+    """Equivalence-collapse ``faults`` (the full fault list by default)
+    across BUF/NOT chains.
 
     A fault on a buffer output is equivalent to the same fault on its input
     net; on an inverter output, to the opposite fault on its input.  Each
-    equivalence class is represented by its most-upstream member.  For
-    single-fanout nets the gate-output/gate-input equivalences
-    (AND output sa0 = any input sa0, etc.) are intentionally *not* folded:
-    we only model output faults, so those classes are already collapsed.
+    equivalence class is represented by its most-upstream member, in the
+    order of its first member in ``faults``.  For single-fanout nets the
+    gate-output/gate-input equivalences (AND output sa0 = any input sa0,
+    etc.) are intentionally *not* folded: we only model output faults, so
+    those classes are already collapsed.
     """
+    structure = netlist.structure()
+    types, head = structure.types, np.arange(structure.num_nodes)
     if faults is None:
-        faults = full_fault_list(netlist)
-
-    def representative(fault: Fault) -> Fault:
-        node, value = fault.node, fault.stuck_value
-        while True:
-            t = netlist.gate_type(node)
-            if t is GateType.BUF and len(netlist.fanouts(netlist.fanins(node)[0])) == 1:
-                node = netlist.fanins(node)[0]
-            elif t is GateType.NOT and len(netlist.fanouts(netlist.fanins(node)[0])) == 1:
-                node = netlist.fanins(node)[0]
-                value = 1 - value
-            else:
-                return Fault(node, value)
-
-    seen: set[Fault] = set()
-    collapsed: list[Fault] = []
-    for fault in faults:
-        rep = representative(fault)
-        if rep not in seen:
-            seen.add(rep)
-            collapsed.append(rep)
-    return collapsed
+        sites = np.flatnonzero(types != GateType.OBS)
+        nodes, values = np.repeat(sites, 2), np.tile([0, 1], len(sites))
+    else:
+        nodes = np.array([f.node for f in faults], dtype=np.int64)
+        values = np.array([f.stuck_value for f in faults], dtype=np.int64)
+    # One step up per BUF/NOT whose driver has no other fan-out (a NOT
+    # flips the stuck value), then jump pointers to each chain's head; the
+    # round cap only bites on a BUF/NOT loop, which has none.
+    chain = np.flatnonzero((types == GateType.BUF) | (types == GateType.NOT))
+    driver = structure.fanin_idx[structure.fanin_ptr[chain]]
+    single = np.diff(structure.fanout_ptr)[driver] == 1
+    chain, driver = chain[single], driver[single]
+    head[chain] = driver
+    flips = np.zeros_like(head)
+    flips[chain] = types[chain] == GateType.NOT
+    for _ in range(len(head).bit_length()):  # 2**rounds > any chain's length
+        if np.array_equal(head[head], head):
+            break
+        flips ^= flips[head]
+        head = head[head]
+    keys = 2 * head[nodes] + (values ^ flips[nodes])
+    keys = keys[np.sort(np.unique(keys, return_index=True)[1])].tolist()
+    return [Fault(key >> 1, key & 1) for key in keys]

@@ -13,6 +13,8 @@ Algorithm: backward critical-path tracing, exact everywhere.
 * Inside fanout-free regions, ``obs(v) = obs(g) & sens(g, v)`` where ``g``
   is the single fanout and ``sens`` is the per-pattern local sensitisation
   condition (side inputs at non-controlling values; XOR always sensitises).
+  Every ``sens`` word comes from one gather over the sinks' fan-in rows;
+  the products are then assigned a logic level at a time, highest first.
 * At fanout stems the branch conditions interact (reconvergence can mask an
   effect that each branch alone would pass), so stems are resolved exactly
   by forward resimulation of the stem's fanout cone with the stem value
@@ -32,13 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.cells import GateType, controlling_value
+from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import counts_to_ptr, expand_rows, gate_table
 from repro.atpg.simulator import LogicSimulator, tail_mask
 
 __all__ = ["ObservabilityAnalyzer", "observability_counts"]
 
-_ZERO = np.uint64(0)
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -46,7 +48,7 @@ class ObservabilityAnalyzer:
     """Per-pattern observability masks for every node of a netlist.
 
     Every exact stem mask is graded in one fault-axis engine call
-    (:class:`~repro.atpg.ppsfp.PpsfpEngine`) before the backward walk —
+    (:class:`~repro.atpg.ppsfp.PpsfpEngine`) before the backward sweep —
     the masks depend only on the good values, never on each other, so
     they can all be computed up front.  ``execution.workers`` and
     ``execution.exec_backend`` size and place that engine's pool; results
@@ -84,104 +86,49 @@ class ObservabilityAnalyzer:
 
     def masks_from_values(self, values: np.ndarray) -> np.ndarray:
         """Same as :meth:`masks` given precomputed good-circuit values."""
-        netlist = self.netlist
-        n_words = values.shape[1]
-        obs = np.zeros((netlist.num_nodes, n_words), dtype=np.uint64)
-        observed = set(netlist.observation_sites)
-        # A scan cell's own output is captured directly.
-        observed.update(netlist.observation_points())
-        obs[sorted(observed)] = _ONES
+        structure, n = self.netlist.structure(), self.netlist.num_nodes
+        obs = np.zeros((n, values.shape[1]), dtype=np.uint64)
+        sites = self.netlist.observed_nodes()
+        observed = np.zeros(n, dtype=bool)
+        observed[sites] = True
+        obs[observed] = _ONES
 
-        def _nondff_fanouts(v: int) -> list[int]:
-            return [
-                w
-                for w in netlist.fanouts(v)
-                if netlist.gate_type(w) is not GateType.DFF
-            ]
+        # Fan-out pins that propagate (a DFF's data pin makes its driver a site).
+        pins = np.flatnonzero(structure.types[structure.fanout_idx] != GateType.DFF)
+        drivers = structure.pin_drivers()[pins]
+        n_pins = np.bincount(drivers, minlength=n)
+        stems = np.flatnonzero((n_pins > 1) & ~observed)
+        if len(stems):
+            if self._engine is None:
+                from repro.atpg.ppsfp import PpsfpEngine
 
-        stems = [
-            v
-            for v in self.simulator.order
-            if v not in observed and len(_nondff_fanouts(v)) > 1
-        ]
-        stem_masks = self._resolve_stems(stems, values)
+                self._engine = PpsfpEngine(self.simulator, sites, self.execution)
+            obs[stems] = self._engine.masks(stems, values)
 
-        # Reverse topological walk.
-        for v in reversed(self.simulator.order):
-            if v in observed:
-                continue  # directly observed, already all-ones
-            fanouts = _nondff_fanouts(v)
-            if not fanouts:
-                obs[v] = _ZERO
-                continue
-            if len(fanouts) == 1:
-                g = fanouts[0]
-                obs[v] = obs[g] & _local_sensitisation(netlist, g, v, values)
-            else:
-                obs[v] = stem_masks[v]
+        # A fan-out-free node drives one pin of one sink: it sees what the
+        # sink sees while the sink's other pins are non-controlling.
+        free = np.flatnonzero((n_pins == 1) & ~observed)
+        sink = np.empty(n, dtype=np.int64)
+        sink[drivers] = structure.fanout_idx[pins]
+        sink = sink[free]
+        positions, counts = expand_rows(structure.fanin_ptr, sink)
+        side = structure.fanin_idx[positions]
+        rule = np.repeat(_SIDE_PIN[structure.types[sink]], counts)
+        words = values[side]
+        words[rule == 2] = ~words[rule == 2]
+        words[(rule == 0) | (side == np.repeat(free, counts))] = _ONES
+        sens = np.bitwise_and.reduceat(words, counts_to_ptr(counts)[:-1])
+        # Sinks sit at higher levels: assign the highest level first.
+        level = self.simulator.levels[free]
+        by_level = np.argsort(-level, kind="stable")
+        for chunk in np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1):
+            obs[free[chunk]] = obs[sink[chunk]] & sens[chunk]
         return obs
 
-    def _resolve_stems(
-        self, stems: list[int], values: np.ndarray
-    ) -> dict[int, np.ndarray]:
-        """Exact observability mask for every fanout stem at once.
 
-        Each stem's value is flipped and its forward cone resimulated,
-        observed at the observation *sites* only: an inserted OBS cell
-        exposes its fanin, which is already a site.
-        """
-        if not stems:
-            return {}
-        if self._engine is None:
-            from repro.atpg.ppsfp import PpsfpEngine
-
-            self._engine = PpsfpEngine(
-                self.simulator,
-                set(self.netlist.observation_sites),
-                self.execution,
-            )
-        diffs = self._engine.masks(np.array(stems, dtype=np.int64), values)
-        return dict(zip(stems, diffs))
-
-
-def _local_sensitisation(
-    netlist: Netlist, gate: int, through_input: int, values: np.ndarray
-) -> np.ndarray:
-    """Patterns under which ``gate`` passes a change on ``through_input``.
-
-    For AND/NAND the side inputs must all be 1, for OR/NOR all 0; XOR-class
-    and single-input gates always sensitise.  A fanin appearing multiple
-    times never sensitises through an AND/OR (the double change cancels the
-    controlling analysis) — handled by treating duplicate occurrences as
-    side inputs, which yields the correct all-zeros for AND(x, x)-style
-    degenerate gates and the XOR parity-cancellation case.
-    """
-    gate_type = netlist.gate_type(gate)
-    fanins = netlist.fanins(gate)
-    n_words = values.shape[1]
-    duplicates = fanins.count(through_input)
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        if duplicates % 2 == 0:
-            return np.zeros(n_words, dtype=np.uint64)
-        return np.full(n_words, _ONES, dtype=np.uint64)
-    if gate_type in (GateType.BUF, GateType.NOT, GateType.OBS, GateType.DFF):
-        return np.full(n_words, _ONES, dtype=np.uint64)
-    control = controlling_value(gate_type)
-    if control is None:
-        raise ValueError(f"unexpected gate type {gate_type!r}")
-    if duplicates > 1:
-        # e.g. AND(x, x): flipping x flips both inputs; output still flips
-        # for AND/OR of identical inputs, but mixed side inputs dominate.
-        side = [u for u in fanins if u != through_input]
-        if not side:
-            return np.full(n_words, _ONES, dtype=np.uint64)
-    else:
-        side = [u for u in fanins if u != through_input]
-    mask = np.full(n_words, _ONES, dtype=np.uint64)
-    for u in side:
-        word = values[u]
-        mask &= ~word if control == 1 else word
-    return mask
+#: how a sink's other pins pass a change on one pin: 1 = when 1 (AND/NAND),
+#: 2 = when 0 (OR/NOR), 0 = always (XOR-class and single-input cells)
+_SIDE_PIN = gate_table({GateType.AND: 1, GateType.NAND: 1, GateType.OR: 2, GateType.NOR: 2})
 
 
 def observability_counts(

@@ -167,8 +167,7 @@ class Podem:
         self.simulator = LogicSimulator(netlist)
         self.sim3 = ThreeValuedSimulator(self.simulator)
         self.max_backtracks = max_backtracks
-        self._observed = set(netlist.observation_sites)
-        self._observed.update(netlist.observation_points())
+        self._observed = netlist.observed_nodes()
         self._source_pos = {
             int(v): i for i, v in enumerate(self.simulator.source_ids)
         }
@@ -216,10 +215,8 @@ class Podem:
 
     # ------------------------------------------------------------------ #
     def _detected(self, good: np.ndarray, faulty: np.ndarray) -> bool:
-        for s in self._observed:
-            if good[s] != VAL_X and faulty[s] != VAL_X and good[s] != faulty[s]:
-                return True
-        return False
+        good, faulty = good[self._observed], faulty[self._observed]
+        return bool(((good != VAL_X) & (faulty != VAL_X) & (good != faulty)).any())
 
     def _objective(
         self, fault: Fault, good: np.ndarray, faulty: np.ndarray

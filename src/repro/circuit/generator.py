@@ -39,6 +39,7 @@ import numpy as np
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import NetlistStructure, counts_to_ptr
+from repro.resilience.errors import ConfigError
 from repro.utils.rng import as_rng
 
 __all__ = ["GeneratorConfig", "generate_design", "generate_random_dag"]
@@ -169,7 +170,7 @@ def generate_design(
     """
     config = dataclasses.replace(config or GeneratorConfig(), n_gates=n_gates)
     if config.n_gates < 4:
-        raise ValueError("n_gates must be at least 4")
+        raise ConfigError(f"n_gates must be at least 4, got {config.n_gates}")
     rng = as_rng(seed)
     random, integers = rng.random, rng.integers
     cells = _Cells()

@@ -7,10 +7,13 @@ how the observation-point-insertion flow mutates a design and keeps node
 ids stable across insertions — a property the incremental COO update in
 :mod:`repro.flow.modify` relies on.
 
-The mutation API works on per-cell Python lists.  A netlist loaded in bulk
-(:meth:`Netlist.from_structure`, what the parsers call) starts out as the
-arrays it was given and builds those lists the first time an accessor or a
-mutation asks for them; loading, validating and scoring never do.
+Per-cell Python lists serve mutation and the per-node accessors
+(``fanins(v)``, ``fanouts(v)``, ``gate_type(v)``); every whole-netlist
+query and analysis reads the arrays of :meth:`Netlist.structure`.  A
+netlist loaded in bulk (:meth:`Netlist.from_structure`, what the parsers
+call) starts out as those arrays and builds the lists only when a mutation
+or a per-node accessor asks for them; loading, scoring, labelling and
+fault collapsing never do.
 """
 
 from __future__ import annotations
@@ -245,7 +248,7 @@ class Netlist:
     # Accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._types)
+        return self.num_nodes
 
     @property
     def num_nodes(self) -> int:
@@ -255,9 +258,7 @@ class Netlist:
 
     @property
     def num_edges(self) -> int:
-        if self._loaded is not None:
-            return len(self._loaded[0].fanin_idx)
-        return sum(len(f) for f in self._fanins)
+        return len(self.structure().fanin_idx)
 
     def gate_type(self, node: int) -> GateType:
         return self._types[node]
@@ -285,18 +286,17 @@ class Netlist:
         return self._name_to_id[name]
 
     def nodes(self) -> range:
-        return range(len(self._types))
+        return range(self.num_nodes)
 
     def iter_edges(self) -> Iterable[tuple[int, int]]:
-        """Yield directed edges ``(driver, sink)``."""
-        for sink, fanins in enumerate(self._fanins):
-            for driver in fanins:
-                yield driver, sink
+        """Yield directed edges ``(driver, sink)``, by sink and pin order."""
+        structure = self.structure()
+        return zip(structure.fanin_idx.tolist(), structure.pin_sinks().tolist())
 
     @property
     def primary_inputs(self) -> list[int]:
         """Primary inputs proper (``INPUT`` cells only)."""
-        return [v for v, t in enumerate(self._types) if t is GateType.INPUT]
+        return np.flatnonzero(self.structure().types == GateType.INPUT).tolist()
 
     @property
     def sources(self) -> list[int]:
@@ -305,11 +305,8 @@ class Netlist:
         Tie cells (``CONST0``/``CONST1``) are sources for ordering purposes
         but carry fixed values, so they are not listed here.
         """
-        return [
-            v
-            for v, t in enumerate(self._types)
-            if t in (GateType.INPUT, GateType.DFF)
-        ]
+        types = self.structure().types
+        return np.flatnonzero((types == GateType.INPUT) | (types == GateType.DFF)).tolist()
 
     @property
     def primary_outputs(self) -> list[int]:
@@ -323,13 +320,18 @@ class Netlist:
         These are the nodes whose values the tester sees; fault effects must
         reach one of them to be detected.
         """
-        if self._loaded is not None:
-            return sorted(self._po_marks.union(self._loaded[0].scan_captured().tolist()))
-        observed = set(self._po_marks)
-        for v, t in enumerate(self._types):
-            if t in (GateType.DFF, GateType.OBS):
-                observed.add(self._fanins[v][0])
-        return sorted(observed)
+        return sorted(self._po_marks.union(self.structure().scan_captured().tolist()))
+
+    def observation_points(self) -> list[int]:
+        """Return ids of inserted ``OBS`` cells."""
+        return np.flatnonzero(self.structure().types == GateType.OBS).tolist()
+
+    def observed_nodes(self) -> np.ndarray:
+        """The observation sites plus the ``OBS`` cells (a scan cell's own
+        output is captured directly), sorted, as ``int64``: every node at
+        which a test sees a fault effect or a flipped value."""
+        obs_cells = np.flatnonzero(self.structure().types == GateType.OBS)
+        return np.union1d(np.array(self.observation_sites, dtype=np.int64), obs_cells)
 
     def is_output(self, node: int) -> bool:
         return node in self._po_marks
@@ -375,10 +377,6 @@ class Netlist:
         fanout_ptr, fanout_idx = rows_to_csr(self._fanouts)
         types = np.fromiter(self._types, dtype=np.int64, count=len(self._types))
         return NetlistStructure(types, fanin_ptr, fanin_idx, fanout_ptr, fanout_idx)
-
-    def observation_points(self) -> list[int]:
-        """Return ids of inserted ``OBS`` cells."""
-        return [v for v, t in enumerate(self._types) if t is GateType.OBS]
 
     # ------------------------------------------------------------------ #
     # Mutation used by the OPI flow
@@ -471,11 +469,11 @@ class Netlist:
         return dup
 
     def type_counts(self) -> dict[str, int]:
-        """Histogram of gate types by name, for reporting."""
-        counts: dict[str, int] = {}
-        for t in self._types:
-            counts[t.name] = counts.get(t.name, 0) + 1
-        return counts
+        """Histogram of gate types by name, in order of first appearance."""
+        types = self.structure().types
+        first = np.sort(np.unique(types, return_index=True)[1])
+        counts = np.bincount(types, minlength=len(_GATE_TYPES))
+        return {_GATE_TYPES[t].name: int(counts[t]) for t in types[first].tolist()}
 
     def __repr__(self) -> str:
         return (

@@ -55,16 +55,15 @@ class NetlistStats:
 def compute_stats(netlist: Netlist) -> NetlistStats:
     """Compute :class:`NetlistStats` for ``netlist``."""
     levels = logic_levels(netlist)
-    fanouts = np.array([len(netlist.fanouts(v)) for v in netlist.nodes()])
+    structure = netlist.structure()
+    fanouts = np.diff(structure.fanout_ptr)
     n = netlist.num_nodes
     return NetlistStats(
         n_nodes=n,
         n_edges=netlist.num_edges,
         n_inputs=len(netlist.primary_inputs),
         n_outputs=len(netlist.primary_outputs),
-        n_flops=sum(
-            1 for v in netlist.nodes() if netlist.gate_type(v) is GateType.DFF
-        ),
+        n_flops=int(np.count_nonzero(structure.types == GateType.DFF)),
         n_observation_points=len(netlist.observation_points()),
         edge_node_ratio=netlist.num_edges / n if n else 0.0,
         sparsity=1.0 - netlist.num_edges / (n * n) if n else 1.0,

@@ -1,13 +1,14 @@
 """Structure-of-arrays view of a netlist.
 
-:class:`~repro.circuit.netlist.Netlist` stores a design as Python lists of
-lists, which is what the mutation API wants and what every per-node
-analysis pays for.  :class:`NetlistStructure` is the same wiring as five
-flat arrays — gate-type codes plus fan-in and fan-out adjacency in CSR
-form — so levelization, SCOAP, validation and the adjacency export can run
-as array sweeps.  The parsers produce it directly and a loaded netlist
-keeps it as its content until something asks for per-cell lists; otherwise
-``Netlist.structure()`` builds it once per structural mutation.
+:class:`NetlistStructure` is a netlist's wiring as five flat arrays —
+gate-type codes plus fan-in and fan-out adjacency in CSR form — and the
+read path of every whole-netlist query and analysis (levelization, SCOAP,
+validation, the adjacency export, labelling, fault collapsing, statistics,
+scan cost); :class:`~repro.circuit.netlist.Netlist`'s per-cell lists are
+for mutation and per-node access only.  The parsers produce it directly and
+a loaded netlist keeps it as its content until a mutation or a per-node
+accessor asks for lists; otherwise ``Netlist.structure()`` builds it once
+per structural mutation.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.dft.scan import ScanChains, build_scan_chains
@@ -67,20 +69,15 @@ def gate_equivalents(netlist: Netlist) -> tuple[float, float]:
     OBS cells and CP infrastructure (nets named ``cp_*``) count as DFT;
     everything else is functional.
     """
-    functional = 0.0
-    dft = 0.0
-    for v in netlist.nodes():
-        cost = _GE[netlist.gate_type(v)]
-        name = netlist.cell_name(v)
-        is_cp = name.startswith("cp_")
-        if netlist.gate_type(v) is GateType.OBS or is_cp:
-            # CP enable inputs are test flops on the tester side.
-            if netlist.gate_type(v) is GateType.INPUT:
-                cost = 6.0
-            dft += cost
-        else:
-            functional += cost
-    return functional, dft
+    types = netlist.structure().types
+    names = netlist._given_names()
+    is_cp = np.array([bool(name) and name.startswith("cp_") for name in names], dtype=bool)
+    cost = np.array([_GE[t] for t in GateType])[types]
+    cost[is_cp & (types == GateType.INPUT)] = 6.0  # CP enables: tester-side test flops
+    is_dft = is_cp | (types == GateType.OBS)
+    # Running sums in node order (np.sum's pairwise rounding would differ).
+    functional, dft = (np.cumsum(np.append(0.0, cost[m]))[-1] for m in (~is_dft, is_dft))
+    return float(functional), float(dft)
 
 
 def evaluate_test_cost(

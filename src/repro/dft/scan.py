@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 
@@ -43,11 +45,8 @@ class ScanChains:
 
 def scan_cells(netlist: Netlist) -> list[int]:
     """All cells that occupy a scan-chain slot: DFFs and OBS points."""
-    return [
-        v
-        for v in netlist.nodes()
-        if netlist.gate_type(v) in (GateType.DFF, GateType.OBS)
-    ]
+    types = netlist.structure().types
+    return np.flatnonzero((types == GateType.DFF) | (types == GateType.OBS)).tolist()
 
 
 def build_scan_chains(netlist: Netlist, n_chains: int = 1) -> ScanChains:

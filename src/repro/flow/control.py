@@ -28,9 +28,11 @@ import numpy as np
 from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import gate_table
 from repro.core.attributes import AttributeConfig
 from repro.core.graphdata import GraphData
 from repro.flow.scorer import Predictor
+from repro.testability.labels import check_sampling
 from repro.utils.rng import as_rng
 from repro.obs import logs
 
@@ -45,14 +47,22 @@ __all__ = [
 
 _log = logs.get_logger("flow")
 
+#: never difficult-to-control: scan-controllable, test infrastructure, ties
+_NEVER_HARD = gate_table(dict.fromkeys(
+    (GateType.INPUT, GateType.DFF, GateType.OBS, GateType.CONST0, GateType.CONST1), 1))
+
 
 @dataclass
 class ControlLabelConfig:
-    """Difficult-to-control labelling parameters."""
+    """Difficult-to-control labelling parameters, checked as
+    :class:`~repro.testability.labels.LabelConfig`'s are."""
 
     n_patterns: int = 256
     threshold: float = 0.01  #: rare-value probability cutoff
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_sampling("control label config", self.n_patterns, self.threshold)
 
 
 @dataclass
@@ -85,12 +95,7 @@ def label_control_nodes(
     ones = np.bitwise_count(values).sum(axis=1).astype(np.int64)
     rare = np.minimum(ones, config.n_patterns - ones)
     labels = (rare < config.threshold * config.n_patterns).astype(np.int64)
-    for v in netlist.nodes():
-        t = netlist.gate_type(v)
-        if t in (GateType.INPUT, GateType.DFF, GateType.OBS):
-            labels[v] = 0  # scan-controllable or test infrastructure
-        if t in (GateType.CONST0, GateType.CONST1):
-            labels[v] = 0  # ties are uncontrollable by design intent
+    labels[_NEVER_HARD[netlist.structure().types] == 1] = 0
     return ControlLabelResult(
         labels=labels, ones_count=ones, n_patterns=config.n_patterns
     )

@@ -111,8 +111,7 @@ class IncrementalDesign:
         self.graph = GraphData(pred, succ, attributes, name=netlist.name)
         #: observation sites plus OBS cells, kept current under insert and
         #: rollback so that the flow does not rescan the netlist for them
-        self.observed: set[int] = set(netlist.observation_sites)
-        self.observed.update(netlist.observation_points())
+        self.observed: set[int] = set(netlist.observed_nodes().tolist())
         #: the wiring of the original cells, what crossing each of their
         #: wires costs and their memoised fan-in cones: an OBS cell is a
         #: pure sink and changes no controllability, so no insertion ever

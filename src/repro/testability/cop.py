@@ -76,8 +76,7 @@ def compute_cop(netlist: Netlist, order: list[int] | None = None) -> CopResult:
             raise ValueError(f"unhandled gate type {t!r}")
 
     obs = np.zeros(n, dtype=np.float64)
-    observed = set(netlist.observation_sites)
-    observed.update(netlist.observation_points())
+    observed = set(netlist.observed_nodes().tolist())
     for site in observed:
         obs[site] = 1.0
 

@@ -51,15 +51,19 @@ class LabelConfig:
     execution: "ExecutionConfig | None" = None
 
     def __post_init__(self) -> None:
-        problems = []
-        n = self.n_patterns
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            problems.append(f"n_patterns must be an integer >= 1, got {n!r}")
-        t = self.threshold
-        if not (isinstance(t, numbers.Real) and math.isfinite(t) and 0 <= t <= 1):
-            problems.append(f"threshold must be a finite number in [0, 1], got {t!r}")
-        if problems:
-            raise ConfigError("invalid label config: " + "; ".join(problems))
+        check_sampling("label config", self.n_patterns, self.threshold)
+
+
+def check_sampling(what: str, n, t) -> None:
+    """:class:`ConfigError` naming each problem unless the pattern count
+    ``n`` is an integer >= 1 and the threshold ``t`` a finite number in [0, 1]."""
+    problems = []
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        problems.append(f"n_patterns must be an integer >= 1, got {n!r}")
+    if not (isinstance(t, numbers.Real) and math.isfinite(t) and 0 <= t <= 1):
+        problems.append(f"threshold must be a finite number in [0, 1], got {t!r}")
+    if problems:
+        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
 
 
 @dataclass

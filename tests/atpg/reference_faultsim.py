@@ -15,9 +15,9 @@ import numpy as np
 
 from repro.atpg.fault_sim import FaultSimResult
 from repro.atpg.faults import Fault
-from repro.atpg.observability import _local_sensitisation
 from repro.atpg.simulator import LogicSimulator, tail_mask
 from repro.circuit import GateType
+from repro.circuit.cells import controlling_value
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -163,6 +163,18 @@ def fault_coverage(netlist, faults: list[Fault], pattern_batches):
     return 1.0 - len(remaining) / len(faults), remaining
 
 
+def _sensitisation(netlist, gate: int, through: int, values) -> np.ndarray:
+    """Patterns under which ``gate`` passes a change on its one pin driven
+    by ``through``: every other pin at the non-controlling value (gates
+    with no controlling value always pass it)."""
+    control = controlling_value(netlist.gate_type(gate))
+    mask = np.full(values.shape[1], _ONES, dtype=np.uint64)
+    for u in netlist.fanins(gate):
+        if control is not None and u != through:
+            mask &= ~values[u] if control == 1 else values[u]
+    return mask
+
+
 def observability_masks(netlist, values) -> np.ndarray:
     """Exact observability masks, each fanout stem resolved by its own
     flip-and-resimulate walk, observed at the observation sites."""
@@ -180,7 +192,7 @@ def observability_masks(netlist, values) -> np.ndarray:
         ]
         if len(fanouts) == 1:
             g = fanouts[0]
-            obs[v] = obs[g] & _local_sensitisation(netlist, g, v, values)
+            obs[v] = obs[g] & _sensitisation(netlist, g, v, values)
         elif fanouts:
             obs[v], _ = _cone_diff(sim, {}, v, ~values[v], values, sites)
     return obs

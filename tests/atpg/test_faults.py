@@ -1,9 +1,33 @@
 """Stuck-at fault lists and equivalence collapsing."""
 
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg.faults import Fault, collapse_faults, full_fault_list
-from repro.circuit import GateType, Netlist
+from repro.circuit import GateType, Netlist, generate_design, parse_bench, write_bench
+from tests.atpg import reference_faults
+
+#: one appended cell: its type, and whether it hangs off the cell appended
+#: before it (a chain) or off an existing node picked by the integer
+_CHAIN_CELL = st.tuples(
+    st.sampled_from([GateType.BUF, GateType.NOT]), st.booleans(), st.integers(0, 10**6)
+)
+
+
+def with_chains(seed: int, cells) -> Netlist:
+    """A generated design with BUF/NOT cells appended: chains, NOT-of-NOT,
+    and branches that make a chain's driver a stem."""
+    netlist = generate_design(60, seed=seed)
+    last = None
+    for gate_type, chained, pick in cells:
+        driver = last if chained and last is not None else pick % netlist.num_nodes
+        last = netlist.add_cell(gate_type, (driver,))
+        if pick % 3 == 0:
+            netlist.mark_output(last)
+    return netlist
 
 
 class TestFault:
@@ -74,3 +98,36 @@ class TestCollapse:
     def test_collapse_of_explicit_list(self, c17):
         some = [Fault(c17.find("G10"), 0)]
         assert collapse_faults(c17, some) == some
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 500), cells=st.lists(_CHAIN_CELL, max_size=30))
+    def test_matches_cell_by_cell_walk(self, seed, cells):
+        """Same list, order included, as the oracle: list form and parsed,
+        the full fault list and an explicit one in reverse."""
+        built = with_chains(seed, cells)
+        stream = io.StringIO()
+        write_bench(built, stream)
+        for netlist in (built, parse_bench(stream.getvalue())):
+            faults = full_fault_list(netlist, include_observation_cells=True)[::-1]
+            got = [collapse_faults(netlist), collapse_faults(netlist, faults)]
+            expected = [
+                reference_faults.collapse_faults(netlist),
+                reference_faults.collapse_faults(netlist, faults),
+            ]
+            assert got == expected
+
+    def test_not_of_not_keeps_polarity(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        n1 = nl.add_cell(GateType.NOT, (a,))
+        n2 = nl.add_cell(GateType.NOT, (n1,))
+        nl.mark_output(n2)
+        assert collapse_faults(nl, [Fault(n2, 0), Fault(n1, 0)]) == [Fault(a, 0), Fault(a, 1)]
+
+    def test_a_buffer_loop_terminates(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        b1 = nl.add_cell(GateType.BUF, (a,))
+        b2 = nl.add_cell(GateType.NOT, (b1,))
+        nl.replace_fanin(b1, a, b2)  # b1 -> b2 -> b1, no head
+        assert len(collapse_faults(nl)) <= len(full_fault_list(nl))

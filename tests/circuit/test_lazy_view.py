@@ -8,6 +8,7 @@ mutations.
 
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.atpg.ppsfp as ppsfp
 import repro.circuit.netlist as netlist_module
 import repro.nn.sparse as sparse_module
 from repro import api
+from repro.atpg.fault_sim import FaultSimulator
+from repro.atpg.faults import collapse_faults, full_fault_list
 from repro.circuit import (
     BenchParseError,
     GateType,
@@ -28,9 +32,14 @@ from repro.circuit import (
     validate_netlist,
     write_bench,
 )
+from repro.circuit.stats import compute_stats
+from repro.config import ExecutionConfig
 from repro.core.model import GCN, GCNConfig
+from repro.dft.cost import evaluate_test_cost
+from repro.flow.control import ControlLabelConfig, label_control_nodes
 from repro.flow.modify import IncrementalDesign
 from repro.serve import ServeConfig, admit
+from repro.testability.labels import LabelConfig, label_nodes
 from tests.circuit import reference_frontend as reference
 from tests.circuit.test_bench_fuzz import valid_bench
 from tests.circuit.test_structure import assert_mirrors_lists
@@ -56,8 +65,11 @@ ACCESSORS = {
     "cell_name": lambda nl: [nl.cell_name(v) for v in nl.nodes()],
     "find": lambda nl: [nl.find(nl.cell_name(v)) for v in nl.nodes()],
     "primary_inputs": lambda nl: nl.primary_inputs,
+    "sources": lambda nl: nl.sources,
     "primary_outputs": lambda nl: nl.primary_outputs,
     "observation_sites": lambda nl: nl.observation_sites,
+    "observation_points": lambda nl: nl.observation_points(),
+    "observed_nodes": lambda nl: nl.observed_nodes().tolist(),
     "structure_digest": reference.structure_digest,
     "mutation_count": lambda nl: nl.mutation_count,
     "copy": lambda nl: reference.same_netlist(nl.copy(), nl) and reference.structure_digest(nl.copy()),
@@ -219,6 +231,89 @@ class TestLoadPathStaysInArrays:
         self.forbid_coo_to_csr(monkeypatch)
         assert np.array_equal(request.graph.attributes, expected.attributes)
         self.assert_adjacency_of(request.graph, expected)
+
+
+#: what a whole-netlist accessor answers, in a form ``==`` compares
+WHOLE_NETLIST = {
+    name: ACCESSORS[name]
+    for name in (
+        "num_nodes", "num_edges", "primary_inputs", "sources", "primary_outputs",
+        "observation_sites", "observation_points", "observed_nodes", "type_counts",
+        "iter_edges",
+    )
+}
+
+
+def analyses(netlist: Netlist) -> dict:
+    """Every whole-netlist analysis of ``netlist``, in comparable form."""
+    faults = collapse_faults(netlist, full_fault_list(netlist))
+    with FaultSimulator(netlist) as fsim:
+        words = fsim.simulator.random_source_words(2, np.random.default_rng(5))
+        detected = fsim.simulate_batch(faults, words).detecting_pattern
+    labels = label_nodes(netlist, LabelConfig(n_patterns=128))
+    return {
+        **{name: accessor(netlist) for name, accessor in WHOLE_NETLIST.items()},
+        "len": len(netlist),
+        "nodes": list(netlist.nodes()),
+        "labels": labels.labels.tolist(),
+        "observed_count": labels.observed_count.tolist(),
+        "control": label_control_nodes(netlist, ControlLabelConfig(n_patterns=128)).labels.tolist(),
+        "full_faults": full_fault_list(netlist),
+        "collapsed": collapse_faults(netlist),
+        "detected": detected,
+        "stats": compute_stats(netlist),
+        "cost": evaluate_test_cost(netlist, 100, n_chains=3),
+    }
+
+
+class TestWholeNetlistAnalysesStayInArrays:
+    """Labelling, fault lists, fault simulation, stats and scan cost read a
+    loaded netlist's arrays, and answer what they answer on its lists."""
+
+    @pytest.fixture
+    def text(self) -> str:
+        return TestLoadPathStaysInArrays.design_text(300)
+
+    def test_in_process(self, monkeypatch, text):
+        expected = analyses(reference.parse_bench(text))
+        netlist = parse_bench(text)
+        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+        assert analyses(netlist) == expected
+        assert netlist._loaded is not None
+
+    def test_with_observation_points(self, monkeypatch, text):
+        built = reference.parse_bench(text)
+        for target in (3, built.num_nodes // 2, built.num_nodes - 1):
+            built.insert_observation_point(target)
+        expected = analyses(built)
+        netlist = Netlist.disjoint_union([built])  # the same cells, as arrays
+        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+        assert analyses(netlist) == expected
+        assert netlist._loaded is not None
+
+    def test_pooled_labels(self, monkeypatch, text):
+        """The stem grading's workers are sent the netlist in array form."""
+        expected = label_nodes(parse_bench(text), LabelConfig(n_patterns=128))
+        monkeypatch.setattr(ppsfp, "POOL_MIN_SITES", 1)
+        pooled, parallel_masks = [], ppsfp.PpsfpEngine._parallel_masks
+
+        def counted(engine, sites, *args):
+            pooled.append(len(sites))
+            return parallel_masks(engine, sites, *args)
+
+        monkeypatch.setattr(ppsfp.PpsfpEngine, "_parallel_masks", counted)
+        netlist = parse_bench(text)
+        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+        execution = ExecutionConfig(workers=2, exec_backend="forkpool")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = label_nodes(netlist, LabelConfig(n_patterns=128, execution=execution))
+        # A worker that built the lists would fail and be rescued in
+        # process under a ResourceWarning.
+        assert pooled and not [w for w in caught if w.category is ResourceWarning]
+        assert np.array_equal(result.labels, expected.labels)
+        assert np.array_equal(result.observed_count, expected.observed_count)
+        assert netlist._loaded is not None
 
 
 class TestIscasFixtures:

@@ -11,6 +11,7 @@ from repro.flow.control import (
     label_control_nodes,
     run_gcn_cpi,
 )
+from repro.resilience.errors import ConfigError
 
 
 @pytest.fixture
@@ -91,6 +92,14 @@ class TestControlLabels:
         )
         assert result.labels[and_funnel.find("a7")] == 1
         assert result.rare_value(and_funnel.find("a7")) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_patterns": -5}, {"n_patterns": 0}, {"threshold": float("nan")}]
+    )
+    def test_config_refuses_what_it_cannot_run(self, kwargs):
+        netlist = generate_design(50, seed=1)
+        with pytest.raises(ConfigError, match="invalid control label config"):
+            label_control_nodes(netlist, ControlLabelConfig(**kwargs))
 
     def test_sources_never_positive(self, and_funnel):
         result = label_control_nodes(and_funnel)

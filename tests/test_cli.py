@@ -200,6 +200,13 @@ class TestExitCodeMapping:
         assert main(["analyze", str(path), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError:")
 
+    def test_generate_too_few_gates_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "out.bench"
+        assert main(["generate", str(path), "--gates", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_serve_bad_config_exits_2(self, capsys):
         code = main(["serve", "--workers", "0", "--port", "0"])
         assert code == 2
