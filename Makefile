@@ -7,7 +7,7 @@ BENCH_SHARDED_FLAGS ?=
 BENCH_SERVE_FLAGS ?=
 # bench-check: the workloads to run (empty = all) and the runs per side
 WORKLOADS ?=
-RUNS ?= 3
+RUNS ?= 6
 
 .PHONY: install test lint bench bench-full bench-faultsim bench-sharded bench-serve bench-check obs-report examples report serve-smoke faultsim-smoke clean-cache
 
@@ -50,7 +50,9 @@ bench-serve:
 # on any workload is `worse` than its BENCHMARK.json bound -- and
 # scripts/check_flow_digest.py -- exit 1 when the OPI flow inserted other
 # points on some seed than it did at BASE.  Run nothing else
-# on the machine meanwhile (~5 min at the defaults).  To check a claim on one
+# on the machine meanwhile (~10 min at the defaults).  Six runs a side, because
+# three read a setup-only slowdown of 1.31x on offline_50k where six read none
+# on the same two trees.  To check a claim on one
 # workload: make bench-check BASE=<parent> WORKLOADS=opi_flow RUNS=10
 bench-check:
 	@test -n "$(BASE)" || { echo "usage: make bench-check BASE=<git ref> [WORKLOADS='a b'] [RUNS=n]"; exit 2; }

@@ -88,17 +88,17 @@ unused:
     blob goes through it.  A second call site is a way around the check.
 
 11. **The netlist's representation has one owner.** Under ``src/repro``
-    no module but ``circuit/netlist.py`` may touch ``._types`` /
-    ``._fanins`` / ``._fanouts`` / ``._names`` / ``._name_to_id``: a
-    loaded :class:`Netlist` is arrays until one of those is asked for,
-    and a module that pops or patches them by hand skips the version
-    bump that guards every memoised view.  Callers use the mutators
+    no module but ``circuit/netlist.py`` may touch the netlist's columns,
+    ``._types`` / ``._fanin_ptr`` / ``._fanin_idx`` / ``._names`` /
+    ``._name_to_id``, nor the per-cell lists ``._fanins`` / ``._fanouts``
+    they replaced: a write by hand skips the version bump that guards
+    every memoised view, and the copy that keeps arrays already handed
+    out (``structure()``) unchanged.  Callers use the mutators
     (``remove_last_cell``, ``add_flop``, ...), the per-node accessors
     (``fanins(v)``, ``gate_type(v)``, ``given_name(v)``, ...) for
     cell-by-cell walks, and ``structure()`` or the whole-netlist
     accessors built on it (``sources``, ``observed_nodes()``,
-    ``type_counts()``, ...) for everything else, which keeps a loaded
-    netlist in array form.
+    ``type_counts()``, ...) for everything else.
 
 12. **Runtime imports are declared.** Every third-party package imported
     under ``src/repro`` (by its top-level name, at module level or inside
@@ -432,13 +432,15 @@ def pickle_load_violations(path: Path, codec: bool) -> list[tuple[int, str]]:
     return bad
 
 
-#: the one module that owns the netlist's per-cell containers (rule 11)
+#: the one module that owns the netlist's columns (rule 11)
 _NETLIST_MODULE = PACKAGE / "circuit" / "netlist.py"
-_NETLIST_PRIVATE = {"_types", "_fanins", "_fanouts", "_names", "_name_to_id"}
+_NETLIST_PRIVATE = {
+    "_types", "_fanin_ptr", "_fanin_idx", "_names", "_name_to_id", "_fanins", "_fanouts",
+}
 
 
 def netlist_private_violations(path: Path) -> list[tuple[int, str]]:
-    """Reads or writes of the netlist's per-cell containers."""
+    """Reads or writes of the netlist's columns (or of the lists they replaced)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
         (node.lineno, f".{node.attr}")
@@ -629,7 +631,7 @@ def main() -> int:
                 violations.append(
                     f"{path.relative_to(ROOT)}:{lineno}: {what} outside "
                     "circuit/netlist.py (use the Netlist accessors and "
-                    "mutators; the per-cell lists have one owner)"
+                    "mutators; the columns have one owner)"
                 )
     for lineno, what in impure_import_violations(_SCHEDULER):
         violations.append(
@@ -658,7 +660,7 @@ def main() -> int:
         "Predictor/Scorer declared once, in repro.flow.scorer; "
         "the exec scheduler imports no clock or I/O; "
         "repro.exec unpickles only in net.unpickle; "
-        "Netlist's per-cell lists touched only by circuit/netlist.py; "
+        "Netlist's columns touched only by circuit/netlist.py; "
         "runtime imports match pyproject.toml's dependencies; "
         "the sharded engine imported only by repro/graph and the facade"
     )

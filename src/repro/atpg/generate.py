@@ -28,6 +28,7 @@ from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.podem import Podem, TestCube
 from repro.atpg.simulator import pack_patterns, unpack_values
 from repro.circuit.netlist import Netlist
+from repro.config import check_config, integer_problems
 from repro.utils.rng import as_rng
 
 __all__ = ["AtpgConfig", "AtpgResult", "run_atpg"]
@@ -46,6 +47,13 @@ class AtpgConfig:
     #: worker count and fabric backend for fault simulation; results are
     #: bit-identical, only speed differs
     execution: "ExecutionConfig | None" = None
+
+    def __post_init__(self) -> None:
+        check_config(
+            "ATPG config",
+            integer_problems("max_random_patterns", self.max_random_patterns, 0)
+            + integer_problems("max_backtracks", self.max_backtracks, 0),
+        )
 
 
 @dataclass

@@ -21,6 +21,7 @@ from repro.atpg.faults import Fault
 from repro.atpg.simulator import LogicSimulator
 from repro.circuit.cells import GateType, controlling_value, inversion_parity
 from repro.circuit.netlist import Netlist
+from repro.circuit.structure import expand_rows
 
 __all__ = ["Podem", "PodemResult", "TestCube", "ThreeValuedSimulator"]
 
@@ -172,6 +173,10 @@ class Podem:
             int(v): i for i, v in enumerate(self.simulator.source_ids)
         }
         self._cc = controllability
+        structure = netlist.structure()
+        self._gate_types = list(map(GateType, structure.types.tolist()))
+        self._fanin_rows = structure.fanin_ptr.tolist(), structure.fanin_idx.tolist()
+        self._fanout_csr = structure.fanout_ptr, structure.fanout_idx
 
     # ------------------------------------------------------------------ #
     def generate(self, fault: Fault) -> PodemResult:
@@ -228,10 +233,11 @@ class Podem:
         if good[site] == fault.stuck_value:
             return None  # activation impossible under current assignment
         frontier = self._d_frontier(good, faulty)
+        ptr, drivers = self._fanin_rows
         for gate in frontier:
-            control = controlling_value(self.netlist.gate_type(gate))
+            control = controlling_value(self._gate_types[gate])
             noncontrol = 1 - control if control is not None else 0
-            for u in self.netlist.fanins(gate):
+            for u in drivers[ptr[gate] : ptr[gate + 1]]:
                 if good[u] == VAL_X:
                     target = self._backtrace(u, noncontrol, good)
                     if target is not None:
@@ -245,32 +251,30 @@ class Podem:
         once both machines have defined (and equal) outputs, no further
         assignment can push the effect through that gate.
         """
-        netlist = self.netlist
-        effect = (good != faulty) & (good != VAL_X) & (faulty != VAL_X)
-        frontier = []
-        for u in np.flatnonzero(effect):
-            for g in netlist.fanouts(int(u)):
-                if good[g] == VAL_X or faulty[g] == VAL_X:
-                    frontier.append(int(g))
-        # Deterministic order, closest-to-outputs first (shorter propagation).
-        frontier = sorted(set(frontier), key=lambda g: -self.simulator.levels[g])
-        return frontier
+        effect = np.flatnonzero((good != faulty) & (good != VAL_X) & (faulty != VAL_X))
+        ptr, sinks = self._fanout_csr
+        sinks = sinks[expand_rows(ptr, effect)[0]]
+        sinks = sinks[(good[sinks] == VAL_X) | (faulty[sinks] == VAL_X)]
+        # Closest-to-outputs first (shorter propagation); gates on one level
+        # keep the order of the set of sinks met in effect-row order.
+        levels = self.simulator.levels
+        return sorted(set(sinks.tolist()), key=lambda g: -levels[g])
 
     def _backtrace(
         self, node: int, value: int, good: np.ndarray
     ) -> tuple[int, int] | None:
         """Map objective (node <- value) to an unassigned-source assignment."""
-        netlist = self.netlist
+        ptr, drivers = self._fanin_rows
         guard = 0
-        while guard <= netlist.num_nodes:
+        while guard <= len(self._gate_types):
             guard += 1
             if node in self._source_pos:
                 if good[node] != VAL_X:
                     return None  # source already assigned; objective stale
                 return self._source_pos[node], value
-            gate_type = netlist.gate_type(node)
+            gate_type = self._gate_types[node]
             value ^= inversion_parity(gate_type)
-            x_inputs = [u for u in netlist.fanins(node) if good[u] == VAL_X]
+            x_inputs = [u for u in drivers[ptr[node] : ptr[node + 1]] if good[u] == VAL_X]
             if not x_inputs:
                 return None
             node = self._pick_input(gate_type, x_inputs, value)

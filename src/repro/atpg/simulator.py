@@ -147,7 +147,7 @@ class LogicSimulator:
         self.netlist = netlist
         self.order = topological_order(netlist)
         self.levels = logic_levels(netlist, self.order)
-        structure = netlist.structure()
+        structure = self._structure = netlist.structure()
         is_source = (structure.types == GateType.INPUT) | (structure.types == GateType.DFF)
         self.source_ids = np.flatnonzero(is_source)
         plan = gate_plan(structure, self.levels, np.flatnonzero(~is_source))
@@ -188,12 +188,13 @@ class LogicSimulator:
 
     def eval_node(self, node: int, values: np.ndarray) -> np.ndarray:
         """Evaluate one gate against the rows of ``values`` (cone resim)."""
-        gate_type = self.netlist.gate_type(node)
-        fanins = self.netlist.fanins(node)
+        structure = self._structure
+        gate_type = _GATE_TYPES[structure.types[node]]
         if gate_type in (GateType.INPUT, GateType.DFF):
             return values[node]
-        idx = np.array([fanins], dtype=np.int64)
-        return eval_gate_group(gate_type, len(fanins), idx, values)[0]
+        ptr = structure.fanin_ptr
+        idx = structure.fanin_idx[None, ptr[node] : ptr[node + 1]]
+        return eval_gate_group(gate_type, idx.shape[1], idx, values)[0]
 
     def forward_union(self, sites) -> np.ndarray:
         """Union of the forward cones of ``sites``, sorted by (level, id).

@@ -104,7 +104,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     netlist numbered that way.  Fan-out lists hold sinks in ascending id.
 
     The text goes straight to arrays (:class:`NetlistStructure` plus a
-    name table); the netlist builds per-cell lists only if asked.
+    name table), which the netlist keeps as its columns.
     """
 
     def fail(message: str, gate: int | None = None):
@@ -384,8 +384,7 @@ def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:
     ``OBS`` cells are emitted as buffers that are also declared ``OUTPUT``,
     which is the standard way observation points materialise in a scan
     netlist export.  The lines are built as columns over
-    ``netlist.structure()`` and written at once; a netlist in array form
-    stays in it.
+    ``netlist.structure()`` and written at once.
     """
     structure = netlist.structure()
     types, ptr = structure.types, structure.fanin_ptr

@@ -7,13 +7,15 @@ how the observation-point-insertion flow mutates a design and keeps node
 ids stable across insertions — a property the incremental COO update in
 :mod:`repro.flow.modify` relies on.
 
-Per-cell Python lists serve mutation and the per-node accessors
-(``fanins(v)``, ``fanouts(v)``, ``gate_type(v)``); every whole-netlist
-query and analysis reads the arrays of :meth:`Netlist.structure`.  A
-netlist loaded in bulk (:meth:`Netlist.from_structure`, what the parsers
-call) starts out as those arrays and builds the lists only when a mutation
-or a per-node accessor asks for them; loading, scoring, labelling and
-fault collapsing never do.
+A netlist is stored once, as columns: a gate-type code per cell, the fan-in
+rows in CSR form, the cell names and the output marks.  Adding a cell
+appends to the columns, which grow by doubling; rewiring a pin writes it in
+place.  The parsers' arrays become the columns as they are, without a
+copy.  :meth:`Netlist.structure` adds the fan-out CSR once per structural
+mutation; every whole-netlist query and analysis reads it, and the
+per-node accessors (``fanins(v)``, ``fanouts(v)``, ``gate_type(v)``) read
+the same arrays.  Arrays once handed out are never written to: the columns
+are copied before the first write after that.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.circuit.cells import GateType
-from repro.circuit.structure import NetlistStructure, csr_to_rows, gate_table, rows_to_csr
+from repro.circuit.structure import NetlistStructure, gate_table
 
 __all__ = ["Netlist"]
 
@@ -35,27 +37,13 @@ _PIN_RULE = gate_table(
      **dict.fromkeys((_T.BUF, _T.NOT, _T.DFF, _T.OBS), 1)},
     default=2,
 )
-_PER_CELL = ("_types", "_fanins", "_fanouts", "_names", "_name_to_id")
 
 
-class _BuiltOnFirstUse:
-    """A per-cell container of :class:`Netlist`, as seen from the class.
-
-    A netlist in array form has no such instance attribute, so the lookup
-    lands here, the lists are built and from then on shadow this
-    descriptor.  (Not ``__getattr__``: a class that defines it loses the
-    interpreter's attribute fast paths on every instance, 8 % on the
-    cell-by-cell sweeps.)
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __get__(self, netlist, owner=None):
-        if netlist is None:
-            return self
-        netlist._build_lists()
-        return getattr(netlist, self._name)
+def _copied(column: np.ndarray, used: int, size: int) -> np.ndarray:
+    """A fresh array of ``size`` entries that starts with ``column[:used]``."""
+    fresh = np.empty(size, dtype=column.dtype)
+    fresh[:used] = column[:used]
+    return fresh
 
 
 class Netlist:
@@ -69,18 +57,18 @@ class Netlist:
     special-case sequential cells.
     """
 
-    _types, _fanins, _fanouts, _names, _name_to_id = map(_BuiltOnFirstUse, _PER_CELL)
-
     def __init__(self, name: str = "design") -> None:
         self.name = name
-        self._types: list[GateType] = []
-        self._fanins: list[list[int]] = []
-        self._fanouts: list[list[int]] = []
+        #: the cell count; the columns below may hold room past it
+        self._n = 0
+        self._types = np.zeros(0, dtype=np.int64)  #: gate-type code per cell
+        self._fanin_ptr = np.zeros(1, dtype=np.int64)  #: fan-in row bounds
+        self._fanin_idx = np.zeros(0, dtype=np.int64)  #: driver of every pin
+        #: whether arrays handed out (a structure, a copy's columns, a
+        #: parser's arrays) may alias the columns: the next write copies them
+        self._shared = False
         self._names: list[str | None] = []
-        self._name_to_id: dict[str, int] = {}
-        #: ``(structure, names)`` while the containers above are still to
-        #: be built from it, else ``None``
-        self._loaded: tuple[NetlistStructure, list[str | None]] | None = None
+        self._name_to_id: dict[str, int] | None = None  #: built on first use
         self._po_marks: set[int] = set()
         #: monotonically increasing structural-mutation counter; guards the
         #: derived values memoised by :meth:`cached`.
@@ -100,14 +88,16 @@ class Netlist:
 
         The caller vouches for what :meth:`add_cell` would have checked
         (arities, fanin ids in range, unique names, fan-out rows matching
-        the fan-in rows) and leaves both arguments alone afterwards;
-        ``structure`` becomes the memoised view.  No per-cell object is
-        built until something asks for one.
+        the fan-in rows) and leaves both arguments alone afterwards:
+        ``structure``'s fan-in arrays become the columns, uncopied, and
+        ``structure`` the memoised view.
         """
         netlist = cls(name)
-        for attr in _PER_CELL:
-            delattr(netlist, attr)
-        netlist._loaded = (structure, names)
+        netlist._n = structure.num_nodes
+        netlist._types = structure.types
+        netlist._fanin_ptr, netlist._fanin_idx = structure.fanin_ptr, structure.fanin_idx
+        netlist._shared = True
+        netlist._names = names
         netlist._po_marks = set(outputs)
         # One mutation per cell and per output mark, as if built cell by cell.
         netlist._version = len(names) + len(netlist._po_marks)
@@ -131,20 +121,6 @@ class Netlist:
             offset += member.num_nodes
         return cls.from_structure("union", structure, [None] * offset, outputs)
 
-    def _build_lists(self) -> None:
-        """Leave array form: build the per-cell containers from ``_loaded``.
-
-        Not for two threads to trigger at once on one netlist.
-        """
-        structure, names = self._loaded
-        self._types = list(map(_GATE_TYPES.__getitem__, structure.types.tolist()))
-        self._fanins = csr_to_rows(structure.fanin_ptr, structure.fanin_idx)
-        self._fanouts = csr_to_rows(structure.fanout_ptr, structure.fanout_idx)
-        self._names = list(names)
-        self._name_to_id = dict(zip(names, range(len(names))))
-        self._name_to_id.pop(None, None)
-        self._loaded = None
-
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
@@ -156,27 +132,16 @@ class Netlist:
     ) -> int:
         """Append a cell and return its node id.
 
-        Raises ``ValueError`` on arity violations or dangling fanin ids.
+        Raises ``ValueError`` on arity violations, dangling fanin ids or a
+        duplicate name, and then leaves the netlist as it was.
         """
         gate_type = GateType(gate_type)
         fanins = list(fanins)
         self._check_arity(gate_type, fanins)
         for u in fanins:
-            if not 0 <= u < len(self._types):
+            if not 0 <= u < self._n:
                 raise ValueError(f"fanin id {u} does not exist")
-        node = len(self._types)
-        self._version += 1
-        self._types.append(gate_type)
-        self._fanins.append(fanins)
-        self._fanouts.append([])
-        for u in fanins:
-            self._fanouts[u].append(node)
-        if name is not None:
-            if name in self._name_to_id:
-                raise ValueError(f"duplicate cell name {name!r}")
-            self._name_to_id[name] = node
-        self._names.append(name)
-        return node
+        return self._append(gate_type, fanins, name)
 
     def add_input(self, name: str | None = None) -> int:
         """Append a primary input."""
@@ -188,38 +153,69 @@ class Netlist:
         For builders that meet a flop before its data cone exists: wire the
         real driver later with ``replace_fanin(flop, flop, driver)``.
         """
-        node = self.add_cell(GateType.INPUT, (), name)
-        self._types[node] = GateType.DFF
-        self._fanins[node].append(node)
-        self._fanouts[node].append(node)
+        return self._append(GateType.DFF, [self._n], name)
+
+    def _append(self, gate_type: GateType, fanins: list[int], name: str | None) -> int:
+        """Append one cell whose type and fanins are known to be legal."""
+        if name is not None and name in self._index():
+            raise ValueError(f"duplicate cell name {name!r}")
+        node, start = self._n, self._num_pins()
+        end = start + len(fanins)
+        self._writable(node + 1, end)
+        self._types[node] = gate_type
+        self._fanin_idx[start:end] = fanins
+        self._fanin_ptr[node + 1] = end
+        self._n = node + 1
+        self._names.append(name)
+        if name is not None:
+            self._name_to_id[name] = node
+        self._version += 1
         return node
 
     def remove_last_cell(self) -> None:
         """Drop the newest cell, which must drive nothing (undoes ``add_cell``)."""
-        if not self._types or self._fanouts[-1]:
+        node = self._n - 1
+        if node < 0 or (self._fanin_idx[: self._num_pins()] == node).any():
             raise ValueError("the newest cell is missing or still drives a pin")
-        node = len(self._types) - 1
-        self._version += 1
-        self._types.pop()
-        self._fanouts.pop()
-        for driver in self._fanins.pop():
-            sinks = self._fanouts[driver]
-            # Last in its drivers' rows unless a rewire reordered them.
-            if sinks[-1] == node:
-                sinks.pop()
-            else:
-                sinks.remove(node)
+        self._n = node
         name = self._names.pop()
-        if name is not None:
+        if name is not None and self._name_to_id is not None:
             del self._name_to_id[name]
         self._po_marks.discard(node)
+        self._version += 1
 
     def mark_output(self, node: int) -> None:
         """Mark ``node`` as a primary output (idempotent)."""
         self._validate_node(node)
-        if node not in self._po_marks:
-            self._version += 1
+        if node in self._po_marks:
+            return
+        current = self._cache_version == self._version
+        structure = self._cache.get("structure") if current else None
         self._po_marks.add(node)
+        self._version += 1
+        if structure is not None:  # the wiring it shows is unchanged
+            self._cache, self._cache_version = {"structure": structure}, self._version
+
+    def _writable(self, cells: int, pins: int) -> None:
+        """Make the columns this netlist's own, with room for ``cells``
+        cells and ``pins`` pins: they are copied if shared or too short,
+        to at least twice what is used (appends cost amortised O(1)).
+        ``_fanin_ptr`` always has one entry more than ``_types``."""
+        n, m = self._n, self._num_pins()
+        if self._shared or cells > len(self._types):
+            room = max(cells, 2 * n, 16)
+            self._types = _copied(self._types, n, room)
+            self._fanin_ptr = _copied(self._fanin_ptr, n + 1, room + 1)
+        if self._shared or pins > len(self._fanin_idx):
+            self._fanin_idx = _copied(self._fanin_idx, m, max(pins, 2 * m, 16))
+        self._shared = False
+
+    def _index(self) -> dict[str, int]:
+        """Node id by given name, built on first use and kept up to date."""
+        if self._name_to_id is None:
+            self._name_to_id = dict(zip(self._names, range(self._n)))
+            self._name_to_id.pop(None, None)
+        return self._name_to_id
 
     @staticmethod
     def _check_arity(gate_type: GateType, fanins: Sequence[int]) -> None:
@@ -241,41 +237,47 @@ class Netlist:
         return np.where(rule == 2, pin_counts >= 2, pin_counts == rule)
 
     def _validate_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
+        if not 0 <= node < self._n:
             raise ValueError(f"node id {node} does not exist")
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self.num_nodes
+        return self._n
 
     @property
     def num_nodes(self) -> int:
-        if self._loaded is not None:
-            return self._loaded[0].num_nodes
-        return len(self._types)
+        return self._n
 
     @property
     def num_edges(self) -> int:
-        return len(self.structure().fanin_idx)
+        return self._num_pins()
+
+    def _num_pins(self) -> int:
+        return int(self._fanin_ptr[self._n])
 
     def gate_type(self, node: int) -> GateType:
-        return self._types[node]
+        return _GATE_TYPES[self._types[range(self._n)[node]]]
 
     def fanins(self, node: int) -> list[int]:
-        return self._fanins[node]
+        v = range(self._n)[node]
+        ptr = self._fanin_ptr
+        return self._fanin_idx[ptr[v]:ptr[v + 1]].tolist()
 
     def fanouts(self, node: int) -> list[int]:
-        return self._fanouts[node]
+        v = range(self._n)[node]
+        structure = self.structure()
+        ptr = structure.fanout_ptr
+        return structure.fanout_idx[ptr[v]:ptr[v + 1]].tolist()
 
     def given_name(self, node: int) -> str | None:
         """The name ``node`` was created with, if any (for rebuilding it elsewhere)."""
         return self._names[node]
 
     def _given_names(self) -> list[str | None]:
-        """Every cell's :meth:`given_name`, in array form as in list form."""
-        return self._loaded[1] if self._loaded is not None else self._names
+        """Every cell's :meth:`given_name` (the column itself: not to be written)."""
+        return self._names
 
     def cell_name(self, node: int) -> str:
         explicit = self._names[node]
@@ -283,7 +285,7 @@ class Netlist:
 
     def find(self, name: str) -> int:
         """Return the node id carrying ``name``; raise ``KeyError`` if absent."""
-        return self._name_to_id[name]
+        return self._index()[name]
 
     def nodes(self) -> range:
         return range(self.num_nodes)
@@ -345,14 +347,8 @@ class Netlist:
         return self._version
 
     def note_external_mutation(self) -> None:
-        """Invalidate cached structural state after out-of-band edits.
-
-        Code that writes to the private lists directly (tests building
-        illegal netlists do) must call this so :meth:`structure` and every
-        other :meth:`cached` value never serve content that has since changed.
-        """
-        if self._loaded is not None:
-            self._build_lists()  # the lists are the authority from here on
+        """Count one mutation, dropping every :meth:`cached` value (for code
+        that changed something a memoised value depends on)."""
         self._version += 1
 
     def cached(self, key: str, build: Callable[[], object]):
@@ -371,12 +367,11 @@ class Netlist:
         return self.cached("structure", self._build_structure)
 
     def _build_structure(self) -> NetlistStructure:
-        if self._loaded is not None:
-            return self._loaded[0]
-        fanin_ptr, fanin_idx = rows_to_csr(self._fanins)
-        fanout_ptr, fanout_idx = rows_to_csr(self._fanouts)
-        types = np.fromiter(self._types, dtype=np.int64, count=len(self._types))
-        return NetlistStructure(types, fanin_ptr, fanin_idx, fanout_ptr, fanout_idx)
+        n = self._n
+        self._shared = True  # the view holds slices of the columns
+        return NetlistStructure.from_fanins(
+            self._types[:n], self._fanin_ptr[: n + 1], self._fanin_idx[: self._num_pins()]
+        )
 
     # ------------------------------------------------------------------ #
     # Mutation used by the OPI flow
@@ -388,10 +383,10 @@ class Netlist:
         and edge ``v -> p``" graph update.
         """
         self._validate_node(target)
-        if self._types[target] is GateType.OBS:
+        if self._types[target] == GateType.OBS:
             raise ValueError("target is already an observation point cell")
         if name is None:
-            name = f"op_{target}_{len(self._types)}"
+            name = f"op_{target}_{self._n}"
         return self.add_cell(GateType.OBS, (target,), name)
 
     def replace_fanin(self, sink: int, old_driver: int, new_driver: int) -> None:
@@ -403,17 +398,15 @@ class Netlist:
         """
         self._validate_node(sink)
         self._validate_node(new_driver)
-        fanins = self._fanins[sink]
         try:
-            pin = fanins.index(old_driver)
+            pin = self.fanins(sink).index(old_driver)
         except ValueError:
             raise ValueError(
                 f"node {old_driver} does not drive node {sink}"
             ) from None
-        fanins[pin] = new_driver
+        self._writable(self._n, self._num_pins())
+        self._fanin_idx[self._fanin_ptr[sink] + pin] = new_driver
         self._version += 1
-        self._fanouts[old_driver].remove(sink)
-        self._fanouts[new_driver].append(sink)
 
     def insert_control_point(
         self, target: int, control_to: int, name: str | None = None
@@ -429,19 +422,20 @@ class Netlist:
         self._validate_node(target)
         if control_to not in (0, 1):
             raise ValueError("control_to must be 0 or 1")
-        if self._types[target] is GateType.OBS:
+        if self._types[target] == GateType.OBS:
             raise ValueError("cannot place a control point on an OBS cell")
-        base = name or f"cp_{target}_{len(self._types)}"
+        base = name or f"cp_{target}_{self._n}"
+        pins = np.flatnonzero(self._fanin_idx[: self._num_pins()] == target)
         control = self.add_cell(GateType.INPUT, (), f"{base}_en")
-        sinks = list(self._fanouts[target])
         if control_to == 1:
             gate = self.add_cell(GateType.OR, (target, control), base)
         else:
             inv = self.add_cell(GateType.NOT, (control,), f"{base}_n")
             gate = self.add_cell(GateType.AND, (target, inv), base)
-        for sink in sinks:
-            while target in self._fanins[sink]:
-                self.replace_fanin(sink, target, gate)
+        # Every pin ``target`` drove before the CP existed, one mutation each.
+        self._writable(self._n, self._num_pins())
+        self._fanin_idx[pins] = gate
+        self._version += len(pins)
         if target in self._po_marks:
             self._po_marks.discard(target)
             self._po_marks.add(gate)
@@ -451,18 +445,18 @@ class Netlist:
     # Copy / summary
     # ------------------------------------------------------------------ #
     def copy(self, name: str | None = None) -> "Netlist":
-        """Deep-copy the netlist (names and output marks included)."""
-        name = name if name is not None else self.name
-        if self._loaded is not None:  # arrays and name table are shared, never written
-            dup = Netlist.from_structure(name, *self._loaded, self._po_marks)
-        else:
-            dup = Netlist(name)
-            dup._types = list(self._types)
-            dup._fanins = [list(f) for f in self._fanins]
-            dup._fanouts = [list(f) for f in self._fanouts]
-            dup._names = list(self._names)
-            dup._po_marks = set(self._po_marks)
+        """Deep-copy the netlist (names and output marks included).
+
+        The columns are shared until either side writes (which copies them).
+        """
+        dup = Netlist(name if name is not None else self.name)
+        dup._n = self._n
+        dup._types, dup._fanin_ptr, dup._fanin_idx = self._types, self._fanin_ptr, self._fanin_idx
+        self._shared = dup._shared = True
+        dup._names = list(self._names)
+        if self._name_to_id is not None:
             dup._name_to_id = dict(self._name_to_id)
+        dup._po_marks = set(self._po_marks)
         dup._version = self._version
         dup._cache = dict(self._cache)
         dup._cache_version = self._cache_version

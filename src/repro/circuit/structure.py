@@ -4,17 +4,16 @@
 gate-type codes plus fan-in and fan-out adjacency in CSR form — and the
 read path of every whole-netlist query and analysis (levelization, SCOAP,
 validation, the adjacency export, labelling, fault collapsing, statistics,
-scan cost); :class:`~repro.circuit.netlist.Netlist`'s per-cell lists are
-for mutation and per-node access only.  The parsers produce it directly and
-a loaded netlist keeps it as its content until a mutation or a per-node
-accessor asks for lists; otherwise ``Netlist.structure()`` builds it once
-per structural mutation.
+scan cost).  The parsers and the generator build it with
+:meth:`NetlistStructure.from_fanins` and hand it to
+:meth:`~repro.circuit.netlist.Netlist.from_structure`, whose columns are
+its fan-in arrays; ``Netlist.structure()`` rebuilds it from those columns
+once per structural mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "NetlistStructure",
     "gate_table",
     "counts_to_ptr",
-    "rows_to_csr",
-    "csr_to_rows",
     "expand_rows",
     "sorted_unique",
 ]
@@ -36,8 +33,8 @@ class NetlistStructure:
     """Gate types and both adjacency directions of one netlist version.
 
     Row ``v`` of the fan-in CSR lists the drivers of ``v`` in pin order;
-    row ``v`` of the fan-out CSR lists its sinks in ``Netlist.fanouts(v)``
-    order (one entry per pin driven, so a sink wired twice appears twice).
+    row ``v`` of the fan-out CSR lists its sinks in ascending id order
+    (one entry per pin driven, so a sink wired twice appears twice).
     The arrays are shared with every reader and must not be written to.
     """
 
@@ -51,11 +48,8 @@ class NetlistStructure:
     def from_fanins(
         cls, types: np.ndarray, fanin_ptr: np.ndarray, fanin_idx: np.ndarray
     ) -> "NetlistStructure":
-        """The structure whose fan-out rows list sinks in ascending id order.
-
-        That is the order ``add_cell`` leaves behind when every cell is
-        created after its drivers, and the one the parsers promise.
-        """
+        """The structure of these fan-in rows, its fan-out rows derived:
+        each lists its sinks in ascending id order."""
         n, m = len(types), len(fanin_idx)
         sinks = np.repeat(np.arange(n), np.diff(fanin_ptr))
         # A plain sort of (driver, pin position) keys is a stable sort by
@@ -113,20 +107,6 @@ def counts_to_ptr(counts) -> np.ndarray:
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
-
-
-def rows_to_csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, idx)`` of a list of integer rows."""
-    ptr = counts_to_ptr(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
-    idx = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(ptr[-1]))
-    return ptr, idx
-
-
-def csr_to_rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
-    """The inverse of :func:`rows_to_csr`: one fresh list per row."""
-    flat = idx.tolist()
-    bounds = ptr.tolist()
-    return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 
 
 def expand_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.circuit.bench import _build, _number
+from repro.circuit.bench import _build, _cell_names, _number
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
 from repro.resilience.errors import NetlistFormatError
@@ -163,39 +163,37 @@ def write_verilog(netlist: Netlist, stream) -> None:
     ``OBS`` cells become buffers driving dedicated output ports, the same
     convention as the ``.bench`` exporter.
     """
-    def net(v: int) -> str:
-        return netlist.cell_name(v)
+    structure = netlist.structure()
+    types = structure.types.tolist()
+    ptr, drivers = structure.fanin_ptr.tolist(), structure.fanin_idx.tolist()
+    net = _cell_names(netlist._given_names()).tolist()
 
-    pis = [net(v) for v in netlist.primary_inputs]
-    pos = [net(v) for v in netlist.primary_outputs]
-    pos += [net(v) for v in netlist.observation_points()]
+    pis = [net[v] for v in netlist.primary_inputs]
+    pos = [net[v] for v in netlist.primary_outputs]
+    pos += [net[v] for v in netlist.observation_points()]
     ports = pis + pos
     stream.write(f"module {netlist.name} ({', '.join(ports)});\n")
     if pis:
         stream.write(f"  input {', '.join(pis)};\n")
     if pos:
         stream.write(f"  output {', '.join(pos)};\n")
+    po_nets = set(pos)
     wires = [
-        net(v)
-        for v in netlist.nodes()
-        if netlist.gate_type(v) is not GateType.INPUT
-        and net(v) not in set(pos)
+        net[v] for v, code in enumerate(types) if code != GateType.INPUT and net[v] not in po_nets
     ]
     if wires:
         stream.write(f"  wire {', '.join(wires)};\n")
-    for v in netlist.nodes():
-        gate_type = netlist.gate_type(v)
-        if gate_type is GateType.INPUT:
+    for v, code in enumerate(types):
+        if code == GateType.INPUT:
             continue
-        if gate_type is GateType.CONST0:
-            stream.write(f"  assign {net(v)} = 1'b0;\n")
+        if code == GateType.CONST0:
+            stream.write(f"  assign {net[v]} = 1'b0;\n")
             continue
-        if gate_type is GateType.CONST1:
-            stream.write(f"  assign {net(v)} = 1'b1;\n")
+        if code == GateType.CONST1:
+            stream.write(f"  assign {net[v]} = 1'b1;\n")
             continue
-        primitive = _TYPE_TO_PRIMITIVE[gate_type]
-        terms = ", ".join([net(v)] + [net(u) for u in netlist.fanins(v)])
-        stream.write(f"  {primitive} g{v} ({terms});\n")
+        terms = ", ".join([net[v]] + [net[u] for u in drivers[ptr[v]:ptr[v + 1]]])
+        stream.write(f"  {_TYPE_TO_PRIMITIVE[code]} g{v} ({terms});\n")
     stream.write("endmodule\n")
 
 

@@ -37,6 +37,8 @@ Every entry point (``FaultSimulator``, ``ObservabilityAnalyzer``,
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -54,6 +56,27 @@ __all__ = [
 INFERENCE_BACKENDS = ("auto", "single", "sharded")
 #: vocabulary for the execution fabric (mirrors repro.exec.policy)
 EXEC_BACKENDS = ("auto", "inprocess", "forkpool")
+
+
+def integer_problems(name: str, value, low: int) -> list[str]:
+    """What is wrong with ``value`` as an integer ``>= low`` (nothing: ``[]``)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
+        return []
+    return [f"{name} must be an integer >= {low}, got {value!r}"]
+
+
+def fraction_problems(name: str, value) -> list[str]:
+    """What is wrong with ``value`` as a finite number in [0, 1] (nothing: ``[]``)."""
+    if isinstance(value, numbers.Real) and math.isfinite(value) and 0 <= value <= 1:
+        return []
+    return [f"{name} must be a finite number in [0, 1], got {value!r}"]
+
+
+def check_config(what: str, problems: list[str]) -> None:
+    """:class:`ConfigError` naming each of ``problems``, if there are any."""
+    if problems:
+        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
+
 
 _ENV_EXEC_BACKEND = "REPRO_EXEC_BACKEND"
 _ENV_WORKERS = "REPRO_WORKERS"

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
+from repro.config import check_config, fraction_problems, integer_problems
 from repro.flow.modify import walk_fanin_cones
 from repro.testability.cop import compute_cop
 from repro.obs import logs
@@ -41,6 +42,13 @@ class BaselineOpiConfig:
     max_ops: int | None = None
     verbose: bool = False
 
+    def __post_init__(self) -> None:
+        check_config(
+            "baseline OPI config",
+            fraction_problems("detect_threshold", self.detect_threshold)
+            + integer_problems("per_round", self.per_round, 1),
+        )
+
 
 @dataclass
 class BaselineOpiResult:
@@ -60,12 +68,10 @@ def _hard_nodes(netlist: Netlist, threshold: float) -> np.ndarray:
     cop = compute_cop(netlist)
     d0, d1 = cop.detection_probability()
     hard = np.minimum(d0, d1) < threshold
-    for p in netlist.observation_points():
-        hard[p] = False
-        hard[netlist.fanins(p)[0]] = False
-    for v in netlist.nodes():
-        if netlist.gate_type(v) is GateType.OBS:
-            hard[v] = False
+    structure = netlist.structure()
+    obs_cells = structure.types == GateType.OBS
+    hard[obs_cells] = False
+    hard[structure.fanin_idx[structure.fanin_ptr[:-1][obs_cells]]] = False  # their targets
     return hard
 
 

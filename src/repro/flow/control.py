@@ -47,7 +47,8 @@ __all__ = [
 
 _log = logs.get_logger("flow")
 
-#: never difficult-to-control: scan-controllable, test infrastructure, ties
+#: never difficult-to-control (scan-controllable, test infrastructure,
+#: ties), so never a CP target either
 _NEVER_HARD = gate_table(dict.fromkeys(
     (GateType.INPUT, GateType.DFF, GateType.OBS, GateType.CONST0, GateType.CONST1), 1))
 
@@ -194,23 +195,21 @@ def _cp_candidates(netlist: Netlist, predictions: np.ndarray) -> list[int]:
 
     Test infrastructure never receives further test points: CP gates,
     their enables/inverters (every ``cp_*``-named cell) and OBS cells are
-    excluded, as are nodes already guarded by a CP.
+    excluded, as are nodes already guarded by a CP and nodes that drive
+    nothing.
     """
-    has_cp_gate = set()
-    for v in netlist.nodes():
-        name = netlist.cell_name(v)
-        if name.startswith("cp_") and not name.endswith(("_en", "_n")):
-            has_cp_gate.add(netlist.fanins(v)[0])
-    out = []
-    for v in np.flatnonzero(predictions == 1):
-        v = int(v)
-        t = netlist.gate_type(v)
-        if t in (GateType.INPUT, GateType.DFF, GateType.OBS,
-                 GateType.CONST0, GateType.CONST1):
-            continue
-        if netlist.cell_name(v).startswith("cp_"):
-            continue
-        if v in has_cp_gate or not netlist.fanouts(v):
-            continue
-        out.append(v)
-    return out
+    structure = netlist.structure()
+    # 0: not test infrastructure, 1: a CP's enable or inverter, 2: a CP gate
+    kind = np.array(
+        [
+            0 if not (name and name.startswith("cp_")) else 1 if name.endswith(("_en", "_n")) else 2
+            for name in netlist._given_names()
+        ],
+        dtype=np.int64,
+    )
+    excluded = (kind > 0) | (_NEVER_HARD[structure.types] == 1)
+    excluded |= np.diff(structure.fanout_ptr) == 0
+    cp_gates = (kind == 2) & (np.diff(structure.fanin_ptr) > 0)
+    excluded[structure.fanin_idx[structure.fanin_ptr[:-1][cp_gates]]] = True  # guarded
+    candidates = np.flatnonzero(predictions == 1)
+    return candidates[~excluded[candidates]].tolist()

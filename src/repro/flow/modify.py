@@ -264,6 +264,7 @@ class IncrementalDesign:
         """The targets of ``previews``, once they are known to be current
         previews of this design at distinct targets that may take an OP."""
         state = self._states[-1]
+        types = self._structure.types  # a cell past them is one of our OBS cells
         for preview in previews:
             if preview.design is not self:
                 raise ValueError(f"the preview at {preview.target} is of another design")
@@ -272,7 +273,7 @@ class IncrementalDesign:
                     f"the preview at {preview.target} is stale: the design "
                     "changed after it was taken"
                 )
-            if self.netlist.gate_type(preview.target) is GateType.OBS:
+            if preview.target >= len(types) or types[preview.target] == GateType.OBS:
                 raise ValueError(f"node {preview.target} is an observation point cell")
         targets = np.array([p.target for p in previews], dtype=np.int64)
         if len(sorted_unique(targets)) < len(targets):

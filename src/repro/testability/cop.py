@@ -41,11 +41,15 @@ def compute_cop(netlist: Netlist, order: list[int] | None = None) -> CopResult:
     """Compute COP signal and observation probabilities for every node."""
     if order is None:
         order = topological_order(netlist)
-    n = netlist.num_nodes
+    structure = netlist.structure()
+    types = list(map(GateType, structure.types.tolist()))
+    in_ptr, drivers = structure.fanin_ptr.tolist(), structure.fanin_idx.tolist()
+    out_ptr, sinks = structure.fanout_ptr.tolist(), structure.fanout_idx.tolist()
+    n = structure.num_nodes
     p1 = np.zeros(n, dtype=np.float64)
 
     for v in order:
-        t = netlist.gate_type(v)
+        t = types[v]
         if t in (GateType.INPUT, GateType.DFF):
             p1[v] = 0.5
             continue
@@ -55,8 +59,7 @@ def compute_cop(netlist: Netlist, order: list[int] | None = None) -> CopResult:
         if t is GateType.CONST1:
             p1[v] = 1.0
             continue
-        fanins = netlist.fanins(v)
-        probs = [p1[u] for u in fanins]
+        probs = [p1[u] for u in drivers[in_ptr[v]:in_ptr[v + 1]]]
         if t in (GateType.BUF, GateType.OBS):
             p1[v] = probs[0]
         elif t is GateType.NOT:
@@ -84,13 +87,13 @@ def compute_cop(netlist: Netlist, order: list[int] | None = None) -> CopResult:
         if v in observed:
             continue
         miss = 1.0
-        for g in netlist.fanouts(v):
-            t = netlist.gate_type(g)
+        for g in sinks[out_ptr[v]:out_ptr[v + 1]]:
+            t = types[g]
             if t in (GateType.DFF, GateType.OBS):
                 miss = 0.0
                 break
             base = obs[g]
-            side = [u for u in netlist.fanins(g) if u != v]
+            side = [u for u in drivers[in_ptr[g]:in_ptr[g + 1]] if u != v]
             if t in (GateType.BUF, GateType.NOT):
                 branch = base
             elif t in (GateType.AND, GateType.NAND):

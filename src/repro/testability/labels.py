@@ -16,8 +16,6 @@ more neighbourhood context should win.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,7 @@ import numpy as np
 from repro.atpg.observability import observability_counts
 from repro.circuit.cells import GateType
 from repro.circuit.netlist import Netlist
-from repro.resilience.errors import ConfigError
+from repro.config import check_config, fraction_problems, integer_problems
 
 __all__ = ["LabelConfig", "LabelResult", "label_nodes"]
 
@@ -57,13 +55,7 @@ class LabelConfig:
 def check_sampling(what: str, n, t) -> None:
     """:class:`ConfigError` naming each problem unless the pattern count
     ``n`` is an integer >= 1 and the threshold ``t`` a finite number in [0, 1]."""
-    problems = []
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        problems.append(f"n_patterns must be an integer >= 1, got {n!r}")
-    if not (isinstance(t, numbers.Real) and math.isfinite(t) and 0 <= t <= 1):
-        problems.append(f"threshold must be a finite number in [0, 1], got {t!r}")
-    if problems:
-        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
+    check_config(what, integer_problems("n_patterns", n, 1) + fraction_problems("threshold", t))
 
 
 @dataclass

@@ -8,6 +8,7 @@ from repro.atpg.faults import collapse_faults, full_fault_list
 from repro.atpg.generate import AtpgConfig, AtpgResult, run_atpg
 from repro.atpg.simulator import pack_patterns
 from repro.circuit import generate_design
+from repro.resilience.errors import ConfigError
 
 
 class TestRunAtpg:
@@ -81,3 +82,21 @@ class TestRunAtpg:
             improved.insert_observation_point(int(v))
         better = run_atpg(improved, faults=collapse_faults(nl), config=AtpgConfig(seed=2))
         assert better.fault_coverage >= base.fault_coverage - 0.02
+
+
+class TestAtpgConfigChecks:
+    """Values ``run_atpg`` cannot run are refused at construction: a
+    negative backtrack budget aborts every fault PODEM has to backtrack on,
+    and a negative pattern budget means nothing."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_backtracks", -1), ("max_random_patterns", -5), ("max_backtracks", 2.5)],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"invalid ATPG config: {field} must be"):
+            AtpgConfig(**{field: value})
+
+    def test_zero_budgets_are_runnable(self, c17):
+        result = run_atpg(c17, config=AtpgConfig(max_random_patterns=0, max_backtracks=0))
+        assert result.random_patterns_used == 0 and result.fault_coverage == 1.0

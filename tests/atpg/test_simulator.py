@@ -105,14 +105,13 @@ class TestSimulate:
         assert all(int(bits[p][v]) == ref[v] for v in nl.nodes())
 
     def test_array_form_netlist_stays_arrays(self, rng):
-        # The schedule and the cone sweep read ``structure()`` only, so
-        # simulating never builds the per-cell lists.
+        # The schedule and the cone sweep read ``structure()`` only.
         nl = generate_design(200, seed=4)
-        assert nl._loaded is not None
+        view = nl.structure()
         sim = LogicSimulator(nl)
         sim.simulate(sim.random_source_words(1, rng))
         sim.forward_union(sim.source_ids)
-        assert nl._loaded is not None
+        assert nl.structure() is view
 
 
 class TestConeAndEval:

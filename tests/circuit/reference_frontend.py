@@ -35,12 +35,18 @@ from repro.circuit.generator import generate_design
 from repro.circuit.levelize import CombinationalLoopError, Levelization
 from repro.circuit.netlist import Netlist
 from repro.circuit.structure import counts_to_ptr
+from tests.circuit.reference_netlist import ReferenceNetlist
 
 _ASSIGN_RE = re.compile(r"^(?P<lhs>[^=\s]+)\s*=\s*(?P<gate>\w+)\s*\((?P<args>[^)]*)\)$")
 _IO_RE = re.compile(r"^(?P<kind>INPUT|OUTPUT)\s*\((?P<name>[^)]+)\)$", re.IGNORECASE)
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
+    """:func:`parse_bench_cells`, as a :class:`Netlist`."""
+    return parse_bench_cells(text, name).to_netlist()
+
+
+def parse_bench_cells(text: str, name: str = "bench") -> ReferenceNetlist:
     """The parser before the array front end, its known bugs included.
 
     ``q = DFF()`` raises ``IndexError``, a second ``DFF`` pin is dropped, an
@@ -75,7 +81,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             raise BenchParseError(f"line {lineno}: signal {signal!r} redefined")
         gates[signal] = (_GATE_NAMES[gate_name], args, lineno)
 
-    netlist = Netlist(name)
+    netlist = ReferenceNetlist(name)
     ids: dict[str, int] = {}
     for sig in inputs:
         if sig in ids:
@@ -159,11 +165,7 @@ def regex_tokenise(text: str):
 
 
 def write_bench(netlist: Netlist, stream: io.TextIOBase) -> None:
-    """The writer before the array one: one f-string per node, written as it goes.
-
-    On a netlist in array form the per-node accessors build every per-cell
-    list first.
-    """
+    """The writer before the array one: one f-string per node, written as it goes."""
     stream.write(f"# {netlist.name}: {netlist.num_nodes} cells\n")
     for v in netlist.primary_inputs:
         stream.write(f"INPUT({netlist.cell_name(v)})\n")
@@ -295,13 +297,22 @@ def structure_digest(netlist: Netlist) -> str:
 # Parser equivalence
 # --------------------------------------------------------------------- #
 def same_netlist(a: Netlist, b: Netlist) -> bool:
+    """The same cells, rows (fan-out order included), names and marks."""
+
+    def cells(netlist: Netlist):
+        return [
+            (netlist.gate_type(v), netlist.fanins(v), netlist.fanouts(v), netlist.given_name(v))
+            for v in netlist.nodes()
+        ]
+
+    def found(netlist: Netlist):
+        named = (v for v in netlist.nodes() if netlist.given_name(v) is not None)
+        return {netlist.given_name(v): netlist.find(netlist.given_name(v)) for v in named}
+
     return (
-        a._types == b._types
-        and a._fanins == b._fanins
-        and a._fanouts == b._fanouts
-        and a._names == b._names
-        and a._po_marks == b._po_marks
-        and a._name_to_id == b._name_to_id
+        cells(a) == cells(b)
+        and a.primary_outputs == b.primary_outputs
+        and found(a) == found(b)
     )
 
 
@@ -381,8 +392,8 @@ def random_netlist(seed: int, n_gates: int) -> Netlist:
     """A random design exercising what ``generate_design`` never emits.
 
     Pins repeat on one gate, tie cells feed logic, flops close feedback
-    loops (rewired with ``replace_fanin``, so fan-out lists are not in sink
-    order), OBS cells hang off internal nets, and some gates dangle.
+    loops (rewired with ``replace_fanin``), OBS cells hang off internal
+    nets, and some gates dangle.
     """
     rng = np.random.default_rng(seed)
     netlist = Netlist(f"random{seed}")

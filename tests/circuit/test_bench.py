@@ -169,13 +169,9 @@ class TestWriterMatchesReference:
     @staticmethod
     def check(netlist: Netlist) -> None:
         expected = written(netlist, reference_frontend.write_bench)
-        array_form = netlist._loaded is not None
         assert written(netlist) == expected
-        assert (netlist._loaded is not None) == array_form  # writing keeps the form
-        if not array_form:
-            copy = renamed(netlist, list(netlist._names))
-            assert written(copy) == expected
-            assert copy._loaded is not None
+        copy = renamed(netlist, list(netlist._names))
+        assert written(copy) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_gates=st.integers(0, 40))
@@ -197,13 +193,11 @@ class TestWriterMatchesReference:
         array_form = renamed(netlist, names)
         self.check(array_form)
         list_form = renamed(netlist, names)
-        list_form.gate_type(0)  # any per-cell accessor leaves array form
-        assert list_form._loaded is None
+        list_form.gate_type(0)  # a per-cell accessor changes nothing
         self.check(list_form)
 
     def test_parsed_netlist(self):
         netlist = bench.parse_bench(written(reference_frontend.random_netlist(3, 30)))
-        assert netlist._loaded is not None
         self.check(netlist)
 
     @pytest.mark.parametrize("array_form", [False, True])

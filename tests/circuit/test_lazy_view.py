@@ -1,9 +1,8 @@
-"""A parsed netlist is arrays until asked: the lazy per-cell view.
+"""A parsed netlist answers every accessor from its arrays.
 
 The oracle is the cell-by-cell reference parser: whatever a freshly loaded
-netlist answers — from its arrays or from lists it builds on the spot —
-must be what the netlist built by ``add_cell`` answers, before and after
-mutations.
+netlist answers must be what the netlist the reference builds answers,
+before and after mutations.
 """
 
 import io
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.atpg.ppsfp as ppsfp
-import repro.circuit.netlist as netlist_module
 import repro.nn.sparse as sparse_module
 from repro import api
 from repro.atpg.fault_sim import FaultSimulator
@@ -147,9 +145,8 @@ class TestAccessors:
         with pytest.raises(KeyError):
             netlist.find(f"n{tie}")
 
-    def test_marking_an_output_keeps_the_arrays(self, monkeypatch):
+    def test_marking_an_output_keeps_the_arrays(self):
         netlist = parse_bench(valid_bench(gates=300))
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         view, digest = netlist.structure(), reference.structure_digest(netlist)
         netlist.mark_output(netlist.num_nodes // 2)
         assert netlist.structure() is view
@@ -158,12 +155,8 @@ class TestAccessors:
             netlist.mark_output(netlist.num_nodes)
 
 
-def _never(*_):
-    raise AssertionError("the per-cell lists of a loaded netlist were built")
-
-
 class TestLoadPathStaysInArrays:
-    """The point of the lazy view: text -> scores builds no per-cell object."""
+    """Text -> scores on the arrays the parser built."""
 
     @staticmethod
     def design_text(gates: int) -> str:
@@ -196,16 +189,14 @@ class TestLoadPathStaysInArrays:
             got, want = got.to_scipy(), want.to_scipy()
             assert (got != want).nnz == 0 and got.shape == want.shape
 
-    def test_api_score(self, monkeypatch, text):
+    def test_api_score(self, text):
         weights = GCN(GCNConfig(seed=3)).layer_weights()
         expected = api.score(weights, reference.parse_bench(text)).logits
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         netlist = api.load_netlist(text)
         assert validate_netlist(netlist, strict=True).warnings
         assert np.array_equal(api.score(weights, netlist).logits, expected)
 
-    def test_serve_admit(self, monkeypatch, text):
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
+    def test_serve_admit(self, text):
         request = admit(json.dumps({"netlist": text}).encode(), ServeConfig())
         assert request.warnings
         assert np.array_equal(
@@ -214,18 +205,16 @@ class TestLoadPathStaysInArrays:
 
     def test_tiny_design_is_built_in_arrays(self, monkeypatch, tiny_text):
         expected = api.build_graph(reference.parse_bench(tiny_text))
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         netlist = api.load_netlist(tiny_text)
         assert validate_netlist(netlist, strict=True).warnings
         graph = api.build_graph(netlist)
-        assert netlist._loaded is not None and netlist.num_nodes < 256
+        assert netlist.num_nodes < 256
         self.forbid_coo_to_csr(monkeypatch)
         assert np.array_equal(graph.attributes, expected.attributes)
         self.assert_adjacency_of(graph, expected)
 
     def test_tiny_serve_admit(self, monkeypatch, tiny_text):
         expected = api.build_graph(reference.parse_bench(tiny_text))
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         request = admit(json.dumps({"netlist": tiny_text}).encode(), ServeConfig())
         assert request.warnings
         self.forbid_coo_to_csr(monkeypatch)
@@ -267,29 +256,25 @@ def analyses(netlist: Netlist) -> dict:
 
 
 class TestWholeNetlistAnalysesStayInArrays:
-    """Labelling, fault lists, fault simulation, stats and scan cost read a
-    loaded netlist's arrays, and answer what they answer on its lists."""
+    """Labelling, fault lists, fault simulation, stats and scan cost answer
+    on a parsed netlist what they answer on the reference parser's."""
 
     @pytest.fixture
     def text(self) -> str:
         return TestLoadPathStaysInArrays.design_text(300)
 
-    def test_in_process(self, monkeypatch, text):
+    def test_in_process(self, text):
         expected = analyses(reference.parse_bench(text))
         netlist = parse_bench(text)
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         assert analyses(netlist) == expected
-        assert netlist._loaded is not None
 
-    def test_with_observation_points(self, monkeypatch, text):
+    def test_with_observation_points(self, text):
         built = reference.parse_bench(text)
         for target in (3, built.num_nodes // 2, built.num_nodes - 1):
             built.insert_observation_point(target)
         expected = analyses(built)
         netlist = Netlist.disjoint_union([built])  # the same cells, as arrays
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         assert analyses(netlist) == expected
-        assert netlist._loaded is not None
 
     def test_pooled_labels(self, monkeypatch, text):
         """The stem grading's workers are sent the netlist in array form."""
@@ -303,17 +288,15 @@ class TestWholeNetlistAnalysesStayInArrays:
 
         monkeypatch.setattr(ppsfp.PpsfpEngine, "_parallel_masks", counted)
         netlist = parse_bench(text)
-        monkeypatch.setattr(netlist_module, "csr_to_rows", _never)
         execution = ExecutionConfig(workers=2, exec_backend="forkpool")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = label_nodes(netlist, LabelConfig(n_patterns=128, execution=execution))
-        # A worker that built the lists would fail and be rescued in
-        # process under a ResourceWarning.
+        # A worker that failed would be rescued in process under a
+        # ResourceWarning.
         assert pooled and not [w for w in caught if w.category is ResourceWarning]
         assert np.array_equal(result.labels, expected.labels)
         assert np.array_equal(result.observed_count, expected.observed_count)
-        assert netlist._loaded is not None
 
 
 class TestIscasFixtures:

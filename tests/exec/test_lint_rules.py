@@ -4,8 +4,8 @@
 clock, socket, thread, process or pickle), 10 (``pickle.loads`` appears
 under ``repro/exec`` only in ``net.unpickle``), the kernel half of 7
 (the narrow product and the row-block loop are defined only in
-``core/inference.py``), 11 (the netlist's per-cell lists are touched
-only in ``circuit/netlist.py``), 12 (the third-party packages imported
+``core/inference.py``), 11 (the netlist's columns are touched only
+in ``circuit/netlist.py``), 12 (the third-party packages imported
 under ``src/repro`` are exactly ``pyproject.toml``'s dependencies) and 13
 (only ``repro/graph`` and the facade's re-export import the sharded
 engine).  Each rule gets a should-fail fixture so a vacuous pass is
@@ -139,7 +139,7 @@ def test_the_netlist_lists_have_one_owner():
             assert lint.netlist_private_violations(path) == [], path
     # ...and the rule is looking at the real thing.
     found = {what for _, what in lint.netlist_private_violations(lint._NETLIST_MODULE)}
-    assert found == {"._types", "._fanins", "._fanouts", "._names", "._name_to_id"}
+    assert found == {"._types", "._fanin_ptr", "._fanin_idx", "._names", "._name_to_id"}
 
 
 @pytest.mark.parametrize(
@@ -150,6 +150,8 @@ def test_the_netlist_lists_have_one_owner():
         ("x = 1\ny = design.netlist._fanouts[3]\n", 2, "._fanouts"),
         ("name = netlist._names[0]\n", 1, "._names"),
         ("del nl._name_to_id['a']\n", 1, "._name_to_id"),
+        ("rows = netlist._fanin_idx[3:5]\n", 1, "._fanin_idx"),
+        ("def grow(nl):\n    nl._fanin_ptr[-1] += 1\n", 2, "._fanin_ptr"),
     ],
 )
 def test_reaching_into_the_netlist_is_caught(tmp_path, source, line, what):

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import generate_design
 from repro.flow import baseline
 from repro.flow.baseline import BaselineOpiConfig, run_baseline_opi
+from repro.resilience.errors import ConfigError
 from repro.testability.cop import compute_cop
 
 
@@ -94,3 +95,17 @@ class TestBaselineOpi:
         walked = run_baseline_opi(netlist, config)
         assert stacked.inserted == walked.inserted
         assert stacked.hard_history == walked.hard_history
+
+
+class TestConfigChecks:
+    """Values the flow cannot run are refused at construction: no OP per
+    round never converges, and a NaN threshold marks nothing hard."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("per_round", 0), ("per_round", -2), ("detect_threshold", float("nan")),
+         ("detect_threshold", 1.5)],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"invalid baseline OPI config: {field} must be"):
+            BaselineOpiConfig(**{field: value})
