@@ -15,9 +15,10 @@ unversioned ``/score`` path):
    waited for nothing in the queue;
 4. reject malformed input (400) and a structurally broken netlist (422),
    both carrying the exit-code taxonomy, and score a ``strict=False``
-   batch that mixes valid designs with a parse error, an unobservable
-   netlist and a combinational loop: each valid member as it scores solo,
-   each bad one with its own error;
+   batch that mixes valid designs (one reading a wire twice, one not
+   batchable) with a parse error, an unobservable netlist and a
+   combinational loop: each valid member as it scores solo, node and pin
+   counts included, each bad one with its own error;
 5. overload the queue (at least one 429 with ``Retry-After``; every
    accepted request answered);
 6. expire a deadline (504);
@@ -230,29 +231,44 @@ def main() -> None:
                 "structurally invalid netlist rejected with 422",
             )
 
-        # --- a mixed batch: shared admission sweeps, own answers ------- #
-        # The valid members are admitted over one union; each must still
-        # score as it does solo, and each bad member keep its own error.
+        # --- a mixed batch: one graph per lane, own answers ----------- #
+        # The batchable valid members are admitted as rows of one graph,
+        # which crosses the fork/pickle boundary once (as triples, since
+        # the AND(a, a) member's duplicate pin is summed in its CSR); the
+        # batchable=False member gets a graph of its own.  Each must score
+        # as it does solo, with its own node and pin counts, and each bad
+        # member keep its own error.
         designs = []
         for seed in (21, 22, 23):
             text = io.StringIO()
             write_bench(generate_design(60 + 40 * (seed - 21), seed=seed), text)
             designs.append(text.getvalue())
+        designs.append("INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n")
+        designs.append(designs[1])
         loop = "INPUT(c)\nOUTPUT(a)\na = AND(b, c)\nb = NOT(a)\n"
         mixed = client.score_many(
             [designs[0], "a = FROB(b)\n", designs[1], "INPUT(a)\nb = NOT(a)\n",
-             loop, designs[2]],
+             loop, designs[2], designs[3], designs[4]],
             design="smoke-mixed",
             strict=False,
+            batchable=[True] * 7 + [False],
         )
-        check(len(mixed) == 6, "one answer per member of the mixed batch")
-        for position, text in zip((0, 2, 5), designs):
-            answer = mixed[position]
+        check(len(mixed) == 8, "one answer per member of the mixed batch")
+        for position, text in zip((0, 2, 5, 6, 7), designs):
+            answer, alone = mixed[position], client.score(text)
             check(
                 not isinstance(answer, ServeClientError)
-                and answer.labels.tolist() == client.score(text).labels.tolist(),
-                f"mixed batch member {position} scores as it does solo",
+                and answer.labels.tolist() == alone.labels.tolist()
+                and (answer.num_nodes, answer.num_edges)
+                == (alone.num_nodes, alone.num_edges),
+                f"mixed batch member {position} scores as it does solo, "
+                "node and pin counts included",
             )
+        check(
+            (mixed[6].num_nodes, mixed[6].num_edges) == (2, 2),
+            "the duplicate-pin member counts both of its pins",
+        )
+        check(not mixed[7].batched, "the batchable=False member is scored alone")
         for position, expected in ((1, (400, "netlist_parse_error")),
                                    (3, (422, "netlist_invalid")),
                                    (4, (400, "netlist_parse_error"))):

@@ -10,13 +10,15 @@ per graph computing gradients that the parent averages before stepping.
 
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, check_config, integer_problems
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN
 from repro.exec import ExecPolicy, ShardTask, make_executor
@@ -73,6 +75,36 @@ class TrainConfig:
     class_weights: tuple[float, float] | None = None  #: (negative, positive)
     eval_every: int = 10
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        problems = integer_problems("epochs", self.epochs, 0)
+        problems += integer_problems("eval_every", self.eval_every, 1)
+        if not _positive(self.lr):
+            problems.append(f"lr must be a finite number > 0, got {self.lr!r}")
+        if self.optimizer not in _OPTIMIZERS:
+            problems.append(
+                f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}"
+            )
+        weights = self.class_weights
+        if weights is not None and not (
+            isinstance(weights, (tuple, list)) and len(weights) == 2
+            and all(_positive(weight) for weight in weights)
+        ):
+            problems.append(
+                f"class_weights must be two finite numbers > 0, got {weights!r}"
+            )
+        check_config("training config", problems)
+
+
+_OPTIMIZERS = ("adam", "sgd")
+
+
+def _positive(value) -> bool:
+    """Whether ``value`` is a finite real number > 0 (not a ``bool``)."""
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
 
 
 @dataclass
@@ -137,9 +169,7 @@ class Trainer:
             return SGD(
                 params, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
             )
-        if cfg.optimizer == "adam":
-            return Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        return Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     # ------------------------------------------------------------------ #
     def fit(

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.netlist import Netlist
+from repro.config import check_config, fraction_problems, integer_problems
 from repro.core.attributes import AttributeConfig
 from repro.flow.impact import ImpactEvaluator
 from repro.flow.modify import IncrementalDesign
@@ -94,6 +95,17 @@ class OpiConfig:
     validate_labels: bool = False
     #: labelling parameters for the validation pass (None = defaults)
     label_config: object | None = None
+
+    def __post_init__(self) -> None:
+        problems = fraction_problems("select_fraction", self.select_fraction)
+        problems += integer_problems("min_per_iteration", self.min_per_iteration, 0)
+        problems += integer_problems("max_iterations", self.max_iterations, 1)
+        problems += integer_problems("min_impact", self.min_impact, 0)
+        if self.max_ops is not None:
+            problems += integer_problems("max_ops", self.max_ops, 0)
+        if self.stall_patience is not None:
+            problems += integer_problems("stall_patience", self.stall_patience, 1)
+        check_config("OPI config", problems)
 
 
 @dataclass

@@ -41,20 +41,17 @@ then members ``i::k`` — and the ``(index, outcome)`` lists are merged in
 index order, so no lane idles while a body still has members to admit
 and the answer does not depend on ``k``.
 
-Shared sweeps.  The members a lane admits are parsed and checked one by
-one, then levelized and given their SCOAP measures by one sweep each over
-their block-diagonal union: the per-level cost of those sweeps is paid
-once per lane, not once per member.  Each member is still validated on
-its own, and its graph equals the one it would get alone.  A solo body
-is a batch of one, its own union.
+Shared sweeps, one graph.  The members a lane admits are parsed and
+checked one by one, then levelized, given their SCOAP measures and built
+into one :class:`~repro.core.graphdata.GraphData` over their
+block-diagonal union: each member is its ``rows`` of that graph, which
+equal the graph it would get alone.  A solo body, and each ``batchable:
+false`` member, is a union of one.
 
-One format across the boundary.  The finished graph's adjacency is
-pickled as its CSR arrays alone (:class:`~repro.nn.sparse.COOMatrix`
-rebuilds the triples from them if anyone asks; scoring does not), so the
-frame a worker signs and the daemon verifies is about half what the
-triples plus both caches weighed.  The request also carries back what
-the worker measured — ``stages``: seconds in ``parse``, ``validate``,
-``build`` — for the server's ``repro_stage_seconds`` histogram.
+One format across the boundary.  A lane's outcomes pickle its graph once,
+its adjacency as CSR arrays alone (:class:`~repro.nn.sparse.COOMatrix`;
+triples only where duplicate pins were summed), with each request's
+``stages``: seconds in ``parse``, ``validate``, ``build``.
 """
 
 from __future__ import annotations
@@ -83,7 +80,7 @@ from repro.serve.protocol import (
     PayloadTooLargeError,
     RequestError,
 )
-from repro.testability.scoap import ScoapResult, compute_scoap
+from repro.testability.scoap import compute_scoap
 
 __all__ = [
     "ScoreRequest",
@@ -111,7 +108,8 @@ _MAX_REQUEST_ID = 128
 
 @dataclass
 class ScoreRequest:
-    """A fully admitted scoring request, ready for a worker."""
+    """A fully admitted scoring request, ready for a worker: its ``rows``
+    of the ``graph`` its admission lane built (by default all of them)."""
 
     graph: GraphData
     design: str
@@ -124,6 +122,18 @@ class ScoreRequest:
     #: seconds spent in ``parse`` / ``validate`` / ``build``, measured where
     #: the admission ran (a forked worker under ``repro serve``)
     stages: dict[str, float] = field(default_factory=dict)
+    rows: slice | None = None
+    #: this request's pins, a pin read twice counted twice (None: the graph's)
+    num_edges: int | None = None
+
+    def __post_init__(self) -> None:
+        self.rows = self.rows or slice(0, self.graph.num_nodes)
+        if self.num_edges is None:
+            self.num_edges = self.graph.num_edges
+
+    @property
+    def num_nodes(self) -> int:
+        return self.rows.stop - self.rows.start
 
 
 def _schema_error(message: str) -> MalformedRequestError:
@@ -231,8 +241,8 @@ def _admit_all(payloads: list, config: ServeConfig) -> list["ScoreRequest | Exce
     """Admit decoded envelopes, one outcome per envelope in order.
 
     Each envelope is schema-checked, parsed and size-checked on its own,
-    so each gets its own error; the members that parsed then share one
-    levelize and one SCOAP sweep (:func:`_admit_parsed`).
+    so each gets its own error; the batchable members that parsed then
+    share one graph (:func:`_admit_parsed`), the others get one each.
     """
     outcomes: list = []
     for payload in payloads:
@@ -241,9 +251,10 @@ def _admit_all(payloads: list, config: ServeConfig) -> list["ScoreRequest | Exce
         except Exception as exc:  # typed by the protocol layer per item
             outcomes.append(exc)
     parsed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
-    if parsed:
-        finished = _admit_parsed([outcomes[i] for i in parsed])
-        for i, outcome in zip(parsed, finished):
+    alone = [i for i in parsed if not outcomes[i][1]["batchable"]]
+    shared = [i for i in parsed if i not in alone]
+    for group in filter(None, [shared, *([i] for i in alone)]):
+        for i, outcome in zip(group, _admit_parsed([outcomes[i] for i in group])):
             outcomes[i] = outcome
     return outcomes
 
@@ -262,17 +273,18 @@ def _admit_parsed(members: list[tuple[Netlist, dict, float]]) -> list:
 
 
 def _admit_together(members: list[tuple[Netlist, dict, float]]) -> list:
-    """Validate and build parsed members over one block-diagonal union.
+    """Validate parsed members and build one graph over their union.
 
     The union of the members is as deep as its deepest member, so one
     levelize and one SCOAP sweep over it make the per-level calls once
-    for all of them.  Each member's levelization is memoised from the
-    union's (:func:`levelize_members`) and its SCOAP is its slice of the
-    union's: SCOAP reads a node's fan-in and fan-out cones only, and no
-    wire crosses members.  A single member is its own union, not a copy.
-    Each member is still validated on its own (its errors and warnings
-    stay its own), and the shared sweeps' seconds are split between the
-    members by node count.  A validation failure is the member's
+    for all of them, and one adjacency and attribute build follow.  Each
+    member's levelization is memoised from the union's
+    (:func:`levelize_members`); its rows of the union's SCOAP, adjacency
+    and attributes are its own, since no wire crosses members.  A single
+    member is its own union, not a copy.  Each member is still validated
+    on its own (its errors and warnings stay its own; a refused member's
+    rows are scored by nobody), and the shared seconds are split between
+    the members by node count.  A validation failure is the member's
     outcome; any other exception is raised.
     """
     netlists = [netlist for netlist, _, _ in members]
@@ -293,11 +305,15 @@ def _admit_together(members: list[tuple[Netlist, dict, float]]) -> list:
         except NetlistValidationError as exc:
             report = exc
         reports.append((report, time.perf_counter() - started))
-    scoap_s, scoap = 0.0, None
+    built_s, graph = 0.0, None
     if not all(isinstance(report, Exception) for report, _ in reports):
         started = time.perf_counter()
         scoap = compute_scoap(union)
-        scoap_s = time.perf_counter() - started
+        pred, succ = adjacency_pair(union)
+        attributes = build_attributes(union, scoap, levelize(union).levels)
+        name = members[0][1]["design"] if len(members) == 1 else union.name
+        graph = GraphData(pred, succ, attributes, name=name)
+        built_s = time.perf_counter() - started
 
     outcomes: list = []
     bounds = counts_to_ptr([netlist.num_nodes for netlist in netlists]).tolist()
@@ -308,12 +324,6 @@ def _admit_together(members: list[tuple[Netlist, dict, float]]) -> list:
         if isinstance(report, Exception):
             outcomes.append(report)
             continue
-        started = time.perf_counter()
-        pred, succ = adjacency_pair(netlist)
-        share = ScoapResult(scoap.cc0[lo:hi], scoap.cc1[lo:hi], scoap.co[lo:hi])
-        attributes = build_attributes(netlist, share, levelize(netlist).levels)
-        graph = GraphData(pred, succ, attributes, name=fields["design"])
-        built_s = time.perf_counter() - started
         weight = (hi - lo) / total
         outcomes.append(ScoreRequest(
             graph=graph,
@@ -322,8 +332,10 @@ def _admit_together(members: list[tuple[Netlist, dict, float]]) -> list:
             stages={
                 "parse": parse_s,
                 "validate": validate_s + weight * levelize_s,
-                "build": built_s + weight * scoap_s,
+                "build": weight * built_s,
             },
+            rows=slice(lo, hi),
+            num_edges=netlist.num_edges,
         ))
     return outcomes
 
@@ -379,29 +391,20 @@ _PROBE_BODY = b'{"netlist": "INPUT(a)\\nOUTPUT(y)\\ny = NOT(a)\\n"}'
 
 
 def run_admission(admit_fn, raw: bytes, config: ServeConfig):
-    """``admit_fn(raw, config)`` (:func:`admit` or :func:`admit_batch`) with
-    the graphs' CSR caches built; a typed admission failure is *returned*.
+    """``admit_fn(raw, config)`` (:func:`admit` or :func:`admit_batch`),
+    with a typed admission failure *returned*.
 
     This is the whole task an admission worker runs, and the only call of
     the admission functions in the serve layer.  Returning the 400 / 413 /
     422 instead of raising it is what keeps bad input out of the ladder's
-    retry and failure accounting; the caller re-raises it.
+    retry and failure accounting; the caller re-raises it.  The graphs
+    come with both CSR caches built (:func:`adjacency_pair`), so the
+    scoring threads build none under the daemon's interpreter lock.
     """
     try:
-        admitted = admit_fn(raw, config)
+        return admit_fn(raw, config)
     except _ADMISSION_ERRORS as exc:
         return exc
-    batch = admitted if isinstance(admitted, list) else [(0, admitted)]
-    for _, member in batch:
-        if isinstance(member, ScoreRequest):  # not a batch member's own error
-            # The scoring threads would build these on first use, under
-            # the daemon's interpreter lock; they are also all of the
-            # adjacency that is pickled.
-            started = time.perf_counter()
-            member.graph.pred.to_scipy()
-            member.graph.succ.to_scipy()
-            member.stages["build"] += time.perf_counter() - started
-    return admitted
 
 
 class AdmissionPool:

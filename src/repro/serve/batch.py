@@ -1,35 +1,25 @@
 """Cross-request batching: many small netlists, one sparse-matmul pass.
 
-The coalescing layer behind the serving queue (ROADMAP item 2).  Small
-graphs are merged into one *block-diagonal* batched graph — adjacency
-blocks on the diagonal, attribute rows stacked — so the whole batch runs
-through the same sparse-matmul chain as a solo request.  Because no edge
-crosses a block boundary, aggregation never mixes rows from different
-requests and each request's output rows are exactly the rows of its
-block: results are separable by row slice and **bit-identical** to solo
-scoring at float64 (CSR row structure and the row-stable dense kernels
-both depend only on the rows themselves, never on the batch height; the
-equivalence suite in ``tests/serve/test_batch.py`` asserts this
-property-style over mixed-size netlist sets).
-
-Two pieces:
+The coalescing layer behind the serving queue.  A pass scores one graph:
+the members of one admission lane already share one (each is its
+``rows``), and the distinct graphs of a pass are merged into one
+*block-diagonal* graph — adjacency blocks on the diagonal, attribute
+rows stacked.  No edge crosses a block, so each request's labels are
+its rows, **bit-identical** to solo scoring at float64 (CSR rows and the
+row-stable dense kernels depend only on the rows themselves;
+``tests/serve/test_batch.py`` asserts it over mixed-size sets).
 
 * :func:`merge_graphs` / :class:`MergedBatch` — the block-diagonal
-  construction and the per-request row slices that undo it;
+  construction and the row slices that undo it;
 * :class:`BatchPolicy` — the budgets of one pass: at most
-  ``batch_max_requests`` requests and ``batch_max_nodes`` total nodes.
-  There is no time in it.  The flush rule is work-conserving: a worker
-  takes what is queued *now* and the budgets admit, and scores at once —
-  a batch is one ``/v1/score:batch`` body (enqueued atomically by
-  :meth:`~repro.serve.service.ScoringService.submit_many`) or whatever
-  queued while the workers were busy, never the product of a wait.
+  ``batch_max_requests`` requests and ``batch_max_nodes`` nodes, a
+  shared graph's counted once.  There is no time in it: a worker takes
+  what is queued *now* and the budgets admit, and scores at once.
 
-The node budget is the only size rule: a design over ``batch_max_nodes``
-opens a pass and fills it alone.  A request carrying ``"batchable":
-false`` is also scored in a pass of its own.  Every pass, batched or
-not, is one graph to the model manager, which scores it with one
-whole-graph :class:`~repro.core.inference.FastInference` pass, as
-:func:`repro.api.score` does.
+A graph over ``batch_max_nodes`` opens a pass alone, and so does a
+``"batchable": false`` request (admitted as a graph of its own).  Every
+pass is one whole-graph :class:`~repro.core.inference.FastInference`
+pass, as :func:`repro.api.score` runs.
 """
 
 from __future__ import annotations
@@ -98,28 +88,32 @@ class BatchPolicy:
     """Request/node budgets of one forming batch.
 
     ``admits(job)`` asks whether another job fits, ``add(job)`` commits
-    it, ``full()`` says nothing more can.  The service owns the queue;
-    this class owns only the arithmetic.
+    it.  Jobs that share a graph (members of one admission lane) cost
+    its nodes once.  The service owns the queue; this class owns only
+    the arithmetic.
     """
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.nodes = 0
         self.count = 0
+        self._graphs: list = []
+
+    def holds(self, job) -> bool:
+        """Whether the batch already scores ``job``'s graph."""
+        return any(graph is job.request.graph for graph in self._graphs)
 
     def admits(self, job) -> bool:
         """Whether ``job`` fits the request/node budgets of this batch."""
         if self.count >= self.config.batch_max_requests:
             return False
-        return self.nodes + job.request.graph.num_nodes <= self.config.batch_max_nodes
+        return self.holds(job) or (
+            self.nodes + job.request.graph.num_nodes <= self.config.batch_max_nodes
+        )
 
     def add(self, job) -> None:
         """Commit ``job`` (the first one unconditionally: it is the batch)."""
-        self.nodes += job.request.graph.num_nodes
+        if not self.holds(job):
+            self._graphs.append(job.request.graph)
+            self.nodes += job.request.graph.num_nodes
         self.count += 1
-
-    def full(self) -> bool:
-        return (
-            self.count >= self.config.batch_max_requests
-            or self.nodes >= self.config.batch_max_nodes
-        )

@@ -83,6 +83,7 @@ class ServeScore:
     #: where the call's server-side time went, by stage (``queue_wait``,
     #: ``predict``, ...); one breakdown per call, shared by a batch's members
     stages_ms: dict[str, float] = field(default_factory=dict)
+    num_edges: int = 0  #: the netlist's pins (a pin read twice counts twice)
 
     @property
     def labels(self):
@@ -264,7 +265,7 @@ class ServeClient:
         netlists,
         design: str = "request",
         deadline_ms: int | None = None,
-        batchable: bool = True,
+        batchable: "bool | list[bool]" = True,
         return_predictions: bool = True,
         strict: bool = True,
     ) -> list["ServeScore | ServeClientError"]:
@@ -274,20 +275,23 @@ class ServeClient:
         default) the first failed member raises its
         :class:`ServeClientError`; with ``strict=False`` failed members
         appear in the list as the error object so callers can salvage
-        the rest.
+        the rest.  ``batchable`` is one flag for every member, or a list
+        of one per member.
         """
         deadline_ms = deadline_ms if deadline_ms is not None else self.deadline_ms
+        if isinstance(batchable, bool):
+            batchable = [batchable] * len(netlists)
         payload = {
             "requests": [
                 self._envelope(
                     netlist,
                     f"{design}[{i}]" if len(netlists) > 1 else design,
                     deadline_ms,
-                    batchable,
+                    flag,
                     "",
                     return_predictions,
                 )
-                for i, netlist in enumerate(netlists)
+                for i, (netlist, flag) in enumerate(zip(netlists, batchable))
             ]
         }
         body = self._request("POST", "/v1/score:batch", payload, deadline_ms)
@@ -361,6 +365,7 @@ def _serve_score(body: dict, stages_ms: dict | None = None) -> ServeScore:
         result=result,
         design=str(body.get("design", "")),
         num_nodes=int(body.get("num_nodes", 0)),
+        num_edges=int(body.get("num_edges", 0)),
         positive_count=int(body.get("positive_count", 0)),
         degraded=bool(body.get("degraded", False)),
         predictor_level=body.get("predictor_level"),

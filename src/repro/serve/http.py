@@ -230,8 +230,8 @@ class _Handler(BaseHTTPRequestHandler):
         labels = np.asarray(labels)
         payload = {
             "design": request.design,
-            "num_nodes": request.graph.num_nodes,
-            "num_edges": request.graph.num_edges,
+            "num_nodes": request.num_nodes,
+            "num_edges": request.num_edges,
             "positive_count": int(labels.sum()),
             "degraded": bool(info.get("degraded", False)),
             "predictor_level": info.get("predictor_level"),

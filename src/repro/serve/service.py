@@ -267,10 +267,11 @@ class ScoringService:
 
         One critical section: the members of a body enqueued by
         :meth:`submit_many` are therefore taken together, and so is
-        whatever queued while every worker was busy.  Stops at the first
-        job that does not fit (unbatchable, or over a budget), which
-        stays at the head for the next pass — order is kept.  Returns
-        None once the service is stopped.
+        whatever queued while every worker was busy.  The first job that
+        does not fit (unbatchable, or over a budget) stays at the head for
+        the next pass, and only jobs whose graph the pass already scores
+        join from behind it — they add no node.  Returns None once the
+        service is stopped.
         """
         with self._work:
             while not self._stop.is_set() and not self._queue:
@@ -281,14 +282,16 @@ class ScoringService:
             if batch[0].batchable:
                 policy = BatchPolicy(self.config)
                 policy.add(batch[0])
-                while (
-                    self._queue
-                    and not policy.full()
-                    and self._queue[0].batchable
-                    and policy.admits(self._queue[0])
-                ):
-                    policy.add(self._queue[0])
-                    batch.append(self._queue.popleft())
+                waiting: deque[Job] = deque()
+                for job in self._queue:
+                    if job.batchable and policy.admits(job) and (
+                        not waiting or policy.holds(job)
+                    ):
+                        policy.add(job)
+                        batch.append(job)
+                    else:
+                        waiting.append(job)
+                self._queue = waiting
             self._in_flight += len(batch)
             if self._queue:
                 self._work.notify()  # what is left is another worker's
@@ -333,14 +336,25 @@ class ScoringService:
         if len(live) == 1:
             self._score_solo(live[0])
             return
+        # Members of one admission lane share its graph: score each
+        # distinct graph once, merged only if there are several.
         started = time.perf_counter()
-        merged = merge_graphs([job.request.graph for job in live])
+        graphs = {id(job.request.graph): job.request.graph for job in live}
+        if len(graphs) == 1:
+            graph, starts = live[0].request.graph, dict.fromkeys(graphs, 0)
+        else:
+            merged = merge_graphs(list(graphs.values()))
+            graph = merged.graph
+            starts = {key: rows.start for key, rows in zip(graphs, merged.slices)}
         merge_s = time.perf_counter() - started
         try:
             labels, info = self._predict(
-                merged.graph, max(job.request.debug_sleep_s for job in live)
+                graph, max(job.request.debug_sleep_s for job in live)
             )
-            parts = merged.split(np.asarray(labels))
+            labels = np.asarray(labels)
+            parts = [
+                labels[starts[id(job.request.graph)]:][job.request.rows] for job in live
+            ]
         except Exception:
             # One poisoned member must not fail its batch peers: rescue
             # every job through the solo path (bit-identical by
@@ -372,6 +386,7 @@ class ScoringService:
         """Score one already-claimed job in a pass of its own."""
         try:
             labels, info = self._predict(job.request.graph, job.request.debug_sleep_s)
+            labels = np.asarray(labels)[job.request.rows]
         except Exception as exc:
             with self._lock:
                 self._stat_counters["failed"].inc()

@@ -13,6 +13,7 @@ from repro.core.trainer import (
     Trainer,
     masked_accuracy,
 )
+from repro.resilience.errors import ConfigError
 
 
 def _labelled_graph(seed=11, n=120):
@@ -160,3 +161,36 @@ class TestOneConfigTrainsOneModel:
             assert history.loss == reference.loss
             for mine, theirs in zip(model.parameters(), serial.parameters()):
                 np.testing.assert_array_equal(mine.data, theirs.data)
+
+
+class TestTrainConfigChecks:
+    """Values training cannot run are refused at construction, the
+    ``TrainConfig(lr=nan, epochs=-3)`` probe among them."""
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"lr": float("nan"), "epochs": -3}, "epochs must be an integer >= 0"),
+            ({"lr": float("nan")}, "lr must be a finite number > 0"),
+            ({"lr": float("inf")}, "lr must be a finite number > 0"),
+            ({"lr": 0.0}, "lr must be a finite number > 0"),
+            ({"epochs": 2.5}, "epochs must be an integer >= 0"),
+            ({"eval_every": 0}, "eval_every must be an integer >= 1"),
+            ({"optimizer": "adagrad"}, "optimizer must be one of"),
+            ({"class_weights": (1.0,)}, "class_weights must be two finite numbers > 0"),
+            ({"class_weights": (1.0, float("nan"))}, "class_weights must be two finite"),
+            ({"class_weights": (0.0, 2.0)}, "class_weights must be two finite"),
+        ],
+    )
+    def test_refused(self, fields, problem):
+        with pytest.raises(ConfigError, match=f"invalid training config: .*{problem}"):
+            TrainConfig(**fields)
+
+    def test_both_problems_of_the_probe_are_named(self):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(lr=float("nan"), epochs=-3)
+        assert "epochs" in str(info.value) and "lr" in str(info.value)
+
+    def test_defaults_and_the_runnable_edges_build(self):
+        TrainConfig()
+        TrainConfig(epochs=0, optimizer="sgd", class_weights=(1.0, 3.5), lr=1e-6)

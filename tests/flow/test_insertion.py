@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import GateType, generate_design
 from repro.flow.insertion import OpiConfig, run_gcn_opi
+from repro.resilience.errors import ConfigError
 
 from tests.flow.test_impact import co_threshold_predictor
 
@@ -73,3 +74,30 @@ class TestRunGcnOpi:
         result = run_gcn_opi(netlist, predictor, OpiConfig(max_iterations=30))
         for target in result.inserted:
             assert result.netlist.gate_type(target) is not GateType.OBS
+
+
+class TestOpiConfigChecks:
+    """Values the flow cannot run are refused at construction, the
+    ``OpiConfig(min_impact=nan)`` probe among them."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_impact", float("nan")),
+            ("min_impact", 1.5),
+            ("select_fraction", 1.5),
+            ("select_fraction", -0.1),
+            ("select_fraction", float("nan")),
+            ("max_iterations", 0),
+            ("min_per_iteration", -1),
+            ("max_ops", -2),
+            ("stall_patience", 0),
+        ],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"invalid OPI config: {field} must be"):
+            OpiConfig(**{field: value})
+
+    def test_defaults_and_the_runnable_edges_build(self):
+        OpiConfig()
+        OpiConfig(select_fraction=0.0, min_per_iteration=0, max_ops=0, stall_patience=1)

@@ -1,8 +1,10 @@
 """Admission control: malformed input raises typed 4xx-mapped errors."""
 
+import functools
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from repro.serve.protocol import (
     error_payload,
     status_for,
 )
+
+from tests.serve.member_rows import own_graph
 
 CFG = ServeConfig()
 
@@ -223,8 +227,11 @@ class TestLevelizesOnce:
         sweeps = count_sweeps(monkeypatch)
         envelopes = [{"netlist": generated_text(60, seed)} for seed in range(k)]
         admitted = admit_batch(body(requests=envelopes), CFG)
-        nodes = sum(request.graph.num_nodes for _, request in admitted)
+        nodes = sum(request.num_nodes for _, request in admitted)
         assert sweeps == {"levelize": [nodes], "scoap": [nodes]}
+        # ... and one graph, of which each member is its rows.
+        [graph] = {id(request.graph): request.graph for _, request in admitted}.values()
+        assert graph.num_nodes == nodes
 
 
 #: one well-formed member and one of each way a member can be refused
@@ -249,10 +256,11 @@ ADMITTED = {"good", "flop_loop", "dangling", "generated"}
 
 def comparable(item):
     """What an admission outcome answers: the error's type and message, or
-    the graph (attributes, both COO triples and both CSRs) and warnings."""
+    the member's rows of its graph (attributes, both COO triples and both
+    CSRs), its node and pin counts and its warnings."""
     if isinstance(item, BaseException):
         return type(item).__name__, str(item)
-    graph = item.graph
+    graph = own_graph(item)
     arrays = [graph.attributes]
     for matrix in (graph.pred, graph.succ):
         csr = matrix.to_scipy()
@@ -260,6 +268,7 @@ def comparable(item):
     return (
         item.design,
         item.warnings,
+        (item.num_nodes, item.num_edges),
         [(array.dtype.str, array.shape, array.tobytes()) for array in arrays],
     )
 
@@ -368,3 +377,94 @@ class TestSplitBatchAdmission:
             for _, request in admitted:
                 assert set(request.stages) == {"parse", "validate", "build"}
                 assert all(seconds > 0.0 for seconds in request.stages.values())
+
+
+@functools.lru_cache(maxsize=None)
+def cached_text(gates: int, seed: int) -> str:
+    return generated_text(gates, seed)
+
+
+#: members every drawn body holds besides its generated ones: refused by
+#: validation (no outputs), scored alone, and a gate reading one wire twice
+SPECIAL = [
+    {"netlist": "INPUT(a)\nb = NOT(a)\n", "design": "unobservable"},
+    {"netlist": GOOD, "design": "alone", "batchable": False},
+    {"netlist": "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n", "design": "duplicate_pin"},
+]
+
+
+@pytest.fixture(scope="module")
+def lane_service(tmp_path_factory):
+    from repro.core.model import GCN
+    from repro.core.serialize import save_gcn
+    from repro.serve import ModelManager, ScoringService
+
+    from tests.serve.conftest import TINY_GCN
+
+    model = save_gcn(GCN(TINY_GCN), tmp_path_factory.mktemp("lane") / "model.npz")
+    manager = ModelManager(model)
+    service = ScoringService(manager, ServeConfig(workers=1))
+    yield service
+    service.stop()
+    manager.close()
+
+
+class TestMembersAreRowsOfTheirLaneGraph:
+    """Each admitted member of a lane is its rows of the lane's one graph,
+    and those rows are its solo admission: attributes, every CSR row once
+    shifted by the member's offset, node and pin counts, and the labels a
+    scoring service answers with."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        generated=st.lists(
+            st.tuples(st.integers(4, 90), st.integers(0, 5)), min_size=1, max_size=8
+        ),
+        order=st.randoms(use_true_random=False),
+        k=st.sampled_from([1, 2, 3]),
+    )
+    def test_rows_equal_solo_admission(self, lane_service, generated, order, k):
+        envelopes = [
+            {"netlist": cached_text(gates, seed), "design": f"g{gates}s{seed}"}
+            for gates, seed in generated
+        ] + SPECIAL
+        order.shuffle(envelopes)
+        raw = body(requests=envelopes)
+        members = sorted(
+            (entry for i in range(k) for entry in admit_batch(raw, CFG, part=(i, k))),
+            key=lambda entry: entry[0],
+        )
+        assert [index for index, _ in members] == list(range(len(envelopes)))
+        admitted = [request for _, request in members if not isinstance(request, Exception)]
+        lane_labels = [
+            lane_service.wait_for(job)[0] for job in lane_service.submit_many(admitted)
+        ]
+        scored = iter(lane_labels)
+        for envelope, (_, member) in zip(envelopes, members):
+            alone = solo(envelope)
+            if isinstance(alone, Exception):
+                assert envelope["design"] == "unobservable"
+                assert (type(member), str(member)) == (type(alone), str(alone))
+                continue
+            assert member.rows.start + member.num_nodes == member.rows.stop
+            assert member.graph.num_nodes >= member.rows.stop
+            if not envelope.get("batchable", True):
+                assert member.graph.num_nodes == member.num_nodes
+            assert (member.num_nodes, member.num_edges) == (
+                alone.num_nodes, alone.num_edges
+            )
+            assert alone.rows == slice(0, alone.graph.num_nodes)
+            assert np.array_equal(member.graph.attributes[member.rows], alone.graph.attributes)
+            mine = own_graph(member)  # fails on an entry outside the member's block
+            for side in ("pred", "succ"):
+                ours = getattr(mine, side).to_scipy()
+                theirs = getattr(alone.graph, side).to_scipy()
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(ours, part), getattr(theirs, part))
+            np.testing.assert_array_equal(
+                next(scored), lane_service.score(alone)[0]
+            )
+        [duplicate] = [m for (_, m), e in zip(members, envelopes) if e is SPECIAL[2]]
+        # Two pins, summed into one CSR entry of weight 2.
+        assert duplicate.num_edges == 2
+        assert own_graph(duplicate).pred.to_scipy().data.tolist() == [2.0]

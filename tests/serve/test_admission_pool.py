@@ -57,6 +57,8 @@ from repro.serve.protocol import (
     status_for,
 )
 
+from tests.serve.member_rows import own_graph
+
 FIXTURES = Path(__file__).resolve().parent.parent / "circuit" / "fixtures"
 CONFIG = ServeConfig(port=0, workers=1, max_nodes=400)
 
@@ -148,12 +150,16 @@ def test_bench_parse_error_keeps_its_line_number(pool):
 # Pooled admission == inline admission
 # --------------------------------------------------------------------- #
 def assert_same_request(pooled: ScoreRequest, inline: ScoreRequest) -> None:
-    assert np.array_equal(pooled.graph.attributes, inline.graph.attributes)
     for side in ("pred", "succ"):
-        ours, theirs = getattr(pooled.graph, side), getattr(inline.graph, side)
-        assert ours.shape == theirs.shape
         # The CSR came over the wire; to_scipy() must not have to build it.
-        assert ours._csr is not None and theirs._csr is not None
+        assert getattr(pooled.graph, side)._csr is not None
+        assert getattr(inline.graph, side)._csr is not None
+    # Each is its rows of its lane's graph, and those are the same graph.
+    ours_graph, theirs_graph = own_graph(pooled), own_graph(inline)
+    assert np.array_equal(ours_graph.attributes, theirs_graph.attributes)
+    for side in ("pred", "succ"):
+        ours, theirs = getattr(ours_graph, side), getattr(theirs_graph, side)
+        assert ours.shape == theirs.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(
                 getattr(ours.to_scipy(), part), getattr(theirs.to_scipy(), part)
@@ -167,10 +173,10 @@ def assert_same_request(pooled: ScoreRequest, inline: ScoreRequest) -> None:
                 getattr(theirs, part)[np.lexsort((theirs.cols, theirs.rows))],
             )
     for name in ("design", "deadline_s", "request_id", "batchable",
-                 "return_predictions", "debug_sleep_s", "warnings"):
+                 "return_predictions", "debug_sleep_s", "warnings",
+                 "num_nodes", "num_edges"):
         assert getattr(pooled, name) == getattr(inline, name), name
     assert set(pooled.stages) == set(inline.stages) == {"parse", "validate", "build"}
-    assert pooled.graph.name == inline.graph.name
 
 
 @pytest.mark.parametrize("name", DESIGNS)
@@ -178,7 +184,9 @@ def test_pooled_admission_builds_the_same_request(pool, name):
     raw = body_of(DESIGNS[name], design=name, request_id=f"id-{name}", deadline_ms=1234)
     pooled = pool.run(admit, raw)
     assert pooled.graph.pred._rows is None and pooled.graph.succ._rows is None
-    assert_same_request(pooled, run_admission(admit, raw, CONFIG))
+    inline = run_admission(admit, raw, CONFIG)
+    assert_same_request(pooled, inline)
+    assert pooled.graph.name == inline.graph.name == name
 
 
 def test_pooled_batch_admission_matches_item_by_item(pool):
@@ -244,6 +252,30 @@ def test_adjacency_crosses_the_boundary_as_csr_alone():
     engine = FastInference(GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights())
     assert np.array_equal(engine.logits(shipped.graph), engine.logits(request.graph))
     assert shipped.graph.pred._rows is None  # scoring never rebuilt the triples
+
+
+def test_a_lanes_members_cross_the_boundary_as_one_graph(pool):
+    """Four members of one lane: one graph in the frame, which pickle
+    memoises, not four; each member is its rows of it."""
+    names = ["gen30", "gen120", "c17", "s27"]
+    raw = json.dumps(
+        {"requests": [{"netlist": DESIGNS[name], "design": name} for name in names]}
+    ).encode()
+    pooled = pool.run(admit_batch, raw)
+    [graph] = {id(member.graph): member.graph for _, member in pooled}.values()
+    assert [member.rows for _, member in pooled] == [
+        slice(lo, hi) for lo, hi in zip(
+            np.cumsum([0] + [m.num_nodes for _, m in pooled[:-1]]),
+            np.cumsum([m.num_nodes for _, m in pooled]),
+        )
+    ]
+    assert graph.num_nodes == sum(member.num_nodes for _, member in pooled)
+    assert_same_batch(pooled, run_admission(admit_batch, raw, CONFIG))
+    solo_frames = sum(
+        len(pickle.dumps(run_admission(admit, body_of(DESIGNS[name]), CONFIG)))
+        for name in names
+    )
+    assert len(pickle.dumps(pooled)) < solo_frames
 
 
 @pytest.mark.parametrize("name", BAD_BODIES)

@@ -406,6 +406,163 @@ class TestFlushRule:
 
 
 # --------------------------------------------------------------------- #
+# Members of one admission lane share its graph
+# --------------------------------------------------------------------- #
+def _lanes(count: int, k: int, deadline_ms: int = 30_000) -> list[ScoreRequest]:
+    """``count`` generated members of one body, admitted on ``k`` lanes
+    (members ``i::k`` share lane ``i``'s graph), in body order."""
+    import io
+    import json
+
+    from repro.circuit.bench import write_bench
+    from repro.serve.admission import admit_batch
+
+    envelopes = []
+    for i in range(count):
+        text = io.StringIO()
+        write_bench(generate_design(10 + 7 * i, seed=900 + i), text)
+        envelopes.append(
+            {"netlist": text.getvalue(), "design": f"m{i}", "deadline_ms": deadline_ms}
+        )
+    raw = json.dumps({"requests": envelopes}).encode()
+    parts = [admit_batch(raw, ServeConfig(), part=(i, k)) for i in range(k)]
+    return [request for _, request in sorted(
+        (entry for part in parts for entry in part), key=lambda entry: entry[0]
+    )]
+
+
+def _solo_labels(manager, request: ScoreRequest) -> np.ndarray:
+    """The labels of ``request``'s rows, scored as a graph of its own."""
+    from tests.serve.member_rows import own_graph
+
+    return np.asarray(manager.predict(own_graph(request))[0])
+
+
+class TestSharedLaneGraphs:
+    def test_a_lane_split_over_passes_by_the_request_budget(self, model_file):
+        manager = HeldManager(model_file)
+        manager.release.set()
+        requests = _lanes(6, k=1)
+        [graph] = {id(r.graph): r.graph for r in requests}.values()
+        expected = [_solo_labels(manager, r) for r in requests]
+        manager.seen.clear()
+        service = ScoringService(
+            manager, ServeConfig(workers=1, queue_capacity=8, batch_max_requests=4)
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        for (labels, _), want in zip(results, expected):
+            np.testing.assert_array_equal(labels, want)
+        # Each pass scores the lane's graph, unmerged.
+        assert manager.seen == [graph.num_nodes] * 2
+        assert [info["batch_size"] for _, info in results] == [4] * 4 + [2] * 2
+
+    def test_two_lanes_split_over_passes_by_the_node_budget(self, model_file):
+        """Lane 0 holds members 0, 2, 4 and lane 1 members 1, 3, 5: room
+        for one lane's graph a pass, so each pass takes every queued
+        member of its graph, and no graph is scored twice."""
+        manager = HeldManager(model_file)
+        manager.release.set()
+        requests = _lanes(6, k=2)
+        graphs = list({id(r.graph): r.graph for r in requests}.values())
+        assert len(graphs) == 2
+        expected = [_solo_labels(manager, r) for r in requests]
+        manager.seen.clear()
+        service = ScoringService(
+            manager,
+            ServeConfig(
+                workers=1,
+                queue_capacity=8,
+                batch_max_requests=8,
+                batch_max_nodes=max(g.num_nodes for g in graphs),
+            ),
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        for (labels, _), want in zip(results, expected):
+            np.testing.assert_array_equal(labels, want)
+        assert manager.seen == [g.num_nodes for g in graphs]
+        assert _passes(service) == (2, 6.0)
+
+    def test_a_member_expiring_in_the_queue_leaves_its_lane_answered(self, model_file):
+        manager = HeldManager(model_file)
+        now = [0.0]
+        service = ScoringService(
+            manager,
+            ServeConfig(workers=1, queue_capacity=8, batch_max_requests=8),
+            clock=lambda: now[0],
+        )
+        requests = _lanes(4, k=1)
+        requests[1].deadline_s = 0.5
+        try:
+            held = service.submit(_request(15, 950))
+            assert manager.started.wait(timeout=5.0)
+            jobs = service.submit_many(requests)
+            now[0] = 1.0  # member 1's deadline lapses while it is queued
+            manager.release.set()
+            results = _wait_all(service, [held, *jobs[:1], *jobs[2:]])
+        finally:
+            manager.release.set()
+            service.stop()
+        expected = [_solo_labels(manager, r) for r in requests]
+        manager.close()
+        assert jobs[1].state == "cancelled"
+        assert service.snapshot()["expired"] == 1
+        for (labels, info), want in zip(results[1:], expected[:1] + expected[2:]):
+            np.testing.assert_array_equal(labels, want)
+            assert info["batch_size"] == 3
+
+    def test_a_failed_merged_pass_answers_each_member_from_its_lane(self, model_file):
+        manager = ModelManager(model_file)
+        requests = _lanes(5, k=2)
+        expected = [_solo_labels(manager, r) for r in requests]
+        predict, calls = manager.predict, []
+
+        def poisoned(graph):
+            calls.append(graph.num_nodes)
+            if len(calls) == 1:
+                raise RuntimeError("merged pass poisoned")
+            return predict(graph)
+
+        manager.predict = poisoned
+        service = ScoringService(
+            manager, ServeConfig(workers=1, queue_capacity=8, batch_max_requests=8)
+        )
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        for (labels, info), want in zip(results, expected):
+            np.testing.assert_array_equal(labels, want)
+            assert not info.get("batched")
+        # The merged pass held both lane graphs; each rescue scored its own.
+        lane_nodes = [r.graph.num_nodes for r in requests]
+        assert calls == [lane_nodes[0] + lane_nodes[1], *lane_nodes]
+        assert service.snapshot()["completed"] == 5
+
+    def test_degraded_answers_are_the_members_rows_too(self):
+        manager = ModelManager()  # no model: the SCOAP heuristic answers
+        requests = _lanes(4, k=2)
+        expected = [_solo_labels(manager, r) for r in requests]
+        service = ScoringService(manager, ServeConfig(workers=1, queue_capacity=8))
+        try:
+            results = _wait_all(service, service.submit_many(requests))
+        finally:
+            service.stop()
+            manager.close()
+        for (labels, info), want in zip(results, expected):
+            np.testing.assert_array_equal(labels, want)
+            assert info["degraded"] and info["batch_size"] == 4
+
+
+# --------------------------------------------------------------------- #
 # BatchPolicy: pure arithmetic, no clock, no threads
 # --------------------------------------------------------------------- #
 def _job(nodes: int) -> SimpleNamespace:
@@ -423,7 +580,6 @@ class TestBatchPolicy:
         for _ in range(3):
             assert policy.admits(_job(1))
             policy.add(_job(1))
-        assert policy.full()
         assert not policy.admits(_job(1))
 
     def test_admits_respects_node_budget(self):
@@ -432,7 +588,27 @@ class TestBatchPolicy:
         assert policy.admits(_job(40))
         assert not policy.admits(_job(41))
         policy.add(_job(40))
-        assert policy.full()
+        assert not policy.admits(_job(1))
+
+    def test_a_shared_graph_counts_its_nodes_once(self):
+        lane = _job(60).request.graph
+        member = SimpleNamespace(request=SimpleNamespace(graph=lane))
+        policy = BatchPolicy(self.CONFIG)
+        policy.add(member)
+        assert policy.holds(member) and not policy.holds(_job(60))
+        policy.add(member)
+        assert policy.nodes == 60 and policy.count == 2
+        assert policy.admits(_job(40)) and not policy.admits(_job(41))
+        # A graph over the node budget opened the batch: its members still
+        # join it, up to the request budget; nothing else does.
+        policy = BatchPolicy(self.CONFIG)
+        big = SimpleNamespace(request=SimpleNamespace(graph=SimpleNamespace(num_nodes=150)))
+        policy.add(big)
+        for _ in range(3):
+            assert policy.admits(big) and not policy.admits(_job(1))
+            policy.add(big)
+        assert not policy.admits(big)
+        assert policy.nodes == 150
 
 
 # --------------------------------------------------------------------- #
