@@ -47,9 +47,9 @@ def main() -> None:
         f"{len(labels.labels)} nodes ({labels.positive_rate:.2%})"
     )
 
-    # 3. Graph view: predecessor/successor COO adjacency + SCOAP attributes.
+    # 3. Graph view: predecessor/successor sparse adjacency + SCOAP attributes.
     graph = build_graph(netlist, labels=labels.labels)
-    print(f"adjacency sparsity: {graph.pred.sparsity:.4%}")
+    print(f"adjacency sparsity: {1 - graph.pred.nnz / graph.num_nodes ** 2:.4%}")
 
     # 4. Train on a balanced subset (all positives + equal negatives).
     balanced = graph.subset(balanced_indices(labels.labels, seed=0))

@@ -19,8 +19,8 @@ workloads' smoke sizes.  A speed-up of the generator or the writer must
 not change a byte of them, or the perf gate would compare runs on
 different inputs.  The graph digest covers what
 ``api.build_graph(api.load_netlist(text))`` gives for each text: the
-attribute matrix and both adjacency matrices in CSR form.  A speed-up of
-the parser, levelisation or SCOAP must not move a bit of it.
+attribute matrix and both adjacency matrices' CSR arrays as stored.  A
+speed-up of the parser, levelisation or SCOAP must not move a bit of it.
 
 Exit status: 0 when every line matches (compare mode) or after printing,
 1 with one line per differing workload, 2 on bad usage.
@@ -63,7 +63,9 @@ def design_texts(size: str) -> dict[str, list[str]]:
 
 def graph_digest(text: str) -> bytes:
     """sha256 of the graph the front end builds from ``text``: attributes,
-    then the CSR arrays of the predecessor and successor matrices."""
+    then the CSR arrays of the predecessor and successor matrices as
+    stored, so a change to the order within a row shows, not only a change
+    to the entries (that order is the SpMM's accumulation order)."""
     import numpy as np
 
     from repro import api
@@ -72,8 +74,7 @@ def graph_digest(text: str) -> bytes:
     h = hashlib.sha256()
     arrays = [graph.attributes.astype(np.float64)]
     for matrix in (graph.pred, graph.succ):
-        csr = matrix.to_scipy().copy()
-        csr.sort_indices()
+        csr = matrix.to_scipy()
         arrays += [csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data.astype(np.float64)]
     for array in arrays:
         h.update(repr(array.shape).encode())

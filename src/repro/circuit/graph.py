@@ -1,8 +1,9 @@
 """Netlist-to-graph export.
 
 Produces the two directed adjacency structures the GCN aggregates over —
-predecessor (fanin) and successor (fanout) relations — in COO form, each
-with its CSR form cached from the netlist's fan-in or fan-out CSR.
+predecessor (fanin) and successor (fanout) relations — each a
+:class:`~repro.nn.sparse.COOMatrix` holding the CSR built from the
+netlist's fan-in or fan-out CSR.
 """
 
 from __future__ import annotations
@@ -35,24 +36,17 @@ def adjacency_pair(netlist: Netlist) -> tuple[COOMatrix, COOMatrix]:
     n = structure.num_nodes
     values = np.ones(len(structure.fanin_idx), dtype=np.float64)
 
-    def cached_csr(ptr: np.ndarray, idx: np.ndarray) -> sp.csr_matrix:
+    def matrix(ptr: np.ndarray, idx: np.ndarray) -> COOMatrix:
         # The structure holds each matrix in CSR form already, rows in pin
-        # order: summing duplicate pins also sorts the rows, which gives what
-        # sorting the triples would, so the first matmul sorts nothing.
-        # ``copy`` keeps the structure's arrays out of the cache, which the
-        # OPI flow patches in place.
+        # order: summing duplicate pins also sorts the rows, which gives
+        # what sorting the COO triples would.  ``copy`` keeps the
+        # structure's arrays out of the matrix, which the OPI flow patches
+        # in place.
         csr = sp.csr_matrix((values, idx, ptr), shape=(n, n), copy=True)
         csr.sum_duplicates()
-        return csr
+        return COOMatrix((n, n), csr=csr)
 
-    drivers, sinks = structure.fanin_idx, structure.pin_sinks()
-    # COOMatrix copies what it is given into its own growable buffers.
-    pred = COOMatrix(
-        (n, n), values, rows=sinks, cols=drivers,
-        csr=cached_csr(structure.fanin_ptr, drivers),
+    return (
+        matrix(structure.fanin_ptr, structure.fanin_idx),
+        matrix(structure.fanout_ptr, structure.fanout_idx),
     )
-    succ = COOMatrix(
-        (n, n), values, rows=drivers, cols=sinks,
-        csr=cached_csr(structure.fanout_ptr, structure.fanout_idx),
-    )
-    return pred, succ

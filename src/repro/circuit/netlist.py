@@ -4,8 +4,8 @@ A :class:`Netlist` is a directed graph whose nodes are cells and whose edges
 are wires, exactly the representation the paper feeds to the GCN.  Cells
 are appended (and only the newest one is ever dropped again), which matches
 how the observation-point-insertion flow mutates a design and keeps node
-ids stable across insertions — a property the incremental COO update in
-:mod:`repro.flow.modify` relies on.
+ids stable across insertions — a property the incremental adjacency update
+in :mod:`repro.flow.modify` relies on.
 
 A netlist is stored once, as columns: a gate-type code per cell, the fan-in
 rows in CSR form, the cell names and the output marks.  Adding a cell

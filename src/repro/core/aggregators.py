@@ -22,6 +22,7 @@ All three share the call signature of
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.graphdata import GraphData
 from repro.core.model import SumAggregator
@@ -34,13 +35,16 @@ __all__ = ["SumAggregator", "MeanAggregator", "MaxPoolAggregator"]
 
 def _row_normalised(matrix: COOMatrix) -> COOMatrix:
     """Copy of ``matrix`` with each row scaled to sum to 1 (0 rows stay 0)."""
-    sums = np.zeros(matrix.shape[0])
-    np.add.at(sums, matrix.rows, matrix.values)
+    csr = matrix.to_scipy()
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(csr.indptr))
+    sums = np.bincount(rows, weights=csr.data, minlength=matrix.shape[0])
     scale = np.ones_like(sums)
     nonzero = sums != 0
     scale[nonzero] = 1.0 / sums[nonzero]
-    values = matrix.values * scale[matrix.rows]
-    return COOMatrix(matrix.shape, values, matrix.rows.copy(), matrix.cols.copy())
+    data = csr.data * scale[rows]
+    return COOMatrix(
+        matrix.shape, csr=sp.csr_matrix((data, csr.indices, csr.indptr), shape=matrix.shape)
+    )
 
 
 class MeanAggregator(Module):
@@ -119,19 +123,20 @@ class MaxPoolAggregator(Module):
 
 
 def _segment_max(features: Tensor, adjacency: COOMatrix) -> Tensor:
-    """Per-row max over ``features[cols]`` grouped by ``rows``.
+    """Per-row max over ``features[cols]`` of each row's stored entries.
 
     Rows without neighbours yield zeros.  Gradient flows to the argmax
-    entries (ties broken towards the first occurrence).
+    entries (ties broken towards the lowest column).
     """
-    rows = adjacency.rows
-    cols = adjacency.cols
+    csr = adjacency.to_scipy()
     n, width = adjacency.shape[0], features.shape[1]
+    counts = np.diff(csr.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    cols = csr.indices
     data = features.data
     out = np.full((n, width), -np.inf)
     np.maximum.at(out, rows, data[cols])
-    empty = ~np.isin(np.arange(n), rows)
-    out[empty] = 0.0
+    out[counts == 0] = 0.0
 
     from repro.nn.tensor import is_grad_enabled
 

@@ -110,8 +110,10 @@ class RecursiveEmbedder:
 
 
 def _row_lists(matrix: COOMatrix) -> list[list[int]]:
-    """Per-row column lists of a COO matrix (neighbour lookup tables)."""
-    lists: list[list[int]] = [[] for _ in range(matrix.shape[0])]
-    for r, c in zip(matrix.rows, matrix.cols):
-        lists[int(r)].append(int(c))
-    return lists
+    """Per-row neighbour lists of ``matrix``, each column listed as often
+    as its entry counts (a pin read twice is two neighbours)."""
+    csr = matrix.to_scipy()
+    repeats = csr.data.astype(np.int64)
+    neighbours = np.repeat(csr.indices, repeats).tolist()
+    bounds = np.concatenate([[0], np.cumsum(repeats)])[csr.indptr].tolist()
+    return [neighbours[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

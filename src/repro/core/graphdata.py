@@ -1,9 +1,10 @@
 """Graph-plus-attributes container consumed by the GCN.
 
 Bundles what Equation (2)/(3) of the paper need: the predecessor/successor
-adjacency in COO form, the node attribute matrix ``E_0`` and (for training)
-node labels.  The OPI flow mutates instances incrementally via
-:mod:`repro.flow.modify` instead of rebuilding them.
+adjacency (two :class:`~repro.nn.sparse.COOMatrix`, each held as a CSR),
+the node attribute matrix ``E_0`` and (for training) node labels.  The OPI
+flow mutates instances incrementally via :mod:`repro.flow.modify` instead
+of rebuilding them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class GraphData:
 
     @property
     def num_edges(self) -> int:
-        return self.pred.nnz
+        """The pins: a pin read twice counts twice (``pred`` sums it to 2)."""
+        return int(self.pred.to_scipy().data.sum())
 
     @classmethod
     def from_netlist(

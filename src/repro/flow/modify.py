@@ -3,8 +3,9 @@
 Inserting an observation point at node ``v`` means:
 
 * netlist: add an ``OBS`` cell ``p`` with the single fanin ``v``;
-* adjacency: grow both COO matrices by one row/column and append the new
-  edge — the cheap COO update the paper highlights ("appending 3 tuples");
+* adjacency: grow both matrices by one row/column and add the new edge
+  as COO triples — the cheap update the paper highlights ("appending 3
+  tuples");
 * attributes: append the paper's fresh-OP row ``[0, 1, 1, 0]`` for ``p``,
   then refresh the observability attribute of the nodes in ``v``'s fan-in
   cone via the incremental SCOAP relaxation.
@@ -13,9 +14,9 @@ Inserting an observation point at node ``v`` means:
 consistent; it also supports O(cone) rollback of a tentative insertion.
 Every commit reports the graph rows it touched (``changed_rows`` of its
 checkpoint), which is what lets a :class:`~repro.flow.scorer.Scorer`
-re-score only their D-hop closure, and every appended edge lands last in
-its CSR row, so the adjacency's cached CSR stays alive across insert and
-rollback (:mod:`repro.nn.sparse`).
+re-score only their D-hop closure, and every added edge lands last in
+its CSR row, so the adjacency's CSR is patched in place on insert, and a
+rollback shrinks it back (:mod:`repro.nn.sparse`).
 
 An iteration is a fixed number of array sweeps.  Ranking:
 :meth:`IncrementalDesign.preview_ops` reports what each insertion would
@@ -59,8 +60,6 @@ class _Checkpoint:
     """State needed to undo one commit of insertions."""
 
     n_nodes: int
-    pred_nnz: int
-    succ_nnz: int
     #: nodes whose CO moved, and their CO before it did
     changed_co: tuple[np.ndarray, np.ndarray]
     #: the attribute rows of those nodes before the move
@@ -209,7 +208,6 @@ class IncrementalDesign:
         n = n_before + len(targets)
         ids = np.arange(n_before, n)
         pred, succ = self.graph.pred, self.graph.succ
-        pred_nnz, succ_nnz = pred.nnz, succ.nnz
         for target in targets.tolist():
             self.netlist.insert_observation_point(target)
         ones = np.ones(len(targets))
@@ -251,8 +249,6 @@ class IncrementalDesign:
         self._states.append(state)
         return ids.tolist(), _Checkpoint(
             n_nodes=n_before,
-            pred_nnz=pred_nnz,
-            succ_nnz=succ_nnz,
             changed_co=(moved, previous),
             previous_rows=previous_rows,
             newly_observed=newly_observed,
@@ -292,8 +288,11 @@ class IncrementalDesign:
         n, n_after = checkpoint.n_nodes, self.num_nodes
         for _ in range(n_after - n):
             self.netlist.remove_last_cell()
-        self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))
-        self.graph.succ.truncate(checkpoint.succ_nnz, (n, n))
+        # Every entry the commit added has a new OBS cell for its row (in
+        # pred) or column (in succ), and no older entry has: shrinking the
+        # matrices drops exactly those.
+        self.graph.pred.resize((n, n))
+        self.graph.succ.resize((n, n))
         self.observed.difference_update(range(n, n_after))
         self.observed.difference_update(checkpoint.newly_observed)
         self._resize_scoap(n)

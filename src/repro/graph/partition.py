@@ -292,9 +292,10 @@ def partition_graph(
                 Shard(index=i, owned=owned, weight=int(weights[owned].sum()))
             )
 
-        drivers = graph.pred.cols
-        sinks = graph.pred.rows
-        edge_cut = int((owner[drivers] != owner[sinks]).sum())
+        # Wires whose ends two shards own, a pin read twice counted twice.
+        sinks = np.repeat(np.arange(n), indeg)
+        cut = owner[pred.indices] != owner[sinks]
+        edge_cut = int(pred.data[cut].sum())
         coo = undirected.tocoo()
         cross = owner[coo.row] != owner[coo.col]
         # Distinct (node, remote shard) pairs: the per-layer exchange rows.

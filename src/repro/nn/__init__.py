@@ -1,8 +1,8 @@
 """From-scratch neural-network micro-framework (autograd on numpy).
 
 Provides the minimum surface the paper's GCN needs: a reverse-mode autograd
-tensor, dense and sparse-COO matmul, linear/ReLU/dropout layers, weighted
-cross-entropy, and SGD/Adam optimisers.
+tensor, dense and sparse (COO triples in, one CSR held) matmul,
+linear/ReLU/dropout layers, weighted cross-entropy, and SGD/Adam optimisers.
 """
 
 from repro.nn.tensor import Tensor, no_grad, spmm

@@ -21,7 +21,7 @@ attribute construction), so under ``repro serve`` it runs off the
 daemon's interpreter lock: :class:`AdmissionPool` holds
 ``ServeConfig.workers`` forked admission workers, a handler thread hands
 its raw body to an idle one and sleeps on a socket until the finished
-:class:`ScoreRequest` comes back, both CSR caches built.  The worker runs
+:class:`ScoreRequest` comes back, its graph built.  The worker runs
 :func:`run_admission` — the same function an embedded
 :class:`~repro.serve.http.NetlistScoreServer` without a pool calls in the
 handler thread, and the one the execution fabric's ladder re-runs in the
@@ -49,8 +49,8 @@ equal the graph it would get alone.  A solo body, and each ``batchable:
 false`` member, is a union of one.
 
 One format across the boundary.  A lane's outcomes pickle its graph once,
-its adjacency as CSR arrays alone (:class:`~repro.nn.sparse.COOMatrix`;
-triples only where duplicate pins were summed), with each request's
+its adjacency as the three CSR arrays each
+:class:`~repro.nn.sparse.COOMatrix` holds, with each request's
 ``stages``: seconds in ``parse``, ``validate``, ``build``.
 """
 
@@ -398,8 +398,8 @@ def run_admission(admit_fn, raw: bytes, config: ServeConfig):
     the admission functions in the serve layer.  Returning the 400 / 413 /
     422 instead of raising it is what keeps bad input out of the ladder's
     retry and failure accounting; the caller re-raises it.  The graphs
-    come with both CSR caches built (:func:`adjacency_pair`), so the
-    scoring threads build none under the daemon's interpreter lock.
+    come with both CSRs built (:func:`adjacency_pair`), so the scoring
+    threads build none under the daemon's interpreter lock.
     """
     try:
         return admit_fn(raw, config)
@@ -444,7 +444,9 @@ class AdmissionPool:
 
     def run(self, admit_fn, raw: bytes):
         """:func:`run_admission` on an idle lane; blocks (off the GIL)
-        until one is free and has answered.
+        until one is free and has answered.  Returns ``(answer, k)``: the
+        body was admitted on ``k`` lanes at once, lane ``i`` taking
+        members ``i::k``.
 
         A batch body (``admit_fn is admit_batch``) also takes every other
         lane idle right now and is admitted in strides, one helper thread
@@ -486,14 +488,14 @@ class AdmissionPool:
             for helper in helpers:
                 helper.join()
         if k == 1:
-            return outcomes[0]
+            return outcomes[0], k
         for outcome in outcomes:
             if isinstance(outcome, BaseException):
-                return outcome
+                return outcome, k
         return sorted(
             (entry for outcome in outcomes for entry in outcome),
             key=lambda entry: entry[0],
-        )
+        ), k
 
     def close(self) -> None:
         """End the workers (idempotent)."""

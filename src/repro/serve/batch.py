@@ -67,10 +67,8 @@ def merge_graphs(graphs: list[GraphData], name: str = "batch") -> MergedBatch:
     for i, graph in enumerate(graphs):
         offsets[i + 1] = offsets[i] + graph.num_nodes
 
-    # Block-diagonal stacking reuses each member's cached CSR arrays, so
-    # a coalesced pass pays concatenation — not a COO->CSR conversion —
-    # for its adjacency (the conversion cost would otherwise scale with
-    # every batch even when the members are already materialised).
+    # Block-diagonal stacking concatenates the members' CSR arrays, so a
+    # coalesced pass sorts nothing for its adjacency.
     attributes = np.concatenate([g.attributes for g in graphs], axis=0)
     merged = GraphData(
         pred=COOMatrix.block_diag([g.pred for g in graphs]),

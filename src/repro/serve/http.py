@@ -185,8 +185,8 @@ class _Handler(BaseHTTPRequestHandler):
 
         Returns ``(admitted, stages)``: ``stages`` holds the seconds of
         ``read_body``, of the worker's own ``parse`` / ``validate`` /
-        ``build`` (summed over a batch body's members, so lanes that
-        overlapped count twice), and ``lane_wait`` — the rest of the
+        ``build`` (for a batch body split over lanes that ran at once,
+        those of its slowest lane), and ``lane_wait`` — the rest of the
         admission call: waiting for an idle lane, the envelope's JSON
         decode, the frame there and back.
         """
@@ -203,24 +203,26 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self._read_body()
             read = time.perf_counter()
             if app.admission_pool is not None:
-                outcome = app.admission_pool.run(admit_fn, raw)
+                outcome, lanes = app.admission_pool.run(admit_fn, raw)
             else:
-                outcome = run_admission(admit_fn, raw, app.config)
+                outcome, lanes = run_admission(admit_fn, raw, app.config), 1
             admitted = time.perf_counter()
         finally:
             app.admission_gate.release()
         if isinstance(outcome, BaseException):
             raise outcome
-        stages = dict.fromkeys(
-            ("read_body", "lane_wait", "parse", "validate", "build"), 0.0
-        )
-        stages["read_body"] = read - started
-        for _, member in outcome if isinstance(outcome, list) else [(0, outcome)]:
+        # Lane i of k admitted members i::k.
+        worked = [dict.fromkeys(("parse", "validate", "build"), 0.0) for _ in range(lanes)]
+        for index, member in outcome if isinstance(outcome, list) else [(0, outcome)]:
             if isinstance(member, ScoreRequest):  # not a member's own error
                 for stage, seconds in member.stages.items():
-                    stages[stage] += seconds
-        worked = stages["parse"] + stages["validate"] + stages["build"]
-        stages["lane_wait"] = max(0.0, admitted - read - worked)
+                    worked[index % lanes][stage] += seconds
+        slowest = max(worked, key=lambda lane: sum(lane.values()))
+        stages = {
+            "read_body": read - started,
+            "lane_wait": admitted - read - sum(slowest.values()),
+            **slowest,
+        }
         return outcome, stages
 
     @staticmethod

@@ -333,45 +333,37 @@ class ScoringService:
         for job in live:
             job.queue_wait = max(0.0, now - job.enqueued_at)
             self._batch_linger.observe(job.queue_wait)
-        if len(live) == 1:
-            self._score_solo(live[0])
-            return
         # Members of one admission lane share its graph: score each
         # distinct graph once, merged only if there are several.
+        lanes: dict[int, list[Job]] = {}
+        for job in live:
+            lanes.setdefault(id(job.request.graph), []).append(job)
+        if len(lanes) == 1:
+            self._score_graph(live, batched=len(live) > 1)
+            return
         started = time.perf_counter()
-        graphs = {id(job.request.graph): job.request.graph for job in live}
-        if len(graphs) == 1:
-            graph, starts = live[0].request.graph, dict.fromkeys(graphs, 0)
-        else:
-            merged = merge_graphs(list(graphs.values()))
-            graph = merged.graph
-            starts = {key: rows.start for key, rows in zip(graphs, merged.slices)}
+        merged = merge_graphs([jobs[0].request.graph for jobs in lanes.values()])
+        starts = {key: rows.start for key, rows in zip(lanes, merged.slices)}
         merge_s = time.perf_counter() - started
         try:
             labels, info = self._predict(
-                graph, max(job.request.debug_sleep_s for job in live)
+                merged.graph, max(job.request.debug_sleep_s for job in live)
             )
             labels = np.asarray(labels)
-            parts = [
-                labels[starts[id(job.request.graph)]:][job.request.rows] for job in live
-            ]
         except Exception:
             # One poisoned member must not fail its batch peers: rescue
-            # every job through the solo path (bit-identical by
+            # each lane's graph in a pass of its own (bit-identical by
             # construction, so the answers cannot change — only cost).
             self._batch_fallbacks.inc()
-            for job in live:
-                self._score_solo(job)
+            for jobs in lanes.values():
+                self._score_graph(jobs, batched=False)
             return
-        with self._lock:
-            self._stat_counters["completed"].inc(len(live))
-            if info.get("degraded"):
-                self._stat_counters["degraded"].inc(len(live))
-        for job, part in zip(live, parts):
-            stages = {"queue_wait": job.queue_wait, "merge": merge_s, **info["stages"]}
-            job.finish(
-                part, dict(info, batched=True, batch_size=len(live), stages=stages)
-            )
+        self._answer(
+            live,
+            [labels[starts[id(job.request.graph)]:][job.request.rows] for job in live],
+            info,
+            merge_s,
+        )
 
     def _predict(self, graph, debug_sleep_s: float) -> tuple[object, dict]:
         """``manager.predict`` with its wall time as ``info["stages"]``
@@ -382,22 +374,38 @@ class ScoringService:
         labels, info = self.manager.predict(graph)
         return labels, dict(info, stages={"predict": time.perf_counter() - started})
 
-    def _score_solo(self, job: Job) -> None:
-        """Score one already-claimed job in a pass of its own."""
+    def _score_graph(self, jobs: list[Job], batched: bool) -> None:
+        """Score the graph ``jobs`` share in one pass and answer each from
+        its rows; ``batched`` reports the pass as a batch of them all."""
         try:
-            labels, info = self._predict(job.request.graph, job.request.debug_sleep_s)
-            labels = np.asarray(labels)[job.request.rows]
+            labels, info = self._predict(
+                jobs[0].request.graph, max(job.request.debug_sleep_s for job in jobs)
+            )
+            labels = np.asarray(labels)
         except Exception as exc:
             with self._lock:
-                self._stat_counters["failed"].inc()
-            job.fail(exc)
+                self._stat_counters["failed"].inc(len(jobs))
+            for job in jobs:
+                job.fail(exc)
             return
+        parts = [labels[job.request.rows] for job in jobs]
+        self._answer(jobs, parts, info, 0.0 if batched else None)
+
+    def _answer(self, jobs: list[Job], parts: list, info: dict, merge_s: float | None) -> None:
+        """Answer ``jobs`` from one pass, each with its ``parts``: as a
+        batch of them all that took ``merge_s`` to assemble, or (None) as
+        a pass of their own."""
         with self._lock:
-            self._stat_counters["completed"].inc()
+            self._stat_counters["completed"].inc(len(jobs))
             if info.get("degraded"):
-                self._stat_counters["degraded"].inc()
-        info["stages"] = {"queue_wait": job.queue_wait, **info["stages"]}
-        job.finish(labels, info)
+                self._stat_counters["degraded"].inc(len(jobs))
+        for job, part in zip(jobs, parts):
+            if merge_s is None:
+                stages = {"queue_wait": job.queue_wait, **info["stages"]}
+                job.finish(part, dict(info, stages=stages))
+            else:
+                stages = {"queue_wait": job.queue_wait, "merge": merge_s, **info["stages"]}
+                job.finish(part, dict(info, batched=True, batch_size=len(jobs), stages=stages))
 
     def note_admission_reject(self) -> None:
         """Count a request turned away at the HTTP admission gate."""

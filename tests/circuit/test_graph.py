@@ -1,4 +1,4 @@
-"""Netlist -> graph export: COO adjacency and its structure-built CSR."""
+"""Netlist -> graph export: the adjacency CSRs built from the structure."""
 
 import io
 import json
@@ -52,10 +52,14 @@ class TestAdjacencyPair:
         assert pred.nnz == succ.nnz == medium_design.num_edges
 
 
-def sorted_from_triples(matrix) -> sp.csr_matrix:
-    """The CSR that sorting the matrix's COO triples gives."""
-    coo = sp.coo_matrix((matrix.values, (matrix.rows, matrix.cols)), shape=matrix.shape)
-    return coo.tocsr()
+def sorted_from_triples(netlist) -> list[sp.csr_matrix]:
+    """The (pred, succ) CSRs that sorting the netlist's COO triples gives."""
+    drivers, sinks = reference.edge_arrays(netlist)
+    n, ones = netlist.num_nodes, np.ones(len(drivers))
+    return [
+        sp.coo_matrix((ones, (rows, cols)), shape=(n, n)).tocsr()
+        for rows, cols in ((sinks, drivers), (drivers, sinks))
+    ]
 
 
 def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
@@ -70,15 +74,15 @@ def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
 
 class TestStructureBuiltCsr:
     """The CSR each matrix gets from the structure's fan-in or fan-out CSR
-    equals the one its COO triples sort into: duplicate pins summed, every
-    row ascending."""
+    equals the one the netlist's COO triples sort into: duplicate pins
+    summed, every row ascending."""
 
     @staticmethod
     def check(netlist):
-        for matrix in adjacency_pair(netlist):
+        for matrix, want in zip(adjacency_pair(netlist), sorted_from_triples(netlist)):
             csr = matrix.to_scipy()
             assert csr.has_canonical_format
-            assert_same_csr(csr, sorted_from_triples(matrix))
+            assert_same_csr(csr, want)
 
     @pytest.mark.parametrize("name", sorted(reference.hand_built_designs()))
     def test_hand_built(self, name):
@@ -97,11 +101,12 @@ class TestStructureBuiltCsr:
         self.check(netlist)
 
     def test_admitted_request_after_a_pickle_round_trip(self):
+        netlist = generate_design(60, seed=9)
         stream = io.StringIO()
-        write_bench(generate_design(60, seed=9), stream)
+        write_bench(netlist, stream)
         request = admit(json.dumps({"netlist": stream.getvalue()}).encode(), ServeConfig())
         shipped = pickle.loads(pickle.dumps(request.graph))
         pairs = ((request.graph.pred, shipped.pred), (request.graph.succ, shipped.succ))
-        for before, after in pairs:
-            assert_same_csr(after.to_scipy(), sorted_from_triples(before))
-            assert_same_csr(before.to_scipy(), sorted_from_triples(before))
+        for (before, after), want in zip(pairs, sorted_from_triples(netlist)):
+            assert_same_csr(after.to_scipy(), want)
+            assert_same_csr(before.to_scipy(), want)

@@ -15,7 +15,7 @@ from tests.helpers import numeric_grad
 def path_graph():
     """3-node path 0 -> 1 -> 2 with scalar features."""
     pred = COOMatrix((3, 3), [1.0, 1.0], [1, 2], [0, 1])
-    succ = pred.transpose()
+    succ = COOMatrix((3, 3), csr=pred.to_scipy().T.tocsr())
     attrs = np.array([[1.0], [10.0], [100.0]])
     return GraphData(pred=pred, succ=succ, attributes=attrs)
 
@@ -32,7 +32,7 @@ class TestMeanAggregator:
 
     def test_normalises_high_fanin(self):
         pred = COOMatrix((3, 3), [1.0, 1.0], [2, 2], [0, 1])
-        succ = pred.transpose()
+        succ = COOMatrix((3, 3), csr=pred.to_scipy().T.tocsr())
         attrs = np.array([[2.0], [4.0], [0.0]])
         graph = GraphData(pred=pred, succ=succ, attributes=attrs)
         out = MeanAggregator(1.0, 0.0)(Tensor(attrs), graph).data

@@ -74,14 +74,14 @@ class TestMatchesNodeByNodeBuilder:
         )
         if assembly == "scalar":
             graph = GraphData.from_netlist(netlist)
-            drivers, sinks = reference.edge_arrays(netlist)
-            for matrix, rows, cols in (
-                (graph.pred, sinks, drivers), (graph.succ, drivers, sinks)
-            ):
+            for matrix, pred in ((graph.pred, True), (graph.succ, False)):
                 assert matrix.shape == (netlist.num_nodes, netlist.num_nodes)
-                assert np.array_equal(matrix.rows, rows)  # same coordinates, same order
-                assert np.array_equal(matrix.cols, cols)
-                assert np.array_equal(matrix.values, np.ones(len(rows)))
+                actual, expected = matrix.to_scipy(), _reference_csr(netlist, pred)
+                # The arrays as stored: same entries, same order in each row.
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(actual, name), getattr(expected, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert graph.num_edges == netlist.num_edges  # a pin read twice counts twice
             assert np.array_equal(graph.attributes, normalize_attributes(raw))
         else:
             members = [reference.hand_built_designs()["flop_loop"], netlist]

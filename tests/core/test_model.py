@@ -64,7 +64,7 @@ class TestAggregation:
     def test_sum_aggregator_formula(self):
         # 3-node path 0 -> 1 -> 2
         pred = COOMatrix((3, 3), [1.0, 1.0], [1, 2], [0, 1])
-        succ = pred.transpose()
+        succ = COOMatrix((3, 3), csr=pred.to_scipy().T.tocsr())
         attrs = np.array([[1.0], [10.0], [100.0]])
         graph = GraphData(pred=pred, succ=succ, attributes=attrs)
         agg = SumAggregator(w_pr_init=0.5, w_su_init=0.25)

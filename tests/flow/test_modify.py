@@ -1,5 +1,7 @@
 """Incremental design modification: consistency and rollback."""
 
+import io
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import GateType, generate_design, logic_levels
+from repro.circuit import (
+    GateType,
+    adjacency_pair,
+    generate_design,
+    logic_levels,
+    parse_bench,
+    write_bench,
+)
 from repro.core import inference
 from repro.core.attributes import normalize_attributes
 from repro.core.graphdata import GraphData
@@ -210,9 +219,8 @@ def design_state(design) -> list:
     ]
     for matrix in (graph.pred, graph.succ):
         live = matrix.to_scipy()
-        state += [matrix.shape, live.shape]
-        state += [a.tobytes() for a in (matrix.values, matrix.rows, matrix.cols)]
-        state += [a.tobytes() for a in (live.indptr, live.indices, live.data)]
+        state += [matrix.shape, live.shape, matrix.nnz]
+        state += [(a.dtype.str, a.tobytes()) for a in (live.indptr, live.indices, live.data)]
     return state
 
 
@@ -354,7 +362,57 @@ class HeapOracle:
 def build_design(kind, seed):
     if kind == "generated":
         return generate_design(40 + seed % 60, seed=seed)
+    if kind == "parsed":
+        stream = io.StringIO()
+        write_bench(generate_design(40 + seed % 60, seed=seed), stream)
+        return parse_bench(stream.getvalue())
     return reference.random_netlist(seed, 20 + seed % 60)
+
+
+def csr_arrays(matrix) -> list:
+    """Shape and CSR arrays of ``matrix`` as stored, unsorted: the order
+    within a row is the order a sparse product accumulates in."""
+    csr = matrix.to_scipy()
+    return [csr.shape, *((a.dtype.str, a.tobytes()) for a in (csr.indptr, csr.indices, csr.data))]
+
+
+class TestRollbackShrinks:
+    """A rollback shrinks both matrices back to the old node count: after
+    every commit and every rollback they are, array for array, what
+    ``adjacency_pair`` builds from the netlist afresh."""
+
+    @staticmethod
+    def check(design):
+        graph = design.graph
+        for live, fresh in zip((graph.pred, graph.succ), adjacency_pair(design.netlist)):
+            assert csr_arrays(live) == csr_arrays(fresh)
+            assert csr_arrays(pickle.loads(pickle.dumps(live))) == csr_arrays(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["generated", "parsed", "random"]),
+        seed=st.integers(0, 5000),
+        steps=st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 10**6), min_size=1, max_size=4)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_every_step_equals_a_fresh_adjacency(self, kind, seed, steps):
+        design = IncrementalDesign(build_design(kind, seed))
+        checkpoints = []
+        self.check(design)
+        for commit, picks in steps:
+            if commit or not checkpoints:
+                netlist = design.netlist
+                insertable = [
+                    v for v in netlist.nodes() if netlist.gate_type(v) is not GateType.OBS
+                ]
+                targets = list(dict.fromkeys(insertable[p % len(insertable)] for p in picks))
+                checkpoints.append(design.insert_ops(design.preview_ops(targets))[1])
+            else:
+                design.rollback(checkpoints.pop())
+            self.check(design)
 
 
 class TestArrayRelaxation:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.circuit import GateType, generate_design, write_bench
+from repro.circuit import GateType, adjacency_pair, generate_design, write_bench
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.inference import FastInference
@@ -177,10 +177,6 @@ class TestWholeGraphScorer:
 # --------------------------------------------------------------------- #
 # The pure state machine: insert → rescore → rollback | commit
 # --------------------------------------------------------------------- #
-def _fresh_csr(matrix: COOMatrix) -> sp.csr_matrix:
-    return sp.coo_matrix(
-        (matrix.values, (matrix.rows, matrix.cols)), shape=matrix.shape
-    ).tocsr()
 
 
 def _state(design: IncrementalDesign, scorer: IncrementalScorer) -> list[bytes]:
@@ -203,8 +199,8 @@ def _check_against_fresh(design, scorer, oracle) -> None:
     assert np.array_equal(
         scorer._stores[-1].rows(graph.num_nodes), np.argmax(logits, axis=1)
     )
-    for matrix in (graph.pred, graph.succ):
-        live, fresh = matrix.to_scipy(), _fresh_csr(matrix)
+    for matrix, built in zip((graph.pred, graph.succ), adjacency_pair(design.netlist)):
+        live, fresh = matrix.to_scipy(), built.to_scipy()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(live, name), getattr(fresh, name))
             assert getattr(live, name).dtype == getattr(fresh, name).dtype

@@ -1,9 +1,9 @@
 """A batch member's own graph, cut from the graph its admission lane shares.
 
 An admitted request is its ``rows`` of ``request.graph``.  Cutting them
-out — attribute rows, the COO triples whose row falls among them and the
-CSR rows, every index shifted back by the member's offset — gives what
-the member's solo admission builds, which the tests compare it with.
+out — attribute rows and CSR rows, every index shifted back by the
+member's offset — gives what the member's solo admission builds, which
+the tests compare it with.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ def own_matrix(matrix: COOMatrix, rows: slice) -> COOMatrix:
     block = sp.csr_matrix(
         (csr.data[start:stop], indices, csr.indptr[lo : hi + 1] - start), shape=(n, n)
     )
-    inside = (matrix.rows >= lo) & (matrix.rows < hi)
-    return COOMatrix(
-        (n, n), matrix.values[inside], matrix.rows[inside] - lo,
-        matrix.cols[inside] - lo, csr=block,
-    )
+    return COOMatrix((n, n), csr=block)
 
 
 def own_graph(request) -> GraphData:

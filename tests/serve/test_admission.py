@@ -256,15 +256,15 @@ ADMITTED = {"good", "flop_loop", "dangling", "generated"}
 
 def comparable(item):
     """What an admission outcome answers: the error's type and message, or
-    the member's rows of its graph (attributes, both COO triples and both
-    CSRs), its node and pin counts and its warnings."""
+    the member's rows of its graph (attributes and both CSRs), its node and
+    pin counts and its warnings."""
     if isinstance(item, BaseException):
         return type(item).__name__, str(item)
     graph = own_graph(item)
     arrays = [graph.attributes]
     for matrix in (graph.pred, graph.succ):
         csr = matrix.to_scipy()
-        arrays += [matrix.values, matrix.rows, matrix.cols, csr.data, csr.indices, csr.indptr]
+        arrays += [csr.data, csr.indices, csr.indptr]
     return (
         item.design,
         item.warnings,

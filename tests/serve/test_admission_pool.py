@@ -141,7 +141,7 @@ def test_typed_errors_round_trip_pickle(exc):
 
 
 def test_bench_parse_error_keeps_its_line_number(pool):
-    outcome = pool.run(admit, BAD_BODIES["parse_error"][1])
+    outcome = pool.run(admit, BAD_BODIES["parse_error"][1])[0]
     assert isinstance(outcome, BenchParseError)
     assert str(outcome).startswith("line 3:")
 
@@ -164,14 +164,7 @@ def assert_same_request(pooled: ScoreRequest, inline: ScoreRequest) -> None:
             assert np.array_equal(
                 getattr(ours.to_scipy(), part), getattr(theirs.to_scipy(), part)
             )
-        # The triples (rebuilt on demand on the pooled side, in CSR order)
-        # are the same entries.
         assert ours.nnz == theirs.nnz
-        for part in ("rows", "cols", "values"):
-            assert np.array_equal(
-                getattr(ours, part)[np.lexsort((ours.cols, ours.rows))],
-                getattr(theirs, part)[np.lexsort((theirs.cols, theirs.rows))],
-            )
     for name in ("design", "deadline_s", "request_id", "batchable",
                  "return_predictions", "debug_sleep_s", "warnings",
                  "num_nodes", "num_edges"):
@@ -182,8 +175,9 @@ def assert_same_request(pooled: ScoreRequest, inline: ScoreRequest) -> None:
 @pytest.mark.parametrize("name", DESIGNS)
 def test_pooled_admission_builds_the_same_request(pool, name):
     raw = body_of(DESIGNS[name], design=name, request_id=f"id-{name}", deadline_ms=1234)
-    pooled = pool.run(admit, raw)
-    assert pooled.graph.pred._rows is None and pooled.graph.succ._rows is None
+    pooled = pool.run(admit, raw)[0]
+    # The CSR arrays came over the wire, and nothing built from them.
+    assert pooled.graph.pred._csc is None and pooled.graph.succ._csc is None
     inline = run_admission(admit, raw, CONFIG)
     assert_same_request(pooled, inline)
     assert pooled.graph.name == inline.graph.name == name
@@ -194,7 +188,7 @@ def test_pooled_batch_admission_matches_item_by_item(pool):
     envelopes.insert(2, {"netlist": "y = FROB(a)\n"})
     envelopes.append({"netlist": DESIGNS["c17"], "deadline_ms": "soon"})
     raw = json.dumps({"requests": envelopes}).encode()
-    pooled, inline = pool.run(admit_batch, raw), run_admission(admit_batch, raw, CONFIG)
+    pooled, inline = pool.run(admit_batch, raw)[0], run_admission(admit_batch, raw, CONFIG)
     assert [index for index, _ in pooled] == list(range(len(envelopes)))
     assert_same_batch(pooled, inline)
 
@@ -224,17 +218,18 @@ def assert_same_batch(pooled: list, inline: list) -> None:
 def test_batch_body_is_split_over_the_idle_lanes(two_lanes):
     raw, count = batch_body([{"netlist": "y = FROB(a)\n"}, {"netlist": 7}])
     tasks = exec_count("tasks")
-    pooled = two_lanes.run(admit_batch, raw)
+    pooled, lanes = two_lanes.run(admit_batch, raw)
     # Both lanes were idle, so both took a stride of the one body ...
-    assert exec_count("tasks") - tasks == 2
+    assert exec_count("tasks") - tasks == 2 and lanes == 2
     # ... and the answer is the unsplit one, errors at the same indices.
     assert [index for index, _ in pooled] == list(range(count))
     assert_same_batch(pooled, run_admission(admit_batch, raw, two_lanes.config))
     # A solo body takes one lane; an envelope error is the call's answer.
     tasks = exec_count("tasks")
-    assert isinstance(two_lanes.run(admit, body_of(DESIGNS["c17"])), ScoreRequest)
+    solo, lanes = two_lanes.run(admit, body_of(DESIGNS["c17"]))
+    assert isinstance(solo, ScoreRequest) and lanes == 1
     assert exec_count("tasks") - tasks == 1
-    refused = two_lanes.run(admit_batch, b'{"requests": []}')
+    refused = two_lanes.run(admit_batch, b'{"requests": []}')[0]
     assert isinstance(refused, MalformedRequestError)
 
 
@@ -251,7 +246,7 @@ def test_adjacency_crosses_the_boundary_as_csr_alone():
     shipped = pickle.loads(frame)
     engine = FastInference(GCN(GCNConfig(hidden_dims=(8,), fc_dims=(8,))).layer_weights())
     assert np.array_equal(engine.logits(shipped.graph), engine.logits(request.graph))
-    assert shipped.graph.pred._rows is None  # scoring never rebuilt the triples
+    assert set(shipped.graph.pred.__getstate__()) == {"shape", "csr"}
 
 
 def test_a_lanes_members_cross_the_boundary_as_one_graph(pool):
@@ -261,7 +256,7 @@ def test_a_lanes_members_cross_the_boundary_as_one_graph(pool):
     raw = json.dumps(
         {"requests": [{"netlist": DESIGNS[name], "design": name} for name in names]}
     ).encode()
-    pooled = pool.run(admit_batch, raw)
+    pooled = pool.run(admit_batch, raw)[0]
     [graph] = {id(member.graph): member.graph for _, member in pooled}.values()
     assert [member.rows for _, member in pooled] == [
         slice(lo, hi) for lo, hi in zip(
@@ -282,7 +277,7 @@ def test_a_lanes_members_cross_the_boundary_as_one_graph(pool):
 def test_admission_failures_come_back_as_values(pool, name):
     status, raw = BAD_BODIES[name]
     before = exec_count("retries"), exec_count("fallbacks")
-    pooled, inline = pool.run(admit, raw), run_admission(admit, raw, CONFIG)
+    pooled, inline = pool.run(admit, raw)[0], run_admission(admit, raw, CONFIG)
     assert status_for(pooled)[0] == status
     assert type(pooled) is type(inline) and str(pooled) == str(inline)
     # A finished task: nothing retried, nothing rescued, no worker blamed.
@@ -294,7 +289,7 @@ def test_inprocess_backend_is_honoured(monkeypatch):
     before = worker_pids()
     switched_off = AdmissionPool(CONFIG)
     try:
-        outcome = switched_off.run(admit, body_of(DESIGNS["c17"]))
+        outcome = switched_off.run(admit, body_of(DESIGNS["c17"]))[0]
         assert worker_pids() == before
     finally:
         switched_off.close()
@@ -386,6 +381,33 @@ def test_stages_add_up_to_the_request_latency(servers):
         assert observed_ms == pytest.approx(stages["predict"], abs=1e-3)
     assert min(gap for gap, _ in attempts) < 0.10
     assert min(wait for _, wait in attempts) < 2.0
+
+
+def test_a_split_body_reports_its_slowest_lane(monkeypatch, model_file):
+    """Lanes that admit one body's strides at once overlap: its ``parse`` /
+    ``validate`` / ``build`` are its slowest lane's, so they fit in the
+    admission call, and ``lane_wait`` (the rest of it) is not negative."""
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "inprocess")
+    config = ServeConfig(port=0, workers=2, max_nodes=400)
+    pool = AdmissionPool(config)
+    srv = NetlistScoreServer(config=config, model_path=model_file, admission_pool=pool)
+    raw = json.dumps({"requests": [
+        {"netlist": text, "design": name, "return_predictions": False}
+        for name, text in [*DESIGNS.items(), *DESIGNS.items()]
+    ]}).encode()
+    try:
+        assert pool.run(admit_batch, raw)[1] == 2  # both lanes idle: split
+        srv.start()
+        started = time.perf_counter()
+        status, answer = post(srv, "/v1/score:batch", raw)
+        wall_ms = 1000.0 * (time.perf_counter() - started)
+    finally:
+        srv.close()
+    assert status == 200
+    stages = json.loads(answer)["stages_ms"]
+    worked = stages["parse"] + stages["validate"] + stages["build"]
+    assert stages["lane_wait"] >= 0.0
+    assert worked <= stages["lane_wait"] + worked <= wall_ms
 
 
 @pytest.mark.parametrize("name", BAD_BODIES)
@@ -484,7 +506,7 @@ def test_lane_killed_mid_split_still_answers_every_member(sabotage):
         lanes = worker_pids() - before_workers
         assert len(lanes) == 2
         fallbacks, restarts = exec_count("fallbacks"), exec_count("restarts")
-        pooled = pool.run(admit_batch, raw)
+        pooled = pool.run(admit_batch, raw)[0]
         # Member 1 killed the lane that held stride 1::2; that stride was
         # admitted by the thread driving the lane, the other lane never knew.
         assert exec_count("fallbacks") - fallbacks == 1
