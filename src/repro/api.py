@@ -77,7 +77,7 @@ from repro.core import (
     save_cascade,
     save_gcn,
 )
-from repro.core.inference import softmax
+from repro.core.inference import class_labels, difficult_proba
 from repro.data.splits import balanced_indices
 from repro.experiments.common import default_gcn_config
 from repro.flow import (
@@ -351,8 +351,8 @@ def score(
     engine = _as_engine(predictor, execution)
     logits = engine.logits(graph)
     return ScoreResult(
-        labels=np.argmax(logits, axis=1).astype(np.int64),
-        proba=softmax(logits)[:, 1],
+        labels=class_labels(logits),
+        proba=difficult_proba(logits),
         logits=logits,
         backend=engine.backend,
         model_kind=kind,

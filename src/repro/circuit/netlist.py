@@ -70,6 +70,11 @@ class Netlist:
         self._names: list[str | None] = []
         self._name_to_id: dict[str, int] | None = None  #: built on first use
         self._po_marks: set[int] = set()
+        #: at least the largest cell id a pin of an earlier row names (a
+        #: parsed flop's data input, a late-wired flop, a rewired net), -1
+        #: if none: a bound, read only by :meth:`remove_last_cell`, so
+        #: that a cell no earlier row can name needs no scan of every pin
+        self._forward_max = -1
         #: monotonically increasing structural-mutation counter; guards the
         #: derived values memoised by :meth:`cached`.
         self._version: int = 0
@@ -99,6 +104,7 @@ class Netlist:
         netlist._shared = True
         netlist._names = names
         netlist._po_marks = set(outputs)
+        netlist._forward_max = netlist._n - 1  # any row may name any cell
         # One mutation per cell and per output mark, as if built cell by cell.
         netlist._version = len(names) + len(netlist._po_marks)
         netlist._cache = {"structure": structure}
@@ -175,9 +181,12 @@ class Netlist:
     def remove_last_cell(self) -> None:
         """Drop the newest cell, which must drive nothing (undoes ``add_cell``)."""
         node = self._n - 1
-        if node < 0 or (self._fanin_idx[: self._num_pins()] == node).any():
+        # Its own row, and the earlier rows only if one of them may name it.
+        first = self._fanin_ptr[0 if node <= self._forward_max else node]
+        if node < 0 or (self._fanin_idx[first : self._num_pins()] == node).any():
             raise ValueError("the newest cell is missing or still drives a pin")
         self._n = node
+        self._forward_max = min(self._forward_max, node - 1)
         name = self._names.pop()
         if name is not None and self._name_to_id is not None:
             del self._name_to_id[name]
@@ -406,6 +415,8 @@ class Netlist:
             ) from None
         self._writable(self._n, self._num_pins())
         self._fanin_idx[self._fanin_ptr[sink] + pin] = new_driver
+        if new_driver > sink:
+            self._forward_max = max(self._forward_max, new_driver)
         self._version += 1
 
     def insert_control_point(
@@ -435,6 +446,8 @@ class Netlist:
         # Every pin ``target`` drove before the CP existed, one mutation each.
         self._writable(self._n, self._num_pins())
         self._fanin_idx[pins] = gate
+        if len(pins):
+            self._forward_max = max(self._forward_max, gate)
         self._version += len(pins)
         if target in self._po_marks:
             self._po_marks.discard(target)
@@ -457,6 +470,7 @@ class Netlist:
         if self._name_to_id is not None:
             dup._name_to_id = dict(self._name_to_id)
         dup._po_marks = set(self._po_marks)
+        dup._forward_max = self._forward_max
         dup._version = self._version
         dup._cache = dict(self._cache)
         dup._cache_version = self._cache_version

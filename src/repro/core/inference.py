@@ -16,11 +16,21 @@ logits bit-identical.
 Both compute their rows in cache-sized blocks (:data:`BLOCK_ROWS`), so
 every caller gets the blocking and none of them can tell; the whole-graph
 pass also splits its blocks between the calling thread and pooled threads
-(:func:`_by_blocks`), which no caller can tell either.
+(:func:`_by_blocks`), which no caller can tell either.  A block adds each
+bias from a pre-broadcast block of copies of it
+(:meth:`~repro.core.model.GCNWeights.bias_blocks`, memoised per weight
+snapshot), not by a per-row broadcast.
+
+What a score is made of its logits is defined here once, on the two
+logit columns: :func:`class_labels` (``l1 > l0``, ties to class 0) and
+:func:`difficult_proba` / :func:`softmax`.  ``api.score``, the engine's
+``predict`` / ``predict_proba``, the cascade and the OPI flow's scorer
+all call them.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -39,6 +49,8 @@ __all__ = [
     "row_stable_matmul",
     "layer_forward",
     "head_forward",
+    "class_labels",
+    "difficult_proba",
     "softmax",
     "check_finite",
 ]
@@ -74,8 +86,17 @@ WHAT_IF_ROWS = 1024
 CONE_MASK_BYTES = 16 * 2**20
 
 
-def _narrow_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for fewer than four output columns: per row, the
+@functools.lru_cache(maxsize=64)
+def _dense_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of ``n`` dense CSR rows of ``k`` entries
+    (read-only: every :func:`_narrow_matmul` of that shape shares them)."""
+    indptr, indices = np.arange(n + 1) * k, np.arange(n * k) % k
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
+
+
+def _narrow_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = a @ b`` for fewer than four output columns: per row, the
     left-to-right sum over ``k`` of the rounded products
     ``a[i, k] * b[k, j]``, starting from ``+0.0``.
 
@@ -89,16 +110,19 @@ def _narrow_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype = np.result_type(a, b)
     out_t = np.zeros((n, m), dtype=dtype)
     csr_matvecs(
-        n, k, m, np.arange(n + 1) * k, np.arange(n * k) % k,
+        n, k, m, *_dense_rows(n, k),
         np.ascontiguousarray(b.T, dtype=dtype).ravel(),
         np.ascontiguousarray(a.T, dtype=dtype).ravel(), out_t.ravel(),
     )
-    return np.ascontiguousarray(out_t.T)
+    out[:] = out_t.T
 
 
-def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_stable_matmul(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``a @ b`` computed so row ``i`` of the result depends only on row
-    ``i`` of ``a`` — never on the total row count.
+    ``i`` of ``a`` — never on the total row count.  With ``out`` (of the
+    product's shape and dtype), written there and returned.
 
     BLAS gemm is *not* row-stable in general: narrow outputs (fewer than
     four columns) and single-row operands dispatch to kernels whose
@@ -121,16 +145,21 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     orders them differently in its SIMD body and its scalar tail.
     """
     m, n = a.shape[0], b.shape[1]
+    if out is None and (n < 4 or m == 1):
+        out = np.empty((m, n), dtype=np.result_type(a, b))
     if n < 4:
         # Blocked for direct callers: the (K, m) temporaries of a tall
         # operand would otherwise leave the cache (and take 2 × K × m).
-        return _by_blocks(m, lambda lo, hi: _narrow_matmul(a[lo:hi], b))
+        return _by_blocks(
+            out, lambda lo, hi: _narrow_matmul(a[lo:hi], b, out[lo:hi])
+        )
     if m == 1:
         a = np.concatenate(
             [a, np.zeros((3, a.shape[1]), dtype=a.dtype)], axis=0
         )
-        return (a @ b)[:m]
-    return a @ b
+        out[:] = (a @ b)[:m]
+        return out
+    return a @ b if out is None else np.matmul(a, b, out=out)
 
 
 def _aggregate(adjacency, lo: int, hi: int, prev: np.ndarray) -> np.ndarray:
@@ -158,67 +187,63 @@ def _aggregate(adjacency, lo: int, hi: int, prev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_rows(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
+def _head_rows(
+    weights: GCNWeights, h: np.ndarray, biases, out: np.ndarray
+) -> None:
+    """The FC head on one block of rows, into ``out``; each layer's bias
+    is added from its block of ``biases`` (:meth:`GCNWeights.bias_blocks`)."""
     last = len(weights.fc_weights) - 1
-    for i, (weight, bias) in enumerate(
-        zip(weights.fc_weights, weights.fc_biases)
-    ):
-        h = row_stable_matmul(h, weight)
+    for i, (weight, bias) in enumerate(zip(weights.fc_weights, biases)):
+        h = row_stable_matmul(h, weight, out if i == last else None)
         if bias is not None:
-            h += bias
+            h += bias[: h.shape[0]]
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return h
 
 
-def _by_blocks(n: int, compute, *, threads: int = 1) -> np.ndarray:
-    """``compute(lo, hi)`` over consecutive :data:`BLOCK_ROWS`-row ranges
-    of ``n`` rows, gathered into one array (a lone block *is* the array).
+def _by_blocks(out: np.ndarray, compute, *, threads: int = 1) -> np.ndarray:
+    """``compute(lo, hi)``, which writes rows ``lo:hi`` of ``out``, over
+    consecutive :data:`BLOCK_ROWS`-row ranges of its rows; returns ``out``.
 
-    With ``threads > 1`` and at least :data:`SPLIT_MIN_BLOCKS` blocks,
-    the blocks are cut into ``threads`` contiguous runs: the calling
-    thread computes the first and the pool the others (the numpy / scipy
-    calls inside a block release the GIL).  A run still queued when the
-    caller is done with its own — the pool busy with another caller's —
-    is taken back and computed here.  Every row is computed alone, so the
-    result is the same bit for bit at any thread count.  A call made on a
-    pool thread runs serially (:func:`repro.exec.executor.thread_pool`
-    gives it none): the pool never waits on itself.
+    The caller allocates ``out``, so a block writes its rows where they
+    end up.  With ``threads > 1`` and at least :data:`SPLIT_MIN_BLOCKS`
+    blocks, the pool is handed ``threads - 1`` runs before the calling
+    thread starts its own, and every run takes the next block not yet
+    taken until none is left (``next`` on the shared range iterator is
+    atomic under the GIL; the numpy / scipy calls inside a block release
+    it), so a thread that starts late or runs slow takes fewer blocks.
+    A run the pool has not started when the caller is done — the pool
+    busy with another caller's — is cancelled: its blocks were computed
+    here.  Every row is computed alone, so the result is the same bit
+    for bit at any thread count.  A call made on a pool thread runs
+    serially (:func:`repro.exec.executor.thread_pool` gives it none): the
+    pool never waits on itself.
     """
-    first = compute(0, min(n, BLOCK_ROWS))
-    if n <= BLOCK_ROWS:
-        return first
-    out = np.empty((n, first.shape[1]), dtype=first.dtype)
-    out[:BLOCK_ROWS] = first
+    n = out.shape[0]
+    starts = iter(range(0, n, BLOCK_ROWS))
 
-    def run(lo: int, hi: int) -> None:
-        for start in range(lo, hi, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, hi)
-            out[start:stop] = compute(start, stop)
+    def run() -> None:
+        for start in starts:
+            compute(start, min(start + BLOCK_ROWS, n))
 
     blocks = -(-n // BLOCK_ROWS)
     threads = min(threads, blocks)
     pool = thread_pool() if threads > 1 and blocks >= SPLIT_MIN_BLOCKS else None
-    if pool is None:
-        run(BLOCK_ROWS, n)
-        return out
-    bounds = [
-        min(n, k * blocks // threads * BLOCK_ROWS) for k in range(threads + 1)
-    ]
-    runs = list(zip(bounds[1:-1], bounds[2:]))
-    futures = [pool.submit(run, lo, hi) for lo, hi in runs]
+    futures = [pool.submit(run) for _ in range(threads - 1)] if pool else []
     try:
-        run(BLOCK_ROWS, bounds[1])
-        for future, (lo, hi) in zip(futures, runs):
-            if future.cancel():
-                run(lo, hi)
-            else:
-                future.result()
+        run()
+    except BaseException:
+        for _ in starts:  # no run takes another block
+            pass
+        raise
     finally:
         # After an error too, no run may still be writing into ``out``.
         for future in futures:
             if not future.cancel():
                 future.exception()
+    for future in futures:
+        if not future.cancelled():
+            future.result()
     return out
 
 
@@ -253,12 +278,25 @@ def layer_forward(
     cache-sized block at a time.  The block size is a module constant
     because nothing observable depends on it but the time taken.  Nor
     does anything depend on ``threads``, the most threads the blocks are
-    split between (:func:`_by_blocks`).
+    split between (:func:`_by_blocks`).  Each bias is added from a block
+    of :data:`BLOCK_ROWS` copies of it, built once per weight snapshot
+    (:meth:`GCNWeights.bias_blocks`): the same sums as the broadcast
+    ``out += bias``, as one contiguous add.  The layer's output is
+    allocated first, and each block writes its rows into it.
     """
-    weight, bias = weights.encoder_weights[d], weights.encoder_biases[d]
+    weight = weights.encoder_weights[d]
+    encoder_biases, head_biases = weights.bias_blocks(BLOCK_ROWS)
+    bias = encoder_biases[d]
     with_head = with_head and d == weights.depth - 1
+    products = [weight, *weights.fc_weights] if with_head else [weight]
+    out = np.empty(
+        (own_prev.shape[0], products[-1].shape[1]),
+        dtype=np.result_type(
+            own_prev, prev, pred_rows.dtype, succ_rows.dtype, *products
+        ),
+    )
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> None:
         # own + w_pr·pred + w_su·succ in place, rounded and typed as written.
         x = _aggregate(pred_rows, lo, hi, prev)
         x *= weights.w_pr
@@ -267,27 +305,60 @@ def layer_forward(
         x = x.astype(np.result_type(own_prev, x, s), copy=False)
         x += own_prev[lo:hi]
         x += s
-        out = row_stable_matmul(x, weight)
+        h = row_stable_matmul(x, weight, None if with_head else out[lo:hi])
         if bias is not None:
-            out += bias
-        np.maximum(out, 0.0, out=out)
-        return _head_rows(weights, out) if with_head else out
+            h += bias[: hi - lo]
+        np.maximum(h, 0.0, out=h)
+        if with_head:
+            _head_rows(weights, h, head_biases, out[lo:hi])
 
-    return _by_blocks(own_prev.shape[0], block, threads=threads)
+    return _by_blocks(out, block, threads=threads)
 
 
 def head_forward(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
     """The FC classifier head over final embeddings ``h`` (row-local, and
     blocked like :func:`layer_forward`)."""
+    biases = weights.bias_blocks(BLOCK_ROWS)[1]
+    fc = weights.fc_weights
+    out = np.empty((h.shape[0], fc[-1].shape[1]), dtype=np.result_type(h, *fc))
     return _by_blocks(
-        h.shape[0], lambda lo, hi: _head_rows(weights, h[lo:hi])
+        out, lambda lo, hi: _head_rows(weights, h[lo:hi], biases, out[lo:hi])
     )
 
 
+def class_labels(logits: np.ndarray) -> np.ndarray:
+    """The class of each node from its two (finite) logits: 1, difficult
+    to observe, where ``l1 > l0``; ties go to class 0.  The rounding
+    ``argmax(axis=1)`` makes, as one comparison of the two columns."""
+    return np.greater(logits[:, 1], logits[:, 0]).astype(np.int64)
+
+
+def _exp_shifted(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(l0 - m)`` and ``exp(l1 - m)``, ``m`` the larger logit."""
+    l0, l1 = logits[:, 0], logits[:, 1]
+    top = np.maximum(l0, l1)
+    return np.exp(l0 - top), np.exp(l1 - top)
+
+
+def difficult_proba(logits: np.ndarray) -> np.ndarray:
+    """P(difficult) per node, ``e1 / (e0 + e1)`` of :func:`_exp_shifted`:
+    column 1 of :func:`softmax`, bit for bit, without its other column."""
+    e0, e1 = _exp_shifted(logits)
+    return e1 / (e0 + e1)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise class probabilities (max-shifted for stability)."""
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Both class probabilities per node (max-shifted for stability).
+
+    With :func:`class_labels` and :func:`difficult_proba`, the one definition
+    of what a score is made of its logits: every scoring path derives
+    labels and probabilities here.  Each is computed on the two logit
+    columns, not as a reduction along an axis of length 2 (which numpy
+    runs several times slower), and rounds as that reduction does.
+    """
+    e0, e1 = _exp_shifted(logits)
+    total = e0 + e1
+    return np.stack([e0 / total, e1 / total], axis=1)
 
 
 def check_finite(values: np.ndarray, graph_name: str, what: str) -> None:
@@ -403,8 +474,8 @@ class FastInference:
         return h
 
     def predict(self, graph: GraphData) -> np.ndarray:
-        """Argmax class per node."""
-        return np.argmax(self.logits(graph), axis=1)
+        """Class per node (:func:`class_labels`)."""
+        return class_labels(self.logits(graph))
 
     def predict_proba(self, graph: GraphData) -> np.ndarray:
         """Softmax probabilities per node."""

@@ -220,11 +220,33 @@ class GCNWeights:
             cache[dtype.name] = cast
         return cast
 
+    def bias_blocks(self, rows: int) -> tuple[list, list]:
+        """The encoder and head biases, each as ``rows`` contiguous copies
+        (``None`` where a layer has none), for the kernel's block
+        epilogue.  Built once per weight snapshot and ``rows``: another
+        ``rows`` replaces the memo, so there is one set per cast.
+        """
+        memo = self.__dict__.get("_bias_blocks")
+        if memo is None or memo[0] != rows:
+
+            def tile(bias):
+                return None if bias is None else np.tile(bias, (rows, 1))
+
+            memo = (
+                rows,
+                [tile(b) for b in self.encoder_biases],
+                [tile(b) for b in self.fc_biases],
+            )
+            self.__dict__["_bias_blocks"] = memo
+        return memo[1], memo[2]
+
     def __getstate__(self):
-        # The cast cache is a per-process memo, not state: dropping it
-        # keeps worker-pool payloads lean and pickles deterministic.
+        # The cast cache and the bias blocks are per-process memos, not
+        # state: dropping them keeps worker-pool payloads lean and
+        # pickles deterministic.
         state = dict(self.__dict__)
         state.pop("_cast_cache", None)
+        state.pop("_bias_blocks", None)
         return state
 
     def __setstate__(self, state):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.graphdata import GraphData
-from repro.core.inference import softmax
+from repro.core.inference import difficult_proba
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer, TrainHistory
 from repro.nn.tensor import no_grad
@@ -127,7 +127,7 @@ class MultiStageGCN:
     def _positive_proba(model: GCN, graph: GraphData) -> np.ndarray:
         with no_grad():
             logits = model(graph).data
-        return softmax(logits)[:, 1]
+        return difficult_proba(logits)
 
     # ------------------------------------------------------------------ #
     def predict(self, graph: GraphData) -> np.ndarray:

@@ -189,7 +189,7 @@ class IncrementalScorer:
                 blocks.append(layer_forward(self.weights, d, h, pred, succ, h))
             logits = head_forward(self.weights, blocks[-1])
             check_finite(logits, graph.name, "logits")
-        blocks += [logits, np.argmax(logits, axis=1)]
+        blocks += [logits, inference.class_labels(logits)]
         self._graph = graph
         self._n = graph.num_nodes
         self._stores = [RowStore(block) for block in blocks]
@@ -232,7 +232,7 @@ class IncrementalScorer:
             logits = head_forward(weights, block)
             check_finite(logits, graph.name, "logits")
             patch(caches[-2], logits)
-            patch(caches[-1], np.argmax(logits, axis=1))
+            patch(caches[-1], inference.class_labels(logits))
         token = (self._n, n, rows, overwritten)
         self._n = n
         updates, scored = _obs()
@@ -300,7 +300,7 @@ class IncrementalScorer:
                 logits = self._stacked_logits(
                     previews[lo:hi], held[lo:hi], chunk, adjacency
                 )
-            labels.append(np.argmax(logits, axis=1))
+            labels.append(inference.class_labels(logits))
         updates, scored = _obs()
         updates.inc(len(previews))
         scored.inc(len(need[-1]))

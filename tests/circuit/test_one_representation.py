@@ -37,9 +37,12 @@ OPS = st.one_of(
         st.integers(0, 2),  # no name, a fresh one, or one that may be taken
     ),
     st.tuples(st.just("add_flop"), st.integers(0, 2)),
-    st.tuples(st.just("wire_flop"), PICK),
+    # to a picked driver, or to the newest cell (which then drives a pin)
+    st.tuples(st.just("wire_flop"), PICK, st.booleans()),
     st.tuples(st.just("observe"), PICK),
-    st.tuples(st.just("control"), PICK, st.integers(0, 1)),
+    # then, if asked, drop the newest cell at once: the CP gate, which
+    # drives every pin its target drove
+    st.tuples(st.just("control"), PICK, st.integers(0, 1), st.booleans()),
     st.tuples(st.just("remove_last_cell")),
     st.tuples(st.just("mark_output"), PICK),
     st.tuples(st.just("copy")),
@@ -67,7 +70,8 @@ class Pair:
         assert got == outcome(lambda: getattr(self.ref, method)(*args)), (method, args)
         return got
 
-    def apply(self, step: int, op: tuple) -> None:
+    def apply(self, step: int, op: tuple):
+        """Apply ``op`` to both; a removal's outcome is returned."""
         kind, n = op[0], self.netlist.num_nodes
         if kind == "add_cell":
             _, gate_type, picks, naming = op
@@ -80,15 +84,17 @@ class Pair:
         elif kind == "wire_flop" and self.unwired and n:
             flop = self.unwired.pop(0)
             self.reordered |= flop < n - 1
-            self.both("replace_fanin", flop, flop, op[1] % n)
+            self.both("replace_fanin", flop, flop, n - 1 if op[2] else op[1] % n)
         elif kind == "observe" and n:
             self.both("insert_observation_point", op[1] % n)
         elif kind == "control" and n:
             target = op[1] % n
             self.unwired = [f for f in self.unwired if f != target]  # the CP gate drives it
             self.both("insert_control_point", target, op[2])
+            if op[3]:
+                return self.both("remove_last_cell")
         elif kind == "remove_last_cell":
-            self.both("remove_last_cell")
+            return self.both("remove_last_cell")
         elif kind == "mark_output":
             self.both("mark_output", op[1] % (n + 1))
         elif kind == "copy":
@@ -140,9 +146,41 @@ class TestAgainstTheLists:
     def test_a_late_flop_wiring_is_the_only_reordering(self):
         pair = Pair(Netlist(), ReferenceNetlist())
         run(pair, [("add_cell", GateType.INPUT, [], 0), ("add_flop", 0),
-                   ("add_cell", GateType.NOT, [0], 0), ("wire_flop", 0)])
+                   ("add_cell", GateType.NOT, [0], 0), ("wire_flop", 0, False)])
         assert pair.reordered
         assert pair.netlist.fanouts(0) == [1, 2] and pair.ref.fanouts(0) == [2, 1]
+
+
+REFUSED = ("raised", ValueError, "the newest cell is missing or still drives a pin")
+
+
+class TestRefusedRemoval:
+    """A removal is refused while any pin names the newest cell, however
+    that pin came to name it, and then changes nothing."""
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_a_late_wired_flop_pin(self, copied):
+        pair = Pair(Netlist(), ReferenceNetlist())
+        ops = [("add_cell", GateType.INPUT, [], 0), ("add_flop", 0),
+               ("add_cell", GateType.NOT, [0], 0), ("wire_flop", 0, True)]
+        run(pair, ops + [("copy",)] * copied)
+        assert pair.netlist.fanins(1) == [2]
+        assert pair.apply(len(ops), ("remove_last_cell",)) == REFUSED
+        pair.check()
+
+    @pytest.mark.parametrize("control_to", [0, 1])
+    def test_a_control_point_rewire(self, control_to):
+        text = valid_bench(seed=4, gates=40)
+        pair = Pair(parse_bench(text), reference.parse_bench_cells(text))
+        target = pair.netlist.fanins(last_gate(pair.netlist))[0]
+        assert pair.apply(0, ("control", target, control_to, True)) == REFUSED
+        pair.check()
+
+    def test_a_parsed_flops_data_input(self):
+        text = "INPUT(a)\nOUTPUT(z)\nq = DFF(z)\nz = AND(a, q)\n"  # q's row names z
+        pair = Pair(parse_bench(text), reference.parse_bench_cells(text))
+        assert pair.apply(0, ("remove_last_cell",)) == REFUSED
+        pair.check()
 
 
 def snapshot(netlist: Netlist):

@@ -2,10 +2,11 @@
 
 These are the definitions the row-blocked kernel in
 ``repro.core.inference`` replaced, kept as oracles: the narrow product as
-the Python k-loop that *defines* its sequential-sum contract, and Equation
+the Python k-loop that *defines* its sequential-sum contract, Equation
 (1) / the FC head over a whole row set at once (every n × K intermediate
-materialised, CSR rows sliced by scipy).  The production kernel must equal
-them bit for bit at every block size.
+materialised, CSR rows sliced by scipy, each bias added by broadcast), and
+labels / probabilities as reductions along the class axis.  The production
+kernel must equal them bit for bit at every block size.
 """
 
 from __future__ import annotations
@@ -72,3 +73,12 @@ def embeddings(weights, graph, pred=None, succ=None) -> list[np.ndarray]:
 
 def logits(weights, graph, pred=None, succ=None) -> np.ndarray:
     return head_forward(weights, embeddings(weights, graph, pred, succ)[-1])
+
+
+def labels(logits: np.ndarray) -> np.ndarray:
+    return np.argmax(logits, axis=1).astype(np.int64)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)

@@ -1,12 +1,15 @@
 """The row-blocked kernel against the unblocked oracles, bit for bit.
 
-Four contracts.  The narrow product is the sequential sum of rounded
+Five contracts.  The narrow product is the sequential sum of rounded
 products, whatever the height, layout or dtypes of the operands and
 wherever a row sits in them.  Nothing observable depends on
 ``BLOCK_ROWS``: every way of computing a design's logits equals the
 unblocked reference at any block size, including blocks of one row (the
-``m == 1`` padding paths).  No pass writes into its inputs.  And nothing
-depends on how many threads share a pass's blocks.
+``m == 1`` padding paths), and a bias added from its block of copies
+equals the broadcast add.  No pass writes into its inputs.  Nothing
+depends on how many threads share a pass's blocks.  And labels and
+probabilities taken from the two logit columns equal ``argmax`` and
+``softmax`` along the class axis.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import pickle
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig, available_cpus, blas_threads
@@ -28,9 +34,12 @@ from repro.core import inference
 from repro.core.graphdata import GraphData
 from repro.core.inference import (
     FastInference,
+    class_labels,
+    difficult_proba,
     head_forward,
     layer_forward,
     row_stable_matmul,
+    softmax,
 )
 from repro.core.model import GCN, GCNConfig
 from repro.exec import executor
@@ -379,24 +388,148 @@ class TestThreadInvariance:
 
 
 @pytest.mark.usefixtures("split_any")
+class TestBiasBlocks:
+    """A block adds each bias from :meth:`GCNWeights.bias_blocks`; the
+    oracles add it by broadcast.  Row sets of 1, 3 and ``BLOCK_ROWS``
+    - 1 .. + 1 rows, at every block size :data:`BLOCKS` sweeps."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_the_broadcast_add(self, weights, block, threads, dtype):
+        graph, w = make_graph(), weights.astype(dtype)
+        pred, succ = (m.to_scipy().astype(dtype) for m in (graph.pred, graph.succ))
+        h = graph.attributes.astype(dtype)
+        for d in range(w.depth):
+            for count in sorted({1, 3, block - 1, block, block + 1}):
+                rows = np.arange(count) % N  # past N, rows repeat
+                args = (w, d, h[rows], pred[rows], succ[rows], h)
+                want = reference.layer_forward(*args)
+                if d == w.depth - 1:
+                    want = reference.head_forward(w, want)
+                got = layer_forward(*args, with_head=True, threads=threads)
+                assert got.dtype == dtype and same_bits(got, want), (d, count)
+            h = reference.layer_forward(w, d, h, pred, succ, h)
+        for count in sorted({1, 3, block - 1, block, block + 1}):
+            rows = np.arange(count) % N
+            assert same_bits(
+                head_forward(w, h[rows]), reference.head_forward(w, h[rows])
+            ), count
+
+    def test_one_memo_per_snapshot_and_block_size(self, weights, monkeypatch):
+        w = weights.astype(np.float32)  # a snapshot of its own
+        first = w.bias_blocks(7)
+        assert all(map(np.shares_memory, first[0], w.bias_blocks(7)[0]))
+        encoder, head = w.bias_blocks(9)
+        assert [b.shape for b in encoder] == [(9, len(b)) for b in w.encoder_biases]
+        assert [b.shape for b in head] == [(9, len(b)) for b in w.fc_biases]
+        assert all(b.dtype == np.float32 for b in encoder + head)
+        # A pass at a patched size rebuilds the memo at that size.
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 5)
+        FastInference(weights, ExecutionConfig(dtype="float32")).logits(make_graph())
+        assert w.__dict__["_bias_blocks"][0] == 5
+
+    def test_a_pickle_carries_no_bias_blocks(self, weights):
+        pristine = pickle.dumps(weights)
+        weights.bias_blocks(inference.BLOCK_ROWS)
+        weights.astype(np.float32).bias_blocks(inference.BLOCK_ROWS)
+        assert "_bias_blocks" in weights.__dict__
+        clone = pickle.loads(pickle.dumps(weights))
+        assert "_bias_blocks" not in clone.__dict__
+        assert "_cast_cache" not in clone.__dict__
+        assert pickle.dumps(weights) == pristine
+
+
+def logit_pairs(dtype, width: int):
+    """``n × 2`` finite logits of ``dtype``, with ties (±0.0 ones too)
+    and magnitudes up to ``1e300`` (float32: its largest finite)."""
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=width),
+        st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 1.0]).map(
+            lambda x: float(np.clip(x, np.finfo(dtype).min, np.finfo(dtype).max).astype(dtype))
+        ),
+    )
+
+    @st.composite
+    def draw(draw):
+        logits = draw(hnp.arrays(dtype, st.tuples(st.integers(0, 40), st.just(2)), elements=values))
+        ties = draw(hnp.arrays(bool, logits.shape[0]))
+        logits[ties, 1] = logits[ties, 0]
+        flip = draw(hnp.arrays(bool, logits.shape[0]))
+        logits[ties & flip, 1] *= -1.0  # 0.0 against -0.0
+        return logits
+
+    return draw()
+
+
+class TestScoreColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(logit_pairs(np.float64, 64), logit_pairs(np.float32, 32)))
+    def test_equal_the_reductions_along_the_class_axis(self, logits):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference.softmax(logits)
+            got = softmax(logits)
+            proba = difficult_proba(logits)
+        assert got.dtype == proba.dtype == logits.dtype
+        assert got.tobytes() == want.tobytes()
+        assert proba.tobytes() == np.ascontiguousarray(want[:, 1]).tobytes()
+        labels = class_labels(logits)
+        assert labels.dtype == np.int64
+        assert labels.tobytes() == reference.labels(logits).tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_and_one_row(self, rows):
+        logits = np.full((rows, 2), 3.0)
+        assert class_labels(logits).tolist() == [0] * rows
+        assert softmax(logits).shape == (rows, 2)
+        assert difficult_proba(logits).tolist() == [0.5] * rows
+
+
+@pytest.mark.usefixtures("split_any")
 class TestThreadSplit:
     def test_error_in_a_pooled_run_reaches_the_caller(self, monkeypatch):
-        # 8 one-row blocks over 2 threads: the caller runs rows 1-3, the
-        # pool rows 4-7.  The caller waits until the pool has started, so
-        # the error is raised on a pool thread, not in a run taken back.
+        # 8 one-row blocks over 2 threads.  Every block the caller takes
+        # waits until a pool thread has raised, so the error is raised on
+        # the pool, and the caller computes the blocks that are left.
         monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
-        pool_started = threading.Event()
+        pool_failed = threading.Event()
+        done = []
 
         def compute(lo, hi):
-            if lo >= 4:
-                pool_started.set()
+            if threading.current_thread().name.startswith("repro-pool"):
+                pool_failed.set()
                 raise RuntimeError(f"boom on {threading.current_thread().name}")
-            if lo == 1:
-                assert pool_started.wait(timeout=30)
-            return np.zeros((hi - lo, 2))
+            assert pool_failed.wait(timeout=30)
+            done.append(lo)
 
         with pytest.raises(RuntimeError, match="boom on repro-pool"):
-            inference._by_blocks(8, compute, threads=2)
+            inference._by_blocks(np.zeros((8, 2)), compute, threads=2)
+        assert len(done) == 7
+
+    def test_an_error_on_the_caller_stops_the_pool_runs(self, monkeypatch):
+        # The pool's run is inside a block when the caller raises: the call
+        # returns only once that block is done, and the run stops taking
+        # blocks (each one after its first sleeps, so without the stop it
+        # would still take all seven that are left).
+        monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
+        pool_started, caller_failed = threading.Event(), threading.Event()
+        started, finished = [], []
+
+        def compute(lo, hi):
+            if threading.current_thread().name.startswith("repro-pool"):
+                started.append(lo)
+                pool_started.set()
+                assert caller_failed.wait(timeout=30)
+                if len(started) > 1:
+                    time.sleep(0.05)
+                finished.append(lo)
+                return
+            assert pool_started.wait(timeout=30)
+            caller_failed.set()
+            raise RuntimeError("boom on the caller")
+
+        with pytest.raises(RuntimeError, match="boom on the caller"):
+            inference._by_blocks(np.zeros((8, 2)), compute, threads=2)
+        assert started == finished and len(started) < 7
 
     def test_a_call_on_a_pool_thread_runs_serially(self, monkeypatch):
         monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
@@ -406,14 +539,14 @@ class TestThreadSplit:
             2, thread_name_prefix="repro-pool", initializer=executor._mark_pooled
         )
         monkeypatch.setattr(executor, "_pool", wide)
-        seen = set()
+        seen, out = set(), np.empty((9, 2))
 
         def compute(lo, hi):
             seen.add(threading.current_thread().name)
-            return np.full((hi - lo, 2), float(lo))
+            out[lo:hi] = lo
 
         def nested():
-            return inference._by_blocks(9, compute, threads=2)
+            return inference._by_blocks(out, compute, threads=2)
 
         try:
             out = thread_pool().submit(nested).result(timeout=30)
@@ -423,43 +556,45 @@ class TestThreadSplit:
         assert len(seen) == 1 and next(iter(seen)).startswith("repro-pool")
 
     def test_callers_of_different_sizes_share_the_pool(self, monkeypatch):
-        # Both callers are past their first block before either asks for
-        # the pool, and each asks for a different number of threads: the
-        # pool one of them holds must still take its runs, as must the
-        # pool held here since before either call.
+        # Both callers have handed the pool their runs before either is
+        # past its first block, and each asks for a different number of
+        # threads: the pool one of them holds must still take its runs, as
+        # must the pool held here since before either call.
         monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
         held = thread_pool()
         both_started = threading.Barrier(2, timeout=30)
 
-        def compute(lo, hi):
-            if lo == 0:
-                both_started.wait()
-            return np.full((hi - lo, 2), float(lo))
+        def call(n, threads):
+            out = np.empty((n, 2))
+
+            def compute(lo, hi):
+                if lo == 0:
+                    both_started.wait()
+                out[lo:hi] = lo
+
+            return inference._by_blocks(out, compute, threads=threads)
 
         calls = [(10, 2), (20, 4)]
         with ThreadPoolExecutor(len(calls)) as callers:
-            outs = list(callers.map(
-                lambda call: inference._by_blocks(call[0], compute, threads=call[1]),
-                calls,
-            ))
+            outs = list(callers.map(lambda c: call(*c), calls))
         for (n, _), out in zip(calls, outs):
             assert np.array_equal(out[:, 0], np.arange(float(n)))
         assert held.submit(int).result(timeout=30) == 0
 
     def test_runs_a_busy_pool_has_not_started_are_taken_back(self, monkeypatch):
         monkeypatch.setattr(inference, "BLOCK_ROWS", 1)
-        seen = set()
+        seen, out = set(), np.empty((9, 2))
 
         def compute(lo, hi):
             seen.add(threading.current_thread().name)
-            return np.full((hi - lo, 2), float(lo))
+            out[lo:hi] = lo
 
         release = threading.Event()
         with ThreadPoolExecutor(1) as busy:
             busy.submit(release.wait, 30)
             monkeypatch.setattr(inference, "thread_pool", lambda: busy)
             try:
-                out = inference._by_blocks(9, compute, threads=3)
+                inference._by_blocks(out, compute, threads=3)
             finally:
                 release.set()
         assert np.array_equal(out[:, 0], np.arange(9.0))
